@@ -34,6 +34,7 @@ module Series = Mcss_report.Series
 module Front = Mcss_front.Front
 module Engine = Mcss_engine.Engine
 module Clock = Mcss_obs.Clock
+module Json = Mcss_json.Json
 
 let taus = [ 10.; 100.; 1000. ]
 
@@ -46,7 +47,17 @@ let timed f =
 
 (* Peak RSS and GC major-heap pressure, sampled when a section writes
    its BENCH_*.json — speed without the memory bill is half a result. *)
-let runtime_json () = Mcss_obs.Runtime_stats.(to_json_object (sample ()))
+let runtime_json () = Mcss_obs.Runtime_stats.(to_json (sample ()))
+
+(* Every section's machine-readable summary: one JSON document written
+   to [out_dir/name], creating the directory first. *)
+let write_json ~out_dir name doc =
+  Mcss_report.Fs.mkdir_p out_dir;
+  let path = Filename.concat out_dir name in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" path
 
 (* Every seeded generator in the harness derives from one --trace-seed,
    so a whole bench run (and both BENCH_*.json files) is reproducible
@@ -85,6 +96,20 @@ let derive_seeds trace_seed =
   }
 
 let bc_events = Front.bc_events
+
+(* A latency block in milliseconds, e.g. {"p50":..,"p99":..}, read off
+   a percentile function over seconds. *)
+let latency_ms pct ps =
+  Json.Obj (List.map (fun p -> (Printf.sprintf "p%.0f" (p *. 100.), Json.Float (pct p *. 1e3))) ps)
+
+(* The leading fields of every Spotify-trace section's summary. *)
+let spotify_header ~scenario ~seeds ~scale =
+  Json.
+    [
+      ("scenario", String scenario); ("runtime", runtime_json ());
+      ("version", String (Mcss_serve.Build_info.to_string ()));
+      ("trace_seed", Int seeds.trace_seed); ("trace", String "spotify"); ("scale", Float scale);
+    ]
 
 type run = {
   config_name : string;
@@ -928,27 +953,32 @@ let resilience ~seeds ~w ~scale ~out_dir =
         ("cost vs k=1", Table.Right);
       ]
   in
-  let row name (r : Sla.report) ~repairs ~vms ~overhead_pct =
-    Table.add_row table
-      [
-        name;
-        Table.cell_float ~decimals:1 r.Sla.violation_hours;
-        Table.cell_pct (100. *. r.Sla.delivered_fraction);
-        string_of_int repairs;
-        string_of_int vms;
-        Printf.sprintf "%+.1f%%" overhead_pct;
-      ]
-  in
   let vms_of (o : Orchestrator.outcome) =
     Allocation.num_vms o.Orchestrator.plan.Reprovision.allocation
   in
-  row "no recovery" baseline.Orchestrator.sla ~repairs:0 ~vms:(vms_of baseline)
-    ~overhead_pct:(overhead (plan_cost baseline));
-  row "supervised repair" supervised.Orchestrator.sla
-    ~repairs:supervised.Orchestrator.repairs ~vms:(vms_of supervised)
-    ~overhead_pct:(overhead (plan_cost supervised));
-  row "k=2 replicas" replicated ~repairs:0 ~vms:rstats.Redundancy.vms
-    ~overhead_pct:rstats.Redundancy.overhead_vs_base_pct;
+  (* (table label, JSON name, SLA report, repairs, VMs, cost overhead) *)
+  let variants =
+    [
+      ( "no recovery", "no_recovery", baseline.Orchestrator.sla, 0, vms_of baseline,
+        overhead (plan_cost baseline) );
+      ( "supervised repair", "supervised", supervised.Orchestrator.sla,
+        supervised.Orchestrator.repairs, vms_of supervised, overhead (plan_cost supervised) );
+      ( "k=2 replicas", "k2_replicas", replicated, 0, rstats.Redundancy.vms,
+        rstats.Redundancy.overhead_vs_base_pct );
+    ]
+  in
+  List.iter
+    (fun (label, _, (r : Sla.report), repairs, vms, overhead_pct) ->
+      Table.add_row table
+        [
+          label;
+          Table.cell_float ~decimals:1 r.Sla.violation_hours;
+          Table.cell_pct (100. *. r.Sla.delivered_fraction);
+          string_of_int repairs;
+          string_of_int vms;
+          Printf.sprintf "%+.1f%%" overhead_pct;
+        ])
+    variants;
   Table.print table;
   Printf.printf
     "supervised plan verified: %b (%d replacement VM(s)); k=2: %d/%d pairs\n\
@@ -957,67 +987,47 @@ let resilience ~seeds ~w ~scale ~out_dir =
     supervised.Orchestrator.vms_added rstats.Redundancy.zone_diverse_pairs
     selection.Selection.num_pairs rstats.Redundancy.overhead_vs_lb_pct;
   (* Machine-readable summary next to the .dat series. *)
-  let rec mkdir_p dir =
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-    end
+  let variant (_, name, (r : Sla.report), repairs, vms, overhead_pct) =
+    Json.(
+      Obj
+        [
+          ("name", String name);
+          ("violation_hours", Float r.Sla.violation_hours);
+          ("violation_epochs", Int r.Sla.violation_epochs);
+          ("delivered_fraction", Float r.Sla.delivered_fraction);
+          ("lost_events", Int r.Sla.lost_events);
+          ("repairs", Int repairs);
+          ("mean_epochs_to_recover", Float r.Sla.mean_epochs_to_recover);
+          ("downtime_cost_usd", Float r.Sla.downtime_cost);
+          ("vms", Int vms);
+          ("cost_overhead_vs_base_pct", Float overhead_pct);
+        ])
   in
-  mkdir_p out_dir;
-  let path = Filename.concat out_dir "BENCH_resilience.json" in
-  let oc = open_out path in
-  let variant name (r : Sla.report) ~repairs ~vms ~overhead_pct =
-    Printf.sprintf
-      "    { \"name\": %S, \"violation_hours\": %g, \"violation_epochs\": %d,\n\
-      \      \"delivered_fraction\": %.6f, \"lost_events\": %d, \"repairs\": %d,\n\
-      \      \"mean_epochs_to_recover\": %g, \"downtime_cost_usd\": %g,\n\
-      \      \"vms\": %d, \"cost_overhead_vs_base_pct\": %g }"
-      name r.Sla.violation_hours r.Sla.violation_epochs r.Sla.delivered_fraction
-      r.Sla.lost_events repairs r.Sla.mean_epochs_to_recover r.Sla.downtime_cost
-      vms overhead_pct
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"resilience\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"trace_scale\": %g,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"tau\": 100,\n\
-    \  \"zones\": %d,\n\
-    \  \"campaign_seed\": %d,\n\
-    \  \"faults\": [%s],\n\
-    \  \"variants\": [\n%s\n  ],\n\
-    \  \"redundancy\": {\n\
-    \    \"k\": %d, \"replicas_placed\": %d, \"zone_diverse_pairs\": %d,\n\
-    \    \"selected_pairs\": %d, \"base_vms\": %d, \"vms\": %d,\n\
-    \    \"base_cost_usd\": %g, \"cost_usd\": %g, \"lb_cost_usd\": %g,\n\
-    \    \"overhead_vs_base_pct\": %g, \"overhead_vs_lb_pct\": %g\n\
-    \  }\n\
-     }\n"
-    (runtime_json ()) scale seeds.trace_seed zones campaign.Failure_model.seed
-    (String.concat ", "
-       (List.map
-          (fun f -> Printf.sprintf "%S" (Failure_model.fault_to_string f))
-          campaign.Failure_model.faults))
-    (String.concat ",\n"
-       [
-         variant "no_recovery" baseline.Orchestrator.sla ~repairs:0
-           ~vms:(vms_of baseline)
-           ~overhead_pct:(overhead (plan_cost baseline));
-         variant "supervised" supervised.Orchestrator.sla
-           ~repairs:supervised.Orchestrator.repairs ~vms:(vms_of supervised)
-           ~overhead_pct:(overhead (plan_cost supervised));
-         variant "k2_replicas" replicated ~repairs:0 ~vms:rstats.Redundancy.vms
-           ~overhead_pct:rstats.Redundancy.overhead_vs_base_pct;
-       ])
-    rstats.Redundancy.k rstats.Redundancy.replicas_placed
-    rstats.Redundancy.zone_diverse_pairs selection.Selection.num_pairs
-    rstats.Redundancy.base_vms rstats.Redundancy.vms rstats.Redundancy.base_cost
-    rstats.Redundancy.cost rstats.Redundancy.lb_cost
-    rstats.Redundancy.overhead_vs_base_pct rstats.Redundancy.overhead_vs_lb_pct;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
+  let faults = List.map Failure_model.fault_to_string campaign.Failure_model.faults in
+  let module R = Redundancy in
+  write_json ~out_dir "BENCH_resilience.json"
+    Json.(
+      Obj
+        [
+          ("scenario", String "resilience"); ("runtime", runtime_json ());
+          ("trace_scale", Float scale); ("trace_seed", Int seeds.trace_seed);
+          ("tau", Int 100); ("zones", Int zones);
+          ("campaign_seed", Int campaign.Failure_model.seed);
+          ("faults", List (List.map (fun f -> String f) faults));
+          ("variants", List (List.map variant variants));
+          ( "redundancy",
+            Obj
+              [
+                ("k", Int rstats.R.k); ("replicas_placed", Int rstats.R.replicas_placed);
+                ("zone_diverse_pairs", Int rstats.R.zone_diverse_pairs);
+                ("selected_pairs", Int selection.Selection.num_pairs);
+                ("base_vms", Int rstats.R.base_vms); ("vms", Int rstats.R.vms);
+                ("base_cost_usd", Float rstats.R.base_cost); ("cost_usd", Float rstats.R.cost);
+                ("lb_cost_usd", Float rstats.R.lb_cost);
+                ("overhead_vs_base_pct", Float rstats.R.overhead_vs_base_pct);
+                ("overhead_vs_lb_pct", Float rstats.R.overhead_vs_lb_pct);
+              ] );
+        ])
 
 (* Observability overhead: the acceptance gate for lib/obs. Runs the
    end-to-end pipeline (solve + deterministic simulate) on both traces
@@ -1094,37 +1104,25 @@ let obs_overhead ~seeds ~spotify ~twitter ~spotify_scale ~twitter_scale ~out_dir
     "(median of 7 solve+simulate pipelines per variant; counters accumulate\n\
      in locals on the hot paths and flush once, so both columns should\n\
      agree to within noise)";
-  let rec mkdir_p dir =
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let path = Filename.concat out_dir "BENCH_obs.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"obs_overhead\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"tau\": 100,\n\
-    \  \"reps\": %d,\n\
-    \  \"pipeline\": \"solve+simulate\",\n\
-    \  \"traces\": [\n%s\n  ]\n\
-     }\n"
-    (runtime_json ()) seeds.trace_seed reps
-    (String.concat ",\n"
-       (List.map
-          (fun (name, scale, d, e, pct, metrics, spans) ->
-            Printf.sprintf
-              "    { \"name\": %S, \"scale\": %g, \"disabled_s\": %.6f,\n\
-              \      \"enabled_s\": %.6f, \"overhead_pct\": %.3f,\n\
-              \      \"metrics\": %d, \"spans\": %d }"
-              name scale d e pct metrics spans)
-          rows));
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  write_json ~out_dir "BENCH_obs.json"
+    Json.(
+      Obj
+        [
+          ("scenario", String "obs_overhead"); ("runtime", runtime_json ());
+          ("trace_seed", Int seeds.trace_seed); ("tau", Int 100); ("reps", Int reps);
+          ("pipeline", String "solve+simulate");
+          ( "traces",
+            List
+              (List.map
+                 (fun (name, scale, d, e, pct, metrics, spans) ->
+                   Obj
+                     [
+                       ("name", String name); ("scale", Float scale); ("disabled_s", Float d);
+                       ("enabled_s", Float e); ("overhead_pct", Float pct);
+                       ("metrics", Int metrics); ("spans", Int spans);
+                     ])
+                 rows) );
+        ])
 
 (* Planning-service throughput: an in-process [mcss serve] on a Unix
    socket, N concurrent client domains driving a solve+whatif mix over a
@@ -1139,7 +1137,6 @@ let serve_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   let module Service = Mcss_serve.Service in
   let module Server = Mcss_serve.Server in
   let module Client = Mcss_serve.Client in
-  let module Json = Mcss_serve.Json in
   let module Protocol = Mcss_serve.Protocol in
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1234,11 +1231,7 @@ let serve_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     Array.concat (List.map (fun (ls, _) -> ls) per_client)
   in
   let errors = List.fold_left (fun acc (_, e) -> acc + e) 0 per_client in
-  Array.sort compare latencies;
-  let pct p =
-    let n = Array.length latencies in
-    latencies.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1 |> max 0))
-  in
+  let pct = Stats.nearest_rank latencies in
   let total_requests = num_clients * requests_per_client in
   let requests_per_s = float_of_int total_requests /. wall_s in
   let final_stats = Service.cache_stats svc in
@@ -1281,44 +1274,24 @@ let serve_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     \ solver ran %d times in total — everything else came from the cache)\n"
     (Array.length taus + 3)
     (Service.solver_runs svc);
-  let rec mkdir_p dir =
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_serve.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"serve_throughput\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"scale\": %g,\n\
-    \  \"clients\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"errors\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"requests_per_s\": %.2f,\n\
-    \  \"latency_ms\": { \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f },\n\
-    \  \"cache\": { \"steady_state_hit_ratio\": %.4f, \"hits\": %d,\n\
-    \    \"misses\": %d, \"entries\": %d },\n\
-    \  \"solver_runs\": %d\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    seeds.trace_seed spotify_scale num_clients total_requests errors wall_s
-    requests_per_s
-    (pct 0.50 *. 1e3)
-    (pct 0.95 *. 1e3)
-    (pct 0.99 *. 1e3)
-    steady_hit_ratio steady_hits steady_misses
-    final_stats.Mcss_serve.Plan_cache.entries (Service.solver_runs svc);
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path
+  write_json ~out_dir "BENCH_serve.json"
+    Json.(
+      Obj
+        (spotify_header ~scenario:"serve_throughput" ~seeds ~scale:spotify_scale
+        @ [
+            ("clients", Int num_clients); ("requests", Int total_requests);
+            ("errors", Int errors); ("wall_s", Float wall_s);
+            ("requests_per_s", Float requests_per_s);
+            ("latency_ms", latency_ms pct [ 0.50; 0.95; 0.99 ]);
+            ( "cache",
+              Obj
+                [
+                  ("steady_state_hit_ratio", Float steady_hit_ratio);
+                  ("hits", Int steady_hits); ("misses", Int steady_misses);
+                  ("entries", Int final_stats.Mcss_serve.Plan_cache.entries);
+                ] );
+            ("solver_runs", Int (Service.solver_runs svc));
+          ]))
 
 (* The resilience of the serving stack itself: (1) crash recovery — how
    fast a kill -9'd journaled daemon is back to answering its solves as
@@ -1337,7 +1310,6 @@ let serve_faults_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   let module Breaker = Mcss_serve.Breaker in
   let module Retry = Mcss_serve.Retry in
   let module Faulty = Mcss_serve.Faulty in
-  let module Json = Mcss_serve.Json in
   let module Protocol = Mcss_serve.Protocol in
   let capacity = bc_events ~scale:spotify_scale Instance.c3_large in
   let taus = [ 25.; 50.; 100.; 200. ] in
@@ -1509,11 +1481,7 @@ let serve_faults_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   let latencies = Array.concat (List.map (fun (ls, _, _) -> ls) per_client) in
   let attempts = List.fold_left (fun a (_, n, _) -> a + n) 0 per_client in
   let errors = List.fold_left (fun a (_, _, e) -> a + e) 0 per_client in
-  Array.sort compare latencies;
-  let pct p =
-    let n = Array.length latencies in
-    latencies.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
+  let pct = Stats.nearest_rank latencies in
   let total_requests = num_clients * requests_per_client in
   let reset_table =
     Table.create
@@ -1585,48 +1553,38 @@ let serve_faults_bench ~seeds ~spotify ~spotify_scale ~out_dir =
       Breaker.state_to_string (Breaker.state b);
     ];
   Table.print breaker_table;
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_serve_faults.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"serve_faults\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"scale\": %g,\n\
-    \  \"recovery\": { \"cold_solve_s\": %.6f, \"replay_ms\": %.3f,\n\
-    \    \"reanswer_ms\": %.3f, \"plans_recovered\": %d,\n\
-    \    \"served_as_hits\": %d, \"solver_reruns\": %d },\n\
-    \  \"resets\": { \"requests\": %d, \"injected_resets\": %d,\n\
-    \    \"reset_every\": %d, \"attempts\": %d, \"errors\": %d,\n\
-    \    \"latency_ms\": { \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f } },\n\
-    \  \"breaker\": { \"shed_requests\": %d, \"degraded_replies\": %d,\n\
-    \    \"opens\": %d, \"closes\": %d, \"rejections\": %d,\n\
-    \    \"final_state\": %S }\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    seeds.trace_seed spotify_scale cold_solve_s (replay_s *. 1e3)
-    (reanswer_s *. 1e3) plans_recovered recovered_hits
-    (Service.solver_runs svc2) total_requests reset_conns reset_every attempts
-    errors
-    (pct 0.50 *. 1e3)
-    (pct 0.95 *. 1e3)
-    (pct 0.99 *. 1e3)
-    shed_requests !degraded_replies (Breaker.opens b) (Breaker.closes b)
-    (Breaker.rejections b)
-    (Breaker.state_to_string (Breaker.state b));
-  close_out oc;
-  rm_rf dir;
-  Printf.printf "wrote %s\n" json_path
+  write_json ~out_dir "BENCH_serve_faults.json"
+    Json.(
+      Obj
+        (spotify_header ~scenario:"serve_faults" ~seeds ~scale:spotify_scale
+        @ [
+            ( "recovery",
+              Obj
+                [
+                  ("cold_solve_s", Float cold_solve_s); ("replay_ms", Float (replay_s *. 1e3));
+                  ("reanswer_ms", Float (reanswer_s *. 1e3));
+                  ("plans_recovered", Int plans_recovered);
+                  ("served_as_hits", Int recovered_hits);
+                  ("solver_reruns", Int (Service.solver_runs svc2));
+                ] );
+            ( "resets",
+              Obj
+                [
+                  ("requests", Int total_requests); ("injected_resets", Int reset_conns);
+                  ("reset_every", Int reset_every); ("attempts", Int attempts);
+                  ("errors", Int errors); ("latency_ms", latency_ms pct [ 0.50; 0.95; 0.99 ]);
+                ] );
+            ( "breaker",
+              Obj
+                [
+                  ("shed_requests", Int shed_requests);
+                  ("degraded_replies", Int !degraded_replies);
+                  ("opens", Int (Breaker.opens b)); ("closes", Int (Breaker.closes b));
+                  ("rejections", Int (Breaker.rejections b));
+                  ("final_state", String (Breaker.state_to_string (Breaker.state b)));
+                ] );
+          ]));
+  rm_rf dir
 
 (* One shard of the bench cluster: a journaled leader with its
    replication hub, and a journaled follower fed over [bs_dial] (the
@@ -1665,7 +1623,6 @@ let serve_cluster_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   let module Journal = Mcss_serve.Journal in
   let module Retry = Mcss_serve.Retry in
   let module Faulty = Mcss_serve.Faulty in
-  let module Json = Mcss_serve.Json in
   let module Protocol = Mcss_serve.Protocol in
   let module Replication = Mcss_serve.Replication in
   let module Ring = Mcss_serve.Ring in
@@ -1683,14 +1640,8 @@ let serve_cluster_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     | _ -> ( try Sys.remove path with Sys_error _ -> ())
     | exception Unix.Unix_error _ -> ()
   in
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
   rm_rf base;
-  mkdir_p base;
+  Mcss_report.Fs.mkdir_p base;
   let shard_names = [ "s0"; "s1"; "s2" ] in
   let ring = Ring.create shard_names in
   (* The ring hashes content digests, so shard coverage is found, not
@@ -1937,11 +1888,7 @@ let serve_cluster_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     (fun (_, _, _, ps) ->
       Array.iteri (fun i n -> per_shard.(i) <- per_shard.(i) + n) ps)
     per_client;
-  Array.sort compare latencies;
-  let pct p =
-    let n = Array.length latencies in
-    latencies.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
+  let pct = Stats.nearest_rank latencies in
   let total_requests = num_clients * requests_per_client in
   let requests_per_s = float_of_int total_requests /. wall_s in
   (* Resync: a cold follower pulls shard 0's whole journal through the
@@ -2050,42 +1997,34 @@ let serve_cluster_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     "cold follower resync through the faulty link: %d records in %.1f ms \
      (%d replication connections, %d reset)\n"
     resync_records (resync_s *. 1e3) faulty_conns injected;
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_serve_cluster.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"serve_cluster\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"scale\": %g,\n\
-    \  \"topology\": { \"shards\": %d, \"replicas_per_shard\": 2,\n\
-    \    \"digests\": %d, \"vnodes\": %d },\n\
-    \  \"clients\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"errors\": %d,\n\
-    \  \"cache_hits\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"requests_per_s\": %.2f,\n\
-    \  \"latency_ms\": { \"p50\": %.4f, \"p99\": %.4f },\n\
-    \  \"per_shard_requests\": { \"s0\": %d, \"s1\": %d, \"s2\": %d },\n\
-    \  \"replication\": { \"fault_every\": %d, \"faulty_link_connections\": %d,\n\
-    \    \"injected_resets\": %d, \"resync_records\": %d, \"resync_ms\": %.3f }\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    seeds.trace_seed spotify_scale (List.length shard_names)
-    (List.length digests) Router.default_config.Router.vnodes num_clients
-    total_requests errors hits wall_s requests_per_s
-    (pct 0.50 *. 1e3)
-    (pct 0.99 *. 1e3)
-    per_shard.(0) per_shard.(1) per_shard.(2) fault_every faulty_conns injected
-    resync_records (resync_s *. 1e3);
-  close_out oc;
-  rm_rf base;
-  Printf.printf "wrote %s\n" json_path
+  write_json ~out_dir "BENCH_serve_cluster.json"
+    Json.(
+      Obj
+        (spotify_header ~scenario:"serve_cluster" ~seeds ~scale:spotify_scale
+        @ [
+            ( "topology",
+              Obj
+                [
+                  ("shards", Int (List.length shard_names)); ("replicas_per_shard", Int 2);
+                  ("digests", Int (List.length digests));
+                  ("vnodes", Int Router.default_config.Router.vnodes);
+                ] );
+            ("clients", Int num_clients); ("requests", Int total_requests);
+            ("errors", Int errors); ("cache_hits", Int hits); ("wall_s", Float wall_s);
+            ("requests_per_s", Float requests_per_s);
+            ("latency_ms", latency_ms pct [ 0.50; 0.99 ]);
+            ( "per_shard_requests",
+              Obj (List.mapi (fun i name -> (name, Int per_shard.(i))) shard_names) );
+            ( "replication",
+              Obj
+                [
+                  ("fault_every", Int fault_every);
+                  ("faulty_link_connections", Int faulty_conns);
+                  ("injected_resets", Int injected); ("resync_records", Int resync_records);
+                  ("resync_ms", Float (resync_s *. 1e3));
+                ] );
+          ]));
+  rm_rf base
 
 (* The incremental engine against cold re-solves: a 1k-delta churn
    stream folded one small batch at a time into a live engine on the
@@ -2144,12 +2083,7 @@ let engine_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   let cold_final, cold_final_s = timed (fun () -> Solver.solve p_final) in
   cold_lat := cold_final_s :: !cold_lat;
   let lb = Lower_bound.compute p_final in
-  let pct latencies p =
-    let a = Array.of_list latencies in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
+  let pct latencies = Stats.nearest_rank (Array.of_list latencies) in
   let apply_p50 = pct !apply_lat 0.50 and apply_p95 = pct !apply_lat 0.95 in
   let cold_p50 = pct !cold_lat 0.50 and cold_p95 = pct !cold_lat 0.95 in
   let speedup = cold_p50 /. apply_p50 in
@@ -2201,46 +2135,35 @@ let engine_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     gap_final gap_max
     (Table.cell_usd lb.Lower_bound.cost)
     gap_lb;
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_engine.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"engine_incremental\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"scale\": %g,\n\
-    \  \"tau\": 100,\n\
-    \  \"deltas\": %d,\n\
-    \  \"batches\": %d,\n\
-    \  \"create_s\": %.6f,\n\
-    \  \"apply_latency_ms\": { \"p50\": %.4f, \"p95\": %.4f },\n\
-    \  \"cold_solve_latency_ms\": { \"p50\": %.4f, \"p95\": %.4f },\n\
-    \  \"speedup_median\": %.2f,\n\
-    \  \"churn\": { \"pairs_kept\": %d, \"pairs_added\": %d,\n\
-    \    \"pairs_removed\": %d, \"pairs_evicted\": %d,\n\
-    \    \"vms_added\": %d, \"vms_removed\": %d, \"drift_resolves\": %d },\n\
-    \  \"cost\": { \"engine_usd\": %.2f, \"cold_usd\": %.2f,\n\
-    \    \"gap_vs_cold_pct\": %.4f, \"worst_sampled_gap_pct\": %.4f,\n\
-    \    \"lower_bound_usd\": %.2f, \"gap_vs_lower_bound_pct\": %.4f }\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    seeds.trace_seed spotify_scale !deltas_total !batches create_s
-    (apply_p50 *. 1e3) (apply_p95 *. 1e3) (cold_p50 *. 1e3) (cold_p95 *. 1e3)
-    speedup !kept !added !removed !evicted !vms_added !vms_removed !resolves
-    (Engine.cost eng) cold_final.Solver.cost gap_final gap_max
-    lb.Lower_bound.cost gap_lb;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path
+  write_json ~out_dir "BENCH_engine.json"
+    Json.(
+      Obj
+        (spotify_header ~scenario:"engine_incremental" ~seeds ~scale:spotify_scale
+        @ [
+            ("tau", Int 100); ("deltas", Int !deltas_total); ("batches", Int !batches);
+            ("create_s", Float create_s);
+            ("apply_latency_ms", latency_ms (pct !apply_lat) [ 0.50; 0.95 ]);
+            ("cold_solve_latency_ms", latency_ms (pct !cold_lat) [ 0.50; 0.95 ]);
+            ("speedup_median", Float speedup);
+            ( "churn",
+              Obj
+                [
+                  ("pairs_kept", Int !kept); ("pairs_added", Int !added);
+                  ("pairs_removed", Int !removed); ("pairs_evicted", Int !evicted);
+                  ("vms_added", Int !vms_added); ("vms_removed", Int !vms_removed);
+                  ("drift_resolves", Int !resolves);
+                ] );
+            ( "cost",
+              Obj
+                [
+                  ("engine_usd", Float (Engine.cost eng));
+                  ("cold_usd", Float cold_final.Solver.cost);
+                  ("gap_vs_cold_pct", Float gap_final);
+                  ("worst_sampled_gap_pct", Float gap_max);
+                  ("lower_bound_usd", Float lb.Lower_bound.cost);
+                  ("gap_vs_lower_bound_pct", Float gap_lb);
+                ] );
+          ]))
 
 (* Live dataplane: boot the plan as a real broker fleet on Unix sockets,
    pump the deterministic schedule through it, and reconcile the
@@ -2289,13 +2212,6 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
       (try Sys.readdir d with _ -> [||]);
     try Unix.rmdir d with _ -> ()
   in
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
   let cluster = Cluster.boot ~dir ~message_bytes p a0 in
   Fun.protect
     ~finally:(fun () ->
@@ -2341,38 +2257,37 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
         steady.Pump.wall_s per_s p50 p95 p99
         (if steady_rc.Reconcile.pass then "PASS" else "FAIL")
         steady_rc.Reconcile.max_deviation;
+      let reconcile_json (rc : Reconcile.t) =
+        Json.(
+          Obj [ ("max_deviation", Float rc.Reconcile.max_deviation); ("pass", Bool rc.Reconcile.pass) ])
+      in
+      let write fleet churn =
+        write_json ~out_dir "BENCH_dataplane.json"
+          Json.(
+            Obj
+              (spotify_header ~scenario:"dataplane_live" ~seeds ~scale:dp_scale
+              @ (("message_bytes", Int message_bytes) :: fleet)
+              @ [
+                  ( "steady",
+                    Obj
+                      [
+                        ("duration_horizons", Float duration);
+                        ("events", Int steady.Pump.publisher.Mcss_dataplane.Publisher.events);
+                        ("copies_delivered", Int delivered); ("delivered_per_s", Float per_s);
+                        ("latency_ms", Obj [ ("p50", Float p50); ("p95", Float p95); ("p99", Float p99) ]);
+                        ("dropped", Int steady.Pump.totals.Mcss_report.Delivery.dropped);
+                        ("reconcile", reconcile_json steady_rc);
+                      ] );
+                  ("churn", churn);
+                ]))
+      in
       (* Churn run: paced traffic with a live re-home and a chaos kill in
          the middle, then a recovery replan and a post-recovery check. *)
       let vms = Allocation.vms a0 in
       if Array.length vms < 2 then begin
         Printf.printf
           "(single-VM plan: churn run needs two brokers, skipping)\n";
-        let json_path = Filename.concat out_dir "BENCH_dataplane.json" in
-        let oc = open_out json_path in
-        Printf.fprintf oc
-          "{\n\
-          \  \"scenario\": \"dataplane_live\",\n\
-          \  \"runtime\": %s,\n\
-          \  \"version\": %S,\n\
-          \  \"trace_seed\": %d,\n\
-          \  \"trace\": \"spotify\",\n\
-          \  \"scale\": %g,\n\
-          \  \"message_bytes\": %d,\n\
-          \  \"steady\": { \"duration_horizons\": %g, \"events\": %d,\n\
-          \    \"copies_delivered\": %d, \"delivered_per_s\": %.0f,\n\
-          \    \"latency_ms\": { \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f },\n\
-          \    \"dropped\": %d,\n\
-          \    \"reconcile\": { \"max_deviation\": %.6f, \"pass\": %b } },\n\
-          \  \"churn\": null\n\
-           }\n"
-          (runtime_json ())
-          (Mcss_serve.Build_info.to_string ())
-          seeds.trace_seed dp_scale message_bytes duration
-          steady.Pump.publisher.Mcss_dataplane.Publisher.events delivered per_s
-          p50 p95 p99 steady.Pump.totals.Mcss_report.Delivery.dropped
-          steady_rc.Reconcile.max_deviation steady_rc.Reconcile.pass;
-        close_out oc;
-        Printf.printf "wrote %s\n" json_path
+        write [] Json.Null
       end
       else begin
         (* The re-home delta: every pair of VM 0's first topic moves to
@@ -2466,45 +2381,34 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
           rstats.Recovery.pairs_rehomed recover_stats.Cluster.spawned
           (if post_rc.Reconcile.pass then "PASS" else "FAIL")
           post_rc.Reconcile.max_deviation;
-        let json_path = Filename.concat out_dir "BENCH_dataplane.json" in
-        let oc = open_out json_path in
-        Printf.fprintf oc
-          "{\n\
-          \  \"scenario\": \"dataplane_live\",\n\
-          \  \"runtime\": %s,\n\
-          \  \"version\": %S,\n\
-          \  \"trace_seed\": %d,\n\
-          \  \"trace\": \"spotify\",\n\
-          \  \"scale\": %g,\n\
-          \  \"message_bytes\": %d,\n\
-          \  \"fleet\": { \"brokers\": %d, \"pairs\": %d },\n\
-          \  \"steady\": { \"duration_horizons\": %g, \"events\": %d,\n\
-          \    \"copies_delivered\": %d, \"delivered_per_s\": %.0f,\n\
-          \    \"latency_ms\": { \"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f },\n\
-          \    \"dropped\": %d,\n\
-          \    \"reconcile\": { \"max_deviation\": %.6f, \"pass\": %b } },\n\
-          \  \"churn\": { \"duration_horizons\": %g, \"pace_s_per_horizon\": %g,\n\
-          \    \"rehome\": { \"pairs_added\": %d, \"pairs_removed\": %d },\n\
-          \    \"killed_broker\": %d,\n\
-          \    \"drop_window\": { \"undelivered_copies\": %d, \"dropped_copies\": %d,\n\
-          \      \"predicted_copies\": %d },\n\
-          \    \"recovery\": { \"pairs_rehomed\": %d, \"brokers_spawned\": %d },\n\
-          \    \"post_recovery_reconcile\": { \"max_deviation\": %.6f, \"pass\": %b } }\n\
-           }\n"
-          (runtime_json ())
-          (Mcss_serve.Build_info.to_string ())
-          seeds.trace_seed dp_scale message_bytes
-          (Array.length vms) (Workload.num_pairs w) duration
-          steady.Pump.publisher.Mcss_dataplane.Publisher.events delivered per_s
-          p50 p95 p99 steady.Pump.totals.Mcss_report.Delivery.dropped
-          steady_rc.Reconcile.max_deviation steady_rc.Reconcile.pass duration
-          churn_config.Pump.pace rehome_stats.Cluster.pairs_added
-          rehome_stats.Cluster.pairs_removed victim undelivered dropped
-          sim_predicted rstats.Recovery.pairs_rehomed
-          recover_stats.Cluster.spawned post_rc.Reconcile.max_deviation
-          post_rc.Reconcile.pass;
-        close_out oc;
-        Printf.printf "wrote %s\n" json_path
+        write
+          [ ("fleet", Json.(Obj [ ("brokers", Int (Array.length vms)); ("pairs", Int (Workload.num_pairs w)) ])) ]
+          Json.(
+            Obj
+              [
+                ("duration_horizons", Float duration);
+                ("pace_s_per_horizon", Float churn_config.Pump.pace);
+                ( "rehome",
+                  Obj
+                    [
+                      ("pairs_added", Int rehome_stats.Cluster.pairs_added);
+                      ("pairs_removed", Int rehome_stats.Cluster.pairs_removed);
+                    ] );
+                ("killed_broker", Int victim);
+                ( "drop_window",
+                  Obj
+                    [
+                      ("undelivered_copies", Int undelivered); ("dropped_copies", Int dropped);
+                      ("predicted_copies", Int sim_predicted);
+                    ] );
+                ( "recovery",
+                  Obj
+                    [
+                      ("pairs_rehomed", Int rstats.Recovery.pairs_rehomed);
+                      ("brokers_spawned", Int recover_stats.Cluster.spawned);
+                    ] );
+                ("post_recovery_reconcile", reconcile_json post_rc);
+              ])
       end)
 
 (* Elastic capacity planning: a seeded diurnal day over the Spotify
@@ -2589,63 +2493,42 @@ let elastic_bench ~seeds ~spotify ~spotify_scale ~out_dir =
       "WARNING: an adaptive policy failed to beat the static plan\n";
   if not all_clean then
     Printf.printf "WARNING: an intermediate plan failed verification\n";
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  Week_sim.write_ledger (Filename.concat out_dir "elastic_ledger.json") result;
-  let json_path = Filename.concat out_dir "BENCH_elastic.json" in
-  let oc = open_out json_path in
+  let savings usd = Json.Float (Table.pct_change ~baseline:static_usd usd) in
   let policy_json (r : Week_sim.policy_run) =
-    Printf.sprintf
-      "{ \"week_usd\": %.6f, \"vm_usd\": %.6f, \"bandwidth_usd\": %.6f,\n\
-      \    \"scaling_usd\": %.6f, \"savings_vs_static_pct\": %.4f,\n\
-      \    \"scaling_actions\": %d, \"reprovisions\": %d,\n\
-      \    \"apply_p95_s\": %.6f, \"clean\": %b }"
-      r.Week_sim.total_usd r.Week_sim.vm_usd r.Week_sim.bandwidth_usd
-      r.Week_sim.scaling_usd
-      (Table.pct_change ~baseline:static_usd r.Week_sim.total_usd)
-      r.Week_sim.scaling_actions r.Week_sim.reprovisions
-      r.Week_sim.apply_p95_seconds r.Week_sim.clean
+    Json.(
+      Obj
+        [
+          ("week_usd", Float r.Week_sim.total_usd); ("vm_usd", Float r.Week_sim.vm_usd);
+          ("bandwidth_usd", Float r.Week_sim.bandwidth_usd);
+          ("scaling_usd", Float r.Week_sim.scaling_usd);
+          ("savings_vs_static_pct", savings r.Week_sim.total_usd);
+          ("scaling_actions", Int r.Week_sim.scaling_actions);
+          ("reprovisions", Int r.Week_sim.reprovisions);
+          ("apply_p95_s", Float r.Week_sim.apply_p95_seconds); ("clean", Bool r.Week_sim.clean);
+        ])
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"elastic\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"scale\": %g,\n\
-    \  \"tau\": 100,\n\
-    \  \"curve\": \"diurnal amplitude 0.4 period 24h\",\n\
-    \  \"slices\": %d,\n\
-    \  \"slice_hours\": %g,\n\
-    \  \"scenario_seed\": %d,\n\
-    \  \"static_fleet\": %d,\n\
-    \  \"static\": %s,\n\
-    \  \"hysteresis\": %s,\n\
-    \  \"lookahead\": %s,\n\
-    \  \"oracle\": { \"week_usd\": %.6f, \"savings_vs_static_pct\": %.4f },\n\
-    \  \"adaptive_beats_static\": %b,\n\
-    \  \"all_plans_clean\": %b,\n\
-    \  \"run_s\": %.3f\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    seeds.trace_seed spotify_scale scenario.Scenario.slices
-    scenario.Scenario.slice_hours scenario.Scenario.seed
-    result.Week_sim.static_fleet
-    (policy_json result.Week_sim.static)
-    (policy_json hysteresis) (policy_json lookahead)
-    result.Week_sim.oracle_usd
-    (Table.pct_change ~baseline:static_usd result.Week_sim.oracle_usd)
-    (beats hysteresis && beats lookahead)
-    all_clean elapsed;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path
+  write_json ~out_dir "BENCH_elastic.json"
+    Json.(
+      Obj
+        (spotify_header ~scenario:"elastic" ~seeds ~scale:spotify_scale
+        @ [
+            ("tau", Int 100); ("curve", String "diurnal amplitude 0.4 period 24h");
+            ("slices", Int scenario.Scenario.slices);
+            ("slice_hours", Float scenario.Scenario.slice_hours);
+            ("scenario_seed", Int scenario.Scenario.seed);
+            ("static_fleet", Int result.Week_sim.static_fleet);
+            ("static", policy_json result.Week_sim.static);
+            ("hysteresis", policy_json hysteresis); ("lookahead", policy_json lookahead);
+            ( "oracle",
+              Obj
+                [
+                  ("week_usd", Float result.Week_sim.oracle_usd);
+                  ("savings_vs_static_pct", savings result.Week_sim.oracle_usd);
+                ] );
+            ("adaptive_beats_static", Bool (beats hysteresis && beats lookahead));
+            ("all_plans_clean", Bool all_clean); ("run_s", Float elapsed);
+          ]));
+  Week_sim.write_ledger (Filename.concat out_dir "elastic_ledger.json") result
 
 (* Partition nemesis against the live replicated cluster: epochs,
    quorum acks, and automatic fenced failover under a seeded schedule
@@ -2680,29 +2563,14 @@ let partition_bench ~seeds ~out_dir =
     r.Nemesis.r_single_writer_per_epoch r.Nemesis.r_no_acked_update_lost
     r.Nemesis.r_journals_converged r.Nemesis.r_plan_digests_converged
     r.Nemesis.r_journals_verify_clean;
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_partition.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"partition\",\n\
-    \  \"runtime\": %s,\n\
-    \  \"version\": %S,\n\
-    \  \"run_s\": %.3f,\n\
-    \  \"report\": %s\n\
-     }\n"
-    (runtime_json ())
-    (Mcss_serve.Build_info.to_string ())
-    elapsed
-    (Mcss_serve.Json.to_string (Nemesis.report_to_json r));
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
+  write_json ~out_dir "BENCH_partition.json"
+    Json.(
+      Obj
+        [
+          ("scenario", String "partition"); ("runtime", runtime_json ());
+          ("version", String (Mcss_serve.Build_info.to_string ()));
+          ("run_s", Float elapsed); ("report", Nemesis.report_to_json r);
+        ]);
   if not (Nemesis.passed r) then begin
     Printf.printf "FAILED: a failover invariant did not hold\n";
     exit 1
@@ -2748,7 +2616,6 @@ let scale_bench ~seeds ~domains:domain_counts ~max_scale ~out_dir =
           (fun domains ->
             Mcss_obs.Gc_phase.reset ();
             let r, solve_s = timed (fun () -> Solver.solve ~domains p) in
-            let gc_phases = Mcss_obs.Gc_phase.to_json_object () in
             let digest =
               Digest.to_hex
                 (Digest.string (Mcss_core.Plan_io.to_string r.Solver.allocation))
@@ -2770,42 +2637,29 @@ let scale_bench ~seeds ~domains:domain_counts ~max_scale ~out_dir =
                 (if equal then String.sub digest 0 12
                  else String.sub digest 0 12 ^ " MISMATCH");
               ];
-            Printf.sprintf
-              "    {\"scale\": %g, \"domains\": %d, \"pairs\": %d, \
-               \"gen_s\": %.3f, \"solve_s\": %.3f, \"pairs_per_s\": %.1f, \
-               \"vms\": %d, \"cost_usd\": %.2f, \"plan_digest\": %S, \
-               \"digest_matches_domains1\": %b, \"gc_phases\": %s}"
-              scale domains pairs gen_s solve_s pairs_per_s r.Solver.num_vms
-              r.Solver.cost digest equal gc_phases)
+            Json.(
+              Obj
+                [
+                  ("scale", Float scale); ("domains", Int domains); ("pairs", Int pairs);
+                  ("gen_s", Float gen_s); ("solve_s", Float solve_s);
+                  ("pairs_per_s", Float pairs_per_s); ("vms", Int r.Solver.num_vms);
+                  ("cost_usd", Float r.Solver.cost); ("plan_digest", String digest);
+                  ("digest_matches_domains1", Bool equal);
+                  ("gc_phases", Mcss_obs.Gc_phase.to_json ());
+                ]))
           domain_counts)
       scales
   in
   Table.print table;
-  let rec mkdir_p d =
-    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    end
-  in
-  mkdir_p out_dir;
-  let json_path = Filename.concat out_dir "BENCH_scale.json" in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scenario\": \"scale\",\n\
-    \  \"trace\": \"spotify\",\n\
-    \  \"tau\": %g,\n\
-    \  \"instance\": %S,\n\
-    \  \"trace_seed\": %d,\n\
-    \  \"runtime\": %s,\n\
-    \  \"digests_converged\": %b,\n\
-    \  \"runs\": [\n%s\n  ]\n\
-     }\n"
-    tau instance.Instance.name seeds.trace_seed (runtime_json ())
-    (!mismatches = 0)
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
+  write_json ~out_dir "BENCH_scale.json"
+    Json.(
+      Obj
+        [
+          ("scenario", String "scale"); ("trace", String "spotify"); ("tau", Float tau);
+          ("instance", String instance.Instance.name); ("trace_seed", Int seeds.trace_seed);
+          ("runtime", runtime_json ()); ("digests_converged", Bool (!mismatches = 0));
+          ("runs", List rows);
+        ]);
   if !mismatches > 0 then begin
     Printf.printf
       "FAILED: %d run(s) diverged from the --domains 1 plan digest\n" !mismatches;

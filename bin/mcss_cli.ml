@@ -28,7 +28,7 @@ module Failure_model = Mcss_resilience.Failure_model
 module Orchestrator = Mcss_resilience.Orchestrator
 module Redundancy = Mcss_resilience.Redundancy
 module Sla = Mcss_resilience.Sla
-module Serve_json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Serve_protocol = Mcss_serve.Protocol
 module Serve_service = Mcss_serve.Service
 module Serve_server = Mcss_serve.Server
@@ -1850,7 +1850,7 @@ let nemesis_cmd =
           | Some path ->
               let oc = open_out path in
               output_string oc
-                (Serve_json.to_string (Serve_nemesis.report_to_json r));
+                (Json.to_string (Serve_nemesis.report_to_json r));
               output_char oc '\n';
               close_out oc
           | None -> ());
@@ -1937,8 +1937,7 @@ let dataplane_cmd =
     let _, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     let allocation, selection = require_plan ~workload:w plan in
     let scenario = Option.map require_scenario replay_scenario in
-    (try Unix.mkdir dir 0o755
-     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Mcss_report.Fs.mkdir_p dir;
     let cluster = Dp_cluster.boot ~dir ~message_bytes p allocation in
     let manifest = Filename.concat dir "fleet.json" in
     Dp_cluster.save_manifest cluster manifest;
@@ -2102,44 +2101,49 @@ let pump_cmd =
     (match report_file with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            let field (k, v) = Printf.sprintf "\"%s\": %d" k v in
-            let latency_json =
-              match r.Dp_pump.latency with
-              | None -> "null"
-              | Some l ->
-                  Printf.sprintf
-                    "{ \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, \
-                     \"max_ms\": %.4f, \"samples\": %d }"
-                    (l.Mcss_broker.Fleet.p50 *. 1e3)
-                    (l.Mcss_broker.Fleet.p95 *. 1e3)
-                    (l.Mcss_broker.Fleet.p99 *. 1e3)
-                    (l.Mcss_broker.Fleet.max *. 1e3)
-                    l.Mcss_broker.Fleet.samples
-            in
-            let reconcile_json =
-              match r.Dp_pump.reconcile with
-              | None -> "null"
-              | Some rc ->
-                  Printf.sprintf
-                    "{ \"pass\": %b, \"max_deviation\": %.6f, \"tolerance\": \
-                     %.6f, \"subscriber_mismatches\": %d }"
-                    rc.Dp_reconcile.pass rc.Dp_reconcile.max_deviation
-                    rc.Dp_reconcile.tolerance
-                    (List.length rc.Dp_reconcile.subscriber_mismatches)
-            in
-            Printf.fprintf oc
-              "{ %s,\n  \"duplicates\": %d,\n  \"send_failures\": %d,\n  \
-               \"unrouted\": %d,\n  \"quiesced\": %b,\n  \"wall_s\": %.4f,\n  \
-               \"latency\": %s,\n  \"reconcile\": %s }\n"
-              (String.concat ", " (List.map field (Mcss_report.Delivery.fields totals)))
-              r.Dp_pump.duplicates
-              r.Dp_pump.publisher.Mcss_dataplane.Publisher.send_failures
-              r.Dp_pump.publisher.Mcss_dataplane.Publisher.unrouted
-              r.Dp_pump.quiesced r.Dp_pump.wall_s latency_json reconcile_json);
+        let open Json in
+        let latency =
+          match r.Dp_pump.latency with
+          | None -> Null
+          | Some l ->
+              let ms x = Float (x *. 1e3) in
+              Obj
+                [
+                  ("p50_ms", ms l.Mcss_broker.Fleet.p50);
+                  ("p95_ms", ms l.Mcss_broker.Fleet.p95);
+                  ("p99_ms", ms l.Mcss_broker.Fleet.p99);
+                  ("max_ms", ms l.Mcss_broker.Fleet.max);
+                  ("samples", Int l.Mcss_broker.Fleet.samples);
+                ]
+        in
+        let reconcile =
+          match r.Dp_pump.reconcile with
+          | None -> Null
+          | Some rc ->
+              Obj
+                [
+                  ("pass", Bool rc.Dp_reconcile.pass);
+                  ("max_deviation", Float rc.Dp_reconcile.max_deviation);
+                  ("tolerance", Float rc.Dp_reconcile.tolerance);
+                  ( "subscriber_mismatches",
+                    Int (List.length rc.Dp_reconcile.subscriber_mismatches) );
+                ]
+        in
+        let publisher = r.Dp_pump.publisher in
+        let report =
+          Obj
+            (List.map (fun (k, v) -> (k, Int v)) (Mcss_report.Delivery.fields totals)
+            @ [
+                ("duplicates", Int r.Dp_pump.duplicates);
+                ("send_failures", Int publisher.Mcss_dataplane.Publisher.send_failures);
+                ("unrouted", Int publisher.Mcss_dataplane.Publisher.unrouted);
+                ("quiesced", Bool r.Dp_pump.quiesced); ("wall_s", Float r.Dp_pump.wall_s);
+                ("latency", latency); ("reconcile", reconcile);
+              ])
+        in
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (to_string report);
+            output_char oc '\n');
         Printf.printf "report written to %s\n" path);
     if shutdown then begin
       List.iter
@@ -2358,7 +2362,7 @@ let query_cmd =
       | `Raw line -> (
           (* Raw lines bypass the protocol codec, so they also bypass
              the retry layer (we cannot tell if they are idempotent). *)
-          match Serve_json.parse line with
+          match Json.parse line with
           | Error m -> Error ("request is not valid JSON: " ^ m)
           | Ok j ->
               Serve_client.with_connection address (fun c ->
@@ -2384,11 +2388,11 @@ let query_cmd =
     | Ok reply ->
         if Serve_protocol.response_ok reply then begin
           (match
-             (verb, Serve_json.member "body" reply
-                    |> Fun.flip Option.bind Serve_json.to_string_opt)
+             (verb, Json.member "body" reply
+                    |> Fun.flip Option.bind Json.to_string_opt)
            with
           | "metrics", Some body -> print_string body
-          | _ -> print_endline (Serve_json.to_string reply));
+          | _ -> print_endline (Json.to_string reply));
           if Serve_protocol.response_degraded reply then begin
             prerr_endline "mcss query: degraded reply (stale plan served)";
             exit 2
@@ -2410,7 +2414,7 @@ let query_cmd =
                 prerr_endline "mcss query: request failed";
                 None
           in
-          print_endline (Serve_json.to_string reply);
+          print_endline (Json.to_string reply);
           match code with
           | Some Serve_protocol.Degraded | Some Serve_protocol.Overloaded -> exit 2
           | Some Serve_protocol.No_quorum -> exit 3

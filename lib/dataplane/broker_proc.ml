@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Protocol = Mcss_serve.Protocol
 module Server = Mcss_serve.Server
 module Broker = Mcss_broker.Broker

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Server = Mcss_serve.Server
 module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Client = Mcss_serve.Client
 module Protocol = Mcss_serve.Protocol
 module Server = Mcss_serve.Server
@@ -34,5 +34,6 @@ let kill address =
   match Wire.connect address with
   | exception Unix.Unix_error _ -> ()
   | fd ->
-      (try Server.write_all fd "{\"req\":\"kill\"}\n" with Unix.Unix_error _ -> ());
+      (try Server.write_all fd (Json.to_string (Json.Obj [ ("req", Json.String "kill") ]) ^ "\n")
+       with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())

@@ -4,7 +4,7 @@
     call connects fresh — brokers are cheap to talk to and the caller
     never holds a stale connection to a killed one. *)
 
-module Json := Mcss_serve.Json
+module Json := Mcss_json.Json
 module Server := Mcss_serve.Server
 
 val health : Server.address -> (Json.t, string) result

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Delivery = Mcss_report.Delivery
 
 type t = {

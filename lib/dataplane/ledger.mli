@@ -16,7 +16,7 @@
       (sink's bounded buffer was full) + [dropped_unattached] (pair
       homed here but no sink attached for it). *)
 
-module Json := Mcss_serve.Json
+module Json := Mcss_json.Json
 
 type t = {
   vm : int;  (** Broker id, cluster-scoped. *)

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Client = Mcss_serve.Client
 module Clock = Mcss_obs.Clock
 

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Server = Mcss_serve.Server
 module Fleet = Mcss_broker.Fleet
 module Clock = Mcss_obs.Clock
@@ -84,7 +84,7 @@ let attach t ~vm address =
           (Printf.sprintf "broker %d (%s): %s" vm
              (Server.address_to_string address) (Unix.error_message e))
     | fd ->
-        Server.write_all fd "{\"req\":\"attach\"}\n";
+        Server.write_all fd (Json.to_string (Json.Obj [ ("req", Json.String "attach") ]) ^ "\n");
         let domain = Domain.spawn (fun () -> collect t fd) in
         locked t (fun () -> t.sinks <- { vm; fd; domain } :: t.sinks);
         Ok ()

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Server = Mcss_serve.Server
 
 type event = { topic : int; seq : int; pub_ns : int }

@@ -16,7 +16,7 @@
     by (SEQ, subscriber) and measure end-to-end latency against its own
     clock (valid on one machine, which is where the dataplane runs). *)
 
-module Json := Mcss_serve.Json
+module Json := Mcss_json.Json
 
 type event = { topic : int; seq : int; pub_ns : int }
 (** One publication as it rides the wire. *)

@@ -45,16 +45,6 @@ type result = {
   oracle_fleet : int array;
 }
 
-let percentile values p =
-  let n = Array.length values in
-  if n = 0 then 0.
-  else begin
-    let sorted = Array.copy values in
-    Array.sort compare sorted;
-    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-  end
-
 (* Re-price an allocation's bandwidth under different event rates: one
    incoming unit per distinct topic on a VM plus one outgoing unit per
    pair, exactly the verifier's recomputation (Eq. 2). *)
@@ -82,7 +72,8 @@ let finish_run ~policy (rows : slice_row array) =
     scaling_actions =
       Array.fold_left (fun a (r : slice_row) -> a + r.scaling_actions) 0 rows;
     reprovisions = 0;
-    apply_p95_seconds = percentile (Array.map (fun r -> r.apply_seconds) rows) 95.;
+    apply_p95_seconds =
+      Mcss_workload.Stats.nearest_rank (Array.map (fun r -> r.apply_seconds) rows) 0.95;
     clean = Array.for_all (fun (r : slice_row) -> r.clean) rows;
   }
 
@@ -281,77 +272,54 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
 
 (* --- JSON ledger -------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let ledger_json result =
+  let open Mcss_json.Json in
+  let s = result.scenario in
+  let row r =
+    Obj
+      [
+        ("slice", Int r.slice); ("multiplier", Float r.multiplier); ("fleet", Int r.fleet);
+        ("reserved", Int r.reserved); ("overflow", Int r.overflow);
+        ("consolidated", Bool r.consolidated); ("scaling_actions", Int r.scaling_actions);
+        ("vm_usd", Float r.vm_usd); ("bandwidth_usd", Float r.bandwidth_usd);
+        ("scaling_usd", Float r.scaling_usd); ("apply_seconds", Float r.apply_seconds);
+        ("clean", Bool r.clean);
+      ]
+  in
+  let policy (run : policy_run) =
+    Obj
+      [
+        ("policy", String run.policy); ("total_usd", Float run.total_usd);
+        ("vm_usd", Float run.vm_usd); ("bandwidth_usd", Float run.bandwidth_usd);
+        ("scaling_usd", Float run.scaling_usd); ("scaling_actions", Int run.scaling_actions);
+        ("reprovisions", Int run.reprovisions);
+        ("apply_p95_seconds", Float run.apply_p95_seconds); ("clean", Bool run.clean);
+        ("rows", List (Array.to_list (Array.map row run.rows)));
+      ]
+  in
+  Obj
+    [
+      ("schema", String "mcss-elastic-ledger-1");
+      ( "scenario",
+        Obj
+          [
+            ("slices", Int s.Scenario.slices); ("slice_hours", Float s.Scenario.slice_hours);
+            ("seed", Int s.Scenario.seed); ("coverage", Float s.Scenario.coverage);
+            ( "curve",
+              List (List.map (fun c -> String (Rate_curve.component_to_string c)) s.Scenario.curve)
+            );
+          ] );
+      ("static_fleet", Int result.static_fleet);
+      ( "oracle",
+        Obj
+          [
+            ("total_usd", Float result.oracle_usd);
+            ("fleet", List (Array.to_list (Array.map (fun n -> Int n) result.oracle_fleet)));
+          ] );
+      ("policies", List (List.map policy (result.static :: result.policies)));
+    ]
 
 let write_ledger path result =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let p fmt = Printf.fprintf oc fmt in
-      let s = result.scenario in
-      p "{\n";
-      p "  \"schema\": \"mcss-elastic-ledger-1\",\n";
-      p "  \"scenario\": {\n";
-      p "    \"slices\": %d,\n" s.Scenario.slices;
-      p "    \"slice_hours\": %.17g,\n" s.Scenario.slice_hours;
-      p "    \"seed\": %d,\n" s.Scenario.seed;
-      p "    \"coverage\": %.17g,\n" s.Scenario.coverage;
-      p "    \"curve\": [%s]\n"
-        (String.concat ", "
-           (List.map
-              (fun c ->
-                Printf.sprintf "\"%s\""
-                  (json_escape (Rate_curve.component_to_string c)))
-              s.Scenario.curve));
-      p "  },\n";
-      p "  \"static_fleet\": %d,\n" result.static_fleet;
-      p "  \"oracle\": { \"total_usd\": %.6f, \"fleet\": [%s] },\n"
-        result.oracle_usd
-        (String.concat ", "
-           (Array.to_list (Array.map string_of_int result.oracle_fleet)));
-      p "  \"policies\": [";
-      List.iteri
-        (fun i run ->
-          if i > 0 then p ",";
-          p "\n    {\n";
-          p "      \"policy\": \"%s\",\n" (json_escape run.policy);
-          p "      \"total_usd\": %.6f,\n" run.total_usd;
-          p "      \"vm_usd\": %.6f,\n" run.vm_usd;
-          p "      \"bandwidth_usd\": %.6f,\n" run.bandwidth_usd;
-          p "      \"scaling_usd\": %.6f,\n" run.scaling_usd;
-          p "      \"scaling_actions\": %d,\n" run.scaling_actions;
-          p "      \"reprovisions\": %d,\n" run.reprovisions;
-          p "      \"apply_p95_seconds\": %.9f,\n" run.apply_p95_seconds;
-          p "      \"clean\": %b,\n" run.clean;
-          p "      \"rows\": [";
-          Array.iteri
-            (fun j r ->
-              if j > 0 then p ",";
-              p
-                "\n        { \"slice\": %d, \"multiplier\": %.6f, \"fleet\": \
-                 %d, \"reserved\": %d, \"overflow\": %d, \"consolidated\": \
-                 %b, \"scaling_actions\": %d, \"vm_usd\": %.6f, \
-                 \"bandwidth_usd\": %.6f, \"scaling_usd\": %.6f, \
-                 \"apply_seconds\": %.9f, \"clean\": %b }"
-                r.slice r.multiplier r.fleet r.reserved r.overflow
-                r.consolidated r.scaling_actions r.vm_usd r.bandwidth_usd
-                r.scaling_usd r.apply_seconds r.clean)
-            run.rows;
-          p "\n      ]\n";
-          p "    }")
-        (result.static :: result.policies);
-      p "\n  ]\n";
-      p "}\n")
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Mcss_json.Json.to_string (ledger_json result));
+      output_char oc '\n')

@@ -1,13 +1,23 @@
-(** A minimal JSON value type with a strict parser and printer — just
-    enough for the planning daemon's line-delimited protocol, so the
-    serving stack stays zero-dependency.
+(** The repository's one JSON codec: a minimal value type with a strict
+    parser and printer, and no dependencies. Every JSON document the
+    project emits — protocol replies, journal records, the obs JSONL
+    sink, the elastic ledger, the pump report, the BENCH_*.json files —
+    is a [t] rendered by {!to_string}, so string escaping and number
+    rendering live only here.
 
     The parser accepts RFC 8259 JSON with two deliberate relaxations:
     numbers are read with [float_of_string] (so [1e999] parses to
     [infinity] rather than erroring), and top-level values other than
     objects/arrays are allowed. The printer always emits valid JSON on
     one line (non-finite floats become [null]), so a printed value can
-    be framed by a single ['\n']. *)
+    be framed by a single ['\n'].
+
+    Floats print at 12 significant digits ([%.12g]), so [parse
+    (to_string v)] returns [v] only up to that rounding, and a float
+    whose rendering has no fraction or exponent (e.g. [3.]) reparses as
+    an [Int]. Callers that need a float back bit-exactly carry it as a
+    [%.17g] string instead: [Mcss_serve.Service]'s journal records do
+    this ([f17]) for every parameter that feeds a plan-cache key. *)
 
 type t =
   | Null

@@ -57,12 +57,16 @@ let totals () =
 
 let reset () = locked (fun () -> Hashtbl.reset table)
 
-let to_json_object () =
-  let fields =
-    totals ()
-    |> List.map (fun (name, t) ->
-           Printf.sprintf
-             "\"%s\": { \"minor_words\": %.0f, \"major_words\": %.0f, \"samples\": %d }"
-             name t.minor_words t.major_words t.samples)
-  in
-  "{ " ^ String.concat ", " fields ^ " }"
+let to_json () =
+  Mcss_json.Json.(
+    Obj
+      (List.map
+         (fun (name, t) ->
+           ( name,
+             Obj
+               [
+                 ("minor_words", Float t.minor_words);
+                 ("major_words", Float t.major_words);
+                 ("samples", Int t.samples);
+               ] ))
+         (totals ())))

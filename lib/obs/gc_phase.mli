@@ -9,7 +9,7 @@
 
     The table is cumulative over the process, like [Gc.stat]; the
     benchmark writers splice it into every BENCH_*.json [runtime] block
-    via {!Runtime_stats.to_json_object}, and [measure] also bumps
+    via {!Runtime_stats.to_json}, and [measure] also bumps
     [gc.<phase>.minor_words] / [gc.<phase>.major_words] counters on the
     given registry so the numbers surface in [--metrics-out] dumps. *)
 
@@ -29,7 +29,6 @@ val totals : unit -> (string * totals) list
 val reset : unit -> unit
 (** Forget all phases (tests). *)
 
-val to_json_object : unit -> string
-(** The table as a JSON object literal, phases in sorted order:
-    [{ "stage1": { "minor_words": ..., "major_words": ...,
-    "samples": ... }, ... }]. *)
+val to_json : unit -> Mcss_json.Json.t
+(** The table as a JSON object, phases in sorted order:
+    [{"stage1":{"minor_words":...,"major_words":...,"samples":...},...}]. *)

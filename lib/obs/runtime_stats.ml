@@ -43,9 +43,13 @@ let sample () =
     gc_heap_words = gc.Gc.heap_words;
   }
 
-let to_json_object t =
-  Printf.sprintf
-    "{ \"peak_rss_bytes\": %d, \"gc_major_words\": %.0f, \
-     \"gc_major_collections\": %d, \"gc_heap_words\": %d, \"gc_phases\": %s }"
-    t.peak_rss_bytes t.gc_major_words t.gc_major_collections t.gc_heap_words
-    (Gc_phase.to_json_object ())
+let to_json t =
+  Mcss_json.Json.(
+    Obj
+      [
+        ("peak_rss_bytes", Int t.peak_rss_bytes);
+        ("gc_major_words", Float t.gc_major_words);
+        ("gc_major_collections", Int t.gc_major_collections);
+        ("gc_heap_words", Int t.gc_heap_words);
+        ("gc_phases", Gc_phase.to_json ());
+      ])

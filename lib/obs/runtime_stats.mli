@@ -19,9 +19,8 @@ type t = {
 
 val sample : unit -> t
 
-val to_json_object : t -> string
-(** A JSON object literal (no trailing newline), e.g.
-    [{ "peak_rss_bytes": 123, ... }] — spliced into the BENCH_*.json
-    writers as the ["runtime"] field. Also embeds the process-wide
-    per-phase allocation table ({!Gc_phase}) as a ["gc_phases"] field,
-    read at formatting time. *)
+val to_json : t -> Mcss_json.Json.t
+(** The sample as a JSON object, e.g. [{"peak_rss_bytes":123,...}] —
+    the ["runtime"] field of every BENCH_*.json. Also embeds the
+    process-wide per-phase allocation table ({!Gc_phase.to_json}) as a
+    ["gc_phases"] field, read at formatting time. *)

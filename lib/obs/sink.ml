@@ -2,60 +2,56 @@ module Table = Mcss_report.Table
 
 (* ----- JSON lines ----- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Mcss_json.Json
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.12g" x else "null"
-
-let json_float_array xs =
-  "[" ^ String.concat "," (Array.to_list (Array.map json_float xs)) ^ "]"
-
-let json_int_array xs =
-  "[" ^ String.concat "," (Array.to_list (Array.map string_of_int xs)) ^ "]"
+let floats xs = Json.List (Array.to_list (Array.map (fun x -> Json.Float x) xs))
+let ints xs = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) xs))
 
 let jsonl reg =
   let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let line fields =
+    Buffer.add_string buf (Json.to_string (Json.Obj fields));
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun { Registry.name; metric; _ } ->
       match metric with
       | Registry.Counter c ->
-          line {|{"type":"counter","name":"%s","value":%d}|} (json_escape name)
-            (Metric.Counter.value c)
-      | Registry.Gauge g ->
-          line {|{"type":"gauge","name":"%s","value":%s}|} (json_escape name)
-            (json_float (Metric.Gauge.value g))
-      | Registry.Histogram h ->
           line
-            {|{"type":"histogram","name":"%s","count":%d,"sum":%s,"min":%s,"max":%s,"mean":%s,"p50":%s,"p95":%s,"p99":%s,"buckets":%s,"counts":%s}|}
-            (json_escape name) (Metric.Histogram.count h)
-            (json_float (Metric.Histogram.sum h))
-            (json_float (Metric.Histogram.min_value h))
-            (json_float (Metric.Histogram.max_value h))
-            (json_float (Metric.Histogram.mean h))
-            (json_float (Metric.Histogram.quantile h 0.5))
-            (json_float (Metric.Histogram.quantile h 0.95))
-            (json_float (Metric.Histogram.quantile h 0.99))
-            (json_float_array (Metric.Histogram.bucket_bounds h))
-            (json_int_array (Metric.Histogram.bucket_counts h)))
+            [ ("type", Json.String "counter"); ("name", Json.String name);
+              ("value", Json.Int (Metric.Counter.value c)) ]
+      | Registry.Gauge g ->
+          line
+            [ ("type", Json.String "gauge"); ("name", Json.String name);
+              ("value", Json.Float (Metric.Gauge.value g)) ]
+      | Registry.Histogram h ->
+          let f x = Json.Float x in
+          line
+            [
+              ("type", Json.String "histogram");
+              ("name", Json.String name);
+              ("count", Json.Int (Metric.Histogram.count h));
+              ("sum", f (Metric.Histogram.sum h));
+              ("min", f (Metric.Histogram.min_value h));
+              ("max", f (Metric.Histogram.max_value h));
+              ("mean", f (Metric.Histogram.mean h));
+              ("p50", f (Metric.Histogram.quantile h 0.5));
+              ("p95", f (Metric.Histogram.quantile h 0.95));
+              ("p99", f (Metric.Histogram.quantile h 0.99));
+              ("buckets", floats (Metric.Histogram.bucket_bounds h));
+              ("counts", ints (Metric.Histogram.bucket_counts h));
+            ])
     (Registry.samples reg);
   List.iter
     (fun (path, (n : Span.node)) ->
-      line {|{"type":"span","path":"%s","name":"%s","count":%d,"seconds":%s}|}
-        (json_escape path) (json_escape n.Span.span_name) n.Span.count
-        (json_float (Span.seconds n)))
+      line
+        [
+          ("type", Json.String "span");
+          ("path", Json.String path);
+          ("name", Json.String n.Span.span_name);
+          ("count", Json.Int n.Span.count);
+          ("seconds", Json.Float (Span.seconds n));
+        ])
     (Span.flatten (Span.roots reg));
   Buffer.contents buf
 

@@ -48,14 +48,8 @@ let script spec ~output =
   add "\n";
   Buffer.contents buf
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 let save spec ~dir ~name =
-  mkdir_p dir;
+  Fs.mkdir_p dir;
   let path = Filename.concat dir (name ^ ".gp") in
   let oc = open_out path in
   Fun.protect

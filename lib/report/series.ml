@@ -16,14 +16,8 @@ let to_string s =
     s.points;
   Buffer.contents buf
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 let save s ~dir =
-  mkdir_p dir;
+  Fs.mkdir_p dir;
   let path = Filename.concat dir (s.name ^ ".dat") in
   let oc = open_out path in
   Fun.protect

@@ -169,13 +169,6 @@ let read_int_file path =
 let read_base dir = read_int_file (base_path_of dir)
 let read_epoch dir = read_int_file (epoch_path_of dir)
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let rec fsync_eintr fd =
   try Unix.fsync fd
   with Unix.Unix_error (Unix.EINTR, _, _) -> fsync_eintr fd
@@ -203,7 +196,7 @@ let count c name help n =
 
 let open_ ?obs config =
   let obs = match obs with Some r -> r | None -> Registry.noop in
-  mkdir_p config.dir;
+  Mcss_report.Fs.mkdir_p config.dir;
   let snap_records, _snap_end, snap_corrupt, snap_dropped =
     scan (snapshot_path_of config.dir)
   in

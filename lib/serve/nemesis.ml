@@ -64,15 +64,6 @@ let passed r =
   && r.r_journals_verify_clean
   && r.r_auto_promotions >= 1
 
-let percentile sorted p =
-  match sorted with
-  | [] -> 0.
-  | l ->
-      let a = Array.of_list l in
-      let n = Array.length a in
-      let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-      a.(max 0 (min (n - 1) i))
-
 let report_to_json r =
   Json.Obj
     [
@@ -717,6 +708,7 @@ let run config =
     Array.fold_left (fun acc n -> acc + counter n.obs name) 0 nodes
   in
   let sorted = List.sort compare !recovery_ms in
+  let recovery_pct = Mcss_workload.Stats.nearest_rank (Array.of_list sorted) in
   let r =
     {
       r_seed = config.seed;
@@ -737,8 +729,8 @@ let run config =
       r_divergent_tails = sum_nodes "serve.replication.divergent_tails";
       r_truncated_records = sum_nodes "serve.replication.truncated_records";
       r_recovery_ms = sorted;
-      r_recovery_p50_ms = percentile sorted 0.50;
-      r_recovery_p95_ms = percentile sorted 0.95;
+      r_recovery_p50_ms = recovery_pct 0.50;
+      r_recovery_p95_ms = recovery_pct 0.95;
       r_single_writer_per_epoch = single_writer;
       r_no_acked_update_lost = no_acked_lost;
       r_journals_converged = journals_converged;

@@ -80,6 +80,15 @@ let quantile xs q =
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
 
+let nearest_rank xs p =
+  let n = Array.length xs in
+  if n = 0 then 0.
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort compare sorted;
+    sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
+  end
+
 type summary = {
   count : int;
   mean : float;

@@ -36,6 +36,13 @@ val quantile : float array -> float -> float
     sample. Raises [Invalid_argument] on the empty array or out-of-range
     [q]. Does not mutate its argument. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank xs p]: the nearest-rank percentile, i.e. the
+    [ceil (p·n)]-th smallest of the [n] samples, with the rank clamped
+    to [[1, n]] (so [p = 0] gives the minimum and [p = 1] the maximum).
+    [0.] on the empty sample. Does not mutate its argument. Unlike
+    {!quantile} it never interpolates: the result is always a sample. *)
+
 type summary = {
   count : int;
   mean : float;

@@ -72,7 +72,8 @@ echo "$PUMP1" | grep -q "reconcile: PASS" \
   || fail "healthy fleet did not reconcile: $PUMP1"
 echo "$PUMP1" | grep -q "0 send failures" \
   || fail "healthy pump run had send failures: $PUMP1"
-grep -q '"pass": true' "$TMP/pump.json" \
+python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["reconcile"]["pass"] is True' \
+  "$TMP/pump.json" \
   || fail "pump report did not record the pass: $(cat "$TMP/pump.json")"
 
 # Ledger totals are served over the control socket and parseable.

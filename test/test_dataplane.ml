@@ -10,7 +10,7 @@ module Allocation = Mcss_core.Allocation
 module Simulator = Mcss_sim.Simulator
 module Reprovision = Mcss_dynamic.Reprovision
 module Recovery = Mcss_dynamic.Recovery
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Wire = Mcss_dataplane.Wire
 module Cluster = Mcss_dataplane.Cluster
 module Control = Mcss_dataplane.Control

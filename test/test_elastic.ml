@@ -16,6 +16,7 @@ module Rate_curve = Mcss_elastic.Rate_curve
 module Scenario = Mcss_elastic.Scenario
 module Autoscaler = Mcss_elastic.Autoscaler
 module Week_sim = Mcss_elastic.Week_sim
+module Json = Mcss_json.Json
 
 let diurnal ?(amplitude = 0.4) () =
   Rate_curve.Diurnal { amplitude; period_hours = 24.; phase_hours = 0. }
@@ -373,14 +374,24 @@ let test_week_sim_ledger_parses () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Week_sim.write_ledger path result;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
+      let ledger =
+        match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      let at keys = List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some ledger) keys in
       Helpers.check_bool "schema tag" true
-        (Helpers.contains ~needle:"mcss-elastic-ledger-1" text);
-      Helpers.check_bool "has policies" true (Helpers.contains ~needle:"\"policies\"" text);
-      Helpers.check_bool "has oracle" true (Helpers.contains ~needle:"\"oracle\"" text))
+        (Option.bind (at [ "schema" ]) Json.to_string_opt = Some "mcss-elastic-ledger-1");
+      Alcotest.(check (list string)) "one entry per policy, static first"
+        (List.map
+           (fun (r : Week_sim.policy_run) -> r.Week_sim.policy)
+           (result.Week_sim.static :: result.Week_sim.policies))
+        (List.filter_map
+           (fun p -> Option.bind (Json.member "policy" p) Json.to_string_opt)
+           (Option.value ~default:[] (Option.bind (at [ "policies" ]) Json.to_list_opt)));
+      Helpers.check_bool "oracle total at 12 digits" true
+        (Option.bind (at [ "oracle"; "total_usd" ]) Json.to_float_opt
+        = Some (float_of_string (Printf.sprintf "%.12g" result.Week_sim.oracle_usd))))
 
 (* ----- runtime stats (S2) ----- *)
 
@@ -390,9 +401,11 @@ let test_runtime_stats () =
     (stats.Mcss_obs.Runtime_stats.peak_rss_bytes > 0);
   Helpers.check_bool "major words sane" true
     (stats.Mcss_obs.Runtime_stats.gc_major_words >= 0.);
-  let json = Mcss_obs.Runtime_stats.to_json_object stats in
+  let json = Json.parse (Json.to_string (Mcss_obs.Runtime_stats.to_json stats)) in
   Helpers.check_bool "json carries the field" true
-    (Helpers.contains ~needle:"\"peak_rss_bytes\"" json)
+    (Option.bind (Result.to_option json) (fun j ->
+         Option.bind (Json.member "peak_rss_bytes" j) Json.to_int_opt)
+    = Some stats.Mcss_obs.Runtime_stats.peak_rss_bytes)
 
 let suite =
   [

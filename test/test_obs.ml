@@ -6,6 +6,7 @@ module Registry = Mcss_obs.Registry
 module Metric = Mcss_obs.Metric
 module Span = Mcss_obs.Span
 module Sink = Mcss_obs.Sink
+module Json = Mcss_json.Json
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
@@ -182,126 +183,68 @@ let test_span_exception_safe () =
 
 (* ----- sink round-trips ----- *)
 
-(* A deliberately tiny JSON reader: enough to check each JSONL line is
-   well-formed and recover flat string/number fields. *)
-let parse_json_object line =
-  let n = String.length line in
-  let fail msg = failwith (Printf.sprintf "%s in %S" msg line) in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else '\000' in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then fail (Printf.sprintf "expected %c" c) else advance () in
-  let skip_ws () = while !pos < n && (peek () = ' ' || peek () = '\t') do advance () done in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'u' ->
-              advance ();
-              pos := !pos + 4;
-              Buffer.add_char buf '?'
-          | c -> Buffer.add_char buf c; advance ());
-          go ()
-      | '\000' -> fail "unterminated string"
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec skip_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> ignore (parse_string ())
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then advance ()
-        else
-          let rec items () =
-            skip_value ();
-            skip_ws ();
-            if peek () = ',' then (advance (); items ()) else expect ']'
-          in
-          items ()
-    | _ ->
-        while
-          !pos < n
-          &&
-          match peek () with
-          | ',' | '}' | ']' -> false
-          | _ -> true
-        do
-          advance ()
-        done
-  in
-  let fields = ref [] in
-  skip_ws ();
-  expect '{';
-  let rec members () =
-    skip_ws ();
-    let key = parse_string () in
-    skip_ws ();
-    expect ':';
-    skip_ws ();
-    let start = !pos in
-    (match peek () with
-    | '"' -> fields := (key, `String (parse_string ())) :: !fields
-    | _ ->
-        skip_value ();
-        fields := (key, `Raw (String.sub line start (!pos - start))) :: !fields);
-    skip_ws ();
-    if peek () = ',' then (advance (); members ()) else expect '}'
-  in
-  members ();
-  List.rev !fields
-
-let field fields k =
-  match List.assoc_opt k fields with
-  | Some (`String s) -> s
-  | Some (`Raw s) -> s
-  | None -> failwith ("missing field " ^ k)
+(* The JSONL bytes are a published format: this registry's output was
+   captured before the sink moved onto the shared codec and must not
+   change. Span durations are the only non-deterministic values, so
+   they are masked after being checked. *)
+let pinned_jsonl =
+  {|{"type":"counter","name":"events.total","value":7}
+{"type":"gauge","name":"cost \"quoted\"\\\n\t\u0001é","value":0.333333333333}
+{"type":"gauge","name":"overflow","value":null}
+{"type":"histogram","name":"util","count":4,"sum":4.3000001,"min":1e-07,"max":3,"mean":1.075000025,"p50":0.5,"p95":2.6,"p99":2.92,"buckets":[0.5,1,null],"counts":[2,1,1,0]}
+{"type":"histogram","name":"empty","count":0,"sum":0,"min":null,"max":null,"mean":null,"p50":null,"p95":null,"p99":null,"buckets":[1e-06,4e-06,1.6e-05,6.4e-05,0.000256,0.001024,0.004096,0.016384,0.065536,0.262144,1.048576,4.194304,16.777216,67.108864,268.435456,1073.741824],"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}
+{"type":"span","path":"run","name":"run","count":1,"seconds":_}
+{"type":"span","path":"run/inner","name":"inner","count":2,"seconds":_}
+{"type":"span","path":"run/inner/leaf","name":"leaf","count":1,"seconds":_}
+{"type":"span","path":"other \"x\"","name":"other \"x\"","count":1,"seconds":_}
+|}
 
 let test_jsonl_roundtrip () =
   let r = Registry.create () in
   Metric.Counter.add (Registry.counter r ~help:"a counter" "events.total") 7;
-  Metric.Gauge.set (Registry.gauge r "cost \"quoted\"\n") 12.5;
-  let h =
-    Registry.histogram r
-      ~buckets:(Metric.Histogram.linear ~lo:0. ~hi:1. ~buckets:2)
-      "util"
+  let quoted = "cost \"quoted\"\\\n\t\001\xc3\xa9" in
+  Metric.Gauge.set (Registry.gauge r quoted) (1. /. 3.);
+  Metric.Gauge.set (Registry.gauge r "overflow") infinity;
+  let h = Registry.histogram r ~buckets:[| 0.5; 1.; infinity |] "util" in
+  List.iter (Metric.Histogram.observe h) [ 0.4; 0.9; 3.; 1e-7 ];
+  ignore (Registry.histogram r "empty");
+  Span.with_ r ~name:"run" (fun () ->
+      Span.with_ r ~name:"inner" (fun () -> ());
+      Span.with_ r ~name:"inner" (fun () -> Span.with_ r ~name:"leaf" (fun () -> ())));
+  Span.with_ r ~name:"other \"x\"" (fun () -> ());
+  let lines = String.split_on_char '\n' (Sink.jsonl r) in
+  (* Every line is one object under the strict shared parser. *)
+  let parsed =
+    List.filter_map
+      (fun line ->
+        if line = "" then None
+        else
+          match Json.parse line with
+          | Ok (Json.Obj _ as j) -> Some j
+          | Ok _ | Error _ -> Alcotest.failf "not a JSON object: %S" line)
+      lines
   in
-  Metric.Histogram.observe h 0.4;
-  Metric.Histogram.observe h 0.9;
-  Span.with_ r ~name:"run" (fun () -> Span.with_ r ~name:"inner" (fun () -> ()));
-  let lines =
-    String.split_on_char '\n' (Sink.jsonl r) |> List.filter (fun l -> l <> "")
+  let field k j = Option.get (Json.member k j) in
+  let by_name name = List.find (fun j -> field "name" j = Json.String name) parsed in
+  let spans = List.filter (fun j -> field "type" j = Json.String "span") parsed in
+  Alcotest.(check bool) "counter value" true (field "value" (by_name "events.total") = Json.Int 7);
+  Alcotest.(check bool) "escaped name survives" true
+    (field "value" (by_name quoted) = Json.Float 0.333333333333);
+  Alcotest.(check bool) "histogram count" true (field "count" (by_name "util") = Json.Int 4);
+  Alcotest.(check bool) "span seconds are non-negative numbers" true
+    (List.for_all
+       (fun j -> Option.fold ~none:false ~some:(fun x -> x >= 0.) (Json.to_float_opt (field "seconds" j)))
+       spans);
+  Alcotest.(check (list string)) "span paths"
+    [ "run"; "run/inner"; "run/inner/leaf"; "other \"x\"" ]
+    (List.map (fun j -> Option.get (Json.to_string_opt (field "path" j))) spans);
+  let mask line =
+    if String.starts_with ~prefix:{|{"type":"span",|} line then
+      String.sub line 0 (String.rindex line ':' + 1) ^ "_}"
+    else line
   in
-  Alcotest.(check int) "one line per metric + span" 5 (List.length lines);
-  let parsed = List.map parse_json_object lines in
-  List.iter
-    (fun fields -> Alcotest.(check bool) "has type" true (List.mem_assoc "type" fields))
-    parsed;
-  let by_name name =
-    List.find (fun f -> List.assoc_opt "name" f = Some (`String name)) parsed
-  in
-  Alcotest.(check string) "counter value survives" "7"
-    (field (by_name "events.total") "value");
-  Alcotest.(check string) "gauge value survives" "12.5"
-    (field (by_name "cost \"quoted\"\n") "value");
-  let hist = by_name "util" in
-  Alcotest.(check string) "histogram count" "2" (field hist "count");
-  let span_lines =
-    List.filter (fun f -> List.assoc_opt "type" f = Some (`String "span")) parsed
-  in
-  Alcotest.(check (list string)) "span paths" [ "run"; "run/inner" ]
-    (List.map (fun f -> field f "path") span_lines)
+  Alcotest.(check string) "byte-identical to the pinned capture" pinned_jsonl
+    (String.concat "\n" (List.map mask lines))
 
 let test_prometheus_shape () =
   let r = Registry.create () in

@@ -5,7 +5,7 @@
    no_quorum shedding, and the whole replication link driven through the
    byte-mangling Faulty proxy. *)
 
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Protocol = Mcss_serve.Protocol
 module Service = Mcss_serve.Service
 module Server = Mcss_serve.Server

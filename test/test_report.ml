@@ -48,6 +48,26 @@ let test_series_save () =
   Helpers.check_bool "contains point" true (Helpers.contains ~needle:"1 2" content);
   Sys.remove path
 
+let test_mkdir_p () =
+  let base = Filename.temp_file "mcss_fs" "" in
+  Sys.remove base;
+  let nested = Filename.concat (Filename.concat base "a") "b" in
+  Mcss_report.Fs.mkdir_p nested;
+  Helpers.check_bool "nested path created" true (Sys.is_directory nested);
+  Mcss_report.Fs.mkdir_p nested;
+  Mcss_report.Fs.mkdir_p base;
+  let file = Filename.concat base "file" in
+  Out_channel.with_open_text file (fun _ -> ());
+  let raises dir =
+    match Mcss_report.Fs.mkdir_p dir with
+    | () -> Alcotest.failf "mkdir_p %S should raise" dir
+    | exception Sys_error _ -> ()
+  in
+  raises file;
+  raises (Filename.concat file "sub");
+  Sys.remove file;
+  List.iter Sys.rmdir [ nested; Filename.dirname nested; base ]
+
 let test_plot_script () =
   let spec =
     {
@@ -103,4 +123,5 @@ let suite =
     Alcotest.test_case "pct change" `Quick test_pct_change;
     Alcotest.test_case "series to_string" `Quick test_series_to_string;
     Alcotest.test_case "series save" `Quick test_series_save;
+    Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
   ]

@@ -3,7 +3,7 @@
    [handle_line]; and the full socket server end-to-end over a Unix
    socket with real client connections. *)
 
-module Json = Mcss_serve.Json
+module Json = Mcss_json.Json
 module Protocol = Mcss_serve.Protocol
 module Plan_cache = Mcss_serve.Plan_cache
 module Admission = Mcss_serve.Admission

@@ -77,6 +77,57 @@ let test_quantile_rejects () =
   Alcotest.check_raises "bad q" (Invalid_argument "Stats.quantile: q outside [0,1]")
     (fun () -> ignore (Stats.quantile [| 1. |] 1.5))
 
+let test_nearest_rank () =
+  let check name expected xs p =
+    Alcotest.(check (float 0.)) name expected (Stats.nearest_rank xs p)
+  in
+  check "n = 0" 0. [||] 0.5;
+  check "n = 1, p = 0" 7. [| 7. |] 0.;
+  check "n = 1, p = 1" 7. [| 7. |] 1.;
+  let xs = [| 4.; 1.; 3.; 2.; 5. |] in
+  check "p = 0 is the minimum" 1. xs 0.;
+  check "p = 1 is the maximum" 5. xs 1.;
+  check "rank ceil(0.5 * 5) = 3" 3. xs 0.5;
+  check "rank ceil(0.95 * 5) = 5" 5. xs 0.95;
+  let ties = [| 2.; 1.; 2.; 3. |] in
+  check "tie, rank 2" 2. ties 0.5;
+  check "tie, rank 3" 2. ties 0.75;
+  Alcotest.(check (array (float 0.))) "argument unchanged" [| 2.; 1.; 2.; 3. |] ties
+
+(* The copies [nearest_rank] replaced, kept verbatim as references:
+   Week_sim's took p in 0-100, Nemesis's a sorted list. *)
+let week_sim_percentile values p =
+  let n = Array.length values in
+  if n = 0 then 0.
+  else begin
+    let sorted = Array.copy values in
+    Array.sort compare sorted;
+    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) idx))
+  end
+
+let nemesis_percentile sorted p =
+  match sorted with
+  | [] -> 0.
+  | l ->
+      let a = Array.of_list l in
+      let n = Array.length a in
+      let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
+      a.(max 0 (min (n - 1) i))
+
+let prop_nearest_rank_matches_retired_copies =
+  Helpers.qtest "nearest_rank = the Week_sim and Nemesis copies"
+    QCheck.(list (float_range (-1e3) 1e3))
+    (fun l ->
+      let xs = Array.of_list l in
+      let sorted = List.sort compare l in
+      List.for_all
+        (fun p ->
+          let v = Stats.nearest_rank xs p in
+          v = nemesis_percentile sorted p
+          && (p <> 0.95 || v = week_sim_percentile xs 95.))
+        [ 0.; 0.25; 0.5; 0.95; 0.99; 1. ])
+
 let test_summarize () =
   let s = Stats.summarize [| 1.; 2.; 3.; 4. |] in
   Helpers.check_int "count" 4 s.Stats.count;
@@ -121,4 +172,6 @@ let suite =
     Alcotest.test_case "summarize" `Quick test_summarize;
     prop_sc_bounded;
     prop_ccdf_first_point;
+    Alcotest.test_case "nearest rank" `Quick test_nearest_rank;
+    prop_nearest_rank_matches_retired_copies;
   ]
