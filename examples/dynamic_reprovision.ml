@@ -10,12 +10,11 @@
 
 module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
-module Allocation = Mcss_core.Allocation
 module Solver = Mcss_core.Solver
 module Verifier = Mcss_core.Verifier
-module Delta = Mcss_dynamic.Delta
+module Delta = Mcss_engine.Delta
+module Engine = Mcss_engine.Engine
 module Churn = Mcss_dynamic.Churn
-module Reprovision = Mcss_dynamic.Reprovision
 module Table = Mcss_report.Table
 module Rng = Mcss_prng.Rng
 module Spotify = Mcss_traces.Spotify
@@ -33,7 +32,7 @@ let () =
   let rng = Rng.create 2026 in
   let w = ref (Spotify.generate { (Spotify.scaled 0.005) with Spotify.seed = 99 }) in
   Format.printf "day 0: %a@.@." Workload.pp_summary !w;
-  let plan = ref (Reprovision.initial (problem_for !w)) in
+  let eng = Engine.create ~drift_threshold:infinity (problem_for !w) in
   let table =
     Table.create
       [
@@ -54,28 +53,27 @@ let () =
     w := Delta.apply !w deltas;
     let p = problem_for !w in
     let t0 = Unix.gettimeofday () in
-    let plan', stats = Reprovision.reprovision ~previous:!plan p in
+    let stats = Engine.retarget eng p in
     let incr_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-    plan := plan';
-    ignore
-      (Verifier.check_exn p plan'.Reprovision.selection plan'.Reprovision.allocation);
+    let plan = Engine.plan eng in
+    ignore (Verifier.check_exn p plan.Engine.selection plan.Engine.allocation);
     let cold = Solver.solve p in
-    let total_pairs = stats.Reprovision.pairs_kept + stats.Reprovision.pairs_added in
+    let total_pairs = stats.Engine.pairs_kept + stats.Engine.pairs_added in
     let moved =
       100.
-      *. float_of_int (stats.Reprovision.pairs_added + stats.Reprovision.pairs_evicted)
+      *. float_of_int (stats.Engine.pairs_added + stats.Engine.pairs_evicted)
       /. float_of_int (max 1 total_pairs)
     in
     Table.add_row table
       [
         string_of_int day_num;
-        string_of_int (Allocation.num_vms plan'.Reprovision.allocation);
-        Table.cell_usd (Reprovision.cost plan');
+        string_of_int (Engine.num_vms eng);
+        Table.cell_usd (Engine.cost eng);
         Table.cell_usd cold.Solver.cost;
-        string_of_int stats.Reprovision.pairs_kept;
-        string_of_int stats.Reprovision.pairs_added;
-        string_of_int stats.Reprovision.pairs_removed;
-        string_of_int stats.Reprovision.pairs_evicted;
+        string_of_int stats.Engine.pairs_kept;
+        string_of_int stats.Engine.pairs_added;
+        string_of_int stats.Engine.pairs_removed;
+        string_of_int stats.Engine.pairs_evicted;
         Table.cell_float ~decimals:2 moved;
         Table.cell_float ~decimals:1 incr_ms;
       ]

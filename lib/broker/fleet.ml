@@ -76,15 +76,6 @@ let num_brokers fleet = Array.length fleet.brokers
 
 let brokers_for_topic fleet topic = fleet.routing.(topic)
 
-(* Same deterministic per-topic phase as the counting simulator, so the
-   two substrates generate identical schedules. *)
-let phase_of_topic t =
-  let h =
-    Int64.to_int
-      (Int64.shift_right_logical (Int64.mul (Int64.of_int (t + 1)) 0x9E3779B97F4A7C15L) 11)
-  in
-  float_of_int h *. 0x1p-53
-
 let schedule_events w ~arrivals ~duration =
   let times : float Mcss_core.Vec.t = Mcss_core.Vec.create () in
   let topics : int Mcss_core.Vec.t = Mcss_core.Vec.create () in
@@ -99,7 +90,7 @@ let schedule_events w ~arrivals ~duration =
         let n = int_of_float (Float.round (ev *. duration)) in
         if n > 0 then begin
           let interval = duration /. float_of_int n in
-          let phase = phase_of_topic t *. interval in
+          let phase = Mcss_sim.Simulator.phase_of_topic t *. interval in
           for k = 0 to n - 1 do
             emit (phase +. (float_of_int k *. interval)) t
           done

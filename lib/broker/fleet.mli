@@ -64,8 +64,9 @@ val schedule_events :
   (float * Mcss_workload.Workload.topic) array
 (** The publication schedule as (time, topic) pairs sorted by time: with
     [Deterministic] arrivals, topic [t] publishes exactly
-    [round(ev_t · duration)] events, evenly spaced with a topic-specific
-    phase — the same generator {!Mcss_sim.Simulator} counts with, so a
+    [round(ev_t · duration)] events, evenly spaced with the topic's
+    {!Mcss_sim.Simulator.phase_of_topic} — the same generator the
+    simulator counts with, so a
     live dataplane pumping this schedule reconciles against the
     simulator's predictions exactly. *)
 

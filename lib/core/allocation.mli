@@ -85,7 +85,8 @@ val subscribers_of_topic_on : vm -> Mcss_workload.Workload.topic -> Mcss_workloa
 (** {2 Mutation support for dynamic re-provisioning}
 
     These operations exist for the incremental allocator
-    ([Mcss_dynamic]): a static two-stage solve never removes anything. *)
+    ([Mcss_engine.Engine]): a static two-stage solve never removes
+    anything. *)
 
 val remove : t -> vm -> topic:Mcss_workload.Workload.topic -> ev:float ->
   subscriber:Mcss_workload.Workload.subscriber -> bool

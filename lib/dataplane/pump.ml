@@ -82,8 +82,10 @@ let run ?(config = default_config) ?sinks cluster p a =
             | None -> Some after (* spawned during the run *))
           ledgers_after
       in
+      (* The timeout bounds the drain alone, so it starts once publishing
+         returns: a paced run may publish for longer than it. *)
       let deadline =
-        Int64.add t0 (Int64.of_float (config.quiesce_timeout *. 1e9))
+        Int64.add (Clock.now_ns ()) (Int64.of_float (config.quiesce_timeout *. 1e9))
       in
       let quiesced = ref false in
       let ledgers = ref (window (ledgers_of cluster)) in

@@ -16,7 +16,10 @@ type config = {
   pace : float;  (** Wall seconds per horizon; [0.] = full speed. *)
   batch : int;
   latency_seed : int;
-  quiesce_timeout : float;  (** Wall seconds (default 10). *)
+  quiesce_timeout : float;
+      (** Wall seconds (default 10) to wait for the fan-out to drain,
+          counted from when publishing returns, so a paced run may
+          publish for longer than this. *)
   tolerance : float option;  (** [Some tol] runs reconciliation. *)
 }
 

@@ -1,5 +1,6 @@
 module Workload = Mcss_workload.Workload
 module Rng = Mcss_prng.Rng
+module Delta = Mcss_engine.Delta
 
 type params = {
   new_subscribers : int;

@@ -26,15 +26,16 @@ val default : params
 val scaled : float -> params
 (** Multiply all the count fields of {!default} (minimum 1 each). *)
 
-val tick : Mcss_prng.Rng.t -> params -> Mcss_workload.Workload.t -> Delta.t list
+val tick :
+  Mcss_prng.Rng.t -> params -> Mcss_workload.Workload.t -> Mcss_engine.Delta.t list
 (** Generate one tick's deltas against the given workload. The list is
-    valid for {!Delta.apply} on exactly that workload. Deterministic for
-    a given generator state. *)
+    valid for {!Mcss_engine.Delta.apply} on exactly that workload.
+    Deterministic for a given generator state. *)
 
 val run :
   Mcss_prng.Rng.t -> params -> ticks:int -> Mcss_workload.Workload.t ->
-  (Mcss_workload.Workload.t -> Delta.t list -> unit) ->
+  (Mcss_workload.Workload.t -> Mcss_engine.Delta.t list -> unit) ->
   Mcss_workload.Workload.t
-(** [run rng params ~ticks w f] folds {!tick} + {!Delta.apply} [ticks]
-    times, calling [f workload_before deltas] at each step; returns the
-    final workload. *)
+(** [run rng params ~ticks w f] folds {!tick} + {!Mcss_engine.Delta.apply}
+    [ticks] times, calling [f workload_before deltas] at each step;
+    returns the final workload. *)

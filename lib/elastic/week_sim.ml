@@ -3,7 +3,6 @@ module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation
 module Verifier = Mcss_core.Verifier
 module Engine = Mcss_engine.Engine
-module Reprovision = Mcss_dynamic.Reprovision
 module Cost_model = Mcss_pricing.Cost_model
 module Reservation = Mcss_pricing.Reservation
 module Clock = Mcss_obs.Clock
@@ -182,8 +181,8 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
           let consolidated =
             decision.Autoscaler.consolidate
             &&
-            let plan', cstats = Reprovision.consolidate plan in
-            if cstats.Reprovision.vms_removed > 0 then begin
+            let plan', cstats = Engine.consolidate plan in
+            if cstats.Engine.vms_removed > 0 then begin
               engine := Engine.of_plan plan';
               true
             end
@@ -244,8 +243,8 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
           ignore (Engine.apply !engine batches.(k));
           let plan = Engine.plan !engine in
           let plan =
-            let plan', cstats = Reprovision.consolidate plan in
-            if cstats.Reprovision.vms_removed > 0 then begin
+            let plan', cstats = Engine.consolidate plan in
+            if cstats.Engine.vms_removed > 0 then begin
               engine := Engine.of_plan plan';
               plan'
             end

@@ -4,7 +4,7 @@
     For each adaptive policy the simulator clones the base plan into a
     private {!Mcss_engine.Engine}, then per slice: applies the slice's
     delta batch, consults the policy, runs a
-    {!Mcss_dynamic.Reprovision.consolidate} pass if asked, verifies the
+    {!Mcss_engine.Engine.consolidate} pass if asked, verifies the
     resulting plan against the slice's problem with
     {!Mcss_core.Verifier}, and prices the slice — reserved capacity at
     the reservation rate, overflow on demand, the slice's traffic

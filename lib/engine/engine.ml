@@ -187,11 +187,12 @@ let resolve t (p' : Problem.t) ~dirty_subscribers ~old_pairs ~old_vms =
     resolved = true;
   }
 
-let retarget t ?dirty (p' : Problem.t) =
+(* [dirty] must be a superset of the subscribers whose Stage-1 inputs
+   changed (length [num_subscribers p'], new subscribers marked). *)
+let retarget_dirty t ~dirty (p' : Problem.t) =
   let w' = p'.Problem.workload in
   let old_w = t.problem.Problem.workload in
   let n = Workload.num_subscribers w' in
-  let dirty = match dirty with Some d -> d | None -> Array.make n true in
   let old_selection = t.selection in
   let old_n = Array.length old_selection.Selection.chosen in
   let old_pairs = old_selection.Selection.num_pairs in
@@ -260,7 +261,7 @@ let retarget t ?dirty (p' : Problem.t) =
                ~ev:(Workload.event_rate old_w topic) ~subscriber:v);
           Arena.Int_table.remove t.homes key
         end
-        (* not placed: tolerated, as Reprovision always did *))
+        (* not placed: tolerated *))
       !removals;
     (* Re-price the fleet if any surviving topic's rate moved. *)
     let old_rates = Workload.event_rates old_w in
@@ -326,6 +327,9 @@ let retarget t ?dirty (p' : Problem.t) =
     }
   end
 
+let retarget t (p' : Problem.t) =
+  retarget_dirty t ~dirty:(Array.make (Workload.num_subscribers p'.Problem.workload) true) p'
+
 (* Which subscribers could Stage 1 answer differently for? Exactly those
    whose inputs to [Selection.gsp_subscriber] changed: their interest
    set, or the rate of a topic they follow. Everyone else provably keeps
@@ -366,7 +370,7 @@ let apply t deltas =
       ~capacity:t.problem.Problem.capacity t.problem.Problem.costs
   in
   let dirty = compute_dirty t deltas w' in
-  retarget t ~dirty p'
+  retarget_dirty t ~dirty p'
 
 let fail t ~failed =
   let p = t.problem in
@@ -410,3 +414,126 @@ let fail t ~failed =
     pairs_rehomed = !pairs_rehomed;
     vms_added = Allocation.num_vms a - before_placement;
   }
+
+(* Can [src]'s whole content move into the other VMs? Plan against a
+   snapshot of their free capacities and topic presence; commit only on a
+   complete drain so bandwidth never grows without freeing the VM. *)
+let plan_drain (p : Problem.t) a src =
+  let w = p.Problem.workload in
+  let eps = Problem.epsilon p in
+  (* Only non-empty peers may receive: refilling a previously drained VM
+     would undo the work, and excluding empties guarantees every
+     successful drain strictly shrinks the set of occupied VMs (so the
+     outer loop terminates). *)
+  let others =
+    Array.of_list
+      (List.filter
+         (fun vm ->
+           Allocation.vm_id vm <> Allocation.vm_id src && Allocation.num_pairs_on vm > 0)
+         (Array.to_list (Allocation.vms a)))
+  in
+  let free = Array.map (fun vm -> Allocation.free a vm) others in
+  let groups =
+    List.map
+      (fun topic ->
+        (topic, Array.of_list (Allocation.subscribers_of_topic_on src topic)))
+      (Allocation.topics_on src)
+  in
+  (* Largest groups first: they are the hardest to place. *)
+  let groups =
+    List.sort
+      (fun (ta, sa) (tb, sb) ->
+        let vol (t, s) = float_of_int (Array.length s) *. Workload.event_rate w t in
+        compare (-.vol (tb, sb), ta) (-.vol (ta, sa), tb))
+      groups
+  in
+  let hosts = Hashtbl.create 64 in
+  Array.iteri
+    (fun i vm ->
+      List.iter (fun t -> Hashtbl.replace hosts (i, t) ()) (Allocation.topics_on vm))
+    others;
+  let moves = ref [] in
+  let ok = ref true in
+  List.iter
+    (fun (topic, subs) ->
+      if !ok then begin
+        let ev = Workload.event_rate w topic in
+        let n = Array.length subs in
+        let from = ref 0 in
+        while !from < n && !ok do
+          (* Most free first among those that can take a pair. *)
+          let best = ref (-1) in
+          Array.iteri
+            (fun i _ ->
+              let incoming = if Hashtbl.mem hosts (i, topic) then 0. else ev in
+              if free.(i) +. eps -. incoming >= ev then
+                match !best with
+                | -1 -> best := i
+                | b -> if free.(i) > free.(b) then best := i)
+            others;
+          match !best with
+          | -1 -> ok := false
+          | i ->
+              let incoming = if Hashtbl.mem hosts (i, topic) then 0. else ev in
+              let k =
+                min (n - !from)
+                  (int_of_float (floor ((free.(i) +. eps -. incoming) /. ev)))
+              in
+              free.(i) <- free.(i) -. (float_of_int k *. ev) -. incoming;
+              Hashtbl.replace hosts (i, topic) ();
+              moves := (Allocation.vm_id others.(i), topic, ev, subs, !from, k) :: !moves;
+              from := !from + k
+        done
+      end)
+    groups;
+  if !ok then Some !moves else None
+
+let consolidate ?(max_moves = 10_000) (plan : plan) =
+  let p = plan.problem in
+  let a = clone_allocation ~capacity:p.Problem.capacity p.Problem.workload plan.allocation in
+  let moved = ref 0 in
+  let drained = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    (* Least-loaded non-empty VM that fully drains. *)
+    let candidates =
+      Array.to_list (Allocation.vms a)
+      |> List.filter (fun vm -> Allocation.num_pairs_on vm > 0)
+      |> List.sort (fun x y -> compare (Allocation.load x) (Allocation.load y))
+    in
+    let rec try_candidates = function
+      | [] -> ()
+      | src :: rest -> (
+          if Allocation.num_pairs_on src + !moved > max_moves then try_candidates rest
+          else
+            match plan_drain p a src with
+            | None -> try_candidates rest
+            | Some moves ->
+                List.iter
+                  (fun (target_id, topic, ev, subs, from, k) ->
+                    for i = from to from + k - 1 do
+                      ignore (Allocation.remove a src ~topic ~ev ~subscriber:subs.(i))
+                    done;
+                    let target = (Allocation.vms a).(target_id) in
+                    Allocation.place a target ~topic ~ev ~subscribers:subs ~from
+                      ~count:k;
+                    moved := !moved + k)
+                  moves;
+                incr drained;
+                continue_ := true)
+    in
+    try_candidates candidates
+  done;
+  let compacted, _ = Allocation.compact a in
+  ( { plan with allocation = compacted },
+    {
+      pairs_kept = 0;
+      pairs_added = 0;
+      pairs_removed = 0;
+      pairs_evicted = !moved;
+      vms_added = 0;
+      vms_removed = !drained;
+      dirty_subscribers = 0;
+      resolved = false;
+    } )

@@ -1,6 +1,7 @@
-(** The stateful incremental planning engine — one re-solve core behind
-    [solve], [Reprovision], [Recovery.replan], and the planning service's
-    live [update] endpoint.
+(** The stateful incremental planning engine — the one re-planning API
+    behind [solve], churn absorption ({!retarget}, {!apply}), failure
+    repair ({!fail}), defragmentation ({!consolidate}), and the planning
+    service's live [update] endpoint.
 
     The paper closes (§IV-F) by arguing the allocator is fast enough to
     "run periodically to adapt to the changes in the event rates, new
@@ -40,8 +41,7 @@ type plan = {
   selection : Mcss_core.Selection.t;
   allocation : Mcss_core.Allocation.t;
 }
-(** A deployment plan snapshot — re-exported as
-    [Mcss_dynamic.Reprovision.plan], which is an equality. *)
+(** A deployment plan snapshot. *)
 
 type change_stats = {
   pairs_kept : int;  (** Survived in place. *)
@@ -58,8 +58,11 @@ type change_stats = {
           not in-place surgery. *)
 }
 
-type recovery_stats = { vms_lost : int; pairs_rehomed : int; vms_added : int }
-(** Re-exported as [Mcss_dynamic.Recovery.stats]. *)
+type recovery_stats = {
+  vms_lost : int;
+  pairs_rehomed : int;  (** Pairs that lived on failed VMs. *)
+  vms_added : int;  (** Fresh VMs deployed to absorb them. *)
+}
 
 type t
 
@@ -72,11 +75,11 @@ val create :
 (** Cold GSP+CBP solve ([config] defaults to {!Mcss_core.Solver.default},
     also used for drift re-solves). [drift_threshold] (default [0.5])
     is the churned-pairs fraction that triggers a full re-solve;
-    [infinity] disables drift re-solves (what the [Reprovision] wrapper
-    uses to keep its never-resolves contract). [domains] (default 1) is
-    passed to every {!Mcss_core.Solver.solve} the engine runs — cold and
-    drift-triggered alike — and never changes the plans produced (the
-    parallel solve is bit-identical). Raises
+    [infinity] disables drift re-solves, so every change is answered by
+    in-place surgery. [domains] (default 1) is passed to every
+    {!Mcss_core.Solver.solve} the engine runs — cold and drift-triggered
+    alike — and never changes the plans produced (the parallel solve is
+    bit-identical). Raises
     {!Mcss_core.Problem.Infeasible} like the solver. *)
 
 val of_plan :
@@ -87,7 +90,9 @@ val of_plan :
   t
 (** Adopt an existing plan (e.g. reloaded through
     {!Mcss_core.Plan_io}). The allocation is cloned, so the engine never
-    mutates the caller's plan. *)
+    mutates the caller's plan. [of_plan ~drift_threshold:infinity]
+    followed by {!retarget} or {!fail} is an input-preserving repair: a
+    pure function of the plan that never falls back to a cold solve. *)
 
 val apply : t -> Delta.t list -> change_stats
 (** Fold a delta batch into the engine. Raises [Invalid_argument] on
@@ -98,19 +103,26 @@ val apply : t -> Delta.t list -> change_stats
     always produce the same plan, which is what lets the planning
     service replay journaled updates after a crash. *)
 
-val retarget : t -> ?dirty:bool array -> Mcss_core.Problem.t -> change_stats
-(** The re-solve core under {!apply}, exposed for the [Reprovision]
-    wrapper: adapt the engine to an explicit new problem (same
-    append-only id space). [dirty] marks the subscribers whose Stage-1
-    inputs may have changed and {b must} be a superset of them (length
-    [num_subscribers], new subscribers marked); it defaults to
-    all-dirty, which is always safe. *)
+val retarget : t -> Mcss_core.Problem.t -> change_stats
+(** The re-solve core under {!apply}: adapt the engine to an explicit new
+    problem (same append-only id space, e.g. evolved by {!Delta.apply}).
+    Every subscriber re-runs Stage 1 (GSP is deterministic, so untouched
+    ones keep their exact old choice); surviving pairs stay in place,
+    VMs pushed over capacity evict, new and evicted pairs are placed with
+    the insertion rule, and emptied VMs are dropped. The result always
+    satisfies the new problem — run it through {!Mcss_core.Verifier} to
+    confirm, as the tests do. Raises {!Mcss_core.Problem.Infeasible}
+    when a needed pair cannot fit any VM. *)
 
 val fail : t -> failed:int list -> recovery_stats
 (** Treat the listed VM ids as permanently dead: survivors keep their
     placements (renumbered densely), orphaned pairs are re-placed with
-    the insertion rule. Unknown ids are ignored; failing every VM
-    rebuilds from scratch. The core under [Recovery.replan]. *)
+    the insertion rule (most-free survivor first, fresh VMs on
+    overflow). Unknown ids are ignored; failing every VM does not raise
+    but rebuilds from scratch, with every pair counted as rehomed. Stats
+    count this call's damage only. Raises
+    {!Mcss_core.Problem.Infeasible} if an orphaned pair fits no VM
+    (capacity shrank, never from failure alone). *)
 
 val plan : t -> plan
 (** The engine's current plan. The allocation is the engine's live one —
@@ -143,3 +155,13 @@ val iter_homes : t -> (topic:int -> subscriber:int -> vm:int -> unit) -> unit
     several VMs reports one home (the engine places each pair once). *)
 
 val default_drift_threshold : float
+
+val consolidate : ?max_moves:int -> plan -> plan * change_stats
+(** Defragment a fleet that accumulated slack through churn: repeatedly
+    try to drain the least-loaded VM into the rest of the fleet
+    (all-or-nothing per VM, so bandwidth never grows without a VM being
+    freed) until no VM can be fully drained or [max_moves] pair moves
+    (default 10_000) have been spent. The input plan's allocation is not
+    modified; the result is a fresh plan over the same problem.
+    [vms_removed] counts the drained VMs and [pairs_evicted] the pairs
+    moved; every other counter is zero. *)

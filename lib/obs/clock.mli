@@ -1,10 +1,11 @@
 (** Monotonic time source for the observability subsystem.
 
-    Backed by [clock_gettime(CLOCK_MONOTONIC)] via a tiny C stub, so span
-    durations are immune to wall-clock adjustments. All other [mcss]
-    timing ([Unix.gettimeofday] in the solver result, the bench harness)
-    measures elapsed wall time over seconds-long runs where drift is
-    irrelevant; spans attribute sub-millisecond stages, where it is not. *)
+    Backed by [clock_gettime(CLOCK_MONOTONIC)] via a tiny C stub, so
+    durations and deadlines are immune to wall-clock adjustments. Every
+    elapsed-time measurement and timeout in [lib/], [bin/] and [bench/]
+    — spans, solver stage timings, quorum and quiesce deadlines, the
+    nemesis waits, the bench timers — reads this clock, never the
+    adjustable wall clock. *)
 
 val now_ns : unit -> int64
 (** Nanoseconds since an arbitrary fixed origin. Strictly non-decreasing

@@ -13,8 +13,9 @@
       itself).
 
     A VM suspected dead for [hysteresis] consecutive epochs (flapping
-    guard) while subscribers are in violation triggers a repair:
-    {!Mcss_dynamic.Recovery.replan} is consulted, and its plan adopted
+    guard) while subscribers are in violation triggers a repair: the
+    plan is adopted by a fresh {!Mcss_engine.Engine} (drift re-solves
+    off), {!Mcss_engine.Engine.fail} is consulted, and its plan adopted
     if it stays within the [max_new_vms] budget and its extra hourly
     cost does not exceed the SLA penalty rate
     ([penalty_usd_per_violation_hour · violations]). Otherwise the
@@ -25,7 +26,7 @@
     Attempts that end degraded or infeasible arm an exponential backoff
     (with seeded jitter) before the next attempt.
 
-    Repairs renumber the fleet ({!Mcss_dynamic.Recovery.replan} packs
+    Repairs renumber the fleet ({!Mcss_engine.Engine.fail} packs
     survivor ids); pending outage windows follow the surviving VMs and
     windows on replaced VMs die with them. Campaign faults always name
     fleet slots {e at the moment they strike}. *)
@@ -53,7 +54,7 @@ val default_policy : policy
     $50 per violation-hour. *)
 
 type outcome = {
-  plan : Mcss_dynamic.Reprovision.plan;  (** The plan after the drill. *)
+  plan : Mcss_engine.Engine.plan;  (** The plan after the drill. *)
   sla : Sla.report;
   epoch_log : Sla.epoch list;
   repairs : int;  (** Full repairs adopted. *)

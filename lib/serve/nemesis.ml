@@ -3,6 +3,7 @@ module Workload = Mcss_workload.Workload
 module Wio = Mcss_workload.Wio
 module Registry = Mcss_obs.Registry
 module Counter = Mcss_obs.Metric.Counter
+module Clock = Mcss_obs.Clock
 
 type config = {
   seed : int;
@@ -143,15 +144,15 @@ let replicas = 3
 let blackhole_script =
   { Faulty.to_server = [ Faulty.Blackhole ]; to_client = [ Faulty.Blackhole ] }
 
-let now_ms () = Unix.gettimeofday () *. 1000.
+let now_ms () = Clock.ns_to_seconds (Clock.now_ns ()) *. 1000.
 
 exception Nemesis_timeout of string
 
 let wait_until ?(timeout_s = 30.) ~what pred =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let t0 = Clock.now_ns () in
   let rec go () =
     if pred () then ()
-    else if Unix.gettimeofday () > deadline then raise (Nemesis_timeout what)
+    else if Clock.seconds_since t0 > timeout_s then raise (Nemesis_timeout what)
     else begin
       Unix.sleepf 0.02;
       go ()
@@ -501,9 +502,9 @@ let run config =
   let recover_updates ~t0 =
     (* Drive ticks until an update goes through again; the elapsed time
        is the headline recovery number. *)
-    let deadline = Unix.gettimeofday () +. 60. in
+    let start = Clock.now_ns () in
     let rec go () =
-      if Unix.gettimeofday () > deadline then
+      if Clock.seconds_since start > 60. then
         raise (Nemesis_timeout "updates never recovered after a partition");
       tick ();
       match update_via_router () with

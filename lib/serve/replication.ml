@@ -1,5 +1,6 @@
 module Registry = Mcss_obs.Registry
 module Counter = Mcss_obs.Metric.Counter
+module Clock = Mcss_obs.Clock
 
 (* ----- wire format -----
 
@@ -224,13 +225,13 @@ let commit_gate t ~quorum ~timeout_ms ~index =
   let needed = quorum - 1 in
   if needed <= 0 then Ok ()
   else
-    let deadline = Unix.gettimeofday () +. (timeout_ms /. 1000.) in
+    let t0 = Clock.now_ns () in
     let rec wait () =
       if leader_closing t then Error "replication hub is closing"
       else
         let acked = acked_count t ~index in
         if acked >= needed then Ok ()
-        else if Unix.gettimeofday () > deadline then begin
+        else if Clock.seconds_since t0 *. 1000. > timeout_ms then begin
           count t "serve.replication.quorum_timeouts"
             "Quorum waits that timed out";
           Error

@@ -41,12 +41,12 @@ type result = {
   config : config;
 }
 
-(* A deterministic per-topic phase in [0, 1): decorrelates the evenly
-   spaced publication streams without any RNG state. *)
 let peak_bucket_rate_raw ~duration ~buckets loads =
   let bucket_len = duration /. float_of_int buckets in
   Array.fold_left Float.max 0. loads /. bucket_len
 
+(* A deterministic per-topic phase in [0, 1): decorrelates the evenly
+   spaced publication streams without any RNG state. *)
 let phase_of_topic t =
   let h = Int64.to_int (Int64.shift_right_logical (Int64.mul (Int64.of_int (t + 1)) 0x9E3779B97F4A7C15L) 11) in
   float_of_int h *. 0x1p-53

@@ -97,6 +97,12 @@ val run :
     rate over capacity). Hot-loop tallies accumulate in locals and flush
     once, so the per-event overhead is negligible. *)
 
+val phase_of_topic : int -> float
+(** The [Deterministic] arrivals' per-topic phase: a fraction of the
+    topic's publication interval, at least 0 and below 1. Shared with the
+    in-process broker fleet so both substrates publish identical
+    schedules. *)
+
 val total_vm_traffic : result -> vm:int -> int
 (** Ingress plus egress of one VM, in events. *)
 

@@ -12,7 +12,6 @@ module Engine = Mcss_engine.Engine
 module Delta = Mcss_engine.Delta
 module Delta_io = Mcss_engine.Delta_io
 module Churn = Mcss_dynamic.Churn
-module Reprovision = Mcss_dynamic.Reprovision
 
 let costs = Problem.linear_costs ~vm_usd:36. ~per_event_usd:0.001
 
@@ -147,29 +146,31 @@ let test_fail_rehomes_orphans () =
   check_engine_valid "valid after failure" eng
 
 let prop_random_stream_stays_valid =
-  Helpers.qtest ~count:40 "any delta stream: valid plan, cost tracks Reprovision"
+  Helpers.qtest ~count:40
+    "any delta stream: valid plan, cost tracks all-dirty retarget"
     QCheck.(pair small_int (int_bound 2))
     (fun (seed, extra_ticks) ->
       let rng = Mcss_prng.Rng.create seed in
       let p = roomy_problem rng in
       try
         (* Drift disabled so both sides do pure surgery, which makes the
-           cost comparison exact rather than tolerance-fudged. *)
+           cost comparison exact rather than tolerance-fudged. [apply]
+           re-selects only the dirty subset it computes; the clone
+           re-selects every subscriber, so a dirty set missing someone
+           whose Stage-1 inputs changed would show up as a cost gap. *)
         let eng = Engine.create ~drift_threshold:infinity p in
-        let prev = ref (Reprovision.initial p) in
+        let all_dirty = Engine.of_plan ~drift_threshold:infinity (Engine.plan eng) in
         for _ = 1 to 1 + extra_ticks do
           let w = (Engine.problem eng).Problem.workload in
           let deltas = Churn.tick rng (Churn.scaled 0.2) w in
           ignore (Engine.apply eng deltas);
-          let plan', _ =
-            Reprovision.reprovision ~previous:!prev (evolved_problem !prev.Engine.problem deltas)
-          in
-          prev := plan'
+          ignore
+            (Engine.retarget all_dirty (evolved_problem (Engine.problem all_dirty) deltas))
         done;
         let { Engine.problem = p'; selection = s; allocation = a } = Engine.plan eng in
         Verifier.is_valid (Verifier.verify p' s a)
-        && Float.abs (Engine.cost eng -. Reprovision.cost !prev)
-           <= 1e-6 *. Float.max 1. (Reprovision.cost !prev)
+        && Float.abs (Engine.cost eng -. Engine.cost all_dirty)
+           <= 1e-6 *. Float.max 1. (Engine.cost all_dirty)
       with Problem.Infeasible _ -> QCheck.assume_fail ())
 
 let prop_drift_resolve_bitexact =

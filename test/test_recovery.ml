@@ -8,41 +8,45 @@ module Solver = Mcss_core.Solver
 module Right_size = Mcss_core.Right_size
 module Instance = Mcss_pricing.Instance
 module Billing = Mcss_pricing.Billing
-module Reprovision = Mcss_dynamic.Reprovision
-module Recovery = Mcss_dynamic.Recovery
+module Engine = Mcss_engine.Engine
 
-let plan_for p = Reprovision.initial p
+let plan_for p = Engine.plan (Engine.create p)
 
-let valid (plan : Reprovision.plan) =
+let valid (plan : Engine.plan) =
   Verifier.is_valid
-    (Verifier.verify plan.Reprovision.problem plan.Reprovision.selection
-       plan.Reprovision.allocation)
+    (Verifier.verify plan.Engine.problem plan.Engine.selection plan.Engine.allocation)
+
+(* The input-preserving repair: adopt (clone) the plan, fail the VMs. *)
+let repair plan ~failed =
+  let eng = Engine.of_plan ~drift_threshold:infinity plan in
+  let stats = Engine.fail eng ~failed in
+  (Engine.plan eng, stats)
 
 let test_replan_after_one_failure () =
   let p = Helpers.fig1_problem ~capacity:50. () in
   let plan = plan_for p in
-  Helpers.check_int "three VMs initially" 3 (Allocation.num_vms plan.Reprovision.allocation);
-  let plan', stats = Recovery.replan plan ~failed:[ 0 ] in
-  Helpers.check_int "one lost" 1 stats.Recovery.vms_lost;
-  Helpers.check_bool "pairs rehomed" true (stats.Recovery.pairs_rehomed > 0);
+  Helpers.check_int "three VMs initially" 3 (Allocation.num_vms plan.Engine.allocation);
+  let plan', stats = repair plan ~failed:[ 0 ] in
+  Helpers.check_int "one lost" 1 stats.Engine.vms_lost;
+  Helpers.check_bool "pairs rehomed" true (stats.Engine.pairs_rehomed > 0);
   Helpers.check_bool "recovered plan verifies" true (valid plan');
   (* Input untouched. *)
-  Helpers.check_int "input intact" 3 (Allocation.num_vms plan.Reprovision.allocation)
+  Helpers.check_int "input intact" 3 (Allocation.num_vms plan.Engine.allocation)
 
 let test_replan_all_failed () =
   let p = Helpers.fig1_problem ~capacity:50. () in
   let plan = plan_for p in
-  let plan', stats = Recovery.replan plan ~failed:[ 0; 1; 2 ] in
-  Helpers.check_int "all lost" 3 stats.Recovery.vms_lost;
-  Helpers.check_int "all rehomed" 5 stats.Recovery.pairs_rehomed;
+  let plan', stats = repair plan ~failed:[ 0; 1; 2 ] in
+  Helpers.check_int "all lost" 3 stats.Engine.vms_lost;
+  Helpers.check_int "all rehomed" 5 stats.Engine.pairs_rehomed;
   Helpers.check_bool "rebuilt from nothing" true (valid plan')
 
 let test_replan_unknown_ids_ignored () =
   let p = Helpers.fig1_problem ~capacity:50. () in
   let plan = plan_for p in
-  let plan', stats = Recovery.replan plan ~failed:[ 99; -1 ] in
-  Helpers.check_int "nothing lost" 0 stats.Recovery.vms_lost;
-  Helpers.check_int "nothing rehomed" 0 stats.Recovery.pairs_rehomed;
+  let plan', stats = repair plan ~failed:[ 99; -1 ] in
+  Helpers.check_int "nothing lost" 0 stats.Engine.vms_lost;
+  Helpers.check_int "nothing rehomed" 0 stats.Engine.pairs_rehomed;
   Helpers.check_bool "still valid" true (valid plan')
 
 let test_replan_then_second_failure () =
@@ -50,34 +54,33 @@ let test_replan_then_second_failure () =
      only its own damage, not the first one's again. *)
   let p = Helpers.fig1_problem ~capacity:50. () in
   let plan = plan_for p in
-  let plan1, stats1 = Recovery.replan plan ~failed:[ 0 ] in
+  let plan1, stats1 = repair plan ~failed:[ 0 ] in
   Helpers.check_bool "first repair verifies" true (valid plan1);
-  let plan2, stats2 = Recovery.replan plan1 ~failed:[ 0 ] in
-  Helpers.check_int "second failure loses one VM" 1 stats2.Recovery.vms_lost;
+  let plan2, stats2 = repair plan1 ~failed:[ 0 ] in
+  Helpers.check_int "second failure loses one VM" 1 stats2.Engine.vms_lost;
   Helpers.check_bool "second repair verifies" true (valid plan2);
-  let total = stats1.Recovery.pairs_rehomed + stats2.Recovery.pairs_rehomed in
+  let total = stats1.Engine.pairs_rehomed + stats2.Engine.pairs_rehomed in
   Helpers.check_bool "no double counting" true
     (total <= 2 * Mcss_workload.Workload.num_pairs p.Problem.workload);
   (* Replaying the same failure on the untouched input is idempotent. *)
-  let _, stats1' = Recovery.replan plan ~failed:[ 0 ] in
-  Helpers.check_int "replay: same vms lost" stats1.Recovery.vms_lost
-    stats1'.Recovery.vms_lost;
-  Helpers.check_int "replay: same pairs rehomed" stats1.Recovery.pairs_rehomed
-    stats1'.Recovery.pairs_rehomed;
-  Helpers.check_int "replay: same vms added" stats1.Recovery.vms_added
-    stats1'.Recovery.vms_added
+  let _, stats1' = repair plan ~failed:[ 0 ] in
+  Helpers.check_int "replay: same vms lost" stats1.Engine.vms_lost stats1'.Engine.vms_lost;
+  Helpers.check_int "replay: same pairs rehomed" stats1.Engine.pairs_rehomed
+    stats1'.Engine.pairs_rehomed;
+  Helpers.check_int "replay: same vms added" stats1.Engine.vms_added
+    stats1'.Engine.vms_added
 
 let prop_recovery_always_valid =
   Helpers.qtest ~count:60 "recovery from random failures keeps plans valid"
     Helpers.problem_arbitrary (fun p ->
       let plan = plan_for p in
-      let n = Allocation.num_vms plan.Reprovision.allocation in
+      let n = Allocation.num_vms plan.Engine.allocation in
       if n = 0 then true
       else begin
         (* Kill every third VM. *)
         let failed = List.filter (fun i -> i mod 3 = 0) (List.init n (fun i -> i)) in
-        let plan', stats = Recovery.replan plan ~failed in
-        valid plan' && stats.Recovery.vms_lost = List.length failed
+        let plan', stats = repair plan ~failed in
+        valid plan' && stats.Engine.vms_lost = List.length failed
       end)
 
 (* ----- right-sizing ----- *)

@@ -119,8 +119,10 @@ let test_journal_torn_tail () =
       let wal = Filename.concat dir "wal.mcssj" in
       let good_size = (Unix.stat wal).Unix.st_size in
       (* A crash mid-append: a whole header promising 100 bytes but only
-         a few payload bytes made it to disk. *)
-      let torn = Bytes.create Journal.header_bytes in
+         a few payload bytes made it to disk. Zero-filled: uninitialised
+         epoch bytes can read as a negative epoch, which is framing
+         corruption, not a torn tail. *)
+      let torn = Bytes.make Journal.header_bytes '\000' in
       Bytes.set_int32_le torn 0 100l;
       Bytes.set_int32_le torn 4 0l;
       append_raw wal (Bytes.to_string torn ^ "only-this");
