@@ -25,15 +25,21 @@ val output : out_channel -> Allocation.t -> unit
 val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selection.t
 (** Rebuild the fleet and the implied selection against the workload the
     plan was computed for. Raises {!Parse_error} on malformed input, a
-    topic/subscriber id outside the workload, or a duplicated pair;
-    raises [Sys_error] on I/O failure. Loads do {e not} re-check
-    capacity — run {!Verifier.verify} on the result, as the CLI does. *)
+    topic/subscriber id outside the workload, a duplicated pair, a
+    capacity that is not a finite positive float, or a [vms] count
+    above the workload's pair count (a plan never needs more VMs than
+    pairs: solver and engine plans hold no empty VM), so garbage is
+    rejected before any fleet is allocated; raises [Sys_error] on I/O
+    failure. The input is read line by line, never whole. Loads do
+    {e not} re-check capacity — run {!Verifier.verify} on the result,
+    as the CLI does. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 
 val to_string : Allocation.t -> string
 (** The canonical rendering {!save} writes — what the planning service
-    journals and digests ([plan_digest] in solve replies). *)
+    journals and digests ([plan_digest] in solve replies), so its bytes
+    must never change for a given allocation. *)
 
 val of_string :
   workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selection.t

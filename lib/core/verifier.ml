@@ -31,38 +31,64 @@ let pp_violation ppf = function
   | Pair_missing { topic; subscriber } ->
       Format.fprintf ppf "pair (%d, %d) selected but never placed" topic subscriber
 
+(* Rank of [t] in the id-sorted row [row], or [-1]. *)
+let rank row t =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get row mid in
+      if x = t then mid else if x < t then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length row)
+
 let verify (p : Problem.t) (s : Selection.t) a =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  (* Pair bookkeeping: which selected pairs have we seen placed? *)
-  let placed : (int * int, int) Hashtbl.t = Hashtbl.create (2 * s.Selection.num_pairs) in
+  (* Pair bookkeeping on flat slots: selected pair (t, v) owns slot
+     [offs.(v) + rank of t in chosen.(v)], and [placed] counts how often
+     each slot's pair was seen. Placed-but-unselected pairs (only in
+     invalid plans) are counted in [stray], keyed by the packed pair. *)
+  let chosen = s.Selection.chosen in
+  let rows = Array.length chosen in
+  let offs = Arena.Csr.offsets_of_counts (Array.map Array.length chosen) in
+  let placed = Array.make offs.(rows) 0 in
+  let stray = Arena.Int_table.create () in
   let delivered = Array.make (Workload.num_subscribers w) 0. in
-  let selected : (int * int, unit) Hashtbl.t = Hashtbl.create (2 * s.Selection.num_pairs) in
-  Selection.iter_pairs s (fun t v -> Hashtbl.replace selected (t, v) ());
+  let topics_seen = Arena.Stamp_set.create (Workload.num_topics w) in
   let total_bandwidth = ref 0. in
-  Array.iter
-    (fun vm ->
+  Allocation.iter_vms a (fun vm ->
       let outgoing = ref 0. in
       let incoming = ref 0. in
-      let topics_seen = Hashtbl.create 16 in
+      Arena.Stamp_set.clear topics_seen;
       Allocation.iter_vm_pairs vm (fun t v ->
           let ev = Workload.event_rate w t in
           outgoing := !outgoing +. ev;
-          if not (Hashtbl.mem topics_seen t) then begin
-            Hashtbl.add topics_seen t ();
+          if not (Arena.Stamp_set.mem topics_seen t) then begin
+            Arena.Stamp_set.add topics_seen t;
             incoming := !incoming +. ev
           end;
-          (match Hashtbl.find_opt placed (t, v) with
-          | None ->
-              Hashtbl.add placed (t, v) 1;
-              delivered.(v) <- delivered.(v) +. ev
-          | Some n ->
-              if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
-              Hashtbl.replace placed (t, v) (n + 1));
-          if not (Hashtbl.mem selected (t, v)) then
-            add (Pair_not_selected { topic = t; subscriber = v }));
+          let i = if v >= 0 && v < rows then rank chosen.(v) t else -1 in
+          let n =
+            if i >= 0 then begin
+              let slot = offs.(v) + i in
+              let n = placed.(slot) in
+              placed.(slot) <- n + 1;
+              n
+            end
+            else begin
+              let key = Arena.encode_pair ~topic:t ~subscriber:v in
+              let n = Arena.Int_table.find stray key in
+              let n = if n = Arena.Int_table.absent then 0 else n in
+              Arena.Int_table.set stray key (n + 1);
+              n
+            end
+          in
+          if n = 0 then delivered.(v) <- delivered.(v) +. ev
+          else if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
+          if i < 0 then add (Pair_not_selected { topic = t; subscriber = v }));
       let recomputed = !outgoing +. !incoming in
       total_bandwidth := !total_bandwidth +. recomputed;
       if recomputed > p.Problem.capacity +. eps then
@@ -74,13 +100,14 @@ let verify (p : Problem.t) (s : Selection.t) a =
                vm = Allocation.vm_id vm;
                tracked = Allocation.load vm;
                recomputed;
-             }))
-    (Allocation.vms a);
-  Hashtbl.iter
-    (fun (t, v) () ->
-      if not (Hashtbl.mem placed (t, v)) then
-        add (Pair_missing { topic = t; subscriber = v }))
-    selected;
+             }));
+  Array.iteri
+    (fun v row ->
+      Array.iteri
+        (fun i t ->
+          if placed.(offs.(v) + i) = 0 then add (Pair_missing { topic = t; subscriber = v }))
+        row)
+    chosen;
   for v = 0 to Workload.num_subscribers w - 1 do
     let required = Problem.tau_v p v in
     if delivered.(v) +. eps < required then

@@ -27,6 +27,14 @@ type report = {
 }
 
 val verify : Problem.t -> Selection.t -> Allocation.t -> report
+(** Audit a plan. Precondition: every [chosen] row of the selection is
+    strictly increasing (as every selector and {!Plan_io} produce); a
+    topic out of order in its row is treated as unselected.
+
+    Violations are listed in discovery order: per VM (in deployment
+    order) its [Pair_duplicated] / [Pair_not_selected] entries, then its
+    [Over_capacity] and [Load_mismatch]; then every [Pair_missing] in
+    (subscriber, topic) order; then every [Unsatisfied] by subscriber. *)
 
 val is_valid : report -> bool
 (** No violations. *)

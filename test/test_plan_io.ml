@@ -7,6 +7,157 @@ module Selection = Mcss_core.Selection
 module Solver = Mcss_core.Solver
 module Verifier = Mcss_core.Verifier
 module Plan_io = Mcss_core.Plan_io
+module Front = Mcss_front.Front
+
+(* The codec as it stood before the flat-array rewrite, copied verbatim:
+   the oracle for the differential properties below. *)
+module Oracle = struct
+  exception Parse_error = Plan_io.Parse_error
+
+  let emit add a =
+    add "mcss-plan 1\n";
+    add (Printf.sprintf "capacity %.17g\n" (Allocation.capacity a));
+    add (Printf.sprintf "vms %d\n" (Allocation.num_vms a));
+    Array.iter
+      (fun vm ->
+        List.iter
+          (fun topic ->
+            let subs = Allocation.subscribers_of_topic_on vm topic in
+            add (Printf.sprintf "place %d %d %d" (Allocation.vm_id vm) topic
+                   (List.length subs));
+            List.iter (fun v -> add (Printf.sprintf " %d" v)) subs;
+            add "\n")
+          (Allocation.topics_on vm))
+      (Allocation.vms a)
+
+  let to_string a =
+    let buf = Buffer.create 4096 in
+    emit (Buffer.add_string buf) a;
+    Buffer.contents buf
+
+  (* The reader pulls raw lines from a closure so channels and in-memory
+     strings parse through the same code. *)
+  type reader = { next_raw : unit -> string option; mutable line_num : int }
+
+  let fail r msg = raise (Parse_error (Printf.sprintf "line %d: %s" r.line_num msg))
+
+  let rec next_line r =
+    match r.next_raw () with
+    | None -> None
+    | Some line ->
+        r.line_num <- r.line_num + 1;
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then next_line r else Some line
+
+  let expect_line r what =
+    match next_line r with
+    | Some line -> line
+    | None -> fail r (Printf.sprintf "unexpected end of file, expected %s" what)
+
+  let parse_int r what s =
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> fail r (Printf.sprintf "bad %s %S" what s)
+
+  let lines_of_string s =
+    let pos = ref 0 in
+    let n = String.length s in
+    fun () ->
+      if !pos >= n then None
+      else
+        let stop =
+          match String.index_from_opt s !pos '\n' with Some i -> i | None -> n
+        in
+        let line = String.sub s !pos (stop - !pos) in
+        pos := stop + 1;
+        Some line
+
+  let parse ~workload r =
+    (match expect_line r "the header" with
+    | "mcss-plan 1" -> ()
+    | other -> fail r (Printf.sprintf "expected \"mcss-plan 1\", got %S" other));
+    let capacity =
+      match String.split_on_char ' ' (expect_line r "capacity") with
+      | [ "capacity"; c ] -> (
+          match float_of_string_opt c with
+          | Some c when c > 0. -> c
+          | _ -> fail r (Printf.sprintf "bad capacity %S" c))
+      | _ -> fail r "expected \"capacity <float>\""
+    in
+    let num_vms =
+      match String.split_on_char ' ' (expect_line r "vms") with
+      | [ "vms"; n ] ->
+          let n = parse_int r "VM count" n in
+          if n < 0 then fail r "negative VM count" else n
+      | _ -> fail r "expected \"vms <int>\""
+    in
+    let a = Allocation.create ~capacity in
+    let vms = Array.init num_vms (fun _ -> Allocation.deploy a) in
+    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let rec placements () =
+      match next_line r with
+      | None -> ()
+      | Some line -> (
+          match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+          | "place" :: vm :: topic :: k :: subs ->
+              let vm = parse_int r "VM id" vm in
+              if vm < 0 || vm >= num_vms then fail r (Printf.sprintf "VM %d out of range" vm);
+              let topic = parse_int r "topic" topic in
+              if topic < 0 || topic >= Workload.num_topics workload then
+                fail r (Printf.sprintf "topic %d outside the workload" topic);
+              let k = parse_int r "count" k in
+              if List.length subs <> k then
+                fail r (Printf.sprintf "count %d does not match %d subscribers" k
+                          (List.length subs));
+              let subscribers =
+                Array.of_list (List.map (parse_int r "subscriber") subs)
+              in
+              Array.iter
+                (fun v ->
+                  if v < 0 || v >= Workload.num_subscribers workload then
+                    fail r (Printf.sprintf "subscriber %d outside the workload" v);
+                  if not (Array.mem topic (Workload.interests workload v)) then
+                    fail r (Printf.sprintf "subscriber %d never subscribed to topic %d" v topic);
+                  if Hashtbl.mem seen (topic, v) then
+                    fail r (Printf.sprintf "pair (%d, %d) placed twice" topic v);
+                  Hashtbl.add seen (topic, v) ())
+                subscribers;
+              Allocation.place a vms.(vm) ~topic
+                ~ev:(Workload.event_rate workload topic)
+                ~subscribers ~from:0 ~count:k;
+              placements ()
+          | _ -> fail r (Printf.sprintf "expected \"place ...\", got %S" line))
+    in
+    placements ();
+    (* Reconstruct the selection implied by the placements. *)
+    let per_subscriber = Array.make (Workload.num_subscribers workload) [] in
+    Hashtbl.iter (fun (t, v) () -> per_subscriber.(v) <- t :: per_subscriber.(v)) seen;
+    let chosen =
+      Array.map
+        (fun ts ->
+          let a = Array.of_list ts in
+          Array.sort compare a;
+          a)
+        per_subscriber
+    in
+    let selected_rate =
+      Array.map
+        (Array.fold_left (fun acc t -> acc +. Workload.event_rate workload t) 0.)
+        chosen
+    in
+    let selection =
+      {
+        Selection.chosen;
+        selected_rate;
+        num_pairs = Hashtbl.length seen;
+        outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
+      }
+    in
+    (a, selection)
+
+  let of_string ~workload s =
+    parse ~workload { next_raw = lines_of_string s; line_num = 0 }
+end
 
 let roundtrip p =
   let r = Solver.solve p in
@@ -75,10 +226,203 @@ let prop_roundtrip_preserves_everything =
       && s.Selection.chosen = r.Solver.selection.Selection.chosen
       && Verifier.is_valid (Verifier.verify p s a))
 
+
+let test_rejects_huge_fleets_and_infinite_capacity () =
+  let w = Helpers.fig1_workload () in
+  let rejects name content =
+    match Plan_io.of_string ~workload:w content with
+    | _ -> Alcotest.failf "%s: expected Parse_error" name
+    | exception Plan_io.Parse_error msg -> msg
+  in
+  Alcotest.(check string) "vms too large to allocate"
+    "line 3: VM count 99999999999999999 exceeds the workload's 5 pairs"
+    (rejects "huge vms" "mcss-plan 1\ncapacity 1\nvms 99999999999999999\n");
+  Alcotest.(check string) "more VMs than pairs"
+    "line 3: VM count 6 exceeds the workload's 5 pairs"
+    (rejects "vms > pairs" "mcss-plan 1\ncapacity 50\nvms 6\n");
+  (* As many VMs as pairs is still accepted. *)
+  ignore (Plan_io.of_string ~workload:w "mcss-plan 1\ncapacity 50\nvms 5\n");
+  Alcotest.(check string) "infinite capacity" "line 2: bad capacity \"inf\""
+    (rejects "capacity inf" "mcss-plan 1\ncapacity inf\nvms 0\n");
+  Alcotest.(check string) "overflowing capacity" "line 2: bad capacity \"1e400\""
+    (rejects "capacity 1e400" "mcss-plan 1\ncapacity 1e400\nvms 0\n")
+
+(* The canonical bytes are journaled and digested ([plan_digest]); this
+   MD5 was captured before the encoder rewrite and must never move. *)
+let test_plan_bytes_pinned () =
+  let w = Front.generate ~seed:11 `Spotify ~scale:0.002 in
+  let instance = Result.get_ok (Front.resolve_instance "c3.large") in
+  let _, p = Front.problem_of ~w ~tau:100. ~instance ~scale:0.002 ~bc_events:None in
+  let r = Solver.solve p in
+  let text = Plan_io.to_string r.Solver.allocation in
+  Helpers.check_int "VMs" 27 r.Solver.num_vms;
+  Helpers.check_int "bytes" 103216 (String.length text);
+  Alcotest.(check string) "plan digest" "3257a27030f71c19c1b8d0647eb8e2b4"
+    (Digest.to_hex (Digest.string text));
+  Alcotest.(check string) "oracle encoder agrees" text
+    (Oracle.to_string r.Solver.allocation);
+  let path = Filename.temp_file "mcss_plan" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Plan_io.save r.Solver.allocation path;
+      Alcotest.(check string) "save writes the same bytes" text
+        (In_channel.with_open_bin path In_channel.input_all));
+  (* Digit-count boundaries and ids no workload has. *)
+  let a = Allocation.create ~capacity:0.1 in
+  let vm = Allocation.deploy a in
+  List.iter
+    (fun topic ->
+      Allocation.place a vm ~topic ~ev:1.
+        ~subscribers:[| 0; 9; 10; 99; 100; 1234567890; max_int; -1; min_int |]
+        ~from:0 ~count:9)
+    [ 0; 7; 10; 999; max_int; -42 ];
+  Alcotest.(check string) "oracle encoder agrees on edge ids" (Oracle.to_string a)
+    (Plan_io.to_string a)
+
+(* ----- differential decoder properties ----- *)
+
+let bits = Int64.bits_of_float
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let same_selection (s : Selection.t) (o : Selection.t) =
+  s.Selection.chosen = o.Selection.chosen
+  && same_floats s.Selection.selected_rate o.Selection.selected_rate
+  && s.Selection.num_pairs = o.Selection.num_pairs
+  && bits s.Selection.outgoing_rate = bits o.Selection.outgoing_rate
+
+(* Text edits in the spirit of a damaged or hand-edited plan file. *)
+let mutate rng text =
+  let module Rng = Mcss_prng.Rng in
+  let n = String.length text in
+  let pos () = if n = 0 then 0 else Rng.int rng (n + 1) in
+  let insert i s = String.sub text 0 i ^ s ^ String.sub text i (n - i) in
+  (* [i, j) of a random token: a maximal run of non-separators. *)
+  let token () =
+    let i = ref (if n = 0 then 0 else Rng.int rng n) in
+    while !i > 0 && text.[!i - 1] <> ' ' && text.[!i - 1] <> '\n' do decr i done;
+    let j = ref !i in
+    while !j < n && text.[!j] <> ' ' && text.[!j] <> '\n' do incr j done;
+    (!i, !j)
+  in
+  let line_start () =
+    let i = ref (pos ()) in
+    while !i > 0 && text.[!i - 1] <> '\n' do decr i done;
+    !i
+  in
+  match Rng.int rng 8 with
+  | 0 ->
+      let i, j = token () in
+      let i = if i > 0 && text.[i - 1] = ' ' then i - 1 else i in
+      String.sub text 0 i ^ String.sub text j (n - j)
+  | 1 ->
+      let i, j = token () in
+      insert j (" " ^ String.sub text i (j - i))
+  | 2 -> (
+      let digits = List.filter (fun i -> text.[i] >= '0' && text.[i] <= '9') (List.init n Fun.id) in
+      match digits with
+      | [] -> text
+      | _ ->
+          let i = List.nth digits (Rng.int rng (List.length digits)) in
+          let b = Bytes.of_string text in
+          Bytes.set b i (Char.chr (48 + Rng.int rng 10));
+          Bytes.to_string b)
+  | 3 -> insert (pos ()) (String.make (1 + Rng.int rng 3) ' ')
+  | 4 -> insert (line_start ()) "# a comment 1 2 3\n"
+  | 5 -> insert (line_start ()) (if Rng.bool rng then "\n" else " \t \r\n")
+  | 6 -> String.sub text 0 (pos ())
+  | _ -> insert (pos ()) [| "\t"; "\r"; "\012" |].(Rng.int rng 3)
+
+let solved_plan_text p = Plan_io.to_string (Solver.solve p).Solver.allocation
+
+let mutated_plan_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* edits = int_range 0 3 in
+    let rng = Mcss_prng.Rng.create seed in
+    let text = ref (solved_plan_text p) in
+    for _ = 1 to edits do
+      text := mutate rng !text
+    done;
+    return (p.Problem.workload, !text))
+
+let mutated_plan_arbitrary =
+  QCheck.make mutated_plan_gen ~print:(fun (_, text) -> String.escaped text)
+
+(* The two rejections the oracle lacks, recognised from the new message
+   and re-derived from the text it quotes. *)
+let newly_rejected ~workload msg =
+  match Scanf.sscanf msg "line %d: VM count %d exceeds the workload's %d pairs%!"
+          (fun _ n pairs -> (n, pairs)) with
+  | n, pairs -> pairs = Workload.num_pairs workload && n > pairs
+  | exception _ -> (
+      match Scanf.sscanf msg "line %d: bad capacity %S%!" (fun _ c -> c) with
+      | c -> (
+          match float_of_string_opt c with
+          | Some c -> c > 0. && not (Float.is_finite c)
+          | None -> false)
+      | exception _ -> false)
+
+let prop_decoder_matches_oracle =
+  Helpers.qtest ~count:500 "decoder = pre-rewrite decoder on mutated plans"
+    mutated_plan_arbitrary (fun (workload, text) ->
+      let run f = match f ~workload text with r -> Ok r | exception e -> Error e in
+      match (run Plan_io.of_string, run Oracle.of_string) with
+      | Ok (a, s), Ok (oa, os) ->
+          Plan_io.to_string a = Oracle.to_string oa
+          && bits (Allocation.total_load a) = bits (Allocation.total_load oa)
+          && same_selection s os
+      | Error (Plan_io.Parse_error m), Error (Plan_io.Parse_error om) ->
+          m = om || newly_rejected ~workload m
+      | Error (Plan_io.Parse_error m), (Ok _ | Error _) -> newly_rejected ~workload m
+      | _ -> false)
+
+(* Arbitrary byte damage, including ints far past any array size. *)
+let garbage_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* edits = int_range 1 6 in
+    let rng = Mcss_prng.Rng.create seed in
+    let module Rng = Mcss_prng.Rng in
+    let text = ref (solved_plan_text p) in
+    for _ = 1 to edits do
+      let t = !text in
+      let n = String.length t in
+      let i = if n = 0 then 0 else Rng.int rng n in
+      let junk =
+        match Rng.int rng 4 with
+        | 0 -> String.make 1 (Char.chr (Rng.int rng 256))
+        | 1 -> "99999999999999999"
+        | 2 -> "-1"
+        | _ -> "0x7fffffffffffffff"
+      in
+      text :=
+        if Rng.bool rng || n = 0 then String.sub t 0 i ^ junk ^ String.sub t i (n - i)
+        else String.sub t 0 i ^ junk ^ String.sub t (i + 1) (n - i - 1)
+    done;
+    return (p.Problem.workload, !text))
+
+let prop_decoder_raises_only_parse_error =
+  Helpers.qtest ~count:300 "decoder raises only Parse_error on garbage"
+    (QCheck.make garbage_gen ~print:(fun (_, text) -> String.escaped text))
+    (fun (workload, text) ->
+      match Plan_io.of_string ~workload text with
+      | _ -> true
+      | exception Plan_io.Parse_error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "roundtrip fig1" `Quick test_roundtrip_fig1;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "accepts comments" `Quick test_accepts_comments;
     prop_roundtrip_preserves_everything;
+    Alcotest.test_case "rejects huge fleets and infinite capacity" `Quick
+      test_rejects_huge_fleets_and_infinite_capacity;
+    Alcotest.test_case "plan bytes pinned" `Quick test_plan_bytes_pinned;
+    prop_decoder_matches_oracle;
+    prop_decoder_raises_only_parse_error;
   ]
