@@ -103,6 +103,15 @@ val compact : t -> t * int array
     structurally) and the mapping from old VM id to new id ([-1] for
     dropped VMs). *)
 
+val copy : ?capacity:float -> event_rates:float array -> t -> t
+(** A detached copy with the same VMs and placements, priced under
+    [event_rates] (indexed by topic) and [capacity] (default the
+    source's). Placements go in {!Plan_io}'s order — VMs by id, topics
+    sorted, each topic's subscribers as one run in placement order — so
+    [copy a] is the fleet a [Plan_io.to_string]/[of_string] round trip
+    builds: the same rendering, the same iteration order and the
+    bit-identical loads. O(pairs). *)
+
 val find_pair_vm : t -> topic:Mcss_workload.Workload.topic ->
   subscriber:Mcss_workload.Workload.subscriber -> vm option
 (** The VM hosting the pair, if any (scans the fleet). *)

@@ -3,18 +3,35 @@ module Workload = Mcss_workload.Workload
 exception Parse_error of string
 
 (* Plans run to millions of pairs, so the writer renders each int by
-   hand into [digits] (20 bytes: a space and up to 19 digits) and
-   appends that, rather than formatting a string per subscriber. *)
+   hand into a 21-byte [digits] scratch (up to 19 digits ending at index
+   19, with one separator byte on either side) and appends that, rather
+   than formatting a string per subscriber. *)
+let digit_scratch () = Bytes.create 21
+
+(* Write [n >= 0]'s digits right-aligned to end at index [i]; the first
+   one's index. *)
+let rec fill_digits digits i n =
+  Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (n mod 10)));
+  if n < 10 then i else fill_digits digits (i - 1) (n / 10)
+
+(* [' '] then [n]. *)
 let add_int digits buf n =
   if n < 0 then Buffer.add_string buf (" " ^ string_of_int n)
   else begin
-    let rec fill i n =
-      Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (n mod 10)));
-      if n < 10 then i else fill (i - 1) (n / 10)
-    in
-    let i = fill 19 n - 1 in
+    let i = fill_digits digits 19 n - 1 in
     Bytes.unsafe_set digits i ' ';
     Buffer.add_subbytes buf digits i (20 - i)
+  end
+
+let add_int_then digits buf n c =
+  if n < 0 then begin
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf c
+  end
+  else begin
+    let i = fill_digits digits 19 n in
+    Bytes.unsafe_set digits 20 c;
+    Buffer.add_subbytes buf digits i (21 - i)
   end
 
 let emit_header buf a =
@@ -35,7 +52,7 @@ let emit_vm digits buf vm =
     (Allocation.topics_on vm)
 
 let output oc a =
-  let buf = Buffer.create 65536 and digits = Bytes.create 20 in
+  let buf = Buffer.create 65536 and digits = digit_scratch () in
   emit_header buf a;
   Allocation.iter_vms a (fun vm ->
       emit_vm digits buf vm;
@@ -44,7 +61,7 @@ let output oc a =
   Buffer.output_buffer oc buf
 
 let to_string a =
-  let buf = Buffer.create 4096 and digits = Bytes.create 20 in
+  let buf = Buffer.create 4096 and digits = digit_scratch () in
   emit_header buf a;
   Allocation.iter_vms a (emit_vm digits buf);
   Buffer.contents buf

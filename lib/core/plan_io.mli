@@ -44,3 +44,16 @@ val to_string : Allocation.t -> string
 val of_string :
   workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selection.t
 (** Parse an in-memory rendering; raises {!Parse_error} like {!load}. *)
+
+(** {2 The int writer}
+
+    The writer's digit loop, shared with other canonical renderings
+    that must stay byte-stable (the planning service's workload
+    digest). *)
+
+val digit_scratch : unit -> Bytes.t
+(** Scratch space for {!add_int_then}; reuse one per rendering. *)
+
+val add_int_then : Bytes.t -> Buffer.t -> int -> char -> unit
+(** [add_int_then digits buf n c] appends [string_of_int n ^ String.make
+    1 c] without allocating a string (for [n >= 0]). *)

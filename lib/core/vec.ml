@@ -48,4 +48,5 @@ let exists p v =
 
 let to_array v = Array.sub v.data 0 v.len
 let of_array a = { data = Array.copy a; len = Array.length a }
+let copy v = { data = Array.sub v.data 0 v.len; len = v.len }
 let to_list v = Array.to_list (to_array v)

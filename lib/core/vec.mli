@@ -25,4 +25,5 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val of_array : 'a array -> 'a t
+val copy : 'a t -> 'a t
 val to_list : 'a t -> 'a list

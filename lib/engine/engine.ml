@@ -50,27 +50,14 @@ let rebuild_homes homes a =
       Allocation.iter_vm_pairs vm (fun topic v ->
           Arena.Int_table.set homes (home_key ~topic ~subscriber:v) id))
 
-(* Rebuild an identical fleet so adopting an external plan never lets the
-   engine mutate its caller's allocation. *)
-let clone_allocation ~capacity w a =
-  let fresh = Allocation.create ~capacity in
-  Array.iter
-    (fun vm ->
-      let copy = Allocation.deploy fresh in
-      List.iter
-        (fun topic ->
-          let subs = Array.of_list (Allocation.subscribers_of_topic_on vm topic) in
-          Allocation.place fresh copy ~topic ~ev:(Workload.event_rate w topic)
-            ~subscribers:subs ~from:0 ~count:(Array.length subs))
-        (Allocation.topics_on vm))
-    (Allocation.vms a);
-  fresh
-
 let of_parts ~config ~drift_threshold ~domains ~clone (plan : plan) =
   let allocation =
     if clone then
-      clone_allocation ~capacity:plan.problem.Problem.capacity
-        plan.problem.Problem.workload plan.allocation
+      (* Adopting an external plan must never let the engine mutate its
+         caller's allocation. *)
+      Allocation.copy ~capacity:plan.problem.Problem.capacity
+        ~event_rates:(Workload.event_rates plan.problem.Problem.workload)
+        plan.allocation
     else plan.allocation
   in
   let homes =
@@ -244,7 +231,8 @@ let retarget_dirty t ~dirty (p' : Problem.t) =
        the old rates; they are re-priced below). *)
     if p'.Problem.capacity <> old_capacity then begin
       t.allocation <-
-        clone_allocation ~capacity:p'.Problem.capacity old_w t.allocation;
+        Allocation.copy ~capacity:p'.Problem.capacity
+          ~event_rates:(Workload.event_rates old_w) t.allocation;
       rebuild_homes t.homes t.allocation
     end;
     let a = t.allocation in
@@ -490,7 +478,10 @@ let plan_drain (p : Problem.t) a src =
 
 let consolidate ?(max_moves = 10_000) (plan : plan) =
   let p = plan.problem in
-  let a = clone_allocation ~capacity:p.Problem.capacity p.Problem.workload plan.allocation in
+  let a =
+    Allocation.copy ~capacity:p.Problem.capacity
+      ~event_rates:(Workload.event_rates p.Problem.workload) plan.allocation
+  in
   let moved = ref 0 in
   let drained = ref 0 in
   let continue_ = ref true in

@@ -89,8 +89,10 @@ val of_plan :
   plan ->
   t
 (** Adopt an existing plan (e.g. reloaded through
-    {!Mcss_core.Plan_io}). The allocation is cloned, so the engine never
-    mutates the caller's plan. [of_plan ~drift_threshold:infinity]
+    {!Mcss_core.Plan_io}). The allocation is copied with
+    {!Mcss_core.Allocation.copy}, so the engine never mutates the
+    caller's plan and starts from the same fleet whether the plan came
+    from the solver or from its decoded text. [of_plan ~drift_threshold:infinity]
     followed by {!retarget} or {!fail} is an input-preserving repair: a
     pure function of the plan that never falls back to a cold solve. *)
 

@@ -328,13 +328,18 @@ let append ?epoch t payload =
             e
         | None -> t.epoch
       in
-      write_all fd (frame ~epoch:e payload);
+      let bytes = frame ~epoch:e payload in
+      write_all fd bytes;
       if t.config.fsync then fsync_timed t fd;
       t.wal_count <- t.wal_count + 1;
       t.last_epoch <- e;
       Counter.inc
         (Registry.counter t.obs ~help:"Records appended to the WAL"
-           "serve.journal.appends"))
+           "serve.journal.appends");
+      Counter.add
+        (Registry.counter t.obs ~help:"Bytes appended to the WAL, frame headers included"
+           "serve.journal.append_bytes")
+        (String.length bytes))
 
 let wal_records t = locked t (fun () -> t.wal_count)
 let base_index t = locked t (fun () -> t.base)

@@ -65,7 +65,8 @@ val append : ?epoch:int -> t -> string -> unit
     frame is stamped with exactly [epoch] (a follower mirroring a
     leader's backlog must reproduce each frame byte for byte, including
     frames below its own adopted epoch) and the journal's epoch floor is
-    raised when [epoch] is ahead. *)
+    raised when [epoch] is ahead. Counts one [serve.journal.appends] and
+    the frame's size (header included) in [serve.journal.append_bytes]. *)
 
 val wal_records : t -> int
 (** Records currently in the WAL (replayed + appended since the last

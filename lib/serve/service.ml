@@ -98,7 +98,10 @@ type t = {
   workloads : (string, Workload.t) Hashtbl.t;
   fallback : (string, entry) Hashtbl.t;
       (** Last solved plan per workload digest — what degraded replies
-          serve. Never evicted (entries are small: text + result). *)
+          serve. Never evicted: each entry holds its plan text and solver
+          result, O(pairs), and every [update] adds one (as it adds one
+          workload to [workloads]); only a follower's snapshot resync
+          clears them. *)
   lock : Mutex.t;  (** Guards [workloads], [fallback], [obs] updates, and the mutable fields. *)
   journal : Journal.t option;
   journal_lock : Mutex.t;
@@ -157,27 +160,36 @@ let adopt_epoch t e =
 
 (* ----- content digests ----- *)
 
-(* The digest is over a canonical rendering of the workload's semantic
-   content (rates at full float precision, interests sorted as Workload
+(* The digest is the MD5 of a canonical rendering of the workload's
+   semantic content (rates at [%.17g], interests sorted as Workload
    stores them), so it is independent of Wio formatting details like
-   comments or float spelling in the source file. *)
+   comments or float spelling in the source file. Those bytes are pinned:
+   journals and served digests name workloads by them. *)
 let digest_of_workload w =
-  let buf = Buffer.create 4096 in
+  let num_topics = Workload.num_topics w
+  and num_subscribers = Workload.num_subscribers w in
+  let buf =
+    Buffer.create
+      (64 + (25 * num_topics) + (8 * Workload.num_pairs w) + num_subscribers)
+  in
+  let digits = Plan_io.digit_scratch () in
   Buffer.add_string buf "mcss-workload-digest 1\n";
-  Buffer.add_string buf (string_of_int (Workload.num_topics w));
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int (Workload.num_subscribers w));
-  Buffer.add_char buf '\n';
+  Plan_io.add_int_then digits buf num_topics ' ';
+  Plan_io.add_int_then digits buf num_subscribers '\n';
   Array.iter
     (fun r ->
-      Buffer.add_string buf (Printf.sprintf "%.17g" r);
-      Buffer.add_char buf '\n')
+      (* [%.17g] renders an integral float below 1e15 (traces' rates
+         are integral) as exactly its integer's digits. *)
+      if Float.is_integer r && r < 1e15 && not (Float.sign_bit r) then
+        Plan_io.add_int_then digits buf (int_of_float r) '\n'
+      else begin
+        Buffer.add_string buf (Printf.sprintf "%.17g" r);
+        Buffer.add_char buf '\n'
+      end)
     (Workload.event_rates w);
-  for v = 0 to Workload.num_subscribers w - 1 do
+  for v = 0 to num_subscribers - 1 do
     Array.iter
-      (fun topic ->
-        Buffer.add_string buf (string_of_int topic);
-        Buffer.add_char buf ' ')
+      (fun topic -> Plan_io.add_int_then digits buf topic ' ')
       (Workload.interests w v);
     Buffer.add_char buf '\n'
   done;
@@ -192,6 +204,10 @@ let cache_key digest (params : Protocol.solve_params) =
     | None -> "default"
     | Some x -> Printf.sprintf "%.17g" x)
     params.Protocol.config
+
+let cached_plan t ~digest params =
+  List.assoc_opt (cache_key digest params) (Plan_cache.to_list t.cache)
+  |> Option.map (fun e -> e.plan.result)
 
 (* ----- problems ----- *)
 
@@ -274,10 +290,12 @@ let plan_op ~origin (e : entry) =
 
 (* An update is journaled as its cause (the delta batch), not its effect:
    the engine is deterministic, so replay re-applies the deltas to the
-   base plan and must land on the recorded [new_digest] — a cheap
-   end-to-end check that recovery reproduced the live run bit for bit.
-   Snapshots fold the evolved workload and plan into ordinary load/plan
-   records, so update ops only ever live in the WAL tail. *)
+   base plan, re-deriving both the evolved workload and its plan, and
+   must land on the recorded [new_digest] — a cheap end-to-end check
+   that recovery reproduced the live run bit for bit. No load record
+   precedes it. Snapshots fold the evolved workload and plan into
+   ordinary load/plan records, so update ops only ever live in the WAL
+   tail. *)
 let update_op ~origin ~digest ~(params : Protocol.solve_params) ~deltas
     ~new_digest =
   Json.to_string
@@ -310,10 +328,12 @@ let base_entry t ~key ~digest =
       | Some e when cache_key e.digest e.params = key -> Some e
       | _ -> None)
 
-(* Both the live path and journal replay rebuild the engine from the
-   entry's canonical plan text, so they start from bit-identical state —
-   that, plus the engine's determinism, is what makes the recorded
-   [new_digest] reproducible after a crash. *)
+(* Both the live path and journal replay adopt the entry's own plan:
+   [Engine.of_plan] copies the allocation in Plan_io's order, so the
+   engine starts from the fleet a decode of the entry's text would build,
+   whether the entry came from the solver, a replayed plan record or an
+   earlier update. That, plus the engine's determinism, is what makes
+   the recorded [new_digest] reproducible after a crash. *)
 let engine_of_entry ~w (e : entry) =
   match problem_for w e.params with
   | Error err -> Error err
@@ -322,22 +342,35 @@ let engine_of_entry ~w (e : entry) =
         Option.value ~default:Solver.default
           (resolve_config e.params.Protocol.config)
       in
-      let allocation, selection = Plan_io.of_string ~workload:w e.plan.text in
-      Ok (model, Engine.of_plan ~config { Engine.problem = p; selection; allocation })
+      let r = e.plan.result in
+      Ok
+        ( model,
+          Engine.of_plan ~config
+            {
+              Engine.problem = p;
+              selection = r.Solver.selection;
+              allocation = r.Solver.allocation;
+            } )
 
-(* Snapshot the engine as a cache entry — through the canonical text, so
-   the cached allocation is detached from the live engine and identical
-   to what a restart would parse back. *)
-let entry_of_engine ~model ~(params : Protocol.solve_params) ~solve_seconds eng =
+(* Snapshot the engine as a cache entry keyed by [digest], the evolved
+   workload's (the caller computes it once). The allocation is an
+   {!Allocation.copy}: detached from the live engine and identical to
+   what a restart decodes from [text]. *)
+let entry_of_engine ~model ~digest ~(params : Protocol.solve_params)
+    ~solve_seconds eng =
   let p = Engine.problem eng in
-  let w = p.Problem.workload in
-  let text = Plan_io.to_string (Engine.plan eng).Engine.allocation in
-  let allocation, selection = Plan_io.of_string ~workload:w text in
+  let live = Engine.plan eng in
+  let text = Plan_io.to_string live.Engine.allocation in
+  let allocation =
+    Allocation.copy
+      ~event_rates:(Workload.event_rates p.Problem.workload)
+      live.Engine.allocation
+  in
   let num_vms = Allocation.num_vms allocation in
   let bandwidth = Allocation.total_load allocation in
   let result =
     {
-      Solver.selection;
+      Solver.selection = live.Engine.selection;
       allocation;
       num_vms;
       bandwidth;
@@ -355,10 +388,11 @@ let entry_of_engine ~model ~(params : Protocol.solve_params) ~solve_seconds eng 
       plan_digest = Digest.to_hex (Digest.string text);
     }
   in
-  { digest = digest_of_workload w; params; plan }
+  { digest; params; plan }
 
-(* Re-run a journaled update. [None] when the record no longer replays
-   (base plan missing, deltas malformed, infeasible, ...). *)
+(* Re-run a journaled update: the evolved entry and workload. [None]
+   when the record no longer replays (base plan missing, deltas
+   malformed, infeasible, ...). *)
 let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
   match base_entry t ~key:(cache_key digest params) ~digest with
   | None -> None
@@ -369,9 +403,9 @@ let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
         | Error _ -> None
         | Ok (model, eng) ->
             ignore (Engine.apply eng ds);
-            Some
-              ( entry_of_engine ~model ~params ~solve_seconds:0. eng,
-                (Engine.problem eng).Problem.workload )
+            let w' = (Engine.problem eng).Problem.workload in
+            let digest = digest_of_workload w' in
+            Some (entry_of_engine ~model ~digest ~params ~solve_seconds:0. eng, w')
       with
       | r -> r
       | exception _ -> None)
@@ -490,9 +524,10 @@ let apply_record t line ~workloads ~plans ~updates ~skipped =
               | Some w, Some params -> (
                   match replayed_update t ~w ~digest ~params ~deltas with
                   | Some (e, w') when e.digest = new_digest ->
-                      (* The evolved workload was also journaled as a
-                         load op, but re-registering it here keeps the
-                         record self-sufficient. *)
+                      (* The update record alone carries the evolved
+                         workload: register it here. (Journals written
+                         before updates stopped journaling a load op for
+                         it replay the same; the replace is a no-op.) *)
                       locked t (fun () -> Hashtbl.replace t.workloads e.digest w');
                       Plan_cache.add t.cache (cache_key e.digest e.params) e;
                       locked t (fun () -> Hashtbl.replace t.fallback e.digest e);
@@ -1182,10 +1217,12 @@ let handle_solve t ~id ~deadline ~digest ~params =
 
 (* The live [update] path. The base plan comes from the cache (or the
    fallback, or — on a miss — a breaker/admission-gated cold solve via
-   {!obtain_plan}, exactly like [solve]); the engine then folds the
-   deltas in incrementally, the evolved workload is registered under its
-   own content digest, the evolved plan is published under that digest,
-   and the delta batch is journaled as one WAL op. Serialised end to end
+   {!obtain_plan}, exactly like [solve]); the engine adopts it and folds
+   the deltas in incrementally, the evolved workload is registered in
+   memory under its own content digest (digested once), the evolved plan
+   is published under that digest, and the delta batch is journaled as
+   one WAL op — the only record the update appends, so its WAL cost
+   grows with the batch, not the workload. Serialised end to end
    by [update_lock]: updates are rare control-plane traffic, and the
    ordering of their WAL ops must match the order their effects were
    published in. *)
@@ -1222,10 +1259,15 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
             | stats -> (
                 let apply_s = Clock.seconds_since t0 in
                 let w' = (Engine.problem eng).Problem.workload in
-                let new_digest, _load_index = register_workload t w' in
+                let new_digest = digest_of_workload w' in
                 let e' =
-                  entry_of_engine ~model ~params ~solve_seconds:apply_s eng
+                  entry_of_engine ~model ~digest:new_digest ~params
+                    ~solve_seconds:apply_s eng
                 in
+                (* Register and publish, then journal: the update record
+                   alone is durable state, since replay and replication
+                   re-derive [w'] and [e'] from the deltas. *)
+                locked t (fun () -> Hashtbl.replace t.workloads new_digest w');
                 Plan_cache.add t.cache (cache_key new_digest params) e';
                 locked t (fun () -> Hashtbl.replace t.fallback new_digest e');
                 let index =
@@ -1234,8 +1276,6 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                        ~new_digest)
                 in
                 record_update t ~seconds:apply_s ~resolved:stats.Engine.resolved;
-                (* Acks are cumulative by index, so waiting on the update
-                   record also covers the load record just before it. *)
                 match await_commit t index with
                 | Error m ->
                     Protocol.error_response ~id ~code:Protocol.No_quorum

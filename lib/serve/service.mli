@@ -4,29 +4,37 @@
     in-process by tests and the bench as well as by {!Server}.
 
     A workload is registered once ([load]) and addressed thereafter by
-    the MD5 digest of its canonical {!Mcss_workload.Wio} text, so the
-    same content always maps to the same digest no matter how it
-    arrived. Plans are cached under [(digest, solver params)]; a [solve]
+    its content digest ({!digest_of_workload}), so the same content
+    always maps to the same digest no matter how it arrived. Plans are cached under [(digest, solver params)]; a [solve]
     or [whatif] point that hits the cache is answered without running
     the solver (the [serve.solver.runs] counter does not move and no
     solver timing is recorded — only [serve.cache.hits]). Concurrent
     misses on the same key are single-flighted: one request runs the
     solver, the rest share its result as a hit.
 
-    {b Durability.} With a {!Journal} configured, every registered
-    workload and every solved plan is appended to a write-ahead log
-    before the reply goes out; {!create} replays the log so a restarted
-    (even [kill -9]'d) daemon answers the same [solve] as a cache hit,
-    with the same [plan_digest], without re-running the solver.
+    {b Durability.} With a {!Journal} configured, every workload a
+    [load] registers, every solved plan and every applied [update] is
+    appended to a write-ahead log as one record (a [load], [plan] or
+    [update] op); {!create} replays the log so a restarted (even
+    [kill -9]'d) daemon answers the same [solve] as a cache hit, with
+    the same [plan_digest], without re-running the solver. A snapshot
+    folds the whole state — every resident workload and every plan —
+    into [load] and [plan] records.
 
     {b Live updates.} An [update] request evolves a cached plan through
-    the incremental engine ({!Mcss_engine.Engine}): only the delta batch
-    is journaled, and replay re-applies it to the base plan — the engine
-    is deterministic, so the restarted daemon reproduces the exact
-    [plan_digest] the live run answered with (and drops the record if it
-    does not). The evolved workload gets its own content digest, so
-    existing plans for the old digest stay valid and the plan cache
-    never serves a stale allocation for the new content.
+    the incremental engine ({!Mcss_engine.Engine}), adopting the cached
+    allocation directly (no plan text is decoded). The evolved workload
+    gets its own content digest, so existing plans for the old digest
+    stay valid and the plan cache never serves a stale allocation for
+    the new content. Only the delta batch is journaled — one [update]
+    record, whose size grows with the batch, not the workload; no
+    [load] record of the evolved workload precedes it. Replay and
+    replication re-apply the batch to the base plan, re-deriving the
+    evolved workload and plan; the engine is deterministic, so the
+    restarted daemon reproduces the exact [plan_digest] the live run
+    answered with (and drops the record if it does not). Journals from
+    older builds, which did write that [load] record, replay to the same
+    state.
 
     {b Degradation.} Consecutive solver failures (deadline blowouts or
     internal errors) open a circuit breaker; while it is open, cache
@@ -114,7 +122,12 @@ val load_workload : t -> Mcss_workload.Workload.t -> string
     its digest. Journaled unless the digest is already resident. *)
 
 val digest_of_workload : Mcss_workload.Workload.t -> string
-(** The content digest (hex MD5 of the canonical Wio text). *)
+(** The content digest: hex MD5 of a canonical rendering of the
+    workload's content — a [mcss-workload-digest 1] header, the topic
+    and subscriber counts, each event rate at [%.17g] on its own line,
+    then one line per subscriber listing its topic ids, each followed by
+    a space. It is not the {!Mcss_workload.Wio} text, and its bytes are
+    pinned: journals and clients address workloads by it. *)
 
 val draining : t -> bool
 (** Set forever once a [shutdown] request has been answered; {!Server}
@@ -225,6 +238,14 @@ val reset_to_snapshot :
 
 val obs : t -> Mcss_obs.Registry.t
 val cache_stats : t -> Plan_cache.stats
+
+val cached_plan :
+  t -> digest:string -> Protocol.solve_params -> Mcss_core.Solver.result option
+(** The solver result cached for [(digest, params)], read without
+    promoting it or counting a hit or miss — an audit hook: its
+    allocation must render to the text the served [plan_digest]
+    hashes. *)
+
 val solver_runs : t -> int
 
 val breaker : t -> Breaker.t

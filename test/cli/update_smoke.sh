@@ -4,10 +4,11 @@
 #   1. Boot `mcss serve --journal`, load a workload, solve once.
 #   2. Send a delta batch with `mcss query update` and assert the reply
 #      names a new workload digest and a changed plan digest.
-#   3. kill -9 the server, restart it over the same journal, and assert
-#      the replayed update reproduces the post-update plan bit-for-bit:
-#      solving at the evolved digest is a cache hit with the same
-#      plan_digest the live update reported.
+#   3. kill -9 the server; `mcss journal --verify` must count three WAL
+#      records (load, plan, update). Restart it over the same journal,
+#      and assert the replayed update reproduces the post-update plan
+#      bit-for-bit: solving at the evolved digest is a cache hit with the
+#      same plan_digest the live update reported.
 #
 # Usage: update_smoke.sh /path/to/mcss
 # Exits non-zero (with a one-line reason on stderr) on the first failure.
@@ -96,6 +97,12 @@ echo "$UPDATE" | grep -q "\"previous_digest\":\"$DIGEST\"" \
 
 # ----- phase 3: kill -9; the replayed journal reproduces the update -----
 stop_server_hard
+# The update is one WAL record of its own: load, plan, update — no load
+# record of the evolved workload.
+VERIFY=$("$MCSS" journal --dir "$JOURNAL" --verify) \
+  || fail "journal verify after the crash failed: $VERIFY"
+echo "$VERIFY" | grep -q 'wal records: 3 ' \
+  || fail "wanted 3 WAL records (load, plan, update): $VERIFY"
 start_server
 SOLVE2=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST2" --tau 50) \
   || fail "post-crash solve at the evolved digest failed"

@@ -88,3 +88,26 @@ let check_bool = Alcotest.(check bool)
 
 let qtest ?(count = 100) name arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary prop)
+
+(* ----- scratch directories ----- *)
+
+let dir_counter = ref 0
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
+(* Run [f] on a fresh path under the temp dir (not yet created), and
+   remove whatever it left there. *)
+let with_dir ?(prefix = "mcss-test") f =
+  incr dir_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !dir_counter)
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

@@ -49,27 +49,7 @@ let expect_code name code reply =
         (Protocol.error_code_to_string code)
         (Json.to_string reply)
 
-(* ----- scratch directories ----- *)
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mcss-repl-%d-%d" (Unix.getpid ()) !dir_counter)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir f = Helpers.with_dir ~prefix:"mcss-repl" f
 
 let journaled_config ?(snapshot_every = 256) ?(fsync = true) dir =
   {
@@ -608,7 +588,7 @@ let with_server svc f =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "mcss-repl-srv-%d-%d.sock" (Unix.getpid ())
-         (incr dir_counter; !dir_counter))
+         (incr Helpers.dir_counter; !Helpers.dir_counter))
   in
   let address = Server.Unix_socket path in
   let config =

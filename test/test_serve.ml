@@ -11,6 +11,21 @@ module Service = Mcss_serve.Service
 module Server = Mcss_serve.Server
 module Client = Mcss_serve.Client
 module Wio = Mcss_workload.Wio
+module Workload = Mcss_workload.Workload
+module Instance = Mcss_pricing.Instance
+module Cost_model = Mcss_pricing.Cost_model
+module Problem = Mcss_core.Problem
+module Solver = Mcss_core.Solver
+module Allocation = Mcss_core.Allocation
+module Plan_io = Mcss_core.Plan_io
+module Engine = Mcss_engine.Engine
+module Delta_io = Mcss_engine.Delta_io
+module Churn = Mcss_dynamic.Churn
+module Front = Mcss_front.Front
+module Journal = Mcss_serve.Journal
+module Registry = Mcss_obs.Registry
+module Counter = Mcss_obs.Metric.Counter
+module Rng = Mcss_prng.Rng
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -255,6 +270,81 @@ let bool_field reply key =
   match Option.bind (Json.member key reply) Json.to_bool_opt with
   | Some b -> b
   | None -> Alcotest.failf "reply lacks bool %S: %s" key (Json.to_string reply)
+
+(* ----- workload digest ----- *)
+
+(* The digest renderer as it was when journals first stored digests,
+   verbatim: the bytes the service must keep hashing. *)
+let printf_digest w =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "mcss-workload-digest 1\n";
+  Buffer.add_string buf (string_of_int (Workload.num_topics w));
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_int (Workload.num_subscribers w));
+  Buffer.add_char buf '\n';
+  Array.iter
+    (fun r ->
+      Buffer.add_string buf (Printf.sprintf "%.17g" r);
+      Buffer.add_char buf '\n')
+    (Workload.event_rates w);
+  for v = 0 to Workload.num_subscribers w - 1 do
+    Array.iter
+      (fun topic ->
+        Buffer.add_string buf (string_of_int topic);
+        Buffer.add_char buf ' ')
+      (Workload.interests w v);
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_digest_pinned () =
+  check_string "pinned digest" "532405f41d2f4029e6574f08371a8569"
+    (Service.digest_of_workload (test_workload ()));
+  check_string "old renderer" (printf_digest (test_workload ()))
+    (Service.digest_of_workload (test_workload ()))
+
+let test_digest_edge_cases () =
+  List.iter
+    (fun (name, w) -> check_string name (printf_digest w) (Service.digest_of_workload w))
+    [
+      ("no subscribers", Workload.create ~event_rates:[| 1.; 2. |] ~interests:[||]);
+      ("empty interest rows", Helpers.workload ~rates:[ 3.; 4. ] ~interests:[ []; [ 0; 1 ]; [] ]);
+      ( "extreme and fractional rates",
+        Helpers.workload ~rates:[ 1e-300; 1e300; 0.1; 1. /. 3. ]
+          ~interests:[ [ 0; 1; 2; 3 ]; [ 3 ] ] );
+      ( "integral rates around 1e15 and 2^53",
+        Helpers.workload
+          ~rates:[ 1.; 999_999_999_999_999.; 1e15; 1e15 +. 1.; 2. ** 53.; 1e17; 2.5; max_float ]
+          ~interests:[ [ 0; 7 ]; [ 1; 2; 3; 4; 5; 6 ] ] );
+      ( "multi-digit topic ids",
+        Workload.create ~event_rates:(Array.make 123_457 1.)
+          ~interests:[| [| 9; 10; 99; 100; 12_345; 123_456 |]; [||]; [| 0 |] |] );
+    ]
+
+let rate_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> float_of_int (1 + n)) (int_bound 1_000_000);
+        map (fun n -> float_of_int n /. 7.) (int_range 1 10_000);
+        map2
+          (fun m e -> Float.ldexp (1. +. m) e)
+          (float_bound_inclusive 1.) (int_range (-1000) 1000);
+      ])
+
+let prop_digest_matches_printf =
+  Helpers.qtest ~count:300 "digest = printf renderer on random workloads"
+    QCheck.(
+      make ~print:(Format.asprintf "%a" Workload.pp_summary)
+        Gen.(
+          let* nt = int_range 1 30 in
+          let* rates = array_size (return nt) rate_gen in
+          let* ns = int_range 0 30 in
+          let* rows = array_size (return ns) (list_size (int_bound 6) (int_bound (nt - 1))) in
+          return
+            (Workload.create ~event_rates:rates
+               ~interests:(Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) rows))))
+    (fun w -> Service.digest_of_workload w = printf_digest w)
 
 let test_service_solve_cache () =
   let svc = Service.create () in
@@ -542,6 +632,253 @@ let test_e2e_oversized_request () =
               Alcotest.failf "wanted too_large, got %s" (Json.to_string reply))
       | Error e -> Alcotest.fail e)
 
+(* ----- the served update path ----- *)
+
+(* A tiny Spotify trace at a capacity that needs several VMs, under the
+   params the requests below carry. [bc] is the value the service parses
+   back from the request line, so the cache keys agree. *)
+let update_scale = 0.0005
+
+let update_params =
+  let instance = Option.get (Instance.find Protocol.default_params.Protocol.instance) in
+  let bc =
+    float_of_string (Json.to_string (Json.Float (Front.bc_events ~scale:update_scale instance)))
+  in
+  { Protocol.default_params with Protocol.tau = 50.; bc_events = Some bc }
+
+let params_fields (p : Protocol.solve_params) =
+  [
+    ("tau", Json.Float p.Protocol.tau);
+    ("bc_events", Json.Float (Option.get p.Protocol.bc_events));
+  ]
+
+let solve_req digest =
+  Json.to_string
+    (Json.Obj
+       (("req", Json.String "solve") :: ("digest", Json.String digest)
+       :: params_fields update_params))
+
+let update_req digest deltas =
+  Json.to_string
+    (Json.Obj
+       (("req", Json.String "update") :: ("digest", Json.String digest)
+       :: ("deltas", Json.String deltas) :: params_fields update_params))
+
+let journaled dir =
+  { Service.default_config with Service.journal = Some (Journal.default_config ~dir) }
+
+(* The update path as it was before entries adopted their own
+   allocation, verbatim: decode the base plan text, adopt it, apply the
+   batch, encode, and decode the new text into the cache entry. Returns
+   the evolved workload, its digest, the new plan text and what the
+   reply reports: VMs and cost. *)
+let decode_path_update ~w ~text (params : Protocol.solve_params) deltas =
+  let instance = Option.get (Instance.find params.Protocol.instance) in
+  let model = Cost_model.ec2_2014 ~instance () in
+  let p =
+    Problem.of_pricing ?capacity_events:params.Protocol.bc_events ~workload:w
+      ~tau:params.Protocol.tau model
+  in
+  let config =
+    Option.value ~default:Solver.default (Solver.config_of_name params.Protocol.config)
+  in
+  let allocation, selection = Plan_io.of_string ~workload:w text in
+  let eng = Engine.of_plan ~config { Engine.problem = p; selection; allocation } in
+  ignore (Engine.apply eng (Delta_io.of_string deltas));
+  let p' = Engine.problem eng in
+  let w' = p'.Problem.workload in
+  let text' = Plan_io.to_string (Engine.plan eng).Engine.allocation in
+  let allocation', _ = Plan_io.of_string ~workload:w' text' in
+  let vms = Allocation.num_vms allocation' in
+  let cost = Problem.cost p' ~vms ~bandwidth:(Allocation.total_load allocation') in
+  (w', printf_digest w', text', vms, cost)
+
+let float_field reply key =
+  match Option.bind (Json.member key reply) Json.to_float_opt with
+  | Some f -> f
+  | None -> Alcotest.failf "reply lacks number %S: %s" key (Json.to_string reply)
+
+let int_field reply key =
+  match Option.bind (Json.member key reply) Json.to_int_opt with
+  | Some n -> n
+  | None -> Alcotest.failf "reply lacks int %S: %s" key (Json.to_string reply)
+
+let cached_text svc digest =
+  match Service.cached_plan svc ~digest update_params with
+  | Some r -> Plan_io.to_string r.Solver.allocation
+  | None -> Alcotest.failf "no cached plan for %s" digest
+
+(* Load and solve a trace, then serve [ticks] churn batches, checking
+   each reply against the decode path. Returns the service and, per
+   update, the evolved workload, its digest and its plan digest. *)
+let churned_service ~dir ~seed ~ticks =
+  let w0 = Front.generate ~seed `Spotify ~scale:update_scale in
+  let svc = Service.create ~config:(journaled dir) () in
+  let digest0 = Service.load_workload svc w0 in
+  let r0 = ok_reply "base solve" (Service.handle_line svc (solve_req digest0)) in
+  let text0 = cached_text svc digest0 in
+  check_string "base plan_digest hashes the cached plan"
+    (Digest.to_hex (Digest.string text0)) (str_field r0 "plan_digest");
+  let rng = Rng.create seed in
+  let rec go i w digest text acc =
+    if i = ticks then List.rev acc
+    else begin
+      let deltas = Delta_io.to_string (Churn.tick rng (Churn.scaled 0.05) w) in
+      let name = Printf.sprintf "seed %d tick %d" seed i in
+      let reply = ok_reply name (Service.handle_line svc (update_req digest deltas)) in
+      let w', digest', text', vms, cost = decode_path_update ~w ~text update_params deltas in
+      check_string (name ^ ": digest") digest' (str_field reply "digest");
+      check_string (name ^ ": plan_digest")
+        (Digest.to_hex (Digest.string text')) (str_field reply "plan_digest");
+      check_int (name ^ ": vms") vms (int_field reply "vms");
+      check_bool (name ^ ": cost_usd") true (cost = float_field reply "cost_usd");
+      check_string (name ^ ": cached allocation") text' (cached_text svc digest');
+      go (i + 1) w' digest' text' ((w', digest', str_field reply "plan_digest") :: acc)
+    end
+  in
+  (svc, go 0 w0 digest0 text0 [])
+
+let test_update_matches_decode_path () =
+  List.iter
+    (fun seed ->
+      Helpers.with_dir (fun dir ->
+          let svc, updates = churned_service ~dir ~seed ~ticks:30 in
+          Service.close svc;
+          (* Restart over the journal: every evolved plan is back as a
+             cache hit with the plan_digest the live update served. *)
+          let svc = Service.create ~config:(journaled dir) () in
+          (match Service.replay_stats svc with
+          | Some r ->
+              check_int "every update replayed" 30 r.Service.updates_replayed;
+              check_int "nothing skipped" 0 r.Service.records_skipped
+          | None -> Alcotest.fail "no replay stats");
+          List.iter
+            (fun (_, digest, plan_digest) ->
+              let r = ok_reply "post-restart solve" (Service.handle_line svc (solve_req digest)) in
+              check_bool "restart: cache hit" true (bool_field r "cached");
+              check_string "restart: same plan_digest" plan_digest (str_field r "plan_digest"))
+            updates;
+          check_int "restart: no solver run" 0 (Service.solver_runs svc);
+          Service.close svc))
+    [ 1; 2; 3 ]
+
+(* The op a [load] of [w] was journaled as, verbatim — what journals
+   written before updates stopped journaling the evolved workload hold
+   in front of every [update] record. *)
+let old_load_op ~origin digest w =
+  Json.to_string
+    (Json.Obj
+       [
+         ("op", Json.String "load");
+         ("origin", Json.String origin);
+         ("digest", Json.String digest);
+         ("wio", Json.String (Wio.to_string w));
+       ])
+
+let test_old_journal_replays () =
+  Helpers.with_dir (fun dir ->
+      Helpers.with_dir (fun old_dir ->
+          let svc, updates = churned_service ~dir ~seed:4 ~ticks:6 in
+          Service.close svc;
+          let records =
+            let j, replay = Journal.open_ (Journal.default_config ~dir) in
+            Journal.close j;
+            replay.Journal.records
+          in
+          (* Rewrite it in the old shape: a load record of the evolved
+             workload before each update record. *)
+          let j, _ = Journal.open_ (Journal.default_config ~dir:old_dir) in
+          let loads = ref 0 in
+          List.iter
+            (fun (epoch, payload) ->
+              let j' = Result.get_ok (Json.parse payload) in
+              (if Json.member "op" j' = Some (Json.String "update") then
+                 let digest =
+                   Option.get (Option.bind (Json.member "new_digest" j') Json.to_string_opt)
+                 in
+                 let w, _, _ = List.find (fun (_, d, _) -> d = digest) updates in
+                 incr loads;
+                 Journal.append ~epoch j (old_load_op ~origin:"node" digest w));
+              Journal.append ~epoch j payload)
+            records;
+          Journal.close j;
+          check_int "one load per update" 6 !loads;
+          let fresh = Service.create ~config:(journaled dir) () in
+          let old = Service.create ~config:(journaled old_dir) () in
+          (match (Service.replay_stats fresh, Service.replay_stats old) with
+          | Some a, Some b ->
+              check_int "old shape: nothing skipped" 0 b.Service.records_skipped;
+              check_int "new shape: nothing skipped" 0 a.Service.records_skipped;
+              check_int "same updates" a.Service.updates_replayed b.Service.updates_replayed;
+              check_int "old shape: its loads recovered" (a.Service.workloads_recovered + 6)
+                b.Service.workloads_recovered
+          | _ -> Alcotest.fail "no replay stats");
+          (* The same workloads, cache keys and plans: the full states
+             match record for record. *)
+          let state svc =
+            let _, _, records = Service.sync_state svc in
+            List.sort compare records
+          in
+          check_bool "same full state" true (state fresh = state old);
+          List.iter
+            (fun (_, digest, plan_digest) ->
+              List.iter
+                (fun svc ->
+                  let r = ok_reply "replayed solve" (Service.handle_line svc (solve_req digest)) in
+                  check_bool "replayed: cache hit" true (bool_field r "cached");
+                  check_string "replayed: plan_digest" plan_digest (str_field r "plan_digest"))
+                [ fresh; old ])
+            updates;
+          Service.close fresh;
+          Service.close old))
+
+let counter svc name =
+  List.fold_left
+    (fun acc s ->
+      match s.Registry.metric with
+      | Registry.Counter c when s.Registry.name = name -> Counter.value c
+      | _ -> acc)
+    0 (Registry.samples (Service.obs svc))
+
+(* WAL cost of one 10-delta update at a trace scale: (records, bytes). *)
+let update_wal_cost scale =
+  Helpers.with_dir (fun dir ->
+      let w = Front.generate ~seed:5 `Spotify ~scale in
+      let svc = Service.create ~config:(journaled dir) () in
+      let digest = Service.load_workload svc w in
+      let request verb fields =
+        Json.to_string
+          (Json.Obj
+             (("req", Json.String verb) :: ("digest", Json.String digest)
+             :: ("tau", Json.Float 50.) :: fields))
+      in
+      ignore (ok_reply "solve" (Service.handle_line svc (request "solve" [])));
+      let ds = List.filteri (fun i _ -> i < 10) (Churn.tick (Rng.create 5) Churn.default w) in
+      check_int "a 10-delta batch" 10 (List.length ds);
+      let records = counter svc "serve.journal.appends"
+      and bytes = counter svc "serve.journal.append_bytes" in
+      ignore
+        (ok_reply "update"
+           (Service.handle_line svc
+              (request "update" [ ("deltas", Json.String (Delta_io.to_string ds)) ])));
+      let cost =
+        ( counter svc "serve.journal.appends" - records,
+          counter svc "serve.journal.append_bytes" - bytes )
+      in
+      Service.close svc;
+      cost)
+
+let test_update_wal_cost () =
+  let small_records, small = update_wal_cost 0.0005 in
+  let big_records, big = update_wal_cost 0.002 in
+  check_int "one record per update" 1 small_records;
+  check_int "one record per update, 4x the workload" 1 big_records;
+  if small >= 4096 || big >= 4096 then
+    Alcotest.failf "update records of %d and %d bytes, want < 4 KiB" small big;
+  (* The batch's ids get no longer than a digit or two per delta. *)
+  if big - small >= 64 then
+    Alcotest.failf "update record grew with the workload: %d -> %d bytes" small big
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -570,4 +907,11 @@ let suite =
     Alcotest.test_case "e2e: unix-socket round trip" `Quick test_e2e_round_trip;
     Alcotest.test_case "e2e: concurrent clients" `Quick test_e2e_concurrent_clients;
     Alcotest.test_case "e2e: oversized request" `Quick test_e2e_oversized_request;
+    Alcotest.test_case "digest: pinned" `Quick test_digest_pinned;
+    Alcotest.test_case "digest: edge cases" `Quick test_digest_edge_cases;
+    prop_digest_matches_printf;
+    Alcotest.test_case "update: decode-path differential + restart" `Quick
+      test_update_matches_decode_path;
+    Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
+    Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
   ]

@@ -54,27 +54,7 @@ let expect_code name code reply =
         (Protocol.error_code_to_string code)
         (Json.to_string reply)
 
-(* ----- scratch directories ----- *)
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mcss-faults-%d-%d" (Unix.getpid ()) !dir_counter)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir f = Helpers.with_dir ~prefix:"mcss-faults" f
 
 (* ----- journal ----- *)
 
