@@ -143,34 +143,50 @@ let compact a =
    as one run. That is the [deploy]/[place] sequence a
    [Plan_io.to_string]/[of_string] round trip makes, done in bulk: the
    same fresh tables with the same insertion order, and each VM's load
-   summed from 0 in the same order, one [place_delta] per topic. *)
+   summed from 0 in the same order, one [place_delta] per topic. [run]
+   is applied to each subscriber run (a copy, or the run itself). *)
+let canonical_table ~event_rates ~run src =
+  let topics = Array.make (Hashtbl.length src) 0 in
+  let k = ref 0 in
+  Hashtbl.iter
+    (fun t _ ->
+      topics.(!k) <- t;
+      incr k)
+    src;
+  Array.sort Int.compare topics;
+  let tbl = Hashtbl.create 8 in
+  let load = ref 0. and pairs = ref 0 in
+  Array.iter
+    (fun topic ->
+      let subs = run (Hashtbl.find src topic) in
+      let n = Vec.length subs and ev = event_rates.(topic) in
+      Hashtbl.add tbl topic subs;
+      load := !load +. ((float_of_int n *. ev) +. ev);
+      pairs := !pairs + n)
+    topics;
+  (tbl, !load, !pairs)
+
 let copy ?capacity ~event_rates a =
   let fresh = create ~capacity:(Option.value capacity ~default:a.cap) in
   for id = 0 to num_vms a - 1 do
-    let src = Vec.get a.tables id in
-    let topics = Array.make (Hashtbl.length src) 0 in
-    let k = ref 0 in
-    Hashtbl.iter
-      (fun t _ ->
-        topics.(!k) <- t;
-        incr k)
-      src;
-    Array.sort Int.compare topics;
-    let tbl = Hashtbl.create 8 in
-    let load = ref 0. and pairs = ref 0 in
-    Array.iter
-      (fun topic ->
-        let subs = Vec.copy (Hashtbl.find src topic) in
-        let n = Vec.length subs and ev = event_rates.(topic) in
-        Hashtbl.add tbl topic subs;
-        load := !load +. ((float_of_int n *. ev) +. ev);
-        pairs := !pairs + n)
-      topics;
-    Arena.Fbuf.push fresh.loads !load;
-    Arena.Ibuf.push fresh.npairs !pairs;
+    let tbl, load, pairs =
+      canonical_table ~event_rates ~run:Vec.copy (Vec.get a.tables id)
+    in
+    Arena.Fbuf.push fresh.loads load;
+    Arena.Ibuf.push fresh.npairs pairs;
     Vec.push fresh.tables tbl
   done;
   fresh
+
+let canonicalize a ~event_rates =
+  for id = 0 to num_vms a - 1 do
+    let tbl, load, pairs =
+      canonical_table ~event_rates ~run:Fun.id (Vec.get a.tables id)
+    in
+    Arena.Fbuf.set a.loads id load;
+    Arena.Ibuf.set a.npairs id pairs;
+    Vec.set a.tables id tbl
+  done
 
 let find_pair_vm a ~topic ~subscriber =
   let n = num_vms a in

@@ -112,6 +112,16 @@ val copy : ?capacity:float -> event_rates:float array -> t -> t
     builds: the same rendering, the same iteration order and the
     bit-identical loads. O(pairs). *)
 
+val canonicalize : t -> event_rates:float array -> unit
+(** Put the fleet, in place, into the state {!copy} [~event_rates]
+    would build: each VM's topic table re-made in sorted topic order
+    (so hash-order walks such as {!iter_vm_pairs} and {!rebuild_loads}
+    see what they see on a copy) and its load and pair count re-summed
+    in that order. Subscriber runs are kept, not copied, so the cost is
+    O(topic groups), not O(pairs). The incremental engine uses it to
+    make a fleet evolved by {!place}/{!remove} indistinguishable from
+    the same fleet decoded from its plan text. *)
+
 val find_pair_vm : t -> topic:Mcss_workload.Workload.topic ->
   subscriber:Mcss_workload.Workload.subscriber -> vm option
 (** The VM hosting the pair, if any (scans the fleet). *)

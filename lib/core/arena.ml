@@ -103,6 +103,7 @@ module Int_table = struct
   type t = {
     mutable keys : int array;
     mutable vals : int array;
+    mutable shift : int;  (* 63 - log2 (capacity) *)
     mutable live : int;  (* live bindings *)
     mutable used : int;  (* live + tombstones *)
   }
@@ -111,16 +112,27 @@ module Int_table = struct
     let rec go p = if p >= n then p else go (2 * p) in
     go 16
 
+  let shift_of cap =
+    let rec log2 c acc = if c <= 1 then acc else log2 (c lsr 1) (acc + 1) in
+    63 - log2 cap 0
+
   let create ?(capacity = 16) () =
     let cap = next_pow2 (max capacity 16) in
-    { keys = Array.make cap empty_slot; vals = Array.make cap 0; live = 0; used = 0 }
+    {
+      keys = Array.make cap empty_slot;
+      vals = Array.make cap 0;
+      shift = shift_of cap;
+      live = 0;
+      used = 0;
+    }
 
   let length t = t.live
 
-  (* Fibonacci hashing spreads sequential keys across the table. *)
-  let slot_of t key =
-    let mask = Array.length t.keys - 1 in
-    (key * 0x2545F4914F6CDD1D) lsr 8 land mask
+  (* Fibonacci hashing: the slot is the top log2(capacity) bits of the
+     63-bit product, which every key bit reaches. (The low bits of the
+     product only depend on the key's low bits, so keys differing only
+     in high bits — [encode_pair]'s topic — would share a probe run.) *)
+  let slot_of t key = (key * 0x2545F4914F6CDD1D) lsr t.shift
 
   let rec probe_find t key i =
     let k = t.keys.(i) in
@@ -150,6 +162,7 @@ module Int_table = struct
     let old_keys = t.keys and old_vals = t.vals in
     t.keys <- Array.make cap empty_slot;
     t.vals <- Array.make cap 0;
+    t.shift <- shift_of cap;
     t.live <- 0;
     t.used <- 0;
     Array.iteri

@@ -80,7 +80,10 @@ module Int_table : sig
   (** An open-addressing [int -> int] hash table on two flat arrays
       (linear probing, power-of-two capacity). Keys must be
       non-negative; [absent] is returned for missing keys so lookups
-      never allocate an option. Deletions use tombstones; the table
+      never allocate an option. A key's home slot is the top bits of a
+      multiplicative (Fibonacci) hash, so keys that differ only in
+      their high bits — such as {!encode_pair} keys of one subscriber —
+      still spread over the table. Deletions use tombstones; the table
       rehashes when live+dead slots pass the load factor. *)
 
   type t

@@ -89,12 +89,13 @@ let apply w deltas =
             wanted;
           Mcss_core.Vec.push extra_interests h)
     deltas;
-  let event_rates =
-    Array.init !num_topics (fun t ->
-        match Hashtbl.find_opt rates t with
-        | Some r -> r
-        | None -> Workload.event_rate w t)
-  in
+  (* Copy and patch: rates, rows and follower lists start as copies of
+     the old arrays (untouched entries shared), and only what a delta
+     touched is rewritten — no per-subscriber or per-topic lookup. *)
+  let base_topics = Workload.num_topics w in
+  let event_rates = Array.make !num_topics 0. in
+  Array.blit (Workload.event_rates w) 0 event_rates 0 base_topics;
+  Hashtbl.iter (fun t r -> event_rates.(t) <- r) rates;
   let sorted_of_set set =
     let a = Array.make (Hashtbl.length set) 0 in
     let i = ref 0 in
@@ -108,12 +109,12 @@ let apply w deltas =
   in
   let all_interests =
     Array.init (num_subscribers ()) (fun v ->
-        if v >= base_subs then sorted_of_set (Mcss_core.Vec.get extra_interests (v - base_subs))
-        else
-          match Hashtbl.find_opt touched v with
-          | Some set -> sorted_of_set set
-          | None -> Workload.interests w v)
+        if v < base_subs then Workload.interests w v else [||])
   in
+  Hashtbl.iter (fun v set -> all_interests.(v) <- sorted_of_set set) touched;
+  for i = 0 to Mcss_core.Vec.length extra_interests - 1 do
+    all_interests.(base_subs + i) <- sorted_of_set (Mcss_core.Vec.get extra_interests i)
+  done;
   (* Evolve the followers index instead of letting the new workload
      recompute it from scratch: per-topic follower sets only change for
      topics a touched or new subscriber (un)follows, so everything else
@@ -124,7 +125,6 @@ let apply w deltas =
     match Workload.cached_followers w with
     | None -> None
     | Some old_fol ->
-        let base_topics = Array.length old_fol in
         let added : (int, int list ref) Hashtbl.t = Hashtbl.create 32 in
         let removed : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
         let additions_of t =
@@ -167,7 +167,12 @@ let apply w deltas =
               r := v :: !r)
             (Mcss_core.Vec.get extra_interests i)
         done;
-        let rebuild t =
+        (* New topics start with no followers; [rebuild] reads only
+           [old_fol], so a topic both gaining and losing followers may
+           be rebuilt twice. *)
+        let fol = Array.make !num_topics [||] in
+        Array.blit old_fol 0 fol 0 base_topics;
+        let rebuild t _ =
           let olds = if t < base_topics then old_fol.(t) else [||] in
           let keep =
             match Hashtbl.find_opt removed t with
@@ -176,21 +181,22 @@ let apply w deltas =
                 Array.of_seq
                   (Seq.filter (fun v -> not (Hashtbl.mem dead v)) (Array.to_seq olds))
           in
-          match Hashtbl.find_opt added t with
-          | None | Some { contents = [] } -> keep
-          | Some { contents = adds } ->
-              let out = Array.append keep (Array.of_list adds) in
-              Array.sort compare out;
-              out
+          fol.(t) <-
+            (match Hashtbl.find_opt added t with
+            | None | Some { contents = [] } -> keep
+            | Some { contents = adds } ->
+                let out = Array.append keep (Array.of_list adds) in
+                Array.sort compare out;
+                out)
         in
-        Some
-          (Array.init !num_topics (fun t ->
-               if t >= base_topics || Hashtbl.mem added t || Hashtbl.mem removed t then
-                 rebuild t
-               else old_fol.(t)))
+        Hashtbl.iter rebuild added;
+        Hashtbl.iter rebuild removed;
+        Some fol
   in
   (* Every mutation above was range/duplicate/positivity-checked as it
      was applied, untouched arrays come from a validated workload, and
      [sorted_of_set] restores the sortedness invariant — so the unsafe
      constructor's contract holds. *)
-  Workload.unsafe_create ?followers ~event_rates ~interests:all_interests ()
+  Workload.unsafe_evolve w ?followers ~event_rates ~interests:all_interests
+    ~touched:(Hashtbl.fold (fun v _ acc -> v :: acc) touched [])
+    ()

@@ -19,6 +19,15 @@ val apply : Mcss_workload.Workload.t -> t list -> Mcss_workload.Workload.t
     [Invalid_argument] on inconsistent deltas: subscribing to an already
     held topic, unsubscribing from an unheld one, referencing ids out of
     range (including ids introduced earlier in the same batch — those are
-    valid), or a non-positive rate. *)
+    valid), or a non-positive rate.
+
+    Cost: the new workload copies the old rate, row and (when cached)
+    followers arrays — O(topics + subscribers) — and patches only what
+    the batch touched. Interest rates and the pair count are re-derived
+    only for touched and new subscribers and for the followers of
+    re-rated topics, so a small batch costs no per-pair work. The
+    exception is a rate change on a workload whose followers were never
+    computed: then every interest rate is re-derived (O(pairs)).
+    {!Engine.apply} computes the followers first. *)
 
 val pp : Format.formatter -> t -> unit

@@ -103,12 +103,10 @@ let rem_v t v =
 
 let churned_pairs t = t.churned_pairs
 
-let iter_homes t f =
-  Arena.Int_table.iter
-    (fun key id ->
-      let topic, v = Arena.decode_pair key in
-      f ~topic ~subscriber:v ~vm:id)
-    t.homes
+let canonicalize t =
+  Allocation.canonicalize t.allocation
+    ~event_rates:(Workload.event_rates t.problem.Problem.workload);
+  t.churned_pairs <- 0
 
 (* The CBP insertion rule shared by reprovisioning, recovery, and delta
    application: pending pairs grouped per topic, most-free VM that can

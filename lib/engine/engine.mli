@@ -149,12 +149,16 @@ val churned_pairs : t -> int
 (** Pairs added + removed since the last cold solve — the drift
     counter. *)
 
-val iter_homes : t -> (topic:int -> subscriber:int -> vm:int -> unit) -> unit
-(** Iterate the current (topic, subscriber) → hosting-VM map, in no
-    particular order. This is the live re-home hook: a dataplane diffing
-    two snapshots of it (before/after {!apply} or {!fail}) gets exactly
-    the pair moves it must replay onto running brokers. A pair hosted on
-    several VMs reports one home (the engine places each pair once). *)
+val canonicalize : t -> unit
+(** Put the engine into exactly the state {!of_plan} of its own
+    {!plan} would build (same config, drift threshold and domains): the
+    fleet re-laid in {!Mcss_core.Allocation.copy}'s order with loads
+    re-summed in that order (see {!Mcss_core.Allocation.canonicalize})
+    and the drift counter reset to [0]. Every later {!apply}, {!retarget}
+    or {!fail} then answers exactly as on a freshly adopted engine. It
+    costs O(topic groups), not O(pairs), which is what lets the planning
+    service keep the engine behind its last update resident instead of
+    re-adopting its plan. *)
 
 val default_drift_threshold : float
 

@@ -88,6 +88,9 @@ type miss_outcome =
 
 and solve_error = E of Protocol.error_code * string
 
+(* The engine behind the most recent update, kept for the next one. *)
+type resident = { entry : entry; model : Cost_model.t; engine : Engine.t }
+
 type t = {
   config : config;
   obs : Registry.t;
@@ -108,10 +111,17 @@ type t = {
       (** Serialises appends and snapshots. Lock order: [journal_lock]
           then [lock]; never the reverse. *)
   update_lock : Mutex.t;
-      (** Serialises [update] requests end to end (engine rebuild, delta
+      (** Serialises [update] requests end to end (engine adoption, delta
           application, publication, journaling) so concurrent updates
           against the same digest cannot interleave their WAL ops.
           Taken before [journal_lock] and [lock], never inside them. *)
+  mutable resident : resident option;
+      (** The engine that produced the most recent update's entry,
+          {!Engine.canonicalize}d: exactly what [Engine.of_plan] builds
+          from that entry. The next update whose base entry is that
+          entry ([==]) applies its deltas to it instead of re-adopting
+          the plan. Guarded by [lock]; taken and put back only under
+          [update_lock]. *)
   started_ns : int64;
   mutable draining : bool;
   mutable requests : int;
@@ -328,12 +338,14 @@ let base_entry t ~key ~digest =
       | Some e when cache_key e.digest e.params = key -> Some e
       | _ -> None)
 
-(* Both the live path and journal replay adopt the entry's own plan:
-   [Engine.of_plan] copies the allocation in Plan_io's order, so the
-   engine starts from the fleet a decode of the entry's text would build,
-   whether the entry came from the solver, a replayed plan record or an
-   earlier update. That, plus the engine's determinism, is what makes
-   the recorded [new_digest] reproducible after a crash. *)
+(* Journal replay, and the live path when its base is not the resident
+   entry, adopt the entry's own plan: [Engine.of_plan] copies the
+   allocation in Plan_io's order, so the engine starts from the fleet a
+   decode of the entry's text would build, whether the entry came from
+   the solver, a replayed plan record or an earlier update. That (which
+   the resident engine matches by canonicalising), plus the engine's
+   determinism, is what makes the recorded [new_digest] reproducible
+   after a crash. *)
 let engine_of_entry ~w (e : entry) =
   match problem_for w e.params with
   | Error err -> Error err
@@ -733,6 +745,7 @@ let reset_to_snapshot t ~base ~epoch payloads =
           Journal.install_snapshot j ~base ~epoch payloads;
           Plan_cache.clear t.cache;
           locked t (fun () ->
+              t.resident <- None;
               Hashtbl.reset t.workloads;
               Hashtbl.reset t.fallback);
           let workloads = ref 0
@@ -787,6 +800,7 @@ let demote t ~epoch:e =
     let was = locked t (fun () ->
         let was = t.role in
         t.role <- Follower;
+        t.resident <- None;
         was)
     in
     if was = Leader then
@@ -819,6 +833,7 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       journal;
       journal_lock = Mutex.create ();
       update_lock = Mutex.create ();
+      resident = None;
       started_ns = Clock.now_ns ();
       draining = false;
       requests = 0;
@@ -861,6 +876,7 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
   t
 
 let close t =
+  locked t (fun () -> t.resident <- None);
   match t.journal with
   | None -> ()
   | Some j ->
@@ -907,11 +923,16 @@ let record_solver_run t ~seconds ~(r : Solver.result) =
            "serve.solver.stage2_seconds")
         r.Solver.stage2_seconds)
 
-let record_update t ~seconds ~resolved =
+let record_update t ~seconds ~resolved ~resident =
   locked t (fun () ->
       Counter.inc
         (Registry.counter t.obs ~help:"Incremental updates applied"
            "serve.updates.applied");
+      if resident then
+        Counter.inc
+          (Registry.counter t.obs
+             ~help:"Updates applied to the resident engine of the previous update"
+             "serve.updates.resident");
       if resolved then
         Counter.inc
           (Registry.counter t.obs
@@ -1251,13 +1272,30 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
         Protocol.error_response ~id ~code:Protocol.Timeout
           ~message:"deadline exceeded before the update was applied" ()
       else
-        match engine_of_entry ~w e with
+        (* Empty the slot first: a batch that raises leaves no engine
+           behind, half-applied or not. *)
+        let resident =
+          locked t (fun () ->
+              let r = t.resident in
+              t.resident <- None;
+              r)
+        in
+        let reused, adopted =
+          match resident with
+          | Some r when r.entry == e -> (true, Ok (r.model, r.engine))
+          | _ -> (false, engine_of_entry ~w e)
+        in
+        match adopted with
         | Error err -> reply_of_error ~id err
         | Ok (model, eng) -> (
             let t0 = Clock.now_ns () in
             match Engine.apply eng ds with
             | stats -> (
                 let apply_s = Clock.seconds_since t0 in
+                (* Back to what [Engine.of_plan e'] builds, so the next
+                   update answers the same from this engine as journal
+                   replay does from [e']. *)
+                Engine.canonicalize eng;
                 let w' = (Engine.problem eng).Problem.workload in
                 let new_digest = digest_of_workload w' in
                 let e' =
@@ -1269,13 +1307,17 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                    re-derive [w'] and [e'] from the deltas. *)
                 locked t (fun () -> Hashtbl.replace t.workloads new_digest w');
                 Plan_cache.add t.cache (cache_key new_digest params) e';
-                locked t (fun () -> Hashtbl.replace t.fallback new_digest e');
+                locked t (fun () ->
+                    Hashtbl.replace t.fallback new_digest e';
+                    if t.role = Leader then
+                      t.resident <- Some { entry = e'; model; engine = eng });
                 let index =
                   journal_append t
                     (update_op ~origin:t.config.name ~digest ~params ~deltas
                        ~new_digest)
                 in
-                record_update t ~seconds:apply_s ~resolved:stats.Engine.resolved;
+                record_update t ~seconds:apply_s ~resolved:stats.Engine.resolved
+                  ~resident:reused;
                 match await_commit t index with
                 | Error m ->
                     Protocol.error_response ~id ~code:Protocol.No_quorum

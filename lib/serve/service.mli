@@ -36,6 +36,26 @@
     older builds, which did write that [load] record, replay to the same
     state.
 
+    The service keeps one {e resident} engine: the one that produced the
+    most recent update's cache entry. An update whose base entry is
+    physically that entry ([==]) folds its deltas into the resident
+    engine instead of adopting the entry's plan with
+    {!Mcss_engine.Engine.of_plan}; any other base (a branch from an
+    older digest, a solved plan) is adopted as before and its engine
+    becomes resident. Before its entry is published, the engine is
+    canonicalised ({!Mcss_engine.Engine.canonicalize}: the fleet re-laid
+    in {!Mcss_core.Allocation.copy}'s order, VM loads re-summed in that
+    order, the drift counter reset), so it is in exactly the state
+    [of_plan] would build from the entry — which is what replay and
+    replication still do — and both paths answer bit-identically. The
+    slot is emptied before the deltas are applied, so a batch that
+    raises leaves no half-applied engine behind, and it is dropped on
+    [reset_to_snapshot], [demote] and [close]. Because every update
+    starts from a zero drift counter, drift re-solves never accumulate
+    across requests: only a single batch that churns more than the
+    threshold re-solves cold. The [serve.updates.resident] counter
+    counts the updates the resident engine served.
+
     {b Degradation.} Consecutive solver failures (deadline blowouts or
     internal errors) open a circuit breaker; while it is open, cache
     misses are answered [degraded] from the last solved plan for the

@@ -34,11 +34,15 @@ let validate ~event_rates ~interests =
       done)
     interests
 
+(* Every subscriber's interest rate is this left fold, whichever
+   constructor computes it, so a workload evolved by [unsafe_evolve] and
+   one built from scratch agree bit for bit. *)
+let rate_of_interests event_rates tv =
+  Array.fold_left (fun acc t -> acc +. event_rates.(t)) 0. tv
+
 let build ~event_rates ~interests =
   let num_pairs = Array.fold_left (fun acc tv -> acc + Array.length tv) 0 interests in
-  let interest_rate =
-    Array.map (fun tv -> Array.fold_left (fun acc t -> acc +. event_rates.(t)) 0. tv) interests
-  in
+  let interest_rate = Array.map (rate_of_interests event_rates) interests in
   let total_event_rate = Array.fold_left ( +. ) 0. event_rates in
   { event_rates; interests; num_pairs; interest_rate; total_event_rate; followers = None }
 
@@ -52,6 +56,45 @@ let unsafe_create ?followers ~event_rates ~interests () =
   let w = build ~event_rates ~interests in
   w.followers <- followers;
   w
+
+let unsafe_evolve base ?followers ~event_rates ~interests ~touched () =
+  let n = Array.length interests and base_n = Array.length base.interests in
+  let interest_rate = Array.make n 0. in
+  Array.blit base.interest_rate 0 interest_rate 0 base_n;
+  let refresh v = interest_rate.(v) <- rate_of_interests event_rates interests.(v) in
+  let num_pairs = ref base.num_pairs in
+  List.iter
+    (fun v ->
+      num_pairs := !num_pairs + Array.length interests.(v) - Array.length base.interests.(v);
+      refresh v)
+    touched;
+  for v = base_n to n - 1 do
+    num_pairs := !num_pairs + Array.length interests.(v);
+    refresh v
+  done;
+  (* A rate change moves the interest rate of the topic's followers. A
+     follower that (un)subscribed in the same change is touched anyway,
+     so the base's followers cover everyone else. *)
+  let base_rates = base.event_rates in
+  let rate_changed t = event_rates.(t) <> base_rates.(t) in
+  (match base.followers with
+  | Some fol ->
+      Array.iteri (fun t vs -> if rate_changed t then Array.iter refresh vs) fol
+  | None ->
+      let moved = ref false in
+      Array.iteri (fun t _ -> if rate_changed t then moved := true) base_rates;
+      if !moved then
+        for v = 0 to base_n - 1 do
+          refresh v
+        done);
+  {
+    event_rates;
+    interests;
+    num_pairs = !num_pairs;
+    interest_rate;
+    total_event_rate = Array.fold_left ( +. ) 0. event_rates;
+    followers;
+  }
 
 (* Incremental construction for streaming trace generation: subscribers
    arrive one at a time and the builder takes ownership of each interest

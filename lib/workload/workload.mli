@@ -42,6 +42,28 @@ val unsafe_create :
     the incremental engine's delta application, where re-deriving the
     whole workload per small batch would dominate the apply cost. *)
 
+val unsafe_evolve :
+  t ->
+  ?followers:subscriber array array ->
+  event_rates:float array ->
+  interests:topic array array ->
+  touched:subscriber list ->
+  unit ->
+  t
+(** [unsafe_evolve base ~event_rates ~interests ~touched ()] is
+    [unsafe_create ?followers ~event_rates ~interests ()] for a
+    workload grown from [base] in the append-only id space: at least
+    [base]'s topics and subscribers, every base subscriber not in
+    [touched] (a list without repeats) keeping its interest row, and new
+    subscribers appended. [base] is not modified. It re-derives
+    {!interest_rate} and {!num_pairs} only for [touched] subscribers, new
+    subscribers and the base followers of topics whose rate differs from
+    [base]'s — by the same left fold, so every value is bit-identical to
+    a from-scratch build. Without cached base followers, a rate change
+    re-derives every interest rate. The same unchecked contract as
+    {!unsafe_create}. The incremental engine's [Delta.apply] builds
+    every evolved workload with it. *)
+
 (** Incremental construction for streaming trace generation: add one
     subscriber at a time, then {!Builder.finish}. Equivalent to
     accumulating all interest arrays and calling {!create}, minus the

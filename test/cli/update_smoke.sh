@@ -3,12 +3,15 @@
 #
 #   1. Boot `mcss serve --journal`, load a workload, solve once.
 #   2. Send a delta batch with `mcss query update` and assert the reply
-#      names a new workload digest and a changed plan digest.
-#   3. kill -9 the server; `mcss journal --verify` must count three WAL
-#      records (load, plan, update). Restart it over the same journal,
-#      and assert the replayed update reproduces the post-update plan
-#      bit-for-bit: solving at the evolved digest is a cache hit with the
-#      same plan_digest the live update reported.
+#      names a new workload digest and a changed plan digest. Chain two
+#      more batches onto it (the server applies those to the engine it
+#      kept from the previous update) and branch once from the base
+#      digest (which re-adopts the base plan).
+#   3. kill -9 the server; `mcss journal --verify` must count six WAL
+#      records (load, plan, four updates). Restart it over the same
+#      journal, and assert the replayed updates reproduce every
+#      post-update plan bit-for-bit: solving at each evolved digest is a
+#      cache hit with the same plan_digest the live update reported.
 #
 # Usage: update_smoke.sh /path/to/mcss
 # Exits non-zero (with a one-line reason on stderr) on the first failure.
@@ -71,6 +74,42 @@ new-subscriber 3 5 120 550
 subscribe 1 550
 EOF
 
+# Two more batches for the chain (valid after the first), and a branch
+# valid against the base trace.
+cat > "$TMP/chain2.deltas" <<'EOF'
+mcss-deltas 1
+rate 308 400
+subscribe 2 550
+new-subscriber 1 550
+EOF
+cat > "$TMP/chain3.deltas" <<'EOF'
+mcss-deltas 1
+unsubscribe 1 550
+rate 550 60
+new-topic 7
+EOF
+cat > "$TMP/branch.deltas" <<'EOF'
+mcss-deltas 1
+rate 120 90
+new-topic 11
+new-subscriber 2 5 120
+EOF
+
+# update_from DIGEST DELTAS_FILE NAME: apply the batch, check that the
+# reply evolved the digest with the right lineage, and print
+# "<new digest> <plan_digest>".
+update_from() {
+  R=$("$MCSS" query -c "unix:$SOCK" update --digest "$1" --tau 50 \
+    --deltas "$2") || fail "$3 update failed"
+  D=$(echo "$R" | json_field digest)
+  P=$(echo "$R" | json_field plan_digest)
+  [ -n "$D" ] && [ -n "$P" ] || fail "$3 update reply lacks digests: $R"
+  [ "$D" != "$1" ] || fail "$3 update did not evolve the workload digest"
+  echo "$R" | grep -q "\"previous_digest\":\"$1\"" \
+    || fail "$3 update lost its lineage: $R"
+  echo "$D $P"
+}
+
 # ----- phase 1: load and solve the base plan, durably -----
 start_server
 LOAD=$("$MCSS" query -c "unix:$SOCK" load -w "$WL")
@@ -95,22 +134,31 @@ PLAN2=$(echo "$UPDATE" | json_field plan_digest)
 echo "$UPDATE" | grep -q "\"previous_digest\":\"$DIGEST\"" \
   || fail "update lost its lineage: $UPDATE"
 
+# The chain continues from each update's own digest; the branch starts
+# over from the base digest.
+CHAIN2=$(update_from "$DIGEST2" "$TMP/chain2.deltas" "second chained")
+CHAIN3=$(update_from "${CHAIN2%% *}" "$TMP/chain3.deltas" "third chained")
+BRANCH=$(update_from "$DIGEST" "$TMP/branch.deltas" "branch")
+
 # ----- phase 3: kill -9; the replayed journal reproduces the update -----
 stop_server_hard
-# The update is one WAL record of its own: load, plan, update — no load
-# record of the evolved workload.
+# Each update is one WAL record of its own: load, plan, four updates —
+# no load record of an evolved workload.
 VERIFY=$("$MCSS" journal --dir "$JOURNAL" --verify) \
   || fail "journal verify after the crash failed: $VERIFY"
-echo "$VERIFY" | grep -q 'wal records: 3 ' \
-  || fail "wanted 3 WAL records (load, plan, update): $VERIFY"
+echo "$VERIFY" | grep -q 'wal records: 6 ' \
+  || fail "wanted 6 WAL records (load, plan, 4 updates): $VERIFY"
 start_server
-SOLVE2=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST2" --tau 50) \
-  || fail "post-crash solve at the evolved digest failed"
-echo "$SOLVE2" | grep -q '"cached":true' \
-  || fail "replayed update was not served from cache: $SOLVE2"
-PLAN3=$(echo "$SOLVE2" | json_field plan_digest)
-[ "$PLAN2" = "$PLAN3" ] \
-  || fail "replay diverged from the live update: $PLAN2 vs $PLAN3"
+for SERVED in "$DIGEST2 $PLAN2" "$CHAIN2" "$CHAIN3" "$BRANCH"; do
+  D=${SERVED%% *} P=${SERVED#* }
+  SOLVE2=$("$MCSS" query -c "unix:$SOCK" solve --digest "$D" --tau 50) \
+    || fail "post-crash solve at evolved digest $D failed"
+  echo "$SOLVE2" | grep -q '"cached":true' \
+    || fail "replayed update was not served from cache: $SOLVE2"
+  REPLAYED=$(echo "$SOLVE2" | json_field plan_digest)
+  [ "$P" = "$REPLAYED" ] \
+    || fail "replay diverged from the live update at $D: $P vs $REPLAYED"
+done
 
 # The base plan survived too: same digest, same answer.
 SOLVE3=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST" --tau 50) \

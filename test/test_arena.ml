@@ -68,6 +68,29 @@ let test_int_table () =
   Arena.Int_table.reset t;
   Helpers.check_int "reset" 0 (Arena.Int_table.length t)
 
+(* Keys that differ only above bit 31 — every home of one subscriber
+   under [encode_pair] — must spread over the table: were the slot taken
+   from the hash's low bits they would all share one probe run, and
+   these 100k operations would take quadratic time (minutes). *)
+let test_int_table_high_bit_keys () =
+  let n = 100_000 in
+  let key i = Arena.encode_pair ~topic:(i + 1) ~subscriber:0 in
+  let t0 = Sys.time () in
+  let t = Arena.Int_table.create () in
+  for i = 0 to n - 1 do
+    Arena.Int_table.set t (key i) i
+  done;
+  Helpers.check_int "all inserted" n (Arena.Int_table.length t);
+  for i = 0 to n - 1 do
+    if Arena.Int_table.find t (key i) <> i then Alcotest.failf "key %d lost" i
+  done;
+  for i = 0 to n - 1 do
+    Arena.Int_table.remove t (key i)
+  done;
+  Helpers.check_int "all removed" 0 (Arena.Int_table.length t);
+  let s = Sys.time () -. t0 in
+  if s > 5. then Alcotest.failf "100k high-bit keys took %.1f s of CPU" s
+
 let test_encode_pair () =
   List.iter
     (fun (t, v) ->
@@ -107,6 +130,7 @@ let suite =
     Alcotest.test_case "fbuf" `Quick test_fbuf;
     Alcotest.test_case "stamp set" `Quick test_stamp_set;
     Alcotest.test_case "int table" `Quick test_int_table;
+    Alcotest.test_case "int table: high-bit keys spread" `Quick test_int_table_high_bit_keys;
     Alcotest.test_case "encode/decode pair" `Quick test_encode_pair;
     Alcotest.test_case "csr" `Quick test_csr;
   ]

@@ -104,6 +104,161 @@ let test_followers_cache_evolves_exactly () =
       Alcotest.failf "followers of topic %d diverged" t
   done
 
+(* A random valid batch against [w], with fractional rates so float
+   sums depend on their order: re-rates of followed topics (also of
+   topics born in the batch), new topics, new subscribers (also
+   following new topics), single (un)subscribes and a subscriber
+   unsubscribed down to no topics at all. Returns the batch with the
+   rates and rows it must lead to. *)
+let random_batch rng w =
+  let module Rng = Mcss_prng.Rng in
+  let rates = ref (Array.to_list (Array.copy (Workload.event_rates w))) in
+  let rows =
+    ref (List.init (Workload.num_subscribers w) (fun v -> Array.to_list (Workload.interests w v)))
+  in
+  let nt () = List.length !rates and ns () = List.length !rows in
+  let rate () = 0.1 +. Rng.float rng 20. in
+  let set_rate t r = rates := List.mapi (fun i x -> if i = t then r else x) !rates in
+  let set_row v row = rows := List.mapi (fun i x -> if i = v then row else x) !rows in
+  let out = ref [] in
+  let emit d = out := d :: !out in
+  for _ = 0 to Rng.int rng 12 do
+    match Rng.int rng 6 with
+    | 0 ->
+        (* Re-rate a topic somebody follows, when there is one. *)
+        let v = Rng.int rng (ns ()) in
+        let t =
+          match List.nth !rows v with
+          | [] -> Rng.int rng (nt ())
+          | row -> List.nth row (Rng.int rng (List.length row))
+        in
+        let r = rate () in
+        set_rate t r;
+        emit (Delta.Rate_change { topic = t; rate = r })
+    | 1 ->
+        let r = rate () in
+        rates := !rates @ [ r ];
+        emit (Delta.New_topic { rate = r })
+    | 2 ->
+        let k = Rng.int rng (min 4 (nt ()) + 1) in
+        let interests = Rng.sample_without_replacement rng k (nt ()) in
+        rows := !rows @ [ List.sort compare (Array.to_list interests) ];
+        emit (Delta.New_subscriber { interests })
+    | 3 -> (
+        let v = Rng.int rng (ns ()) and t = Rng.int rng (nt ()) in
+        let row = List.nth !rows v in
+        if List.mem t row then begin
+          set_row v (List.filter (( <> ) t) row);
+          emit (Delta.Unsubscribe { subscriber = v; topic = t })
+        end
+        else begin
+          set_row v (List.sort compare (t :: row));
+          emit (Delta.Subscribe { subscriber = v; topic = t })
+        end)
+    | 4 ->
+        let v = Rng.int rng (ns ()) in
+        List.iter
+          (fun t -> emit (Delta.Unsubscribe { subscriber = v; topic = t }))
+          (List.nth !rows v);
+        set_row v []
+    | _ ->
+        let t = Rng.int rng (nt ()) and r = rate () in
+        set_rate t r;
+        emit (Delta.Rate_change { topic = t; rate = r })
+  done;
+  (List.rev !out, Array.of_list !rates, Array.of_list (List.map Array.of_list !rows))
+
+let bits = Int64.bits_of_float
+
+(* A random workload whose rates have fractional parts, so that float
+   sums over them depend on the order they are taken in. *)
+let fractional_workload rng ~num_topics ~num_subscribers =
+  let w0 =
+    Helpers.random_workload rng ~num_topics ~num_subscribers ~max_rate:9 ~max_interests:4
+  in
+  Workload.create
+    ~event_rates:
+      (Array.map (fun r -> r +. Mcss_prng.Rng.float rng 1.) (Workload.event_rates w0))
+    ~interests:(Array.init (Workload.num_subscribers w0) (Workload.interests w0))
+
+let prop_delta_apply_matches_create =
+  Helpers.qtest ~count:300
+    "delta.apply = Workload.create over the same rows, bit for bit"
+    QCheck.(pair small_int bool)
+    (fun (seed, cached) ->
+      let rng = Mcss_prng.Rng.create seed in
+      let w = fractional_workload rng ~num_topics:10 ~num_subscribers:12 in
+      if cached then ignore (Workload.followers w 0);
+      (* Two batches in a row: the second evolves an evolved workload. *)
+      let w1 =
+        let ds, _, _ = random_batch rng w in
+        Delta.apply w ds
+      in
+      let ds, rates, rows = random_batch rng w1 in
+      let w' = Delta.apply w1 ds in
+      let fresh = Workload.create ~event_rates:rates ~interests:rows in
+      let n = Workload.num_subscribers fresh and m = Workload.num_topics fresh in
+      Workload.num_subscribers w' = n
+      && Workload.num_topics w' = m
+      && Array.for_all2 (fun a b -> bits a = bits b) (Workload.event_rates w') rates
+      && List.for_all
+           (fun v ->
+             Workload.interests w' v = rows.(v)
+             && bits (Workload.interest_rate w' v) = bits (Workload.interest_rate fresh v))
+           (List.init n Fun.id)
+      && Workload.num_pairs w' = Workload.num_pairs fresh
+      && bits (Workload.total_event_rate w') = bits (Workload.total_event_rate fresh)
+      && (Workload.cached_followers w' <> None) = cached
+      && List.for_all
+           (fun t -> Workload.followers w' t = Workload.followers fresh t)
+           (List.init m Fun.id))
+
+(* Per VM: its load's bits, its pair count and its pairs in
+   [iter_vm_pairs] (hash table) order — the fleet as everything
+   downstream of it sees it. *)
+let fleet_fingerprint eng =
+  let a = (Engine.plan eng).Engine.allocation in
+  List.init (Allocation.num_vms a) (fun id ->
+      let vm = Allocation.vm_at a id in
+      let pairs = ref [] in
+      Allocation.iter_vm_pairs vm (fun t v -> pairs := (t, v) :: !pairs);
+      (bits (Allocation.load vm), Allocation.num_pairs_on vm, List.rev !pairs))
+
+(* An engine evolved in place and then canonicalised is the engine
+   [of_plan] adopts from its plan: the same fleet down to hash order and
+   load bits, the same drift counter, and so the same answer to every
+   later batch (checked before each re-adoption, by applying the batch
+   to both). Fractional rates, VMs hosting many topics each and a drift
+   threshold low enough to trip over a few batches make any left-over
+   state show. *)
+let prop_canonicalize_is_of_plan =
+  Helpers.qtest ~count:60 "canonicalize = of_plan of the engine's own plan"
+    QCheck.small_int
+    (fun seed ->
+      let rng = Mcss_prng.Rng.create seed in
+      let w = fractional_workload rng ~num_topics:40 ~num_subscribers:60 in
+      let p = Problem.create ~workload:w ~tau:20. ~capacity:150. costs in
+      let drift_threshold = 0.6 in
+      try
+        let eng = Engine.create ~drift_threshold p in
+        Engine.canonicalize eng;
+        let same = ref true in
+        for _ = 1 to 6 do
+          let adopted = Engine.of_plan ~drift_threshold (Engine.plan eng) in
+          same :=
+            !same
+            && fleet_fingerprint eng = fleet_fingerprint adopted
+            && Engine.churned_pairs eng = Engine.churned_pairs adopted;
+          let deltas =
+            Churn.tick rng (Churn.scaled 0.15) (Engine.problem eng).Problem.workload
+          in
+          let s1 = Engine.apply eng deltas and s2 = Engine.apply adopted deltas in
+          same := !same && s1 = s2 && fleet_fingerprint eng = fleet_fingerprint adopted;
+          Engine.canonicalize eng
+        done;
+        !same
+      with Problem.Infeasible _ -> QCheck.assume_fail ())
+
 let test_delta_apply_rejects_inconsistency () =
   let w = Helpers.workload ~rates:[ 5.; 3. ] ~interests:[ [ 0 ]; [ 0; 1 ] ] in
   let rejects what deltas =
@@ -232,6 +387,8 @@ let suite =
       test_drift_resolve_is_cold_solve;
     Alcotest.test_case "followers cache evolves exactly" `Quick
       test_followers_cache_evolves_exactly;
+    prop_delta_apply_matches_create;
+    prop_canonicalize_is_of_plan;
     Alcotest.test_case "delta.apply rejects inconsistency" `Quick
       test_delta_apply_rejects_inconsistency;
     Alcotest.test_case "fail rehomes orphans" `Quick test_fail_rehomes_orphans;

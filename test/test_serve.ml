@@ -708,59 +708,124 @@ let cached_text svc digest =
   | Some r -> Plan_io.to_string r.Solver.allocation
   | None -> Alcotest.failf "no cached plan for %s" digest
 
-(* Load and solve a trace, then serve [ticks] churn batches, checking
-   each reply against the decode path. Returns the service and, per
-   update, the evolved workload, its digest and its plan digest. *)
-let churned_service ~dir ~seed ~ticks =
+(* A served plan: its workload, that workload's digest and the plan's
+   canonical text (whose MD5 is the plan_digest). *)
+type served = { w : Workload.t; digest : string; text : string }
+
+let plan_digest_of u = Digest.to_hex (Digest.string u.text)
+
+(* Serve one update from [base] and check the reply and the cached plan
+   against the decode path. *)
+let checked_update svc name base deltas =
+  let reply = ok_reply name (Service.handle_line svc (update_req base.digest deltas)) in
+  let w', digest', text', vms, cost =
+    decode_path_update ~w:base.w ~text:base.text update_params deltas
+  in
+  check_string (name ^ ": digest") digest' (str_field reply "digest");
+  check_string (name ^ ": plan_digest")
+    (Digest.to_hex (Digest.string text')) (str_field reply "plan_digest");
+  check_int (name ^ ": vms") vms (int_field reply "vms");
+  check_bool (name ^ ": cost_usd") true (cost = float_field reply "cost_usd");
+  check_string (name ^ ": cached allocation") text' (cached_text svc digest');
+  { w = w'; digest = digest'; text = text' }
+
+let churn_tick ~churn rng name svc base =
+  checked_update svc name base
+    (Delta_io.to_string (Churn.tick rng (Churn.scaled churn) base.w))
+
+(* Load and solve a trace, then serve [ticks] churn batches as a chain,
+   each from the previous update's digest, checking each reply against
+   the decode path. Returns the service, the churn stream and, per
+   update, what it served. *)
+let churned_service ?(churn = 0.05) ~dir ~seed ~ticks () =
   let w0 = Front.generate ~seed `Spotify ~scale:update_scale in
   let svc = Service.create ~config:(journaled dir) () in
   let digest0 = Service.load_workload svc w0 in
   let r0 = ok_reply "base solve" (Service.handle_line svc (solve_req digest0)) in
-  let text0 = cached_text svc digest0 in
-  check_string "base plan_digest hashes the cached plan"
-    (Digest.to_hex (Digest.string text0)) (str_field r0 "plan_digest");
+  let base = { w = w0; digest = digest0; text = cached_text svc digest0 } in
+  check_string "base plan_digest hashes the cached plan" (plan_digest_of base)
+    (str_field r0 "plan_digest");
   let rng = Rng.create seed in
-  let rec go i w digest text acc =
+  let rec go i u acc =
     if i = ticks then List.rev acc
-    else begin
-      let deltas = Delta_io.to_string (Churn.tick rng (Churn.scaled 0.05) w) in
-      let name = Printf.sprintf "seed %d tick %d" seed i in
-      let reply = ok_reply name (Service.handle_line svc (update_req digest deltas)) in
-      let w', digest', text', vms, cost = decode_path_update ~w ~text update_params deltas in
-      check_string (name ^ ": digest") digest' (str_field reply "digest");
-      check_string (name ^ ": plan_digest")
-        (Digest.to_hex (Digest.string text')) (str_field reply "plan_digest");
-      check_int (name ^ ": vms") vms (int_field reply "vms");
-      check_bool (name ^ ": cost_usd") true (cost = float_field reply "cost_usd");
-      check_string (name ^ ": cached allocation") text' (cached_text svc digest');
-      go (i + 1) w' digest' text' ((w', digest', str_field reply "plan_digest") :: acc)
-    end
+    else
+      let u' = churn_tick ~churn rng (Printf.sprintf "seed %d tick %d" seed i) svc u in
+      go (i + 1) u' (u' :: acc)
   in
-  (svc, go 0 w0 digest0 text0 [])
+  (svc, rng, go 0 base [])
+
+(* Restart over [dir]'s journal: every update replays, nothing is
+   skipped, and every served plan is back as a cache hit with the same
+   plan_digest and cached text, without a solver run. *)
+let check_restart dir ~updates served =
+  let svc = Service.create ~config:(journaled dir) () in
+  (match Service.replay_stats svc with
+  | Some r ->
+      check_int "every update replayed" updates r.Service.updates_replayed;
+      check_int "nothing skipped" 0 r.Service.records_skipped
+  | None -> Alcotest.fail "no replay stats");
+  List.iter
+    (fun u ->
+      let r = ok_reply "post-restart solve" (Service.handle_line svc (solve_req u.digest)) in
+      check_bool "restart: cache hit" true (bool_field r "cached");
+      check_string "restart: same plan_digest" (plan_digest_of u) (str_field r "plan_digest");
+      check_string "restart: same cached plan" u.text (cached_text svc u.digest))
+    served;
+  check_int "restart: no solver run" 0 (Service.solver_runs svc);
+  Service.close svc
 
 let test_update_matches_decode_path () =
   List.iter
     (fun seed ->
       Helpers.with_dir (fun dir ->
-          let svc, updates = churned_service ~dir ~seed ~ticks:30 in
+          let svc, _, updates = churned_service ~dir ~seed ~ticks:30 () in
           Service.close svc;
-          (* Restart over the journal: every evolved plan is back as a
-             cache hit with the plan_digest the live update served. *)
-          let svc = Service.create ~config:(journaled dir) () in
-          (match Service.replay_stats svc with
-          | Some r ->
-              check_int "every update replayed" 30 r.Service.updates_replayed;
-              check_int "nothing skipped" 0 r.Service.records_skipped
-          | None -> Alcotest.fail "no replay stats");
-          List.iter
-            (fun (_, digest, plan_digest) ->
-              let r = ok_reply "post-restart solve" (Service.handle_line svc (solve_req digest)) in
-              check_bool "restart: cache hit" true (bool_field r "cached");
-              check_string "restart: same plan_digest" plan_digest (str_field r "plan_digest"))
-            updates;
-          check_int "restart: no solver run" 0 (Service.solver_runs svc);
-          Service.close svc))
+          check_restart dir ~updates:30 updates))
     [ 1; 2; 3 ]
+
+let counter svc name =
+  List.fold_left
+    (fun acc s ->
+      match s.Registry.metric with
+      | Registry.Counter c when s.Registry.name = name -> Counter.value c
+      | _ -> acc)
+    0 (Registry.samples (Service.obs svc))
+
+(* The resident engine (kept behind the last update) against the
+   re-adopting decode path, where the two can part: a long chain, where
+   every update but the first reuses the engine; branches from an older
+   digest, which re-adopt their base plan and make the branch resident;
+   a return to the chain's tip; and a rejected batch, which drops the
+   resident engine so the next update re-adopts. A restart then replays
+   every update through the re-adopting path alone. The churn is heavy
+   enough that the pairs churned along the chain would trip the drift
+   re-solve, were the resident engine's drift counter not reset per
+   update as [of_plan]'s is. *)
+let test_update_resident_engine () =
+  Helpers.with_dir (fun dir ->
+      let churn = 0.3 in
+      let svc, rng, chain = churned_service ~churn ~dir ~seed:5 ~ticks:32 () in
+      let tick name u = churn_tick ~churn rng name svc u in
+      let old = List.nth chain 9 and tip = List.nth chain 31 in
+      let b1 = tick "branch from tick 9" old in
+      let b2 = tick "branch, chained" b1 in
+      let b3 = tick "second branch from tick 9" old in
+      let t1 = tick "back to the chain tip" tip in
+      let bad =
+        Delta_io.to_string
+          [ Mcss_engine.Delta.Rate_change { topic = Workload.num_topics t1.w; rate = 1. } ]
+      in
+      let r = Service.handle_line svc (update_req t1.digest bad) in
+      check_bool "bad batch rejected" false (Protocol.response_ok r);
+      check_string "bad batch: bad_request" "bad_request" (str_field r "error");
+      let t2 = tick "after the rejected batch" t1 in
+      let t3 = tick "after the rejected batch, chained" t2 in
+      (* Chain ticks 1..31, [b2] and [t3] ran on the resident engine. *)
+      check_int "updates served by the resident engine" 33
+        (counter svc "serve.updates.resident");
+      check_int "updates applied" 38 (counter svc "serve.updates.applied");
+      Service.close svc;
+      check_restart dir ~updates:38 (chain @ [ b1; b2; b3; t1; t2; t3 ]))
 
 (* The op a [load] of [w] was journaled as, verbatim — what journals
    written before updates stopped journaling the evolved workload hold
@@ -778,7 +843,7 @@ let old_load_op ~origin digest w =
 let test_old_journal_replays () =
   Helpers.with_dir (fun dir ->
       Helpers.with_dir (fun old_dir ->
-          let svc, updates = churned_service ~dir ~seed:4 ~ticks:6 in
+          let svc, _, updates = churned_service ~dir ~seed:4 ~ticks:6 () in
           Service.close svc;
           let records =
             let j, replay = Journal.open_ (Journal.default_config ~dir) in
@@ -796,7 +861,7 @@ let test_old_journal_replays () =
                  let digest =
                    Option.get (Option.bind (Json.member "new_digest" j') Json.to_string_opt)
                  in
-                 let w, _, _ = List.find (fun (_, d, _) -> d = digest) updates in
+                 let { w; _ } = List.find (fun u -> u.digest = digest) updates in
                  incr loads;
                  Journal.append ~epoch j (old_load_op ~origin:"node" digest w));
               Journal.append ~epoch j payload)
@@ -821,24 +886,17 @@ let test_old_journal_replays () =
           in
           check_bool "same full state" true (state fresh = state old);
           List.iter
-            (fun (_, digest, plan_digest) ->
+            (fun u ->
               List.iter
                 (fun svc ->
-                  let r = ok_reply "replayed solve" (Service.handle_line svc (solve_req digest)) in
+                  let r = ok_reply "replayed solve" (Service.handle_line svc (solve_req u.digest)) in
                   check_bool "replayed: cache hit" true (bool_field r "cached");
-                  check_string "replayed: plan_digest" plan_digest (str_field r "plan_digest"))
+                  check_string "replayed: plan_digest" (plan_digest_of u)
+                    (str_field r "plan_digest"))
                 [ fresh; old ])
             updates;
           Service.close fresh;
           Service.close old))
-
-let counter svc name =
-  List.fold_left
-    (fun acc s ->
-      match s.Registry.metric with
-      | Registry.Counter c when s.Registry.name = name -> Counter.value c
-      | _ -> acc)
-    0 (Registry.samples (Service.obs svc))
 
 (* WAL cost of one 10-delta update at a trace scale: (records, bytes). *)
 let update_wal_cost scale =
@@ -912,6 +970,8 @@ let suite =
     prop_digest_matches_printf;
     Alcotest.test_case "update: decode-path differential + restart" `Quick
       test_update_matches_decode_path;
+    Alcotest.test_case "update: resident engine = of_plan path, branches, rejects"
+      `Quick test_update_resident_engine;
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
   ]
