@@ -123,8 +123,7 @@ type run = {
 type tau_results = {
   tau : float;
   runs : run list;  (* ladder order *)
-  lb_cost : float;
-  lb_vms : int;
+  lb : Lower_bound.t;
   lb_bw_gb : float;
 }
 
@@ -157,8 +156,7 @@ let solve_matrix ~w ~scale ~instance =
       {
         tau;
         runs;
-        lb_cost = lb.Lower_bound.cost;
-        lb_vms = lb.Lower_bound.vms;
+        lb;
         lb_bw_gb = Cost_model.gb_of_events model lb.Lower_bound.bandwidth;
       })
     taus
@@ -202,23 +200,23 @@ let print_cost_figure ~fig ~title results =
   Table.add_row table
     ("lower bound"
     :: List.concat_map
-         (fun { lb_cost; lb_vms; lb_bw_gb; _ } ->
+         (fun { lb; lb_bw_gb; _ } ->
            [
-             Table.cell_usd lb_cost;
-             string_of_int lb_vms;
+             Table.cell_usd lb.Lower_bound.cost;
+             string_of_int lb.Lower_bound.vms;
              Table.cell_float ~decimals:1 lb_bw_gb;
            ])
          results);
   Table.print table;
   (* The headline comparisons, as the paper reports them. *)
   List.iter
-    (fun { tau; runs; lb_cost; _ } ->
+    (fun { tau; runs; lb; _ } ->
       let naive = (List.hd runs).cost in
       let best = (List.nth runs (List.length runs - 1)).cost in
       Printf.printf
         "tau=%-6g saving vs naive: %5.1f%%   gap over lower bound: %+.1f%%\n" tau
         (Table.pct_change ~baseline:naive best)
-        (if lb_cost > 0. then (best -. lb_cost) /. lb_cost *. 100. else 0.))
+        (Lower_bound.gap_pct ~cost:best lb))
     results
 
 (* Stage-1 runtime figure (Figs. 4/5): GSP vs RSP seconds per tau. *)
@@ -442,9 +440,7 @@ let summary ~spotify ~twitter ~spotify_scale ~twitter_scale =
         let best = Solver.solve ~config:Solver.default p in
         let lb = Lower_bound.compute p in
         let saving = Table.pct_change ~baseline:naive.Solver.cost best.Solver.cost in
-        let gap =
-          (best.Solver.cost -. lb.Lower_bound.cost) /. lb.Lower_bound.cost *. 100.
-        in
+        let gap = Lower_bound.gap_pct ~cost:best.Solver.cost lb in
         if saving > !best_saving then best_saving := saving;
         if gap < !best_gap then best_gap := gap;
         if tau = 100. then begin
@@ -2089,11 +2085,7 @@ let engine_bench ~seeds ~spotify ~spotify_scale ~out_dir =
     (Engine.cost eng -. cold_final.Solver.cost) /. cold_final.Solver.cost *. 100.
   in
   let gap_max = List.fold_left Float.max gap_final !gaps in
-  let gap_lb =
-    if lb.Lower_bound.cost > 0. then
-      (Engine.cost eng -. lb.Lower_bound.cost) /. lb.Lower_bound.cost *. 100.
-    else 0.
-  in
+  let gap_lb = Lower_bound.gap_pct ~cost:(Engine.cost eng) lb in
   let table =
     Table.create
       [

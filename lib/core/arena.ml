@@ -99,6 +99,7 @@ module Int_table = struct
   let empty_slot = min_int
   let tombstone = min_int + 1
   let absent = -1
+  let reserved_keys = (empty_slot, tombstone)
 
   type t = {
     mutable keys : int array;
@@ -140,8 +141,11 @@ module Int_table = struct
     else if k = empty_slot then -1
     else probe_find t key ((i + 1) land (Array.length t.keys - 1))
 
+  (* The two sentinels are the two smallest ints. *)
+  let is_sentinel key = key <= tombstone
+
   let find t key =
-    if key < 0 then absent
+    if is_sentinel key then absent
     else
       let i = probe_find t key (slot_of t key) in
       if i < 0 then absent else t.vals.(i)
@@ -179,7 +183,7 @@ module Int_table = struct
       rehash t (if 2 * t.live >= t.used then 2 * cap else cap)
 
   let set t key v =
-    if key < 0 then invalid_arg "Arena.Int_table.set: negative key";
+    if is_sentinel key then invalid_arg "Arena.Int_table.set: reserved key";
     if v = absent then invalid_arg "Arena.Int_table.set: reserved value";
     let i = probe_find t key (slot_of t key) in
     if i >= 0 then t.vals.(i) <- v
@@ -189,7 +193,7 @@ module Int_table = struct
     end
 
   let remove t key =
-    if key >= 0 then begin
+    if not (is_sentinel key) then begin
       let i = probe_find t key (slot_of t key) in
       if i >= 0 then begin
         t.keys.(i) <- tombstone;

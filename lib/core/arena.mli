@@ -78,9 +78,9 @@ end
 
 module Int_table : sig
   (** An open-addressing [int -> int] hash table on two flat arrays
-      (linear probing, power-of-two capacity). Keys must be
-      non-negative; [absent] is returned for missing keys so lookups
-      never allocate an option. A key's home slot is the top bits of a
+      (linear probing, power-of-two capacity). Any [int] is a key
+      except {!reserved_keys}, the two slot sentinels; [absent] is
+      returned for missing keys so lookups never allocate an option. A key's home slot is the top bits of a
       multiplicative (Fibonacci) hash, so keys that differ only in
       their high bits — such as {!encode_pair} keys of one subscriber —
       still spread over the table. Deletions use tombstones; the table
@@ -99,9 +99,14 @@ module Int_table : sig
 
   val mem : t -> int -> bool
 
+  val reserved_keys : int * int
+  (** [(min_int, min_int + 1)]: the two keys a table cannot hold. {!find}
+      and {!mem} report them absent and {!remove} ignores them. *)
+
   val set : t -> int -> int -> unit
   (** Bind (or rebind) the key. The value must not be {!absent} and the
-      key must be [>= 0]; raises [Invalid_argument] otherwise. *)
+      key must not be one of {!reserved_keys}; raises [Invalid_argument]
+      otherwise. *)
 
   val remove : t -> int -> unit
   val reset : t -> unit

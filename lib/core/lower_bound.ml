@@ -18,3 +18,5 @@ let compute (p : Problem.t) =
   done;
   let vms = int_of_float (ceil (!bandwidth /. p.Problem.capacity)) in
   { bandwidth = !bandwidth; vms; cost = Problem.cost p ~vms ~bandwidth:!bandwidth }
+
+let gap_pct ~cost lb = if lb.cost > 0. then (cost -. lb.cost) /. lb.cost *. 100. else 0.

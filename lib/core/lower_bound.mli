@@ -18,3 +18,9 @@ type t = {
 }
 
 val compute : Problem.t -> t
+
+val gap_pct : cost:float -> t -> float
+(** The optimality gap of a plan costing [cost] over the bound, in
+    percent: [(cost - lb.cost) / lb.cost · 100]. A zero bound (an
+    instance with nothing to deliver) gives [0.], not a division by
+    zero. *)

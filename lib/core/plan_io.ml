@@ -40,16 +40,16 @@ let emit_header buf a =
   Buffer.add_string buf (Printf.sprintf "vms %d\n" (Allocation.num_vms a))
 
 let emit_vm digits buf vm =
-  List.iter
-    (fun topic ->
-      let subs = Allocation.subscribers_of_topic_on vm topic in
+  let id = Allocation.vm_id vm in
+  Allocation.iter_groups vm (fun topic run n ->
       Buffer.add_string buf "place";
-      add_int digits buf (Allocation.vm_id vm);
+      add_int digits buf id;
       add_int digits buf topic;
-      add_int digits buf (List.length subs);
-      List.iter (add_int digits buf) subs;
+      add_int digits buf n;
+      for i = 0 to n - 1 do
+        add_int digits buf (Array.unsafe_get run i)
+      done;
       Buffer.add_char buf '\n')
-    (Allocation.topics_on vm)
 
 let output oc a =
   let buf = Buffer.create 65536 and digits = digit_scratch () in

@@ -7,6 +7,7 @@ type violation =
   | Pair_not_selected of { topic : int; subscriber : int }
   | Pair_duplicated of { topic : int; subscriber : int }
   | Pair_missing of { topic : int; subscriber : int }
+  | Pair_outside_workload of { topic : int; subscriber : int }
 
 type report = {
   violations : violation list;
@@ -30,6 +31,8 @@ let pp_violation ppf = function
       Format.fprintf ppf "pair (%d, %d) placed on more than one VM" topic subscriber
   | Pair_missing { topic; subscriber } ->
       Format.fprintf ppf "pair (%d, %d) selected but never placed" topic subscriber
+  | Pair_outside_workload { topic; subscriber } ->
+      Format.fprintf ppf "pair (%d, %d) placed but outside the workload" topic subscriber
 
 (* Rank of [t] in the id-sorted row [row], or [-1]. *)
 let rank row t =
@@ -56,39 +59,44 @@ let verify (p : Problem.t) (s : Selection.t) a =
   let offs = Arena.Csr.offsets_of_counts (Array.map Array.length chosen) in
   let placed = Array.make offs.(rows) 0 in
   let stray = Arena.Int_table.create () in
-  let delivered = Array.make (Workload.num_subscribers w) 0. in
-  let topics_seen = Arena.Stamp_set.create (Workload.num_topics w) in
+  let num_topics = Workload.num_topics w and num_subscribers = Workload.num_subscribers w in
+  let delivered = Array.make num_subscribers 0. in
+  let topics_seen = Arena.Stamp_set.create num_topics in
   let total_bandwidth = ref 0. in
   Allocation.iter_vms a (fun vm ->
       let outgoing = ref 0. in
       let incoming = ref 0. in
       Arena.Stamp_set.clear topics_seen;
       Allocation.iter_vm_pairs vm (fun t v ->
-          let ev = Workload.event_rate w t in
-          outgoing := !outgoing +. ev;
-          if not (Arena.Stamp_set.mem topics_seen t) then begin
-            Arena.Stamp_set.add topics_seen t;
-            incoming := !incoming +. ev
-          end;
-          let i = if v >= 0 && v < rows then rank chosen.(v) t else -1 in
-          let n =
-            if i >= 0 then begin
-              let slot = offs.(v) + i in
-              let n = placed.(slot) in
-              placed.(slot) <- n + 1;
-              n
-            end
-            else begin
-              let key = Arena.encode_pair ~topic:t ~subscriber:v in
-              let n = Arena.Int_table.find stray key in
-              let n = if n = Arena.Int_table.absent then 0 else n in
-              Arena.Int_table.set stray key (n + 1);
-              n
-            end
-          in
-          if n = 0 then delivered.(v) <- delivered.(v) +. ev
-          else if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
-          if i < 0 then add (Pair_not_selected { topic = t; subscriber = v }));
+          if t < 0 || t >= num_topics || v < 0 || v >= num_subscribers then
+            add (Pair_outside_workload { topic = t; subscriber = v })
+          else begin
+            let ev = Workload.event_rate w t in
+            outgoing := !outgoing +. ev;
+            if not (Arena.Stamp_set.mem topics_seen t) then begin
+              Arena.Stamp_set.add topics_seen t;
+              incoming := !incoming +. ev
+            end;
+            let i = if v < rows then rank chosen.(v) t else -1 in
+            let n =
+              if i >= 0 then begin
+                let slot = offs.(v) + i in
+                let n = placed.(slot) in
+                placed.(slot) <- n + 1;
+                n
+              end
+              else begin
+                let key = Arena.encode_pair ~topic:t ~subscriber:v in
+                let n = Arena.Int_table.find stray key in
+                let n = if n = Arena.Int_table.absent then 0 else n in
+                Arena.Int_table.set stray key (n + 1);
+                n
+              end
+            in
+            if n = 0 then delivered.(v) <- delivered.(v) +. ev
+            else if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
+            if i < 0 then add (Pair_not_selected { topic = t; subscriber = v })
+          end);
       let recomputed = !outgoing +. !incoming in
       total_bandwidth := !total_bandwidth +. recomputed;
       if recomputed > p.Problem.capacity +. eps then
@@ -108,7 +116,7 @@ let verify (p : Problem.t) (s : Selection.t) a =
           if placed.(offs.(v) + i) = 0 then add (Pair_missing { topic = t; subscriber = v }))
         row)
     chosen;
-  for v = 0 to Workload.num_subscribers w - 1 do
+  for v = 0 to num_subscribers - 1 do
     let required = Problem.tau_v p v in
     if delivered.(v) +. eps < required then
       add (Unsatisfied { subscriber = v; delivered = delivered.(v); required })

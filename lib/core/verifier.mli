@@ -9,7 +9,10 @@
     - satisfaction: for every subscriber, the distinct topics [t] with a
       placed pair [(t, v)] carry at least [τ_v] events;
     - consistency: placed pairs are exactly the selected pairs, each
-      placed exactly once (the algorithms never duplicate a pair). *)
+      placed exactly once (the algorithms never duplicate a pair), and
+      every placed pair names a topic and a subscriber of the workload
+      ({!Allocation.place} accepts any ids). A pair outside the workload
+      is reported and left out of the load and delivery sums. *)
 
 type violation =
   | Over_capacity of { vm : int; load : float }
@@ -18,6 +21,7 @@ type violation =
   | Pair_not_selected of { topic : int; subscriber : int }
   | Pair_duplicated of { topic : int; subscriber : int }
   | Pair_missing of { topic : int; subscriber : int }
+  | Pair_outside_workload of { topic : int; subscriber : int }
 
 type report = {
   violations : violation list;
@@ -32,7 +36,9 @@ val verify : Problem.t -> Selection.t -> Allocation.t -> report
     topic out of order in its row is treated as unselected.
 
     Violations are listed in discovery order: per VM (in deployment
-    order) its [Pair_duplicated] / [Pair_not_selected] entries, then its
+    order) its [Pair_outside_workload] / [Pair_duplicated] /
+    [Pair_not_selected] entries in {!Allocation.iter_vm_pairs} order
+    (topics ascending, each topic's subscribers in run order), then its
     [Over_capacity] and [Load_mismatch]; then every [Pair_missing] in
     (subscriber, topic) order; then every [Unsatisfied] by subscriber. *)
 

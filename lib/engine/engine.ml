@@ -270,24 +270,22 @@ let retarget_dirty t ~dirty (p' : Problem.t) =
     Array.iter
       (fun vm ->
         while Allocation.load vm > p'.Problem.capacity +. eps do
-          let worst = ref None in
-          List.iter
-            (fun topic ->
+          (* The first pair of the lowest-id topic among the highest-rate
+             ones. *)
+          let worst = ref (-1) and worst_ev = ref 0. and first = ref (-1) in
+          Allocation.iter_groups vm (fun topic run _ ->
               let ev = Workload.event_rate w' topic in
-              match !worst with
-              | Some (_, ev') when ev' >= ev -> ()
-              | _ -> worst := Some (topic, ev))
-            (Allocation.topics_on vm);
-          match !worst with
-          | None -> failwith "Engine: over-capacity VM with no topics"
-          | Some (topic, ev) -> (
-              match Allocation.subscribers_of_topic_on vm topic with
-              | [] -> failwith "Engine: topic listed but empty"
-              | v :: _ ->
-                  ignore (Allocation.remove a vm ~topic ~ev ~subscriber:v);
-                  Arena.Int_table.remove t.homes (home_key ~topic ~subscriber:v);
-                  pend topic v;
-                  incr pairs_evicted)
+              if !worst < 0 || ev > !worst_ev then begin
+                worst := topic;
+                worst_ev := ev;
+                first := run.(0)
+              end);
+          if !worst < 0 then failwith "Engine: over-capacity VM with no topics";
+          let topic = !worst and ev = !worst_ev and v = !first in
+          ignore (Allocation.remove a vm ~topic ~ev ~subscriber:v);
+          Arena.Int_table.remove t.homes (home_key ~topic ~subscriber:v);
+          pend topic v;
+          incr pairs_evicted
         done)
       (Allocation.vms a);
     List.iter (fun (topic, v) -> pend topic v) !additions;
@@ -383,12 +381,9 @@ let fail t ~failed =
       else begin
         incr survivors;
         let copy = Allocation.deploy a in
-        List.iter
-          (fun topic ->
-            let subs = Array.of_list (Allocation.subscribers_of_topic_on vm topic) in
+        Allocation.iter_groups vm (fun topic run n ->
             Allocation.place a copy ~topic ~ev:(Workload.event_rate w topic)
-              ~subscribers:subs ~from:0 ~count:(Array.length subs))
-          (Allocation.topics_on vm)
+              ~subscribers:run ~from:0 ~count:n)
       end)
     old_vms;
   let before_placement = Allocation.num_vms a in
@@ -419,12 +414,10 @@ let plan_drain (p : Problem.t) a src =
          (Array.to_list (Allocation.vms a)))
   in
   let free = Array.map (fun vm -> Allocation.free a vm) others in
-  let groups =
-    List.map
-      (fun topic ->
-        (topic, Array.of_list (Allocation.subscribers_of_topic_on src topic)))
-      (Allocation.topics_on src)
-  in
+  let groups = ref [] in
+  Allocation.iter_groups src (fun topic run n ->
+      groups := (topic, Array.sub run 0 n) :: !groups);
+  let groups = List.rev !groups in
   (* Largest groups first: they are the hardest to place. *)
   let groups =
     List.sort
@@ -435,8 +428,7 @@ let plan_drain (p : Problem.t) a src =
   in
   let hosts = Hashtbl.create 64 in
   Array.iteri
-    (fun i vm ->
-      List.iter (fun t -> Hashtbl.replace hosts (i, t) ()) (Allocation.topics_on vm))
+    (fun i vm -> Allocation.iter_groups vm (fun t _ _ -> Hashtbl.replace hosts (i, t) ()))
     others;
   let moves = ref [] in
   let ok = ref true in

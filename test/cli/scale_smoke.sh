@@ -2,8 +2,11 @@
 # Scale smoke: a Spotify cold solve at --domains 2 must produce a
 # byte-identical plan file to --domains 1 (the domain-parallel Stage-1
 # is deterministic), and the plan must pass the full verifier +
-# simulated-replay audit. CI runs this at --scale 0.1; the runtest
-# rule uses a smaller scale to stay inside the tier-1 budget.
+# simulated-replay audit. An empty delta batch applied to it through
+# `mcss update` (decode, the engine's adopting copy, the verifier,
+# encode) must give the plan back byte for byte. CI runs this at
+# --scale 0.1; the runtest rule uses a smaller scale to stay inside the
+# tier-1 budget.
 #
 # usage: scale_smoke.sh path/to/mcss [scale]
 set -eu
@@ -31,5 +34,17 @@ echo "verifier + replay audit of the parallel plan"
 "$MCSS" verify --trace spotify --scale "$SCALE" --seed 11 --tau 100 \
   --plan "$DIR/d2.plan" > "$DIR/verify.out"
 grep -q "verifier: CLEAN" "$DIR/verify.out"
+
+echo "empty update round trip of the parallel plan"
+echo "mcss-deltas 1" > "$DIR/empty.deltas"
+"$MCSS" update --trace spotify --scale "$SCALE" --seed 11 --tau 100 \
+  --plan "$DIR/d2.plan" --deltas "$DIR/empty.deltas" \
+  --save-plan "$DIR/round.plan" > "$DIR/update.out"
+grep -q "verifier: CLEAN" "$DIR/update.out"
+if ! cmp -s "$DIR/d2.plan" "$DIR/round.plan"; then
+  echo "FAIL: an empty update changed the plan" >&2
+  exit 1
+fi
+echo "empty update gives the plan back byte for byte"
 
 echo "scale smoke passed"

@@ -183,6 +183,271 @@ let prop_copy_is_a_decode =
            Plan_io.to_string a = text
          end)
 
+(* ----- differential properties against the pre-flat module ----- *)
+
+module Oracle = Allocation_oracle
+
+(* The oracle's fleet as [Plan_io.to_string] renders a fleet. *)
+let oracle_text o =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "mcss-plan 1\ncapacity %.17g\nvms %d\n" (Oracle.capacity o)
+    (Oracle.num_vms o);
+  Array.iter
+    (fun vm ->
+      List.iter
+        (fun t ->
+          let subs = Oracle.subscribers_of_topic_on vm t in
+          Printf.bprintf b "place %d %d %d" (Oracle.vm_id vm) t (List.length subs);
+          List.iter (Printf.bprintf b " %d") subs;
+          Buffer.add_char b '\n')
+        (Oracle.topics_on vm))
+    (Oracle.vms o);
+  Buffer.contents b
+
+let random_rates rng ~integral nt =
+  Array.init nt (fun _ ->
+      if integral then float_of_int (1 + Rng.int rng 30) else Rng.float rng 30. +. 0.1)
+
+let snapshot (a : Allocation.t) = Marshal.to_string a []
+
+(* One random place/remove/compact/rebuild_loads/copy/canonicalize
+   history, applied to both modules in lockstep and compared after every
+   step. Subscriber runs may repeat a pair (both modules allow it), and
+   topics arrive in random order, so VMs go out of topic order. *)
+let differential_history ~integral seed =
+  let rng = Rng.create seed in
+  let nt = 1 + Rng.int rng 40 and ns = 1 + Rng.int rng 30 in
+  let rates = ref (random_rates rng ~integral nt) in
+  let a = ref (Allocation.create ~capacity:1000.)
+  and o = ref (Oracle.create ~capacity:1000.) in
+  (* A fractional [rebuild_loads] sums each VM in ascending topic order,
+     where the oracle summed in bucket order: from then on only the
+     ascending sum is checked, until [copy] or [canonicalize] re-sums
+     both fleets the same way. *)
+  let loads_comparable = ref true in
+  let bits = Int64.bits_of_float in
+  let check step what ok =
+    if not ok then QCheck.Test.fail_reportf "seed %d, step %d: %s differs" seed step what
+  in
+  let pairs_of_new vm =
+    let acc = ref [] in
+    Allocation.iter_vm_pairs vm (fun t v -> acc := (t, v) :: !acc);
+    List.sort compare !acc
+  in
+  let pairs_of_oracle vm =
+    let acc = ref [] in
+    Oracle.iter_vm_pairs vm (fun t v -> acc := (t, v) :: !acc);
+    List.sort compare !acc
+  in
+  for step = 1 to 1 + Rng.int rng 150 do
+    let nv = Allocation.num_vms !a in
+    let op = Rng.int rng 20 in
+    (match op with
+    | 0 ->
+        let a', ma = Allocation.compact !a and o', mo = Oracle.compact !o in
+        a := a';
+        o := o';
+        check step "compact mapping" (ma = mo)
+    | 1 ->
+        rates := random_rates rng ~integral nt;
+        Allocation.rebuild_loads !a ~event_rates:!rates;
+        Oracle.rebuild_loads !o ~event_rates:!rates;
+        if not integral then begin
+          loads_comparable := false;
+          Array.iteri
+            (fun id vm ->
+              let ascending =
+                List.fold_left
+                  (fun acc t ->
+                    let n = List.length (Oracle.subscribers_of_topic_on vm t) in
+                    acc +. (float_of_int (n + 1) *. !rates.(t)))
+                  0. (Oracle.topics_on vm)
+              in
+              check step "ascending rebuilt load"
+                (bits ascending = bits (Allocation.load_of !a id)))
+            (Oracle.vms !o)
+        end
+    | 2 ->
+        let capacity = if Rng.bool rng then Some (500. +. Rng.float rng 1000.) else None in
+        if Rng.bool rng then rates := random_rates rng ~integral nt;
+        let before = snapshot !a in
+        let a' = Allocation.copy ?capacity ~event_rates:!rates !a in
+        check step "source after copy" (snapshot !a = before);
+        a := a';
+        o := Oracle.copy ?capacity ~event_rates:!rates !o;
+        loads_comparable := true
+    | 3 ->
+        Allocation.canonicalize !a ~event_rates:!rates;
+        Oracle.canonicalize !o ~event_rates:!rates;
+        loads_comparable := true
+    | 4 | 5 | 6 | 7 | 8 | 9 when nv > 0 ->
+        let id = Rng.int rng nv in
+        let topic, subscriber =
+          match pairs_of_new (Allocation.vm_at !a id) with
+          | pairs when pairs <> [] && Rng.int rng 5 > 0 ->
+              List.nth pairs (Rng.int rng (List.length pairs))
+          | _ -> (Rng.int rng nt, Rng.int rng ns)
+        in
+        let ev = !rates.(topic) in
+        let removed =
+          Allocation.remove !a (Allocation.vm_at !a id) ~topic ~ev ~subscriber
+        in
+        check step "remove result"
+          (removed = Oracle.remove !o (Oracle.vm_at !o id) ~topic ~ev ~subscriber)
+    | _ ->
+        let id =
+          if nv = 0 || Rng.int rng 4 = 0 then begin
+            ignore (Oracle.deploy !o);
+            Allocation.vm_id (Allocation.deploy !a)
+          end
+          else Rng.int rng nv
+        in
+        let topic = Rng.int rng nt in
+        let subscribers = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng ns) in
+        let from = Rng.int rng (Array.length subscribers) in
+        let count = Rng.int rng (Array.length subscribers - from + 1) in
+        let ev = !rates.(topic) in
+        Allocation.place !a (Allocation.vm_at !a id) ~topic ~ev ~subscribers ~from ~count;
+        Oracle.place !o (Oracle.vm_at !o id) ~topic ~ev ~subscribers ~from ~count);
+    let a = !a and o = !o in
+    check step "VM count" (Allocation.num_vms a = Oracle.num_vms o);
+    check step "capacity" (bits (Allocation.capacity a) = bits (Oracle.capacity o));
+    check step "plan text" (Plan_io.to_string a = oracle_text o);
+    if !loads_comparable then
+      check step "total load" (bits (Allocation.total_load a) = bits (Oracle.total_load o));
+    Array.iteri
+      (fun id vo ->
+        let va = Allocation.vm_at a id in
+        check step "pair multiset" (pairs_of_new va = pairs_of_oracle vo);
+        check step "pair count" (Allocation.num_pairs_on va = Oracle.num_pairs_on vo);
+        check step "topic count" (Allocation.num_topics_on va = Oracle.num_topics_on vo);
+        check step "topics" (Allocation.topics_on va = Oracle.topics_on vo);
+        if !loads_comparable then
+          check step "load" (bits (Allocation.load va) = bits (Oracle.load vo)))
+      (Oracle.vms o);
+    let topic = Rng.int rng nt and subscriber = Rng.int rng ns in
+    check step "find_pair_vm"
+      (Option.map Allocation.vm_id (Allocation.find_pair_vm a ~topic ~subscriber)
+      = Option.map Oracle.vm_id (Oracle.find_pair_vm o ~topic ~subscriber))
+  done;
+  true
+
+let prop_matches_oracle ~integral name =
+  Helpers.qtest ~count:300 name
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (differential_history ~integral)
+
+(* Whatever order topics were placed in, every walk sees them ascending,
+   and walking never touches the fleet (domains walk shared fleets). *)
+let prop_walks_ascending_and_pure =
+  Helpers.qtest ~count:300 "walks ascend by topic and never mutate"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let w, a = random_history seed in
+      let before = snapshot a in
+      let rec ascending = function
+        | x :: (y :: _ as rest) -> x < y && ascending rest
+        | _ -> true
+      in
+      let rec nondecreasing = function
+        | x :: (y :: _ as rest) -> x <= y && nondecreasing rest
+        | _ -> true
+      in
+      let ok = ref true in
+      Allocation.iter_vms a (fun vm ->
+          let walked = ref [] and grouped = ref [] in
+          Allocation.iter_vm_pairs vm (fun t _ -> walked := t :: !walked);
+          Allocation.iter_groups vm (fun t run n ->
+              grouped := t :: !grouped;
+              ok :=
+                !ok && n > 0
+                && Array.to_list (Array.sub run 0 n)
+                   = Allocation.subscribers_of_topic_on vm t);
+          let topics = Allocation.topics_on vm in
+          ok :=
+            !ok
+            && nondecreasing (List.rev !walked)
+            && ascending topics
+            && List.rev !grouped = topics
+            && List.length topics = Allocation.num_topics_on vm
+            && List.length !walked = Allocation.num_pairs_on vm);
+      ignore (Plan_io.to_string a);
+      ignore (Allocation.copy ~event_rates:(Workload.event_rates w) a);
+      !ok && snapshot a = before)
+
+(* Topic ids of every width, placed in random order on one VM: the walk
+   still ascends (several radix bytes, and the fallback for ids no packed
+   key holds). *)
+let prop_wide_topic_ids_ascend =
+  Helpers.qtest ~count:200 "walks ascend over wide topic ids"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let wide () =
+        match Rng.int rng 4 with
+        | 0 -> Rng.int rng 256
+        | 1 -> Rng.int rng (1 lsl 20)
+        | 2 -> Rng.int rng ((1 lsl 31) - 1)
+        | _ -> if Rng.int rng 8 = 0 then max_int - Rng.int rng 10 else -1 - Rng.int rng 1000
+      in
+      let topics = List.init (1 + Rng.int rng 300) (fun _ -> wide ()) in
+      let a = Allocation.create ~capacity:1e12 in
+      let vm = Allocation.deploy a in
+      List.iter
+        (fun topic ->
+          Allocation.place a vm ~topic ~ev:1. ~subscribers:[| topic land 7 |] ~from:0 ~count:1)
+        topics;
+      (* Empty a few groups so walks skip dead slots too. *)
+      List.iteri
+        (fun i topic ->
+          if i mod 5 = 0 then
+            ignore (Allocation.remove a vm ~topic ~ev:1. ~subscriber:(topic land 7)))
+        topics;
+      let expected = List.sort_uniq compare (List.filter (Allocation.hosts_topic vm) topics) in
+      Allocation.topics_on vm = expected
+      && List.length expected = Allocation.num_topics_on vm)
+
+(* A resident fleet under churn keeps its size: emptied groups give
+   their slots back. *)
+let test_churn_reuses_storage () =
+  let a = Allocation.create ~capacity:1e9 in
+  let vm = Allocation.deploy a in
+  let cycle base =
+    for t = base to base + 99 do
+      Allocation.place a vm ~topic:(1000 - t) ~ev:1. ~subscribers:[| 1; 2 |] ~from:0
+        ~count:2
+    done;
+    for t = base to base + 99 do
+      ignore (Allocation.remove a vm ~topic:(1000 - t) ~ev:1. ~subscriber:1);
+      ignore (Allocation.remove a vm ~topic:(1000 - t) ~ev:1. ~subscriber:2)
+    done
+  in
+  cycle 0;
+  let words = Obj.reachable_words (Obj.repr a) in
+  for k = 1 to 20 do
+    cycle (k * 7)
+  done;
+  Helpers.check_int "no pairs left" 0 (Allocation.num_pairs_on vm);
+  Helpers.check_float "no load left" 0. (Allocation.load vm);
+  Helpers.check_bool "no growth under churn" true
+    (Obj.reachable_words (Obj.repr a) <= words)
+
+let test_any_int_topic () =
+  let a = Allocation.create ~capacity:100. in
+  let vm = Allocation.deploy a in
+  List.iter
+    (fun topic -> Allocation.place a vm ~topic ~ev:1. ~subscribers:[| 3 |] ~from:0 ~count:1)
+    [ max_int; -42; 0; min_int + 2 ];
+  Alcotest.(check (list int)) "ascending" [ min_int + 2; -42; 0; max_int ]
+    (Allocation.topics_on vm);
+  List.iter
+    (fun topic ->
+      Alcotest.check_raises "sentinel"
+        (Invalid_argument "Allocation.place: reserved topic id") (fun () ->
+          Allocation.place a vm ~topic ~ev:1. ~subscribers:[| 3 |] ~from:0 ~count:1);
+      Helpers.check_bool "sentinel absent" false (Allocation.hosts_topic vm topic))
+    [ min_int; min_int + 1 ]
+
 let test_copy_capacity () =
   let a = Allocation.create ~capacity:100. in
   let b = Allocation.deploy a in
@@ -208,4 +473,10 @@ let suite =
     Alcotest.test_case "place from offset" `Quick test_place_from_offset;
     Alcotest.test_case "copy capacity and rates" `Quick test_copy_capacity;
     prop_copy_is_a_decode;
+    Alcotest.test_case "churn reuses storage" `Quick test_churn_reuses_storage;
+    Alcotest.test_case "any int topic" `Quick test_any_int_topic;
+    prop_matches_oracle ~integral:true "= pre-flat module, integral rates";
+    prop_matches_oracle ~integral:false "= pre-flat module, fractional rates";
+    prop_walks_ascending_and_pure;
+    prop_wide_topic_ids_ascend;
   ]

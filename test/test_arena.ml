@@ -68,6 +68,25 @@ let test_int_table () =
   Arena.Int_table.reset t;
   Helpers.check_int "reset" 0 (Arena.Int_table.length t)
 
+let test_int_table_any_key () =
+  let t = Arena.Int_table.create () in
+  let keys = [ -1; -42; max_int; min_int + 2; 0; 7 ] in
+  List.iteri (fun i k -> Arena.Int_table.set t k i) keys;
+  List.iteri (fun i k -> Helpers.check_int "find" i (Arena.Int_table.find t k)) keys;
+  Arena.Int_table.remove t (-42);
+  Helpers.check_bool "removed" false (Arena.Int_table.mem t (-42));
+  Helpers.check_int "length" 5 (Arena.Int_table.length t);
+  let empty_slot, tombstone = Arena.Int_table.reserved_keys in
+  List.iter
+    (fun k ->
+      Helpers.check_bool "reserved absent" false (Arena.Int_table.mem t k);
+      Arena.Int_table.remove t k;
+      Alcotest.check_raises "reserved key"
+        (Invalid_argument "Arena.Int_table.set: reserved key") (fun () ->
+          Arena.Int_table.set t k 1))
+    [ empty_slot; tombstone ];
+  Helpers.check_int "length kept" 5 (Arena.Int_table.length t)
+
 (* Keys that differ only above bit 31 — every home of one subscriber
    under [encode_pair] — must spread over the table: were the slot taken
    from the hash's low bits they would all share one probe run, and
@@ -130,6 +149,7 @@ let suite =
     Alcotest.test_case "fbuf" `Quick test_fbuf;
     Alcotest.test_case "stamp set" `Quick test_stamp_set;
     Alcotest.test_case "int table" `Quick test_int_table;
+    Alcotest.test_case "int table: any key but the sentinels" `Quick test_int_table_any_key;
     Alcotest.test_case "int table: high-bit keys spread" `Quick test_int_table_high_bit_keys;
     Alcotest.test_case "encode/decode pair" `Quick test_encode_pair;
     Alcotest.test_case "csr" `Quick test_csr;

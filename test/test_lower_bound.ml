@@ -25,6 +25,19 @@ let test_empty_subscriber_contributes_zero () =
   let p = Problem.create ~workload:w ~tau:2. ~capacity:100. Problem.unit_costs in
   Helpers.check_float "only v1 counts" 9. (Lower_bound.compute p).Lower_bound.bandwidth
 
+let test_gap_pct () =
+  let lb = Lower_bound.compute (Helpers.fig1_problem ~capacity:50. ()) in
+  (* cost 2 under unit costs *)
+  Helpers.check_float "on the bound" 0. (Lower_bound.gap_pct ~cost:2. lb);
+  Helpers.check_float "half again" 50. (Lower_bound.gap_pct ~cost:3. lb);
+  let w = Helpers.workload ~rates:[ 9. ] ~interests:[ [] ] in
+  let empty =
+    Lower_bound.compute
+      (Problem.create ~workload:w ~tau:2. ~capacity:100. Problem.unit_costs)
+  in
+  Helpers.check_float "zero bound" 0. empty.Lower_bound.cost;
+  Helpers.check_float "zero bound gives 0" 0. (Lower_bound.gap_pct ~cost:5. empty)
+
 let prop_bound_below_every_ladder_config =
   Helpers.qtest ~count:80 "LB.cost <= heuristic cost for every ladder entry"
     Helpers.problem_arbitrary (fun p ->
@@ -50,6 +63,7 @@ let suite =
     Alcotest.test_case "fig1 bound" `Quick test_fig1_bound;
     Alcotest.test_case "min-rate clause" `Quick test_min_rate_clause;
     Alcotest.test_case "empty subscriber" `Quick test_empty_subscriber_contributes_zero;
+    Alcotest.test_case "gap_pct" `Quick test_gap_pct;
     prop_bound_below_every_ladder_config;
     prop_bound_below_exact;
   ]

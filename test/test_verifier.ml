@@ -9,7 +9,9 @@ module Solver = Mcss_core.Solver
 module Workload = Mcss_workload.Workload
 
 (* The verifier as it stood before the flat-array rewrite, copied
-   verbatim: the oracle for the differential property below. *)
+   verbatim: the oracle for the differential property below. Extended
+   only by the check for pairs outside the workload, which it reports
+   and skips as the verifier does. *)
 module Oracle = struct
   type violation = Verifier.violation =
     | Over_capacity of { vm : int; load : float }
@@ -18,6 +20,7 @@ module Oracle = struct
     | Pair_not_selected of { topic : int; subscriber : int }
     | Pair_duplicated of { topic : int; subscriber : int }
     | Pair_missing of { topic : int; subscriber : int }
+    | Pair_outside_workload of { topic : int; subscriber : int }
 
   type report = Verifier.report = {
     violations : violation list;
@@ -43,21 +46,26 @@ module Oracle = struct
         let incoming = ref 0. in
         let topics_seen = Hashtbl.create 16 in
         Allocation.iter_vm_pairs vm (fun t v ->
-            let ev = Workload.event_rate w t in
-            outgoing := !outgoing +. ev;
-            if not (Hashtbl.mem topics_seen t) then begin
-              Hashtbl.add topics_seen t ();
-              incoming := !incoming +. ev
-            end;
-            (match Hashtbl.find_opt placed (t, v) with
-            | None ->
-                Hashtbl.add placed (t, v) 1;
-                delivered.(v) <- delivered.(v) +. ev
-            | Some n ->
-                if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
-                Hashtbl.replace placed (t, v) (n + 1));
-            if not (Hashtbl.mem selected (t, v)) then
-              add (Pair_not_selected { topic = t; subscriber = v }));
+            if t < 0 || t >= Workload.num_topics w || v < 0
+               || v >= Workload.num_subscribers w
+            then add (Pair_outside_workload { topic = t; subscriber = v })
+            else begin
+              let ev = Workload.event_rate w t in
+              outgoing := !outgoing +. ev;
+              if not (Hashtbl.mem topics_seen t) then begin
+                Hashtbl.add topics_seen t ();
+                incoming := !incoming +. ev
+              end;
+              (match Hashtbl.find_opt placed (t, v) with
+              | None ->
+                  Hashtbl.add placed (t, v) 1;
+                  delivered.(v) <- delivered.(v) +. ev
+              | Some n ->
+                  if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
+                  Hashtbl.replace placed (t, v) (n + 1));
+              if not (Hashtbl.mem selected (t, v)) then
+                add (Pair_not_selected { topic = t; subscriber = v })
+            end);
         let recomputed = !outgoing +. !incoming in
         total_bandwidth := !total_bandwidth +. recomputed;
         if recomputed > p.Problem.capacity +. eps then
@@ -163,6 +171,45 @@ let test_detects_duplicate_pair () =
     (has (function Verifier.Pair_duplicated { topic = 1; subscriber = 2 } -> true | _ -> false)
        report)
 
+(* [Allocation.place] accepts any ids, so a hand-made plan can name a
+   subscriber or topic the workload lacks: reported, not raised. *)
+let outside_report ~topic ~subscribers =
+  let w = Helpers.workload ~rates:[ 5.; 3. ] ~interests:[ [ 0 ]; [ 0; 1 ] ] in
+  let p = Problem.create ~workload:w ~tau:1. ~capacity:100. Problem.unit_costs in
+  let s = Selection.gsp p in
+  let a = Allocation.create ~capacity:100. in
+  let b = Allocation.deploy a in
+  Allocation.place a b ~topic ~ev:5. ~subscribers ~from:0
+    ~count:(Array.length subscribers);
+  Verifier.verify p s a
+
+let test_detects_subscriber_outside_workload () =
+  let r = outside_report ~topic:0 ~subscribers:[| 0; 1; 5 |] in
+  Alcotest.(check (list (pair int int)))
+    "outside pairs"
+    [ (0, 5) ]
+    (List.filter_map
+       (function
+         | Verifier.Pair_outside_workload { topic; subscriber } -> Some (topic, subscriber)
+         | _ -> None)
+       r.Verifier.violations);
+  (* The two real pairs still count: 2·5 out + 5 in. *)
+  Helpers.check_float "bandwidth" 15. r.Verifier.total_bandwidth;
+  Helpers.check_bool "tracked load disagrees" true
+    (has (function Verifier.Load_mismatch _ -> true | _ -> false) r)
+
+let test_detects_topic_outside_workload () =
+  let r = outside_report ~topic:7 ~subscribers:[| 0 |] in
+  Helpers.check_bool "outside pair flagged" true
+    (has
+       (function
+         | Verifier.Pair_outside_workload { topic = 7; subscriber = 0 } -> true | _ -> false)
+       r);
+  Helpers.check_float "no bandwidth counted" 0. r.Verifier.total_bandwidth;
+  Helpers.check_bool "rendered" true
+    (Helpers.contains ~needle:"outside the workload"
+       (Format.asprintf "%a" Verifier.pp_violation (List.hd r.Verifier.violations)))
+
 let test_pp_violation_renders () =
   let s =
     Format.asprintf "%a" Verifier.pp_violation
@@ -211,14 +258,21 @@ let some_other_vm rng a vm =
 let inject rng (p : Problem.t) (s : Selection.t) a =
   let module Rng = Mcss_prng.Rng in
   let w = p.Problem.workload in
-  let pairs = placed_pairs a in
+  (* Earlier faults may have placed pairs outside the workload; later
+     ones work on the pairs inside it. *)
+  let pairs =
+    Array.of_seq
+      (Seq.filter
+         (fun (_, t, v) -> t < Workload.num_topics w && v < Workload.num_subscribers w)
+         (Array.to_seq (placed_pairs a)))
+  in
   let put vm t v =
     Allocation.place a vm ~topic:t ~ev:(Workload.event_rate w t) ~subscribers:[| v |] ~from:0
       ~count:1
   in
   let pick () = pairs.(Rng.int rng (Array.length pairs)) in
   if Array.length pairs > 0 then
-    match Rng.int rng 5 with
+    match Rng.int rng 6 with
     | 0 ->
         (* a dropped pair *)
         let vm, t, v = pick () in
@@ -242,6 +296,13 @@ let inject rng (p : Problem.t) (s : Selection.t) a =
         let ev = Workload.event_rate w t in
         ignore (Allocation.remove a vm ~topic:t ~ev:(ev +. 0.5 +. Rng.float rng 4.) ~subscriber:v);
         put vm t v
+    | 5 ->
+        (* a pair whose topic or subscriber the workload lacks *)
+        let vm, t, v = pick () in
+        if Rng.bool rng then
+          Allocation.place a vm ~topic:(Workload.num_topics w + Rng.int rng 3)
+            ~ev:(Rng.float rng 4.) ~subscribers:[| v |] ~from:0 ~count:1
+        else put vm t (Workload.num_subscribers w + Rng.int rng 3)
     | _ ->
         (* an over-capacity VM: another VM's pairs moved onto it *)
         let vm, _, _ = pick () in
@@ -296,6 +357,10 @@ let suite =
     Alcotest.test_case "detects over capacity" `Quick test_detects_over_capacity;
     Alcotest.test_case "detects foreign pair" `Quick test_detects_foreign_pair;
     Alcotest.test_case "detects duplicate pair" `Quick test_detects_duplicate_pair;
+    Alcotest.test_case "detects subscriber outside workload" `Quick
+      test_detects_subscriber_outside_workload;
+    Alcotest.test_case "detects topic outside workload" `Quick
+      test_detects_topic_outside_workload;
     Alcotest.test_case "pp_violation renders" `Quick test_pp_violation_renders;
     Alcotest.test_case "check_exn" `Quick test_check_exn;
     prop_solver_output_always_verifies;
