@@ -268,3 +268,91 @@ module Csr = struct
       cursor;
     { offs; data }
 end
+
+module Transpose = struct
+  type col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type t = { offs : int array; col : col }
+
+  let id_limit = 1 lsl 31
+
+  (* An entry is kept when it lies in [0, width) and exceeds every
+     entry kept before it in its row: the running maximum [last] starts
+     at -1. *)
+  let create ~width ~rows row =
+    if width < 0 || rows < 0 then invalid_arg "Arena.Transpose.create: negative size";
+    if rows > id_limit then invalid_arg "Arena.Transpose.create: row index beyond 2^31";
+    (* Counting sort. offs.(x) first counts the kept entries x, then
+       holds the end of column row x; the fill walks rows backwards and
+       pre-decrements, so each ends at its start with rows ascending. *)
+    let offs = Array.make (width + 1) 0 in
+    for r = 0 to rows - 1 do
+      let row = row r and last = ref (-1) in
+      for i = 0 to Array.length row - 1 do
+        let x = Array.unsafe_get row i in
+        if x > !last && x < width then begin
+          last := x;
+          offs.(x) <- offs.(x) + 1
+        end
+      done
+    done;
+    let total = ref 0 in
+    for x = 0 to width - 1 do
+      total := !total + offs.(x);
+      offs.(x) <- !total
+    done;
+    offs.(width) <- !total;
+    let col = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout !total in
+    for r = rows - 1 downto 0 do
+      let row = row r and last = ref (-1) and r32 = Int32.of_int r in
+      for i = 0 to Array.length row - 1 do
+        let x = Array.unsafe_get row i in
+        if x > !last && x < width then begin
+          last := x;
+          let j = offs.(x) - 1 in
+          offs.(x) <- j;
+          Bigarray.Array1.unsafe_set col j r32
+        end
+      done
+    done;
+    { offs; col }
+
+  let length t = Bigarray.Array1.dim t.col
+  let start t x = t.offs.(x)
+  let stop t x = t.offs.(x + 1)
+  let get t j = Int32.to_int (Bigarray.Array1.get t.col j)
+
+  let find t ~from ~hi x =
+    let col = t.col in
+    if from < 0 || hi > Bigarray.Array1.dim col then
+      invalid_arg "Arena.Transpose.find: range out of bounds";
+    let at i = Int32.to_int (Bigarray.Array1.unsafe_get col i) in
+    let rec bsearch lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let y = at mid in
+        if y = x then mid else if y < x then bsearch (mid + 1) hi else bsearch lo mid
+    in
+    (* Probe from, from + 2, from + 6, from + 14, ...: every entry in
+       [from, lo) is below [x]. *)
+    let rec gallop lo step =
+      let i = lo + step - 1 in
+      if i >= hi then bsearch lo hi
+      else
+        let y = at i in
+        if y < x then gallop (i + 1) (2 * step) else if y = x then i else bsearch lo i
+    in
+    gallop from 1
+
+  let iter_run t x run n f =
+    let lo = start t x and hi = stop t x in
+    let hint = ref lo and prev = ref min_int in
+    for i = 0 to n - 1 do
+      let r = run.(i) in
+      if r <= !prev then hint := lo;
+      prev := r;
+      let slot = find t ~from:!hint ~hi r in
+      if slot >= 0 then hint := slot + 1;
+      f r slot
+    done
+end

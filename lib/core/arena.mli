@@ -154,3 +154,58 @@ module Csr : sig
   val offsets_of_counts : int array -> int array
   (** Exclusive prefix sums, length [n + 1]. *)
 end
+
+module Transpose : sig
+  (** The column-major view of [int array array] rows: for each value
+      [x] in [0, width), the indices of the rows that hold [x], as one
+      ascending run of a flat column. Built by one counting sort, O(rows
+      + entries + width). The planning core transposes per-subscriber
+      topic rows (a selection's [chosen], a workload's interests) into
+      per-topic subscriber runs, so a placed group [(topic, run)] is
+      checked by one forward merge along column row [topic] instead of
+      a binary search per pair in each subscriber's row.
+
+      The column holds 4 bytes per entry, on a [Bigarray] outside the
+      OCaml heap: a transient index neither is scanned by the GC nor
+      raises its heap target. Row indices are therefore limited to
+      [2^31]. *)
+
+  type t
+
+  val create : width:int -> rows:int -> (int -> int array) -> t
+  (** [create ~width ~rows row] transposes [row 0 .. row (rows - 1)].
+      From each row it keeps the entries that lie in [0, width) and
+      exceed every entry kept before them in the row (all of a strictly
+      increasing, in-range row); the rest are dropped. Within each
+      column row, row indices ascend. Raises [Invalid_argument] on a
+      negative size or [rows > 2^31]. *)
+
+  val length : t -> int
+  (** Entries kept, over all column rows. *)
+
+  val start : t -> int -> int
+  val stop : t -> int -> int
+  (** Column row [x] is the slots [[start t x, stop t x)]. *)
+
+  val get : t -> int -> int
+  (** The row index in a slot. *)
+
+  val find : t -> from:int -> hi:int -> int -> int
+  (** [find t ~from ~hi r] is the slot in [[from, hi)] holding [r], or
+      [-1]. The slots [[from, hi)] must lie in one column row (so they
+      ascend). The search gallops from [from] (probes at [from],
+      [from + 2], [from + 6], [from + 14], ...) and then bisects, so
+      looking up the rows of an ascending run in turn, each from just
+      past the previous match, costs one forward merge along the column
+      row ({!iter_run} does this). [find] never looks before [from].
+      Raises [Invalid_argument] if [[from, hi)] leaves the column. *)
+
+  val iter_run : t -> int -> int array -> int -> (int -> int -> unit) -> unit
+  (** [iter_run t x run n f] calls [f r slot] for each [r] of [run.(0)
+      .. run.(n - 1)] in order, where [slot] is [r]'s slot in column row
+      [x], or [-1] if the row lacks [r]. Each search starts just past
+      the previous match, and back at [start t x] whenever the run
+      steps down (or repeats an entry), so an ascending run costs one
+      forward merge along the column row and any other run is still
+      answered exactly. *)
+end

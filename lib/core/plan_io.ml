@@ -128,17 +128,6 @@ let int_at r what a b =
   let n = if b - a <= 18 then digits a 0 else -1 in
   if n >= 0 then n else parse_int r what (String.sub text a (b - a))
 
-(* Rank of [t] in the id-sorted row [row], or [-1]. *)
-let rank row t =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = Array.unsafe_get row mid in
-      if x = t then mid else if x < t then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length row)
-
 (* Per-line scratch, reused across lines: token boundaries (start, stop
    pairs) and the parsed subscriber ids. *)
 type scratch = { mutable bounds : int array; mutable subs : int array }
@@ -204,11 +193,12 @@ let parse ~workload r =
   let vms = Array.init num_vms (fun _ -> Allocation.deploy a) in
   let num_topics = Workload.num_topics workload in
   let num_subscribers = Workload.num_subscribers workload in
-  (* Pair (t, v) of the workload owns byte [offs.(v) + rank of t in
-     T_v] of [placed]; [counts.(v)] is how many of v's pairs are placed. *)
-  let offs =
-    Arena.Csr.offsets_of_counts
-      (Array.init num_subscribers (fun v -> Array.length (Workload.interests workload v)))
+  (* Pair (t, v) of the workload owns byte [slot] of [placed], where
+     [slot] holds v in column row t of the transposed interests;
+     [counts.(v)] is how many of v's pairs are placed. *)
+  let followers =
+    Arena.Transpose.create ~width:num_topics ~rows:num_subscribers
+      (Workload.interests workload)
   in
   let placed = Bytes.make (Workload.num_pairs workload) '\000' in
   let counts = Array.make num_subscribers 0 in
@@ -230,40 +220,35 @@ let parse ~workload r =
     for i = 0 to k - 1 do
       sc.subs.(i) <- tok_int "subscriber" (i + 4)
     done;
-    for i = 0 to k - 1 do
-      let v = sc.subs.(i) in
-      if v < 0 || v >= num_subscribers then
-        fail r (Printf.sprintf "subscriber %d outside the workload" v);
-      let j = rank (Workload.interests workload v) topic in
-      if j < 0 then
-        fail r (Printf.sprintf "subscriber %d never subscribed to topic %d" v topic);
-      let slot = offs.(v) + j in
-      if Bytes.get placed slot <> '\000' then
-        fail r (Printf.sprintf "pair (%d, %d) placed twice" topic v);
-      Bytes.set placed slot '\001';
-      counts.(v) <- counts.(v) + 1
-    done;
+    Arena.Transpose.iter_run followers topic sc.subs k (fun v slot ->
+        if v < 0 || v >= num_subscribers then
+          fail r (Printf.sprintf "subscriber %d outside the workload" v);
+        if slot < 0 then
+          fail r (Printf.sprintf "subscriber %d never subscribed to topic %d" v topic);
+        if Bytes.get placed slot <> '\000' then
+          fail r (Printf.sprintf "pair (%d, %d) placed twice" topic v);
+        Bytes.set placed slot '\001';
+        counts.(v) <- counts.(v) + 1);
     Allocation.place a vms.(vm) ~topic
       ~ev:(Workload.event_rate workload topic)
       ~subscribers:sc.subs ~from:0 ~count:k
   done;
   (* Reconstruct the selection implied by the placements: each
-     subscriber's placed topics, in interest (= id) order. *)
-  let chosen =
-    Array.init num_subscribers (fun v ->
-        let row = Array.make counts.(v) 0 in
-        if counts.(v) > 0 then begin
-          let n = ref 0 in
-          Array.iteri
-            (fun j t ->
-              if Bytes.get placed (offs.(v) + j) <> '\000' then begin
-                row.(!n) <- t;
-                incr n
-              end)
-            (Workload.interests workload v)
-        end;
-        row)
-  in
+     subscriber's placed topics, filled in one ascending-topic pass over
+     [placed] (with [counts] reused as the fill cursors), so every row
+     comes out id-sorted. *)
+  let num_pairs = Array.fold_left ( + ) 0 counts in
+  let chosen = Array.map (fun n -> Array.make n 0) counts in
+  Array.fill counts 0 num_subscribers 0;
+  for t = 0 to num_topics - 1 do
+    for slot = Arena.Transpose.start followers t to Arena.Transpose.stop followers t - 1 do
+      if Bytes.unsafe_get placed slot <> '\000' then begin
+        let v = Arena.Transpose.get followers slot in
+        chosen.(v).(counts.(v)) <- t;
+        counts.(v) <- counts.(v) + 1
+      end
+    done
+  done;
   let selected_rate =
     Array.map
       (Array.fold_left (fun acc t -> acc +. Workload.event_rate workload t) 0.)
@@ -273,7 +258,7 @@ let parse ~workload r =
     {
       Selection.chosen;
       selected_rate;
-      num_pairs = Array.fold_left ( + ) 0 counts;
+      num_pairs;
       outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
     }
   in

@@ -32,7 +32,24 @@ val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selecti
     rejected before any fleet is allocated; raises [Sys_error] on I/O
     failure. The input is read line by line, never whole. Loads do
     {e not} re-check capacity — run {!Verifier.verify} on the result,
-    as the CLI does. *)
+    as the CLI does.
+
+    Discovery order: the first offending line wins. Within a [place]
+    line the VM id, the topic and the count are checked in that order,
+    then every subscriber token is parsed, and only then is each
+    subscriber in turn checked for range, interest in the topic, and an
+    earlier placement of the same pair — so the message names the
+    line's first failing pair.
+
+    Cost: one counting-sort transpose of the workload's interests into
+    per-topic follower runs ({!Arena.Transpose}: 4 bytes per pair,
+    outside the OCaml heap, freed with the decode; it holds subscriber
+    ids below [2^31]), then per [place]
+    line one forward merge of its run along the topic's followers — a
+    run that steps down restarts the merge at the topic's first
+    follower — and one byte of marks per workload pair. The selection
+    is rebuilt in one ascending-topic pass over the marks, so every
+    [chosen] row comes out id-sorted. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 

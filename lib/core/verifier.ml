@@ -34,68 +34,67 @@ let pp_violation ppf = function
   | Pair_outside_workload { topic; subscriber } ->
       Format.fprintf ppf "pair (%d, %d) placed but outside the workload" topic subscriber
 
-(* Rank of [t] in the id-sorted row [row], or [-1]. *)
-let rank row t =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = Array.unsafe_get row mid in
-      if x = t then mid else if x < t then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length row)
-
 let verify (p : Problem.t) (s : Selection.t) a =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  (* Pair bookkeeping on flat slots: selected pair (t, v) owns slot
-     [offs.(v) + rank of t in chosen.(v)], and [placed] counts how often
-     each slot's pair was seen. Placed-but-unselected pairs (only in
+  let num_topics = Workload.num_topics w and num_subscribers = Workload.num_subscribers w in
+  (* Pair bookkeeping on topic-major slots: selected pair (t, v) owns
+     the slot of v in column row t of the transposed selection, and
+     [placed] counts how often each slot's pair was seen (saturating at
+     2: only 0, 1 and more matter). Placed-but-unselected pairs (only in
      invalid plans) are counted in [stray], keyed by the packed pair. *)
   let chosen = s.Selection.chosen in
-  let rows = Array.length chosen in
-  let offs = Arena.Csr.offsets_of_counts (Array.map Array.length chosen) in
-  let placed = Array.make offs.(rows) 0 in
+  let selected =
+    Arena.Transpose.create ~width:num_topics ~rows:(Array.length chosen) (Array.get chosen)
+  in
+  let placed = Bytes.make (Arena.Transpose.length selected) '\000' in
   let stray = Arena.Int_table.create () in
-  let num_topics = Workload.num_topics w and num_subscribers = Workload.num_subscribers w in
   let delivered = Array.make num_subscribers 0. in
-  let topics_seen = Arena.Stamp_set.create num_topics in
   let total_bandwidth = ref 0. in
+  (* The count of (t, v) before this sighting, after recording it. *)
+  let sighting ~slot t v =
+    if slot >= 0 then begin
+      let n = Char.code (Bytes.unsafe_get placed slot) in
+      if n < 2 then Bytes.unsafe_set placed slot (Char.unsafe_chr (n + 1));
+      n
+    end
+    else begin
+      let key = Arena.encode_pair ~topic:t ~subscriber:v in
+      let n = Arena.Int_table.find stray key in
+      let n = if n = Arena.Int_table.absent then 0 else n in
+      Arena.Int_table.set stray key (n + 1);
+      n
+    end
+  in
   Allocation.iter_vms a (fun vm ->
       let outgoing = ref 0. in
       let incoming = ref 0. in
-      Arena.Stamp_set.clear topics_seen;
-      Allocation.iter_vm_pairs vm (fun t v ->
-          if t < 0 || t >= num_topics || v < 0 || v >= num_subscribers then
-            add (Pair_outside_workload { topic = t; subscriber = v })
+      Allocation.iter_groups vm (fun t run k ->
+          if t < 0 || t >= num_topics then
+            for i = 0 to k - 1 do
+              add (Pair_outside_workload { topic = t; subscriber = run.(i) })
+            done
           else begin
             let ev = Workload.event_rate w t in
-            outgoing := !outgoing +. ev;
-            if not (Arena.Stamp_set.mem topics_seen t) then begin
-              Arena.Stamp_set.add topics_seen t;
-              incoming := !incoming +. ev
-            end;
-            let i = if v < rows then rank chosen.(v) t else -1 in
-            let n =
-              if i >= 0 then begin
-                let slot = offs.(v) + i in
-                let n = placed.(slot) in
-                placed.(slot) <- n + 1;
-                n
-              end
-              else begin
-                let key = Arena.encode_pair ~topic:t ~subscriber:v in
-                let n = Arena.Int_table.find stray key in
-                let n = if n = Arena.Int_table.absent then 0 else n in
-                Arena.Int_table.set stray key (n + 1);
-                n
-              end
-            in
-            if n = 0 then delivered.(v) <- delivered.(v) +. ev
-            else if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
-            if i < 0 then add (Pair_not_selected { topic = t; subscriber = v })
+            let inside = ref false in
+            Arena.Transpose.iter_run selected t run k (fun v slot ->
+                if v < 0 || v >= num_subscribers then
+                  add (Pair_outside_workload { topic = t; subscriber = v })
+                else begin
+                  outgoing := !outgoing +. ev;
+                  (* One live group per topic per VM: its first pair
+                     inside the workload charges the incoming copy. *)
+                  if not !inside then begin
+                    inside := true;
+                    incoming := !incoming +. ev
+                  end;
+                  let n = sighting ~slot t v in
+                  if n = 0 then delivered.(v) <- delivered.(v) +. ev
+                  else if n = 1 then add (Pair_duplicated { topic = t; subscriber = v });
+                  if slot < 0 then add (Pair_not_selected { topic = t; subscriber = v })
+                end)
           end);
       let recomputed = !outgoing +. !incoming in
       total_bandwidth := !total_bandwidth +. recomputed;
@@ -109,13 +108,26 @@ let verify (p : Problem.t) (s : Selection.t) a =
                tracked = Allocation.load vm;
                recomputed;
              }));
-  Array.iteri
-    (fun v row ->
-      Array.iteri
-        (fun i t ->
-          if placed.(offs.(v) + i) = 0 then add (Pair_missing { topic = t; subscriber = v }))
-        row)
-    chosen;
+  (* Missing pairs (the cold path): kept slots never seen, and chosen
+     topics outside the workload, which the transpose drops. *)
+  let missing = ref [] in
+  if Bytes.contains placed '\000' then
+    for t = 0 to num_topics - 1 do
+      for slot = Arena.Transpose.start selected t to Arena.Transpose.stop selected t - 1 do
+        if Bytes.get placed slot = '\000' then
+          missing := (Arena.Transpose.get selected slot, t) :: !missing
+      done
+    done;
+  if Array.fold_left (fun n row -> n + Array.length row) 0 chosen
+     > Arena.Transpose.length selected
+  then
+    Array.iteri
+      (fun v row ->
+        Array.iter (fun t -> if t < 0 || t >= num_topics then missing := (v, t) :: !missing) row)
+      chosen;
+  List.iter
+    (fun (v, t) -> add (Pair_missing { topic = t; subscriber = v }))
+    (List.sort compare !missing);
   for v = 0 to num_subscribers - 1 do
     let required = Problem.tau_v p v in
     if delivered.(v) +. eps < required then

@@ -32,8 +32,20 @@ type report = {
 
 val verify : Problem.t -> Selection.t -> Allocation.t -> report
 (** Audit a plan. Precondition: every [chosen] row of the selection is
-    strictly increasing (as every selector and {!Plan_io} produce); a
-    topic out of order in its row is treated as unselected.
+    strictly increasing (as every selector and {!Plan_io} produce). A
+    row entry that does not exceed every in-workload entry before it
+    (out of order, or repeated) is treated as unselected; a chosen topic
+    outside the workload is never placed, so it is reported missing.
+
+    Cost: one counting-sort transpose of [chosen] into per-topic
+    subscriber runs ({!Arena.Transpose}, O(selected pairs + topics)),
+    then one pass over the placed groups: each group [(t, run)] is
+    merged along topic [t]'s run of selecting subscribers, galloping
+    forward from the previous match, so an ascending run (every run of
+    a solver plan) costs O(run + gaps) and a run that steps down
+    restarts its search at the topic's first subscriber. Marks are one
+    byte per selected pair; the floats are summed pair by pair in walk
+    order, so the report is the same bit for bit whatever the index.
 
     Violations are listed in discovery order: per VM (in deployment
     order) its [Pair_outside_workload] / [Pair_duplicated] /

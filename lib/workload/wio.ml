@@ -71,6 +71,23 @@ let lines_of_string s =
       pos := stop + 1;
       Some line
 
+(* [count] items, one per line, read by [item]. The array grows as lines
+   arrive rather than being sized from the header's count, so a huge
+   count fails at the end of the input instead of in an allocation. *)
+let read_items count item =
+  let items = ref [||] and n = ref 0 in
+  while !n < count do
+    let x = item () in
+    if !n = Array.length !items then begin
+      let fresh = Array.make (max 16 (2 * !n)) x in
+      Array.blit !items 0 fresh 0 !n;
+      items := fresh
+    end;
+    !items.(!n) <- x;
+    incr n
+  done;
+  Array.sub !items 0 !n
+
 let parse r =
   expect_exact r "mcss-workload 1";
   let num_topics = expect_keyword_int r "topics" in
@@ -78,7 +95,7 @@ let parse r =
   if num_topics < 0 || num_subscribers < 0 then fail r "negative count";
   expect_exact r "rates";
   let event_rates =
-    Array.init num_topics (fun _ ->
+    read_items num_topics (fun () ->
         let line = expect_line r "an event rate" in
         match float_of_string_opt line with
         | Some ev -> ev
@@ -86,7 +103,7 @@ let parse r =
   in
   expect_exact r "interests";
   let interests =
-    Array.init num_subscribers (fun _ ->
+    read_items num_subscribers (fun () ->
         let line = expect_line r "an interest list" in
         let fields =
           String.split_on_char ' ' line |> List.filter (fun s -> s <> "")

@@ -21,7 +21,11 @@ val save : Workload.t -> string -> unit
 
 val load : string -> Workload.t
 (** [load path] reads a workload back. Raises {!Parse_error} on malformed
-    input and [Sys_error] on I/O failure. *)
+    input and [Sys_error] on I/O failure. The header's counts size
+    nothing: rates and interest rows are collected as their lines
+    arrive, so a count the input cannot back (up to [max_int]) is a
+    line-numbered {!Parse_error} at the end of the input, never an
+    allocation of that size. *)
 
 val output : out_channel -> Workload.t -> unit
 val input : in_channel -> Workload.t

@@ -1,6 +1,6 @@
 (* Tests for the flat-array arena: growable int/float buffers,
    generation-stamped sets, the open-addressing int table, pair
-   encoding, and CSR construction. *)
+   encoding, CSR construction and the transposed index. *)
 
 module Arena = Mcss_core.Arena
 
@@ -143,6 +143,133 @@ let test_csr () =
   | _ -> Alcotest.fail "expected underfill to raise"
   | exception Invalid_argument _ -> ()
 
+(* ----- transposed index ----- *)
+
+(* Rows with entries a little outside [0, width), in any order. *)
+let rows_gen =
+  QCheck.Gen.(
+    let* width = int_range 0 12 in
+    let* rows =
+      array_size (int_range 0 15)
+        (let* row = array_size (int_range 0 8) (int_range (-2) (width + 2)) in
+         let* sorted = bool in
+         if sorted then begin
+           Array.sort compare row;
+           return row
+         end
+         else return row)
+    in
+    return (width, rows))
+
+let rows_arbitrary =
+  QCheck.make rows_gen ~print:(fun (width, rows) ->
+      Printf.sprintf "width %d: %s" width
+        (String.concat " | "
+           (Array.to_list
+              (Array.map
+                 (fun r -> String.concat " " (Array.to_list (Array.map string_of_int r)))
+                 rows))))
+
+(* Column row x, read the slow way: the rows whose kept entries hold x. *)
+let naive_column ~width rows x =
+  List.filter
+    (fun r ->
+      let last = ref (-1) and hit = ref false in
+      Array.iter
+        (fun y ->
+          if y > !last && y < width then begin
+            last := y;
+            if y = x then hit := true
+          end)
+        rows.(r);
+      !hit)
+    (List.init (Array.length rows) Fun.id)
+
+let transpose ~width rows =
+  Arena.Transpose.create ~width ~rows:(Array.length rows) (Array.get rows)
+
+let column t x =
+  List.init
+    (Arena.Transpose.stop t x - Arena.Transpose.start t x)
+    (fun i -> Arena.Transpose.get t (Arena.Transpose.start t x + i))
+
+let prop_transpose_matches_naive =
+  Helpers.qtest ~count:300 "transpose = naive per-column lists" rows_arbitrary
+    (fun (width, rows) ->
+      let t = transpose ~width rows in
+      let naive = List.init width (naive_column ~width rows) in
+      List.init width (column t) = naive
+      && Arena.Transpose.length t = List.fold_left (fun n c -> n + List.length c) 0 naive
+      && (width = 0
+         || Arena.Transpose.start t 0 = 0
+            && Arena.Transpose.stop t (width - 1) = Arena.Transpose.length t))
+
+let prop_find_matches_scan =
+  Helpers.qtest ~count:300 "find = linear scan from every hint" rows_arbitrary
+    (fun (width, rows) ->
+      let t = transpose ~width rows in
+      let scan ~from ~hi r =
+        let rec go i = if i >= hi then -1 else if Arena.Transpose.get t i = r then i else go (i + 1) in
+        go from
+      in
+      List.for_all
+        (fun x ->
+          let lo = Arena.Transpose.start t x and hi = Arena.Transpose.stop t x in
+          (* Every row index (and one either side), from every hint in
+             [lo, hi] — empty column rows and a hint at [hi] included. *)
+          List.for_all
+            (fun r ->
+              List.for_all
+                (fun from -> Arena.Transpose.find t ~from ~hi r = scan ~from ~hi r)
+                (List.init (hi - lo + 1) (fun i -> lo + i)))
+            (List.init (Array.length rows + 2) (fun r -> r - 1)))
+        (List.init width Fun.id))
+
+let prop_iter_run_matches_scan =
+  Helpers.qtest ~count:300 "iter_run = linear scan for runs in any order"
+    QCheck.(pair rows_arbitrary (small_list (int_range (-2) 17)))
+    (fun ((width, rows), run) ->
+      let t = transpose ~width rows in
+      let run = Array.of_list run in
+      List.for_all
+        (fun x ->
+          let lo = Arena.Transpose.start t x and hi = Arena.Transpose.stop t x in
+          let rec scan r i =
+            if i >= hi then -1 else if Arena.Transpose.get t i = r then i else scan r (i + 1)
+          in
+          let got = ref [] in
+          Arena.Transpose.iter_run t x run (Array.length run) (fun r slot ->
+              got := (r, slot) :: !got);
+          List.rev !got = Array.to_list (Array.map (fun r -> (r, scan r lo)) run))
+        (List.init width Fun.id))
+
+let test_transpose_examples () =
+  (* Out-of-order and out-of-range entries are dropped: row 0 keeps
+     5 and 7 of [5; 3; 4; 5; 7; 9]. *)
+  let t = transpose ~width:8 [| [| 5; 3; 4; 5; 7; 9 |]; [||]; [| -1; 3; 5 |] |] in
+  Helpers.check_int "kept" 4 (Arena.Transpose.length t);
+  Alcotest.(check (list int)) "column 5" [ 0; 2 ] (column t 5);
+  Alcotest.(check (list int)) "column 3" [ 2 ] (column t 3);
+  Alcotest.(check (list int)) "column 4" [] (column t 4);
+  Alcotest.(check (list int)) "column 7" [ 0 ] (column t 7);
+  (* A long column row, searched by galloping from every hint. *)
+  let rows = Array.init 1000 (fun r -> if r mod 3 = 0 then [| 0 |] else [||]) in
+  let t = transpose ~width:1 rows in
+  let hi = Arena.Transpose.stop t 0 in
+  for r = 0 to 999 do
+    let m = if r mod 3 = 0 then r / 3 else -1 in
+    for from = 0 to (if m >= 0 then m else hi) do
+      if Arena.Transpose.find t ~from ~hi r <> m then
+        Alcotest.failf "find %d from %d: expected %d" r from m
+    done
+  done;
+  (match Arena.Transpose.find t ~from:0 ~hi:(hi + 1) 0 with
+  | _ -> Alcotest.fail "expected Invalid_argument past the column"
+  | exception Invalid_argument _ -> ());
+  match Arena.Transpose.create ~width:(-1) ~rows:0 (fun _ -> [||]) with
+  | _ -> Alcotest.fail "expected Invalid_argument on a negative width"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "ibuf" `Quick test_ibuf;
@@ -153,4 +280,8 @@ let suite =
     Alcotest.test_case "int table: high-bit keys spread" `Quick test_int_table_high_bit_keys;
     Alcotest.test_case "encode/decode pair" `Quick test_encode_pair;
     Alcotest.test_case "csr" `Quick test_csr;
+    Alcotest.test_case "transpose examples" `Quick test_transpose_examples;
+    prop_transpose_matches_naive;
+    prop_find_matches_scan;
+    prop_iter_run_matches_scan;
   ]

@@ -366,19 +366,100 @@ let newly_rejected ~workload msg =
           | None -> false)
       | exception _ -> false)
 
+let agrees_with_oracle (workload, text) =
+  let run f = match f ~workload text with r -> Ok r | exception e -> Error e in
+  match (run Plan_io.of_string, run Oracle.of_string) with
+  | Ok (a, s), Ok (oa, os) ->
+      Plan_io.to_string a = Oracle.to_string oa
+      && bits (Allocation.total_load a) = bits (Allocation.total_load oa)
+      && same_selection s os
+  | Error (Plan_io.Parse_error m), Error (Plan_io.Parse_error om) ->
+      m = om || newly_rejected ~workload m
+  | Error (Plan_io.Parse_error m), (Ok _ | Error _) -> newly_rejected ~workload m
+  | _ -> false
+
 let prop_decoder_matches_oracle =
   Helpers.qtest ~count:500 "decoder = pre-rewrite decoder on mutated plans"
-    mutated_plan_arbitrary (fun (workload, text) ->
-      let run f = match f ~workload text with r -> Ok r | exception e -> Error e in
-      match (run Plan_io.of_string, run Oracle.of_string) with
-      | Ok (a, s), Ok (oa, os) ->
-          Plan_io.to_string a = Oracle.to_string oa
-          && bits (Allocation.total_load a) = bits (Allocation.total_load oa)
-          && same_selection s os
-      | Error (Plan_io.Parse_error m), Error (Plan_io.Parse_error om) ->
-          m = om || newly_rejected ~workload m
-      | Error (Plan_io.Parse_error m), (Ok _ | Error _) -> newly_rejected ~workload m
-      | _ -> false)
+    mutated_plan_arbitrary agrees_with_oracle
+
+(* Runs out of order: each [place] line's subscribers shuffled, or one
+   of them repeated at a random position of its line (count bumped). *)
+let reorder_runs rng ~repeat text =
+  let module Rng = Mcss_prng.Rng in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let places =
+    List.filter (fun i -> String.starts_with ~prefix:"place " lines.(i))
+      (List.init (Array.length lines) Fun.id)
+  in
+  let edit i f =
+    match String.split_on_char ' ' lines.(i) with
+    | "place" :: vm :: topic :: _ :: subs ->
+        let subs = f (Array.of_list subs) in
+        lines.(i) <-
+          String.concat " "
+            ("place" :: vm :: topic :: string_of_int (Array.length subs) :: Array.to_list subs)
+    | _ -> ()
+  in
+  List.iter
+    (fun i ->
+      edit i (fun subs ->
+          for j = Array.length subs - 1 downto 1 do
+            let k = Rng.int rng (j + 1) in
+            let x = subs.(j) in
+            subs.(j) <- subs.(k);
+            subs.(k) <- x
+          done;
+          subs))
+    places;
+  (if repeat && places <> [] then
+     let i = List.nth places (Rng.int rng (List.length places)) in
+     edit i (fun subs ->
+         let n = Array.length subs in
+         let at = Rng.int rng (n + 1) in
+         let dup = subs.(Rng.int rng n) in
+         Array.init (n + 1) (fun j ->
+             if j < at then subs.(j) else if j = at then dup else subs.(j - 1))));
+  String.concat "\n" (Array.to_list lines)
+
+let reordered_plan_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* repeat = bool in
+    let* edits = int_range 0 2 in
+    let rng = Mcss_prng.Rng.create seed in
+    let text = ref (reorder_runs rng ~repeat (solved_plan_text p)) in
+    for _ = 1 to edits do
+      text := mutate rng !text
+    done;
+    return (p.Problem.workload, !text))
+
+let prop_decoder_matches_oracle_on_reordered_runs =
+  Helpers.qtest ~count:300 "decoder = pre-rewrite decoder on reordered runs"
+    (QCheck.make reordered_plan_gen ~print:(fun (_, text) -> String.escaped text))
+    agrees_with_oracle
+
+let test_reordered_runs () =
+  let w = Helpers.fig1_workload () in
+  (* Topic 1's followers in descending order decode to the same
+     selection as the ascending run. *)
+  let a, s = Plan_io.of_string ~workload:w "mcss-plan 1\ncapacity 80\nvms 1\nplace 0 1 3 2 1 0\n" in
+  let oa, os =
+    Oracle.of_string ~workload:w "mcss-plan 1\ncapacity 80\nvms 1\nplace 0 1 3 2 1 0\n"
+  in
+  Alcotest.(check string) "plan text" (Oracle.to_string oa) (Plan_io.to_string a);
+  Helpers.check_bool "selection" true (same_selection s os);
+  (* A subscriber repeated inside one run, after a step down. *)
+  let text = "mcss-plan 1\ncapacity 80\nvms 1\nplace 0 1 4 2 0 1 0\n" in
+  let message f =
+    match f ~workload:w text with
+    | _ -> Alcotest.fail "expected Parse_error"
+    | exception Plan_io.Parse_error m -> m
+  in
+  Alcotest.(check string) "old decoder's message" (message Oracle.of_string)
+    (message Plan_io.of_string);
+  Alcotest.(check string) "message" "line 4: pair (1, 0) placed twice"
+    (message Plan_io.of_string)
 
 (* Arbitrary byte damage, including ints far past any array size. *)
 let garbage_gen =
@@ -424,5 +505,7 @@ let suite =
       test_rejects_huge_fleets_and_infinite_capacity;
     Alcotest.test_case "plan bytes pinned" `Quick test_plan_bytes_pinned;
     prop_decoder_matches_oracle;
+    Alcotest.test_case "reordered runs" `Quick test_reordered_runs;
+    prop_decoder_matches_oracle_on_reordered_runs;
     prop_decoder_raises_only_parse_error;
   ]

@@ -7,6 +7,8 @@ module Allocation = Mcss_core.Allocation
 module Verifier = Mcss_core.Verifier
 module Solver = Mcss_core.Solver
 module Workload = Mcss_workload.Workload
+module Engine = Mcss_engine.Engine
+module Churn = Mcss_dynamic.Churn
 
 (* The verifier as it stood before the flat-array rewrite, copied
    verbatim: the oracle for the differential property below. Extended
@@ -333,22 +335,116 @@ let missing_key = function
   | Verifier.Pair_missing { topic; subscriber } -> Some (subscriber, topic)
   | _ -> None
 
+let matches_oracle (p, s, a) =
+  let r = Verifier.verify p s a and o = Oracle.verify p s a in
+  let bits = Int64.bits_of_float in
+  let not_missing = List.filter (fun v -> missing_key v = None) in
+  let missing = List.filter_map missing_key r.Verifier.violations in
+  List.sort compare r.Verifier.violations = List.sort compare o.Verifier.violations
+  && not_missing r.Verifier.violations = not_missing o.Verifier.violations
+  && missing = List.sort compare missing
+  && r.Verifier.num_vms = o.Verifier.num_vms
+  && bits r.Verifier.total_bandwidth = bits o.Verifier.total_bandwidth
+  && bits r.Verifier.cost = bits o.Verifier.cost
+
+let print_plan (p, _, a) =
+  Format.asprintf "%a, BC=%g, %d VMs" Workload.pp_summary p.Problem.workload
+    p.Problem.capacity (Allocation.num_vms a)
+
 let prop_verifier_matches_oracle =
   Helpers.qtest ~count:300 "verify = pre-rewrite verifier on faulty plans"
-    (QCheck.make faulty_plan_gen ~print:(fun (p, _, a) ->
-         Format.asprintf "%a, BC=%g, %d VMs" Workload.pp_summary p.Problem.workload
-           p.Problem.capacity (Allocation.num_vms a)))
-    (fun (p, s, a) ->
-      let r = Verifier.verify p s a and o = Oracle.verify p s a in
-      let bits = Int64.bits_of_float in
-      let not_missing = List.filter (fun v -> missing_key v = None) in
-      let missing = List.filter_map missing_key r.Verifier.violations in
-      List.sort compare r.Verifier.violations = List.sort compare o.Verifier.violations
-      && not_missing r.Verifier.violations = not_missing o.Verifier.violations
-      && missing = List.sort compare missing
-      && r.Verifier.num_vms = o.Verifier.num_vms
-      && bits r.Verifier.total_bandwidth = bits o.Verifier.total_bandwidth
-      && bits r.Verifier.cost = bits o.Verifier.cost)
+    (QCheck.make faulty_plan_gen ~print:print_plan)
+    matches_oracle
+
+(* ----- rows and runs out of order ----- *)
+
+(* One subscriber interested in topics 3 and 5 of six, both placed on
+   one VM, against a hand-built [chosen] row. *)
+let hand_selection_report chosen_row =
+  let w = Helpers.workload ~rates:[ 1.; 1.; 1.; 1.; 1.; 1. ] ~interests:[ [ 3; 5 ] ] in
+  let p = Problem.create ~workload:w ~tau:1. ~capacity:100. Problem.unit_costs in
+  let s =
+    {
+      Selection.chosen = [| chosen_row |];
+      selected_rate = [| 2. |];
+      num_pairs = 2;
+      outgoing_rate = 2.;
+    }
+  in
+  let a = Allocation.create ~capacity:100. in
+  let b = Allocation.deploy a in
+  Allocation.place a b ~topic:3 ~ev:1. ~subscribers:[| 0 |] ~from:0 ~count:1;
+  Allocation.place a b ~topic:5 ~ev:1. ~subscribers:[| 0 |] ~from:0 ~count:1;
+  Verifier.verify p s a
+
+let render r = List.map (Format.asprintf "%a" Verifier.pp_violation) r.Verifier.violations
+
+let test_out_of_order_topic_unselected () =
+  (* 3 follows 5 in the row, so only 5 counts as selected. *)
+  Alcotest.(check (list string))
+    "violations"
+    [ "pair (3, 0) placed but never selected" ]
+    (render (hand_selection_report [| 5; 3 |]));
+  Alcotest.(check (list string)) "ascending row is clean" []
+    (render (hand_selection_report [| 3; 5 |]))
+
+let test_chosen_topic_outside_workload_missing () =
+  Alcotest.(check (list string))
+    "violations"
+    [
+      "pair (-1, 0) selected but never placed"; "pair (9, 0) selected but never placed";
+    ]
+    (render (hand_selection_report [| -1; 3; 5; 9 |]))
+
+(* Whether some VM holds a run that is not ascending. *)
+let has_descending_run a =
+  let found = ref false in
+  Allocation.iter_vms a (fun vm ->
+      Allocation.iter_groups vm (fun _ run n ->
+          for i = 1 to n - 1 do
+            if run.(i) < run.(i - 1) then found := true
+          done));
+  !found
+
+(* A solved plan churned in place by the engine (whose removals move a
+   run's last pair into the hole), then faulted like [faulty_plan_gen]. *)
+let churned_plan ~seed ~ticks ~faults p =
+  let rng = Mcss_prng.Rng.create seed in
+  let eng = Engine.create ~drift_threshold:infinity p in
+  (try
+     for _ = 1 to ticks do
+       let w = (Engine.problem eng).Problem.workload in
+       ignore (Engine.apply eng (Churn.tick rng (Churn.scaled 0.2) w))
+     done
+   with Problem.Infeasible _ -> ());
+  let { Engine.problem = p; selection = s; allocation = a } = Engine.plan eng in
+  for _ = 1 to faults do
+    inject rng p s a
+  done;
+  (p, s, a)
+
+let churned_plan_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* ticks = int_range 1 4 in
+    let* faults = int_range 0 3 in
+    return (churned_plan ~seed ~ticks ~faults p))
+
+let test_churn_leaves_descending_runs () =
+  let rng = Mcss_prng.Rng.create 5 in
+  let p =
+    Helpers.random_problem rng ~num_topics:10 ~num_subscribers:60 ~max_rate:10
+      ~max_interests:5 ~tau:40. ~capacity:150.
+  in
+  let p, s, a = churned_plan ~seed:5 ~ticks:4 ~faults:0 p in
+  Helpers.check_bool "a run steps down" true (has_descending_run a);
+  Helpers.check_bool "still clean" true (Verifier.is_valid (Verifier.verify p s a))
+
+let prop_verifier_matches_oracle_on_churn =
+  Helpers.qtest ~count:150 "verify = pre-rewrite verifier on churned faulty plans"
+    (QCheck.make churned_plan_gen ~print:print_plan)
+    matches_oracle
 
 let suite =
   [
@@ -365,4 +461,10 @@ let suite =
     Alcotest.test_case "check_exn" `Quick test_check_exn;
     prop_solver_output_always_verifies;
     prop_verifier_matches_oracle;
+    Alcotest.test_case "out-of-order chosen topic is unselected" `Quick
+      test_out_of_order_topic_unselected;
+    Alcotest.test_case "chosen topic outside the workload is missing" `Quick
+      test_chosen_topic_outside_workload_missing;
+    Alcotest.test_case "churn leaves descending runs" `Quick test_churn_leaves_descending_runs;
+    prop_verifier_matches_oracle_on_churn;
   ]

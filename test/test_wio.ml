@@ -79,6 +79,60 @@ let prop_roundtrip =
       let w = p.Mcss_core.Problem.workload in
       equal_workloads w (roundtrip w))
 
+let test_rejects_huge_counts () =
+  let rejects name text =
+    match Wio.of_string text with
+    | _ -> Alcotest.failf "%s: expected Parse_error" name
+    | exception Wio.Parse_error msg -> msg
+  in
+  Alcotest.(check string) "huge topic count"
+    "line 5: unexpected end of file, expected an event rate"
+    (rejects "topics" "mcss-workload 1\ntopics 4611686018427387903\nsubscribers 0\nrates\n1\n");
+  Alcotest.(check string) "huge subscriber count"
+    "line 7: unexpected end of file, expected an interest list"
+    (rejects "subscribers"
+       "mcss-workload 1\ntopics 1\nsubscribers 4611686018427387903\nrates\n1\ninterests\n1 0\n");
+  Alcotest.(check string) "a billion subscribers"
+    "line 6: unexpected end of file, expected an interest list"
+    (rejects "1e9" "mcss-workload 1\ntopics 1\nsubscribers 1000000000\nrates\n1\ninterests\n")
+
+(* Arbitrary byte damage to a real rendering, including counts and ids
+   far past any array size. *)
+let garbage_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* edits = int_range 1 6 in
+    let rng = Mcss_prng.Rng.create seed in
+    let module Rng = Mcss_prng.Rng in
+    let text = ref (Wio.to_string p.Mcss_core.Problem.workload) in
+    for _ = 1 to edits do
+      let t = !text in
+      let n = String.length t in
+      let i = if n = 0 then 0 else Rng.int rng n in
+      let junk =
+        match Rng.int rng 6 with
+        | 0 -> String.make 1 (Char.chr (Rng.int rng 256))
+        | 1 -> "99999999999999999"
+        | 2 -> "-1"
+        | 3 -> "4611686018427387903"
+        | 4 -> "nan"
+        | _ -> "0x7fffffffffffffff"
+      in
+      text :=
+        if Rng.bool rng || n = 0 then String.sub t 0 i ^ junk ^ String.sub t i (n - i)
+        else String.sub t 0 i ^ junk ^ String.sub t (i + 1) (n - i - 1)
+    done;
+    return !text)
+
+let prop_raises_only_parse_error =
+  Helpers.qtest ~count:300 "Wio.of_string raises only Parse_error on garbage"
+    (QCheck.make garbage_gen ~print:String.escaped)
+    (fun text ->
+      match Wio.of_string text with
+      | _ -> true
+      | exception Wio.Parse_error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "roundtrip simple" `Quick test_roundtrip_simple;
@@ -91,4 +145,6 @@ let suite =
     Alcotest.test_case "rejects invalid topic ref" `Quick test_rejects_invalid_topic_reference;
     Alcotest.test_case "error mentions line number" `Quick test_error_mentions_line_number;
     prop_roundtrip;
+    Alcotest.test_case "rejects huge counts" `Quick test_rejects_huge_counts;
+    prop_raises_only_parse_error;
   ]
