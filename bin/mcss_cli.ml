@@ -160,7 +160,17 @@ let require_deltas path =
   | exception Delta_io.Parse_error msg -> die "%s: %s" path msg
 
 let resolve_instance = Front.resolve_instance
-let problem_of = Front.problem_of
+
+(* Every problem-building subcommand checks [--tau] and [--bc-events]
+   here, so a bad value is one line on stderr and exit 1. *)
+let problem_of ~w ~tau ~instance ~scale ~bc_events =
+  let tau = match Front.validate_tau tau with Ok t -> t | Error e -> die "%s" e in
+  let bc_events =
+    Option.map
+      (fun bc -> match Front.validate_bc_events bc with Ok b -> b | Error e -> die "%s" e)
+      bc_events
+  in
+  Front.problem_of ~w ~tau ~instance ~scale ~bc_events
 
 (* ----- generate ----- *)
 
@@ -225,6 +235,10 @@ let solve_cmd =
         Logs.warn (fun m ->
             m "%d subscriber(s) cannot be satisfied under this capacity" (List.length bad)));
     let configs = Front.configs ~ladder config_name in
+    let solve ?obs config =
+      try Solver.solve ?obs ~config ~domains p
+      with Problem.Infeasible m -> die "infeasible: %s" m
+    in
     let table =
       Table.create
         [
@@ -239,7 +253,7 @@ let solve_cmd =
     in
     List.iter
       (fun (name, config) ->
-        let r = Solver.solve ~obs ~config ~domains p in
+        let r = solve ~obs config in
         let valid =
           if no_verify then "-"
           else if
@@ -267,12 +281,12 @@ let solve_cmd =
     | None -> ()
     | Some path ->
         let _, config = List.nth configs (List.length configs - 1) in
-        let r = Solver.solve ~config ~domains p in
+        let r = solve config in
         Mcss_core.Plan_io.save r.Solver.allocation path;
         Printf.printf "plan written to %s\n" path);
     if detail then begin
       let _, config = List.nth configs (List.length configs - 1) in
-      let r = Solver.solve ~config ~domains p in
+      let r = solve config in
       Format.printf "@[<hov>%a@]@."
         Mcss_core.Solution_stats.pp
         (Mcss_core.Solution_stats.compute p r.Solver.allocation);
@@ -437,7 +451,10 @@ let simulate_cmd =
             (if Verifier.is_valid report then "clean" else "VIOLATIONS");
           (s, a)
       | None ->
-          let r = Solver.solve ~obs ~domains p in
+          let r =
+            try Solver.solve ~obs ~domains p
+            with Problem.Infeasible m -> die "infeasible: %s" m
+          in
           Format.printf "solved: %a@." Solver.pp_result r;
           (r.Solver.selection, r.Solver.allocation)
     in

@@ -29,19 +29,15 @@ let next_fit (p : Problem.t) (s : Selection.t) =
   a
 
 let best_fit_decreasing (p : Problem.t) (s : Selection.t) =
-  let w = p.Problem.workload in
+  let ev_of = Workload.event_rates p.Problem.workload in
   let eps = Problem.epsilon p in
   let a = Allocation.create ~capacity:p.Problem.capacity in
-  let groups =
-    Selection.pairs_by_topic p s
-    |> Array.map (fun (t, subs) -> (t, subs, Workload.event_rate w t))
-  in
-  Array.sort (fun (ta, _, eva) (tb, _, evb) -> compare (-.eva, ta) (-.evb, tb)) groups;
+  let g = Selection.pairs_by_topic p s in
   Array.iter
-    (fun (topic, subs, ev) ->
-      let n = Array.length subs in
-      let from = ref 0 in
-      while !from < n do
+    (fun topic ->
+      let ev = ev_of.(topic) in
+      let from = ref g.Selection.offsets.(topic) and hi = g.Selection.offsets.(topic + 1) in
+      while !from < hi do
         (* Tightest VM that can still take at least one pair. *)
         let best = ref None in
         Array.iter
@@ -60,9 +56,10 @@ let best_fit_decreasing (p : Problem.t) (s : Selection.t) =
                 infeasible topic ev p.Problem.capacity;
               vm
         in
-        let k = min (Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps) (n - !from) in
-        Allocation.place a vm ~topic ~ev ~subscribers:subs ~from:!from ~count:k;
+        let k = min (Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps) (hi - !from) in
+        Allocation.place a vm ~topic ~ev ~subscribers:g.Selection.subscribers ~from:!from
+          ~count:k;
         from := !from + k
       done)
-    groups;
+    (Cbp.order Cbp.Expensive_first p g);
   a

@@ -35,17 +35,19 @@ let cheaper_to_distribute (p : Problem.t) a ~ev ~count ~hosts =
       ~bandwidth:(cur_bw +. (float_of_int (count + new_vms) *. ev))
   in
   (* Option 2: spread over existing VMs (most-free first), overflow to
-     fresh VMs. Simulated on a snapshot of the free capacities. *)
-  let slots =
-    Array.init cur_vms (fun id -> (Allocation.free_of a id, hosts (Allocation.vm_at a id)))
-  in
-  Array.sort (fun (fa, _) (fb, _) -> compare fb fa) slots;
+     fresh VMs. Simulated on a snapshot of the free capacities. The VM
+     ids are sorted on free capacity alone by [Array.sort]; VMs with
+     exactly equal room stay in the order its heap sort leaves them. *)
+  let free = Array.init cur_vms (Allocation.free_of a) in
+  let ids = Array.init cur_vms Fun.id in
+  Array.sort (fun i j -> Float.compare free.(j) free.(i)) ids;
   let remaining = ref count in
   let spread_bw = ref 0. in
   Array.iter
-    (fun (room, already_hosts) ->
+    (fun id ->
       if !remaining > 0 then begin
-        let outgoing_room = (room +. eps) -. (if already_hosts then 0. else ev) in
+        let already_hosts = hosts (Allocation.vm_at a id) in
+        let outgoing_room = (free.(id) +. eps) -. (if already_hosts then 0. else ev) in
         if outgoing_room >= ev then begin
           let k = min !remaining (int_of_float (floor (outgoing_room /. ev))) in
           spread_bw :=
@@ -54,7 +56,7 @@ let cheaper_to_distribute (p : Problem.t) a ~ev ~count ~hosts =
           remaining := !remaining - k
         end
       end)
-    slots;
+    ids;
   let extra_vms = estimated_new_vms ~capacity ~ev !remaining in
   let spread_cost =
     Problem.cost p ~vms:(cur_vms + extra_vms)
@@ -63,24 +65,24 @@ let cheaper_to_distribute (p : Problem.t) a ~ev ~count ~hosts =
   in
   spread_cost < new_cost
 
-let order_groups opts groups =
-  match opts.topic_order with
-  | Arbitrary -> groups
-  | Expensive_first ->
-      let groups = Array.copy groups in
-      (* Stable by (rate desc, id asc): compare on (-ev, id). *)
-      Array.sort
-        (fun (ta, _, eva) (tb, _, evb) -> compare (-.eva, ta) (-.evb, tb))
-        groups;
-      groups
+(* Both sorted orders compare the negated key first and the topic id
+   second — the (-key, id) order, as a typed comparison on the ids. A
+   stable sort of the ascending ids on the key alone breaks ties by id.
+   The keys sit in a float array indexed by topic, so comparing two ids
+   reads two unboxed floats and allocates nothing. *)
+let order topic_order (p : Problem.t) (g : Selection.by_topic) =
+  let ev = Workload.event_rates p.Problem.workload in
+  let ids = Array.copy g.Selection.topics in
+  let by (key : float array) =
+    Array.stable_sort (fun a b -> Float.compare (-.key.(a)) (-.key.(b))) ids
+  in
+  (match topic_order with
+  | Arbitrary -> ()
+  | Expensive_first -> by ev
   | Heaviest_group_first ->
-      let groups = Array.copy groups in
-      let volume (_, subs, ev) = float_of_int (Array.length subs) *. ev in
-      Array.sort
-        (fun ((ta, _, _) as a) ((tb, _, _) as b) ->
-          compare (-.volume a, ta) (-.volume b, tb))
-        groups;
-      groups
+      let offsets = g.Selection.offsets in
+      by (Array.mapi (fun t ev -> float_of_int (offsets.(t + 1) - offsets.(t)) *. ev) ev));
+  ids
 
 (* Stage-2 work counts: plain mutable ints on the packing path, flushed
    once per run together with the per-VM residual-capacity histogram. *)
@@ -114,7 +116,7 @@ let flush_stage2 obs (p : Problem.t) a ~groups counts =
   end
 
 let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) opts =
-  let w = p.Problem.workload in
+  let ev_of = Workload.event_rates p.Problem.workload in
   let eps = Problem.epsilon p in
   let counts =
     {
@@ -126,17 +128,20 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
     }
   in
   let a = Allocation.create ~capacity:p.Problem.capacity in
-  let groups =
-    Selection.pairs_by_topic ~domains p s
-    |> Array.map (fun (t, subs) -> (t, subs, Workload.event_rate w t))
+  let g = Selection.pairs_by_topic ~domains p s in
+  let subs = g.Selection.subscribers in
+  let topics = order opts.topic_order p g in
+  (* Every group is the slice [lo, hi) of [subs]; [from] is an absolute
+     position in it. *)
+  let place vm ~topic ~ev ~from ~count =
+    Allocation.place a vm ~topic ~ev ~subscribers:subs ~from ~count;
+    counts.placements <- counts.placements + 1
   in
-  let groups = order_groups opts groups in
   (* The most recently deployed VM; a whole group that fits goes there. *)
   let current = ref None in
-  let deploy_for ~topic ~ev ~subs ~from =
-    let n = Array.length subs in
+  let deploy_for ~topic ~ev ~from ~hi =
     let from = ref from in
-    while !from < n do
+    while !from < hi do
       let vm = Allocation.deploy a in
       current := Some vm;
       let k = Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps in
@@ -145,19 +150,17 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
           (Problem.Infeasible
              (Printf.sprintf "topic %d: a single pair needs %g bandwidth but BC is %g"
                 topic (2. *. ev) p.Problem.capacity));
-      let k = min k (n - !from) in
-      Allocation.place a vm ~topic ~ev ~subscribers:subs ~from:!from ~count:k;
-      counts.placements <- counts.placements + 1;
+      let k = min k (hi - !from) in
+      place vm ~topic ~ev ~from:!from ~count:k;
       from := !from + k
     done
   in
   (* Spread the group over already-deployed VMs until none can take a
      pair; each VM is picked at most once per topic because we fill it. *)
-  let distribute ~topic ~ev ~subs =
-    let n = Array.length subs in
-    let from = ref 0 in
+  let distribute ~topic ~ev ~from ~hi =
+    let from = ref from in
     let progress = ref true in
-    while !from < n && !progress do
+    while !from < hi && !progress do
       (* Scan the fleet by id over the flat residual arrays — no per-pass
          snapshot of the VM handles. Ties in [Most_free] keep the lowest
          id, as the left-to-right fold always did. *)
@@ -182,33 +185,24 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
       if candidate < 0 then progress := false
       else begin
         let vm = Allocation.vm_at a candidate in
-        let k =
-          min (Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps) (n - !from)
-        in
-        Allocation.place a vm ~topic ~ev ~subscribers:subs ~from:!from ~count:k;
-        counts.placements <- counts.placements + 1;
+        let k = min (Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps) (hi - !from) in
+        place vm ~topic ~ev ~from:!from ~count:k;
         from := !from + k
       end
     done;
-    if !from < n then deploy_for ~topic ~ev ~subs ~from:!from
+    if !from < hi then deploy_for ~topic ~ev ~from:!from ~hi
   in
   Array.iter
-    (fun (topic, subs, ev) ->
-      let n = Array.length subs in
-      let fits_current =
-        match !current with
-        | Some vm ->
-            if Allocation.place_delta vm ~topic ~ev ~count:n <= Allocation.free a vm +. eps
-            then Some vm
-            else None
-        | None -> None
-      in
-      match fits_current with
-      | Some vm ->
-          Allocation.place a vm ~topic ~ev ~subscribers:subs ~from:0 ~count:n;
-          counts.placements <- counts.placements + 1;
+    (fun topic ->
+      let ev = ev_of.(topic) in
+      let lo = g.Selection.offsets.(topic) and hi = g.Selection.offsets.(topic + 1) in
+      let n = hi - lo in
+      match !current with
+      | Some vm
+        when Allocation.place_delta vm ~topic ~ev ~count:n <= Allocation.free a vm +. eps ->
+          place vm ~topic ~ev ~from:lo ~count:n;
           counts.whole_group_fits <- counts.whole_group_fits + 1
-      | None ->
+      | _ ->
           let spread =
             Allocation.num_vms a > 0
             && (not opts.cost_decision
@@ -219,12 +213,12 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
           in
           if spread then begin
             counts.decision_distribute <- counts.decision_distribute + 1;
-            distribute ~topic ~ev ~subs
+            distribute ~topic ~ev ~from:lo ~hi
           end
           else begin
             counts.decision_deploy <- counts.decision_deploy + 1;
-            deploy_for ~topic ~ev ~subs ~from:0
+            deploy_for ~topic ~ev ~from:lo ~hi
           end)
-    groups;
-  flush_stage2 obs p a ~groups:(Array.length groups) counts;
+    topics;
+  flush_stage2 obs p a ~groups:(Array.length topics) counts;
   a

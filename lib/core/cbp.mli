@@ -48,6 +48,17 @@ val with_most_free : options  (** Step (d). *)
 
 val with_cost_decision : options  (** Step (e) — the full CBP. *)
 
+val order :
+  topic_order -> Problem.t -> Selection.by_topic -> Mcss_workload.Workload.topic array
+(** The nonempty topics of the table in packing order, as a fresh array:
+    ascending ids for [Arbitrary]; for the two sorted orders, the key
+    ([ev_t], or [ev_t · |pairs of t|]) descending with ties by ascending
+    topic id — a typed comparison on [(-key, id)], so exactly the order a
+    sort of [(-key, id)] tuples gives. O(G log G) for G nonempty topics.
+    The one expensive-first order every topic-grouped packer uses
+    (CBP, the replica rounds of redundant placement, best-fit
+    decreasing). *)
+
 val run :
   ?obs:Mcss_obs.Registry.t ->
   ?domains:int ->
@@ -56,11 +67,16 @@ val run :
   options ->
   Allocation.t
 (** Raises {!Problem.Infeasible} if some selected pair cannot fit even an
-    empty VM. [domains] (default 1) parallelises the per-topic group
-    construction ({!Selection.pairs_by_topic}); the packing fold itself is
-    inherently sequential (every placement depends on the residuals the
-    previous ones left), so the resulting allocation is identical at any
-    domain count. [obs] (default {!Mcss_obs.Registry.noop}) receives the
+    empty VM. Builds the flat {!Selection.by_topic} table, orders its
+    topics by {!order}, and places every group straight from its table
+    slice — no per-topic array. Cost: the table's O(num_topics +
+    num_pairs), the order's O(G log G), then the packing fold, which
+    scans the fleet only when a group misses the current VM (O(G·|B|)
+    worst case for G groups and |B| VMs, plus an O(|B| log |B|) sort per
+    Alg. 7 estimate). [domains] (default 1) parallelises the table fill;
+    the packing fold itself is inherently sequential (every placement
+    depends on the residuals the previous ones left), so the resulting
+    allocation is identical at any domain count. [obs] (default {!Mcss_obs.Registry.noop}) receives the
     Stage-2 work counters ([stage2.groups], [stage2.vms_deployed],
     [stage2.placements], [stage2.whole_group_fits],
     [stage2.decision_distribute] / [stage2.decision_deploy],
@@ -74,4 +90,6 @@ val cheaper_to_distribute :
     rate [ev] over the existing fleet is estimated cheaper than deploying
     new VMs for them. [hosts vm] tells whether the VM already carries the
     topic (its incoming stream is then already paid for). Exposed for unit
-    tests. *)
+    tests. The most-free-first simulation heap-sorts VM ids on a float
+    snapshot of their free capacities with [Array.sort]; VMs with exactly
+    equal free capacity keep the order that sort leaves them in. *)

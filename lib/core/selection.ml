@@ -480,83 +480,70 @@ let satisfies (p : Problem.t) s =
     s.selected_rate;
   !ok
 
-(* Counting sort of the selected pairs into per-topic subscriber rows.
-   With [domains] > 1 the subscriber range is split into ordered chunks:
-   each domain counts its chunk, the per-(topic, domain) counts are
-   prefix-summed into disjoint write cursors, and each domain fills its
-   own slice of every row — so the rows come out ascending-by-subscriber
-   exactly as the sequential pass produces them, at any domain count. *)
+type by_topic = {
+  offsets : int array;
+  subscribers : Workload.subscriber array;
+  topics : Workload.topic array;
+}
+
+(* Counting sort of the selected pairs into one topic-major column.
+   [offsets] is the prefix sum of the per-topic counts; each pass then
+   writes subscriber [v] at its topic's cursor, so every slice comes out
+   ascending by subscriber. With [domains] > 1 the subscriber range is
+   split into ordered chunks: each domain counts its chunk, the
+   per-(domain, topic) counts are prefix-summed into disjoint write
+   cursors (domain d starts where domains < d end within each topic),
+   and each domain fills its own part of every slice — the same column
+   as the sequential pass, at any domain count. *)
 let pairs_by_topic ?(domains = 1) (p : Problem.t) s =
-  let w = p.Problem.workload in
-  let nt = Workload.num_topics w in
+  let nt = Workload.num_topics p.Problem.workload in
   let n = Array.length s.chosen in
   let domains = max 1 (min domains n) in
-  let counts = Array.make nt 0 in
-  let subs =
-    if domains <= 1 then begin
-      Array.iter (Array.iter (fun t -> counts.(t) <- counts.(t) + 1)) s.chosen;
-      let subs = Array.map (fun c -> Array.make (max c 1) 0) counts in
-      let fill = Array.make nt 0 in
-      Array.iteri
-        (fun v tv ->
-          Array.iter
-            (fun t ->
-              subs.(t).(fill.(t)) <- v;
-              fill.(t) <- fill.(t) + 1)
-            tv)
-        s.chosen;
-      subs
-    end
-    else begin
-      let chunk = (n + domains - 1) / domains in
-      let counts_d = Array.init domains (fun _ -> Array.make nt 0) in
-      let each_chunk worker =
-        let spawned =
-          List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-        in
-        worker 0;
-        List.iter Domain.join spawned
-      in
-      each_chunk (fun d ->
-          let cd = counts_d.(d) in
-          for v = d * chunk to min n ((d + 1) * chunk) - 1 do
-            Array.iter (fun t -> cd.(t) <- cd.(t) + 1) s.chosen.(v)
-          done);
-      (* Per-row totals, and per-domain counts turned into write cursors:
-         domain d starts where domains < d end within each row. *)
-      for t = 0 to nt - 1 do
-        let base = ref 0 in
-        for d = 0 to domains - 1 do
-          let c = counts_d.(d).(t) in
-          counts_d.(d).(t) <- !base;
-          base := !base + c
-        done;
-        counts.(t) <- !base
-      done;
-      let subs = Array.map (fun c -> Array.make (max c 1) 0) counts in
-      each_chunk (fun d ->
-          let cur = counts_d.(d) in
-          for v = d * chunk to min n ((d + 1) * chunk) - 1 do
-            Array.iter
-              (fun t ->
-                subs.(t).(cur.(t)) <- v;
-                cur.(t) <- cur.(t) + 1)
-              s.chosen.(v)
-          done);
-      subs
-    end
+  let chunk = (n + domains - 1) / domains in
+  let each_chunk worker =
+    let spawned =
+      List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    in
+    worker 0;
+    List.iter Domain.join spawned
   in
+  let cursors = Array.init domains (fun _ -> Array.make nt 0) in
+  each_chunk (fun d ->
+      let cd = cursors.(d) in
+      for v = d * chunk to min n ((d + 1) * chunk) - 1 do
+        Array.iter (fun t -> cd.(t) <- cd.(t) + 1) s.chosen.(v)
+      done);
+  let offsets = Array.make (nt + 1) 0 in
   let nonempty = ref 0 in
-  Array.iter (fun c -> if c > 0 then incr nonempty) counts;
-  let out = Array.make !nonempty (0, [||]) in
+  for t = 0 to nt - 1 do
+    let base = offsets.(t) in
+    let next = ref base in
+    for d = 0 to domains - 1 do
+      let c = cursors.(d).(t) in
+      cursors.(d).(t) <- !next;
+      next := !next + c
+    done;
+    if !next > base then incr nonempty;
+    offsets.(t + 1) <- !next
+  done;
+  let subscribers = Array.make offsets.(nt) 0 in
+  each_chunk (fun d ->
+      let cur = cursors.(d) in
+      for v = d * chunk to min n ((d + 1) * chunk) - 1 do
+        Array.iter
+          (fun t ->
+            subscribers.(cur.(t)) <- v;
+            cur.(t) <- cur.(t) + 1)
+          s.chosen.(v)
+      done);
+  let topics = Array.make !nonempty 0 in
   let i = ref 0 in
-  Array.iteri
-    (fun t c ->
-      if c > 0 then begin
-        out.(!i) <- (t, subs.(t));
-        incr i
-      end)
-    counts;
-  out
+  for t = 0 to nt - 1 do
+    if offsets.(t + 1) > offsets.(t) then begin
+      topics.(!i) <- t;
+      incr i
+    end
+  done;
+  { offsets; subscribers; topics }
 
 let iter_pairs s f = Array.iteri (fun v tv -> Array.iter (fun t -> f t v) tv) s.chosen

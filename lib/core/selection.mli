@@ -84,17 +84,31 @@ val satisfies : Problem.t -> t -> bool
 (** Every subscriber's selected rate reaches [τ_v] (up to epsilon) — the
     Stage-1 postcondition [Σ_v f_v = |V|]. *)
 
-val pairs_by_topic :
-  ?domains:int ->
-  Problem.t ->
-  t ->
-  (Mcss_workload.Workload.topic * Mcss_workload.Workload.subscriber array) array
-(** The selection regrouped per topic (only topics with at least one
-    selected pair), topic ids ascending, subscriber ids ascending. This is
-    the input view Stage-2's CustomBinPacking consumes. [domains] (default
-    1) parallelises the counting sort over subscriber chunks with a
-    deterministic per-chunk merge: the output is {e identical} at any
-    domain count. *)
+type by_topic = private {
+  offsets : int array;
+      (** [num_topics + 1] entries, indexed by topic id: topic [t]'s
+          selected subscribers are
+          [subscribers.(offsets.(t)) .. subscribers.(offsets.(t + 1) - 1)].
+          [offsets.(0) = 0] and [offsets.(num_topics) = num_pairs]. *)
+  subscribers : Mcss_workload.Workload.subscriber array;
+      (** Every selected pair's subscriber, topic-major: one slice per
+          topic, ascending by subscriber id within the slice. *)
+  topics : Mcss_workload.Workload.topic array;
+      (** The topics with at least one selected pair, ascending. *)
+}
+(** The selection regrouped per topic as one flat table — the input view
+    Stage-2's CustomBinPacking (and the other topic-grouped packers)
+    consume. Three arrays whatever the topic count: a packer places a
+    group straight from its slice ([Allocation.place ~subscribers ~from
+    ~count]) without building a per-topic array. *)
+
+val pairs_by_topic : ?domains:int -> Problem.t -> t -> by_topic
+(** Build the {!by_topic} table by a counting sort over the selection:
+    O(num_topics + num_pairs) time, and the three arrays plus one
+    [num_topics] cursor array per domain. [domains] (default 1)
+    parallelises the counting and filling over subscriber chunks, with
+    per-chunk write cursors laid out in chunk order: the table is
+    {e identical} at any domain count. *)
 
 val iter_pairs :
   t -> (Mcss_workload.Workload.topic -> Mcss_workload.Workload.subscriber -> unit) -> unit

@@ -21,6 +21,16 @@ let validate_domains domains =
     Error (Printf.sprintf "--domains must be >= 1, got %d" domains)
   else Ok domains
 
+let validate_tau tau =
+  if Float.is_nan tau || tau <= 0. then
+    Error (Printf.sprintf "--tau must be positive, got %g" tau)
+  else Ok tau
+
+let validate_bc_events bc =
+  if Float.is_nan bc || bc <= 0. then
+    Error (Printf.sprintf "--bc-events must be positive, got %g" bc)
+  else Ok bc
+
 let source ?seed trace ~scale =
   match trace with
   | `Spotify ->

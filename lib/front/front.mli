@@ -26,6 +26,14 @@ val validate_domains : int -> (int, string) result
 (** Accept domain counts >= 1; [Error] is a one-line reason suitable
     for stderr. *)
 
+val validate_tau : float -> (float, string) result
+(** Accept positive thresholds (infinity included); [Error] for zero,
+    negative or NaN, as a one-line reason suitable for stderr. *)
+
+val validate_bc_events : float -> (float, string) result
+(** Accept positive per-VM capacities (infinity included); [Error] for
+    zero, negative or NaN, as a one-line reason suitable for stderr. *)
+
 val source : ?seed:int -> trace -> scale:float -> Mcss_traces.Stream.source
 (** The streaming-generator source for a synthetic trace at [scale]
     relative to the published full-size trace, overriding the family's

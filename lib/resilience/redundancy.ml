@@ -40,64 +40,60 @@ let place ?(zones = 1) ~k (p : Problem.t) selection =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let hosts = pair_hosts a in
-  let groups = Array.copy (Selection.pairs_by_topic p selection) in
+  let g = Selection.pairs_by_topic p selection in
   (* Replica rounds reuse CBP's expensive-first order: the topics whose
      splitting costs the most ingress get first pick of space. *)
-  Array.sort
-    (fun (t1, _) (t2, _) ->
-      compare
-        (-.Workload.event_rate w t1, t1)
-        (-.Workload.event_rate w t2, t2))
-    groups;
+  let topics = Cbp.order Cbp.Expensive_first p g in
   let replicas = ref 0 in
   for _round = 2 to k do
     Array.iter
-      (fun (topic, subscribers) ->
+      (fun topic ->
         let ev = Workload.event_rate w topic in
-        Array.iter
-          (fun v ->
-            let current = Option.value ~default:[] (Hashtbl.find_opt hosts (topic, v)) in
-            let current_zones =
-              List.map (Failure_model.zone_of_vm ~zones) current
-            in
-            (* Most-free admissible VM, preferring zones no copy occupies. *)
-            let best = ref None and best_diverse = ref None in
-            Array.iter
-              (fun vm ->
-                let id = Allocation.vm_id vm in
-                if
-                  (not (List.mem id current))
-                  && Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps > 0
-                then begin
-                  (match !best with
+        for i = g.Selection.offsets.(topic) to g.Selection.offsets.(topic + 1) - 1 do
+          let v = g.Selection.subscribers.(i) in
+          let current = Option.value ~default:[] (Hashtbl.find_opt hosts (topic, v)) in
+          let current_zones =
+            List.map (Failure_model.zone_of_vm ~zones) current
+          in
+          (* Most-free admissible VM, preferring zones no copy occupies. *)
+          let best = ref None and best_diverse = ref None in
+          Array.iter
+            (fun vm ->
+              let id = Allocation.vm_id vm in
+              if
+                (not (List.mem id current))
+                && Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps > 0
+              then begin
+                (match !best with
+                | Some b when Allocation.free a b >= Allocation.free a vm -> ()
+                | _ -> best := Some vm);
+                if not (List.mem (Failure_model.zone_of_vm ~zones id) current_zones)
+                then
+                  match !best_diverse with
                   | Some b when Allocation.free a b >= Allocation.free a vm -> ()
-                  | _ -> best := Some vm);
-                  if not (List.mem (Failure_model.zone_of_vm ~zones id) current_zones)
-                  then
-                    match !best_diverse with
-                    | Some b when Allocation.free a b >= Allocation.free a vm -> ()
-                    | _ -> best_diverse := Some vm
-                end)
-              (Allocation.vms a);
-            let vm =
-              match (!best_diverse, !best) with
-              | Some vm, _ -> vm
-              | None, Some vm -> vm
-              | None, None ->
-                  let vm = Allocation.deploy a in
-                  if Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps = 0 then
-                    raise
-                      (Problem.Infeasible
-                         (Printf.sprintf
-                            "topic %d: a replica pair needs %g bandwidth but BC is %g"
-                            topic (2. *. ev) p.Problem.capacity));
-                  vm
-            in
-            Allocation.place a vm ~topic ~ev ~subscribers:[| v |] ~from:0 ~count:1;
-            incr replicas;
-            Hashtbl.replace hosts (topic, v) (Allocation.vm_id vm :: current))
-          subscribers)
-      groups
+                  | _ -> best_diverse := Some vm
+              end)
+            (Allocation.vms a);
+          let vm =
+            match (!best_diverse, !best) with
+            | Some vm, _ -> vm
+            | None, Some vm -> vm
+            | None, None ->
+                let vm = Allocation.deploy a in
+                if Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps = 0 then
+                  raise
+                    (Problem.Infeasible
+                       (Printf.sprintf
+                          "topic %d: a replica pair needs %g bandwidth but BC is %g"
+                          topic (2. *. ev) p.Problem.capacity));
+                vm
+          in
+          Allocation.place a vm ~topic ~ev ~subscribers:g.Selection.subscribers ~from:i
+            ~count:1;
+          incr replicas;
+          Hashtbl.replace hosts (topic, v) (Allocation.vm_id vm :: current)
+        done)
+      topics
   done;
   let zone_diverse_pairs =
     Hashtbl.fold

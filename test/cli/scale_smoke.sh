@@ -1,12 +1,13 @@
 #!/bin/sh
 # Scale smoke: a Spotify cold solve at --domains 2 must produce a
 # byte-identical plan file to --domains 1 (the domain-parallel Stage-1
-# is deterministic), and the plan must pass the full verifier +
-# simulated-replay audit. An empty delta batch applied to it through
-# `mcss update` (decode, the engine's adopting copy, the verifier,
-# encode) must give the plan back byte for byte. CI runs this at
-# --scale 0.1; the runtest rule uses a smaller scale to stay inside the
-# tier-1 budget.
+# and Stage-2 table fill are deterministic), both for the default
+# configuration and for "(b) +grouping", and the plan must pass the
+# full verifier + simulated-replay audit. An empty delta batch applied
+# to it through `mcss update` (decode, the engine's adopting copy, the
+# verifier, encode) must give the plan back byte for byte. CI runs this
+# at --scale 0.1; the runtest rule uses a smaller scale to stay inside
+# the tier-1 budget.
 #
 # usage: scale_smoke.sh path/to/mcss [scale]
 set -eu
@@ -29,6 +30,20 @@ if ! cmp -s "$DIR/d1.plan" "$DIR/d2.plan"; then
   exit 1
 fi
 echo "plans byte-identical across domain counts"
+
+# Arbitrary topic order packs groups in the order the table lists them,
+# so the domain-parallel fill of the topic-major table reaches the plan
+# bytes directly here.
+for d in 1 2; do
+  echo "cold solve at scale $SCALE, (b) +grouping, domains $d"
+  "$MCSS" solve --trace spotify --scale "$SCALE" --seed 11 --tau 100 --domains "$d" \
+    --config "(b) +grouping" --no-verify --save-plan "$DIR/b$d.plan" > "$DIR/b$d.out"
+done
+if ! cmp -s "$DIR/b1.plan" "$DIR/b2.plan"; then
+  echo "FAIL: (b) +grouping plan at --domains 2 differs from --domains 1" >&2
+  exit 1
+fi
+echo "(b) +grouping plans byte-identical across domain counts"
 
 echo "verifier + replay audit of the parallel plan"
 "$MCSS" verify --trace spotify --scale "$SCALE" --seed 11 --tau 100 \

@@ -8,6 +8,11 @@ module Allocation = Mcss_core.Allocation
 module Ffbp = Mcss_core.Ffbp
 module Cbp = Mcss_core.Cbp
 module Verifier = Mcss_core.Verifier
+module Plan_io = Mcss_core.Plan_io
+module Solver = Mcss_core.Solver
+module Baselines = Mcss_core.Baselines
+module Front = Mcss_front.Front
+module Oracle = Cbp_oracle
 
 let valid p s a = Verifier.is_valid (Verifier.verify p s a)
 
@@ -205,6 +210,162 @@ let prop_ffbp_uses_earliest_vm =
              && Allocation.free a vm >= Allocation.load last)
            vms))
 
+(* ----- differential: Stage 2 on the flat table = the tuple-sorting oracle ----- *)
+
+(* Built for ties: every rate comes from a palette of at most three
+   values (scaled by 1/2, 1 or 3/2: fractional, still exact), so
+   many topics share a rate and equal-size groups share a volume; the
+   capacity is a multiple of 1/2, so VMs often end with exactly equal
+   free capacity. Small capacities make some instances infeasible. *)
+let tie_problem_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* num_topics = int_range 2 30 in
+    let* num_subscribers = int_range 1 80 in
+    let* max_rate = int_range 1 3 in
+    let* scale = oneofl [ 0.5; 1.; 1.5 ] in
+    let* max_interests = int_range 1 6 in
+    let* tau = int_range 1 20 in
+    let* half_capacity = int_range 3 40 in
+    let* vm_usd = oneofl [ 0.001; 0.5; 4.; 30. ] in
+    let rng = Mcss_prng.Rng.create seed in
+    let w =
+      Helpers.random_workload rng ~num_topics ~num_subscribers ~max_rate ~max_interests
+    in
+    let workload =
+      Workload.create
+        ~event_rates:(Array.map (fun ev -> ev *. scale) (Workload.event_rates w))
+        ~interests:(Array.init num_subscribers (Workload.interests w))
+    in
+    return
+      (Problem.create ~workload ~tau:(float_of_int tau)
+         ~capacity:(0.5 *. float_of_int half_capacity)
+         (Problem.linear_costs ~vm_usd ~per_event_usd:0.1)))
+
+let tie_problem_arbitrary =
+  QCheck.make tie_problem_gen ~print:(fun p ->
+      Format.asprintf "%a, tau=%g, BC=%g" Workload.pp_summary p.Problem.workload
+        p.Problem.tau p.Problem.capacity)
+
+(* The ladder's four CBP configurations plus [Heaviest_group_first], in
+   both modules' option types. *)
+let oracle_options =
+  [
+    (Cbp.grouping_only, Oracle.grouping_only);
+    (Cbp.with_expensive_first, Oracle.with_expensive_first);
+    (Cbp.with_most_free, Oracle.with_most_free);
+    (Cbp.with_cost_decision, Oracle.with_cost_decision);
+    ( { Cbp.with_most_free with Cbp.topic_order = Cbp.Heaviest_group_first },
+      { Oracle.with_most_free with Oracle.topic_order = Oracle.Heaviest_group_first } );
+  ]
+
+(* Plan text and per-VM load bits, or the [Infeasible] message. *)
+let packed run =
+  match run () with
+  | a ->
+      Ok
+        ( Plan_io.to_string a,
+          Array.map (fun vm -> Int64.bits_of_float (Allocation.load vm)) (Allocation.vms a) )
+  | exception Problem.Infeasible m -> Error m
+
+let prop_cbp_matches_oracle =
+  Helpers.qtest ~count:200
+    "cbp = tuple-sort oracle (plan text, load bits), 5 orders x 1/2/4 domains"
+    tie_problem_arbitrary (fun p ->
+      let s = Selection.gsp p in
+      List.for_all
+        (fun (opts, oracle_opts) ->
+          let expected = packed (fun () -> Oracle.run p s oracle_opts) in
+          List.for_all
+            (fun domains -> packed (fun () -> Cbp.run ~domains p s opts) = expected)
+            [ 1; 2; 4 ])
+        oracle_options)
+
+(* The Alg. 7 estimate alone, on fleets where hosting and non-hosting
+   VMs often have exactly equal free capacity. With near-free VMs the
+   verdict turns on whether the first most-free VMs already carry the
+   topic, so it is sensitive to the order [Array.sort] leaves tied VMs
+   in. [Cbp.run] cannot show that order: it decides each group before
+   placing any of its pairs, so no VM carries the topic yet and tied VMs
+   are interchangeable. *)
+let prop_cheaper_to_distribute_matches_oracle =
+  Helpers.qtest ~count:300 "Alg. 7 estimate = tuple-sort oracle on tied free capacity"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Mcss_prng.Rng.create seed in
+      let pick xs = List.nth xs (Mcss_prng.Rng.int rng (List.length xs)) in
+      let w = Helpers.workload ~rates:[ 1.; 2. ] ~interests:[ [ 0; 1 ] ] in
+      let a = Allocation.create ~capacity:12. in
+      let topic = 1 and ev = pick [ 1.; 2. ] in
+      for _ = 1 to 2 + Mcss_prng.Rng.int rng 11 do
+        let vm = Allocation.deploy a in
+        (* Filler topic 0 at rate 1: [fill] pairs load [fill + 1]. *)
+        let fill = pick [ 1; 3; 5 ] in
+        Allocation.place a vm ~topic:0 ~ev:1. ~subscribers:(Array.make fill 0) ~from:0
+          ~count:fill;
+        if Mcss_prng.Rng.int rng 2 = 0 then
+          Allocation.place a vm ~topic ~ev ~subscribers:[| 0 |] ~from:0 ~count:1
+      done;
+      let hosts vm = Allocation.hosts_topic vm topic in
+      List.for_all
+        (fun vm_usd ->
+          let p =
+            Problem.create ~workload:w ~tau:1. ~capacity:12.
+              (Problem.linear_costs ~vm_usd ~per_event_usd:1.)
+          in
+          List.for_all
+            (fun count ->
+              Cbp.cheaper_to_distribute p a ~ev ~count ~hosts
+              = Oracle.cheaper_to_distribute p a ~ev ~count ~hosts)
+            (List.init 12 (fun i -> i + 1)))
+        [ 0.001; 1.; 5. ])
+
+(* ----- pinned plan bytes ----- *)
+
+(* Plan-text MD5s captured before Stage 2 moved onto the flat table
+   (tau 100, c3.large, default capacity); they must never move. *)
+let pinned_problem trace ~scale ~seed =
+  let w = Front.generate ~seed trace ~scale in
+  let instance = Result.get_ok (Front.resolve_instance "c3.large") in
+  snd (Front.problem_of ~w ~tau:100. ~instance ~scale ~bc_events:None)
+
+let plan_md5 a = Digest.to_hex (Digest.string (Plan_io.to_string a))
+
+let check_ladder_md5s p expected =
+  List.iter2
+    (fun (name, config) md5 ->
+      Alcotest.(check string) name md5 (plan_md5 (Solver.solve ~config p).Solver.allocation))
+    Solver.ladder expected
+
+let test_pinned_plans_spotify () =
+  let p = pinned_problem `Spotify ~scale:0.002 ~seed:1 in
+  check_ladder_md5s p
+    [
+      "e16405730b135fd9b7d1f8d069912ed6";
+      "368d1a36da34a8598d5b16060e626051";
+      "52887b27e5363ba3374dbeffef241833";
+      "b19b653ef7d06f05c223eb5ebd877bb3";
+      "844f6e934b33fccf8fad4b77f1da6ccd";
+      "43c9bcb685184b708e41256bbbd9783d";
+    ];
+  let s = Selection.gsp p in
+  Alcotest.(check string) "redundancy k=2" "a461201effe331ef1bbe21bc8021bafe"
+    (plan_md5 (fst (Mcss_resilience.Redundancy.place ~k:2 p s)));
+  Alcotest.(check string) "best-fit decreasing" "f76d7204f2892c8d6ff25e4652ba3ade"
+    (plan_md5 (Baselines.best_fit_decreasing p s))
+
+let test_pinned_plans_twitter () =
+  check_ladder_md5s
+    (pinned_problem `Twitter ~scale:0.0005 ~seed:4)
+    [
+      "c50a9e6a2d95d411b03b875e8cd6a512";
+      "5c10981831a6c1f7f9936d0b97b050e2";
+      "da47db9f77be8e7efb916604787dd974";
+      "d4136d2b2ae2b55f5710d86c62648fee";
+      "f6fa05892463a1b35c79e53e75bc1fee";
+      "670fb8f904b942e0b68bda5e6452369b";
+    ]
+
 let suite =
   [
     Alcotest.test_case "ffbp fig1 valid" `Quick test_ffbp_fig1_valid;
@@ -221,4 +382,10 @@ let suite =
     prop_rsp_selection_packs_validly;
     prop_no_empty_vms;
     prop_ffbp_uses_earliest_vm;
+    prop_cbp_matches_oracle;
+    prop_cheaper_to_distribute_matches_oracle;
+    Alcotest.test_case "pinned plan MD5s (spotify 0.002 seed 1)" `Quick
+      test_pinned_plans_spotify;
+    Alcotest.test_case "pinned plan MD5s (twitter 0.0005 seed 4)" `Quick
+      test_pinned_plans_twitter;
   ]

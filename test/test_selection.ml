@@ -64,14 +64,28 @@ let test_selection_bookkeeping () =
   Helpers.check_float "outgoing" 70. s.Selection.outgoing_rate;
   Helpers.check_bool "satisfies" true (Selection.satisfies p s)
 
+let group_size (g : Selection.by_topic) t =
+  g.Selection.offsets.(t + 1) - g.Selection.offsets.(t)
+
+(* The table as (topic, subscribers) per nonempty topic, ascending. *)
+let table_groups (g : Selection.by_topic) =
+  Array.to_list
+    (Array.map
+       (fun t ->
+         let lo = g.Selection.offsets.(t) in
+         (t, Array.to_list (Array.sub g.Selection.subscribers lo (group_size g t))))
+       g.Selection.topics)
+
 let test_pairs_by_topic () =
   let p = Helpers.fig1_problem () in
   let s = Selection.gsp p in
-  let groups = Selection.pairs_by_topic p s in
+  let g = Selection.pairs_by_topic p s in
   Alcotest.(check (list (pair int (list int))))
     "regrouped"
     [ (0, [ 0; 1 ]); (1, [ 0; 1; 2 ]) ]
-    (Array.to_list (Array.map (fun (t, subs) -> (t, Array.to_list subs)) groups))
+    (table_groups g);
+  Alcotest.(check (list int)) "offsets" [ 0; 2; 5 ] (Array.to_list g.Selection.offsets);
+  Helpers.check_int "group size" 3 (group_size g 1)
 
 let test_rsp_shuffled_satisfies () =
   let rng = Mcss_prng.Rng.create 3 in
@@ -174,18 +188,37 @@ let prop_pairs_by_topic_is_partition =
   Helpers.qtest "pairs_by_topic loses and invents nothing" Helpers.problem_arbitrary
     (fun p ->
       let s = Selection.gsp p in
-      let groups = Selection.pairs_by_topic p s in
+      let g = Selection.pairs_by_topic p s in
+      let nt = Workload.num_topics p.Problem.workload in
       let from_groups = Hashtbl.create 64 in
-      Array.iter
+      List.iter
         (fun (t, subs) ->
-          Array.iter (fun v -> Hashtbl.replace from_groups (t, v) ()) subs)
-        groups;
+          List.iter (fun v -> Hashtbl.replace from_groups (t, v) ()) subs)
+        (table_groups g);
       let count = ref 0 in
       let ok = ref true in
       Selection.iter_pairs s (fun t v ->
           incr count;
           if not (Hashtbl.mem from_groups (t, v)) then ok := false);
-      !ok && !count = Hashtbl.length from_groups && !count = s.Selection.num_pairs)
+      (* Shape: offsets span the column, and a topic is listed exactly
+         when its slice is nonempty; slices ascend strictly. *)
+      let shape =
+        Array.length g.Selection.offsets = nt + 1
+        && g.Selection.offsets.(0) = 0
+        && g.Selection.offsets.(nt) = Array.length g.Selection.subscribers
+        && Array.to_list g.Selection.topics
+           = List.filter (fun t -> group_size g t > 0) (List.init nt Fun.id)
+        && List.for_all
+             (fun (_, subs) ->
+               let rec ascending = function
+                 | a :: (b :: _ as rest) -> a < b && ascending rest
+                 | _ -> true
+               in
+               ascending subs)
+             (table_groups g)
+      in
+      !ok && shape && !count = Hashtbl.length from_groups
+      && !count = s.Selection.num_pairs)
 
 let suite =
   [
