@@ -133,6 +133,12 @@ let generate_workload trace scale seed = Front.generate ?seed trace ~scale
    backtrace and never silently different behaviour per subcommand. *)
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("mcss: " ^ m); exit 1) fmt
 
+(* Every subcommand that solves runs its body under this, so
+   [Problem.Infeasible], wherever it is raised, is one
+   "mcss: infeasible: ..." line on stderr and exit 1. *)
+let exit_if_infeasible f =
+  match Front.catch_infeasible f with Ok x -> x | Error e -> die "%s" e
+
 let require_scale scale =
   match Front.validate_scale scale with Ok s -> s | Error e -> die "%s" e
 
@@ -219,6 +225,7 @@ let solve_cmd =
   in
   let run () file trace scale seed domains tau instance_name bc_events config_name
       ladder no_verify save_plan detail metrics_out =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scale = require_scale scale in
     let domains = require_domains domains in
@@ -235,10 +242,6 @@ let solve_cmd =
         Logs.warn (fun m ->
             m "%d subscriber(s) cannot be satisfied under this capacity" (List.length bad)));
     let configs = Front.configs ~ladder config_name in
-    let solve ?obs config =
-      try Solver.solve ?obs ~config ~domains p
-      with Problem.Infeasible m -> die "infeasible: %s" m
-    in
     let table =
       Table.create
         [
@@ -251,27 +254,29 @@ let solve_cmd =
           ("valid", Table.Left);
         ]
     in
-    List.iter
-      (fun (name, config) ->
-        let r = solve ~obs config in
-        let valid =
-          if no_verify then "-"
-          else if
-            Verifier.is_valid (Verifier.verify p r.Solver.selection r.Solver.allocation)
-          then "yes"
-          else "NO"
-        in
-        Table.add_row table
-          [
-            name;
-            string_of_int r.Solver.num_vms;
-            Table.cell_float ~decimals:2 (Cost_model.gb_of_events model r.Solver.bandwidth);
-            Table.cell_usd r.Solver.cost;
-            Table.cell_float ~decimals:3 r.Solver.stage1_seconds;
-            Table.cell_float ~decimals:3 r.Solver.stage2_seconds;
-            valid;
-          ])
-      configs;
+    let row (name, config) =
+      let r = Solver.solve ~obs ~config ~domains p in
+      let valid =
+        if no_verify then "-"
+        else if
+          Verifier.is_valid (Verifier.verify p r.Solver.selection r.Solver.allocation)
+        then "yes"
+        else "NO"
+      in
+      Table.add_row table
+        [
+          name;
+          string_of_int r.Solver.num_vms;
+          Table.cell_float ~decimals:2 (Cost_model.gb_of_events model r.Solver.bandwidth);
+          Table.cell_usd r.Solver.cost;
+          Table.cell_float ~decimals:3 r.Solver.stage1_seconds;
+          Table.cell_float ~decimals:3 r.Solver.stage2_seconds;
+          valid;
+        ];
+      r
+    in
+    (* The last row's result also serves --save-plan and --detail. *)
+    let last = List.fold_left (fun _ c -> Some (row c)) None configs |> Option.get in
     Table.print table;
     let lb = Lower_bound.compute p in
     Printf.printf "lower bound: %d VMs, %.2f GB, %s\n" lb.Lower_bound.vms
@@ -280,18 +285,14 @@ let solve_cmd =
     (match save_plan with
     | None -> ()
     | Some path ->
-        let _, config = List.nth configs (List.length configs - 1) in
-        let r = solve config in
-        Mcss_core.Plan_io.save r.Solver.allocation path;
+        Mcss_core.Plan_io.save last.Solver.allocation path;
         Printf.printf "plan written to %s\n" path);
     if detail then begin
-      let _, config = List.nth configs (List.length configs - 1) in
-      let r = solve config in
       Format.printf "@[<hov>%a@]@."
         Mcss_core.Solution_stats.pp
-        (Mcss_core.Solution_stats.compute p r.Solver.allocation);
+        (Mcss_core.Solution_stats.compute p last.Solver.allocation);
       let rs =
-        Mcss_core.Right_size.solve r.Solver.allocation ~baseline:model.Cost_model.instance
+        Mcss_core.Right_size.solve last.Solver.allocation ~baseline:model.Cost_model.instance
           ~catalogue:Instance.catalogue ~horizon_hours:model.Cost_model.horizon_hours
           ~term:model.Cost_model.term
       in
@@ -434,6 +435,7 @@ let simulate_cmd =
   in
   let run () file trace scale seed domains tau instance_name bc_events poisson
       duration plan deltas outages metrics_out =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scale = require_scale scale in
     let domains = require_domains domains in
@@ -451,10 +453,7 @@ let simulate_cmd =
             (if Verifier.is_valid report then "clean" else "VIOLATIONS");
           (s, a)
       | None ->
-          let r =
-            try Solver.solve ~obs ~domains p
-            with Problem.Infeasible m -> die "infeasible: %s" m
-          in
+          let r = Solver.solve ~obs ~domains p in
           Format.printf "solved: %a@." Solver.pp_result r;
           (r.Solver.selection, r.Solver.allocation)
     in
@@ -476,8 +475,7 @@ let simulate_cmd =
                 (Engine.num_vms eng);
               let plan = Engine.plan eng in
               Ok (plan.Engine.problem, plan.Engine.allocation)
-          | exception Invalid_argument m -> Error m
-          | exception Problem.Infeasible m -> Error ("infeasible: " ^ m))
+          | exception Invalid_argument m -> Error m)
     in
     let config =
       {
@@ -566,6 +564,7 @@ let update_cmd =
   in
   let run () file trace scale seed tau instance_name bc_events config_name deltas
       plan drift save_plan save_workload echo_deltas =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -573,17 +572,13 @@ let update_cmd =
     let ds = require_deltas deltas in
     if echo_deltas then print_string (Delta_io.to_string ds);
     let config = Front.config_or_default config_name in
-    let* eng =
+    let eng =
       match plan with
       | Some path ->
           let allocation, selection = require_plan ~workload:w path in
-          Ok
-            (Engine.of_plan ~config ~drift_threshold:drift
-               { Engine.problem = p; selection; allocation })
-      | None -> (
-          match Engine.create ~config ~drift_threshold:drift p with
-          | eng -> Ok eng
-          | exception Problem.Infeasible m -> Error ("infeasible: " ^ m))
+          Engine.of_plan ~config ~drift_threshold:drift
+            { Engine.problem = p; selection; allocation }
+      | None -> Engine.create ~config ~drift_threshold:drift p
     in
     Printf.printf "before: %d VMs, cost %s\n" (Engine.num_vms eng)
       (Table.cell_usd (Engine.cost eng));
@@ -592,7 +587,6 @@ let update_cmd =
       match Engine.apply eng ds with
       | stats -> Ok stats
       | exception Invalid_argument m -> Error m
-      | exception Problem.Infeasible m -> Error ("infeasible: " ^ m)
     in
     Logs.info (fun m ->
         m "applied %d delta(s) in %.3f ms" (List.length ds)
@@ -643,6 +637,7 @@ let budget_cmd =
            ~doc:"Fixed VM budget (repeatable). Default: a sweep up to the MCSS fleet size.")
   in
   let run () file trace scale seed tau instance_name bc_events budgets =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -726,6 +721,7 @@ let export_lp_cmd =
            ~doc:"Fleet bound for the model (default: heuristic fleet + 2).")
   in
   let run () file trace scale seed tau instance_name bc_events out max_vms =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -868,6 +864,7 @@ let chaos_cmd =
   let run () file trace scale seed tau instance_name bc_events faults campaign_seed
       epochs epoch_duration zones k no_recovery max_new_vms penalty hysteresis
       backoff_base backoff_max backoff_jitter metrics_out =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let* () = if k >= 1 then Ok () else Error "--replicas must be >= 1" in
     let* () = if zones >= 1 then Ok () else Error "--zones must be >= 1" in
@@ -954,7 +951,6 @@ let chaos_cmd =
         flush_metrics obs metrics_out;
         r
     | exception Invalid_argument m -> `Error (false, m)
-    | exception Problem.Infeasible m -> `Error (false, "infeasible: " ^ m)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1027,6 +1023,7 @@ let elastic_cmd =
   let run () file trace scale seed tau instance_name bc_events scenario_path
       policy deployment scaling_usd lookahead down_cooldown consolidate_below
       ledger =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scenario = require_scenario scenario_path in
     let w = require_workload file trace scale seed in
@@ -1067,7 +1064,6 @@ let elastic_cmd =
       Week_sim.run ~pricing ~capacity_events:p.Problem.capacity ~policies
         ~workload:w ~tau ~model scenario
     with
-    | exception Problem.Infeasible m -> `Error (false, "infeasible: " ^ m)
     | exception Invalid_argument m -> `Error (false, m)
     | result ->
         Printf.printf
@@ -1152,6 +1148,7 @@ let profile_cmd =
   in
   let run () file trace scale seed tau instance_name bc_events config_name format
       no_simulate message_bytes metrics_out =
+    exit_if_infeasible @@ fun () ->
     let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -1172,7 +1169,6 @@ let profile_cmd =
             end)
       with
       | () -> Ok ()
-      | exception Problem.Infeasible m -> Error ("infeasible: " ^ m)
       | exception Invalid_argument m -> Error m
     in
     (match format with
@@ -2009,11 +2005,11 @@ let dataplane_cmd =
           Dp_cluster.shutdown cluster;
           print_endline "dataplane: scenario replayed, all brokers stopped"
         in
-        match replay () with
-        | () -> `Ok ()
-        | exception Problem.Infeasible m ->
+        match Front.catch_infeasible replay with
+        | Ok () -> `Ok ()
+        | Error e ->
             Dp_cluster.shutdown cluster;
-            `Error (false, "infeasible: " ^ m)
+            die "%s" e
         | exception Invalid_argument m ->
             Dp_cluster.shutdown cluster;
             `Error (false, m))

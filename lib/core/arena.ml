@@ -321,28 +321,30 @@ module Transpose = struct
   let stop t x = t.offs.(x + 1)
   let get t j = Int32.to_int (Bigarray.Array1.get t.col j)
 
+  (* The bisection and the gallop behind [find], top-level with every
+     input an argument, so that a lookup builds no closure. *)
+  let rec bsearch (col : col) x lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let y = Int32.to_int (Bigarray.Array1.unsafe_get col mid) in
+      if y = x then mid else if y < x then bsearch col x (mid + 1) hi else bsearch col x lo mid
+
+  (* Probe from, from + 2, from + 6, from + 14, ...: every entry in
+     [from, lo) is below [x]. *)
+  let rec gallop (col : col) x hi lo step =
+    let i = lo + step - 1 in
+    if i >= hi then bsearch col x lo hi
+    else
+      let y = Int32.to_int (Bigarray.Array1.unsafe_get col i) in
+      if y < x then gallop col x hi (i + 1) (2 * step)
+      else if y = x then i
+      else bsearch col x lo i
+
   let find t ~from ~hi x =
-    let col = t.col in
-    if from < 0 || hi > Bigarray.Array1.dim col then
+    if from < 0 || hi > Bigarray.Array1.dim t.col then
       invalid_arg "Arena.Transpose.find: range out of bounds";
-    let at i = Int32.to_int (Bigarray.Array1.unsafe_get col i) in
-    let rec bsearch lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) lsr 1 in
-        let y = at mid in
-        if y = x then mid else if y < x then bsearch (mid + 1) hi else bsearch lo mid
-    in
-    (* Probe from, from + 2, from + 6, from + 14, ...: every entry in
-       [from, lo) is below [x]. *)
-    let rec gallop lo step =
-      let i = lo + step - 1 in
-      if i >= hi then bsearch lo hi
-      else
-        let y = at i in
-        if y < x then gallop (i + 1) (2 * step) else if y = x then i else bsearch lo i
-    in
-    gallop from 1
+    gallop t.col x hi from 1
 
   let iter_run t x run n f =
     let lo = start t x and hi = stop t x in

@@ -197,7 +197,8 @@ module Transpose : sig
       [from + 2], [from + 6], [from + 14], ...) and then bisects, so
       looking up the rows of an ascending run in turn, each from just
       past the previous match, costs one forward merge along the column
-      row ({!iter_run} does this). [find] never looks before [from].
+      row ({!iter_run} does this). [find] never looks before [from],
+      and a lookup allocates nothing.
       Raises [Invalid_argument] if [[from, hi)] leaves the column. *)
 
   val iter_run : t -> int -> int array -> int -> (int -> int -> unit) -> unit
@@ -207,5 +208,6 @@ module Transpose : sig
       the previous match, and back at [start t x] whenever the run
       steps down (or repeats an entry), so an ascending run costs one
       forward merge along the column row and any other run is still
-      answered exactly. *)
+      answered exactly. Apart from what [f] does, it allocates nothing
+      per lookup. *)
 end

@@ -130,7 +130,7 @@ let select (p : Problem.t) =
     Array.map
       (fun vec ->
         let a = Vec.to_array vec in
-        Array.sort compare a;
+        Workload.sort_ids a;
         a)
       chosen
   in

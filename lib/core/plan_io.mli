@@ -47,9 +47,13 @@ val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selecti
     ids below [2^31]), then per [place]
     line one forward merge of its run along the topic's followers — a
     run that steps down restarts the merge at the topic's first
-    follower — and one byte of marks per workload pair. The selection
-    is rebuilt in one ascending-topic pass over the marks, so every
-    [chosen] row comes out id-sorted. *)
+    follower — and one byte of marks per workload pair. Lines are
+    tokenized in place and plain decimal ints read without a string:
+    the parse allocates a few words per line and what the fleet keeps,
+    but nothing per pair. The selection is rebuilt in one
+    ascending-topic pass over the marks, so every [chosen] row comes out
+    id-sorted, and each [selected_rate] is summed left to right over its
+    row. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 

@@ -59,7 +59,7 @@ let build ~workload per_subscriber =
   let outgoing_rate = ref 0. in
   for v = 0 to n - 1 do
     let topics, rate = per_subscriber v in
-    Array.sort compare topics;
+    Workload.sort_ids topics;
     chosen.(v) <- topics;
     selected_rate.(v) <- rate;
     num_pairs := !num_pairs + Array.length topics;
@@ -150,31 +150,36 @@ let ensure_scratch s k =
     s.rates <- Array.make cap 0.
   end
 
-(* Sort the first [k] entries of [s.order] by (rate, position): the same
-   total order as sorting (ev i, i) tuples, without building tuples.
-   Insertion sort below a small cutoff, else sort a copy (both realise
-   the unique sorted sequence of a total order). *)
+(* The (rate, position) order of [sort_order]: the same total order as
+   comparing (ev i, i) tuples, without building tuples. *)
+let order_cmp rates a b =
+  let c = Float.compare (Array.unsafe_get rates a) (Array.unsafe_get rates b) in
+  if c <> 0 then c else Int.compare a b
+
+(* Sort the first [k] entries of [s.order] by [order_cmp]. Insertion
+   sort below a small cutoff, else sort a copy (both realise the unique
+   sorted sequence of a total order). *)
 let sort_order s k =
-  let cmp a b =
-    let c = Float.compare s.rates.(a) s.rates.(b) in
-    if c <> 0 then c else Int.compare a b
-  in
+  let order = s.order and rates = s.rates in
   if k <= 32 then
     for i = 1 to k - 1 do
-      let x = s.order.(i) in
+      let x = order.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && cmp s.order.(!j) x > 0 do
-        s.order.(!j + 1) <- s.order.(!j);
+      while !j >= 0 && order_cmp rates order.(!j) x > 0 do
+        order.(!j + 1) <- order.(!j);
         decr j
       done;
-      s.order.(!j + 1) <- x
+      order.(!j + 1) <- x
     done
   else begin
-    let tmp = Array.sub s.order 0 k in
-    Array.sort cmp tmp;
-    Array.blit tmp 0 s.order 0 k
+    let tmp = Array.sub order 0 k in
+    Array.sort (order_cmp rates) tmp;
+    Array.blit tmp 0 order 0 k
   end
 
+(* One subscriber's picks, in pick order, and their rate sum. The loop
+   keeps its state in local refs that no closure captures, so [sum]
+   stays an unboxed float and a pick allocates nothing. *)
 let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
   let tv = Workload.interests w v in
   let k = Array.length tv in
@@ -182,20 +187,21 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
   if tau_v <= eps then ([||], 0.)
   else begin
     ensure_scratch s k;
-    Bytes.fill s.state 0 k st_live;
+    let order = s.order and state = s.state and rates = s.rates and picked = s.picked in
+    Bytes.fill state 0 k st_live;
     for i = 0 to k - 1 do
-      s.order.(i) <- i;
-      s.rates.(i) <- Workload.event_rate w tv.(i)
+      order.(i) <- i;
+      rates.(i) <- Workload.event_rate w tv.(i)
     done;
     sort_order s k;
-    Arena.Ibuf.clear s.picked;
+    Arena.Ibuf.clear picked;
     let sum = ref 0. in
-    let rem () = tau_v -. !sum in
-    (* [hi] = number of leading entries of the rate order with ev <= rem;
-       [elig] = live positions among them (= the eligible-set size). *)
+    (* [hi] = number of leading entries of the rate order with ev <= rem
+       (rem = tau_v - sum); [elig] = live positions among them (= the
+       eligible-set size). *)
     let hi = ref 0 in
     let elig = ref 0 in
-    while !hi < k && s.rates.(s.order.(!hi)) <= rem () do
+    while !hi < k && rates.(order.(!hi)) <= tau_v -. !sum do
       counts.set_ops <- counts.set_ops + 1;
       incr hi;
       incr elig
@@ -204,24 +210,8 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
        them up front so [st_live] means exactly "in the eligible set"
        (the endgame below may still pick shrunk positions). *)
     for j = !hi to k - 1 do
-      Bytes.set s.state s.order.(j) st_shrunk
+      Bytes.set state order.(j) st_shrunk
     done;
-    let shrink () =
-      while !hi > 0 && s.rates.(s.order.(!hi - 1)) > rem () do
-        decr hi;
-        let pos = s.order.(!hi) in
-        if Bytes.get s.state pos = st_live then begin
-          Bytes.set s.state pos st_shrunk;
-          decr elig
-        end;
-        counts.set_ops <- counts.set_ops + 1
-      done
-    in
-    let select pos =
-      Bytes.set s.state pos st_taken;
-      Arena.Ibuf.push s.picked tv.(pos);
-      sum := !sum +. s.rates.(pos)
-    in
     (* Eligible positions form a shrinking subset, so the min-live cursor
        only moves forward; likewise the endgame cursor over the rate
        order skips already-taken entries. *)
@@ -230,23 +220,37 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
     while !sum < tau_v -. eps do
       counts.considered <- counts.considered + 1;
       if !elig > 0 then begin
-        while Bytes.get s.state !minpos <> st_live do incr minpos done;
+        while Bytes.get state !minpos <> st_live do incr minpos done;
         let pos = !minpos in
         counts.set_ops <- counts.set_ops + 1;
         decr elig;
-        select pos;
-        shrink ()
+        Bytes.set state pos st_taken;
+        Arena.Ibuf.push picked tv.(pos);
+        sum := !sum +. rates.(pos);
+        (* Shrink the eligible prefix to the new remainder. *)
+        while !hi > 0 && rates.(order.(!hi - 1)) > tau_v -. !sum do
+          decr hi;
+          let pos = order.(!hi) in
+          if Bytes.get state pos = st_live then begin
+            Bytes.set state pos st_shrunk;
+            decr elig
+          end;
+          counts.set_ops <- counts.set_ops + 1
+        done
       end
       else begin
         (* All unselected rates exceed rem: take the smallest, done. *)
-        while !endgame < k && Bytes.get s.state s.order.(!endgame) = st_taken do
+        while !endgame < k && Bytes.get state order.(!endgame) = st_taken do
           incr endgame
         done;
         assert (!endgame < k);
-        select s.order.(!endgame)
+        let pos = order.(!endgame) in
+        Bytes.set state pos st_taken;
+        Arena.Ibuf.push picked tv.(pos);
+        sum := !sum +. rates.(pos)
       end
     done;
-    (Arena.Ibuf.to_array s.picked, !sum)
+    (Arena.Ibuf.to_array picked, !sum)
   end
 
 let gsp ?(obs = Registry.noop) (p : Problem.t) =
@@ -287,7 +291,7 @@ let gsp_parallel ?(obs = Registry.noop) ?domains (p : Problem.t) =
         let topics, rate =
           gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts:domain_counts.(d) ~scratch v
         in
-        Array.sort compare topics;
+        Workload.sort_ids topics;
         chosen.(v) <- topics;
         rates.(v) <- rate
       done
@@ -343,7 +347,7 @@ let reselect ?(obs = Registry.noop) (p : Problem.t) ~previous ~dirty =
   for v = 0 to n - 1 do
     if dirty.(v) then begin
       let topics, rate = gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts ~scratch v in
-      Array.sort compare topics;
+      Workload.sort_ids topics;
       chosen.(v) <- topics;
       selected_rate.(v) <- rate
     end

@@ -68,9 +68,13 @@ let verify (p : Problem.t) (s : Selection.t) a =
       n
     end
   in
+  (* A VM's recomputed outgoing (slot 0) and incoming (slot 1) rate,
+     summed in a float array: a float [ref] shared with the merge's
+     callback would box a fresh float on every pair. *)
+  let bw = Array.make 2 0. in
   Allocation.iter_vms a (fun vm ->
-      let outgoing = ref 0. in
-      let incoming = ref 0. in
+      bw.(0) <- 0.;
+      bw.(1) <- 0.;
       Allocation.iter_groups vm (fun t run k ->
           if t < 0 || t >= num_topics then
             for i = 0 to k - 1 do
@@ -83,12 +87,12 @@ let verify (p : Problem.t) (s : Selection.t) a =
                 if v < 0 || v >= num_subscribers then
                   add (Pair_outside_workload { topic = t; subscriber = v })
                 else begin
-                  outgoing := !outgoing +. ev;
+                  bw.(0) <- bw.(0) +. ev;
                   (* One live group per topic per VM: its first pair
                      inside the workload charges the incoming copy. *)
                   if not !inside then begin
                     inside := true;
-                    incoming := !incoming +. ev
+                    bw.(1) <- bw.(1) +. ev
                   end;
                   let n = sighting ~slot t v in
                   if n = 0 then delivered.(v) <- delivered.(v) +. ev
@@ -96,7 +100,7 @@ let verify (p : Problem.t) (s : Selection.t) a =
                   if slot < 0 then add (Pair_not_selected { topic = t; subscriber = v })
                 end)
           end);
-      let recomputed = !outgoing +. !incoming in
+      let recomputed = bw.(0) +. bw.(1) in
       total_bandwidth := !total_bandwidth +. recomputed;
       if recomputed > p.Problem.capacity +. eps then
         add (Over_capacity { vm = Allocation.vm_id vm; load = recomputed });

@@ -104,7 +104,7 @@ let apply w deltas =
         a.(!i) <- t;
         incr i)
       set;
-    Array.sort compare a;
+    Workload.sort_ids a;
     a
   in
   let all_interests =
@@ -186,7 +186,7 @@ let apply w deltas =
             | None | Some { contents = [] } -> keep
             | Some { contents = adds } ->
                 let out = Array.append keep (Array.of_list adds) in
-                Array.sort compare out;
+                Workload.sort_ids out;
                 out)
         in
         Hashtbl.iter rebuild added;

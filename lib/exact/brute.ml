@@ -102,7 +102,7 @@ let pack_optimal (p : Problem.t) pairs =
 let selection_of_choice w choice =
   let n = Workload.num_subscribers w in
   let chosen = Array.init n (fun v -> Array.copy choice.(v)) in
-  Array.iter (fun c -> Array.sort compare c) chosen;
+  Array.iter Workload.sort_ids chosen;
   let selected_rate =
     Array.map
       (Array.fold_left (fun acc t -> acc +. Workload.event_rate w t) 0.)

@@ -31,6 +31,9 @@ let validate_bc_events bc =
     Error (Printf.sprintf "--bc-events must be positive, got %g" bc)
   else Ok bc
 
+let catch_infeasible f =
+  match f () with x -> Ok x | exception Problem.Infeasible m -> Error ("infeasible: " ^ m)
+
 let source ?seed trace ~scale =
   match trace with
   | `Spotify ->

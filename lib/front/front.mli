@@ -34,6 +34,11 @@ val validate_bc_events : float -> (float, string) result
 (** Accept positive per-VM capacities (infinity included); [Error] for
     zero, negative or NaN, as a one-line reason suitable for stderr. *)
 
+val catch_infeasible : (unit -> 'a) -> ('a, string) result
+(** [f ()], or [Error "infeasible: <reason>"] when it raises
+    {!Mcss_core.Problem.Infeasible}: the one rendering of a problem that
+    no plan can satisfy, suitable for stderr. *)
+
 val source : ?seed:int -> trace -> scale:float -> Mcss_traces.Stream.source
 (** The streaming-generator source for a synthetic trace at [scale]
     relative to the published full-size trace, overriding the family's

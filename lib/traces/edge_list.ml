@@ -73,7 +73,7 @@ let load ~edges ~rates =
     rate_of_user;
   (* Densify deterministically: sort topics by original user id. *)
   let topic_users = Array.of_list !topic_users in
-  Array.sort compare topic_users;
+  Workload.sort_ids topic_users;
   Hashtbl.reset topic_of_user;
   Array.iteri (fun t user -> Hashtbl.replace topic_of_user user t) topic_users;
   let event_rates =

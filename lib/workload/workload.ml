@@ -46,9 +46,29 @@ let build ~event_rates ~interests =
   let total_event_rate = Array.fold_left ( +. ) 0. event_rates in
   { event_rates; interests; num_pairs; interest_rate; total_event_rate; followers = None }
 
+(* Interest and selection rows are mostly a few ids long, where an
+   insertion sort beats [Array.sort]'s heap sort; a longer row goes to
+   [Array.sort], so no row costs O(k^2). Ints sort to one sequence under
+   any correct sort, so the cutoff never changes a result. *)
+let sort_ids_cutoff = 32
+
+let sort_ids (a : int array) =
+  let k = Array.length a in
+  if k > sort_ids_cutoff then Array.sort Int.compare a
+  else
+    for i = 1 to k - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
+
 let create ~event_rates ~interests =
   let interests = Array.map (fun tv -> Array.copy tv) interests in
-  Array.iter (fun tv -> Array.sort compare tv) interests;
+  Array.iter sort_ids interests;
   validate ~event_rates ~interests;
   build ~event_rates:(Array.copy event_rates) ~interests
 
@@ -108,7 +128,7 @@ module Builder = struct
   let create ?(capacity = 1024) () = { interests = Array.make (max capacity 1) [||]; len = 0 }
 
   let add b tv =
-    Array.sort compare tv;
+    sort_ids tv;
     if b.len = Array.length b.interests then begin
       let fresh = Array.make (2 * Array.length b.interests) [||] in
       Array.blit b.interests 0 fresh 0 b.len;

@@ -18,6 +18,16 @@ type t
 (** An immutable workload. Construction validates the representation; all
     accessors are O(1) or return shared arrays that must not be mutated. *)
 
+val sort_ids : int array -> unit
+(** Sort ids ascending in place: the one int-row sort of the planning
+    code (interest rows, selected topics, follower lists). Rows of up
+    to {!sort_ids_cutoff} ids are insertion-sorted, longer ones go to
+    [Array.sort Int.compare], so no row costs O(k^2). It allocates
+    nothing and leaves the same array as [Array.sort compare]. *)
+
+val sort_ids_cutoff : int
+(** The longest row {!sort_ids} insertion-sorts (32). *)
+
 val create : event_rates:float array -> interests:topic array array -> t
 (** [create ~event_rates ~interests] builds a workload with
     [Array.length event_rates] topics and [Array.length interests]

@@ -495,6 +495,163 @@ let prop_decoder_raises_only_parse_error =
       | _ -> true
       | exception Plan_io.Parse_error _ -> true)
 
+(* ----- the decoder against its allocating predecessor ----- *)
+
+(* [p] with every event rate scaled by 1.1, which no float holds
+   exactly, so a selected rate summed in another order shows in its
+   bits. The capacity grows by more, so every pair still fits. *)
+let fractional p =
+  let w = p.Problem.workload in
+  let workload =
+    Workload.create
+      ~event_rates:(Array.map (fun ev -> ev *. 1.1) (Workload.event_rates w))
+      ~interests:(Array.init (Workload.num_subscribers w) (Workload.interests w))
+  in
+  Problem.create ~workload ~tau:p.Problem.tau ~capacity:(p.Problem.capacity *. 1.2)
+    p.Problem.costs
+
+(* Edits aimed at the decoder's kernels, on one [place] line: an int
+   spelled so that only [int_of_string_opt] reads it, a token the
+   fallback reads or rejects, separators widened into runs of spaces and
+   tabs, a count mismatch together with a bad subscriber token, and an
+   out-of-range subscriber (before a bad token or not), so the first
+   fault found must be the same one. *)
+let kernel_edit rng ~num_subscribers text =
+  let module Rng = Mcss_prng.Rng in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let places =
+    List.filter (fun i -> String.starts_with ~prefix:"place " lines.(i))
+      (List.init (Array.length lines) Fun.id)
+  in
+  if places = [] then text
+  else begin
+    let i = List.nth places (Rng.int rng (List.length places)) in
+    let fields = Array.of_list (String.split_on_char ' ' lines.(i)) in
+    let n = Array.length fields in
+    let field () = 1 + Rng.int rng (n - 1) in
+    let subscriber () = if n > 4 then 4 + Rng.int rng (n - 4) else field () in
+    let pick a = a.(Rng.int rng (Array.length a)) in
+    (match Rng.int rng 5 with
+    | 0 -> (
+        let j = field () in
+        let f = fields.(j) in
+        match int_of_string_opt f with
+        | Some v when v >= 0 ->
+            fields.(j) <-
+              (match Rng.int rng 5 with
+              | 0 -> "+" ^ f
+              | 1 -> Printf.sprintf "0x%x" v
+              | 2 -> "00" ^ f
+              | 3 -> Printf.sprintf "%019d" v
+              | _ -> String.sub f 0 1 ^ "_" ^ String.sub f 1 (String.length f - 1))
+        | _ -> ())
+    | 1 ->
+        fields.(field ()) <-
+          pick
+            [| "+5"; "0x1f"; "007"; "1_0"; "1000000000000000000"; "9999999999999999999";
+               "0000000000000000001"; "-1"; "x" |]
+    | 2 ->
+        let seps = [| " "; "  "; " \t "; "\t"; "\t\t"; "   " |] in
+        let b = Buffer.create 64 in
+        if Rng.bool rng then Buffer.add_string b (pick [| " "; "\t"; " \t" |]);
+        Array.iteri
+          (fun j f ->
+            if j > 0 then Buffer.add_string b (pick seps);
+            Buffer.add_string b f)
+          fields;
+        if Rng.bool rng then Buffer.add_string b (pick [| " "; "\t"; "\t " |]);
+        fields.(0) <- Buffer.contents b;
+        for j = 1 to n - 1 do
+          fields.(j) <- ""
+        done
+    | 3 ->
+        if n > 3 then fields.(3) <- string_of_int (n - 4 + 1 + Rng.int rng 2);
+        fields.(subscriber ()) <- pick [| "x"; "1x"; "-"; "0x" |]
+    | _ ->
+        let j = subscriber () in
+        fields.(j) <- pick [| string_of_int (num_subscribers + Rng.int rng 3); "-1" |];
+        if Rng.bool rng && n > 4 then fields.(4 + Rng.int rng (n - 4)) <- "x");
+    lines.(i) <-
+      String.concat " " (List.filter (fun f -> f <> "") (Array.to_list fields));
+    String.concat "\n" (Array.to_list lines)
+  end
+
+(* Both decoders give the same allocation, selection and loads, or the
+   same [Parse_error] message. *)
+let decodes_like_oracle (workload, text) =
+  let run f = match f ~workload text with r -> Ok r | exception Plan_io.Parse_error m -> Error m in
+  match (run Plan_io.of_string, run Plan_io_oracle.of_string) with
+  | Ok (a, s), Ok (oa, os) ->
+      Plan_io.to_string a = Plan_io.to_string oa
+      && bits (Allocation.total_load a) = bits (Allocation.total_load oa)
+      && same_selection s os
+  | Error m, Error om -> m = om
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let kernel_plan_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* seed = int_bound 1_000_000 in
+    let* inexact = bool in
+    let* reorder = bool in
+    let* edits = int_range 0 3 in
+    let module Rng = Mcss_prng.Rng in
+    let p = if inexact then fractional p else p in
+    let w = p.Problem.workload in
+    let rng = Rng.create seed in
+    let text = solved_plan_text p in
+    let text = ref (if reorder then reorder_runs rng ~repeat:(Rng.bool rng) text else text) in
+    for _ = 1 to edits do
+      text :=
+        if Rng.int rng 3 = 0 then mutate rng !text
+        else kernel_edit rng ~num_subscribers:(Workload.num_subscribers w) !text
+    done;
+    return (w, !text))
+
+let prop_decoder_matches_allocating_oracle =
+  Helpers.qtest ~count:500 "decoder = allocating decoder (text, selection bits, errors)"
+    (QCheck.make kernel_plan_gen ~print:(fun (_, text) -> String.escaped text))
+    decodes_like_oracle
+
+let test_decoder_kernel_cases () =
+  let w = Helpers.fig1_workload () in
+  let header = "mcss-plan 1\ncapacity 80\nvms 2\n" in
+  let decode body =
+    match Plan_io.of_string ~workload:w (header ^ body) with
+    | a, _ -> Ok (Plan_io.to_string a)
+    | exception Plan_io.Parse_error m -> Error m
+  in
+  List.iter
+    (fun body ->
+      if not (decodes_like_oracle (w, header ^ body)) then
+        Alcotest.failf "decoders disagree on %S" body)
+    [
+      "place 0 1 3 0 1 2\nplace 1 0 2 0 1\n";
+      "place +0 1 3 0 1 2\n";
+      "place 0 0x1 3 0 1 2\n";
+      "place 0 1 003 0 1 2\n";
+      "place 0 1 3 0 1_0 2\n";
+      "place 0 1 3 0 1 0000000000000000002\n";
+      "place 0 1 3 0 1 9999999999999999999\n";
+      "place 0 1 1000000000000000000 0 1 2\n";
+      "place  0\t1 3 0 1 2\n";
+      "\tplace   0 1    3 0 1 2 \t\n";
+      "place 0 1 4 0 x 2\n";
+      "place 0 1 3 7 x 2\n";
+      "place 0 1 3 7 1 2\n";
+      "place 0 1 3 -1 1 2\n";
+      "place 0 1 3 2 0 1\nplace 1 1 2 1 0\n";
+    ];
+  let check body expected =
+    Alcotest.(check (result string string)) body expected (decode body)
+  in
+  check "place 0 1 3 00 +1 0x2\n" (Ok (header ^ "place 0 1 3 0 1 2\n"));
+  check "place 0 1 4 0 x 2\n" (Error "line 4: count 4 does not match 3 subscribers");
+  check "place 0 1 3 7 x 2\n" (Error "line 4: bad subscriber \"x\"");
+  check "place 0 1 3 7 1 2\n" (Error "line 4: subscriber 7 outside the workload");
+  check "place 0 1 3 0 1 9999999999999999999\n"
+    (Error "line 4: bad subscriber \"9999999999999999999\"")
+
 let suite =
   [
     Alcotest.test_case "roundtrip fig1" `Quick test_roundtrip_fig1;
@@ -508,4 +665,6 @@ let suite =
     Alcotest.test_case "reordered runs" `Quick test_reordered_runs;
     prop_decoder_matches_oracle_on_reordered_runs;
     prop_decoder_raises_only_parse_error;
+    prop_decoder_matches_allocating_oracle;
+    Alcotest.test_case "decoder kernel cases" `Quick test_decoder_kernel_cases;
   ]

@@ -140,6 +140,69 @@ let prop_gsp_matches_reference =
     Helpers.problem_arbitrary (fun p ->
       same_selection (Selection.gsp p) (Selection.gsp_reference p))
 
+(* Rows longer than [Workload.sort_ids_cutoff], over rates from a small
+   integral palette (many ties, exact sums), at a τ that takes part of
+   each row or one that takes all of it. *)
+let long_rows_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* num_topics = int_range (Workload.sort_ids_cutoff + 8) 120 in
+    let* num_subscribers = int_range 1 24 in
+    let* take_all = bool in
+    let* tau = int_range 20 400 in
+    let module Rng = Mcss_prng.Rng in
+    let rng = Rng.create seed in
+    let palette = [| 1.; 2.; 3.; 5.; 8. |] in
+    let event_rates =
+      Array.init num_topics (fun _ -> palette.(Rng.int rng (Array.length palette)))
+    in
+    let cutoff = Workload.sort_ids_cutoff in
+    let interests =
+      Array.init num_subscribers (fun _ ->
+          let k = cutoff + 1 + Rng.int rng (num_topics - cutoff) in
+          Rng.sample_without_replacement rng k num_topics)
+    in
+    let workload = Workload.create ~event_rates ~interests in
+    let tau = if take_all then 1e9 else float_of_int tau in
+    return (Problem.create ~workload ~tau ~capacity:1e9 Problem.unit_costs))
+
+let bit_identical (a : Selection.t) (b : Selection.t) =
+  let bits = Int64.bits_of_float in
+  a.Selection.chosen = b.Selection.chosen
+  && Array.length a.Selection.selected_rate = Array.length b.Selection.selected_rate
+  && Array.for_all2
+       (fun x y -> bits x = bits y)
+       a.Selection.selected_rate b.Selection.selected_rate
+  && a.Selection.num_pairs = b.Selection.num_pairs
+  && bits a.Selection.outgoing_rate = bits b.Selection.outgoing_rate
+
+let prop_long_rows_identical =
+  Helpers.qtest ~count:100
+    "long rows: gsp = reference = parallel (1, 2, 4) = reselect, bit for bit"
+    (QCheck.make long_rows_gen ~print:(fun p ->
+         Format.asprintf "%a, tau=%g" Workload.pp_summary p.Problem.workload p.Problem.tau))
+    (fun p ->
+      let n = Workload.num_subscribers p.Problem.workload in
+      let seq = Selection.gsp p in
+      let ascending row =
+        let ok = ref true in
+        for i = 1 to Array.length row - 1 do
+          if row.(i - 1) >= row.(i) then ok := false
+        done;
+        !ok
+      in
+      Array.for_all ascending seq.Selection.chosen
+      && (p.Problem.tau < 1e9
+         || Array.exists
+              (fun row -> Array.length row > Workload.sort_ids_cutoff)
+              seq.Selection.chosen)
+      && bit_identical seq (Selection.gsp_reference p)
+      && List.for_all
+           (fun domains -> bit_identical seq (Selection.gsp_parallel ~domains p))
+           [ 1; 2; 4 ]
+      && bit_identical seq
+           (Selection.reselect p ~previous:(Selection.rsp p) ~dirty:(Array.make n true)))
+
 let prop_all_selectors_satisfy =
   Helpers.qtest "gsp, rsp and DP all satisfy every subscriber"
     Helpers.problem_arbitrary (fun p ->
@@ -237,6 +300,7 @@ let suite =
     Alcotest.test_case "optimal DP respects budget" `Quick test_optimal_dp_respects_budget;
     prop_gsp_matches_reference;
     prop_gsp_parallel_identical;
+    prop_long_rows_identical;
     prop_all_selectors_satisfy;
     prop_chosen_are_interests;
     prop_optimal_no_worse_than_gsp;

@@ -116,6 +116,15 @@ let prop_num_pairs_consistent =
       done;
       Workload.num_pairs w = !by_interests && !by_interests = !by_followers)
 
+let prop_sort_ids_is_sort =
+  Helpers.qtest ~count:300 "sort_ids = Array.sort compare, on both sides of the cutoff"
+    QCheck.(array_of_size Gen.(int_range 0 (3 * Workload.sort_ids_cutoff)) (int_range (-50) 50))
+    (fun a ->
+      let expected = Array.copy a in
+      Array.sort compare expected;
+      Workload.sort_ids a;
+      a = expected)
+
 let suite =
   [
     Alcotest.test_case "dimensions" `Quick test_dimensions;
@@ -133,4 +142,5 @@ let suite =
     Alcotest.test_case "pp_summary" `Quick test_pp_summary;
     prop_followers_interests_transpose;
     prop_num_pairs_consistent;
+    prop_sort_ids_is_sort;
   ]
