@@ -1,6 +1,6 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation (§IV and Appendix D) on the synthetic traces, plus
-   Bechamel microbenchmarks of the algorithmic kernels.
+   the ablations of DESIGN.md §4.
 
    Figure index (see DESIGN.md §4 and EXPERIMENTS.md):
      fig1        worked example of §III-B
@@ -8,9 +8,8 @@
      fig3a/fig3b Twitter cost ladder, BC = 64 / 128 mbps
      fig4/fig5   Stage-1 runtimes (GSP vs RSP), Spotify / Twitter
      fig6/fig7   Stage-2 runtimes (CBP vs FFBP), Spotify / Twitter
-     fig8..fig12 Twitter trace analysis (CCDFs, celebrity anomaly)
+     fig8-12     Twitter trace analysis (CCDFs, celebrity anomaly)
      summary     §IV-F savings summary
-     micro       Bechamel kernel benchmarks
 
    Absolute capacity: the paper's cost figures imply an effective per-VM
    capacity of ~5e7 events per 10-day horizon for c3.large (total
@@ -61,20 +60,18 @@ let write_json ~out_dir name doc =
 
 (* Every seeded generator in the harness derives from one --trace-seed,
    so a whole bench run (and both BENCH_*.json files) is reproducible
-   from a single number. Offsets keep the streams distinct. *)
+   from a single number. Offsets keep the streams distinct and are
+   fixed: moving one changes every number its section prints (the gaps
+   at +4, +6 and +8 are unused). *)
 type seeds = {
   trace_seed : int;
   spotify : int;
   twitter : int;
   scaling : int;
   skew : int;
-  micro : int;
   dynamic : int;
-  engine : int;
   fleet : int;
-  dataplane : int;
   elastic : int;
-  partition : int;
 }
 
 let default_trace_seed = 20130109
@@ -86,30 +83,12 @@ let derive_seeds trace_seed =
     twitter = trace_seed + 1;
     scaling = trace_seed + 2;
     skew = trace_seed + 3;
-    micro = trace_seed + 4;
     dynamic = trace_seed + 5;
-    engine = trace_seed + 6;
     fleet = trace_seed + 7;
-    dataplane = trace_seed + 8;
     elastic = trace_seed + 9;
-    partition = trace_seed + 10;
   }
 
 let bc_events = Front.bc_events
-
-(* A latency block in milliseconds, e.g. {"p50":..,"p99":..}, read off
-   a percentile function over seconds. *)
-let latency_ms pct ps =
-  Json.Obj (List.map (fun p -> (Printf.sprintf "p%.0f" (p *. 100.), Json.Float (pct p *. 1e3))) ps)
-
-(* The leading fields of every Spotify-trace section's summary. *)
-let spotify_header ~scenario ~seeds ~scale =
-  Json.
-    [
-      ("scenario", String scenario); ("runtime", runtime_json ());
-      ("version", String (Mcss_serve.Build_info.to_string ()));
-      ("trace_seed", Int seeds.trace_seed); ("trace", String "spotify"); ("scale", Float scale);
-    ]
 
 type run = {
   config_name : string;
@@ -459,66 +438,6 @@ let summary ~spotify ~twitter ~spotify_scale ~twitter_scale =
   in
   line "spotify" spotify spotify_scale "38%";
   line "twitter" twitter twitter_scale "74%"
-
-(* Bechamel microbenchmarks of the kernels. *)
-let micro ~seeds () =
-  section_header "micro" "kernel microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let rng = Mcss_prng.Rng.create (seeds.micro lxor 99) in
-  let w =
-    Mcss_traces.Spotify.generate
-      { (Mcss_traces.Spotify.scaled 0.001) with Mcss_traces.Spotify.seed = seeds.micro }
-  in
-  let p =
-    Problem.create ~workload:w ~tau:100. ~capacity:50_000.
-      (Problem.linear_costs ~vm_usd:36. ~per_event_usd:1e-7)
-  in
-  let selection = Selection.gsp p in
-  let zipf = Mcss_prng.Dist.Zipf.create ~n:100_000 ~s:1.0 in
-  let tests =
-    [
-      Test.make ~name:"stage1/gsp" (Staged.stage (fun () -> ignore (Selection.gsp p)));
-      Test.make ~name:"stage1/gsp-parallel"
-        (Staged.stage (fun () -> ignore (Selection.gsp_parallel p)));
-      Test.make ~name:"stage1/rsp" (Staged.stage (fun () -> ignore (Selection.rsp p)));
-      Test.make ~name:"stage2/ffbp"
-        (Staged.stage (fun () -> ignore (Mcss_core.Ffbp.run p selection)));
-      Test.make ~name:"stage2/cbp"
-        (Staged.stage (fun () ->
-             ignore (Mcss_core.Cbp.run p selection Mcss_core.Cbp.with_cost_decision)));
-      Test.make ~name:"lower-bound"
-        (Staged.stage (fun () -> ignore (Lower_bound.compute p)));
-      Test.make ~name:"zipf-sample"
-        (Staged.stage (fun () -> ignore (Mcss_prng.Dist.Zipf.sample zipf rng)));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    Analyze.all ols instance raw
-  in
-  let table = Table.create [ ("kernel", Table.Left); ("time/run", Table.Right) ] in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          let nanos =
-            match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-          in
-          let cell =
-            if Float.is_nan nanos then "n/a"
-            else if nanos > 1e9 then Printf.sprintf "%.2f s" (nanos /. 1e9)
-            else if nanos > 1e6 then Printf.sprintf "%.2f ms" (nanos /. 1e6)
-            else if nanos > 1e3 then Printf.sprintf "%.2f us" (nanos /. 1e3)
-            else Printf.sprintf "%.0f ns" nanos
-          in
-          Table.add_row table [ name; cell ])
-        results)
-    tests;
-  Table.print table
 
 (* ----- Ablations beyond the paper (DESIGN.md section 4) ----- *)
 
@@ -1023,1381 +942,6 @@ let resilience ~seeds ~w ~scale ~out_dir =
               ] );
         ])
 
-(* Observability overhead: the acceptance gate for lib/obs. Runs the
-   end-to-end pipeline (solve + deterministic simulate) on both traces
-   with instrumentation off (Registry.noop) and on (a live registry),
-   takes the median of several repetitions, and writes the enabled vs
-   disabled comparison to BENCH_obs.json. The no-op path must stay
-   within a few percent — instrumentation is compiled in permanently,
-   so its disabled cost is the number that matters. *)
-let obs_overhead ~seeds ~spotify ~twitter ~spotify_scale ~twitter_scale ~out_dir =
-  section_header "obs" "observability overhead: enabled vs disabled (lib/obs)";
-  let module Registry = Mcss_obs.Registry in
-  let model = Cost_model.ec2_2014 () in
-  let reps = 7 in
-  let median xs =
-    let xs = Array.of_list xs in
-    Array.sort compare xs;
-    xs.(Array.length xs / 2)
-  in
-  let pipeline obs p =
-    let r = Solver.solve ~obs p in
-    ignore (Simulator.run ~obs p r.Solver.allocation Simulator.default_config)
-  in
-  let time_pipeline obs p = snd (timed (fun () -> pipeline obs p)) in
-  let measure name w scale =
-    let capacity_events = bc_events ~scale Instance.c3_large in
-    let p = Problem.of_pricing ~capacity_events ~workload:w ~tau:100. model in
-    (* Warm up allocators and caches once per variant before timing. *)
-    pipeline Registry.noop p;
-    let disabled = List.init reps (fun _ -> time_pipeline Registry.noop p) in
-    let enabled =
-      List.init reps (fun _ -> time_pipeline (Registry.create ()) p)
-    in
-    let reg = Registry.create () in
-    pipeline reg p;
-    let metrics = List.length (Registry.samples reg) in
-    let spans =
-      List.length (Mcss_obs.Span.flatten (Mcss_obs.Span.roots reg))
-    in
-    let d = median disabled and e = median enabled in
-    let overhead_pct = if d > 0. then (e -. d) /. d *. 100. else 0. in
-    (name, scale, d, e, overhead_pct, metrics, spans)
-  in
-  let rows =
-    [
-      measure "spotify" spotify spotify_scale;
-      measure "twitter" twitter twitter_scale;
-    ]
-  in
-  let table =
-    Table.create
-      [
-        ("trace", Table.Left);
-        ("disabled s", Table.Right);
-        ("enabled s", Table.Right);
-        ("overhead", Table.Right);
-        ("metrics", Table.Right);
-        ("spans", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, _scale, d, e, pct, metrics, spans) ->
-      Table.add_row table
-        [
-          name;
-          Table.cell_float ~decimals:3 d;
-          Table.cell_float ~decimals:3 e;
-          Printf.sprintf "%+.2f%%" pct;
-          string_of_int metrics;
-          string_of_int spans;
-        ])
-    rows;
-  Table.print table;
-  print_endline
-    "(median of 7 solve+simulate pipelines per variant; counters accumulate\n\
-     in locals on the hot paths and flush once, so both columns should\n\
-     agree to within noise)";
-  write_json ~out_dir "BENCH_obs.json"
-    Json.(
-      Obj
-        [
-          ("scenario", String "obs_overhead"); ("runtime", runtime_json ());
-          ("trace_seed", Int seeds.trace_seed); ("tau", Int 100); ("reps", Int reps);
-          ("pipeline", String "solve+simulate");
-          ( "traces",
-            List
-              (List.map
-                 (fun (name, scale, d, e, pct, metrics, spans) ->
-                   Obj
-                     [
-                       ("name", String name); ("scale", Float scale); ("disabled_s", Float d);
-                       ("enabled_s", Float e); ("overhead_pct", Float pct);
-                       ("metrics", Int metrics); ("spans", Int spans);
-                     ])
-                 rows) );
-        ])
-
-(* Planning-service throughput: an in-process [mcss serve] on a Unix
-   socket, N concurrent client domains driving a solve+whatif mix over a
-   small set of parameter points. After warm-up most requests hit the
-   plan cache, so the numbers characterise the service path (protocol,
-   cache, admission, socket) rather than the solver. Writes
-   BENCH_serve.json: requests/s, p50/p95/p99 latency, steady-state
-   cache hit ratio. *)
-let serve_bench ~seeds ~spotify ~spotify_scale ~out_dir =
-  section_header "serve"
-    "planning service: concurrent solve/whatif over a Unix socket";
-  let module Service = Mcss_serve.Service in
-  let module Server = Mcss_serve.Server in
-  let module Client = Mcss_serve.Client in
-  let module Protocol = Mcss_serve.Protocol in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcss-bench-serve-%d.sock" (Unix.getpid ()))
-  in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let svc = Service.create () in
-  let digest = Service.load_workload svc spotify in
-  let address = Server.Unix_socket path in
-  let sconfig =
-    { Server.default_config with Server.workers = 8; accept_tick_s = 0.05 }
-  in
-  let server = Domain.spawn (fun () -> Server.run ~config:sconfig svc address) in
-  let rec await tries =
-    if tries = 0 then failwith "serve bench: server never came up";
-    match Client.connect address with
-    | Ok c -> Client.close c
-    | Error _ ->
-        Unix.sleepf 0.02;
-        await (tries - 1)
-  in
-  await 200;
-  (* Eight parameter points; after one cold solve each, everything is a
-     cache hit, which is the steady state a plan server lives in. *)
-  let taus = [| 25.; 50.; 75.; 100.; 150.; 200.; 400.; 800. |] in
-  let capacity = bc_events ~scale:spotify_scale Instance.c3_large in
-  let num_clients = 6 and requests_per_client = 50 in
-  let solve_request tau =
-    Json.Obj
-      [
-        ("req", Json.String "solve");
-        ("digest", Json.String digest);
-        ("tau", Json.Float tau);
-        ("bc_events", Json.Float capacity);
-      ]
-  in
-  let whatif_request () =
-    Json.Obj
-      [
-        ("req", Json.String "whatif");
-        ("digest", Json.String digest);
-        ("bc_events", Json.Float capacity);
-        ("taus", Json.List (List.map (fun t -> Json.Float t) [ 50.; 100.; 200. ]));
-      ]
-  in
-  (* Warm the cache once so the measured phase is steady-state. *)
-  (match
-     Client.with_connection address (fun c ->
-         Array.iter (fun tau -> ignore (Client.request c (solve_request tau))) taus;
-         ignore (Client.request c (whatif_request ()));
-         Ok ())
-   with
-  | Ok () -> ()
-  | Error m -> failwith ("serve bench warm-up: " ^ m));
-  let warm_stats = Service.cache_stats svc in
-  let run_client idx =
-    Domain.spawn (fun () ->
-        match
-          Client.with_connection address (fun c ->
-              let latencies = Array.make requests_per_client 0. in
-              let errors = ref 0 in
-              for k = 0 to requests_per_client - 1 do
-                let request =
-                  if (idx + k) mod 8 = 7 then whatif_request ()
-                  else solve_request taus.((idx + k) mod Array.length taus)
-                in
-                let t0 = Clock.now_ns () in
-                (match Client.request c request with
-                | Ok reply ->
-                    if not (Protocol.response_ok reply) then incr errors
-                | Error _ -> incr errors);
-                latencies.(k) <- Clock.seconds_since t0
-              done;
-              Ok (latencies, !errors))
-        with
-        | Ok r -> r
-        | Error m -> failwith ("serve bench client: " ^ m))
-  in
-  let t_start = Clock.now_ns () in
-  let domains = List.init num_clients run_client in
-  let per_client = List.map Domain.join domains in
-  let wall_s = Clock.seconds_since t_start in
-  (* Drain the server before reading its counters. *)
-  (match
-     Client.with_connection address (fun c ->
-         Client.request c (Json.Obj [ ("req", Json.String "shutdown") ]))
-   with
-  | Ok _ | Error _ -> ());
-  Domain.join server;
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let latencies =
-    Array.concat (List.map (fun (ls, _) -> ls) per_client)
-  in
-  let errors = List.fold_left (fun acc (_, e) -> acc + e) 0 per_client in
-  let pct = Stats.nearest_rank latencies in
-  let total_requests = num_clients * requests_per_client in
-  let requests_per_s = float_of_int total_requests /. wall_s in
-  let final_stats = Service.cache_stats svc in
-  (* Steady state: only lookups made during the measured phase. *)
-  let steady_hits = final_stats.Mcss_serve.Plan_cache.hits - warm_stats.Mcss_serve.Plan_cache.hits in
-  let steady_misses =
-    final_stats.Mcss_serve.Plan_cache.misses - warm_stats.Mcss_serve.Plan_cache.misses
-  in
-  let steady_hit_ratio =
-    if steady_hits + steady_misses = 0 then 0.
-    else float_of_int steady_hits /. float_of_int (steady_hits + steady_misses)
-  in
-  let table =
-    Table.create
-      [
-        ("clients", Table.Right);
-        ("requests", Table.Right);
-        ("errors", Table.Right);
-        ("req/s", Table.Right);
-        ("p50 ms", Table.Right);
-        ("p95 ms", Table.Right);
-        ("p99 ms", Table.Right);
-        ("hit ratio", Table.Right);
-      ]
-  in
-  Table.add_row table
-    [
-      string_of_int num_clients;
-      string_of_int total_requests;
-      string_of_int errors;
-      Table.cell_float ~decimals:0 requests_per_s;
-      Table.cell_float ~decimals:3 (pct 0.50 *. 1e3);
-      Table.cell_float ~decimals:3 (pct 0.95 *. 1e3);
-      Table.cell_float ~decimals:3 (pct 0.99 *. 1e3);
-      Table.cell_float ~decimals:3 steady_hit_ratio;
-    ];
-  Table.print table;
-  Printf.printf
-    "(steady state after a warm-up pass over all %d parameter points;\n\
-    \ solver ran %d times in total — everything else came from the cache)\n"
-    (Array.length taus + 3)
-    (Service.solver_runs svc);
-  write_json ~out_dir "BENCH_serve.json"
-    Json.(
-      Obj
-        (spotify_header ~scenario:"serve_throughput" ~seeds ~scale:spotify_scale
-        @ [
-            ("clients", Int num_clients); ("requests", Int total_requests);
-            ("errors", Int errors); ("wall_s", Float wall_s);
-            ("requests_per_s", Float requests_per_s);
-            ("latency_ms", latency_ms pct [ 0.50; 0.95; 0.99 ]);
-            ( "cache",
-              Obj
-                [
-                  ("steady_state_hit_ratio", Float steady_hit_ratio);
-                  ("hits", Int steady_hits); ("misses", Int steady_misses);
-                  ("entries", Int final_stats.Mcss_serve.Plan_cache.entries);
-                ] );
-            ("solver_runs", Int (Service.solver_runs svc));
-          ]))
-
-(* The resilience of the serving stack itself: (1) crash recovery — how
-   fast a kill -9'd journaled daemon is back to answering its solves as
-   cache hits; (2) client-visible latency when 10% of connections are
-   aborted with real RSTs by a fault-injecting proxy and the retry layer
-   has to reconnect-and-replay; (3) a full circuit-breaker open → shed →
-   half-open → close cycle with degraded replies counted. Writes
-   BENCH_serve_faults.json. *)
-let serve_faults_bench ~seeds ~spotify ~spotify_scale ~out_dir =
-  section_header "serve-faults"
-    "planning service under crash, wire resets, and an open circuit";
-  let module Service = Mcss_serve.Service in
-  let module Server = Mcss_serve.Server in
-  let module Client = Mcss_serve.Client in
-  let module Journal = Mcss_serve.Journal in
-  let module Breaker = Mcss_serve.Breaker in
-  let module Retry = Mcss_serve.Retry in
-  let module Faulty = Mcss_serve.Faulty in
-  let module Protocol = Mcss_serve.Protocol in
-  let capacity = bc_events ~scale:spotify_scale Instance.c3_large in
-  let taus = [ 25.; 50.; 100.; 200. ] in
-  let solve_line digest tau =
-    Json.to_string
-      (Json.Obj
-         [
-           ("req", Json.String "solve");
-           ("digest", Json.String digest);
-           ("tau", Json.Float tau);
-           ("bc_events", Json.Float capacity);
-         ])
-  in
-  let is_cached reply =
-    match Option.bind (Json.member "cached" reply) Json.to_bool_opt with
-    | Some b -> b
-    | None -> false
-  in
-  (* ----- 1. crash recovery ----- *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcss-bench-faults-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  rm_rf dir;
-  let journaled =
-    { Service.default_config with Service.journal = Some (Journal.default_config ~dir) }
-  in
-  let svc = Service.create ~config:journaled () in
-  let digest = Service.load_workload svc spotify in
-  let (), cold_solve_s =
-    timed (fun () ->
-        List.iter
-          (fun tau ->
-            let reply = Service.handle_line svc (solve_line digest tau) in
-            if not (Protocol.response_ok reply) then
-              failwith ("serve-faults: cold solve failed: " ^ Json.to_string reply))
-          taus)
-  in
-  (* kill -9 equivalence: abandon the instance without close — every
-     append was fsynced, so this is exactly what a crash leaves behind. *)
-  let svc2, replay_s = timed (fun () -> Service.create ~config:journaled ()) in
-  let recovered_hits, reanswer_s =
-    timed (fun () ->
-        List.fold_left
-          (fun acc tau ->
-            let reply = Service.handle_line svc2 (solve_line digest tau) in
-            if Protocol.response_ok reply && is_cached reply then acc + 1 else acc)
-          0 taus)
-  in
-  let plans_recovered =
-    match Service.replay_stats svc2 with
-    | Some r -> r.Service.plans_recovered
-    | None -> 0
-  in
-  let recovery_table =
-    Table.create
-      [
-        ("cold solve s", Table.Right);
-        ("replay ms", Table.Right);
-        ("re-answer ms", Table.Right);
-        ("plans recovered", Table.Right);
-        ("served as hits", Table.Right);
-        ("solver re-runs", Table.Right);
-      ]
-  in
-  Table.add_row recovery_table
-    [
-      Table.cell_float ~decimals:3 cold_solve_s;
-      Table.cell_float ~decimals:2 (replay_s *. 1e3);
-      Table.cell_float ~decimals:2 (reanswer_s *. 1e3);
-      string_of_int plans_recovered;
-      Printf.sprintf "%d/%d" recovered_hits (List.length taus);
-      string_of_int (Service.solver_runs svc2);
-    ];
-  Table.print recovery_table;
-  (* ----- 2. p99 under 10% injected connection resets ----- *)
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcss-bench-faults-%d.sock" (Unix.getpid ()))
-  in
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  let upstream = Server.Unix_socket sock in
-  let sconfig =
-    { Server.default_config with Server.workers = 4; accept_tick_s = 0.05 }
-  in
-  let server = Domain.spawn (fun () -> Server.run ~config:sconfig svc2 upstream) in
-  let rec await tries =
-    if tries = 0 then failwith "serve-faults: server never came up";
-    match Client.connect upstream with
-    | Ok c -> Client.close c
-    | Error _ ->
-        Unix.sleepf 0.02;
-        await (tries - 1)
-  in
-  await 200;
-  let reset_every = 10 in
-  let proxy =
-    Faulty.start
-      ~plan:(fun ~conn ->
-        if conn mod reset_every = 0 then
-          { Faulty.clean with Faulty.to_client = [ Faulty.Reset_after 0 ] }
-        else Faulty.clean)
-      ~upstream ()
-  in
-  let address = Faulty.address proxy in
-  let policy =
-    {
-      Retry.max_attempts = 4;
-      base_ms = 2.;
-      cap_ms = 50.;
-      attempt_timeout_ms = Some 5000.;
-    }
-  in
-  let num_clients = 3 and requests_per_client = 40 in
-  let tau_array = Array.of_list taus in
-  let run_client idx =
-    Domain.spawn (fun () ->
-        let rng = Mcss_prng.Rng.create (seeds.trace_seed + 100 + idx) in
-        let latencies = Array.make requests_per_client 0. in
-        let attempts = ref 0 and errors = ref 0 in
-        for k = 0 to requests_per_client - 1 do
-          let tau = tau_array.((idx + k) mod Array.length tau_array) in
-          let env =
-            {
-              Protocol.id = None;
-              deadline_ms = None;
-              request =
-                Protocol.Solve
-                  {
-                    digest;
-                    params =
-                      {
-                        Protocol.default_params with
-                        Protocol.tau;
-                        bc_events = Some capacity;
-                      };
-                  };
-            }
-          in
-          let t0 = Clock.now_ns () in
-          let o = Client.call ~rng ~policy address env in
-          latencies.(k) <- Clock.seconds_since t0;
-          attempts := !attempts + o.Retry.attempts;
-          match o.Retry.result with
-          | Ok reply when Protocol.response_ok reply -> ()
-          | Ok _ | Error _ -> incr errors
-        done;
-        (latencies, !attempts, !errors))
-  in
-  let per_client = List.map Domain.join (List.init num_clients run_client) in
-  let reset_conns = (Faulty.connections proxy + reset_every - 1) / reset_every in
-  Faulty.stop proxy;
-  (match
-     Client.with_connection upstream (fun c ->
-         Client.request c (Json.Obj [ ("req", Json.String "shutdown") ]))
-   with
-  | Ok _ | Error _ -> ());
-  Domain.join server;
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  Service.close svc2;
-  let latencies = Array.concat (List.map (fun (ls, _, _) -> ls) per_client) in
-  let attempts = List.fold_left (fun a (_, n, _) -> a + n) 0 per_client in
-  let errors = List.fold_left (fun a (_, _, e) -> a + e) 0 per_client in
-  let pct = Stats.nearest_rank latencies in
-  let total_requests = num_clients * requests_per_client in
-  let reset_table =
-    Table.create
-      [
-        ("requests", Table.Right);
-        ("resets", Table.Right);
-        ("attempts", Table.Right);
-        ("errors", Table.Right);
-        ("p50 ms", Table.Right);
-        ("p95 ms", Table.Right);
-        ("p99 ms", Table.Right);
-      ]
-  in
-  Table.add_row reset_table
-    [
-      string_of_int total_requests;
-      string_of_int reset_conns;
-      string_of_int attempts;
-      string_of_int errors;
-      Table.cell_float ~decimals:3 (pct 0.50 *. 1e3);
-      Table.cell_float ~decimals:3 (pct 0.95 *. 1e3);
-      Table.cell_float ~decimals:3 (pct 0.99 *. 1e3);
-    ];
-  Table.print reset_table;
-  Printf.printf
-    "(every %dth connection is aborted with a real RST; the client's \n\
-    \ reconnect-and-replay absorbs them — %d requests, 0 expected errors)\n"
-    reset_every total_requests;
-  (* ----- 3. breaker open → shed degraded → half-open → close ----- *)
-  let breaker_cfg = { Breaker.failure_threshold = 1; cooldown_ms = 100. } in
-  let svc3 =
-    Service.create ~config:{ Service.default_config with Service.breaker = breaker_cfg } ()
-  in
-  let digest3 = Service.load_workload svc3 spotify in
-  (match Service.handle_line svc3 (solve_line digest3 50.) with
-  | reply when Protocol.response_ok reply -> ()
-  | reply -> failwith ("serve-faults: baseline solve failed: " ^ Json.to_string reply));
-  Breaker.failure (Service.breaker svc3);
-  let shed_requests = 20 in
-  let degraded_replies = ref 0 in
-  for _ = 1 to shed_requests do
-    let reply = Service.handle_line svc3 (solve_line digest3 60.) in
-    if Protocol.response_degraded reply then incr degraded_replies
-  done;
-  Unix.sleepf ((breaker_cfg.Breaker.cooldown_ms +. 50.) /. 1000.);
-  (* The half-open probe runs the solver for real and closes the circuit. *)
-  (match Service.handle_line svc3 (solve_line digest3 60.) with
-  | reply when Protocol.response_ok reply && not (Protocol.response_degraded reply) -> ()
-  | reply -> failwith ("serve-faults: probe solve failed: " ^ Json.to_string reply));
-  let b = Service.breaker svc3 in
-  let breaker_table =
-    Table.create
-      [
-        ("shed requests", Table.Right);
-        ("degraded replies", Table.Right);
-        ("opens", Table.Right);
-        ("closes", Table.Right);
-        ("rejections", Table.Right);
-        ("final state", Table.Right);
-      ]
-  in
-  Table.add_row breaker_table
-    [
-      string_of_int shed_requests;
-      string_of_int !degraded_replies;
-      string_of_int (Breaker.opens b);
-      string_of_int (Breaker.closes b);
-      string_of_int (Breaker.rejections b);
-      Breaker.state_to_string (Breaker.state b);
-    ];
-  Table.print breaker_table;
-  write_json ~out_dir "BENCH_serve_faults.json"
-    Json.(
-      Obj
-        (spotify_header ~scenario:"serve_faults" ~seeds ~scale:spotify_scale
-        @ [
-            ( "recovery",
-              Obj
-                [
-                  ("cold_solve_s", Float cold_solve_s); ("replay_ms", Float (replay_s *. 1e3));
-                  ("reanswer_ms", Float (reanswer_s *. 1e3));
-                  ("plans_recovered", Int plans_recovered);
-                  ("served_as_hits", Int recovered_hits);
-                  ("solver_reruns", Int (Service.solver_runs svc2));
-                ] );
-            ( "resets",
-              Obj
-                [
-                  ("requests", Int total_requests); ("injected_resets", Int reset_conns);
-                  ("reset_every", Int reset_every); ("attempts", Int attempts);
-                  ("errors", Int errors); ("latency_ms", latency_ms pct [ 0.50; 0.95; 0.99 ]);
-                ] );
-            ( "breaker",
-              Obj
-                [
-                  ("shed_requests", Int shed_requests);
-                  ("degraded_replies", Int !degraded_replies);
-                  ("opens", Int (Breaker.opens b)); ("closes", Int (Breaker.closes b));
-                  ("rejections", Int (Breaker.rejections b));
-                  ("final_state", String (Breaker.state_to_string (Breaker.state b)));
-                ] );
-          ]));
-  rm_rf dir
-
-(* One shard of the bench cluster: a journaled leader with its
-   replication hub, and a journaled follower fed over [bs_dial] (the
-   shard-0 link runs through a fault-injecting proxy). *)
-type bench_shard = {
-  bs_name : string;
-  bs_leader : Mcss_serve.Service.t;
-  bs_follower : Mcss_serve.Service.t;
-  bs_hub : Mcss_serve.Replication.leader;
-  bs_proxy : Mcss_serve.Faulty.t option;
-  bs_dial : Mcss_serve.Server.address;
-  bs_stop : bool Atomic.t;
-  bs_follow : unit Domain.t;
-  bs_leader_addr : Mcss_serve.Server.address;
-  bs_follower_addr : Mcss_serve.Server.address;
-  bs_leader_dom : unit Domain.t;
-  bs_follower_dom : unit Domain.t;
-}
-
-(* The full replicated deployment of DESIGN.md §serve: three shards,
-   each a journaled leader streaming its WAL to a journaled follower,
-   fronted by the consistent-hash router. Shard 0's replication link
-   runs through the fault-injecting proxy with every 10th connection
-   reset mid-stream, so the numbers include resync-on-fault overhead.
-   Client domains drive solves for digests spread across the ring
-   through [Router.handle]; reports aggregate req/s and p50/p99, the
-   per-shard request split, and the time a cold follower needs to pull
-   the shard-0 journal through the faulty link.
-   BENCH_serve_cluster.json: throughput, latency, split, resync. *)
-let serve_cluster_bench ~seeds ~spotify ~spotify_scale ~out_dir =
-  section_header "serve-cluster"
-    "3 shards x 2 replicas behind the router, faulty replication link";
-  let module Service = Mcss_serve.Service in
-  let module Server = Mcss_serve.Server in
-  let module Client = Mcss_serve.Client in
-  let module Journal = Mcss_serve.Journal in
-  let module Retry = Mcss_serve.Retry in
-  let module Faulty = Mcss_serve.Faulty in
-  let module Protocol = Mcss_serve.Protocol in
-  let module Replication = Mcss_serve.Replication in
-  let module Ring = Mcss_serve.Ring in
-  let module Router = Mcss_serve.Router in
-  let capacity = bc_events ~scale:spotify_scale Instance.c3_large in
-  let base =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcss-bench-cluster-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  rm_rf base;
-  Mcss_report.Fs.mkdir_p base;
-  let shard_names = [ "s0"; "s1"; "s2" ] in
-  let ring = Ring.create shard_names in
-  (* The ring hashes content digests, so shard coverage is found, not
-     assumed: keep generating seeded Spotify variants until every shard
-     owns at least one digest and there are six or more in play. *)
-  let variants = ref [ (Service.digest_of_workload spotify, spotify) ] in
-  let covered name =
-    List.exists (fun (d, _) -> Ring.owner ring d = name) !variants
-  in
-  let next = ref 0 in
-  while
-    (List.length !variants < 6 || not (List.for_all covered shard_names))
-    && !next < 24
-  do
-    let w =
-      Front.generate
-        ~seed:(seeds.trace_seed + 7100 + !next)
-        `Spotify
-        ~scale:(spotify_scale /. 2.)
-    in
-    incr next;
-    let d = Service.digest_of_workload w in
-    if not (List.mem_assoc d !variants) then variants := (d, w) :: !variants
-  done;
-  let digests = List.rev !variants in
-  let journaled dir =
-    {
-      Service.default_config with
-      Service.journal =
-        Some { (Journal.default_config ~dir) with Journal.fsync = false };
-    }
-  in
-  let sconfig =
-    { Server.default_config with Server.workers = 4; accept_tick_s = 0.05 }
-  in
-  let fault_every = 10 in
-  let boot i name =
-    let dir sub = Filename.concat base (Filename.concat name sub) in
-    let leader = Service.create ~config:(journaled (dir "leader")) () in
-    let rep = Server.Unix_socket (Filename.concat base (name ^ "-rep.sock")) in
-    let hub = Replication.start_leader ~service:leader rep in
-    let proxy =
-      if i = 0 then
-        Some
-          (Faulty.start
-             ~plan:(fun ~conn ->
-               if conn mod fault_every = 0 then
-                 {
-                   Faulty.clean with
-                   Faulty.to_client = [ Faulty.Reset_after 256 ];
-                 }
-               else Faulty.clean)
-             ~upstream:rep ())
-      else None
-    in
-    let dial = match proxy with Some p -> Faulty.address p | None -> rep in
-    let follower =
-      Service.create
-        ~config:(journaled (dir "follower"))
-        ~role:Service.Follower ()
-    in
-    let stop = Atomic.make false in
-    let fdom =
-      Domain.spawn (fun () ->
-          Replication.follow ~reconnect_ms:20. ~service:follower
-            ~stop:(fun () -> Atomic.get stop)
-            dial)
-    in
-    let laddr =
-      Server.Unix_socket (Filename.concat base (name ^ "-leader.sock"))
-    in
-    let faddr =
-      Server.Unix_socket (Filename.concat base (name ^ "-follower.sock"))
-    in
-    let ldom = Domain.spawn (fun () -> Server.run ~config:sconfig leader laddr) in
-    let sdom =
-      Domain.spawn (fun () -> Server.run ~config:sconfig follower faddr)
-    in
-    {
-      bs_name = name;
-      bs_leader = leader;
-      bs_follower = follower;
-      bs_hub = hub;
-      bs_proxy = proxy;
-      bs_dial = dial;
-      bs_stop = stop;
-      bs_follow = fdom;
-      bs_leader_addr = laddr;
-      bs_follower_addr = faddr;
-      bs_leader_dom = ldom;
-      bs_follower_dom = sdom;
-    }
-  in
-  let shards = Array.of_list (List.mapi boot shard_names) in
-  let await addr =
-    let rec go tries =
-      if tries = 0 then failwith "serve-cluster: server never came up";
-      match Client.connect addr with
-      | Ok c -> Client.close c
-      | Error _ ->
-          Unix.sleepf 0.02;
-          go (tries - 1)
-    in
-    go 200
-  in
-  Array.iter
-    (fun s ->
-      await s.bs_leader_addr;
-      await s.bs_follower_addr)
-    shards;
-  let policy =
-    {
-      Retry.max_attempts = 3;
-      base_ms = 2.;
-      cap_ms = 50.;
-      attempt_timeout_ms = Some 5000.;
-    }
-  in
-  let router =
-    Router.create
-      ~config:
-        {
-          Router.default_config with
-          Router.policy;
-          Router.health_period_s = 0.5;
-          Router.log = (fun _ -> ());
-        }
-      ~seed:(seeds.trace_seed + 7500)
-      (List.map
-         (fun s ->
-           {
-             Router.shard_name = s.bs_name;
-             Router.members =
-               [
-                 { Router.name = "leader"; address = s.bs_leader_addr };
-                 { Router.name = "follower"; address = s.bs_follower_addr };
-               ];
-           })
-         (Array.to_list shards))
-  in
-  Router.probe_all router;
-  let cluster_taus = [ 50.; 100. ] in
-  let env request = { Protocol.id = None; deadline_ms = None; request } in
-  let solve_env digest tau =
-    env
-      (Protocol.Solve
-         {
-           digest;
-           params =
-             {
-               Protocol.default_params with
-               Protocol.tau;
-               bc_events = Some capacity;
-             };
-         })
-  in
-  let expect_ok what reply =
-    if not (Protocol.response_ok reply) then
-      failwith
-        (Printf.sprintf "serve-cluster: %s failed: %s" what
-           (Json.to_string reply))
-  in
-  (* Load every workload and warm each (digest, tau) pair through the
-     router, so the measured run is the steady cache-serving state. *)
-  List.iter
-    (fun (d, w) ->
-      expect_ok ("load " ^ d)
-        (Router.handle router
-           (env (Protocol.Load (`Inline (Mcss_workload.Wio.to_string w)))));
-      List.iter
-        (fun tau -> expect_ok ("warm solve " ^ d) (Router.handle router (solve_env d tau)))
-        cluster_taus)
-    digests;
-  (* Steady state includes the followers: wait for journal parity so the
-     measured window is not paying first-sync costs (shard 0 pays them
-     through the faulty link). *)
-  let wait_until ~what ?(timeout_s = 60.) pred =
-    let t0 = Clock.now_ns () in
-    let rec go () =
-      if pred () then ()
-      else if Clock.seconds_since t0 > timeout_s then
-        failwith ("serve-cluster: timeout waiting for " ^ what)
-      else begin
-        Unix.sleepf 0.01;
-        go ()
-      end
-    in
-    go ()
-  in
-  let in_sync s =
-    Service.journal_last_index s.bs_follower
-    = Service.journal_last_index s.bs_leader
-  in
-  Array.iter
-    (fun s -> wait_until ~what:(s.bs_name ^ " follower parity") (fun () -> in_sync s))
-    shards;
-  let pairs =
-    Array.of_list
-      (List.concat_map
-         (fun (d, _) -> List.map (fun tau -> (d, tau)) cluster_taus)
-         digests)
-  in
-  let shard_index name =
-    let rec go i = function
-      | [] -> 0
-      | n :: rest -> if n = name then i else go (i + 1) rest
-    in
-    go 0 shard_names
-  in
-  let num_clients = 6 and requests_per_client = 50 in
-  let run_client idx =
-    Domain.spawn (fun () ->
-        let latencies = Array.make requests_per_client 0. in
-        let hits = ref 0 and errors = ref 0 in
-        let per_shard = Array.make (List.length shard_names) 0 in
-        for k = 0 to requests_per_client - 1 do
-          let digest, tau =
-            pairs.(((idx * requests_per_client) + k) mod Array.length pairs)
-          in
-          let owner = shard_index (Ring.owner ring digest) in
-          per_shard.(owner) <- per_shard.(owner) + 1;
-          let t0 = Clock.now_ns () in
-          let reply = Router.handle router (solve_env digest tau) in
-          latencies.(k) <- Clock.seconds_since t0;
-          if Protocol.response_ok reply then begin
-            match Option.bind (Json.member "cached" reply) Json.to_bool_opt with
-            | Some true -> incr hits
-            | Some false | None -> ()
-          end
-          else incr errors
-        done;
-        (latencies, !hits, !errors, per_shard))
-  in
-  let t_run = Clock.now_ns () in
-  let per_client = List.map Domain.join (List.init num_clients run_client) in
-  let wall_s = Clock.seconds_since t_run in
-  let latencies =
-    Array.concat (List.map (fun (ls, _, _, _) -> ls) per_client)
-  in
-  let hits = List.fold_left (fun a (_, h, _, _) -> a + h) 0 per_client in
-  let errors = List.fold_left (fun a (_, _, e, _) -> a + e) 0 per_client in
-  let per_shard = Array.make (List.length shard_names) 0 in
-  List.iter
-    (fun (_, _, _, ps) ->
-      Array.iteri (fun i n -> per_shard.(i) <- per_shard.(i) + n) ps)
-    per_client;
-  let pct = Stats.nearest_rank latencies in
-  let total_requests = num_clients * requests_per_client in
-  let requests_per_s = float_of_int total_requests /. wall_s in
-  (* Resync: a cold follower pulls shard 0's whole journal through the
-     faulty link (its very first connection is reset mid-stream). *)
-  let s0 = shards.(0) in
-  let target = Service.journal_last_index s0.bs_leader in
-  let resync_records = Option.value target ~default:0 in
-  let cold =
-    Service.create
-      ~config:(journaled (Filename.concat base "resync"))
-      ~role:Service.Follower ()
-  in
-  let rstop = Atomic.make false in
-  let t_resync = Clock.now_ns () in
-  let rdom =
-    Domain.spawn (fun () ->
-        Replication.follow ~reconnect_ms:20. ~service:cold
-          ~stop:(fun () -> Atomic.get rstop)
-          s0.bs_dial)
-  in
-  wait_until ~what:"cold follower resync" (fun () ->
-      Service.journal_last_index cold = target);
-  let resync_s = Clock.seconds_since t_resync in
-  Atomic.set rstop true;
-  Domain.join rdom;
-  Service.close cold;
-  let faulty_conns =
-    match s0.bs_proxy with Some p -> Faulty.connections p | None -> 0
-  in
-  let injected = (faulty_conns + fault_every - 1) / fault_every in
-  (* Tear the cluster down: drain the six servers, stop the follow
-     loops, then the hubs and the proxy. *)
-  let shutdown addr =
-    match
-      Client.with_connection addr (fun c ->
-          Client.request c (Json.Obj [ ("req", Json.String "shutdown") ]))
-    with
-    | Ok _ | Error _ -> ()
-  in
-  Array.iter
-    (fun s ->
-      shutdown s.bs_leader_addr;
-      shutdown s.bs_follower_addr)
-    shards;
-  Array.iter
-    (fun s ->
-      Domain.join s.bs_leader_dom;
-      Domain.join s.bs_follower_dom;
-      Atomic.set s.bs_stop true;
-      Domain.join s.bs_follow;
-      Replication.stop_leader s.bs_hub;
-      Option.iter Faulty.stop s.bs_proxy;
-      Service.close s.bs_leader;
-      Service.close s.bs_follower)
-    shards;
-  let cluster_table =
-    Table.create
-      [
-        ("digests", Table.Right);
-        ("requests", Table.Right);
-        ("errors", Table.Right);
-        ("cache hits", Table.Right);
-        ("req/s", Table.Right);
-        ("p50 ms", Table.Right);
-        ("p99 ms", Table.Right);
-      ]
-  in
-  Table.add_row cluster_table
-    [
-      string_of_int (List.length digests);
-      string_of_int total_requests;
-      string_of_int errors;
-      Printf.sprintf "%d/%d" hits total_requests;
-      Table.cell_float ~decimals:1 requests_per_s;
-      Table.cell_float ~decimals:3 (pct 0.50 *. 1e3);
-      Table.cell_float ~decimals:3 (pct 0.99 *. 1e3);
-    ];
-  Table.print cluster_table;
-  let shard_table =
-    Table.create
-      [
-        ("shard", Table.Left);
-        ("digests", Table.Right);
-        ("requests", Table.Right);
-        ("journal records", Table.Right);
-        ("replication link", Table.Left);
-      ]
-  in
-  Array.iteri
-    (fun i s ->
-      Table.add_row shard_table
-        [
-          s.bs_name;
-          string_of_int
-            (List.length
-               (List.filter (fun (d, _) -> Ring.owner ring d = s.bs_name) digests));
-          string_of_int per_shard.(i);
-          string_of_int
-            (Option.value (Service.journal_last_index s.bs_leader) ~default:0);
-          (if s.bs_proxy = None then "clean"
-           else Printf.sprintf "1-in-%d reset" fault_every);
-        ])
-    shards;
-  Table.print shard_table;
-  Printf.printf
-    "cold follower resync through the faulty link: %d records in %.1f ms \
-     (%d replication connections, %d reset)\n"
-    resync_records (resync_s *. 1e3) faulty_conns injected;
-  write_json ~out_dir "BENCH_serve_cluster.json"
-    Json.(
-      Obj
-        (spotify_header ~scenario:"serve_cluster" ~seeds ~scale:spotify_scale
-        @ [
-            ( "topology",
-              Obj
-                [
-                  ("shards", Int (List.length shard_names)); ("replicas_per_shard", Int 2);
-                  ("digests", Int (List.length digests));
-                  ("vnodes", Int Router.default_config.Router.vnodes);
-                ] );
-            ("clients", Int num_clients); ("requests", Int total_requests);
-            ("errors", Int errors); ("cache_hits", Int hits); ("wall_s", Float wall_s);
-            ("requests_per_s", Float requests_per_s);
-            ("latency_ms", latency_ms pct [ 0.50; 0.99 ]);
-            ( "per_shard_requests",
-              Obj (List.mapi (fun i name -> (name, Int per_shard.(i))) shard_names) );
-            ( "replication",
-              Obj
-                [
-                  ("fault_every", Int fault_every);
-                  ("faulty_link_connections", Int faulty_conns);
-                  ("injected_resets", Int injected); ("resync_records", Int resync_records);
-                  ("resync_ms", Float (resync_s *. 1e3));
-                ] );
-          ]));
-  rm_rf base
-
-(* The incremental engine against cold re-solves: a 1k-delta churn
-   stream folded one small batch at a time into a live engine on the
-   large Spotify trace, with a cold Solver.solve sampled periodically on
-   the same evolved workload. Reports apply-vs-cold p50/p95 latency, the
-   pair-churn totals, and the cost gap of the surgically maintained plan
-   against the cold answer and the Lower_bound — the numbers behind the
-   claim that per-delta planning beats periodic-from-scratch.
-   BENCH_engine.json: apply/cold latency, churn, cost gaps. *)
-let engine_bench ~seeds ~spotify ~spotify_scale ~out_dir =
-  section_header "engine"
-    "incremental engine vs cold re-solve (Spotify, tau=100, 1k-delta stream)";
-  let module Churn = Mcss_dynamic.Churn in
-  let instance = Instance.c3_large in
-  let model = Cost_model.ec2_2014 ~instance () in
-  let capacity_events = bc_events ~scale:spotify_scale instance in
-  let problem_for w = Problem.of_pricing ~capacity_events ~workload:w ~tau:100. model in
-  let rng = Mcss_prng.Rng.create seeds.engine in
-  let eng, create_s = timed (fun () -> Engine.create (problem_for spotify)) in
-  let target_deltas = 1000 and cold_every = 10 in
-  (* ~10 deltas per batch: a plausible between-runs accumulation, and
-     ~100 latency samples for stable percentiles. *)
-  let params = Churn.scaled 0.05 in
-  let apply_lat = ref [] and cold_lat = ref [] and gaps = ref [] in
-  let deltas_total = ref 0 and batches = ref 0 and resolves = ref 0 in
-  let kept = ref 0 and added = ref 0 and removed = ref 0 and evicted = ref 0 in
-  let vms_added = ref 0 and vms_removed = ref 0 in
-  while !deltas_total < target_deltas do
-    let w = (Engine.problem eng).Problem.workload in
-    let ds = Churn.tick rng params w in
-    let stats, s = timed (fun () -> Engine.apply eng ds) in
-    apply_lat := s :: !apply_lat;
-    deltas_total := !deltas_total + List.length ds;
-    incr batches;
-    if stats.Engine.resolved then incr resolves;
-    kept := !kept + stats.Engine.pairs_kept;
-    added := !added + stats.Engine.pairs_added;
-    removed := !removed + stats.Engine.pairs_removed;
-    evicted := !evicted + stats.Engine.pairs_evicted;
-    vms_added := !vms_added + stats.Engine.vms_added;
-    vms_removed := !vms_removed + stats.Engine.vms_removed;
-    if !batches mod cold_every = 0 then begin
-      let cold, cs = timed (fun () -> Solver.solve (Engine.problem eng)) in
-      cold_lat := cs :: !cold_lat;
-      gaps :=
-        ((Engine.cost eng -. cold.Solver.cost) /. cold.Solver.cost *. 100.)
-        :: !gaps
-    end
-  done;
-  (* Final word on the evolved workload: verify the engine's plan, then
-     price it against a cold solve and the Theorem-A.1 bound. *)
-  let { Engine.problem = p_final; selection; allocation } = Engine.plan eng in
-  let report = Verifier.verify p_final selection allocation in
-  if not (Verifier.is_valid report) then
-    failwith "engine bench: evolved allocation failed verification";
-  let cold_final, cold_final_s = timed (fun () -> Solver.solve p_final) in
-  cold_lat := cold_final_s :: !cold_lat;
-  let lb = Lower_bound.compute p_final in
-  let pct latencies = Stats.nearest_rank (Array.of_list latencies) in
-  let apply_p50 = pct !apply_lat 0.50 and apply_p95 = pct !apply_lat 0.95 in
-  let cold_p50 = pct !cold_lat 0.50 and cold_p95 = pct !cold_lat 0.95 in
-  let speedup = cold_p50 /. apply_p50 in
-  let gap_final =
-    (Engine.cost eng -. cold_final.Solver.cost) /. cold_final.Solver.cost *. 100.
-  in
-  let gap_max = List.fold_left Float.max gap_final !gaps in
-  let gap_lb = Lower_bound.gap_pct ~cost:(Engine.cost eng) lb in
-  let table =
-    Table.create
-      [
-        ("path", Table.Left);
-        ("p50 ms", Table.Right);
-        ("p95 ms", Table.Right);
-        ("runs", Table.Right);
-      ]
-  in
-  Table.add_row table
-    [
-      "engine apply (incremental)";
-      Table.cell_float ~decimals:3 (apply_p50 *. 1e3);
-      Table.cell_float ~decimals:3 (apply_p95 *. 1e3);
-      string_of_int !batches;
-    ];
-  Table.add_row table
-    [
-      "cold Solver.solve";
-      Table.cell_float ~decimals:3 (cold_p50 *. 1e3);
-      Table.cell_float ~decimals:3 (cold_p95 *. 1e3);
-      string_of_int (List.length !cold_lat);
-    ];
-  Table.print table;
-  Printf.printf
-    "%d deltas in %d batches: apply median %.1fx faster than cold; %d drift \
-     re-solve(s)\n"
-    !deltas_total !batches speedup !resolves;
-  Printf.printf
-    "churn: %d kept, +%d added, -%d removed, %d evicted, +%d/-%d VMs\n" !kept
-    !added !removed !evicted !vms_added !vms_removed;
-  Printf.printf
-    "final cost: engine %s vs cold %s (gap %+.2f%%, worst sampled %+.2f%%); \
-     lower bound %s (gap %+.1f%%)\n"
-    (Table.cell_usd (Engine.cost eng))
-    (Table.cell_usd cold_final.Solver.cost)
-    gap_final gap_max
-    (Table.cell_usd lb.Lower_bound.cost)
-    gap_lb;
-  write_json ~out_dir "BENCH_engine.json"
-    Json.(
-      Obj
-        (spotify_header ~scenario:"engine_incremental" ~seeds ~scale:spotify_scale
-        @ [
-            ("tau", Int 100); ("deltas", Int !deltas_total); ("batches", Int !batches);
-            ("create_s", Float create_s);
-            ("apply_latency_ms", latency_ms (pct !apply_lat) [ 0.50; 0.95 ]);
-            ("cold_solve_latency_ms", latency_ms (pct !cold_lat) [ 0.50; 0.95 ]);
-            ("speedup_median", Float speedup);
-            ( "churn",
-              Obj
-                [
-                  ("pairs_kept", Int !kept); ("pairs_added", Int !added);
-                  ("pairs_removed", Int !removed); ("pairs_evicted", Int !evicted);
-                  ("vms_added", Int !vms_added); ("vms_removed", Int !vms_removed);
-                  ("drift_resolves", Int !resolves);
-                ] );
-            ( "cost",
-              Obj
-                [
-                  ("engine_usd", Float (Engine.cost eng));
-                  ("cold_usd", Float cold_final.Solver.cost);
-                  ("gap_vs_cold_pct", Float gap_final);
-                  ("worst_sampled_gap_pct", Float gap_max);
-                  ("lower_bound_usd", Float lb.Lower_bound.cost);
-                  ("gap_vs_lower_bound_pct", Float gap_lb);
-                ] );
-          ]))
-
-(* Live dataplane: boot the plan as a real broker fleet on Unix sockets,
-   pump the deterministic schedule through it, and reconcile the
-   measured ledgers against the Simulator — then a churn run with a
-   mid-flight re-home, a chaos kill, and a recovery replan.
-   BENCH_dataplane.json: delivered-events/s, e2e latency percentiles,
-   drop window, reconciliation deviation. *)
-let dataplane_bench ~seeds ~spotify_scale ~out_dir =
-  section_header "dataplane"
-    "live broker fleet behind the plan, reconciled against the simulator";
-  let module Cluster = Mcss_dataplane.Cluster in
-  let module Pump = Mcss_dataplane.Pump in
-  let module Subscriber = Mcss_dataplane.Subscriber in
-  let module Reconcile = Mcss_dataplane.Reconcile in
-  let module Allocation = Mcss_core.Allocation in
-  (* A live fleet pushes every delivery copy through a socket, so the
-     trace is cut well below the solver benchmarks' scale. *)
-  let dp_scale = spotify_scale /. 100. in
-  let w = Front.generate ~seed:seeds.dataplane `Spotify ~scale:dp_scale in
-  let instance = Instance.c3_large in
-  let model = Cost_model.ec2_2014 ~instance () in
-  (* Trace cutting does not shrink the hottest topic linearly, so floor
-     the capacity at a few copies of it to keep the instance feasible. *)
-  let capacity_events =
-    let hottest = Array.fold_left Float.max 0. (Workload.event_rates w) in
-    Float.max (bc_events ~scale:dp_scale instance) (4. *. hottest)
-  in
-  let p = Problem.of_pricing ~capacity_events ~workload:w ~tau:100. model in
-  let r = Solver.solve p in
-  let a0 = r.Solver.allocation in
-  let message_bytes = 200 in
-  let dir =
-    let base = Filename.get_temp_dir_name () in
-    let rec go i =
-      let d = Filename.concat base (Printf.sprintf "mcss-bench-dp-%d" i) in
-      match Unix.mkdir d 0o700 with
-      | () -> d
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-    in
-    go 0
-  in
-  let rm_dir d =
-    Array.iter (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
-      (try Sys.readdir d with _ -> [||]);
-    try Unix.rmdir d with _ -> ()
-  in
-  let cluster = Cluster.boot ~dir ~message_bytes p a0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Cluster.shutdown cluster;
-      rm_dir dir)
-    (fun () ->
-      let duration = 0.2 in
-      Printf.printf
-        "fleet: %d brokers, %d pairs, message %d B (spotify @ %g, tau=100)\n"
-        (List.length (Cluster.live cluster))
-        (Workload.num_pairs w) message_bytes dp_scale;
-      (* Steady run: full speed, exact reconciliation. *)
-      let steady_config =
-        {
-          Pump.default_config with
-          Pump.duration;
-          latency_seed = seeds.dataplane;
-          tolerance = Some 0.;
-        }
-      in
-      let steady = Pump.run ~config:steady_config cluster p a0 in
-      let steady_rc =
-        match steady.Pump.reconcile with
-        | Some rc -> rc
-        | None -> failwith "dataplane bench: reconciliation did not run"
-      in
-      let delivered = steady.Pump.totals.Mcss_report.Delivery.delivered in
-      let per_s = float_of_int delivered /. steady.Pump.wall_s in
-      let lat k =
-        match steady.Pump.latency with
-        | Some l -> k l *. 1e3
-        | None -> 0.
-      in
-      let module Fleet = Mcss_broker.Fleet in
-      let p50 = lat (fun l -> l.Fleet.p50)
-      and p95 = lat (fun l -> l.Fleet.p95)
-      and p99 = lat (fun l -> l.Fleet.p99) in
-      Printf.printf
-        "steady: %d events -> %d copies in %.2fs (%.0f deliveries/s); e2e \
-         p50 %.2f ms p95 %.2f ms p99 %.2f ms; reconcile %s (max deviation \
-         %.4f)\n"
-        steady.Pump.publisher.Mcss_dataplane.Publisher.events delivered
-        steady.Pump.wall_s per_s p50 p95 p99
-        (if steady_rc.Reconcile.pass then "PASS" else "FAIL")
-        steady_rc.Reconcile.max_deviation;
-      let reconcile_json (rc : Reconcile.t) =
-        Json.(
-          Obj [ ("max_deviation", Float rc.Reconcile.max_deviation); ("pass", Bool rc.Reconcile.pass) ])
-      in
-      let write fleet churn =
-        write_json ~out_dir "BENCH_dataplane.json"
-          Json.(
-            Obj
-              (spotify_header ~scenario:"dataplane_live" ~seeds ~scale:dp_scale
-              @ (("message_bytes", Int message_bytes) :: fleet)
-              @ [
-                  ( "steady",
-                    Obj
-                      [
-                        ("duration_horizons", Float duration);
-                        ("events", Int steady.Pump.publisher.Mcss_dataplane.Publisher.events);
-                        ("copies_delivered", Int delivered); ("delivered_per_s", Float per_s);
-                        ("latency_ms", Obj [ ("p50", Float p50); ("p95", Float p95); ("p99", Float p99) ]);
-                        ("dropped", Int steady.Pump.totals.Mcss_report.Delivery.dropped);
-                        ("reconcile", reconcile_json steady_rc);
-                      ] );
-                  ("churn", churn);
-                ]))
-      in
-      (* Churn run: paced traffic with a live re-home and a chaos kill in
-         the middle, then a recovery replan and a post-recovery check. *)
-      let vms = Allocation.vms a0 in
-      if Array.length vms < 2 then begin
-        Printf.printf
-          "(single-VM plan: churn run needs two brokers, skipping)\n";
-        write [] Json.Null
-      end
-      else begin
-        (* The re-home delta: every pair of VM 0's first topic moves to
-           VM 1 — same pair set, different homes. *)
-        let topic = List.hd (Allocation.topics_on vms.(0)) in
-        let a1 =
-          let b = Allocation.create ~capacity:(Allocation.capacity a0) in
-          let fresh = Array.map (fun _ -> Allocation.deploy b) vms in
-          Array.iteri
-            (fun i vm ->
-              Allocation.iter_vm_pairs vm (fun t s ->
-                  let dest = if t = topic then fresh.(1) else fresh.(i) in
-                  Allocation.place b dest ~topic:t
-                    ~ev:(Workload.event_rate w t) ~subscribers:[| s |] ~from:0
-                    ~count:1))
-            vms;
-          b
-        in
-        let churn_config =
-          {
-            Pump.default_config with
-            Pump.duration;
-            pace = 8.;
-            latency_seed = seeds.dataplane + 1;
-          }
-        in
-        let sim_predicted =
-          (Mcss_sim.Simulator.run p a0
-             { Mcss_sim.Simulator.default_config with duration })
-            .Mcss_sim.Simulator.totals
-            .Mcss_report.Delivery.delivered
-        in
-        let pump =
-          Domain.spawn (fun () -> Pump.run ~config:churn_config cluster p a0)
-        in
-        Unix.sleepf 0.3;
-        let rehome_stats = Cluster.apply_plan cluster a1 in
-        Unix.sleepf 0.5;
-        let victim =
-          match
-            List.find_opt
-              (fun (id, _) -> Cluster.pairs_on cluster id > 0)
-              (Cluster.live cluster)
-          with
-          | Some (id, _) -> id
-          | None -> failwith "dataplane bench: no broker with pairs"
-        in
-        ignore (Cluster.kill cluster victim);
-        let churn = Domain.join pump in
-        let unique_total = Array.fold_left ( + ) 0 churn.Pump.unique in
-        let undelivered = max 0 (sim_predicted - unique_total) in
-        let dropped = churn.Pump.totals.Mcss_report.Delivery.dropped in
-        Printf.printf
-          "churn: re-home moved +%d/-%d pairs mid-run; killed broker %d; \
-           drop window %d undelivered + %d dropped of %d predicted copies\n"
-          rehome_stats.Cluster.pairs_added rehome_stats.Cluster.pairs_removed
-          victim undelivered dropped sim_predicted;
-        (* Replan around the corpse and converge the fleet onto it. *)
-        let victim_plan_vm =
-          match
-            List.find_opt (fun (_, b) -> b = victim) (Cluster.assignment cluster)
-          with
-          | Some (pv, _) -> pv
-          | None -> victim
-        in
-        let eng =
-          Engine.of_plan ~drift_threshold:infinity
-            { Engine.problem = p; selection = r.Solver.selection; allocation = a1 }
-        in
-        let rstats = Engine.fail eng ~failed:[ victim_plan_vm ] in
-        let a2 = (Engine.plan eng).Engine.allocation in
-        let recover_stats = Cluster.apply_plan cluster a2 in
-        let post_config =
-          {
-            Pump.default_config with
-            Pump.duration;
-            latency_seed = seeds.dataplane + 2;
-            tolerance = Some 0.;
-          }
-        in
-        let post = Pump.run ~config:post_config cluster p a2 in
-        let post_rc =
-          match post.Pump.reconcile with
-          | Some rc -> rc
-          | None -> failwith "dataplane bench: reconciliation did not run"
-        in
-        Printf.printf
-          "recovery: %d pairs re-homed by replan, %d broker(s) spawned; \
-           post-recovery reconcile %s (max deviation %.4f)\n"
-          rstats.Engine.pairs_rehomed recover_stats.Cluster.spawned
-          (if post_rc.Reconcile.pass then "PASS" else "FAIL")
-          post_rc.Reconcile.max_deviation;
-        write
-          [ ("fleet", Json.(Obj [ ("brokers", Int (Array.length vms)); ("pairs", Int (Workload.num_pairs w)) ])) ]
-          Json.(
-            Obj
-              [
-                ("duration_horizons", Float duration);
-                ("pace_s_per_horizon", Float churn_config.Pump.pace);
-                ( "rehome",
-                  Obj
-                    [
-                      ("pairs_added", Int rehome_stats.Cluster.pairs_added);
-                      ("pairs_removed", Int rehome_stats.Cluster.pairs_removed);
-                    ] );
-                ("killed_broker", Int victim);
-                ( "drop_window",
-                  Obj
-                    [
-                      ("undelivered_copies", Int undelivered); ("dropped_copies", Int dropped);
-                      ("predicted_copies", Int sim_predicted);
-                    ] );
-                ( "recovery",
-                  Obj
-                    [
-                      ("pairs_rehomed", Int rstats.Engine.pairs_rehomed);
-                      ("brokers_spawned", Int recover_stats.Cluster.spawned);
-                    ] );
-                ("post_recovery_reconcile", reconcile_json post_rc);
-              ])
-      end)
-
 (* Elastic capacity planning: a seeded diurnal day over the Spotify
    trace, replayed through the week simulator under the static
    (peak-envelope) baseline, reactive hysteresis, and finite-horizon
@@ -2497,181 +1041,45 @@ let elastic_bench ~seeds ~spotify ~spotify_scale ~out_dir =
   write_json ~out_dir "BENCH_elastic.json"
     Json.(
       Obj
-        (spotify_header ~scenario:"elastic" ~seeds ~scale:spotify_scale
-        @ [
-            ("tau", Int 100); ("curve", String "diurnal amplitude 0.4 period 24h");
-            ("slices", Int scenario.Scenario.slices);
-            ("slice_hours", Float scenario.Scenario.slice_hours);
-            ("scenario_seed", Int scenario.Scenario.seed);
-            ("static_fleet", Int result.Week_sim.static_fleet);
-            ("static", policy_json result.Week_sim.static);
-            ("hysteresis", policy_json hysteresis); ("lookahead", policy_json lookahead);
-            ( "oracle",
-              Obj
-                [
-                  ("week_usd", Float result.Week_sim.oracle_usd);
-                  ("savings_vs_static_pct", savings result.Week_sim.oracle_usd);
-                ] );
-            ("adaptive_beats_static", Bool (beats hysteresis && beats lookahead));
-            ("all_plans_clean", Bool all_clean); ("run_s", Float elapsed);
-          ]));
-  Week_sim.write_ledger (Filename.concat out_dir "elastic_ledger.json") result
-
-(* Partition nemesis against the live replicated cluster: epochs,
-   quorum acks, and automatic fenced failover under a seeded schedule
-   of partitions and a stale-leader revival. The invariant booleans in
-   BENCH_partition.json are hard gates: the section exits 1 when any of
-   them is false, so a CI run cannot silently ship a failover
-   regression. *)
-let partition_bench ~seeds ~out_dir =
-  let module Nemesis = Mcss_serve.Nemesis in
-  Printf.printf "\n=== Partition nemesis: fenced failover under partitions ===\n%!";
-  let t0 = Clock.now_ns () in
-  let r =
-    Nemesis.run
-      {
-        Nemesis.default_config with
-        Nemesis.seed = seeds.partition;
-        log = (fun s -> Printf.printf "  %s\n%!" s);
-      }
-  in
-  let elapsed = Clock.seconds_since t0 in
-  Printf.printf
-    "updates: %d sent, %d acked, %d refused; %d auto promotions, %d fenced \
-     demotions, %d divergent tails cut\n"
-    r.Nemesis.r_updates_sent r.Nemesis.r_updates_acked r.Nemesis.r_updates_unacked
-    r.Nemesis.r_auto_promotions r.Nemesis.r_fenced_demotions
-    r.Nemesis.r_divergent_tails;
-  Printf.printf "recovery after leader loss: p50 %.0f ms, p95 %.0f ms\n"
-    r.Nemesis.r_recovery_p50_ms r.Nemesis.r_recovery_p95_ms;
-  Printf.printf
-    "invariants: single_writer=%b no_acked_lost=%b journals_converged=%b \
-     plans_converged=%b verify_clean=%b\n"
-    r.Nemesis.r_single_writer_per_epoch r.Nemesis.r_no_acked_update_lost
-    r.Nemesis.r_journals_converged r.Nemesis.r_plan_digests_converged
-    r.Nemesis.r_journals_verify_clean;
-  write_json ~out_dir "BENCH_partition.json"
-    Json.(
-      Obj
         [
-          ("scenario", String "partition"); ("runtime", runtime_json ());
+          ("scenario", String "elastic"); ("runtime", runtime_json ());
           ("version", String (Mcss_serve.Build_info.to_string ()));
-          ("run_s", Float elapsed); ("report", Nemesis.report_to_json r);
-        ]);
-  if not (Nemesis.passed r) then begin
-    Printf.printf "FAILED: a failover invariant did not hold\n";
-    exit 1
-  end
-
-(* Full-scale solves: the flat-array core and domain-parallel Stage-1
-   across trace scales and domain counts, up to the published Spotify
-   dimensions (scale 1.0: ~1.1 M topics, ~4.9 M subscribers). Traces
-   arrive through the streaming generator, solves run at each domain
-   count, and the per-scale digest equality is a hard gate: any domain
-   count producing a different plan than --domains 1 exits 1.
-   BENCH_scale.json: per-(scale, domains) wall time, pairs/sec, plan
-   digest, per-phase GC words, and the process-wide peak RSS. *)
-let scale_bench ~seeds ~domains:domain_counts ~max_scale ~out_dir =
-  section_header "scale"
-    "full-scale solves (flat core, domain-parallel Stage-1, Spotify, tau=100)";
-  let scales =
-    List.filter (fun s -> s <= max_scale +. 1e-12) [ 0.02; 0.1; 0.5; 1.0 ]
-  in
-  let domain_counts = if domain_counts = [] then [ 1; 2; 4 ] else domain_counts in
-  let instance = Instance.c3_large in
-  let tau = 100. in
-  let table =
-    Table.create
-      [
-        ("scale", Table.Right); ("domains", Table.Right); ("pairs", Table.Right);
-        ("gen s", Table.Right); ("solve s", Table.Right);
-        ("pairs/s", Table.Right); ("VMs", Table.Right); ("cost", Table.Right);
-        ("digest", Table.Left);
-      ]
-  in
-  let mismatches = ref 0 in
-  let rows =
-    List.concat_map
-      (fun scale ->
-        let w, gen_s =
-          timed (fun () -> Front.generate ~seed:seeds.spotify `Spotify ~scale)
-        in
-        let _model, p = Front.problem_of ~w ~tau ~instance ~scale ~bc_events:None in
-        let pairs = Workload.num_pairs w in
-        let reference = ref "" in
-        List.map
-          (fun domains ->
-            Mcss_obs.Gc_phase.reset ();
-            let r, solve_s = timed (fun () -> Solver.solve ~domains p) in
-            let digest =
-              Digest.to_hex
-                (Digest.string (Mcss_core.Plan_io.to_string r.Solver.allocation))
-            in
-            if !reference = "" then reference := digest;
-            let equal = String.equal digest !reference in
-            if not equal then incr mismatches;
-            let pairs_per_s = float_of_int pairs /. solve_s in
-            Table.add_row table
+          ("trace_seed", Int seeds.trace_seed); ("trace", String "spotify");
+          ("scale", Float spotify_scale); ("tau", Int 100);
+          ("curve", String "diurnal amplitude 0.4 period 24h");
+          ("slices", Int scenario.Scenario.slices);
+          ("slice_hours", Float scenario.Scenario.slice_hours);
+          ("scenario_seed", Int scenario.Scenario.seed);
+          ("static_fleet", Int result.Week_sim.static_fleet);
+          ("static", policy_json result.Week_sim.static);
+          ("hysteresis", policy_json hysteresis); ("lookahead", policy_json lookahead);
+          ( "oracle",
+            Obj
               [
-                Printf.sprintf "%g" scale;
-                string_of_int domains;
-                string_of_int pairs;
-                Table.cell_float ~decimals:2 gen_s;
-                Table.cell_float ~decimals:2 solve_s;
-                Printf.sprintf "%.3e" pairs_per_s;
-                string_of_int r.Solver.num_vms;
-                Table.cell_usd r.Solver.cost;
-                (if equal then String.sub digest 0 12
-                 else String.sub digest 0 12 ^ " MISMATCH");
-              ];
-            Json.(
-              Obj
-                [
-                  ("scale", Float scale); ("domains", Int domains); ("pairs", Int pairs);
-                  ("gen_s", Float gen_s); ("solve_s", Float solve_s);
-                  ("pairs_per_s", Float pairs_per_s); ("vms", Int r.Solver.num_vms);
-                  ("cost_usd", Float r.Solver.cost); ("plan_digest", String digest);
-                  ("digest_matches_domains1", Bool equal);
-                  ("gc_phases", Mcss_obs.Gc_phase.to_json ());
-                ]))
-          domain_counts)
-      scales
-  in
-  Table.print table;
-  write_json ~out_dir "BENCH_scale.json"
-    Json.(
-      Obj
-        [
-          ("scenario", String "scale"); ("trace", String "spotify"); ("tau", Float tau);
-          ("instance", String instance.Instance.name); ("trace_seed", Int seeds.trace_seed);
-          ("runtime", runtime_json ()); ("digests_converged", Bool (!mismatches = 0));
-          ("runs", List rows);
+                ("week_usd", Float result.Week_sim.oracle_usd);
+                ("savings_vs_static_pct", savings result.Week_sim.oracle_usd);
+              ] );
+          ("adaptive_beats_static", Bool (beats hysteresis && beats lookahead));
+          ("all_plans_clean", Bool all_clean); ("run_s", Float elapsed);
         ]);
-  if !mismatches > 0 then begin
-    Printf.printf
-      "FAILED: %d run(s) diverged from the --domains 1 plan digest\n" !mismatches;
-    exit 1
-  end
+  Week_sim.write_ledger (Filename.concat out_dir "elastic_ledger.json") result
 
 let all_sections =
   [
     "fig1"; "fig2a"; "fig2b"; "fig3a"; "fig3b"; "fig4"; "fig5"; "fig6"; "fig7";
     "fig8-12"; "summary"; "ablate-stage1"; "ablate-stage2"; "ablate-dynamic";
     "ablate-failures"; "ablate-scaling"; "ablate-skew"; "ablate-budget"; "latency";
-    "resilience"; "obs"; "serve"; "serve-faults"; "serve-cluster"; "engine";
-    "dataplane"; "elastic"; "partition"; "scale"; "micro";
+    "resilience"; "elastic";
   ]
 
-let run_bench sections spotify_scale twitter_scale trace_seed domains max_scale
-    out_dir =
+let run_bench sections spotify_scale twitter_scale trace_seed out_dir =
   let enabled s = sections = [] || List.mem s sections in
   let seeds = derive_seeds trace_seed in
   Printf.printf
     "MCSS experiment harness — Spotify scale %g, Twitter scale %g, trace seed %d\n"
     spotify_scale twitter_scale seeds.trace_seed;
   (* [shared_workload] memoises on (trace, scale, seed) through lib/front,
-     so every section — and the scale sweep below when its grid touches
-     the same tuple — reuses one materialisation instead of regenerating
+     so every section reuses one materialisation instead of regenerating
      the trace per section. *)
   let spotify =
     lazy (Front.shared_workload ~seed:seeds.spotify `Spotify ~scale:spotify_scale)
@@ -2739,23 +1147,8 @@ let run_bench sections spotify_scale twitter_scale trace_seed domains max_scale
   if enabled "latency" then latency ~seeds ~w:(Lazy.force spotify) ~scale:spotify_scale;
   if enabled "resilience" then
     resilience ~seeds ~w:(Lazy.force spotify) ~scale:spotify_scale ~out_dir;
-  if enabled "obs" then
-    obs_overhead ~seeds ~spotify:(Lazy.force spotify) ~twitter:(Lazy.force twitter)
-      ~spotify_scale ~twitter_scale ~out_dir;
-  if enabled "serve" then
-    serve_bench ~seeds ~spotify:(Lazy.force spotify) ~spotify_scale ~out_dir;
-  if enabled "serve-faults" then
-    serve_faults_bench ~seeds ~spotify:(Lazy.force spotify) ~spotify_scale ~out_dir;
-  if enabled "serve-cluster" then
-    serve_cluster_bench ~seeds ~spotify:(Lazy.force spotify) ~spotify_scale ~out_dir;
-  if enabled "engine" then
-    engine_bench ~seeds ~spotify:(Lazy.force spotify) ~spotify_scale ~out_dir;
-  if enabled "dataplane" then dataplane_bench ~seeds ~spotify_scale ~out_dir;
   if enabled "elastic" then
     elastic_bench ~seeds ~spotify:(Lazy.force spotify) ~spotify_scale ~out_dir;
-  if enabled "partition" then partition_bench ~seeds ~out_dir;
-  if enabled "scale" then scale_bench ~seeds ~domains ~max_scale ~out_dir;
-  if enabled "micro" then micro ~seeds ();
   Printf.printf "\ndone. figure data series in %s/\n" out_dir
 
 open Cmdliner
@@ -2765,7 +1158,8 @@ let sections_arg =
     Printf.sprintf "Sections to run (repeatable). Available: %s. Default: all."
       (String.concat ", " all_sections)
   in
-  Arg.(value & opt_all string [] & info [ "s"; "section" ] ~docv:"SECTION" ~doc)
+  let section = Arg.enum (List.map (fun s -> (s, s)) all_sections) in
+  Arg.(value & opt_all section [] & info [ "s"; "section" ] ~docv:"SECTION" ~doc)
 
 let spotify_scale_arg =
   let doc = "Spotify trace scale relative to the published 1.1M-topic trace." in
@@ -2783,20 +1177,6 @@ let trace_seed_arg =
   in
   Arg.(value & opt int default_trace_seed & info [ "trace-seed" ] ~docv:"N" ~doc)
 
-let domains_arg =
-  let doc =
-    "Domain count for the $(b,scale) section (repeatable). Default: 1, 2, 4. \
-     Every count must reproduce the --domains 1 plan digest bit-for-bit."
-  in
-  Arg.(value & opt_all int [] & info [ "domains" ] ~docv:"N" ~doc)
-
-let max_scale_arg =
-  let doc =
-    "Largest Spotify scale the $(b,scale) section sweeps; 1.0 runs the \
-     published trace dimensions (~1.1M topics, ~4.9M subscribers)."
-  in
-  Arg.(value & opt float 0.1 & info [ "max-scale" ] ~docv:"F" ~doc)
-
 let out_dir_arg =
   let doc = "Directory for the figure data series (.dat files)." in
   Arg.(value & opt string "bench_out" & info [ "o"; "out-dir" ] ~docv:"DIR" ~doc)
@@ -2807,6 +1187,6 @@ let cmd =
     (Cmd.info "mcss-bench" ~doc)
     Term.(
       const run_bench $ sections_arg $ spotify_scale_arg $ twitter_scale_arg
-      $ trace_seed_arg $ domains_arg $ max_scale_arg $ out_dir_arg)
+      $ trace_seed_arg $ out_dir_arg)
 
 let () = exit (Cmd.eval cmd)

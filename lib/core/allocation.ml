@@ -88,16 +88,19 @@ let free_of a id = a.cap -. Arena.Fbuf.get a.loads id
 let groups_of vm = Vec.get vm.st.groups vm.id
 
 (* The slot, live or dead, holding [topic] in strictly ascending slots;
-   [absent] if none. *)
-let search g topic =
-  let rec go lo hi =
-    if lo >= hi then Int_table.absent
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = Array.unsafe_get g.topics mid in
-      if x = topic then mid else if x < topic then go (mid + 1) hi else go lo mid
-  in
-  go 0 g.slots
+   [absent] if none. Top-level with explicit arguments (as is
+   [index_from] below): a local [go] would cost a closure per lookup.
+   The [int] annotations keep the comparisons off polymorphic compare. *)
+let rec search_in (topics : int array) (topic : int) lo hi =
+  if lo >= hi then Int_table.absent
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = Array.unsafe_get topics mid in
+    if x = topic then mid
+    else if x < topic then search_in topics topic (mid + 1) hi
+    else search_in topics topic lo mid
+
+let search g topic = search_in g.topics topic 0 g.slots
 
 (* The live slot holding [topic], or [absent]. *)
 let slot_of g topic =
@@ -308,9 +311,10 @@ let compact_slots g =
   g.slots <- !k;
   g.dead <- 0
 
-let index_in run n v =
-  let rec go i = if i >= n then -1 else if run.(i) = v then i else go (i + 1) in
-  go 0
+let rec index_from (run : int array) n (v : int) i =
+  if i >= n then -1 else if run.(i) = v then i else index_from run n v (i + 1)
+
+let index_in run n v = index_from run n v 0
 
 let remove a vm ~topic ~ev ~subscriber =
   ignore a;

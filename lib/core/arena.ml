@@ -226,49 +226,6 @@ let encode_pair ~topic ~subscriber =
 
 let decode_pair key = (key lsr 31, key land (pair_limit - 1))
 
-module Csr = struct
-  type t = { offs : int array; data : int array }
-
-  let rows t = Array.length t.offs - 1
-  let row_length t i = t.offs.(i + 1) - t.offs.(i)
-  let row t i = Array.sub t.data t.offs.(i) (row_length t i)
-
-  let iter_row t i f =
-    for j = t.offs.(i) to t.offs.(i + 1) - 1 do
-      f t.data.(j)
-    done
-
-  let offsets_of_counts counts =
-    let n = Array.length counts in
-    let offs = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      offs.(i + 1) <- offs.(i) + counts.(i)
-    done;
-    offs
-
-  let build_rows ~rows ~counts ~fill =
-    if Array.length counts <> rows then
-      invalid_arg "Arena.Csr.build_rows: counts length mismatch";
-    let offs = offsets_of_counts counts in
-    let data = Array.make offs.(rows) 0 in
-    (* cursor.(r) = next write position for row r. *)
-    let cursor = Array.sub offs 0 rows in
-    let write ~row x =
-      let pos = cursor.(row) in
-      if pos >= offs.(row + 1) then
-        invalid_arg (Printf.sprintf "Arena.Csr.build_rows: row %d overfilled" row);
-      data.(pos) <- x;
-      cursor.(row) <- pos + 1
-    in
-    fill ~write;
-    Array.iteri
-      (fun r c ->
-        if c <> offs.(r + 1) then
-          invalid_arg (Printf.sprintf "Arena.Csr.build_rows: row %d underfilled" r))
-      cursor;
-    { offs; data }
-end
-
 module Transpose = struct
   type col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   type t = { offs : int array; col : col }

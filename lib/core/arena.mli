@@ -7,8 +7,7 @@
     instead of O(pairs) heap objects — the difference between the GC
     walking a few slabs and walking tens of millions of boxes.
 
-    All structures are single-writer: they are either confined to one
-    domain or handed out as disjoint slices (see {!Csr.build_rows}). *)
+    All structures are single-writer: each is confined to one domain. *)
 
 module Ibuf : sig
   (** A growable flat [int] buffer (amortised-O(1) push). *)
@@ -126,34 +125,6 @@ val encode_pair : topic:int -> subscriber:int -> int
 val decode_pair : int -> int * int
 (** Inverse of {!encode_pair} (allocates; for iteration, not hot
     paths). *)
-
-module Csr : sig
-  (** Compressed sparse rows: a partition of [data] into [rows]
-      contiguous slices. The canonical flat form of "per-topic
-      subscriber lists" and "per-subscriber topic lists". *)
-
-  type t = private { offs : int array;  (** length [rows + 1] *) data : int array }
-
-  val rows : t -> int
-  val row_length : t -> int -> int
-  val row : t -> int -> int array
-  (** A fresh copy of the row (for callers that need a plain array). *)
-
-  val iter_row : t -> int -> (int -> unit) -> unit
-
-  val build_rows :
-    rows:int ->
-    counts:int array ->
-    fill:(write:(row:int -> int -> unit) -> unit) ->
-    t
-  (** Build from known row sizes. [fill] must call [write ~row x]
-      exactly [counts.(row)] times per row; values land in call order
-      within each row. Raises [Invalid_argument] if any row is over- or
-      under-filled. *)
-
-  val offsets_of_counts : int array -> int array
-  (** Exclusive prefix sums, length [n + 1]. *)
-end
 
 module Transpose : sig
   (** The column-major view of [int array array] rows: for each value

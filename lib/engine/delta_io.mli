@@ -1,6 +1,6 @@
 (** Text serialisation for delta streams, in the same line-oriented style
     as {!Mcss_workload.Wio} — so recorded churn can be replayed by
-    [mcss update], [mcss simulate --deltas], and the bench, and the
+    [mcss update], [mcss simulate --deltas], and perfbench, and the
     planning service can journal a batch of deltas as one WAL op.
 
     Format (['#'] comments and blank lines allowed):

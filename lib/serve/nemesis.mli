@@ -35,7 +35,7 @@
 
     Everything is seeded and in-process (the "network" is loopback
     through {!Faulty}), so a failing run replays exactly. Backs
-    [mcss nemesis] and the [partition] bench section. *)
+    [mcss nemesis]. *)
 
 type config = {
   seed : int;  (** Drives victim choice and the phase shuffle. *)

@@ -121,7 +121,7 @@ val decode : Json.t -> (envelope, string) result
     a [`Bad_request] reply. *)
 
 val encode : envelope -> Json.t
-(** The inverse of {!decode} (used by clients and the bench driver). *)
+(** The inverse of {!decode} (used by clients). *)
 
 (** {2 Replies} *)
 

@@ -1,7 +1,7 @@
 (** The planning service proper: resident workloads, the plan cache, the
     admission gate, the solver circuit breaker, and the request
     dispatcher — everything except the sockets, so it can be driven
-    in-process by tests and the bench as well as by {!Server}.
+    in-process by tests and perfbench as well as by {!Server}.
 
     A workload is registered once ([load]) and addressed thereafter by
     its content digest ({!digest_of_workload}), so the same content

@@ -448,6 +448,33 @@ let test_any_int_topic () =
       Helpers.check_bool "sentinel absent" false (Allocation.hosts_topic vm topic))
     [ min_int; min_int + 1 ]
 
+(* Lookups on a VM whose slots ascend (every decoded plan's) are binary
+   searches and run scans: neither may build a closure per call. *)
+let test_lookups_allocate_nothing () =
+  let a = Allocation.create ~capacity:1e9 in
+  let vm = Allocation.deploy a in
+  for t = 0 to 63 do
+    Allocation.place a vm ~topic:(2 * t) ~ev:1. ~subscribers:[| 1; 2; 3 |] ~from:0 ~count:3
+  done;
+  let hits = ref 0 in
+  let lookups () =
+    for i = 0 to 9_999 do
+      if Allocation.hosts_topic vm (i land 127) then incr hits;
+      if Allocation.remove a vm ~topic:(i land 126) ~ev:1. ~subscriber:4 then incr hits
+    done
+  in
+  lookups ();
+  hits := 0;
+  let before = Gc.minor_words () in
+  lookups ();
+  let allocated = Gc.minor_words () -. before in
+  Helpers.check_int "even topics hosted, subscriber 4 absent" 5_000 !hits;
+  (* 20k lookups; allow a handful of words for the Gc probe itself. A
+     closure per lookup would show up as >= 4 words per call. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "lookups allocated %.0f words" allocated)
+    true (allocated < 100.)
+
 let test_copy_capacity () =
   let a = Allocation.create ~capacity:100. in
   let b = Allocation.deploy a in
@@ -475,6 +502,7 @@ let suite =
     prop_copy_is_a_decode;
     Alcotest.test_case "churn reuses storage" `Quick test_churn_reuses_storage;
     Alcotest.test_case "any int topic" `Quick test_any_int_topic;
+    Alcotest.test_case "lookups allocate nothing" `Quick test_lookups_allocate_nothing;
     prop_matches_oracle ~integral:true "= pre-flat module, integral rates";
     prop_matches_oracle ~integral:false "= pre-flat module, fractional rates";
     prop_walks_ascending_and_pure;

@@ -119,30 +119,6 @@ let test_encode_pair () =
       Helpers.check_int "subscriber round-trips" v v')
     [ (0, 0); (1, 2); (1_000_000, 4_900_000); ((1 lsl 31) - 1, (1 lsl 31) - 1) ]
 
-let test_csr () =
-  let counts = [| 2; 0; 3 |] in
-  let csr =
-    Arena.Csr.build_rows ~rows:3 ~counts ~fill:(fun ~write ->
-        write ~row:2 30; write ~row:0 1; write ~row:2 31; write ~row:0 2;
-        write ~row:2 32)
-  in
-  Helpers.check_int "rows" 3 (Arena.Csr.rows csr);
-  Helpers.check_int "row 0 length" 2 (Arena.Csr.row_length csr 0);
-  Helpers.check_int "row 1 length" 0 (Arena.Csr.row_length csr 1);
-  Helpers.check_bool "row 0 in fill order" true (Arena.Csr.row csr 0 = [| 1; 2 |]);
-  Helpers.check_bool "row 2 in fill order" true
-    (Arena.Csr.row csr 2 = [| 30; 31; 32 |]);
-  let seen = ref [] in
-  Arena.Csr.iter_row csr 2 (fun x -> seen := x :: !seen);
-  Helpers.check_bool "iter_row" true (List.rev !seen = [ 30; 31; 32 ]);
-  (* Underfilling a row is a bug, not a silent empty slot. *)
-  match
-    Arena.Csr.build_rows ~rows:1 ~counts:[| 2 |] ~fill:(fun ~write ->
-        write ~row:0 1)
-  with
-  | _ -> Alcotest.fail "expected underfill to raise"
-  | exception Invalid_argument _ -> ()
-
 (* ----- transposed index ----- *)
 
 (* Rows with entries a little outside [0, width), in any order. *)
@@ -279,7 +255,6 @@ let suite =
     Alcotest.test_case "int table: any key but the sentinels" `Quick test_int_table_any_key;
     Alcotest.test_case "int table: high-bit keys spread" `Quick test_int_table_high_bit_keys;
     Alcotest.test_case "encode/decode pair" `Quick test_encode_pair;
-    Alcotest.test_case "csr" `Quick test_csr;
     Alcotest.test_case "transpose examples" `Quick test_transpose_examples;
     prop_transpose_matches_naive;
     prop_find_matches_scan;
