@@ -443,6 +443,9 @@ let simulate_cmd =
     let* instance = resolve_instance instance_name in
     let obs = obs_of metrics_out in
     let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+    (* A bad --deltas path fails before the solve or plan load it would
+       otherwise follow. *)
+    let ds = Option.map require_deltas deltas in
     let selection, allocation =
       match plan with
       | Some path ->
@@ -458,10 +461,9 @@ let simulate_cmd =
           (r.Solver.selection, r.Solver.allocation)
     in
     let* p, allocation =
-      match deltas with
+      match ds with
       | None -> Ok (p, allocation)
-      | Some path -> (
-          let ds = require_deltas path in
+      | Some ds -> (
           let eng = Engine.of_plan { Engine.problem = p; selection; allocation } in
           match Engine.apply eng ds with
           | stats ->

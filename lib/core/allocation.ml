@@ -179,24 +179,38 @@ let place a vm ~topic ~ev ~subscribers ~from ~count =
     invalid_arg "Allocation.place: reserved topic id";
   if count > 0 then begin
     let st = vm.st and g = groups_of vm in
-    let s = slot_of g topic in
-    let incoming, s =
-      if s = Int_table.absent then (ev, open_slot g topic count) else (0., s)
-    in
-    Arena.Fbuf.add st.loads vm.id ((float_of_int count *. ev) +. incoming);
-    let n = g.lens.(s) in
-    let run = g.runs.(s) in
-    let run =
-      if n + count <= Array.length run then run
-      else begin
-        let fresh = Array.make (max (n + count) (2 * Array.length run)) 0 in
-        Array.blit run 0 fresh 0 n;
-        g.runs.(s) <- fresh;
-        fresh
-      end
-    in
-    Array.blit subscribers from run n count;
-    g.lens.(s) <- n + count;
+    let s = g.slots in
+    if Option.is_none g.index && (s = 0 || g.topics.(s - 1) < topic) then begin
+      (* Above every slot of a searchable VM, as each line of a decoded
+         plan is: [open_slot]'s new slot at the end without its two
+         searches, and the run an exact-size copy. *)
+      if s = Array.length g.topics then grow_slots g;
+      g.topics.(s) <- topic;
+      g.lens.(s) <- count;
+      g.runs.(s) <- Array.sub subscribers from count;
+      g.slots <- s + 1;
+      Arena.Fbuf.add st.loads vm.id ((float_of_int count *. ev) +. ev)
+    end
+    else begin
+      let s = slot_of g topic in
+      let incoming, s =
+        if s = Int_table.absent then (ev, open_slot g topic count) else (0., s)
+      in
+      Arena.Fbuf.add st.loads vm.id ((float_of_int count *. ev) +. incoming);
+      let n = g.lens.(s) in
+      let run = g.runs.(s) in
+      let run =
+        if n + count <= Array.length run then run
+        else begin
+          let fresh = Array.make (max (n + count) (2 * Array.length run)) 0 in
+          Array.blit run 0 fresh 0 n;
+          g.runs.(s) <- fresh;
+          fresh
+        end
+      in
+      Array.blit subscribers from run n count;
+      g.lens.(s) <- n + count
+    end;
     Arena.Ibuf.set st.npairs vm.id (Arena.Ibuf.get st.npairs vm.id + count)
   end
 

@@ -99,7 +99,11 @@ val place :
     is out of bounds, or if [topic] is one of {!Arena.Int_table.reserved_keys}
     ([min_int], [min_int + 1]); any other [int] topic is accepted. Does
     {e not} check capacity (callers check first, so algorithmic bugs
-    surface in the verifier rather than being masked). *)
+    surface in the verifier rather than being masked). A topic above
+    every group of a VM whose topics still ascend (each line of a
+    decoded plan) opens its group at the end in O(1) plus the copy of
+    the run; any other placement costs a binary search or a hash
+    lookup. *)
 
 val total_load : t -> float
 (** [Σ_b bw_b], the bandwidth term of the objective. *)

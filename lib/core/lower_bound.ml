@@ -8,12 +8,12 @@ let compute (p : Problem.t) =
   for v = 0 to Workload.num_subscribers w - 1 do
     let tv = Workload.interests w v in
     if Array.length tv > 0 then begin
-      let min_rate =
-        Array.fold_left
-          (fun acc t -> Float.min acc (Workload.event_rate w t))
-          infinity tv
-      in
-      bandwidth := !bandwidth +. Float.max (Problem.tau_v p v) min_rate
+      (* A plain loop: a fold's closure would box a float per interest. *)
+      let min_rate = ref infinity in
+      for i = 0 to Array.length tv - 1 do
+        min_rate := Float.min !min_rate (Workload.event_rate w (Array.unsafe_get tv i))
+      done;
+      bandwidth := !bandwidth +. Float.max (Problem.tau_v p v) !min_rate
     end
   done;
   let vms = int_of_float (ceil (!bandwidth /. p.Problem.capacity)) in

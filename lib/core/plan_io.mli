@@ -44,16 +44,23 @@ val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selecti
     Cost: one counting-sort transpose of the workload's interests into
     per-topic follower runs ({!Arena.Transpose}: 4 bytes per pair,
     outside the OCaml heap, freed with the decode; it holds subscriber
-    ids below [2^31]), then per [place]
-    line one forward merge of its run along the topic's followers — a
-    run that steps down restarts the merge at the topic's first
-    follower — and one byte of marks per workload pair. Lines are
-    tokenized in place and plain decimal ints read without a string:
-    the parse allocates a few words per line and what the fleet keeps,
-    but nothing per pair. The selection is rebuilt in one
-    ascending-topic pass over the marks, so every [chosen] row comes out
-    id-sorted, and each [selected_rate] is summed left to right over its
-    row. *)
+    ids below [2^31]), then one pass per [place] line. A line of plain
+    decimal tokens (at most 18 digits each) with a valid VM, topic and
+    a positive count that matches is read in that one pass straight
+    into an int scratch; any other line is re-read by the general
+    tokenizer, which raises the line's message. Each run is then
+    checked by one forward merge along the topic's followers, inline
+    with no callback per pair (a run that steps down restarts the merge
+    at the topic's first follower), with one byte of marks per workload
+    pair. A line whose topic lies above every group of its VM, as on
+    every line a canonical plan holds, is appended to the fleet without
+    a search, its run one exact-size copy. The parse allocates a few
+    words per line and what the fleet keeps, but nothing per pair. A
+    subscriber whose every interest is placed gets the workload's own
+    row as its [chosen] row and its interest rate as [selected_rate]
+    (the same left-to-right sum); every other row is rebuilt in one
+    ascending-topic pass over the marks, so it comes out id-sorted, and
+    its [selected_rate] is summed left to right. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 

@@ -20,7 +20,11 @@
 
 type t = {
   chosen : Mcss_workload.Workload.topic array array;
-      (** Per subscriber, the selected topics, sorted ascending. *)
+      (** Per subscriber, the selected topics, sorted ascending. A row
+          may be physically shared with the workload's own row
+          ({!Mcss_workload.Workload.interests}: a decoded plan that
+          places all of a subscriber's interests) or with a previous
+          selection's ({!reselect}), so a row must never be mutated. *)
   selected_rate : float array;
       (** Per subscriber, [Σ_{t chosen} ev_t]. *)
   num_pairs : int;  (** Total number of selected (t, v) pairs. *)

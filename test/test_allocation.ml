@@ -337,6 +337,78 @@ let prop_matches_oracle ~integral name =
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
     (differential_history ~integral)
 
+(* [place]'s append short-circuit (a topic above every slot of a VM
+   with no index) against the pre-flat module, on place sequences that
+   take it and that leave it: ascending topics, shuffled topics, topics
+   repeated, and topics placed again after [remove] emptied their group
+   (a dead slot below or at the new topic). Fractional rates, so a load
+   summed another way shows in its bits. *)
+let place_sequence_agrees seed =
+  let rng = Rng.create seed in
+  let nt = 1 + Rng.int rng 60 and ns = 1 + Rng.int rng 20 in
+  let rates = random_rates rng ~integral:false nt in
+  let a = Allocation.create ~capacity:1e6 and o = Oracle.create ~capacity:1e6 in
+  let nv = 1 + Rng.int rng 3 in
+  for _ = 1 to nv do
+    ignore (Allocation.deploy a);
+    ignore (Oracle.deploy o)
+  done;
+  let ascending = List.filter (fun _ -> Rng.int rng 3 > 0) (List.init nt Fun.id) in
+  let topics =
+    match Rng.int rng 4 with
+    | 0 -> ascending
+    | 1 ->
+        let t = Array.of_list ascending in
+        for i = Array.length t - 1 downto 1 do
+          let j = Rng.int rng (i + 1) in
+          let x = t.(i) in
+          t.(i) <- t.(j);
+          t.(j) <- x
+        done;
+        Array.to_list t
+    | 2 -> List.concat_map (fun t -> if Rng.int rng 3 = 0 then [ t; t ] else [ t ]) ascending
+    | _ -> ascending @ List.filter (fun _ -> Rng.bool rng) ascending
+  in
+  let bits = Int64.bits_of_float in
+  let agree () =
+    Plan_io.to_string a = oracle_text o
+    && bits (Allocation.total_load a) = bits (Oracle.total_load o)
+    && List.for_all
+         (fun id -> bits (Allocation.load_of a id) = bits (Oracle.load_of o id))
+         (List.init nv Fun.id)
+  in
+  List.for_all
+    (fun topic ->
+      let id = Rng.int rng nv in
+      let subscribers = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng ns) in
+      let from = Rng.int rng (Array.length subscribers) in
+      let count = Rng.int rng (Array.length subscribers - from + 1) in
+      let ev = rates.(topic) in
+      Allocation.place a (Allocation.vm_at a id) ~topic ~ev ~subscribers ~from ~count;
+      Oracle.place o (Oracle.vm_at o id) ~topic ~ev ~subscribers ~from ~count;
+      (if Rng.int rng 4 = 0 then
+         (* Empty one group of a random VM, leaving a dead slot. *)
+         let id = Rng.int rng nv in
+         match Allocation.topics_on (Allocation.vm_at a id) with
+         | [] -> ()
+         | hosted ->
+             let t = List.nth hosted (Rng.int rng (List.length hosted)) in
+             List.iter
+               (fun subscriber ->
+                 ignore
+                   (Allocation.remove a (Allocation.vm_at a id) ~topic:t ~ev:rates.(t)
+                      ~subscriber);
+                 ignore
+                   (Oracle.remove o (Oracle.vm_at o id) ~topic:t ~ev:rates.(t) ~subscriber))
+               (Allocation.subscribers_of_topic_on (Allocation.vm_at a id) t));
+      agree ())
+    topics
+
+let prop_place_sequences_match_oracle =
+  Helpers.qtest ~count:500 "place sequences = pre-flat module (text, load bits)"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    place_sequence_agrees
+
 (* Whatever order topics were placed in, every walk sees them ascending,
    and walking never touches the fleet (domains walk shared fleets). *)
 let prop_walks_ascending_and_pure =
@@ -505,6 +577,7 @@ let suite =
     Alcotest.test_case "lookups allocate nothing" `Quick test_lookups_allocate_nothing;
     prop_matches_oracle ~integral:true "= pre-flat module, integral rates";
     prop_matches_oracle ~integral:false "= pre-flat module, fractional rates";
+    prop_place_sequences_match_oracle;
     prop_walks_ascending_and_pure;
     prop_wide_topic_ids_ascend;
   ]

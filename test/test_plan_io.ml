@@ -8,6 +8,8 @@ module Solver = Mcss_core.Solver
 module Verifier = Mcss_core.Verifier
 module Plan_io = Mcss_core.Plan_io
 module Front = Mcss_front.Front
+module Engine = Mcss_engine.Engine
+module Churn = Mcss_dynamic.Churn
 
 (* The codec as it stood before the flat-array rewrite, copied verbatim:
    the oracle for the differential properties below. *)
@@ -652,6 +654,71 @@ let test_decoder_kernel_cases () =
   check "place 0 1 3 0 1 9999999999999999999\n"
     (Error "line 4: bad subscriber \"9999999999999999999\"")
 
+(* ----- decoded rows shared with the workload ----- *)
+
+(* The workload's rows, interest rates and event rates, deep-copied. *)
+let workload_snapshot w =
+  let n = Workload.num_subscribers w in
+  ( Array.init n (fun v -> Array.copy (Workload.interests w v)),
+    Array.init n (Workload.interest_rate w),
+    Array.copy (Workload.event_rates w) )
+
+let workload_unchanged w (interests, rates, events) =
+  let n = Workload.num_subscribers w in
+  n = Array.length interests
+  && Array.for_all Fun.id (Array.init n (fun v -> Workload.interests w v = interests.(v)))
+  && same_floats (Array.init n (Workload.interest_rate w)) rates
+  && same_floats (Workload.event_rates w) events
+
+(* A subscriber whose every interest is placed gets the workload's own
+   row and interest rate; decoding, and an engine started from and
+   evolved past the decoded plan, never write them. One solve places
+   every pair (τ above every interest rate: every row shared), the
+   other only some. *)
+let test_decode_shares_rows () =
+  let rng = Mcss_prng.Rng.create 23 in
+  let p =
+    fractional
+      (Helpers.random_problem rng ~num_topics:30 ~num_subscribers:80 ~max_rate:20
+         ~max_interests:8 ~tau:40. ~capacity:400.)
+  in
+  let every =
+    Problem.create ~workload:p.Problem.workload ~tau:1e9 ~capacity:p.Problem.capacity
+      p.Problem.costs
+  in
+  let w = p.Problem.workload in
+  let before = workload_snapshot w in
+  List.iter
+    (fun (name, p, all_shared) ->
+      let text = solved_plan_text p in
+      let a, s = Plan_io.of_string ~workload:w text in
+      let _, os = Plan_io_oracle.of_string ~workload:w text in
+      Helpers.check_bool (name ^ ": selection bits") true (same_selection s os);
+      let shared = ref 0 in
+      for v = 0 to Workload.num_subscribers w - 1 do
+        let row = Workload.interests w v in
+        if s.Selection.chosen.(v) == row then begin
+          incr shared;
+          if bits s.Selection.selected_rate.(v) <> bits (Workload.interest_rate w v) then
+            Alcotest.failf "%s: subscriber %d's shared rate differs" name v
+        end
+        else if Array.length s.Selection.chosen.(v) = Array.length row then
+          Alcotest.failf "%s: subscriber %d's full row is not shared" name v
+      done;
+      Helpers.check_bool (name ^ ": some rows shared") true (!shared > 0);
+      if all_shared then
+        Helpers.check_int (name ^ ": every row shared") (Workload.num_subscribers w) !shared;
+      Helpers.check_bool (name ^ ": decode leaves the workload") true
+        (workload_unchanged w before);
+      let eng = Engine.of_plan { Engine.problem = p; selection = s; allocation = a } in
+      for _ = 1 to 3 do
+        let deltas = Churn.tick rng (Churn.scaled 0.3) (Engine.problem eng).Problem.workload in
+        ignore (Engine.apply eng deltas)
+      done;
+      Helpers.check_bool (name ^ ": engine leaves the workload") true
+        (workload_unchanged w before))
+    [ ("every pair", every, true); ("solver plan", p, false) ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip fig1" `Quick test_roundtrip_fig1;
@@ -667,4 +734,5 @@ let suite =
     prop_decoder_raises_only_parse_error;
     prop_decoder_matches_allocating_oracle;
     Alcotest.test_case "decoder kernel cases" `Quick test_decoder_kernel_cases;
+    Alcotest.test_case "decode shares rows, writes no workload" `Quick test_decode_shares_rows;
   ]
