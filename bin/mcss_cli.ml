@@ -133,17 +133,20 @@ let generate_workload trace scale seed = Front.generate ?seed trace ~scale
    backtrace and never silently different behaviour per subcommand. *)
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("mcss: " ^ m); exit 1) fmt
 
+let or_die = function Ok x -> x | Error e -> die "%s" e
+
+(* Cmdliner terms that validate their options: the first [Error] is the
+   term's [`Error]. *)
+let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e)
+
 (* Every subcommand that solves runs its body under this, so
    [Problem.Infeasible], wherever it is raised, is one
    "mcss: infeasible: ..." line on stderr and exit 1. *)
 let exit_if_infeasible f =
-  match Front.catch_infeasible f with Ok x -> x | Error e -> die "%s" e
+  or_die (Front.catch_infeasible f)
 
-let require_scale scale =
-  match Front.validate_scale scale with Ok s -> s | Error e -> die "%s" e
-
-let require_domains domains =
-  match Front.validate_domains domains with Ok d -> d | Error e -> die "%s" e
+let require_scale scale = or_die (Front.validate_scale scale)
+let require_domains domains = or_die (Front.validate_domains domains)
 
 let load_workload file trace scale seed =
   (match (file, trace) with
@@ -153,11 +156,8 @@ let load_workload file trace scale seed =
   | None, None -> ());
   Front.load_workload ~file ~trace ~scale ~seed
 
-let require_workload file trace scale seed =
-  match load_workload file trace scale seed with Ok w -> w | Error e -> die "%s" e
-
-let require_plan ~workload path =
-  match Front.load_plan ~workload path with Ok plan -> plan | Error e -> die "%s" e
+let require_workload file trace scale seed = or_die (load_workload file trace scale seed)
+let require_plan ~workload path = or_die (Front.load_plan ~workload path)
 
 let require_deltas path =
   match Delta_io.load path with
@@ -170,12 +170,8 @@ let resolve_instance = Front.resolve_instance
 (* Every problem-building subcommand checks [--tau] and [--bc-events]
    here, so a bad value is one line on stderr and exit 1. *)
 let problem_of ~w ~tau ~instance ~scale ~bc_events =
-  let tau = match Front.validate_tau tau with Ok t -> t | Error e -> die "%s" e in
-  let bc_events =
-    Option.map
-      (fun bc -> match Front.validate_bc_events bc with Ok b -> b | Error e -> die "%s" e)
-      bc_events
-  in
+  let tau = or_die (Front.validate_tau tau) in
+  let bc_events = Option.map (fun bc -> or_die (Front.validate_bc_events bc)) bc_events in
   Front.problem_of ~w ~tau ~instance ~scale ~bc_events
 
 (* ----- generate ----- *)
@@ -226,7 +222,6 @@ let solve_cmd =
   let run () file trace scale seed domains tau instance_name bc_events config_name
       ladder no_verify save_plan detail metrics_out =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scale = require_scale scale in
     let domains = require_domains domains in
     let w = require_workload file trace scale seed in
@@ -313,7 +308,6 @@ let solve_cmd =
 
 let lower_bound_cmd =
   let run () file trace scale seed tau instance_name bc_events =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -436,7 +430,6 @@ let simulate_cmd =
   let run () file trace scale seed domains tau instance_name bc_events poisson
       duration plan deltas outages metrics_out =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scale = require_scale scale in
     let domains = require_domains domains in
     let w = require_workload file trace scale seed in
@@ -567,7 +560,6 @@ let update_cmd =
   let run () file trace scale seed tau instance_name bc_events config_name deltas
       plan drift save_plan save_workload echo_deltas =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -640,7 +632,6 @@ let budget_cmd =
   in
   let run () file trace scale seed tau instance_name bc_events budgets =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -724,7 +715,6 @@ let export_lp_cmd =
   in
   let run () file trace scale seed tau instance_name bc_events out max_vms =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -757,7 +747,6 @@ let verify_cmd =
            ~doc:"Plan file to audit.")
   in
   let run () file trace scale seed tau instance_name bc_events plan =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -867,7 +856,6 @@ let chaos_cmd =
       epochs epoch_duration zones k no_recovery max_new_vms penalty hysteresis
       backoff_base backoff_max backoff_jitter metrics_out =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let* () = if k >= 1 then Ok () else Error "--replicas must be >= 1" in
     let* () = if zones >= 1 then Ok () else Error "--zones must be >= 1" in
     let* () =
@@ -1026,7 +1014,6 @@ let elastic_cmd =
       policy deployment scaling_usd lookahead down_cooldown consolidate_below
       ledger =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let scenario = require_scenario scenario_path in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -1151,7 +1138,6 @@ let profile_cmd =
   let run () file trace scale seed tau instance_name bc_events config_name format
       no_simulate message_bytes metrics_out =
     exit_if_infeasible @@ fun () ->
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -1338,7 +1324,6 @@ let serve_cmd =
       breaker_cooldown queue_depth start_degraded chaos_hysteresis
       chaos_backoff_base chaos_backoff_max chaos_backoff_jitter replicate_on
       follow name quorum_acks quorum_timeout quiet =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let* address = Serve_server.address_of_string listen in
     let* () =
       if chaos_hysteresis >= 1 then Ok ()
@@ -1602,7 +1587,6 @@ let route_cmd =
                  (needs $(b,--auto-promote)).")
   in
   let run () listen shards vnodes health_period auto_promote promote_after quiet =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let* address = Serve_server.address_of_string listen in
     let* () = if vnodes >= 1 then Ok () else Error "--vnodes must be >= 1" in
     let* () =
@@ -1749,7 +1733,6 @@ let journal_cmd =
         end
   in
   let run () dir seek verify =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     if verify then run_verify dir
     else
     let* () =
@@ -1943,7 +1926,6 @@ let dataplane_cmd =
   in
   let run () file trace scale seed plan dir message_bytes tau instance_name
       bc_events replay_scenario slice_pace =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let* () =
       if slice_pace >= 0. then Ok () else Error "--slice-pace must be >= 0"
     in
@@ -2067,7 +2049,6 @@ let pump_cmd =
   let run () file trace scale seed plan dir duration pace batch tolerance
       no_reconcile latency_seed report_file shutdown tau instance_name bc_events
       =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
     let _, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
@@ -2278,7 +2259,6 @@ let query_cmd =
   let run () connect verb raw_json wfile digest deltas_file taus instance_name
       bc_events config_name deadline faults campaign_seed epochs zones retries
       retry_base timeout add_pairs remove_pairs epoch =
-    let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e) in
     let ( let& ) r f = match r with Ok x -> f x | Error _ as e -> e in
     let* address = Serve_server.address_of_string connect in
     let params tau =

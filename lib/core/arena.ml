@@ -226,6 +226,17 @@ let encode_pair ~topic ~subscriber =
 
 let decode_pair key = (key lsr 31, key land (pair_limit - 1))
 
+(* Chunk 0 runs on the calling domain. Its exception, if any, is
+   raised only after every spawned domain has been joined. *)
+let map_chunks ~domains n f =
+  let chunks = max 1 (min domains n) in
+  let size = (n + chunks - 1) / chunks in
+  let run c = f c (min n (c * size)) (min n ((c + 1) * size)) in
+  let spawned = List.init (chunks - 1) (fun c -> Domain.spawn (fun () -> run (c + 1))) in
+  let first = match run 0 with x -> Ok x | exception e -> Error e in
+  let rest = List.map Domain.join spawned in
+  match first with Ok x -> Array.of_list (x :: rest) | Error e -> raise e
+
 module Transpose = struct
   type col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   type t = { offs : int array; col : col }
@@ -234,49 +245,80 @@ module Transpose = struct
 
   (* An entry is kept when it lies in [0, width) and exceeds every
      entry kept before it in its row: the running maximum [last] starts
-     at -1. *)
-  let create ~width ~rows row =
-    if width < 0 || rows < 0 then invalid_arg "Arena.Transpose.create: negative size";
-    if rows > id_limit then invalid_arg "Arena.Transpose.create: row index beyond 2^31";
-    (* Counting sort. offs.(x) first counts the kept entries x, then
-       holds the end of column row x; the fill walks rows backwards and
-       pre-decrements, so each ends at its start with rows ascending. *)
-    let offs = Array.make (width + 1) 0 in
-    for r = 0 to rows - 1 do
+     at -1. The two passes over rows [lo, hi) are top-level with every
+     input an argument, so their loops read no closure environment. *)
+  let count_rows row ~width count lo hi =
+    for r = lo to hi - 1 do
       let row = row r and last = ref (-1) in
       for i = 0 to Array.length row - 1 do
         let x = Array.unsafe_get row i in
         if x > !last && x < width then begin
           last := x;
-          offs.(x) <- offs.(x) + 1
+          count.(x) <- count.(x) + 1
         end
       done
-    done;
-    let total = ref 0 in
-    for x = 0 to width - 1 do
-      total := !total + offs.(x);
-      offs.(x) <- !total
-    done;
-    offs.(width) <- !total;
-    let col = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout !total in
-    for r = rows - 1 downto 0 do
+    done
+
+  let fill_rows row ~width cur (col : col) lo hi =
+    for r = lo to hi - 1 do
       let row = row r and last = ref (-1) and r32 = Int32.of_int r in
       for i = 0 to Array.length row - 1 do
         let x = Array.unsafe_get row i in
         if x > !last && x < width then begin
           last := x;
-          let j = offs.(x) - 1 in
-          offs.(x) <- j;
+          let j = cur.(x) in
+          cur.(x) <- j + 1;
           Bigarray.Array1.unsafe_set col j r32
         end
       done
+    done
+
+  (* Counting sort over ordered row chunks, one per domain. Each chunk
+     counts its kept entries per column row; the counts then become the
+     chunk's write cursors in place, laid out in chunk order within each
+     column row (chunk c starts where the chunks before it end), and
+     each chunk fills its own part of every column row. Rows therefore
+     ascend within each column row, and the column is the same at any
+     domain count. *)
+  let create ?(domains = 1) ~width ~rows row =
+    if width < 0 || rows < 0 then invalid_arg "Arena.Transpose.create: negative size";
+    if rows > id_limit then invalid_arg "Arena.Transpose.create: row index beyond 2^31";
+    let cursors =
+      map_chunks ~domains rows (fun _ lo hi ->
+          let count = Array.make width 0 in
+          count_rows row ~width count lo hi;
+          count)
+    in
+    let offs = Array.make (width + 1) 0 in
+    let total = ref 0 in
+    for x = 0 to width - 1 do
+      offs.(x) <- !total;
+      for c = 0 to Array.length cursors - 1 do
+        let cur = cursors.(c) in
+        let n = cur.(x) in
+        cur.(x) <- !total;
+        total := !total + n
+      done
     done;
+    offs.(width) <- !total;
+    let col = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout !total in
+    ignore
+      (map_chunks ~domains rows (fun c lo hi -> fill_rows row ~width cursors.(c) col lo hi)
+        : unit array);
     { offs; col }
 
   let length t = Bigarray.Array1.dim t.col
   let start t x = t.offs.(x)
   let stop t x = t.offs.(x + 1)
   let get t j = Int32.to_int (Bigarray.Array1.get t.col j)
+
+  let copy_row t x buf =
+    let lo = start t x and n = stop t x - start t x in
+    let buf = if Array.length buf >= n then buf else Array.make (max n (2 * Array.length buf)) 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set buf i (Int32.to_int (Bigarray.Array1.unsafe_get t.col (lo + i)))
+    done;
+    buf
 
   (* The bisection and the gallop behind [find], top-level with every
      input an argument, so that a lookup builds no closure. *)

@@ -7,7 +7,8 @@
     instead of O(pairs) heap objects — the difference between the GC
     walking a few slabs and walking tens of millions of boxes.
 
-    All structures are single-writer: each is confined to one domain. *)
+    All structures are single-writer: each is confined to one domain.
+    {!map_chunks} is the one place the planning core spawns domains. *)
 
 module Ibuf : sig
   (** A growable flat [int] buffer (amortised-O(1) push). *)
@@ -126,6 +127,16 @@ val decode_pair : int -> int * int
 (** Inverse of {!encode_pair} (allocates; for iteration, not hot
     paths). *)
 
+val map_chunks : domains:int -> int -> (int -> int -> int -> 'a) -> 'a array
+(** [map_chunks ~domains n f] cuts [[0, n)] into [c = max 1 (min domains
+    n)] ordered chunks of [ceil (n / c)] indices (the last ones may be
+    shorter, or empty), calls [f i lo hi] on chunk [i] = [[lo, hi)], and
+    returns the results in chunk order. Chunk 0 runs on the calling
+    domain and every other chunk on a domain of its own, so [f] must
+    write only state that its chunk owns. With [c = 1] nothing is
+    spawned. If a chunk raises, the exception is re-raised after every
+    domain has been joined. *)
+
 module Transpose : sig
   (** The column-major view of [int array array] rows: for each value
       [x] in [0, width), the indices of the rows that hold [x], as one
@@ -143,13 +154,18 @@ module Transpose : sig
 
   type t
 
-  val create : width:int -> rows:int -> (int -> int array) -> t
+  val create : ?domains:int -> width:int -> rows:int -> (int -> int array) -> t
   (** [create ~width ~rows row] transposes [row 0 .. row (rows - 1)].
       From each row it keeps the entries that lie in [0, width) and
       exceed every entry kept before them in the row (all of a strictly
       increasing, in-range row); the rest are dropped. Within each
-      column row, row indices ascend. Raises [Invalid_argument] on a
-      negative size or [rows > 2^31]. *)
+      column row, row indices ascend. [domains] (default 1) counts and
+      fills the rows in {!map_chunks} chunks, each writing its own part
+      of every column row from per-chunk cursors laid out in chunk
+      order, so the column is {e identical} at any domain count; [row]
+      is then called from several domains. Memory: the 4-byte column,
+      [width + 1] offsets and [width] cursors per chunk. Raises
+      [Invalid_argument] on a negative size or [rows > 2^31]. *)
 
   val length : t -> int
   (** Entries kept, over all column rows. *)
@@ -160,6 +176,13 @@ module Transpose : sig
 
   val get : t -> int -> int
   (** The row index in a slot. *)
+
+  val copy_row : t -> int -> int array -> int array
+  (** [copy_row t x buf] copies column row [x] to the front of [buf], or
+      of a fresh array (twice as long, or just long enough) when [buf]
+      is shorter than the column row, and returns the array written.
+      Packers reuse one such scratch to hand a topic's group to
+      [Allocation.place] as an [int array]. *)
 
   val find : t -> from:int -> hi:int -> int -> int
   (** [find t ~from ~hi r] is the slot in [[from, hi)] holding [r], or

@@ -32,11 +32,17 @@ let best_fit_decreasing (p : Problem.t) (s : Selection.t) =
   let ev_of = Workload.event_rates p.Problem.workload in
   let eps = Problem.epsilon p in
   let a = Allocation.create ~capacity:p.Problem.capacity in
-  let g = Selection.pairs_by_topic p s in
+  let chosen = s.Selection.chosen in
+  let g =
+    Arena.Transpose.create ~width:(Array.length ev_of) ~rows:(Array.length chosen)
+      (Array.get chosen)
+  in
+  let subs = ref [||] in
   Array.iter
     (fun topic ->
       let ev = ev_of.(topic) in
-      let from = ref g.Selection.offsets.(topic) and hi = g.Selection.offsets.(topic + 1) in
+      subs := Arena.Transpose.copy_row g topic !subs;
+      let from = ref 0 and hi = Arena.Transpose.stop g topic - Arena.Transpose.start g topic in
       while !from < hi do
         (* Tightest VM that can still take at least one pair. *)
         let best = ref None in
@@ -57,8 +63,7 @@ let best_fit_decreasing (p : Problem.t) (s : Selection.t) =
               vm
         in
         let k = min (Allocation.max_pairs_that_fit a vm ~topic ~ev ~eps) (hi - !from) in
-        Allocation.place a vm ~topic ~ev ~subscribers:g.Selection.subscribers ~from:!from
-          ~count:k;
+        Allocation.place a vm ~topic ~ev ~subscribers:!subs ~from:!from ~count:k;
         from := !from + k
       done)
     (Cbp.order Cbp.Expensive_first p g);

@@ -70,18 +70,21 @@ let cheaper_to_distribute (p : Problem.t) a ~ev ~count ~hosts =
    stable sort of the ascending ids on the key alone breaks ties by id.
    The keys sit in a float array indexed by topic, so comparing two ids
    reads two unboxed floats and allocates nothing. *)
-let order topic_order (p : Problem.t) (g : Selection.by_topic) =
+let order topic_order (p : Problem.t) (g : Arena.Transpose.t) =
   let ev = Workload.event_rates p.Problem.workload in
-  let ids = Array.copy g.Selection.topics in
+  let size t = Arena.Transpose.stop g t - Arena.Transpose.start g t in
+  let ids = Arena.Ibuf.create () in
+  for t = 0 to Array.length ev - 1 do
+    if size t > 0 then Arena.Ibuf.push ids t
+  done;
+  let ids = Arena.Ibuf.to_array ids in
   let by (key : float array) =
     Array.stable_sort (fun a b -> Float.compare (-.key.(a)) (-.key.(b))) ids
   in
   (match topic_order with
   | Arbitrary -> ()
   | Expensive_first -> by ev
-  | Heaviest_group_first ->
-      let offsets = g.Selection.offsets in
-      by (Array.mapi (fun t ev -> float_of_int (offsets.(t + 1) - offsets.(t)) *. ev) ev));
+  | Heaviest_group_first -> by (Array.mapi (fun t ev -> float_of_int (size t) *. ev) ev));
   ids
 
 (* Stage-2 work counts: plain mutable ints on the packing path, flushed
@@ -128,13 +131,17 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
     }
   in
   let a = Allocation.create ~capacity:p.Problem.capacity in
-  let g = Selection.pairs_by_topic ~domains p s in
-  let subs = g.Selection.subscribers in
+  let chosen = s.Selection.chosen in
+  let g =
+    Arena.Transpose.create ~domains ~width:(Array.length ev_of) ~rows:(Array.length chosen)
+      (Array.get chosen)
+  in
   let topics = order opts.topic_order p g in
-  (* Every group is the slice [lo, hi) of [subs]; [from] is an absolute
+  (* The group being packed, copied out of its column row; [from] is a
      position in it. *)
+  let subs = ref [||] in
   let place vm ~topic ~ev ~from ~count =
-    Allocation.place a vm ~topic ~ev ~subscribers:subs ~from ~count;
+    Allocation.place a vm ~topic ~ev ~subscribers:!subs ~from ~count;
     counts.placements <- counts.placements + 1
   in
   (* The most recently deployed VM; a whole group that fits goes there. *)
@@ -195,12 +202,12 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
   Array.iter
     (fun topic ->
       let ev = ev_of.(topic) in
-      let lo = g.Selection.offsets.(topic) and hi = g.Selection.offsets.(topic + 1) in
-      let n = hi - lo in
+      subs := Arena.Transpose.copy_row g topic !subs;
+      let n = Arena.Transpose.stop g topic - Arena.Transpose.start g topic in
       match !current with
       | Some vm
         when Allocation.place_delta vm ~topic ~ev ~count:n <= Allocation.free a vm +. eps ->
-          place vm ~topic ~ev ~from:lo ~count:n;
+          place vm ~topic ~ev ~from:0 ~count:n;
           counts.whole_group_fits <- counts.whole_group_fits + 1
       | _ ->
           let spread =
@@ -213,11 +220,11 @@ let run ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) (s : Selection.t) 
           in
           if spread then begin
             counts.decision_distribute <- counts.decision_distribute + 1;
-            distribute ~topic ~ev ~from:lo ~hi
+            distribute ~topic ~ev ~from:0 ~hi:n
           end
           else begin
             counts.decision_deploy <- counts.decision_deploy + 1;
-            deploy_for ~topic ~ev ~from:lo ~hi
+            deploy_for ~topic ~ev ~from:0 ~hi:n
           end)
     topics;
   flush_stage2 obs p a ~groups:(Array.length topics) counts;

@@ -49,14 +49,16 @@ val with_most_free : options  (** Step (d). *)
 val with_cost_decision : options  (** Step (e) — the full CBP. *)
 
 val order :
-  topic_order -> Problem.t -> Selection.by_topic -> Mcss_workload.Workload.topic array
-(** The nonempty topics of the table in packing order, as a fresh array:
-    ascending ids for [Arbitrary]; for the two sorted orders, the key
-    ([ev_t], or [ev_t · |pairs of t|]) descending with ties by ascending
-    topic id — a typed comparison on [(-key, id)], so exactly the order a
-    sort of [(-key, id)] tuples gives. O(G log G) for G nonempty topics.
-    The one expensive-first order every topic-grouped packer uses
-    (CBP, the replica rounds of redundant placement, best-fit
+  topic_order -> Problem.t -> Arena.Transpose.t -> Mcss_workload.Workload.topic array
+(** The topics with a nonempty column row in the selection's transpose
+    (one row per subscriber, one column row per topic id below
+    [num_topics]) in packing order, as a fresh array: ascending ids for
+    [Arbitrary]; for the two sorted orders, the key ([ev_t], or
+    [ev_t · |pairs of t|]) descending with ties by ascending topic id —
+    a typed comparison on [(-key, id)], so exactly the order a sort of
+    [(-key, id)] tuples gives. O(num_topics + G log G) for G nonempty
+    topics. The one expensive-first order every topic-grouped packer
+    uses (CBP, the replica rounds of redundant placement, best-fit
     decreasing). *)
 
 val run :
@@ -67,16 +69,18 @@ val run :
   options ->
   Allocation.t
 (** Raises {!Problem.Infeasible} if some selected pair cannot fit even an
-    empty VM. Builds the flat {!Selection.by_topic} table, orders its
-    topics by {!order}, and places every group straight from its table
-    slice — no per-topic array. Cost: the table's O(num_topics +
-    num_pairs), the order's O(G log G), then the packing fold, which
-    scans the fleet only when a group misses the current VM (O(G·|B|)
-    worst case for G groups and |B| VMs, plus an O(|B| log |B|) sort per
-    Alg. 7 estimate). [domains] (default 1) parallelises the table fill;
-    the packing fold itself is inherently sequential (every placement
-    depends on the residuals the previous ones left), so the resulting
-    allocation is identical at any domain count. [obs] (default {!Mcss_obs.Registry.noop}) receives the
+    empty VM. Transposes the selection into one topic-major column
+    ({!Arena.Transpose.create}), orders its topics by {!order}, and
+    copies each group's column row once into one reused [int] scratch
+    that every placement of the group reads — no per-topic array. Cost:
+    the transpose's O(num_topics + num_pairs), the order's O(G log G),
+    then the packing fold, which scans the fleet only when a group
+    misses the current VM (O(G·|B|) worst case for G groups and |B| VMs,
+    plus an O(|B| log |B|) sort per Alg. 7 estimate). [domains] (default
+    1) parallelises the transpose; the packing fold itself is inherently
+    sequential (every placement depends on the residuals the previous
+    ones left), so the resulting allocation is identical at any domain
+    count. [obs] (default {!Mcss_obs.Registry.noop}) receives the
     Stage-2 work counters ([stage2.groups], [stage2.vms_deployed],
     [stage2.placements], [stage2.whole_group_fits],
     [stage2.decision_distribute] / [stage2.decision_deploy],

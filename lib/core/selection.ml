@@ -24,9 +24,9 @@ let gsp_key ~ev ~rem = Float.max ev rem
    hot path and flushed to the registry once per selection (so the
    enabled-path overhead stays a handful of integer writes per
    subscriber, and the disabled path costs the same). *)
-type s1_counts = { mutable considered : int; mutable set_ops : int }
+type s1_counts = { mutable considered : int; mutable set_ops : int; mutable pairs : int }
 
-let new_counts () = { considered = 0; set_ops = 0 }
+let new_counts () = { considered = 0; set_ops = 0; pairs = 0 }
 
 let flush_stage1 obs (s : t) counts =
   Counter.add
@@ -51,26 +51,55 @@ let flush_stage1 obs (s : t) counts =
        "stage1.outgoing_rate")
     s.outgoing_rate
 
-let build ~workload per_subscriber =
+(* The one Stage-1 loop over subscribers. [kernel counts] is one
+   chunk's per-subscriber selector: it returns the subscriber's picks
+   (any order) and their rate sum, and records its work in [counts],
+   which the chunk owns. Subscribers are cut into [domains] ordered
+   chunks ({!Arena.map_chunks}), each filling its own slice of the
+   result and counting its pairs; the per-chunk counts are then merged
+   and the outgoing rate summed in subscriber order, so the selection
+   and the counters are the same at any domain count. With [previous =
+   (s, dirty)], a clean subscriber keeps [s]'s row and rate, and only
+   the dirty ones run the kernel. *)
+let build ?(obs = Registry.noop) ?(domains = 1) ?previous ~workload kernel =
   let n = Workload.num_subscribers workload in
   let chosen = Array.make n [||] in
   let selected_rate = Array.make n 0. in
-  let num_pairs = ref 0 in
+  let chunk_counts =
+    Arena.map_chunks ~domains n (fun _ lo hi ->
+        let counts = new_counts () in
+        let select = kernel counts in
+        for v = lo to hi - 1 do
+          let topics =
+            match previous with
+            | Some (prev, dirty) when not dirty.(v) ->
+                selected_rate.(v) <- prev.selected_rate.(v);
+                prev.chosen.(v)
+            | _ ->
+                let topics, rate = select v in
+                Workload.sort_ids topics;
+                selected_rate.(v) <- rate;
+                topics
+          in
+          chosen.(v) <- topics;
+          counts.pairs <- counts.pairs + Array.length topics
+        done;
+        counts)
+  in
+  let counts = new_counts () in
+  Array.iter
+    (fun c ->
+      counts.considered <- counts.considered + c.considered;
+      counts.set_ops <- counts.set_ops + c.set_ops;
+      counts.pairs <- counts.pairs + c.pairs)
+    chunk_counts;
   let outgoing_rate = ref 0. in
   for v = 0 to n - 1 do
-    let topics, rate = per_subscriber v in
-    Workload.sort_ids topics;
-    chosen.(v) <- topics;
-    selected_rate.(v) <- rate;
-    num_pairs := !num_pairs + Array.length topics;
-    outgoing_rate := !outgoing_rate +. rate
+    outgoing_rate := !outgoing_rate +. selected_rate.(v)
   done;
-  {
-    chosen;
-    selected_rate;
-    num_pairs = !num_pairs;
-    outgoing_rate = !outgoing_rate;
-  }
+  let s = { chosen; selected_rate; num_pairs = counts.pairs; outgoing_rate = !outgoing_rate } in
+  flush_stage1 obs s counts;
+  s
 
 (* Literal Alg. 2 for one subscriber: after every pick, re-derive every
    remaining candidate's ratio from the current remainder and rescan for
@@ -104,13 +133,11 @@ let gsp_reference_subscriber w ~tau ~eps ~counts v =
   done;
   (Array.of_list !picked, !sum)
 
-let gsp_reference ?(obs = Registry.noop) (p : Problem.t) =
+let gsp_reference ?obs (p : Problem.t) =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let s = build ~workload:w (gsp_reference_subscriber w ~tau:p.Problem.tau ~eps ~counts) in
-  flush_stage1 obs s counts;
-  s
+  build ?obs ~workload:w (fun counts ->
+      gsp_reference_subscriber w ~tau:p.Problem.tau ~eps ~counts)
 
 (* O(|T_v| log |T_v|) GSP for one subscriber.
 
@@ -253,124 +280,30 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
     (Arena.Ibuf.to_array picked, !sum)
   end
 
-let gsp ?(obs = Registry.noop) (p : Problem.t) =
-  let w = p.Problem.workload in
-  let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let scratch = gsp_scratch () in
-  let s =
-    build ~workload:w (gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts ~scratch)
-  in
-  flush_stage1 obs s counts;
-  s
+(* One scratch per chunk: the kernel closes over it. *)
+let gsp_kernel (p : Problem.t) counts =
+  gsp_subscriber p.Problem.workload ~tau:p.Problem.tau ~eps:(Problem.epsilon p) ~counts
+    ~scratch:(gsp_scratch ())
 
-(* Parallel GSP: subscribers are independent, so each domain fills a
-   disjoint slice of the result arrays; the aggregate sums are folded
-   sequentially afterwards so the result is bit-identical to [gsp]. *)
-let gsp_parallel ?(obs = Registry.noop) ?domains (p : Problem.t) =
-  let w = p.Problem.workload in
-  let eps = Problem.epsilon p in
-  let n = Workload.num_subscribers w in
-  let domains =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  if domains <= 1 || n < 2 then gsp ~obs p
-  else begin
-    let domains = min domains n in
-    let chosen = Array.make n [||] in
-    let rates = Array.make n 0. in
-    let chunk = (n + domains - 1) / domains in
-    (* One counts record per domain: no shared mutable state across
-       domains; merged sequentially after the join. *)
-    let domain_counts = Array.init domains (fun _ -> new_counts ()) in
-    let worker d () =
-      let lo = d * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      let scratch = gsp_scratch () in
-      for v = lo to hi do
-        let topics, rate =
-          gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts:domain_counts.(d) ~scratch v
-        in
-        Workload.sort_ids topics;
-        chosen.(v) <- topics;
-        rates.(v) <- rate
-      done
-    in
-    let spawned =
-      List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned;
-    let num_pairs = ref 0 in
-    let outgoing_rate = ref 0. in
-    for v = 0 to n - 1 do
-      num_pairs := !num_pairs + Array.length chosen.(v);
-      outgoing_rate := !outgoing_rate +. rates.(v)
-    done;
-    let s =
-      {
-        chosen;
-        selected_rate = rates;
-        num_pairs = !num_pairs;
-        outgoing_rate = !outgoing_rate;
-      }
-    in
-    let merged = new_counts () in
-    Array.iter
-      (fun c ->
-        merged.considered <- merged.considered + c.considered;
-        merged.set_ops <- merged.set_ops + c.set_ops)
-      domain_counts;
-    flush_stage1 obs s merged;
-    s
-  end
+let gsp ?obs ?domains (p : Problem.t) =
+  build ?obs ?domains ~workload:p.Problem.workload (gsp_kernel p)
 
 (* Incremental GSP: [gsp_subscriber] is a deterministic function of the
    subscriber's interest set, those topics' rates, tau and eps — so a
    subscriber none of whose inputs changed keeps its exact old selection,
    and re-running only the dirty ones reproduces [gsp] bit-for-bit. *)
-let reselect ?(obs = Registry.noop) (p : Problem.t) ~previous ~dirty =
+let reselect ?obs (p : Problem.t) ~previous ~dirty =
   let w = p.Problem.workload in
   let n = Workload.num_subscribers w in
   if Array.length dirty <> n then
     invalid_arg
       (Printf.sprintf "Selection.reselect: dirty has %d entries for %d subscribers"
          (Array.length dirty) n);
-  let old_n = Array.length previous.chosen in
-  let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let scratch = gsp_scratch () in
-  let chosen = Array.make n [||] in
-  let selected_rate = Array.make n 0. in
-  let num_pairs = ref 0 in
-  let outgoing_rate = ref 0. in
-  for v = 0 to n - 1 do
-    if dirty.(v) then begin
-      let topics, rate = gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts ~scratch v in
-      Workload.sort_ids topics;
-      chosen.(v) <- topics;
-      selected_rate.(v) <- rate
-    end
-    else begin
-      if v >= old_n then
-        invalid_arg
-          (Printf.sprintf "Selection.reselect: new subscriber %d not marked dirty" v);
-      chosen.(v) <- previous.chosen.(v);
-      selected_rate.(v) <- previous.selected_rate.(v)
-    end;
-    num_pairs := !num_pairs + Array.length chosen.(v);
-    outgoing_rate := !outgoing_rate +. selected_rate.(v)
+  for v = Array.length previous.chosen to n - 1 do
+    if not dirty.(v) then
+      invalid_arg (Printf.sprintf "Selection.reselect: new subscriber %d not marked dirty" v)
   done;
-  let s =
-    {
-      chosen;
-      selected_rate;
-      num_pairs = !num_pairs;
-      outgoing_rate = !outgoing_rate;
-    }
-  in
-  flush_stage1 obs s counts;
-  s
+  build ?obs ~previous:(previous, dirty) ~workload:w (gsp_kernel p)
 
 let rsp_order w ~tau ~eps ~counts order v =
   let tv = order v in
@@ -387,15 +320,14 @@ let rsp_order w ~tau ~eps ~counts order v =
   done;
   (Array.of_list !picked, !sum)
 
-let rsp ?(obs = Registry.noop) (p : Problem.t) =
+let rsp ?obs (p : Problem.t) =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let s = build ~workload:w (rsp_order w ~tau:p.Problem.tau ~eps ~counts (Workload.interests w)) in
-  flush_stage1 obs s counts;
-  s
+  build ?obs ~workload:w (fun counts ->
+      rsp_order w ~tau:p.Problem.tau ~eps ~counts (Workload.interests w))
 
-let rsp_shuffled ?(obs = Registry.noop) rng (p : Problem.t) =
+(* One domain: every subscriber draws from the one [rng], in order. *)
+let rsp_shuffled ?obs rng (p : Problem.t) =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let order v =
@@ -403,10 +335,7 @@ let rsp_shuffled ?(obs = Registry.noop) rng (p : Problem.t) =
     Mcss_prng.Rng.shuffle_in_place rng tv;
     tv
   in
-  let counts = new_counts () in
-  let s = build ~workload:w (rsp_order w ~tau:p.Problem.tau ~eps ~counts order) in
-  flush_stage1 obs s counts;
-  s
+  build ?obs ~workload:w (fun counts -> rsp_order w ~tau:p.Problem.tau ~eps ~counts order)
 
 let integral_rate ev =
   let r = Float.round ev in
@@ -474,7 +403,7 @@ let optimal_per_subscriber ?(max_budget = 100_000) (p : Problem.t) =
           too_big := true
       done;
       if !too_big then None
-      else Some (build ~workload:w (optimal_subscriber w ~tau:p.Problem.tau rates))
+      else Some (build ~workload:w (fun _ -> optimal_subscriber w ~tau:p.Problem.tau rates))
 
 let satisfies (p : Problem.t) s =
   let eps = Problem.epsilon p in
@@ -483,71 +412,5 @@ let satisfies (p : Problem.t) s =
     (fun v rate -> if rate +. eps < Problem.tau_v p v then ok := false)
     s.selected_rate;
   !ok
-
-type by_topic = {
-  offsets : int array;
-  subscribers : Workload.subscriber array;
-  topics : Workload.topic array;
-}
-
-(* Counting sort of the selected pairs into one topic-major column.
-   [offsets] is the prefix sum of the per-topic counts; each pass then
-   writes subscriber [v] at its topic's cursor, so every slice comes out
-   ascending by subscriber. With [domains] > 1 the subscriber range is
-   split into ordered chunks: each domain counts its chunk, the
-   per-(domain, topic) counts are prefix-summed into disjoint write
-   cursors (domain d starts where domains < d end within each topic),
-   and each domain fills its own part of every slice — the same column
-   as the sequential pass, at any domain count. *)
-let pairs_by_topic ?(domains = 1) (p : Problem.t) s =
-  let nt = Workload.num_topics p.Problem.workload in
-  let n = Array.length s.chosen in
-  let domains = max 1 (min domains n) in
-  let chunk = (n + domains - 1) / domains in
-  let each_chunk worker =
-    let spawned =
-      List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned
-  in
-  let cursors = Array.init domains (fun _ -> Array.make nt 0) in
-  each_chunk (fun d ->
-      let cd = cursors.(d) in
-      for v = d * chunk to min n ((d + 1) * chunk) - 1 do
-        Array.iter (fun t -> cd.(t) <- cd.(t) + 1) s.chosen.(v)
-      done);
-  let offsets = Array.make (nt + 1) 0 in
-  let nonempty = ref 0 in
-  for t = 0 to nt - 1 do
-    let base = offsets.(t) in
-    let next = ref base in
-    for d = 0 to domains - 1 do
-      let c = cursors.(d).(t) in
-      cursors.(d).(t) <- !next;
-      next := !next + c
-    done;
-    if !next > base then incr nonempty;
-    offsets.(t + 1) <- !next
-  done;
-  let subscribers = Array.make offsets.(nt) 0 in
-  each_chunk (fun d ->
-      let cur = cursors.(d) in
-      for v = d * chunk to min n ((d + 1) * chunk) - 1 do
-        Array.iter
-          (fun t ->
-            subscribers.(cur.(t)) <- v;
-            cur.(t) <- cur.(t) + 1)
-          s.chosen.(v)
-      done);
-  let topics = Array.make !nonempty 0 in
-  let i = ref 0 in
-  for t = 0 to nt - 1 do
-    if offsets.(t + 1) > offsets.(t) then begin
-      topics.(!i) <- t;
-      incr i
-    end
-  done;
-  { offsets; subscribers; topics }
 
 let iter_pairs s f = Array.iteri (fun v tv -> Array.iter (fun t -> f t v) tv) s.chosen

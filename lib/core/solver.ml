@@ -3,7 +3,7 @@ module Span = Mcss_obs.Span
 module Counter = Mcss_obs.Metric.Counter
 module Gauge = Mcss_obs.Metric.Gauge
 
-type stage1 = Gsp | Gsp_parallel | Gsp_reference | Rsp | Global_greedy
+type stage1 = Gsp | Gsp_reference | Rsp | Global_greedy
 type stage2 = Ffbp | Cbp of Cbp.options
 
 type config = { stage1 : stage1; stage2 : stage2 }
@@ -47,12 +47,7 @@ let solve ?(obs = Registry.noop) ?(config = default) ?(domains = 1) (p : Problem
         Span.with_ obs ~name:"stage1" (fun () ->
             Mcss_obs.Gc_phase.measure ~obs "stage1" (fun () ->
                 match config.stage1 with
-                | Gsp ->
-                    if domains > 1 then Selection.gsp_parallel ~obs ~domains p
-                    else Selection.gsp ~obs p
-                | Gsp_parallel ->
-                    if domains > 1 then Selection.gsp_parallel ~obs ~domains p
-                    else Selection.gsp_parallel ~obs p
+                | Gsp -> Selection.gsp ~obs ~domains p
                 | Gsp_reference -> Selection.gsp_reference ~obs p
                 | Rsp -> Selection.rsp ~obs p
                 | Global_greedy -> Global_greedy.select p)))

@@ -7,8 +7,7 @@
     truth. *)
 
 type stage1 =
-  | Gsp
-  | Gsp_parallel  (** {!Selection.gsp_parallel} over all recommended domains. *)
+  | Gsp  (** {!Selection.gsp}, on the [domains] given to {!solve}. *)
   | Gsp_reference
   | Rsp
   | Global_greedy  (** The cross-subscriber extension, {!Global_greedy}. *)
@@ -31,8 +30,8 @@ val solve :
   ?obs:Mcss_obs.Registry.t -> ?config:config -> ?domains:int -> Problem.t -> result
 (** Run both stages ([config] defaults to {!default}: GSP + full CBP).
     Raises {!Problem.Infeasible} when the workload cannot fit the VM
-    capacity. [domains] (default 1) fans Stage 1 (and CBP's group
-    construction) out over that many OCaml 5 domains; the result is
+    capacity. [domains] (default 1) fans GSP's Stage 1 and CBP's
+    transpose out over that many OCaml 5 domains; the result is
     {e bit-identical} to the sequential solve at any domain count
     (property-tested), so [--domains] is purely a wall-clock knob.
     [obs] (default {!Mcss_obs.Registry.noop}) records a

@@ -3,6 +3,7 @@ module Problem = Mcss_core.Problem
 module Selection = Mcss_core.Selection
 module Allocation = Mcss_core.Allocation
 module Cbp = Mcss_core.Cbp
+module Arena = Mcss_core.Arena
 module Lower_bound = Mcss_core.Lower_bound
 
 type stats = {
@@ -40,17 +41,23 @@ let place ?(zones = 1) ~k (p : Problem.t) selection =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let hosts = pair_hosts a in
-  let g = Selection.pairs_by_topic p selection in
+  let chosen = selection.Selection.chosen in
+  let g =
+    Arena.Transpose.create ~width:(Workload.num_topics w) ~rows:(Array.length chosen)
+      (Array.get chosen)
+  in
   (* Replica rounds reuse CBP's expensive-first order: the topics whose
      splitting costs the most ingress get first pick of space. *)
   let topics = Cbp.order Cbp.Expensive_first p g in
   let replicas = ref 0 in
+  let subs = ref [||] in
   for _round = 2 to k do
     Array.iter
       (fun topic ->
         let ev = Workload.event_rate w topic in
-        for i = g.Selection.offsets.(topic) to g.Selection.offsets.(topic + 1) - 1 do
-          let v = g.Selection.subscribers.(i) in
+        subs := Arena.Transpose.copy_row g topic !subs;
+        for i = 0 to Arena.Transpose.stop g topic - Arena.Transpose.start g topic - 1 do
+          let v = !subs.(i) in
           let current = Option.value ~default:[] (Hashtbl.find_opt hosts (topic, v)) in
           let current_zones =
             List.map (Failure_model.zone_of_vm ~zones) current
@@ -88,8 +95,7 @@ let place ?(zones = 1) ~k (p : Problem.t) selection =
                           topic (2. *. ev) p.Problem.capacity));
                 vm
           in
-          Allocation.place a vm ~topic ~ev ~subscribers:g.Selection.subscribers ~from:i
-            ~count:1;
+          Allocation.place a vm ~topic ~ev ~subscribers:!subs ~from:i ~count:1;
           incr replicas;
           Hashtbl.replace hosts (topic, v) (Allocation.vm_id vm :: current)
         done)

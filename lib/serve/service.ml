@@ -221,13 +221,14 @@ let cached_plan t ~digest params =
 
 (* ----- problems ----- *)
 
-(* "parallel" opts a request into the multi-domain Stage-1; everything
-   else resolves through the solver's own ladder so server and CLI name
-   configurations identically. *)
+(* A config name and the domains its solves run on. "parallel" is the
+   default config on every recommended domain (the plan is the same at
+   any domain count); everything else resolves through the solver's own
+   ladder, on one domain, so server and CLI name configurations
+   identically. *)
 let resolve_config name =
-  if name = "parallel" then
-    Some { Solver.default with Solver.stage1 = Solver.Gsp_parallel }
-  else Solver.config_of_name name
+  if name = "parallel" then Some (Solver.default, Domain.recommended_domain_count ())
+  else Option.map (fun c -> (c, 1)) (Solver.config_of_name name)
 
 let problem_for w (params : Protocol.solve_params) =
   match Instance.find params.Protocol.instance with
@@ -350,14 +351,14 @@ let engine_of_entry ~w (e : entry) =
   match problem_for w e.params with
   | Error err -> Error err
   | Ok (model, p) ->
-      let config =
-        Option.value ~default:Solver.default
+      let config, domains =
+        Option.value ~default:(Solver.default, 1)
           (resolve_config e.params.Protocol.config)
       in
       let r = e.plan.result in
       Ok
         ( model,
-          Engine.of_plan ~config
+          Engine.of_plan ~config ~domains
             {
               Engine.problem = p;
               selection = r.Solver.selection;
@@ -1021,7 +1022,7 @@ let miss t ~key ~digest ~w ~(params : Protocol.solve_params) ~deadline =
       M_err
         (E (Protocol.Bad_request,
             Printf.sprintf "unknown solver config %S" params.Protocol.config))
-  | Some config -> (
+  | Some (config, domains) -> (
       match problem_for w params with
       | Error e -> M_err e
       | Ok (model, p) ->
@@ -1032,7 +1033,7 @@ let miss t ~key ~digest ~w ~(params : Protocol.solve_params) ~deadline =
               if not (Breaker.admit t.breaker) then M_shed
               else
                 let t0 = Clock.now_ns () in
-                match Solver.solve ~config p with
+                match Solver.solve ~config ~domains p with
                 | r ->
                     let seconds = Clock.seconds_since t0 in
                     let text = Plan_io.to_string r.Solver.allocation in

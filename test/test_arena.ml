@@ -161,8 +161,8 @@ let naive_column ~width rows x =
       !hit)
     (List.init (Array.length rows) Fun.id)
 
-let transpose ~width rows =
-  Arena.Transpose.create ~width ~rows:(Array.length rows) (Array.get rows)
+let transpose ?domains ~width rows =
+  Arena.Transpose.create ?domains ~width ~rows:(Array.length rows) (Array.get rows)
 
 let column t x =
   List.init
@@ -175,6 +175,7 @@ let prop_transpose_matches_naive =
       let t = transpose ~width rows in
       let naive = List.init width (naive_column ~width rows) in
       List.init width (column t) = naive
+      && List.for_all (fun domains -> transpose ~domains ~width rows = t) [ 2; 3 ]
       && Arena.Transpose.length t = List.fold_left (fun n c -> n + List.length c) 0 naive
       && (width = 0
          || Arena.Transpose.start t 0 = 0
@@ -246,6 +247,96 @@ let test_transpose_examples () =
   | _ -> Alcotest.fail "expected Invalid_argument on a negative width"
   | exception Invalid_argument _ -> ()
 
+let test_map_chunks () =
+  for n = 0 to 9 do
+    for domains = 1 to 4 do
+      let chunks = Arena.map_chunks ~domains n (fun i lo hi -> (i, lo, hi)) in
+      let c = Array.length chunks in
+      let hi_of i = if i < 0 then 0 else (fun (_, _, hi) -> hi) chunks.(i) in
+      Helpers.check_int "chunk count" (max 1 (min domains n)) c;
+      (* Ordered, contiguous, covering [0, n). *)
+      Array.iteri
+        (fun i (j, lo, hi) ->
+          Helpers.check_int "chunk order" i j;
+          Helpers.check_int "contiguous" (hi_of (i - 1)) lo;
+          Helpers.check_bool "nonnegative" true (hi >= lo))
+        chunks;
+      Helpers.check_int "covers" n (hi_of (c - 1))
+    done
+  done;
+  match Arena.map_chunks ~domains:3 9 (fun i _ _ -> if i = 0 then failwith "chunk 0") with
+  | _ -> Alcotest.fail "expected chunk 0's exception"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "chunk 0" m
+
+(* ----- the transpose of a Stage-1 selection: the packers' view ----- *)
+
+module Workload = Mcss_workload.Workload
+module Problem = Mcss_core.Problem
+module Selection = Mcss_core.Selection
+
+let transpose_selection ?domains (p : Problem.t) (s : Selection.t) =
+  Arena.Transpose.create ?domains ~width:(Workload.num_topics p.Problem.workload)
+    ~rows:(Array.length s.Selection.chosen) (Array.get s.Selection.chosen)
+
+(* (topic, subscribers) per nonempty column row, ascending. *)
+let groups ~width t =
+  List.filter (fun (_, subs) -> subs <> []) (List.init width (fun x -> (x, column t x)))
+
+let test_selection_transpose () =
+  let p = Helpers.fig1_problem () in
+  let g = transpose_selection p (Selection.gsp p) in
+  Alcotest.(check (list (pair int (list int))))
+    "regrouped"
+    [ (0, [ 0; 1 ]); (1, [ 0; 1; 2 ]) ]
+    (groups ~width:2 g);
+  Alcotest.(check (list int)) "offsets" [ 0; 2; 5 ]
+    [ Arena.Transpose.start g 0; Arena.Transpose.start g 1; Arena.Transpose.stop g 1 ];
+  let buf = Arena.Transpose.copy_row g 1 [| 9 |] in
+  Alcotest.(check (list int)) "copy_row" [ 0; 1; 2 ] (Array.to_list (Array.sub buf 0 3));
+  Helpers.check_bool "copy_row reuses a long enough buffer" true
+    (Arena.Transpose.copy_row g 0 buf == buf)
+
+let prop_selection_transpose_domains_identical =
+  Helpers.qtest ~count:80 "transpose of a selection is identical at 1, 2, 4 and 7 domains"
+    Helpers.problem_arbitrary (fun p ->
+      let s = Selection.gsp p in
+      let seq = transpose_selection p s in
+      List.for_all (fun domains -> transpose_selection ~domains p s = seq) [ 1; 2; 4; 7 ])
+
+let prop_selection_transpose_is_partition =
+  Helpers.qtest "transpose of a selection loses and invents nothing" Helpers.problem_arbitrary
+    (fun p ->
+      let s = Selection.gsp p in
+      let g = transpose_selection p s in
+      let nt = Workload.num_topics p.Problem.workload in
+      let from_groups = Hashtbl.create 64 in
+      List.iter
+        (fun (t, subs) -> List.iter (fun v -> Hashtbl.replace from_groups (t, v) ()) subs)
+        (groups ~width:nt g);
+      let count = ref 0 in
+      let ok = ref true in
+      Selection.iter_pairs s (fun t v ->
+          incr count;
+          if not (Hashtbl.mem from_groups (t, v)) then ok := false);
+      (* Shape: the column rows span the column, the packers' order
+         lists exactly the nonempty topics, and rows ascend strictly. *)
+      let shape =
+        Arena.Transpose.start g 0 = 0
+        && Arena.Transpose.stop g (nt - 1) = Arena.Transpose.length g
+        && Array.to_list (Mcss_core.Cbp.order Mcss_core.Cbp.Arbitrary p g)
+           = List.map fst (groups ~width:nt g)
+        && List.for_all
+             (fun (_, subs) ->
+               let rec ascending = function
+                 | a :: (b :: _ as rest) -> a < b && ascending rest
+                 | _ -> true
+               in
+               ascending subs)
+             (groups ~width:nt g)
+      in
+      !ok && shape && !count = Hashtbl.length from_groups
+      && !count = s.Selection.num_pairs)
+
 let suite =
   [
     Alcotest.test_case "ibuf" `Quick test_ibuf;
@@ -256,7 +347,11 @@ let suite =
     Alcotest.test_case "int table: high-bit keys spread" `Quick test_int_table_high_bit_keys;
     Alcotest.test_case "encode/decode pair" `Quick test_encode_pair;
     Alcotest.test_case "transpose examples" `Quick test_transpose_examples;
+    Alcotest.test_case "map_chunks cuts ordered chunks" `Quick test_map_chunks;
+    Alcotest.test_case "transpose of a selection (fig 1)" `Quick test_selection_transpose;
     prop_transpose_matches_naive;
     prop_find_matches_scan;
     prop_iter_run_matches_scan;
+    prop_selection_transpose_is_partition;
+    prop_selection_transpose_domains_identical;
   ]

@@ -64,29 +64,6 @@ let test_selection_bookkeeping () =
   Helpers.check_float "outgoing" 70. s.Selection.outgoing_rate;
   Helpers.check_bool "satisfies" true (Selection.satisfies p s)
 
-let group_size (g : Selection.by_topic) t =
-  g.Selection.offsets.(t + 1) - g.Selection.offsets.(t)
-
-(* The table as (topic, subscribers) per nonempty topic, ascending. *)
-let table_groups (g : Selection.by_topic) =
-  Array.to_list
-    (Array.map
-       (fun t ->
-         let lo = g.Selection.offsets.(t) in
-         (t, Array.to_list (Array.sub g.Selection.subscribers lo (group_size g t))))
-       g.Selection.topics)
-
-let test_pairs_by_topic () =
-  let p = Helpers.fig1_problem () in
-  let s = Selection.gsp p in
-  let g = Selection.pairs_by_topic p s in
-  Alcotest.(check (list (pair int (list int))))
-    "regrouped"
-    [ (0, [ 0; 1 ]); (1, [ 0; 1; 2 ]) ]
-    (table_groups g);
-  Alcotest.(check (list int)) "offsets" [ 0; 2; 5 ] (Array.to_list g.Selection.offsets);
-  Helpers.check_int "group size" 3 (group_size g 1)
-
 let test_rsp_shuffled_satisfies () =
   let rng = Mcss_prng.Rng.create 3 in
   let p = Helpers.fig1_problem () in
@@ -122,13 +99,13 @@ let same_selection a b =
   a.Selection.chosen = b.Selection.chosen
   && a.Selection.num_pairs = b.Selection.num_pairs
 
-let prop_gsp_parallel_identical =
-  Helpers.qtest ~count:80 "gsp_parallel is bit-identical to gsp (1, 2, 4 domains)"
+let prop_gsp_domains_identical =
+  Helpers.qtest ~count:80 "gsp ~domains is bit-identical to gsp (1, 2, 4 domains)"
     Helpers.problem_arbitrary (fun p ->
       let seq = Selection.gsp p in
       List.for_all
         (fun domains ->
-          let par = Selection.gsp_parallel ~domains p in
+          let par = Selection.gsp ~domains p in
           par.Selection.chosen = seq.Selection.chosen
           && par.Selection.selected_rate = seq.Selection.selected_rate
           && par.Selection.num_pairs = seq.Selection.num_pairs
@@ -198,7 +175,7 @@ let prop_long_rows_identical =
               seq.Selection.chosen)
       && bit_identical seq (Selection.gsp_reference p)
       && List.for_all
-           (fun domains -> bit_identical seq (Selection.gsp_parallel ~domains p))
+           (fun domains -> bit_identical seq (Selection.gsp ~domains p))
            [ 1; 2; 4 ]
       && bit_identical seq
            (Selection.reselect p ~previous:(Selection.rsp p) ~dirty:(Array.make n true)))
@@ -238,50 +215,38 @@ let prop_optimal_no_worse_than_gsp =
           let gsp = Selection.gsp p in
           opt.Selection.outgoing_rate <= gsp.Selection.outgoing_rate +. 1e-6)
 
-let prop_pairs_by_topic_domains_identical =
-  Helpers.qtest ~count:80 "pairs_by_topic is identical at 1, 2, 4 and 7 domains"
-    Helpers.problem_arbitrary (fun p ->
-      let s = Selection.gsp p in
-      let seq = Selection.pairs_by_topic p s in
-      List.for_all
-        (fun domains -> Selection.pairs_by_topic ~domains p s = seq)
-        [ 1; 2; 4; 7 ])
+(* The Stage-1 counters and gauge one selection leaves in a registry. *)
+let stage1_metrics run =
+  let obs = Mcss_obs.Registry.create () in
+  ignore (run obs : Selection.t);
+  let counter name =
+    Mcss_obs.Metric.Counter.value (Mcss_obs.Registry.counter obs name)
+  in
+  ( List.map counter
+      [
+        "stage1.subscribers";
+        "stage1.pairs_selected";
+        "stage1.candidates_considered";
+        "stage1.eligible_set_ops";
+      ],
+    Int64.bits_of_float
+      (Mcss_obs.Metric.Gauge.value (Mcss_obs.Registry.gauge obs "stage1.outgoing_rate"))
+  )
 
-let prop_pairs_by_topic_is_partition =
-  Helpers.qtest "pairs_by_topic loses and invents nothing" Helpers.problem_arbitrary
-    (fun p ->
-      let s = Selection.gsp p in
-      let g = Selection.pairs_by_topic p s in
-      let nt = Workload.num_topics p.Problem.workload in
-      let from_groups = Hashtbl.create 64 in
-      List.iter
-        (fun (t, subs) ->
-          List.iter (fun v -> Hashtbl.replace from_groups (t, v) ()) subs)
-        (table_groups g);
-      let count = ref 0 in
-      let ok = ref true in
-      Selection.iter_pairs s (fun t v ->
-          incr count;
-          if not (Hashtbl.mem from_groups (t, v)) then ok := false);
-      (* Shape: offsets span the column, and a topic is listed exactly
-         when its slice is nonempty; slices ascend strictly. *)
-      let shape =
-        Array.length g.Selection.offsets = nt + 1
-        && g.Selection.offsets.(0) = 0
-        && g.Selection.offsets.(nt) = Array.length g.Selection.subscribers
-        && Array.to_list g.Selection.topics
-           = List.filter (fun t -> group_size g t > 0) (List.init nt Fun.id)
-        && List.for_all
-             (fun (_, subs) ->
-               let rec ascending = function
-                 | a :: (b :: _ as rest) -> a < b && ascending rest
-                 | _ -> true
-               in
-               ascending subs)
-             (table_groups g)
-      in
-      !ok && shape && !count = Hashtbl.length from_groups
-      && !count = s.Selection.num_pairs)
+let prop_stage1_counters_merge =
+  Helpers.qtest ~count:80
+    "stage1 counters: gsp at 1, 2, 4 domains = reselect (all dirty)"
+    Helpers.problem_arbitrary (fun p ->
+      let n = Workload.num_subscribers p.Problem.workload in
+      let seq = stage1_metrics (fun obs -> Selection.gsp ~obs p) in
+      let counts, _ = seq in
+      List.nth counts 0 = n
+      && List.for_all
+           (fun domains -> stage1_metrics (fun obs -> Selection.gsp ~obs ~domains p) = seq)
+           [ 2; 4 ]
+      && stage1_metrics (fun obs ->
+             Selection.reselect ~obs p ~previous:(Selection.rsp p) ~dirty:(Array.make n true))
+         = seq)
 
 let suite =
   [
@@ -293,17 +258,15 @@ let suite =
       test_gsp_takes_everything_when_needed;
     Alcotest.test_case "subscriber without interests" `Quick test_subscriber_without_interests;
     Alcotest.test_case "selection bookkeeping (fig 1)" `Quick test_selection_bookkeeping;
-    Alcotest.test_case "pairs_by_topic (fig 1)" `Quick test_pairs_by_topic;
     Alcotest.test_case "rsp_shuffled satisfies" `Quick test_rsp_shuffled_satisfies;
     Alcotest.test_case "optimal DP beats greedy trap" `Quick test_optimal_dp_beats_greedy_trap;
     Alcotest.test_case "optimal DP refuses fractional" `Quick test_optimal_dp_refuses_fractional;
     Alcotest.test_case "optimal DP respects budget" `Quick test_optimal_dp_respects_budget;
     prop_gsp_matches_reference;
-    prop_gsp_parallel_identical;
+    prop_gsp_domains_identical;
+    prop_stage1_counters_merge;
     prop_long_rows_identical;
     prop_all_selectors_satisfy;
     prop_chosen_are_interests;
     prop_optimal_no_worse_than_gsp;
-    prop_pairs_by_topic_is_partition;
-    prop_pairs_by_topic_domains_identical;
   ]

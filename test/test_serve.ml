@@ -827,6 +827,34 @@ let test_update_resident_engine () =
       Service.close svc;
       check_restart dir ~updates:38 (chain @ [ b1; b2; b3; t1; t2; t3 ]))
 
+(* "parallel" is the default config with Stage 1 and the CBP transpose
+   on every recommended domain: the same plan as "(e) +cost-decision",
+   and the same evolved workload and plan after one update from it. *)
+let test_parallel_config () =
+  let w = Front.generate ~seed:7 `Spotify ~scale:update_scale in
+  let deltas = Delta_io.to_string (Churn.tick (Rng.create 7) (Churn.scaled 0.05) w) in
+  let served config =
+    let svc = Service.create () in
+    let digest = Service.load_workload svc w in
+    let req verb extra =
+      Json.to_string
+        (Json.Obj
+           ((("req", Json.String verb) :: ("digest", Json.String digest) :: extra)
+           @ (("config", Json.String config) :: params_fields update_params)))
+    in
+    let solved = ok_reply (config ^ ": solve") (Service.handle_line svc (req "solve" [])) in
+    let updated =
+      ok_reply (config ^ ": update")
+        (Service.handle_line svc (req "update" [ ("deltas", Json.String deltas) ]))
+    in
+    Service.close svc;
+    List.map (str_field solved) [ "plan_digest" ]
+    @ List.map (str_field updated) [ "digest"; "plan_digest" ]
+  in
+  Alcotest.(check (list string))
+    "solve plan_digest, update digest and plan_digest"
+    (served "(e) +cost-decision") (served "parallel")
+
 (* The op a [load] of [w] was journaled as, verbatim — what journals
    written before updates stopped journaling the evolved workload hold
    in front of every [update] record. *)
@@ -974,4 +1002,5 @@ let suite =
       `Quick test_update_resident_engine;
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
+    Alcotest.test_case "parallel config = (e) +cost-decision" `Quick test_parallel_config;
   ]
