@@ -24,6 +24,11 @@ module Ibuf : sig
   val push_of : t -> src:t -> int -> unit
   (** [push_of t ~src i] appends [src]'s [i]-th element. *)
 
+  val data : t -> int array
+  (** The backing store: its first [length t] entries are the contents,
+      to be read, sorted or blitted in place. A push may replace it, so
+      take it again after one. *)
+
   val clear : t -> unit
   (** Forget the contents; keeps the backing store. *)
 
@@ -138,14 +143,14 @@ val map_chunks : domains:int -> int -> (int -> int -> int -> 'a) -> 'a array
     domain has been joined. *)
 
 module Transpose : sig
-  (** The column-major view of [int array array] rows: for each value
-      [x] in [0, width), the indices of the rows that hold [x], as one
-      ascending run of a flat column. Built by one counting sort, O(rows
-      + entries + width). The planning core transposes per-subscriber
-      topic rows (a selection's [chosen], a workload's interests) into
-      per-topic subscriber runs, so a placed group [(topic, run)] is
-      checked by one forward merge along column row [topic] instead of
-      a binary search per pair in each subscriber's row.
+  (** The column-major view of int rows: for each value [x] in [0,
+      width), the indices of the rows that hold [x], as one ascending
+      run of a flat column. Built by one counting sort, O(rows + entries
+      + width). The planning core transposes per-subscriber topic rows
+      (a selection's slices, a workload's interests) into per-topic
+      subscriber runs, so a placed group [(topic, run)] is checked by
+      one forward merge along column row [topic] instead of a binary
+      search per pair in each subscriber's row.
 
       The column holds 4 bytes per entry, on a [Bigarray] outside the
       OCaml heap: a transient index neither is scanned by the GC nor
@@ -154,18 +159,29 @@ module Transpose : sig
 
   type t
 
-  val create : ?domains:int -> width:int -> rows:int -> (int -> int array) -> t
-  (** [create ~width ~rows row] transposes [row 0 .. row (rows - 1)].
-      From each row it keeps the entries that lie in [0, width) and
-      exceed every entry kept before them in the row (all of a strictly
+  val of_slices : ?domains:int -> width:int -> offs:int array -> int array -> t
+  (** [of_slices ~width ~offs data] transposes the flat rows [data.(offs.(r))
+      .. data.(offs.(r + 1) - 1)] for [r] in [0, Array.length offs - 1)
+      — a selection's CSR layout ([Selection.t]), read in place. From
+      each row it keeps the entries that lie in [0, width) and exceed
+      every entry kept before them in the row (all of a strictly
       increasing, in-range row); the rest are dropped. Within each
       column row, row indices ascend. [domains] (default 1) counts and
       fills the rows in {!map_chunks} chunks, each writing its own part
       of every column row from per-chunk cursors laid out in chunk
-      order, so the column is {e identical} at any domain count; [row]
-      is then called from several domains. Memory: the 4-byte column,
-      [width + 1] offsets and [width] cursors per chunk. Raises
-      [Invalid_argument] on a negative size or [rows > 2^31]. *)
+      order, so the column is {e identical} at any domain count. Memory:
+      the 4-byte column, [width + 1] offsets and [width] cursors per
+      chunk. Raises [Invalid_argument] on a negative width, an empty
+      [offs], offsets that descend or leave [data], or more than [2^31]
+      rows. *)
+
+  val create : ?domains:int -> width:int -> rows:int -> (int -> int array) -> t
+  (** [create ~width ~rows row] is {!of_slices} over the arrays [row 0 ..
+      row (rows - 1)], each row one array (the plan decoder transposes
+      a workload's interest rows this way); the same entry filter, the
+      same chunked count and fill, the same column. [row] is called
+      once per row in each pass, from several domains when [domains >
+      1]. Raises [Invalid_argument] on a negative size or [rows > 2^31]. *)
 
   val length : t -> int
   (** Entries kept, over all column rows. *)

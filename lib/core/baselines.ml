@@ -32,10 +32,9 @@ let best_fit_decreasing (p : Problem.t) (s : Selection.t) =
   let ev_of = Workload.event_rates p.Problem.workload in
   let eps = Problem.epsilon p in
   let a = Allocation.create ~capacity:p.Problem.capacity in
-  let chosen = s.Selection.chosen in
   let g =
-    Arena.Transpose.create ~width:(Array.length ev_of) ~rows:(Array.length chosen)
-      (Array.get chosen)
+    Arena.Transpose.of_slices ~width:(Array.length ev_of) ~offs:s.Selection.offs
+      s.Selection.topics
   in
   let subs = ref [||] in
   Array.iter

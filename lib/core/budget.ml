@@ -72,7 +72,7 @@ let solve (p : Problem.t) ~budget =
   let num_satisfied = ref 0 in
   Array.iter
     (fun v ->
-      let topics = gsp.Selection.chosen.(v) in
+      let topics = Selection.row gsp v in
       if Array.length topics = 0 then begin
         (* tau_v = 0: satisfied for free. *)
         satisfied.(v) <- true;
@@ -114,18 +114,11 @@ let solve (p : Problem.t) ~budget =
         Array.fold_left (fun acc t -> acc +. Workload.event_rate w t) 0. topics)
       admitted_pairs
   in
-  let num_pairs = Array.fold_left (fun acc ts -> acc + Array.length ts) 0 admitted_pairs in
   {
     satisfied;
     num_satisfied = !num_satisfied;
     allocation;
-    selection =
-      {
-        Selection.chosen = admitted_pairs;
-        selected_rate;
-        num_pairs;
-        outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
-      };
+    selection = Selection.of_rows admitted_pairs ~selected_rate;
   }
 
 let satisfaction_curve p ~budgets =

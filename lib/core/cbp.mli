@@ -56,8 +56,9 @@ val order :
     [Arbitrary]; for the two sorted orders, the key ([ev_t], or
     [ev_t · |pairs of t|]) descending with ties by ascending topic id —
     a typed comparison on [(-key, id)], so exactly the order a sort of
-    [(-key, id)] tuples gives. O(num_topics + G log G) for G nonempty
-    topics. The one expensive-first order every topic-grouped packer
+    [(-key, id)] tuples gives. The sort is a stable merge sort of the
+    ascending ids on the negated key, with no closure per comparison.
+    O(num_topics + G log G) for G nonempty topics. The one expensive-first order every topic-grouped packer
     uses (CBP, the replica rounds of redundant placement, best-fit
     decreasing). *)
 
@@ -70,7 +71,8 @@ val run :
   Allocation.t
 (** Raises {!Problem.Infeasible} if some selected pair cannot fit even an
     empty VM. Transposes the selection into one topic-major column
-    ({!Arena.Transpose.create}), orders its topics by {!order}, and
+    ({!Arena.Transpose.of_slices}, read straight from the selection's
+    flat slices), orders its topics by {!order}, and
     copies each group's column row once into one reused [int] scratch
     that every placement of the group reads — no per-topic array. Cost:
     the transpose's O(num_topics + num_pairs), the order's O(G log G),

@@ -139,10 +139,4 @@ let select (p : Problem.t) =
       (Array.fold_left (fun acc t -> acc +. Workload.event_rate w t) 0.)
       chosen_arrays
   in
-  let num_pairs = Array.fold_left (fun acc a -> acc + Array.length a) 0 chosen_arrays in
-  {
-    Selection.chosen = chosen_arrays;
-    selected_rate;
-    num_pairs;
-    outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
-  }
+  Selection.of_rows chosen_arrays ~selected_rate

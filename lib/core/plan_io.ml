@@ -275,13 +275,14 @@ let parse ~workload r =
   let num_subscribers = Workload.num_subscribers workload in
   (* Pair (t, v) of the workload owns byte [slot] of [placed], where
      [slot] holds v in column row t of the transposed interests;
-     [counts.(v)] is how many of v's pairs are placed. *)
+     [counts.(v)] is how many of v's pairs are placed (one spare entry
+     at the end: the array becomes the selection's offsets). *)
   let followers =
     Arena.Transpose.create ~width:num_topics ~rows:num_subscribers
       (Workload.interests workload)
   in
   let placed = Bytes.make (Workload.num_pairs workload) '\000' in
-  let counts = Array.make num_subscribers 0 in
+  let counts = Array.make (num_subscribers + 1) 0 in
   let sc = { bounds = Array.make 64 0; ints = Array.make 64 0 } in
   while next_line r do
     let k = read_place r sc ~num_vms ~num_topics in
@@ -313,49 +314,47 @@ let parse ~workload r =
       ~ev:(Workload.event_rate workload topic)
       ~subscribers:ints ~from:subs_from ~count:k
   done;
-  (* Reconstruct the selection implied by the placements. A subscriber
-     with every interest placed (its row then ascends strictly and lies
-     in the workload: the transpose kept all of it) shares the
-     workload's row and its interest rate, the same left fold from 0.
-     Every other row is filled in one ascending-topic pass over
-     [placed], with [counts] reused as the fill cursors ([-1] skips a
-     shared row), so each comes out id-sorted and its rate is summed
-     left to right from 0. as the solver's selections are. *)
-  let num_pairs = Array.fold_left ( + ) 0 counts in
-  let chosen = Array.make num_subscribers [||] in
-  let selected_rate = Array.make num_subscribers 0. in
+  (* Reconstruct the selection implied by the placements. An exclusive
+     prefix sum turns [counts] in place into each slice's start, one
+     ascending-topic pass over [placed] scatters every placed pair into
+     its subscriber's slice with those starts as the fill cursors (each
+     cursor ends at the next slice's start), and one shift down makes
+     the cursors the offsets. Each slice comes out id-sorted and its
+     rate is summed left to right from 0., as the solver's selections
+     are (for a subscriber with every interest placed, the same bits as
+     its interest rate). *)
+  let num_pairs = ref 0 in
   for v = 0 to num_subscribers - 1 do
-    let row = Workload.interests workload v and n = counts.(v) in
-    if n = Array.length row then begin
-      chosen.(v) <- row;
-      selected_rate.(v) <- Workload.interest_rate workload v;
-      counts.(v) <- -1
-    end
-    else begin
-      chosen.(v) <- Array.make n 0;
-      counts.(v) <- 0
-    end
+    let n = counts.(v) in
+    counts.(v) <- !num_pairs;
+    num_pairs := !num_pairs + n
   done;
+  let num_pairs = !num_pairs in
+  let topics = Array.make num_pairs 0 in
+  let selected_rate = Array.make num_subscribers 0. in
   for t = 0 to num_topics - 1 do
     let ev = Workload.event_rate workload t in
     for slot = Arena.Transpose.start followers t to Arena.Transpose.stop followers t - 1 do
       if Bytes.unsafe_get placed slot <> '\000' then begin
         let v = Arena.Transpose.get followers slot in
         let c = counts.(v) in
-        if c >= 0 then begin
-          chosen.(v).(c) <- t;
-          counts.(v) <- c + 1;
-          selected_rate.(v) <- selected_rate.(v) +. ev
-        end
+        topics.(c) <- t;
+        counts.(v) <- c + 1;
+        selected_rate.(v) <- selected_rate.(v) +. ev
       end
     done
   done;
+  let offs = counts in
+  for v = num_subscribers downto 1 do
+    offs.(v) <- offs.(v - 1)
+  done;
+  offs.(0) <- 0;
   let outgoing_rate = ref 0. in
   for v = 0 to num_subscribers - 1 do
     outgoing_rate := !outgoing_rate +. selected_rate.(v)
   done;
   let selection =
-    { Selection.chosen; selected_rate; num_pairs; outgoing_rate = !outgoing_rate }
+    { Selection.offs; topics; selected_rate; num_pairs; outgoing_rate = !outgoing_rate }
   in
   (a, selection)
 

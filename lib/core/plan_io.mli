@@ -55,12 +55,14 @@ val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selecti
     pair. A line whose topic lies above every group of its VM, as on
     every line a canonical plan holds, is appended to the fleet without
     a search, its run one exact-size copy. The parse allocates a few
-    words per line and what the fleet keeps, but nothing per pair. A
-    subscriber whose every interest is placed gets the workload's own
-    row as its [chosen] row and its interest rate as [selected_rate]
-    (the same left-to-right sum); every other row is rebuilt in one
-    ascending-topic pass over the marks, so it comes out id-sorted, and
-    its [selected_rate] is summed left to right. *)
+    words per line and what the fleet keeps, but nothing per pair. The
+    selection is then laid out flat ({!Selection.t}): a prefix sum of
+    the per-subscriber placed counts gives every slice, and one
+    ascending-topic pass over the marks scatters each placed pair into
+    its slice, so every slice comes out id-sorted and its
+    [selected_rate] is summed left to right (for a subscriber with every
+    interest placed, the same bits as its interest rate). The selection
+    shares no array with the workload. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 

@@ -4,11 +4,26 @@ module Counter = Mcss_obs.Metric.Counter
 module Gauge = Mcss_obs.Metric.Gauge
 
 type t = {
-  chosen : Workload.topic array array;
+  offs : int array;
+  topics : Workload.topic array;
   selected_rate : float array;
   num_pairs : int;
   outgoing_rate : float;
 }
+
+let num_subscribers s = Array.length s.offs - 1
+let row s v = Array.sub s.topics s.offs.(v) (s.offs.(v + 1) - s.offs.(v))
+
+let of_rows rows ~selected_rate =
+  let n = Array.length rows in
+  let offs = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    offs.(v + 1) <- offs.(v) + Array.length rows.(v)
+  done;
+  let topics = Array.make offs.(n) 0 in
+  Array.iteri (fun v r -> Array.blit r 0 topics offs.(v) (Array.length r)) rows;
+  let outgoing_rate = Array.fold_left ( +. ) 0. selected_rate in
+  { offs; topics; selected_rate; num_pairs = offs.(n); outgoing_rate }
 
 let benefit_cost_ratio ~ev ~rem =
   if rem > 0. then Float.min 1. (ev /. rem) /. (2. *. ev) else 0.
@@ -31,7 +46,7 @@ let new_counts () = { considered = 0; set_ops = 0; pairs = 0 }
 let flush_stage1 obs (s : t) counts =
   Counter.add
     (Registry.counter obs ~help:"Subscribers processed by Stage 1" "stage1.subscribers")
-    (Array.length s.chosen);
+    (num_subscribers s);
   Counter.add
     (Registry.counter obs ~help:"(topic, subscriber) pairs accepted into the selection"
        "stage1.pairs_selected")
@@ -51,65 +66,104 @@ let flush_stage1 obs (s : t) counts =
        "stage1.outgoing_rate")
     s.outgoing_rate
 
+(* Lay one chunk's slices, subscribers [lo, hi), into [topics] at
+   [offs]: each run of consecutive subscribers that all re-ran the
+   kernel (or all kept their previous slice) is one blit, from the
+   chunk's buffer [out] (in subscriber order) or from [prev]'s topic
+   column. *)
+let assemble ~offs ~topics ~previous out lo hi =
+  match previous with
+  | None -> Array.blit (Arena.Ibuf.data out) 0 topics offs.(lo) (offs.(hi) - offs.(lo))
+  | Some (prev, dirty) ->
+      let src = ref 0 and v = ref lo in
+      while !v < hi do
+        let d = dirty.(!v) and w = ref (!v + 1) in
+        while !w < hi && dirty.(!w) = d do
+          incr w
+        done;
+        let len = offs.(!w) - offs.(!v) in
+        if d then begin
+          Array.blit (Arena.Ibuf.data out) !src topics offs.(!v) len;
+          src := !src + len
+        end
+        else Array.blit prev.topics prev.offs.(!v) topics offs.(!v) len;
+        v := !w
+      done
+
 (* The one Stage-1 loop over subscribers. [kernel counts] is one
-   chunk's per-subscriber selector: it returns the subscriber's picks
-   (any order) and their rate sum, and records its work in [counts],
-   which the chunk owns. Subscribers are cut into [domains] ordered
-   chunks ({!Arena.map_chunks}), each filling its own slice of the
-   result and counting its pairs; the per-chunk counts are then merged
-   and the outgoing rate summed in subscriber order, so the selection
-   and the counters are the same at any domain count. With [previous =
-   (s, dirty)], a clean subscriber keeps [s]'s row and rate, and only
-   the dirty ones run the kernel. *)
+   chunk's per-subscriber selector: [select out selected v] appends the
+   subscriber's picks (any order) to [out], writes their rate sum to
+   [selected.(v)], and records its work in [counts], which the chunk owns.
+   Subscribers are cut into [domains] ordered chunks
+   ({!Arena.map_chunks}). Each chunk appends its picks to its own
+   buffer, sorts each subscriber's slice there in place, and writes the
+   slice's length to [offs.(v + 1)]. With [previous = (s, dirty)], only
+   the dirty subscribers run the kernel; a clean one keeps [s]'s rate
+   and the length of its slice. After the join the lengths become
+   offsets by one prefix sum, and {!assemble} blits each chunk's slices
+   into place in chunk order. The outgoing rate is summed in subscriber
+   order, so the selection and the counters are the same at any domain
+   count. *)
 let build ?(obs = Registry.noop) ?(domains = 1) ?previous ~workload kernel =
   let n = Workload.num_subscribers workload in
-  let chosen = Array.make n [||] in
+  let offs = Array.make (n + 1) 0 in
   let selected_rate = Array.make n 0. in
-  let chunk_counts =
+  let chunks =
     Arena.map_chunks ~domains n (fun _ lo hi ->
         let counts = new_counts () in
+        (* A full run fills about two topics per subscriber; a reselect
+           buffers only its dirty subscribers' picks. *)
+        let capacity = if Option.is_none previous then 2 * (hi - lo) else 0 in
+        let out = Arena.Ibuf.create ~capacity () in
         let select = kernel counts in
         for v = lo to hi - 1 do
-          let topics =
+          let len =
             match previous with
             | Some (prev, dirty) when not dirty.(v) ->
                 selected_rate.(v) <- prev.selected_rate.(v);
-                prev.chosen.(v)
+                prev.offs.(v + 1) - prev.offs.(v)
             | _ ->
-                let topics, rate = select v in
-                Workload.sort_ids topics;
-                selected_rate.(v) <- rate;
-                topics
+                let from = Arena.Ibuf.length out in
+                select out selected_rate v;
+                let len = Arena.Ibuf.length out - from in
+                Workload.sort_ids_sub (Arena.Ibuf.data out) ~pos:from ~len;
+                len
           in
-          chosen.(v) <- topics;
-          counts.pairs <- counts.pairs + Array.length topics
+          offs.(v + 1) <- len;
+          counts.pairs <- counts.pairs + len
         done;
-        counts)
+        (counts, out, lo, hi))
   in
+  for v = 0 to n - 1 do
+    offs.(v + 1) <- offs.(v) + offs.(v + 1)
+  done;
+  let topics = Array.make offs.(n) 0 in
   let counts = new_counts () in
   Array.iter
-    (fun c ->
+    (fun (c, out, lo, hi) ->
+      assemble ~offs ~topics ~previous out lo hi;
       counts.considered <- counts.considered + c.considered;
       counts.set_ops <- counts.set_ops + c.set_ops;
       counts.pairs <- counts.pairs + c.pairs)
-    chunk_counts;
+    chunks;
   let outgoing_rate = ref 0. in
   for v = 0 to n - 1 do
     outgoing_rate := !outgoing_rate +. selected_rate.(v)
   done;
-  let s = { chosen; selected_rate; num_pairs = counts.pairs; outgoing_rate = !outgoing_rate } in
+  let s =
+    { offs; topics; selected_rate; num_pairs = counts.pairs; outgoing_rate = !outgoing_rate }
+  in
   flush_stage1 obs s counts;
   s
 
 (* Literal Alg. 2 for one subscriber: after every pick, re-derive every
    remaining candidate's ratio from the current remainder and rescan for
    the argmax (lowest topic id on ties). Quadratic in |T_v|. *)
-let gsp_reference_subscriber w ~tau ~eps ~counts v =
+let gsp_reference_subscriber w ~tau ~eps ~counts out rates v =
   let tv = Workload.interests w v in
   let k = Array.length tv in
   let tau_v = Workload.tau_v w ~tau v in
   let selected = Array.make k false in
-  let picked = ref [] in
   let sum = ref 0. in
   while !sum < tau_v -. eps do
     let rem = tau_v -. !sum in
@@ -128,10 +182,10 @@ let gsp_reference_subscriber w ~tau ~eps ~counts v =
     (* τ_v <= Σ_{t∈T_v} ev_t guarantees a candidate remains. *)
     assert (!best >= 0);
     selected.(!best) <- true;
-    picked := tv.(!best) :: !picked;
+    Arena.Ibuf.push out tv.(!best);
     sum := !sum +. Workload.event_rate w tv.(!best)
   done;
-  (Array.of_list !picked, !sum)
+  rates.(v) <- !sum
 
 let gsp_reference ?obs (p : Problem.t) =
   let w = p.Problem.workload in
@@ -163,11 +217,9 @@ type gsp_scratch = {
   mutable order : int array; (* positions of tv, sorted by (rate, id) *)
   mutable state : Bytes.t;
   mutable rates : float array; (* rates.(i) = ev of tv.(i) *)
-  picked : Arena.Ibuf.t;
 }
 
-let gsp_scratch () =
-  { order = [||]; state = Bytes.empty; rates = [||]; picked = Arena.Ibuf.create () }
+let gsp_scratch () = { order = [||]; state = Bytes.empty; rates = [||] }
 
 let ensure_scratch s k =
   if Array.length s.order < k then begin
@@ -204,24 +256,24 @@ let sort_order s k =
     Array.blit tmp 0 order 0 k
   end
 
-(* One subscriber's picks, in pick order, and their rate sum. The loop
-   keeps its state in local refs that no closure captures, so [sum]
-   stays an unboxed float and a pick allocates nothing. *)
-let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
+(* One subscriber's picks, appended to [out] in pick order, and their
+   rate sum, written to [selected.(v)]. The loop keeps its state in
+   local refs that no closure captures, so [sum] stays an unboxed float
+   and a pick allocates nothing. *)
+let gsp_subscriber w ~tau ~eps ~counts ~scratch:s out selected v =
   let tv = Workload.interests w v in
   let k = Array.length tv in
   let tau_v = Workload.tau_v w ~tau v in
-  if tau_v <= eps then ([||], 0.)
+  if tau_v <= eps then selected.(v) <- 0.
   else begin
     ensure_scratch s k;
-    let order = s.order and state = s.state and rates = s.rates and picked = s.picked in
+    let order = s.order and state = s.state and rates = s.rates in
     Bytes.fill state 0 k st_live;
     for i = 0 to k - 1 do
       order.(i) <- i;
       rates.(i) <- Workload.event_rate w tv.(i)
     done;
     sort_order s k;
-    Arena.Ibuf.clear picked;
     let sum = ref 0. in
     (* [hi] = number of leading entries of the rate order with ev <= rem
        (rem = tau_v - sum); [elig] = live positions among them (= the
@@ -252,7 +304,7 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
         counts.set_ops <- counts.set_ops + 1;
         decr elig;
         Bytes.set state pos st_taken;
-        Arena.Ibuf.push picked tv.(pos);
+        Arena.Ibuf.push out tv.(pos);
         sum := !sum +. rates.(pos);
         (* Shrink the eligible prefix to the new remainder. *)
         while !hi > 0 && rates.(order.(!hi - 1)) > tau_v -. !sum do
@@ -273,11 +325,11 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
         assert (!endgame < k);
         let pos = order.(!endgame) in
         Bytes.set state pos st_taken;
-        Arena.Ibuf.push picked tv.(pos);
+        Arena.Ibuf.push out tv.(pos);
         sum := !sum +. rates.(pos)
       end
     done;
-    (Arena.Ibuf.to_array picked, !sum)
+    selected.(v) <- !sum
   end
 
 (* One scratch per chunk: the kernel closes over it. *)
@@ -299,26 +351,25 @@ let reselect ?obs (p : Problem.t) ~previous ~dirty =
     invalid_arg
       (Printf.sprintf "Selection.reselect: dirty has %d entries for %d subscribers"
          (Array.length dirty) n);
-  for v = Array.length previous.chosen to n - 1 do
+  for v = num_subscribers previous to n - 1 do
     if not dirty.(v) then
       invalid_arg (Printf.sprintf "Selection.reselect: new subscriber %d not marked dirty" v)
   done;
   build ?obs ~previous:(previous, dirty) ~workload:w (gsp_kernel p)
 
-let rsp_order w ~tau ~eps ~counts order v =
+let rsp_order w ~tau ~eps ~counts order out selected v =
   let tv = order v in
   let tau_v = Workload.tau_v w ~tau v in
-  let picked = ref [] in
   let sum = ref 0. in
   let i = ref 0 in
   while !sum < tau_v -. eps && !i < Array.length tv do
     counts.considered <- counts.considered + 1;
     let t = tv.(!i) in
-    picked := t :: !picked;
+    Arena.Ibuf.push out t;
     sum := !sum +. Workload.event_rate w t;
     incr i
   done;
-  (Array.of_list !picked, !sum)
+  selected.(v) <- !sum
 
 let rsp ?obs (p : Problem.t) =
   let w = p.Problem.workload in
@@ -344,12 +395,12 @@ let integral_rate ev =
 (* Min-cost covering knapsack per subscriber: dp.(j) = least total selected
    rate achieving coverage >= j, with transitions clamped at the target.
    Backpointers record the item used so the chosen set can be rebuilt. *)
-let optimal_subscriber w ~tau rates v =
+let optimal_subscriber w ~tau rates out selected v =
   let tv = Workload.interests w v in
   let k = Array.length tv in
   let tau_v = Workload.tau_v w ~tau v in
   let target = int_of_float (ceil (tau_v -. 1e-9)) in
-  if target <= 0 then ([||], 0.)
+  if target <= 0 then selected.(v) <- 0.
   else begin
     let dp = Array.make (target + 1) max_int in
     let back_item = Array.make (target + 1) (-1) in
@@ -379,8 +430,8 @@ let optimal_subscriber w ~tau rates v =
       j := back_prev.(!j)
     done;
     let topics = Array.of_list !picked in
-    let rate = Array.fold_left (fun acc t -> acc +. float_of_int rates.(t)) 0. topics in
-    (topics, rate)
+    Array.iter (Arena.Ibuf.push out) topics;
+    selected.(v) <- Array.fold_left (fun acc t -> acc +. float_of_int rates.(t)) 0. topics
   end
 
 let optimal_per_subscriber ?(max_budget = 100_000) (p : Problem.t) =
@@ -413,4 +464,9 @@ let satisfies (p : Problem.t) s =
     s.selected_rate;
   !ok
 
-let iter_pairs s f = Array.iteri (fun v tv -> Array.iter (fun t -> f t v) tv) s.chosen
+let iter_pairs s f =
+  for v = 0 to num_subscribers s - 1 do
+    for i = s.offs.(v) to s.offs.(v + 1) - 1 do
+      f s.topics.(i) v
+    done
+  done

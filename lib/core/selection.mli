@@ -20,12 +20,16 @@
     greedy choice is from per-subscriber optimal. *)
 
 type t = {
-  chosen : Mcss_workload.Workload.topic array array;
-      (** Per subscriber, the selected topics, sorted ascending. A row
-          may be physically shared with the workload's own row
-          ({!Mcss_workload.Workload.interests}: a decoded plan that
-          places all of a subscriber's interests) or with a previous
-          selection's ({!reselect}), so a row must never be mutated. *)
+  offs : int array;
+      (** [num_subscribers + 1] offsets into {!field-topics}: subscriber
+          [v]'s slice is [topics.(offs.(v)) .. topics.(offs.(v + 1) -
+          1)]. [offs.(0) = 0] and [offs.(num_subscribers) = num_pairs]. *)
+  topics : Mcss_workload.Workload.topic array;
+      (** Every subscriber's selected topics, one slice after another in
+          subscriber order (the CSR layout); each slice ascends. The
+          array belongs to this selection: every selector, {!reselect}
+          and the plan decoder build a fresh one, and nothing mutates
+          it afterwards. *)
   selected_rate : float array;
       (** Per subscriber, [Σ_{t chosen} ev_t]. *)
   num_pairs : int;  (** Total number of selected (t, v) pairs. *)
@@ -34,9 +38,29 @@ type t = {
           bandwidth any allocation of this selection must carry. *)
 }
 
+val num_subscribers : t -> int
+(** [Array.length offs - 1]. *)
+
+val row : t -> Mcss_workload.Workload.subscriber -> Mcss_workload.Workload.topic array
+(** A fresh copy of subscriber [v]'s slice (for cold paths and tests). *)
+
+val of_rows : Mcss_workload.Workload.topic array array -> selected_rate:float array -> t
+(** Lay [rows] out as one selection, copying each row verbatim: no
+    sort and no validation, so a malformed row (out of order, repeated,
+    outside the workload) stays malformed for {!Verifier.verify} to
+    report. [num_pairs] is the total row length and [outgoing_rate] the
+    left-to-right sum of [selected_rate], which is adopted as given.
+    Used by the selectors outside this module (budgeted admission, the
+    global greedy, brute force). *)
+
 val gsp : ?obs:Mcss_obs.Registry.t -> ?domains:int -> Problem.t -> t
-(** GreedySelectPairs. Deterministic: ties in the benefit-cost ratio are
-    broken towards the lowest topic id, matching {!gsp_reference}.
+(** GreedySelectPairs. Each chunk of subscribers appends its picks to
+    one buffer of its own and sorts each subscriber's slice there
+    ({!Mcss_workload.Workload.sort_ids_sub}); after the join each
+    chunk's slices are blitted into {!field-topics} at their offsets,
+    so no array is allocated per subscriber. Deterministic: ties in the
+    benefit-cost ratio are broken towards the lowest topic id, matching
+    {!gsp_reference}.
     [domains] (default 1) cuts the subscribers into that many ordered
     chunks ({!Arena.map_chunks}), one per OCaml 5 domain: subscribers
     are independent in Stage 1, and the totals are summed in subscriber
@@ -51,7 +75,7 @@ val reselect :
   ?obs:Mcss_obs.Registry.t -> Problem.t -> previous:t -> dirty:bool array -> t
 (** Incremental GSP for the planning engine: re-run {!gsp}'s
     per-subscriber kernel only for the subscribers marked [dirty] and
-    share [previous]'s arrays for the rest. Because the kernel is a
+    copy [previous]'s slices and rates for the rest. Because the kernel is a
     deterministic function of the subscriber's interests, those topics'
     rates, and [τ], the result is {e bit-for-bit} the full {!gsp} of the
     new problem whenever [dirty] covers every subscriber whose inputs
@@ -60,7 +84,11 @@ val reselect :
     [previous]'s range; raises [Invalid_argument] otherwise. It runs
     through {!gsp}'s subscriber loop on one domain. [obs] receives the Stage-1
     counters; the work counts ([stage1.candidates_considered],
-    [stage1.eligible_set_ops]) cover the re-run subscribers only. *)
+    [stage1.eligible_set_ops]) cover the re-run subscribers only. Only
+    the dirty subscribers' picks are buffered; each run of consecutive
+    clean subscribers is one blit from [previous]'s topic column, so the
+    result shares no array with [previous] and costs O(num_subscribers
+    + num_pairs) words, however few subscribers are dirty. *)
 
 val gsp_reference : ?obs:Mcss_obs.Registry.t -> Problem.t -> t
 (** Literal Alg. 2: recompute every remaining ratio after each pick and

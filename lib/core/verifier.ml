@@ -45,9 +45,8 @@ let verify (p : Problem.t) (s : Selection.t) a =
      [placed] counts how often each slot's pair was seen (saturating at
      2: only 0, 1 and more matter). Placed-but-unselected pairs (only in
      invalid plans) are counted in [stray], keyed by the packed pair. *)
-  let chosen = s.Selection.chosen in
   let selected =
-    Arena.Transpose.create ~width:num_topics ~rows:(Array.length chosen) (Array.get chosen)
+    Arena.Transpose.of_slices ~width:num_topics ~offs:s.Selection.offs s.Selection.topics
   in
   let placed = Bytes.make (Arena.Transpose.length selected) '\000' in
   let stray = Arena.Int_table.create () in
@@ -122,13 +121,15 @@ let verify (p : Problem.t) (s : Selection.t) a =
           missing := (Arena.Transpose.get selected slot, t) :: !missing
       done
     done;
-  if Array.fold_left (fun n row -> n + Array.length row) 0 chosen
-     > Arena.Transpose.length selected
-  then
-    Array.iteri
-      (fun v row ->
-        Array.iter (fun t -> if t < 0 || t >= num_topics then missing := (v, t) :: !missing) row)
-      chosen;
+  let offs = s.Selection.offs and topics = s.Selection.topics in
+  let rows = Selection.num_subscribers s in
+  if offs.(rows) - offs.(0) > Arena.Transpose.length selected then
+    for v = 0 to rows - 1 do
+      for i = offs.(v) to offs.(v + 1) - 1 do
+        let t = topics.(i) in
+        if t < 0 || t >= num_topics then missing := (v, t) :: !missing
+      done
+    done;
   List.iter
     (fun (v, t) -> add (Pair_missing { topic = t; subscriber = v }))
     (List.sort compare !missing);

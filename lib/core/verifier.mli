@@ -31,14 +31,16 @@ type report = {
 }
 
 val verify : Problem.t -> Selection.t -> Allocation.t -> report
-(** Audit a plan. Precondition: every [chosen] row of the selection is
-    strictly increasing (as every selector and {!Plan_io} produce). A
-    row entry that does not exceed every in-workload entry before it
-    (out of order, or repeated) is treated as unselected; a chosen topic
-    outside the workload is never placed, so it is reported missing.
+(** Audit a plan. Precondition: every subscriber's slice of the
+    selection is strictly increasing (as every selector and {!Plan_io}
+    produce). A slice entry that does not exceed every in-workload entry
+    before it (out of order, or repeated) is treated as unselected; a
+    chosen topic outside the workload is never placed, so it is reported
+    missing.
 
-    Cost: one counting-sort transpose of [chosen] into per-topic
-    subscriber runs ({!Arena.Transpose}, O(selected pairs + topics)),
+    Cost: one counting-sort transpose of the selection's flat slices
+    into per-topic subscriber runs ({!Arena.Transpose.of_slices}, read
+    in place, O(selected pairs + topics)),
     then one pass over the placed groups: each group [(t, run)] is
     merged along topic [t]'s run of selecting subscribers, galloping
     forward from the previous match, so an ascending run (every run of

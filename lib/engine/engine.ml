@@ -179,23 +179,24 @@ let retarget_dirty t ~dirty (p' : Problem.t) =
   let old_w = t.problem.Problem.workload in
   let n = Workload.num_subscribers w' in
   let old_selection = t.selection in
-  let old_n = Array.length old_selection.Selection.chosen in
+  let old_n = Selection.num_subscribers old_selection in
   let old_pairs = old_selection.Selection.num_pairs in
   let old_vms = Allocation.num_vms t.allocation in
   let dirty_subscribers =
     Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dirty
   in
   let selection = Selection.reselect p' ~previous:old_selection ~dirty in
-  (* Diff the selections over the dirty subscribers only: clean ones
-     share their arrays with [old_selection] by construction. *)
+  (* Diff the selections' slices over the dirty subscribers only: a
+     clean one's slice is a copy of its old one by construction. *)
   let removals = ref [] in
   let additions = ref [] in
+  let oldc = old_selection.Selection.topics and newc = selection.Selection.topics in
+  let old_offs = old_selection.Selection.offs and offs = selection.Selection.offs in
   for v = n - 1 downto 0 do
     if dirty.(v) then begin
-      let oldc = if v < old_n then old_selection.Selection.chosen.(v) else [||] in
-      let newc = selection.Selection.chosen.(v) in
-      let ko = Array.length oldc and kn = Array.length newc in
-      let i = ref 0 and j = ref 0 in
+      let i = ref (if v < old_n then old_offs.(v) else 0)
+      and ko = if v < old_n then old_offs.(v + 1) else 0 in
+      let j = ref offs.(v) and kn = offs.(v + 1) in
       while !i < ko || !j < kn do
         if !i < ko && (!j >= kn || oldc.(!i) < newc.(!j)) then begin
           removals := (oldc.(!i), v) :: !removals;

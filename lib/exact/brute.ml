@@ -108,9 +108,7 @@ let selection_of_choice w choice =
       (Array.fold_left (fun acc t -> acc +. Workload.event_rate w t) 0.)
       chosen
   in
-  let num_pairs = Array.fold_left (fun acc c -> acc + Array.length c) 0 chosen in
-  let outgoing_rate = Array.fold_left ( +. ) 0. selected_rate in
-  { Selection.chosen; selected_rate; num_pairs; outgoing_rate }
+  Selection.of_rows chosen ~selected_rate
 
 let allocation_of_assignment (p : Problem.t) pairs assign =
   let a = Allocation.create ~capacity:p.Problem.capacity in

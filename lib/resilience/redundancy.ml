@@ -41,10 +41,9 @@ let place ?(zones = 1) ~k (p : Problem.t) selection =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let hosts = pair_hosts a in
-  let chosen = selection.Selection.chosen in
   let g =
-    Arena.Transpose.create ~width:(Workload.num_topics w) ~rows:(Array.length chosen)
-      (Array.get chosen)
+    Arena.Transpose.of_slices ~width:(Workload.num_topics w) ~offs:selection.Selection.offs
+      selection.Selection.topics
   in
   (* Replica rounds reuse CBP's expensive-first order: the topics whose
      splitting costs the most ingress get first pick of space. *)

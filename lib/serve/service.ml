@@ -207,13 +207,22 @@ let digest_of_workload w =
 
 let find_workload t digest = locked t (fun () -> Hashtbl.find_opt t.workloads digest)
 
+(* The ladder name a requested config name solves under: "parallel" is
+   the default config (see {!resolve_config}), every other name is its
+   own. *)
+let ladder_name name =
+  if name = "parallel" then fst (List.find (fun (_, c) -> c = Solver.default) Solver.ladder)
+  else name
+
+(* Keyed on the ladder name, so "parallel" and the default config's own
+   name, which give the same plan, share one entry and one solver run. *)
 let cache_key digest (params : Protocol.solve_params) =
   Printf.sprintf "%s|tau=%.17g|instance=%s|bc=%s|config=%s" digest
     params.Protocol.tau params.Protocol.instance
     (match params.Protocol.bc_events with
     | None -> "default"
     | Some x -> Printf.sprintf "%.17g" x)
-    params.Protocol.config
+    (ladder_name params.Protocol.config)
 
 let cached_plan t ~digest params =
   List.assoc_opt (cache_key digest params) (Plan_cache.to_list t.cache)

@@ -52,19 +52,28 @@ let build ~event_rates ~interests =
    any correct sort, so the cutoff never changes a result. *)
 let sort_ids_cutoff = 32
 
-let sort_ids (a : int array) =
-  let k = Array.length a in
-  if k > sort_ids_cutoff then Array.sort Int.compare a
+let sort_ids_sub (a : int array) ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then
+    invalid_arg "Workload.sort_ids_sub: slice out of bounds";
+  if len > sort_ids_cutoff then
+    if len = Array.length a then Array.sort Int.compare a
+    else begin
+      let tmp = Array.sub a pos len in
+      Array.sort Int.compare tmp;
+      Array.blit tmp 0 a pos len
+    end
   else
-    for i = 1 to k - 1 do
+    for i = pos + 1 to pos + len - 1 do
       let x = Array.unsafe_get a i in
       let j = ref (i - 1) in
-      while !j >= 0 && Array.unsafe_get a !j > x do
+      while !j >= pos && Array.unsafe_get a !j > x do
         Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
         decr j
       done;
       Array.unsafe_set a (!j + 1) x
     done
+
+let sort_ids a = sort_ids_sub a ~pos:0 ~len:(Array.length a)
 
 let create ~event_rates ~interests =
   let interests = Array.map (fun tv -> Array.copy tv) interests in

@@ -25,6 +25,13 @@ val sort_ids : int array -> unit
     [Array.sort Int.compare], so no row costs O(k^2). It allocates
     nothing and leaves the same array as [Array.sort compare]. *)
 
+val sort_ids_sub : int array -> pos:int -> len:int -> unit
+(** [sort_ids_sub a ~pos ~len] is {!sort_ids} on the slice [a.(pos) ..
+    a.(pos + len - 1)], with the same cutoff; the rest of [a] is left
+    alone. A slice longer than the cutoff that is not the whole array
+    is sorted in a copy, so it allocates [len] words. Raises
+    [Invalid_argument] if the slice leaves [a]. *)
+
 val sort_ids_cutoff : int
 (** The longest row {!sort_ids} insertion-sorts (32). *)
 

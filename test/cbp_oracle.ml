@@ -4,8 +4,9 @@
    heap-sorted with polymorphic [compare (-.ev, t)], a tuple snapshot in
    the Alg. 7 estimate): the oracle for the differential property in
    [Test_packing]. Only the module aliases, the [Selection.t] annotation
-   and field qualification in [pairs_by_topic], and its call in [run]
-   are new. *)
+   in [pairs_by_topic], its first line (which copies the selection's flat
+   slices out as the rows the old code read), and its call in [run] are
+   new. *)
 
 module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
@@ -19,14 +20,15 @@ module Allocation = Mcss_core.Allocation
    own slice of every row — so the rows come out ascending-by-subscriber
    exactly as the sequential pass produces them, at any domain count. *)
 let pairs_by_topic ?(domains = 1) (p : Problem.t) (s : Selection.t) =
+  let chosen = Array.init (Selection.num_subscribers s) (Selection.row s) in
   let w = p.Problem.workload in
   let nt = Workload.num_topics w in
-  let n = Array.length s.Selection.chosen in
+  let n = Array.length chosen in
   let domains = max 1 (min domains n) in
   let counts = Array.make nt 0 in
   let subs =
     if domains <= 1 then begin
-      Array.iter (Array.iter (fun t -> counts.(t) <- counts.(t) + 1)) s.Selection.chosen;
+      Array.iter (Array.iter (fun t -> counts.(t) <- counts.(t) + 1)) chosen;
       let subs = Array.map (fun c -> Array.make (max c 1) 0) counts in
       let fill = Array.make nt 0 in
       Array.iteri
@@ -36,7 +38,7 @@ let pairs_by_topic ?(domains = 1) (p : Problem.t) (s : Selection.t) =
               subs.(t).(fill.(t)) <- v;
               fill.(t) <- fill.(t) + 1)
             tv)
-        s.Selection.chosen;
+        chosen;
       subs
     end
     else begin
@@ -52,7 +54,7 @@ let pairs_by_topic ?(domains = 1) (p : Problem.t) (s : Selection.t) =
       each_chunk (fun d ->
           let cd = counts_d.(d) in
           for v = d * chunk to min n ((d + 1) * chunk) - 1 do
-            Array.iter (fun t -> cd.(t) <- cd.(t) + 1) s.Selection.chosen.(v)
+            Array.iter (fun t -> cd.(t) <- cd.(t) + 1) chosen.(v)
           done);
       (* Per-row totals, and per-domain counts turned into write cursors:
          domain d starts where domains < d end within each row. *)
@@ -73,7 +75,7 @@ let pairs_by_topic ?(domains = 1) (p : Problem.t) (s : Selection.t) =
               (fun t ->
                 subs.(t).(cur.(t)) <- v;
                 cur.(t) <- cur.(t) + 1)
-              s.Selection.chosen.(v)
+              chosen.(v)
           done);
       subs
     end

@@ -6,9 +6,12 @@
 # at --domains 3, whose subscriber chunks are uneven. The plan must pass the
 # full verifier + simulated-replay audit. An empty delta batch applied
 # to it through `mcss update` (decode, the engine's adopting copy, the
-# verifier, encode) must give the plan back byte for byte. CI runs this
-# at --scale 0.1; the runtest rule uses a smaller scale to stay inside
-# the tier-1 budget.
+# verifier, encode) must give the plan back byte for byte. The default
+# plan's MD5 is pinned at scales 0.02 and 0.1, so a change that moves
+# plan bytes at scale fails here even when every domain count agrees; at
+# any other scale the script says that no digest is pinned. CI runs this
+# at --scale 0.1; the runtest rule uses 0.02 to stay inside the tier-1
+# budget.
 #
 # usage: scale_smoke.sh path/to/mcss [scale]
 set -eu
@@ -18,9 +21,35 @@ SCALE=${2:-0.1}
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/mcss-scale-smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT INT TERM
 
+# The default config's plan for seed 11, tau 100.
+case "$SCALE" in
+  0.02) PINNED=33974a4ab02a0084514635c77e70abf7 ;;
+  0.1) PINNED=41d0f6014776813c44088c3d77851d48 ;;
+  *) PINNED= ;;
+esac
+
+plan_md5() {
+  if command -v md5sum > /dev/null 2>&1; then
+    md5sum < "$1" | cut -d ' ' -f 1
+  else
+    md5 -q "$1"
+  fi
+}
+
 echo "cold solve at scale $SCALE, domains 1"
 "$MCSS" solve --trace spotify --scale "$SCALE" --seed 11 --tau 100 \
   --no-verify --save-plan "$DIR/d1.plan" > "$DIR/d1.out"
+
+if [ -n "$PINNED" ]; then
+  GOT=$(plan_md5 "$DIR/d1.plan")
+  if [ "$GOT" != "$PINNED" ]; then
+    echo "FAIL: plan MD5 $GOT at scale $SCALE, pinned $PINNED" >&2
+    exit 1
+  fi
+  echo "plan MD5 matches the pinned digest"
+else
+  echo "no plan digest pinned at scale $SCALE"
+fi
 
 echo "cold solve at scale $SCALE, domains 2"
 "$MCSS" solve --trace spotify --scale "$SCALE" --seed 11 --tau 100 --domains 2 \

@@ -111,3 +111,7 @@ let with_dir ?(prefix = "mcss-test") f =
       (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !dir_counter)
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* A selection's flat slices as one array per subscriber. *)
+let selection_rows s =
+  Array.init (Mcss_core.Selection.num_subscribers s) (Mcss_core.Selection.row s)

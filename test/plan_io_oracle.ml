@@ -2,8 +2,10 @@
    kernels stopped allocating, copied verbatim (a recursive tokenizer and
    digit reader built per line and per token, [selected_rate] summed
    with [Array.fold_left]): the oracle for the differential properties
-   in [Test_plan_io]. Only the module aliases and the exception rebinding
-   below are new. *)
+   in [Test_plan_io]. Only the module aliases, the exception rebinding
+   below and the output boundary are new: the rebuilt rows are laid out
+   flat by [Selection.of_rows] (whose pair count, the rows' total
+   length, replaces the old sum of [counts]). *)
 
 module Workload = Mcss_workload.Workload
 module Allocation = Mcss_core.Allocation
@@ -179,7 +181,6 @@ let parse ~workload r =
      subscriber's placed topics, filled in one ascending-topic pass over
      [placed] (with [counts] reused as the fill cursors), so every row
      comes out id-sorted. *)
-  let num_pairs = Array.fold_left ( + ) 0 counts in
   let chosen = Array.map (fun n -> Array.make n 0) counts in
   Array.fill counts 0 num_subscribers 0;
   for t = 0 to num_topics - 1 do
@@ -196,13 +197,7 @@ let parse ~workload r =
       (Array.fold_left (fun acc t -> acc +. Workload.event_rate workload t) 0.)
       chosen
   in
-  let selection =
-    {
-      Selection.chosen;
-      selected_rate;
-      num_pairs;
-      outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
-    }
+  let selection = Selection.of_rows chosen ~selected_rate
   in
   (a, selection)
 

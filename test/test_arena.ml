@@ -18,7 +18,12 @@ let test_ibuf () =
   Arena.Ibuf.clear b;
   Helpers.check_int "cleared" 0 (Arena.Ibuf.length b);
   Arena.Ibuf.push b 5;
-  Helpers.check_bool "reused after clear" true (Arena.Ibuf.to_array b = [| 5 |])
+  Helpers.check_bool "reused after clear" true (Arena.Ibuf.to_array b = [| 5 |]);
+  for i = 1 to 40 do
+    Arena.Ibuf.push b i
+  done;
+  Helpers.check_bool "data holds the contents" true
+    (Array.sub (Arena.Ibuf.data b) 0 41 = Arena.Ibuf.to_array b)
 
 let test_fbuf () =
   let b = Arena.Fbuf.create () in
@@ -164,6 +169,14 @@ let naive_column ~width rows x =
 let transpose ?domains ~width rows =
   Arena.Transpose.create ?domains ~width ~rows:(Array.length rows) (Array.get rows)
 
+(* The same rows laid out flat, one slice each, after [pad] junk
+   entries that no slice covers. *)
+let transpose_slices ?domains ~width ~pad rows =
+  let offs = Array.make (Array.length rows + 1) pad in
+  Array.iteri (fun r row -> offs.(r + 1) <- offs.(r) + Array.length row) rows;
+  let data = Array.concat (Array.make pad (-7) :: Array.to_list rows @ [ [| 0; 1 |] ]) in
+  Arena.Transpose.of_slices ?domains ~width ~offs data
+
 let column t x =
   List.init
     (Arena.Transpose.stop t x - Arena.Transpose.start t x)
@@ -176,6 +189,9 @@ let prop_transpose_matches_naive =
       let naive = List.init width (naive_column ~width rows) in
       List.init width (column t) = naive
       && List.for_all (fun domains -> transpose ~domains ~width rows = t) [ 2; 3 ]
+      && List.for_all
+           (fun (domains, pad) -> transpose_slices ~domains ~width ~pad rows = t)
+           [ (1, 0); (2, 3); (3, 1) ]
       && Arena.Transpose.length t = List.fold_left (fun n c -> n + List.length c) 0 naive
       && (width = 0
          || Arena.Transpose.start t 0 = 0
@@ -243,9 +259,16 @@ let test_transpose_examples () =
   (match Arena.Transpose.find t ~from:0 ~hi:(hi + 1) 0 with
   | _ -> Alcotest.fail "expected Invalid_argument past the column"
   | exception Invalid_argument _ -> ());
-  match Arena.Transpose.create ~width:(-1) ~rows:0 (fun _ -> [||]) with
+  (match Arena.Transpose.create ~width:(-1) ~rows:0 (fun _ -> [||]) with
   | _ -> Alcotest.fail "expected Invalid_argument on a negative width"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun (what, offs) ->
+      match Arena.Transpose.of_slices ~width:4 ~offs [| 1; 2; 3 |] with
+      | _ -> Alcotest.failf "expected Invalid_argument on %s offsets" what
+      | exception Invalid_argument _ -> ())
+    [ ("empty", [||]); ("descending", [| 0; 2; 1 |]); ("overlong", [| 0; 4 |]);
+      ("negative", [| -1; 2 |]) ]
 
 let test_map_chunks () =
   for n = 0 to 9 do
@@ -275,8 +298,8 @@ module Problem = Mcss_core.Problem
 module Selection = Mcss_core.Selection
 
 let transpose_selection ?domains (p : Problem.t) (s : Selection.t) =
-  Arena.Transpose.create ?domains ~width:(Workload.num_topics p.Problem.workload)
-    ~rows:(Array.length s.Selection.chosen) (Array.get s.Selection.chosen)
+  Arena.Transpose.of_slices ?domains ~width:(Workload.num_topics p.Problem.workload)
+    ~offs:s.Selection.offs s.Selection.topics
 
 (* (topic, subscribers) per nonempty column row, ascending. *)
 let groups ~width t =

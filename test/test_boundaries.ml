@@ -74,7 +74,7 @@ let test_fractional_rates_pipeline () =
   (* The reference agrees on fractional instances too. *)
   let a = Selection.gsp p and b = Selection.gsp_reference p in
   Helpers.check_bool "gsp = reference on fractional rates" true
-    (a.Selection.chosen = b.Selection.chosen)
+    (Helpers.selection_rows a = Helpers.selection_rows b)
 
 let test_epsilon_tolerates_accumulated_rounding () =
   (* Many small pairs summing to exactly BC: incremental accounting must
@@ -99,7 +99,7 @@ let test_identical_rates_stable_tie_breaks () =
   let s = Selection.gsp p in
   (* Ties break to the lowest ids: 0, 1, 2 (3 x 5 >= 12). *)
   Alcotest.(check (list int)) "lowest ids win" [ 0; 1; 2 ]
-    (Array.to_list s.Selection.chosen.(0))
+    (Array.to_list (Selection.row s 0))
 
 let test_sample_subscribers () =
   let rng = Mcss_prng.Rng.create 71 in

@@ -30,7 +30,7 @@ let test_global_greedy_shares_topics () =
   Alcotest.(check (list (list int)))
     "everyone on the shared topic"
     [ [ 0 ]; [ 0 ]; [ 0 ] ]
-    (Array.to_list (Array.map Array.to_list s.Selection.chosen));
+    (Array.to_list (Array.map Array.to_list (Helpers.selection_rows s)));
   Helpers.check_bool "satisfies" true (Selection.satisfies p s)
 
 let prop_global_greedy_satisfies =
@@ -61,7 +61,7 @@ let prop_global_greedy_chooses_interests =
           for i = 1 to Array.length chosen - 1 do
             if chosen.(i) = chosen.(i - 1) then ok := false
           done)
-        s.Selection.chosen;
+        (Helpers.selection_rows s);
       !ok)
 
 (* ----- Baselines ----- *)

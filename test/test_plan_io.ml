@@ -147,15 +147,7 @@ module Oracle = struct
         (Array.fold_left (fun acc t -> acc +. Workload.event_rate workload t) 0.)
         chosen
     in
-    let selection =
-      {
-        Selection.chosen;
-        selected_rate;
-        num_pairs = Hashtbl.length seen;
-        outgoing_rate = Array.fold_left ( +. ) 0. selected_rate;
-      }
-    in
-    (a, selection)
+    (a, Selection.of_rows chosen ~selected_rate)
 
   let of_string ~workload s =
     parse ~workload { next_raw = lines_of_string s; line_num = 0 }
@@ -225,7 +217,7 @@ let prop_roundtrip_preserves_everything =
       let r, a, s = roundtrip p in
       Allocation.num_vms a = r.Solver.num_vms
       && Float.abs (Allocation.total_load a -. r.Solver.bandwidth) < 1e-6
-      && s.Selection.chosen = r.Solver.selection.Selection.chosen
+      && Helpers.selection_rows s = Helpers.selection_rows r.Solver.selection
       && Verifier.is_valid (Verifier.verify p s a))
 
 
@@ -290,7 +282,7 @@ let same_floats a b =
   Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
 
 let same_selection (s : Selection.t) (o : Selection.t) =
-  s.Selection.chosen = o.Selection.chosen
+  Helpers.selection_rows s = Helpers.selection_rows o
   && same_floats s.Selection.selected_rate o.Selection.selected_rate
   && s.Selection.num_pairs = o.Selection.num_pairs
   && bits s.Selection.outgoing_rate = bits o.Selection.outgoing_rate
@@ -670,12 +662,13 @@ let workload_unchanged w (interests, rates, events) =
   && same_floats (Array.init n (Workload.interest_rate w)) rates
   && same_floats (Workload.event_rates w) events
 
-(* A subscriber whose every interest is placed gets the workload's own
-   row and interest rate; decoding, and an engine started from and
-   evolved past the decoded plan, never write them. One solve places
-   every pair (τ above every interest rate: every row shared), the
-   other only some. *)
-let test_decode_shares_rows () =
+(* A subscriber whose every interest is placed gets a slice equal to
+   the workload's row and a rate with its interest rate's bits (the
+   scatter sums in the row's order); decoding, and an engine started
+   from and evolved past the decoded plan, never write the workload.
+   One solve places every pair (τ above every interest rate: every row
+   full), the other only some. *)
+let test_decode_full_rows () =
   let rng = Mcss_prng.Rng.create 23 in
   let p =
     fractional
@@ -689,25 +682,25 @@ let test_decode_shares_rows () =
   let w = p.Problem.workload in
   let before = workload_snapshot w in
   List.iter
-    (fun (name, p, all_shared) ->
+    (fun (name, p, all_full) ->
       let text = solved_plan_text p in
       let a, s = Plan_io.of_string ~workload:w text in
       let _, os = Plan_io_oracle.of_string ~workload:w text in
       Helpers.check_bool (name ^ ": selection bits") true (same_selection s os);
-      let shared = ref 0 in
+      let full = ref 0 in
       for v = 0 to Workload.num_subscribers w - 1 do
         let row = Workload.interests w v in
-        if s.Selection.chosen.(v) == row then begin
-          incr shared;
+        if Array.length (Selection.row s v) = Array.length row then begin
+          incr full;
+          if Selection.row s v <> row then
+            Alcotest.failf "%s: subscriber %d's full slice differs from its row" name v;
           if bits s.Selection.selected_rate.(v) <> bits (Workload.interest_rate w v) then
-            Alcotest.failf "%s: subscriber %d's shared rate differs" name v
+            Alcotest.failf "%s: subscriber %d's full rate differs" name v
         end
-        else if Array.length s.Selection.chosen.(v) = Array.length row then
-          Alcotest.failf "%s: subscriber %d's full row is not shared" name v
       done;
-      Helpers.check_bool (name ^ ": some rows shared") true (!shared > 0);
-      if all_shared then
-        Helpers.check_int (name ^ ": every row shared") (Workload.num_subscribers w) !shared;
+      Helpers.check_bool (name ^ ": some rows full") true (!full > 0);
+      if all_full then
+        Helpers.check_int (name ^ ": every row full") (Workload.num_subscribers w) !full;
       Helpers.check_bool (name ^ ": decode leaves the workload") true
         (workload_unchanged w before);
       let eng = Engine.of_plan { Engine.problem = p; selection = s; allocation = a } in
@@ -734,5 +727,5 @@ let suite =
     prop_decoder_raises_only_parse_error;
     prop_decoder_matches_allocating_oracle;
     Alcotest.test_case "decoder kernel cases" `Quick test_decoder_kernel_cases;
-    Alcotest.test_case "decode shares rows, writes no workload" `Quick test_decode_shares_rows;
+    Alcotest.test_case "decode: full rows, workload kept" `Quick test_decode_full_rows;
   ]

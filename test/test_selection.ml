@@ -21,7 +21,7 @@ let test_below_threshold_topics_tie () =
     (Selection.benefit_cost_ratio ~ev:7. ~rem:8.)
 
 let selection_to_lists s =
-  Array.to_list (Array.map Array.to_list s.Selection.chosen)
+  Array.to_list (Array.map Array.to_list (Helpers.selection_rows s))
 
 let test_gsp_prefers_cheap_cover () =
   (* tau = 10; topics: 3, 100, 10. Greedy picks the below-threshold topic
@@ -96,7 +96,7 @@ let test_optimal_dp_respects_budget () =
     (Selection.optimal_per_subscriber ~max_budget:10 p <> None)
 
 let same_selection a b =
-  a.Selection.chosen = b.Selection.chosen
+  Helpers.selection_rows a = Helpers.selection_rows b
   && a.Selection.num_pairs = b.Selection.num_pairs
 
 let prop_gsp_domains_identical =
@@ -106,7 +106,7 @@ let prop_gsp_domains_identical =
       List.for_all
         (fun domains ->
           let par = Selection.gsp ~domains p in
-          par.Selection.chosen = seq.Selection.chosen
+          Helpers.selection_rows par = Helpers.selection_rows seq
           && par.Selection.selected_rate = seq.Selection.selected_rate
           && par.Selection.num_pairs = seq.Selection.num_pairs
           && par.Selection.outgoing_rate = seq.Selection.outgoing_rate)
@@ -145,7 +145,7 @@ let long_rows_gen =
 
 let bit_identical (a : Selection.t) (b : Selection.t) =
   let bits = Int64.bits_of_float in
-  a.Selection.chosen = b.Selection.chosen
+  Helpers.selection_rows a = Helpers.selection_rows b
   && Array.length a.Selection.selected_rate = Array.length b.Selection.selected_rate
   && Array.for_all2
        (fun x y -> bits x = bits y)
@@ -168,17 +168,99 @@ let prop_long_rows_identical =
         done;
         !ok
       in
-      Array.for_all ascending seq.Selection.chosen
+      Array.for_all ascending (Helpers.selection_rows seq)
       && (p.Problem.tau < 1e9
          || Array.exists
               (fun row -> Array.length row > Workload.sort_ids_cutoff)
-              seq.Selection.chosen)
+              (Helpers.selection_rows seq))
       && bit_identical seq (Selection.gsp_reference p)
       && List.for_all
            (fun domains -> bit_identical seq (Selection.gsp ~domains p))
            [ 1; 2; 4 ]
       && bit_identical seq
            (Selection.reselect p ~previous:(Selection.rsp p) ~dirty:(Array.make n true)))
+
+(* ----- the flat selection against the row-based oracle ----- *)
+
+module Oracle = Selection_oracle
+
+(* Every slice, rate bit and total of [s] equals the row oracle's, and
+   the offsets frame exactly the topic column. *)
+let matches_oracle (s : Selection.t) (o : Oracle.t) =
+  let bits = Int64.bits_of_float in
+  let n = Array.length o.Oracle.chosen in
+  Selection.num_subscribers s = n
+  && s.Selection.offs.(0) = 0
+  && s.Selection.offs.(n) = Array.length s.Selection.topics
+  && Array.for_all Fun.id (Array.init n (fun v -> Selection.row s v = o.Oracle.chosen.(v)))
+  && Array.length s.Selection.selected_rate = n
+  && Array.for_all2
+       (fun x y -> bits x = bits y)
+       s.Selection.selected_rate o.Oracle.selected_rate
+  && s.Selection.num_pairs = o.Oracle.num_pairs
+  && bits s.Selection.outgoing_rate = bits o.Oracle.outgoing_rate
+
+(* [p]'s workload without its last [drop] subscribers, with the rates
+   of some topics doubled: a previous selection for {!Selection.reselect}
+   whose clean subscribers keep picks that [p] would not make. *)
+let earlier_problem rng (p : Problem.t) ~drop =
+  let w = p.Problem.workload in
+  let n = Workload.num_subscribers w - drop in
+  let event_rates =
+    Array.map
+      (fun ev -> if Mcss_prng.Rng.int rng 4 = 0 then 2. *. ev else ev)
+      (Workload.event_rates w)
+  in
+  let interests = Array.init n (fun v -> Array.copy (Workload.interests w v)) in
+  Problem.create ~workload:(Workload.create ~event_rates ~interests) ~tau:p.Problem.tau
+    ~capacity:p.Problem.capacity p.Problem.costs
+
+let prop_flat_matches_row_oracle =
+  Helpers.qtest ~count:150 "flat selection = row oracle"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (oneof [ Helpers.problem_gen; long_rows_gen ])
+           (int_bound 1_000_000))
+       ~print:(fun (p, seed) ->
+         Format.asprintf "%a, tau=%g, seed %d" Workload.pp_summary p.Problem.workload
+           p.Problem.tau seed))
+    (fun (p, seed) ->
+      let w = p.Problem.workload in
+      let n = Workload.num_subscribers w in
+      let rng = Mcss_prng.Rng.create seed in
+      let gsp =
+        List.for_all
+          (fun domains ->
+            matches_oracle (Selection.gsp ~domains p) (Oracle.gsp ~domains p))
+          [ 1; 2; 4 ]
+      in
+      let reselect =
+        List.for_all
+          (fun _ ->
+            let drop = Mcss_prng.Rng.int rng (min 3 n + 1) in
+            let before = earlier_problem rng p ~drop in
+            let dirty = Array.init n (fun v -> v >= n - drop || Mcss_prng.Rng.int rng 3 = 0) in
+            matches_oracle
+              (Selection.reselect p ~previous:(Selection.gsp before) ~dirty)
+              (Oracle.reselect p ~previous:(Oracle.gsp before) ~dirty))
+          [ 1; 2; 3 ]
+      in
+      let dp =
+        match (Selection.optimal_per_subscriber p, Oracle.optimal_per_subscriber p) with
+        | Some s, Some o -> matches_oracle s o
+        | None, None -> true
+        | _ -> false
+      in
+      let decoded =
+        let r = Mcss_core.Solver.solve p in
+        let a, s =
+          Mcss_core.Plan_io.of_string ~workload:w
+            (Mcss_core.Plan_io.to_string r.Mcss_core.Solver.allocation)
+        in
+        matches_oracle s (Oracle.decode ~workload:w a)
+      in
+      gsp && reselect && matches_oracle (Selection.rsp p) (Oracle.rsp p) && dp && decoded)
 
 let prop_all_selectors_satisfy =
   Helpers.qtest "gsp, rsp and DP all satisfy every subscriber"
@@ -203,7 +285,7 @@ let prop_chosen_are_interests =
           for i = 1 to Array.length chosen - 1 do
             if chosen.(i) = chosen.(i - 1) then ok := false
           done)
-        s.Selection.chosen;
+        (Helpers.selection_rows s);
       !ok)
 
 let prop_optimal_no_worse_than_gsp =
@@ -266,6 +348,7 @@ let suite =
     prop_gsp_domains_identical;
     prop_stage1_counters_merge;
     prop_long_rows_identical;
+    prop_flat_matches_row_oracle;
     prop_all_selectors_satisfy;
     prop_chosen_are_interests;
     prop_optimal_no_worse_than_gsp;

@@ -855,6 +855,35 @@ let test_parallel_config () =
     "solve plan_digest, update digest and plan_digest"
     (served "(e) +cost-decision") (served "parallel")
 
+(* ... and both names key one cache entry: whichever is asked first
+   solves, the other is a hit on the same plan, with one solver run. *)
+let test_parallel_config_shares_cache () =
+  let w = Front.generate ~seed:7 `Spotify ~scale:update_scale in
+  List.iter
+    (fun (first, second) ->
+      let svc = Service.create () in
+      let digest = Service.load_workload svc w in
+      let solve config =
+        ok_reply (config ^ ": solve")
+          (Service.handle_line svc
+             (Json.to_string
+                (Json.Obj
+                   (("req", Json.String "solve") :: ("digest", Json.String digest)
+                   :: ("config", Json.String config) :: params_fields update_params))))
+      in
+      let r1 = solve first and r2 = solve second in
+      check_bool (first ^ " first: cold") false (bool_field r1 "cached");
+      check_bool (second ^ " second: cache hit") true (bool_field r2 "cached");
+      check_string "same plan_digest" (str_field r1 "plan_digest") (str_field r2 "plan_digest");
+      check_int "one solver run" 1 (Service.solver_runs svc);
+      let body =
+        str_field (ok_reply "metrics" (Service.handle_line svc {|{"req":"metrics"}|})) "body"
+      in
+      check_bool "metrics: mcss_serve_solver_runs 1" true
+        (List.mem "mcss_serve_solver_runs 1" (String.split_on_char '\n' body));
+      Service.close svc)
+    [ ("(e) +cost-decision", "parallel"); ("parallel", "(e) +cost-decision") ]
+
 (* The op a [load] of [w] was journaled as, verbatim — what journals
    written before updates stopped journaling the evolved workload hold
    in front of every [update] record. *)
@@ -1003,4 +1032,6 @@ let suite =
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
     Alcotest.test_case "parallel config = (e) +cost-decision" `Quick test_parallel_config;
+    Alcotest.test_case "parallel and (e) +cost-decision share one cache entry" `Quick
+      test_parallel_config_shares_cache;
   ]

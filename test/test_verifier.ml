@@ -127,13 +127,9 @@ let test_detects_over_capacity () =
   let selection =
     (* A hand-built selection of all five pairs; packing them all on one
        35-capacity VM must trip the capacity check. *)
-    let chosen = [| [| 0; 1 |]; [| 0; 1 |]; [| 1 |] |] in
-    {
-      Selection.chosen;
-      selected_rate = [| 30.; 30.; 10. |];
-      num_pairs = 5;
-      outgoing_rate = 70.;
-    }
+    Selection.of_rows
+      [| [| 0; 1 |]; [| 0; 1 |]; [| 1 |] |]
+      ~selected_rate:[| 30.; 30.; 10. |]
   in
   let a = Allocation.create ~capacity:35. in
   let b = Allocation.deploy a in
@@ -287,7 +283,7 @@ let inject rng (p : Problem.t) (s : Selection.t) a =
         (* an unselected pair, placed twice *)
         let v = Rng.int rng (Workload.num_subscribers w) in
         let t = Rng.int rng (Workload.num_topics w) in
-        if not (Array.mem t s.Selection.chosen.(v)) then begin
+        if not (Array.mem t (Selection.row s v)) then begin
           let vm = Allocation.vm_at a (Rng.int rng (Allocation.num_vms a)) in
           put vm t v;
           put (some_other_vm rng a vm) t v
@@ -363,14 +359,7 @@ let prop_verifier_matches_oracle =
 let hand_selection_report chosen_row =
   let w = Helpers.workload ~rates:[ 1.; 1.; 1.; 1.; 1.; 1. ] ~interests:[ [ 3; 5 ] ] in
   let p = Problem.create ~workload:w ~tau:1. ~capacity:100. Problem.unit_costs in
-  let s =
-    {
-      Selection.chosen = [| chosen_row |];
-      selected_rate = [| 2. |];
-      num_pairs = 2;
-      outgoing_rate = 2.;
-    }
-  in
+  let s = Selection.of_rows [| chosen_row |] ~selected_rate:[| 2. |] in
   let a = Allocation.create ~capacity:100. in
   let b = Allocation.deploy a in
   Allocation.place a b ~topic:3 ~ev:1. ~subscribers:[| 0 |] ~from:0 ~count:1;

@@ -118,12 +118,25 @@ let prop_num_pairs_consistent =
 
 let prop_sort_ids_is_sort =
   Helpers.qtest ~count:300 "sort_ids = Array.sort compare, on both sides of the cutoff"
-    QCheck.(array_of_size Gen.(int_range 0 (3 * Workload.sort_ids_cutoff)) (int_range (-50) 50))
-    (fun a ->
+    QCheck.(
+      triple
+        (array_of_size Gen.(int_range 0 (3 * Workload.sort_ids_cutoff)) (int_range (-50) 50))
+        small_nat small_nat)
+    (fun (a, i, j) ->
+      let n = Array.length a in
+      let pos = i mod (n + 1) in
+      let len = j mod (n - pos + 1) in
+      (* The slice form on a copy: the slice sorted, the rest untouched. *)
+      let sliced = Array.copy a in
+      Workload.sort_ids_sub sliced ~pos ~len;
+      let slice = Array.sub a pos len in
+      Array.sort compare slice;
+      let outside b = (Array.sub b 0 pos, Array.sub b (pos + len) (n - pos - len)) in
+      let slice_ok = Array.sub sliced pos len = slice && outside sliced = outside a in
       let expected = Array.copy a in
       Array.sort compare expected;
       Workload.sort_ids a;
-      a = expected)
+      a = expected && slice_ok)
 
 let suite =
   [
