@@ -22,16 +22,8 @@ module Ibuf = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let push_of t ~src i = push t (get src i)
-
   let data t = t.data
   let clear t = t.len <- 0
-
-  let sub t ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > t.len then
-      invalid_arg "Arena.Ibuf.sub: range out of bounds";
-    Array.sub t.data pos len
-
   let to_array t = Array.sub t.data 0 t.len
 end
 
@@ -60,7 +52,6 @@ module Fbuf = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let push_of t ~src i = push t (get src i)
   let clear t = t.len <- 0
 
   let sum t =

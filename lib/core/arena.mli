@@ -21,9 +21,6 @@ module Ibuf : sig
   val set : t -> int -> int -> unit
   val push : t -> int -> unit
 
-  val push_of : t -> src:t -> int -> unit
-  (** [push_of t ~src i] appends [src]'s [i]-th element. *)
-
   val data : t -> int array
   (** The backing store: its first [length t] entries are the contents,
       to be read, sorted or blitted in place. A push may replace it, so
@@ -32,7 +29,6 @@ module Ibuf : sig
   val clear : t -> unit
   (** Forget the contents; keeps the backing store. *)
 
-  val sub : t -> pos:int -> len:int -> int array
   val to_array : t -> int array
 end
 
@@ -50,7 +46,6 @@ module Fbuf : sig
       checks. *)
 
   val push : t -> float -> unit
-  val push_of : t -> src:t -> int -> unit
   val clear : t -> unit
   val sum : t -> float
   (** Left-to-right sum of the live elements. *)

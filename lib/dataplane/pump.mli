@@ -11,8 +11,6 @@
 
 type config = {
   duration : float;  (** Horizons of load; positive. *)
-  arrivals : Mcss_broker.Fleet.arrivals;
-      (** Reconciliation requires [Deterministic] (the default). *)
   pace : float;  (** Wall seconds per horizon; [0.] = full speed. *)
   batch : int;
   latency_seed : int;

@@ -16,8 +16,8 @@
     (to_string v)] returns [v] only up to that rounding, and a float
     whose rendering has no fraction or exponent (e.g. [3.]) reparses as
     an [Int]. Callers that need a float back bit-exactly carry it as a
-    [%.17g] string instead: [Mcss_serve.Service]'s journal records do
-    this ([f17]) for every parameter that feeds a plan-cache key. *)
+    [%.17g] string instead: the journal records of [Mcss_serve.Record]
+    do this for every parameter that feeds a plan-cache key. *)
 
 type t =
   | Null

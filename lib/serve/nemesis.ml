@@ -667,17 +667,15 @@ let run config =
     (fun records ->
       List.iter
         (fun (epoch, payload) ->
-          match Json.parse payload with
-          | Error _ -> ()
-          | Ok j ->
-              if json_str j "op" = Some "update" then begin
-                let origin = Option.value ~default:"?" (json_str j "origin") in
-                let cur =
-                  Option.value ~default:[] (Hashtbl.find_opt epoch_origins epoch)
-                in
-                if not (List.mem origin cur) then
-                  Hashtbl.replace epoch_origins epoch (origin :: cur)
-              end)
+          match Record.of_string payload with
+          | Some (Record.Update { origin; _ }) ->
+              let origin = Option.value ~default:"?" origin in
+              let cur =
+                Option.value ~default:[] (Hashtbl.find_opt epoch_origins epoch)
+              in
+              if not (List.mem origin cur) then
+                Hashtbl.replace epoch_origins epoch (origin :: cur)
+          | _ -> ())
         records)
     replays;
   let single_writer =
@@ -690,13 +688,10 @@ let run config =
   let journal_has records (deltas, new_digest) =
     List.exists
       (fun (_, payload) ->
-        match Json.parse payload with
-        | Error _ -> false
-        | Ok j -> (
-            match json_str j "op" with
-            | Some "update" -> json_str j "deltas" = Some deltas
-            | Some "load" -> json_str j "digest" = Some new_digest
-            | _ -> false))
+        match Record.of_string payload with
+        | Some (Record.Update u) -> u.deltas = deltas
+        | Some (Record.Load l) -> l.digest = new_digest
+        | _ -> false)
       records
   in
   let no_acked_lost =

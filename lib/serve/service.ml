@@ -101,10 +101,11 @@ type t = {
   workloads : (string, Workload.t) Hashtbl.t;
   fallback : (string, entry) Hashtbl.t;
       (** Last solved plan per workload digest — what degraded replies
-          serve. Never evicted: each entry holds its plan text and solver
-          result, O(pairs), and every [update] adds one (as it adds one
-          workload to [workloads]); only a follower's snapshot resync
-          clears them. *)
+          serve. Written only by {!keep_entry} (as [workloads] is only
+          by {!keep_workload}). Never evicted: each entry holds its plan
+          text and solver result, O(pairs), and every [update] adds one
+          (as it adds one workload to [workloads]); only a follower's
+          snapshot resync clears them. *)
   lock : Mutex.t;  (** Guards [workloads], [fallback], [obs] updates, and the mutable fields. *)
   journal : Journal.t option;
   journal_lock : Mutex.t;
@@ -254,87 +255,33 @@ let problem_for w (params : Protocol.solve_params) =
       | p -> Ok (model, p)
       | exception Invalid_argument m -> Error (E (Protocol.Bad_request, m)))
 
-(* ----- journal ops -----
+(* ----- the registry -----
 
-   One JSON object per record. Floats that must round-trip exactly
-   (params feed {!cache_key}, which renders them at [%.17g]) are stored
-   as [%.17g] strings, not JSON numbers — the wire printer rounds
-   numbers to 12 significant digits. *)
+   The only writers of [workloads], [fallback] and the plan cache
+   ({!reset_to_snapshot} aside, which empties all three): solves,
+   updates, startup replay and replication all register through these
+   two. *)
 
-let f17 x = Json.String (Printf.sprintf "%.17g" x)
+(* Register [w] under [digest]; whether the digest was new. *)
+let keep_workload t digest w =
+  locked t (fun () ->
+      let fresh = not (Hashtbl.mem t.workloads digest) in
+      Hashtbl.replace t.workloads digest w;
+      fresh)
 
-let f17_get j key =
-  match Json.member key j with
-  | Some (Json.String s) -> float_of_string_opt s
-  | Some v -> Json.to_float_opt v
-  | None -> None
+(* Cache [e] under its key and make it its digest's degraded-reply
+   fallback. *)
+let keep_entry t (e : entry) =
+  Plan_cache.add t.cache (cache_key e.digest e.params) e;
+  locked t (fun () -> Hashtbl.replace t.fallback e.digest e)
 
-(* Every op records which node accepted it. Replay ignores the field;
-   replication preserves it verbatim, so after a partition heals the
-   nemesis can group journaled writes by (frame epoch, origin) and
-   assert no epoch ever saw two writers. *)
-let load_op ~origin digest w =
-  Json.to_string
-    (Json.Obj
-       [
-         ("op", Json.String "load");
-         ("origin", Json.String origin);
-         ("digest", Json.String digest);
-         ("wio", Json.String (Wio.to_string w));
-       ])
-
-let plan_op ~origin (e : entry) =
-  let p = e.params in
-  Json.to_string
-    (Json.Obj
-       ([
-          ("op", Json.String "plan");
-          ("origin", Json.String origin);
-          ("digest", Json.String e.digest);
-          ("tau", f17 p.Protocol.tau);
-          ("instance", Json.String p.Protocol.instance);
-          ("config", Json.String p.Protocol.config);
-        ]
-       @ (match p.Protocol.bc_events with
-         | None -> []
-         | Some x -> [ ("bc", f17 x) ])
-       @ [
-           ("plan", Json.String e.plan.text);
-           ("bandwidth", f17 e.plan.result.Solver.bandwidth);
-           ("bandwidth_gb", f17 e.plan.bandwidth_gb);
-           ("cost", f17 e.plan.result.Solver.cost);
-           ("stage1_s", f17 e.plan.result.Solver.stage1_seconds);
-           ("stage2_s", f17 e.plan.result.Solver.stage2_seconds);
-           ("solve_s", f17 e.plan.solve_seconds);
-         ]))
-
-(* An update is journaled as its cause (the delta batch), not its effect:
-   the engine is deterministic, so replay re-applies the deltas to the
-   base plan, re-deriving both the evolved workload and its plan, and
-   must land on the recorded [new_digest] — a cheap end-to-end check
-   that recovery reproduced the live run bit for bit. No load record
-   precedes it. Snapshots fold the evolved workload and plan into
-   ordinary load/plan records, so update ops only ever live in the WAL
-   tail. *)
-let update_op ~origin ~digest ~(params : Protocol.solve_params) ~deltas
-    ~new_digest =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("op", Json.String "update");
-          ("origin", Json.String origin);
-          ("digest", Json.String digest);
-          ("tau", f17 params.Protocol.tau);
-          ("instance", Json.String params.Protocol.instance);
-          ("config", Json.String params.Protocol.config);
-        ]
-       @ (match params.Protocol.bc_events with
-         | None -> []
-         | Some x -> [ ("bc", f17 x) ])
-       @ [
-           ("deltas", Json.String deltas);
-           ("new_digest", Json.String new_digest);
-         ]))
+let plan_record t ({ digest; params; plan } : entry) =
+  let r = plan.result in
+  Record.Plan
+    { origin = Some t.config.name; digest; params; plan = plan.text;
+      bandwidth = r.Solver.bandwidth; bandwidth_gb = plan.bandwidth_gb; cost = r.Solver.cost;
+      stage1_s = r.Solver.stage1_seconds; stage2_s = r.Solver.stage2_seconds;
+      solve_s = plan.solve_seconds }
 
 (* ----- the incremental engine behind [update] ----- *)
 
@@ -419,7 +366,7 @@ let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
   match base_entry t ~key:(cache_key digest params) ~digest with
   | None -> None
   | Some e -> (
-      match
+      try
         let ds = Delta_io.of_string deltas in
         match engine_of_entry ~w e with
         | Error _ -> None
@@ -428,142 +375,68 @@ let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
             let w' = (Engine.problem eng).Problem.workload in
             let digest = digest_of_workload w' in
             Some (entry_of_engine ~model ~digest ~params ~solve_seconds:0. eng, w')
-      with
-      | r -> r
-      | exception _ -> None)
+      with _ -> None)
+
+type applied = Loaded | Planned | Updated | Skipped
 
 (* Rebuild service state from one journal record. Registers directly
    (no re-journaling). Raises nothing: any malformed or orphaned record
-   is skipped and counted. Each registry touch takes [t.lock] on its
-   own, so the same code serves startup replay and live application of
-   a leader's replication stream on a follower. *)
-let apply_record t line ~workloads ~plans ~updates ~skipped =
-  let skip () = incr skipped in
-  match Json.parse line with
-  | Error _ -> skip ()
-  | Ok j -> (
-      let str key = Json.member key j |> Fun.flip Option.bind Json.to_string_opt in
-      match str "op" with
-      | Some "load" -> (
-          match str "wio" with
-          | None -> skip ()
-          | Some text -> (
-              match Wio.of_string text with
-              | w ->
-                  let digest = digest_of_workload w in
-                  (* Trust-but-verify: a record whose payload no longer
-                     hashes to its digest would orphan every plan keyed
-                     under it — drop it rather than serve mislabeled
-                     state. *)
-                  if str "digest" = Some digest then begin
-                    locked t (fun () -> Hashtbl.replace t.workloads digest w);
-                    incr workloads
-                  end
-                  else skip ()
-              | exception Wio.Parse_error _ -> skip ()))
-      | Some "plan" -> (
-          match (str "digest", str "plan") with
-          | Some digest, Some text -> (
-              match locked t (fun () -> Hashtbl.find_opt t.workloads digest) with
-              | None -> skip () (* plan for a workload we never recovered *)
-              | Some w -> (
-                  let params =
-                    match
-                      ( f17_get j "tau",
-                        str "instance",
-                        str "config" )
-                    with
-                    | Some tau, Some instance, Some config ->
-                        Some
-                          {
-                            Protocol.tau;
-                            instance;
-                            config;
-                            bc_events = f17_get j "bc";
-                          }
-                    | _ -> None
-                  in
-                  match params with
-                  | None -> skip ()
-                  | Some params -> (
-                      match Plan_io.of_string ~workload:w text with
-                      | allocation, selection -> (
-                          match
-                            ( f17_get j "bandwidth",
-                              f17_get j "bandwidth_gb",
-                              f17_get j "cost" )
-                          with
-                          | Some bandwidth, Some bandwidth_gb, Some cost ->
-                              let result =
-                                {
-                                  Solver.selection;
-                                  allocation;
-                                  num_vms = Allocation.num_vms allocation;
-                                  bandwidth;
-                                  cost;
-                                  stage1_seconds =
-                                    Option.value ~default:0. (f17_get j "stage1_s");
-                                  stage2_seconds =
-                                    Option.value ~default:0. (f17_get j "stage2_s");
-                                }
-                              in
-                              let plan =
-                                {
-                                  result;
-                                  bandwidth_gb;
-                                  solve_seconds =
-                                    Option.value ~default:0. (f17_get j "solve_s");
-                                  text;
-                                  plan_digest = Digest.to_hex (Digest.string text);
-                                }
-                              in
-                              let e = { digest; params; plan } in
-                              Plan_cache.add t.cache (cache_key digest params) e;
-                              locked t (fun () ->
-                                  Hashtbl.replace t.fallback digest e);
-                              incr plans
-                          | _ -> skip ())
-                      | exception Plan_io.Parse_error _ -> skip ())))
-          | _ -> skip ())
-      | Some "update" -> (
-          match (str "digest", str "deltas", str "new_digest") with
-          | Some digest, Some deltas, Some new_digest -> (
-              let params =
-                match (f17_get j "tau", str "instance", str "config") with
-                | Some tau, Some instance, Some config ->
-                    Some
-                      {
-                        Protocol.tau;
-                        instance;
-                        config;
-                        bc_events = f17_get j "bc";
-                      }
-                | _ -> None
+   is [Skipped]. Each registry touch takes [t.lock] on its own, so the
+   same code serves startup replay and live application of a leader's
+   replication stream on a follower. *)
+let apply_record t line =
+  match Record.of_string line with
+  | None -> Skipped
+  | Some (Record.Load { digest; wio; _ }) -> (
+      match Wio.of_string wio with
+      (* Trust-but-verify: a record whose payload no longer hashes to
+         its digest would orphan every plan keyed under it — drop it
+         rather than serve mislabeled state. *)
+      | w when digest_of_workload w = digest ->
+          ignore (keep_workload t digest w);
+          Loaded
+      | _ -> Skipped
+      | exception Wio.Parse_error _ -> Skipped)
+  | Some (Record.Plan r) -> (
+      match find_workload t r.digest with
+      | None -> Skipped (* plan for a workload we never recovered *)
+      | Some w -> (
+          match Plan_io.of_string ~workload:w r.plan with
+          | exception Plan_io.Parse_error _ -> Skipped
+          | allocation, selection ->
+              let result =
+                { Solver.selection; allocation; num_vms = Allocation.num_vms allocation;
+                  bandwidth = r.bandwidth; cost = r.cost;
+                  stage1_seconds = r.stage1_s; stage2_seconds = r.stage2_s }
               in
-              match
-                (locked t (fun () -> Hashtbl.find_opt t.workloads digest), params)
-              with
-              | Some w, Some params -> (
-                  match replayed_update t ~w ~digest ~params ~deltas with
-                  | Some (e, w') when e.digest = new_digest ->
-                      (* The update record alone carries the evolved
-                         workload: register it here. (Journals written
-                         before updates stopped journaling a load op for
-                         it replay the same; the replace is a no-op.) *)
-                      locked t (fun () -> Hashtbl.replace t.workloads e.digest w');
-                      Plan_cache.add t.cache (cache_key e.digest e.params) e;
-                      locked t (fun () -> Hashtbl.replace t.fallback e.digest e);
-                      incr updates
-                  | Some _ ->
-                      (* Replay landed on a different digest than the
-                         live run recorded: the record cannot be trusted
-                         (corruption or a non-deterministic engine) —
-                         drop it rather than serve mislabeled state. *)
-                      skip ()
-                  | None -> skip ())
-              | _ -> skip ())
-          | _ -> skip ())
-      | _ -> skip ())
+              let plan =
+                { result; bandwidth_gb = r.bandwidth_gb; solve_seconds = r.solve_s;
+                  text = r.plan; plan_digest = Digest.to_hex (Digest.string r.plan) }
+              in
+              keep_entry t { digest = r.digest; params = r.params; plan };
+              Planned))
+  | Some (Record.Update r) -> (
+      match find_workload t r.digest with
+      | None -> Skipped
+      | Some w -> (
+          match
+            replayed_update t ~w ~digest:r.digest ~params:r.params ~deltas:r.deltas
+          with
+          | Some (e, w') when e.digest = r.new_digest ->
+              (* The update record alone carries the evolved workload:
+                 register it here. (Journals written before updates
+                 stopped journaling a load op for it replay the same;
+                 the replace is a no-op.) *)
+              ignore (keep_workload t e.digest w');
+              keep_entry t e;
+              Updated
+          | Some _ ->
+              (* Replay landed on a different digest than the live run
+                 recorded: the record cannot be trusted (corruption or a
+                 non-deterministic engine) — drop it rather than serve
+                 mislabeled state. *)
+              Skipped
+          | None -> Skipped))
 
 (* Everything needed to rebuild the registry and cache from scratch:
    loads first (plan replay looks its workload up), then plans with the
@@ -572,7 +445,7 @@ let apply_record t line ~workloads ~plans ~updates ~skipped =
    degraded replies) go before the cache so they cannot evict live
    entries on replay. *)
 let full_state t =
-  let origin = t.config.name in
+  let origin = Some t.config.name in
   let cached = List.map snd (Plan_cache.to_list t.cache) in
   let loads, fallback_only =
     locked t (fun () ->
@@ -580,14 +453,17 @@ let full_state t =
         List.iter
           (fun e -> Hashtbl.replace seen (cache_key e.digest e.params) ())
           cached;
-        ( Hashtbl.fold (fun d w acc -> load_op ~origin d w :: acc) t.workloads [],
+        ( Hashtbl.fold
+            (fun digest w acc ->
+              Record.Load { origin; digest; wio = Wio.to_string w } :: acc)
+            t.workloads [],
           Hashtbl.fold
             (fun _ e acc ->
               if Hashtbl.mem seen (cache_key e.digest e.params) then acc
               else e :: acc)
             t.fallback [] ))
   in
-  loads @ List.map (plan_op ~origin) (fallback_only @ cached)
+  List.map Record.to_string (loads @ List.map (plan_record t) (fallback_only @ cached))
 
 (* Append one op; when the WAL has grown past the configured threshold,
    fold it into a fresh snapshot while still holding [journal_lock] so
@@ -595,10 +471,11 @@ let full_state t =
    record's absolute index so callers can gate the reply on a quorum
    ack. On a follower this is a no-op: its journal mirrors the leader's
    record sequence and only {!apply_replicated} may write it. *)
-let journal_append t op =
+let journal_append t record =
   match t.journal with
   | None -> None
   | Some j when role t = Leader ->
+      let op = Record.to_string record in
       Mutex.lock t.journal_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.journal_lock)
@@ -634,15 +511,11 @@ let await_commit t = function
 
 let register_workload t w =
   let digest = digest_of_workload w in
-  let fresh =
-    locked t (fun () ->
-        let fresh = not (Hashtbl.mem t.workloads digest) in
-        Hashtbl.replace t.workloads digest w;
-        fresh)
-  in
   (* Re-loading known content is a no-op on disk too. *)
   let index =
-    if fresh then journal_append t (load_op ~origin:t.config.name digest w)
+    if keep_workload t digest w then
+      journal_append t
+        (Record.Load { origin = Some t.config.name; digest; wio = Wio.to_string w })
     else None
   in
   (digest, index)
@@ -691,11 +564,10 @@ let journal_last_epoch t =
 let apply_replicated t ~index ~epoch payload =
   match t.journal with
   | None -> Error "service has no journal to replicate into"
-  | Some j when role t = Leader ->
+  | Some _ when role t = Leader ->
       (* A leader mirroring someone else's stream is exactly the
-         split-brain this PR exists to prevent; the follow loop stops on
-         promotion, so hitting this means a race it must lose. *)
-      ignore j;
+         split-brain that fencing exists to prevent; the follow loop
+         stops on promotion, so hitting this means a race it must lose. *)
       Error "refusing replicated record: this node is a leader"
   | Some j ->
       Mutex.lock t.journal_lock;
@@ -709,16 +581,12 @@ let apply_replicated t ~index ~epoch payload =
                  "replication gap: record %d arrived but journal is at %d" index
                  (expected - 1))
           else begin
-            let workloads = ref 0
-            and plans = ref 0
-            and updates = ref 0
-            and skipped = ref 0 in
-            apply_record t payload ~workloads ~plans ~updates ~skipped;
+            let applied = apply_record t payload in
             Journal.append ~epoch j payload;
             Counter.inc
               (Registry.counter t.obs ~help:"Leader records applied via replication"
                  "serve.replication.applied");
-            if !skipped > 0 then
+            if applied = Skipped then
               Counter.inc
                 (Registry.counter t.obs
                    ~help:"Replicated records mirrored but not applicable locally"
@@ -734,9 +602,7 @@ let apply_replicated t ~index ~epoch payload =
 let reset_to_snapshot t ~base ~epoch payloads =
   match t.journal with
   | None -> Error "service has no journal to replicate into"
-  | Some j when role t = Leader ->
-      ignore j;
-      Error "refusing snapshot reset: this node is a leader"
+  | Some _ when role t = Leader -> Error "refusing snapshot reset: this node is a leader"
   | Some j ->
       Mutex.lock t.journal_lock;
       Fun.protect
@@ -758,13 +624,7 @@ let reset_to_snapshot t ~base ~epoch payloads =
               t.resident <- None;
               Hashtbl.reset t.workloads;
               Hashtbl.reset t.fallback);
-          let workloads = ref 0
-          and plans = ref 0
-          and updates = ref 0
-          and skipped = ref 0 in
-          List.iter
-            (fun line -> apply_record t line ~workloads ~plans ~updates ~skipped)
-            payloads;
+          List.iter (fun line -> ignore (apply_record t line)) payloads;
           Counter.inc
             (Registry.counter t.obs ~help:"Full snapshot resyncs installed"
                "serve.replication.resyncs");
@@ -859,7 +719,6 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
   (match journal_replay with
   | None -> ()
   | Some r ->
-      let workloads = ref 0 and plans = ref 0 and updates = ref 0 and skipped = ref 0 in
       let records =
         (* Point-in-time replay: stop after the first [replay_to]
            recovered records (snapshot records come first, then WAL). *)
@@ -868,17 +727,17 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
         | Some n ->
             List.filteri (fun i _ -> i < n) r.Journal.records
       in
-      List.iter
-        (fun (_epoch, line) ->
-          apply_record t line ~workloads ~plans ~updates ~skipped)
-        records;
+      let applied =
+        List.fold_left (fun acc (_epoch, line) -> apply_record t line :: acc) [] records
+      in
+      let count kind = List.length (List.filter (( = ) kind) applied) in
       t.replay <-
         Some
           {
-            workloads_recovered = !workloads;
-            plans_recovered = !plans;
-            updates_replayed = !updates;
-            records_skipped = !skipped;
+            workloads_recovered = count Loaded;
+            plans_recovered = count Planned;
+            updates_replayed = count Updated;
+            records_skipped = count Skipped;
             wal_truncated_bytes = r.Journal.truncated_bytes;
             corrupt_records = r.Journal.corrupt_records;
             dropped_frames = r.Journal.dropped_frames;
@@ -1014,18 +873,17 @@ let refresh_gauges t =
 (* Publish a freshly solved plan: plan cache, degraded-reply fallback,
    and the journal (in that order — a plan visible to clients before it
    is durable only costs a re-solve after a crash, never a wrong answer). *)
-let publish t ~key (e : entry) =
-  Plan_cache.add t.cache key e;
-  locked t (fun () -> Hashtbl.replace t.fallback e.digest e);
+let publish t (e : entry) =
+  keep_entry t e;
   (* Solves are idempotent (deterministic + content-addressed), so their
      plan records replicate asynchronously even under quorum acks. *)
-  ignore (journal_append t (plan_op ~origin:t.config.name e))
+  ignore (journal_append t (plan_record t e))
 
 (* The cache-miss path, run by exactly one single-flight leader per key.
    The admission gate is taken before the breaker is consulted: a
    half-open probe, once admitted, must actually run the solver so its
    success/failure verdict is meaningful. *)
-let miss t ~key ~digest ~w ~(params : Protocol.solve_params) ~deadline =
+let miss t ~digest ~w ~(params : Protocol.solve_params) ~deadline =
   match resolve_config params.Protocol.config with
   | None ->
       M_err
@@ -1058,7 +916,7 @@ let miss t ~key ~digest ~w ~(params : Protocol.solve_params) ~deadline =
                     in
                     let e = { digest; params; plan } in
                     record_solver_run t ~seconds ~r;
-                    publish t ~key e;
+                    publish t e;
                     if Admission.expired deadline then begin
                       (* The solver blew the budget: that is the failure
                          mode the breaker exists for. *)
@@ -1123,7 +981,7 @@ let obtain_plan t ~digest ~w ~(params : Protocol.solve_params) ~deadline =
   | None -> (
       match
         Single_flight.run t.sf ~key (fun () ->
-            miss t ~key ~digest ~w ~params ~deadline)
+            miss t ~digest ~w ~params ~deadline)
       with
       | Single_flight.Leader (M_plan e) -> Served (e.plan, false)
       | Single_flight.Leader (M_late (_, msg)) ->
@@ -1315,16 +1173,15 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                 (* Register and publish, then journal: the update record
                    alone is durable state, since replay and replication
                    re-derive [w'] and [e'] from the deltas. *)
-                locked t (fun () -> Hashtbl.replace t.workloads new_digest w');
-                Plan_cache.add t.cache (cache_key new_digest params) e';
+                ignore (keep_workload t new_digest w');
+                keep_entry t e';
                 locked t (fun () ->
-                    Hashtbl.replace t.fallback new_digest e';
                     if t.role = Leader then
                       t.resident <- Some { entry = e'; model; engine = eng });
                 let index =
                   journal_append t
-                    (update_op ~origin:t.config.name ~digest ~params ~deltas
-                       ~new_digest)
+                    (Record.Update
+                       { origin = Some t.config.name; digest; params; deltas; new_digest })
                 in
                 record_update t ~seconds:apply_s ~resolved:stats.Engine.resolved
                   ~resident:reused;

@@ -14,8 +14,8 @@
 
     {b Durability.} With a {!Journal} configured, every workload a
     [load] registers, every solved plan and every applied [update] is
-    appended to a write-ahead log as one record (a [load], [plan] or
-    [update] op); {!create} replays the log so a restarted (even
+    appended to a write-ahead log as one {!Record} (a [load], [plan]
+    or [update] op); {!create} replays the log so a restarted (even
     [kill -9]'d) daemon answers the same [solve] as a cache hit, with
     the same [plan_digest], without re-running the solver. A snapshot
     folds the whole state — every resident workload and every plan —

@@ -9,9 +9,11 @@
 #      digest (which re-adopts the base plan).
 #   3. kill -9 the server; `mcss journal --verify` must count six WAL
 #      records (load, plan, four updates). Restart it over the same
-#      journal, and assert the replayed updates reproduce every
-#      post-update plan bit-for-bit: solving at each evolved digest is a
-#      cache hit with the same plan_digest the live update reported.
+#      journal; the `stats` reply's `replay` object must count exactly
+#      1 workload, 1 plan, 4 updates and 0 skipped records. Assert the
+#      replayed updates reproduce every post-update plan bit-for-bit:
+#      solving at each evolved digest is a cache hit with the same
+#      plan_digest the live update reported.
 #
 # Usage: update_smoke.sh /path/to/mcss
 # Exits non-zero (with a one-line reason on stderr) on the first failure.
@@ -149,6 +151,16 @@ VERIFY=$("$MCSS" journal --dir "$JOURNAL" --verify) \
 echo "$VERIFY" | grep -q 'wal records: 6 ' \
   || fail "wanted 6 WAL records (load, plan, 4 updates): $VERIFY"
 start_server
+# The restart replayed the whole journal: one workload, one plan, four
+# updates, nothing skipped. These counts were read from a build older
+# than the typed record codec, and must not move.
+STATS=$("$MCSS" query -c "unix:$SOCK" stats) || fail "stats after the restart failed"
+REPLAY=$(echo "$STATS" | grep -o '"replay":{[^}]*}') \
+  || fail "stats reply has no replay object: $STATS"
+for WANT in '"workloads_recovered":1' '"plans_recovered":1' \
+  '"updates_replayed":4' '"records_skipped":0'; do
+  echo "$REPLAY" | grep -q "$WANT[,}]" || fail "replay stats: wanted $WANT: $REPLAY"
+done
 for SERVED in "$DIGEST2 $PLAN2" "$CHAIN2" "$CHAIN3" "$BRANCH"; do
   D=${SERVED%% *} P=${SERVED#* }
   SOLVE2=$("$MCSS" query -c "unix:$SOCK" solve --digest "$D" --tau 50) \

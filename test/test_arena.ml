@@ -14,7 +14,6 @@ let test_ibuf () =
   Helpers.check_int "get" 49 (Arena.Ibuf.get b 7);
   Arena.Ibuf.set b 7 (-1);
   Helpers.check_int "set" (-1) (Arena.Ibuf.get b 7);
-  Helpers.check_bool "sub" true (Arena.Ibuf.sub b ~pos:2 ~len:3 = [| 4; 9; 16 |]);
   Arena.Ibuf.clear b;
   Helpers.check_int "cleared" 0 (Arena.Ibuf.length b);
   Arena.Ibuf.push b 5;

@@ -23,6 +23,7 @@ module Delta_io = Mcss_engine.Delta_io
 module Churn = Mcss_dynamic.Churn
 module Front = Mcss_front.Front
 module Journal = Mcss_serve.Journal
+module Record = Mcss_serve.Record
 module Registry = Mcss_obs.Registry
 module Counter = Mcss_obs.Metric.Counter
 module Rng = Mcss_prng.Rng
@@ -884,19 +885,6 @@ let test_parallel_config_shares_cache () =
       Service.close svc)
     [ ("(e) +cost-decision", "parallel"); ("parallel", "(e) +cost-decision") ]
 
-(* The op a [load] of [w] was journaled as, verbatim — what journals
-   written before updates stopped journaling the evolved workload hold
-   in front of every [update] record. *)
-let old_load_op ~origin digest w =
-  Json.to_string
-    (Json.Obj
-       [
-         ("op", Json.String "load");
-         ("origin", Json.String origin);
-         ("digest", Json.String digest);
-         ("wio", Json.String (Wio.to_string w));
-       ])
-
 let test_old_journal_replays () =
   Helpers.with_dir (fun dir ->
       Helpers.with_dir (fun old_dir ->
@@ -908,19 +896,19 @@ let test_old_journal_replays () =
             replay.Journal.records
           in
           (* Rewrite it in the old shape: a load record of the evolved
-             workload before each update record. *)
+             workload, as the old encoder wrote it, before each update
+             record. *)
           let j, _ = Journal.open_ (Journal.default_config ~dir:old_dir) in
           let loads = ref 0 in
           List.iter
             (fun (epoch, payload) ->
-              let j' = Result.get_ok (Json.parse payload) in
-              (if Json.member "op" j' = Some (Json.String "update") then
-                 let digest =
-                   Option.get (Option.bind (Json.member "new_digest" j') Json.to_string_opt)
-                 in
-                 let { w; _ } = List.find (fun u -> u.digest = digest) updates in
-                 incr loads;
-                 Journal.append ~epoch j (old_load_op ~origin:"node" digest w));
+              (match Record.of_string payload with
+              | Some (Record.Update { new_digest = digest; _ }) ->
+                  let { w; _ } = List.find (fun u -> u.digest = digest) updates in
+                  incr loads;
+                  Journal.append ~epoch j
+                    (Record_oracle.load_op ~origin:"node" digest (Wio.to_string w))
+              | _ -> ());
               Journal.append ~epoch j payload)
             records;
           Journal.close j;
@@ -954,6 +942,154 @@ let test_old_journal_replays () =
             updates;
           Service.close fresh;
           Service.close old))
+
+(* ----- the journal record codec ----- *)
+
+(* A record's fields, floats by their bits, for field-for-field
+   comparison. *)
+let record_fields = function
+  | None -> [ "rejected" ]
+  | Some r ->
+      let f = Printf.sprintf "%h" and opt = Option.value ~default:"(none)" in
+      let params (p : Protocol.solve_params) =
+        [
+          f p.Protocol.tau;
+          p.Protocol.instance;
+          p.Protocol.config;
+          opt (Option.map f p.Protocol.bc_events);
+        ]
+      in
+      (match r with
+      | Record.Load { origin; digest; wio } -> [ "load"; opt origin; digest; wio ]
+      | Record.Plan p ->
+          [ "plan"; opt p.origin; p.digest ]
+          @ params p.params
+          @ [ p.plan ]
+          @ List.map f
+              [ p.bandwidth; p.bandwidth_gb; p.cost; p.stage1_s; p.stage2_s; p.solve_s ]
+      | Record.Update u ->
+          [ "update"; opt u.origin; u.digest ]
+          @ params u.params @ [ u.deltas; u.new_digest ])
+
+let record_float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        map float_of_int (int_range (-5) 1_000_000);
+        oneofl [ 0.; -0.; 0.1; 1. /. 3.; 1e-310; max_float; infinity; neg_infinity; nan ];
+      ])
+
+let record_text_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:printable (int_bound 12);
+        oneofl [ ""; "a\"b"; "line\nbreak"; "\xc3\xa9t\xc3\xa9"; "(e) +cost-decision" ];
+      ])
+
+let record_gen =
+  QCheck.Gen.(
+    let* origin = frequency [ (4, map Option.some record_text_gen); (1, return None) ] in
+    let* digest = record_text_gen in
+    let* params =
+      let* tau = record_float_gen in
+      let* instance = record_text_gen in
+      let* config = record_text_gen in
+      let* bc_events = opt record_float_gen in
+      return { Protocol.tau; instance; config; bc_events }
+    in
+    let* text = record_text_gen and* text' = record_text_gen in
+    let* floats = array_size (return 6) record_float_gen in
+    oneofl
+      [
+        Record.Load { origin; digest; wio = text };
+        Record.Plan
+          {
+            origin;
+            digest;
+            params;
+            plan = text;
+            bandwidth = floats.(0);
+            bandwidth_gb = floats.(1);
+            cost = floats.(2);
+            stage1_s = floats.(3);
+            stage2_s = floats.(4);
+            solve_s = floats.(5);
+          };
+        Record.Update { origin; digest; params; deltas = text; new_digest = text' };
+      ])
+
+(* Edits to an encoded record: drop, retype or duplicate a field (the
+   first of two duplicates is the one read), cut the line short, or
+   wrap it in a list. *)
+type record_edit =
+  | Drop of string
+  | Set of string * Json.t
+  | Dup of string * Json.t
+  | Truncate of int
+  | Wrap
+
+let record_keys =
+  [ "op"; "origin"; "digest"; "wio"; "tau"; "instance"; "config"; "bc"; "plan";
+    "bandwidth"; "bandwidth_gb"; "cost"; "stage1_s"; "stage2_s"; "solve_s";
+    "deltas"; "new_digest" ]
+
+let record_value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Json.String s)
+          (oneofl [ "nan"; "0x1p3"; "1_0"; "inf"; "-0"; ""; "abc"; "1e999"; " 1"; "0x";
+                    "load"; "plan"; "update"; "snapshot" ]);
+        map (fun n -> Json.Int n) (int_range (-3) 1000);
+        map (fun x -> Json.Float x) record_float_gen;
+        oneofl [ Json.Null; Json.Bool true; Json.List [ Json.Int 1 ]; Json.Obj [] ];
+      ])
+
+let record_edit_gen =
+  QCheck.Gen.(
+    let key = oneofl record_keys in
+    frequency
+      [
+        (3, map (fun k -> Drop k) key);
+        (4, map2 (fun k v -> Set (k, v)) key record_value_gen);
+        (1, map2 (fun k v -> Dup (k, v)) key record_value_gen);
+        (1, map (fun n -> Truncate n) nat);
+        (1, return Wrap);
+      ])
+
+let edit_record line edit =
+  let fields f =
+    match Json.parse line with
+    | Ok (Json.Obj fs) -> Json.to_string (Json.Obj (f fs))
+    | _ -> line
+  in
+  match edit with
+  | Drop k -> fields (List.filter (fun (k', _) -> k' <> k))
+  | Set (k, v) ->
+      fields (fun fs ->
+          if List.mem_assoc k fs then List.map (fun (k', v') -> (k', if k' = k then v else v')) fs
+          else fs @ [ (k, v) ])
+  | Dup (k, v) -> fields (fun fs -> (k, v) :: fs)
+  | Truncate n -> String.sub line 0 (n mod max 1 (String.length line))
+  | Wrap -> "[" ^ line ^ "]"
+
+let prop_record_codec_matches_oracle =
+  Helpers.qtest ~count:3000 "record codec = old encoders and decoder"
+    QCheck.(
+      make
+        ~print:(fun (r, edits) ->
+          Printf.sprintf "%s\nedited: %s" (Record.to_string r)
+            (List.fold_left edit_record (Record.to_string r) edits))
+        Gen.(pair record_gen (list_size (int_bound 3) record_edit_gen)))
+    (fun (r, edits) ->
+      let line = Record.to_string r in
+      let edited = List.fold_left edit_record line edits in
+      (match Record_oracle.encode r with None -> true | Some old -> old = line)
+      && record_fields (Record.of_string line) = record_fields (Some r)
+      && record_fields (Record.of_string edited)
+         = record_fields (Record_oracle.decode edited))
 
 (* WAL cost of one 10-delta update at a trace scale: (records, bytes). *)
 let update_wal_cost scale =
@@ -1030,6 +1166,7 @@ let suite =
     Alcotest.test_case "update: resident engine = of_plan path, branches, rejects"
       `Quick test_update_resident_engine;
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
+    prop_record_codec_matches_oracle;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
     Alcotest.test_case "parallel config = (e) +cost-decision" `Quick test_parallel_config;
     Alcotest.test_case "parallel and (e) +cost-decision share one cache entry" `Quick

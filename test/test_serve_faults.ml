@@ -225,22 +225,91 @@ let test_service_snapshot_restart () =
       check_int "no re-solving after restart" 0 (Service.solver_runs svc2);
       Service.close svc2)
 
-let test_journal_tolerates_garbage_records () =
+(* Replay counts of a fresh service over a journal holding [payloads]:
+   (workloads, plans, updates, skipped). *)
+let replay_counts payloads =
   with_dir (fun dir ->
-      (* A valid frame whose payload is not a service op must be skipped
-         on replay, not crash the boot. *)
-      let config = Journal.default_config ~dir in
-      let j, _ = Journal.open_ config in
-      Journal.append j "not json at all";
-      Journal.append j {|{"op":"plan","digest":"feedface","plan":"x"}|};
+      let j, _ = Journal.open_ (Journal.default_config ~dir) in
+      List.iter (Journal.append j) payloads;
       Journal.close j;
       let svc = Service.create ~config:(journaled_config dir) () in
-      match Service.replay_stats svc with
-      | None -> Alcotest.fail "no replay stats"
-      | Some r ->
-          check_int "both records skipped" 2 r.Service.records_skipped;
-          check_int "nothing recovered" 0 r.Service.plans_recovered;
-          Service.close svc)
+      Fun.protect
+        ~finally:(fun () -> Service.close svc)
+        (fun () ->
+          match Service.replay_stats svc with
+          | None -> Alcotest.fail "no replay stats"
+          | Some r ->
+              ( r.Service.workloads_recovered,
+                r.Service.plans_recovered,
+                r.Service.updates_replayed,
+                r.Service.records_skipped )))
+
+let test_journal_tolerates_garbage_records () =
+  (* A real load, plan and update, as a live service journals them. *)
+  let load, plan, update =
+    with_dir (fun dir ->
+        let svc = Service.create ~config:(journaled_config dir) () in
+        let digest = Service.load_workload svc (test_workload ()) in
+        let request fields =
+          Json.to_string
+            (Json.Obj
+               ((("digest", Json.String digest) :: ("tau", Json.Int 12) :: fields)))
+        in
+        ignore
+          (ok_reply "solve"
+             (Service.handle_line svc (request [ ("req", Json.String "solve") ])));
+        ignore
+          (ok_reply "update"
+             (Service.handle_line svc
+                (request
+                   [
+                     ("req", Json.String "update");
+                     ("deltas", Json.String "mcss-deltas 1\nrate 0 25\n");
+                   ])));
+        Service.close svc;
+        let j, replay = Journal.open_ (Journal.default_config ~dir) in
+        Journal.close j;
+        match List.map snd replay.Journal.records with
+        | [ load; plan; update ] -> (load, plan, update)
+        | rs -> Alcotest.failf "wanted load, plan, update; journal holds %d records" (List.length rs))
+  in
+  let edit payload f =
+    match Json.parse payload with
+    | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
+    | _ -> Alcotest.failf "not a JSON object: %s" payload
+  in
+  let set key v = List.map (fun (k, v') -> (k, if k = key then v else v')) in
+  let drop key = List.filter (fun (k, _) -> k <> key) in
+  let feedface = Json.String "feedface" in
+  let valid = [ load; plan ] in
+  check_bool "the valid journal replays whole" true
+    (replay_counts (valid @ [ update ]) = (1, 1, 1, 0));
+  (* A valid frame whose payload is not a service op, one record per
+     reason replay skips a record: each is skipped on replay, counted
+     once, and recovers nothing, without crashing the boot. *)
+  let garbage =
+    [
+      ("not JSON", "not json at all");
+      ("unknown op", edit load (set "op" (Json.String "snapshot")));
+      ("load: wio does not hash to its digest", edit load (set "digest" feedface));
+      ("load: unparseable wio", edit load (set "wio" (Json.String "not a workload")));
+      ("plan: unknown workload", edit plan (set "digest" feedface));
+      ("plan: no tau", edit plan (drop "tau"));
+      ("plan: text fails Plan_io", edit plan (set "plan" (Json.String "x")));
+      ("update: no base plan", edit update (set "tau" (Json.String "13")));
+      ("update: replay lands on another digest", edit update (set "new_digest" feedface));
+    ]
+  in
+  List.iter
+    (fun (reason, payload) ->
+      let w, p, u, skipped = replay_counts (valid @ [ payload ]) in
+      check_int (reason ^ ": skipped once") 1 skipped;
+      check_int (reason ^ ": only the valid workload") 1 w;
+      check_int (reason ^ ": only the valid plan") 1 p;
+      check_int (reason ^ ": no update") 0 u)
+    garbage;
+  check_bool "all of them, in one journal" true
+    (replay_counts (valid @ List.map snd garbage) = (1, 1, 0, List.length garbage))
 
 (* ----- circuit breaker (fake clock, no sleeping) ----- *)
 
