@@ -754,9 +754,6 @@ let ablate_budget ~w ~scale =
 let latency ~seeds ~w ~scale =
   section_header "latency" "delivery latency through the broker fleet (message-level)";
   let module Fleet = Mcss_broker.Fleet in
-  let fleet_config =
-    { Fleet.default_config with Fleet.latency_seed = seeds.fleet }
-  in
   let model = Cost_model.ec2_2014 () in
   let table =
     Table.create
@@ -783,7 +780,7 @@ let latency ~seeds ~w ~scale =
           ~workload:w ~tau:100. model
       in
       let fleet = Fleet.build p' r.Solver.allocation ~message_bytes:200 in
-      let report = Fleet.run fleet fleet_config in
+      let report = Fleet.run fleet ~latency_seed:seeds.fleet in
       match report.Fleet.latency with
       | None -> ()
       | Some l ->

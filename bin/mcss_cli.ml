@@ -475,7 +475,6 @@ let simulate_cmd =
     let config =
       {
         Simulator.duration;
-        buckets = 20;
         arrivals =
           (match poisson with
           | Some s -> Simulator.Poisson s
@@ -878,7 +877,6 @@ let chaos_cmd =
     let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     let policy =
       {
-        Orchestrator.default_policy with
         Orchestrator.epochs;
         epoch_duration;
         hysteresis;
@@ -1153,7 +1151,7 @@ let profile_cmd =
               let fleet =
                 Mcss_broker.Fleet.build p r.Solver.allocation ~message_bytes
               in
-              ignore (Mcss_broker.Fleet.run ~obs fleet Mcss_broker.Fleet.default_config)
+              ignore (Mcss_broker.Fleet.run ~obs fleet ~latency_seed:1)
             end)
       with
       | () -> Ok ()
@@ -1260,30 +1258,6 @@ let serve_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "silent" ] ~doc:"No lifecycle logging.")
   in
-  let chaos_hysteresis_arg =
-    Arg.(value & opt int Orchestrator.default_policy.Orchestrator.hysteresis
-         & info [ "chaos-hysteresis" ] ~docv:"N"
-             ~doc:"For $(b,chaos) requests: consecutive dead epochs before a \
-                   VM is declared failed.")
-  in
-  let chaos_backoff_base_arg =
-    Arg.(value & opt int Orchestrator.default_policy.Orchestrator.base_backoff
-         & info [ "chaos-backoff-base" ] ~docv:"N"
-             ~doc:"For $(b,chaos) requests: epochs of cooldown after the \
-                   first failed repair.")
-  in
-  let chaos_backoff_max_arg =
-    Arg.(value & opt int Orchestrator.default_policy.Orchestrator.max_backoff
-         & info [ "chaos-backoff-max" ] ~docv:"N"
-             ~doc:"For $(b,chaos) requests: cap on the exponential repair \
-                   cooldown, in epochs.")
-  in
-  let chaos_backoff_jitter_arg =
-    Arg.(value & opt int Orchestrator.default_policy.Orchestrator.jitter
-         & info [ "chaos-backoff-jitter" ] ~docv:"N"
-             ~doc:"For $(b,chaos) requests: max extra cooldown epochs drawn \
-                   from the seeded RNG.")
-  in
   let replicate_on_arg =
     Arg.(value & opt (some string) None & info [ "replicate-on" ] ~docv:"ADDR"
            ~doc:"Also stream the journal to followers on $(docv) (needs \
@@ -1321,26 +1295,9 @@ let serve_cmd =
   in
   let run () listen cache_size max_in_flight workers max_request_bytes
       default_deadline preloads journal snapshot_every no_fsync breaker_failures
-      breaker_cooldown queue_depth start_degraded chaos_hysteresis
-      chaos_backoff_base chaos_backoff_max chaos_backoff_jitter replicate_on
-      follow name quorum_acks quorum_timeout quiet =
+      breaker_cooldown queue_depth start_degraded replicate_on follow name
+      quorum_acks quorum_timeout quiet =
     let* address = Serve_server.address_of_string listen in
-    let* () =
-      if chaos_hysteresis >= 1 then Ok ()
-      else Error "--chaos-hysteresis must be >= 1"
-    in
-    let* () =
-      if chaos_backoff_base >= 1 then Ok ()
-      else Error "--chaos-backoff-base must be >= 1"
-    in
-    let* () =
-      if chaos_backoff_max >= chaos_backoff_base then Ok ()
-      else Error "--chaos-backoff-max must be >= --chaos-backoff-base"
-    in
-    let* () =
-      if chaos_backoff_jitter >= 0 then Ok ()
-      else Error "--chaos-backoff-jitter must be >= 0"
-    in
     let* () = if cache_size >= 1 then Ok () else Error "--cache-size must be >= 1" in
     let* () =
       if max_in_flight >= 1 then Ok () else Error "--max-in-flight must be >= 1"
@@ -1408,14 +1365,6 @@ let serve_cmd =
           {
             Serve_breaker.failure_threshold = breaker_failures;
             cooldown_ms = breaker_cooldown;
-          };
-        chaos_policy =
-          {
-            Orchestrator.default_policy with
-            Orchestrator.hysteresis = chaos_hysteresis;
-            base_backoff = chaos_backoff_base;
-            max_backoff = chaos_backoff_max;
-            jitter = chaos_backoff_jitter;
           };
       }
     in
@@ -1539,9 +1488,8 @@ let serve_cmd =
         $ workers_arg $ max_request_bytes_arg $ default_deadline_arg $ preload_arg
         $ journal_arg $ snapshot_every_arg $ no_fsync_arg $ breaker_failures_arg
         $ breaker_cooldown_arg $ queue_depth_arg $ start_degraded_arg
-        $ chaos_hysteresis_arg $ chaos_backoff_base_arg $ chaos_backoff_max_arg
-        $ chaos_backoff_jitter_arg $ replicate_on_arg $ follow_arg $ name_arg
-        $ quorum_acks_arg $ quorum_timeout_arg $ quiet_arg))
+        $ replicate_on_arg $ follow_arg $ name_arg $ quorum_acks_arg
+        $ quorum_timeout_arg $ quiet_arg))
 
 (* ----- route ----- *)
 

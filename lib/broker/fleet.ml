@@ -3,7 +3,6 @@ module Stats = Mcss_workload.Stats
 module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation
 module Rng = Mcss_prng.Rng
-module Dist = Mcss_prng.Dist
 module Registry = Mcss_obs.Registry
 module Span = Mcss_obs.Span
 module Counter = Mcss_obs.Metric.Counter
@@ -15,18 +14,6 @@ type t = {
   routing : int list array;  (* topic -> broker ids, ascending *)
   message_bytes : int;
 }
-
-type arrivals = Deterministic | Poisson of int
-
-type config = {
-  duration : float;
-  arrivals : arrivals;
-  latency_reservoir : int;
-  latency_seed : int;
-}
-
-let default_config =
-  { duration = 1.0; arrivals = Deterministic; latency_reservoir = 10_000; latency_seed = 1 }
 
 type latency_summary = {
   samples : int;
@@ -76,46 +63,27 @@ let num_brokers fleet = Array.length fleet.brokers
 
 let brokers_for_topic fleet topic = fleet.routing.(topic)
 
-let schedule_events w ~arrivals ~duration =
+let schedule_events w ~duration =
   let times : float Mcss_core.Vec.t = Mcss_core.Vec.create () in
   let topics : int Mcss_core.Vec.t = Mcss_core.Vec.create () in
-  let emit time topic =
-    Mcss_core.Vec.push times time;
-    Mcss_core.Vec.push topics topic
-  in
-  (match arrivals with
-  | Deterministic ->
-      for t = 0 to Workload.num_topics w - 1 do
-        let ev = Workload.event_rate w t in
-        let n = int_of_float (Float.round (ev *. duration)) in
-        if n > 0 then begin
-          let interval = duration /. float_of_int n in
-          let phase = Mcss_sim.Simulator.phase_of_topic t *. interval in
-          for k = 0 to n - 1 do
-            emit (phase +. (float_of_int k *. interval)) t
-          done
-        end
+  for t = 0 to Workload.num_topics w - 1 do
+    let ev = Workload.event_rate w t in
+    let n = int_of_float (Float.round (ev *. duration)) in
+    if n > 0 then begin
+      let interval = duration /. float_of_int n in
+      let phase = Mcss_sim.Simulator.phase_of_topic t *. interval in
+      for k = 0 to n - 1 do
+        Mcss_core.Vec.push times (phase +. (float_of_int k *. interval));
+        Mcss_core.Vec.push topics t
       done
-  | Poisson seed ->
-      let rng = Rng.create seed in
-      for t = 0 to Workload.num_topics w - 1 do
-        let ev = Workload.event_rate w t in
-        let time = ref (Dist.exponential rng ~mean:(1. /. ev)) in
-        while !time < duration do
-          emit !time t;
-          time := !time +. Dist.exponential rng ~mean:(1. /. ev)
-        done
-      done);
+    end
+  done;
   let n = Mcss_core.Vec.length times in
   let order = Array.init n (fun i -> i) in
   let times = Mcss_core.Vec.to_array times in
   let topics = Mcss_core.Vec.to_array topics in
   Array.sort (fun a b -> compare (times.(a), topics.(a)) (times.(b), topics.(b))) order;
   Array.map (fun i -> (times.(i), topics.(i))) order
-
-let schedule fleet config =
-  schedule_events fleet.problem.Problem.workload ~arrivals:config.arrivals
-    ~duration:config.duration
 
 (* Bounded reservoir over delivery latencies so quantiles stay exact for
    small runs and statistically sound for big ones. The eviction draws
@@ -130,8 +98,8 @@ module Reservoir = struct
     mutable max_value : float;
   }
 
-  let create ~rng size =
-    { seen = 0; store = Array.make (max 1 size) 0.; rng; sum = 0.; max_value = 0. }
+  let create ~rng =
+    { seen = 0; store = Array.make 10_000 0.; rng; sum = 0.; max_value = 0. }
 
   let add r x =
     r.sum <- r.sum +. x;
@@ -162,15 +130,14 @@ module Reservoir = struct
     end
 end
 
-let run ?(obs = Registry.noop) fleet config =
-  if not (config.duration > 0.) then invalid_arg "Fleet.run: duration must be positive";
+let run ?(obs = Registry.noop) fleet ~latency_seed =
   Span.with_ obs ~name:"fleet" @@ fun () ->
   let w = fleet.problem.Problem.workload in
-  let events = Span.with_ obs ~name:"schedule" (fun () -> schedule fleet config) in
-  let received = Array.make (Workload.num_subscribers w) 0 in
-  let reservoir =
-    Reservoir.create ~rng:(Rng.create config.latency_seed) config.latency_reservoir
+  let events =
+    Span.with_ obs ~name:"schedule" (fun () -> schedule_events w ~duration:1.)
   in
+  let received = Array.make (Workload.num_subscribers w) 0 in
+  let reservoir = Reservoir.create ~rng:(Rng.create latency_seed) in
   let routed = ref 0 in
   let deliveries = ref 0 in
   Span.with_ obs ~name:"deliver" (fun () ->
@@ -193,7 +160,7 @@ let run ?(obs = Registry.noop) fleet config =
         events);
   let max_utilization =
     Array.fold_left
-      (fun acc broker -> Float.max acc (Broker.utilization broker ~horizon:config.duration))
+      (fun acc broker -> Float.max acc (Broker.utilization broker ~horizon:1.))
       0. fleet.brokers
   in
   let report =
@@ -232,7 +199,7 @@ let run ?(obs = Registry.noop) fleet config =
     Array.iter
       (fun b ->
         Mcss_obs.Metric.Histogram.observe util
-          (Broker.utilization b ~horizon:config.duration))
+          (Broker.utilization b ~horizon:1.))
       fleet.brokers;
     (match report.latency with
     | None -> ()

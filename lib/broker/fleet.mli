@@ -10,21 +10,6 @@
 
 type t
 
-type arrivals = Deterministic | Poisson of int
-
-type config = {
-  duration : float;  (** In horizons; positive. *)
-  arrivals : arrivals;
-  latency_reservoir : int;
-      (** Reservoir size for latency quantiles (default 10_000). *)
-  latency_seed : int;
-      (** Seed for the reservoir's eviction draws (default 1). Fixing it
-          makes latency quantiles bit-reproducible run to run; benches
-          derive it from [--trace-seed]. *)
-}
-
-val default_config : config
-
 type latency_summary = {
   samples : int;  (** Total deliveries measured (reservoir may be smaller). *)
   mean : float;
@@ -60,25 +45,24 @@ val brokers_for_topic : t -> Mcss_workload.Workload.topic -> int list
 (** The frontend's routing entry, ascending broker ids. *)
 
 val schedule_events :
-  Mcss_workload.Workload.t -> arrivals:arrivals -> duration:float ->
+  Mcss_workload.Workload.t -> duration:float ->
   (float * Mcss_workload.Workload.topic) array
-(** The publication schedule as (time, topic) pairs sorted by time: with
-    [Deterministic] arrivals, topic [t] publishes exactly
-    [round(ev_t · duration)] events, evenly spaced with the topic's
-    {!Mcss_sim.Simulator.phase_of_topic} — the same generator the
-    simulator counts with, so a
-    live dataplane pumping this schedule reconciles against the
-    simulator's predictions exactly. *)
+(** The publication schedule as (time, topic) pairs sorted by time:
+    topic [t] publishes exactly [round(ev_t · duration)] events, evenly
+    spaced with the topic's {!Mcss_sim.Simulator.phase_of_topic} — the
+    same generator the simulator counts with, so a live dataplane
+    pumping this schedule reconciles against the simulator's
+    predictions exactly. *)
 
-(** Bounded reservoir over latency samples: exact quantiles for small
-    runs, statistically sound for big ones. Eviction draws come from the
-    caller's seeded {!Mcss_prng.Rng}, so summaries are bit-reproducible
-    under a fixed seed. Shared by the in-process fleet and the live
-    dataplane's subscriber sinks. *)
+(** Bounded reservoir over latency samples (10 000 kept): exact
+    quantiles for small runs, statistically sound for big ones. Eviction
+    draws come from the caller's seeded {!Mcss_prng.Rng}, so summaries
+    are bit-reproducible under a fixed seed. Shared by the in-process
+    fleet and the live dataplane's subscriber sinks. *)
 module Reservoir : sig
   type t
 
-  val create : rng:Mcss_prng.Rng.t -> int -> t
+  val create : rng:Mcss_prng.Rng.t -> t
   val add : t -> float -> unit
 
   val kept : t -> float array
@@ -88,9 +72,11 @@ module Reservoir : sig
   (** [None] when no sample was added. *)
 end
 
-val run : ?obs:Mcss_obs.Registry.t -> t -> config -> report
-(** Generate the schedule (deterministically seeded), route every message
-    to the brokers hosting its topic, and collect the report. The fleet
+val run : ?obs:Mcss_obs.Registry.t -> t -> latency_seed:int -> report
+(** Generate one horizon of the schedule ({!schedule_events}), route
+    every message to the brokers hosting its topic, and collect the
+    report. [latency_seed] seeds the reservoir's eviction draws, so
+    latency quantiles are bit-reproducible run to run. The fleet
     is consumed: each [t] can be run once (broker queues are stateful);
     build a fresh fleet per run.
 

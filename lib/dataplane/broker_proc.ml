@@ -6,9 +6,12 @@ module Message = Mcss_broker.Message
 module Clock = Mcss_obs.Clock
 module Delivery = Mcss_report.Delivery
 
-type config = { max_sink_buffer : int; tick_s : float; log : string -> unit }
+(* Per-sink pending-bytes bound: past it, copies for that sink are
+   dropped and counted rather than buffered. *)
+let max_sink_buffer = 4 * 1024 * 1024
 
-let default_config = { max_sink_buffer = 4 * 1024 * 1024; tick_s = 0.05; log = ignore }
+(* Select timeout, so the kill flag is polled this often. *)
+let tick_s = 0.05
 
 type t = {
   vm : int;
@@ -80,7 +83,6 @@ exception Teardown of bool  (* graceful? *)
 
 type state = {
   core : Broker.t;
-  config : config;
   message_bytes : int;
   mutable conns : conn list;
   mutable draining : bool;
@@ -153,7 +155,7 @@ let handle_pub st ~vm ~now_s c j =
                       (fun sc ->
                         match sc.sink with
                         | Some filter when wants_sub filter sub ->
-                            if sc.out_bytes > st.config.max_sink_buffer then begin
+                            if sc.out_bytes > max_sink_buffer then begin
                               st.dropped_overflow <- st.dropped_overflow + 1;
                               incr dropped_batch;
                               took := true
@@ -286,14 +288,12 @@ let close_all listener st =
     st.conns;
   st.conns <- []
 
-let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~config ~kill_flag
-    listener =
+let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~kill_flag listener =
   let core = Broker.create ~id:vm ~bytes_per_horizon in
   List.iter (fun (topic, subscriber) -> Broker.subscribe core ~topic ~subscriber) pairs;
   let st =
     {
       core;
-      config;
       message_bytes;
       conns = [];
       draining = false;
@@ -310,7 +310,6 @@ let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~config ~kill_fl
   in
   let t0 = Clock.now_ns () in
   let now_s () = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) *. 1e-9 in
-  config.log (Printf.sprintf "broker %d: serving %s" vm (Server.address_to_string address));
   (try
      let stopping = ref false in
      let stop_deadline = ref 0. in
@@ -331,7 +330,7 @@ let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~config ~kill_fl
            st.conns
        in
        let readable, writable, _ =
-         try Unix.select reads writes [] config.tick_s
+         try Unix.select reads writes [] tick_s
          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
        in
        List.iter
@@ -375,26 +374,21 @@ let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~config ~kill_fl
          st.conns
      done
    with
-  | Teardown graceful ->
-      config.log
-        (Printf.sprintf "broker %d: %s" vm
-           (if graceful then "drained and stopped" else "killed"));
-      close_all listener st
+  | Teardown _ -> close_all listener st
   | exn ->
-      config.log (Printf.sprintf "broker %d: crashed: %s" vm (Printexc.to_string exn));
+      Printf.eprintf "broker %d: crashed: %s\n%!" vm (Printexc.to_string exn);
       close_all listener st);
   match address with
   | Server.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Server.Tcp _ -> ()
 
-let start ?(config = default_config) ~vm ~address ~pairs ~bytes_per_horizon
-    ~message_bytes () =
+let start ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes () =
   let listener = Server.bind_listener address ~backlog:64 in
   Unix.set_nonblock listener;
   let kill_flag = Atomic.make false in
   let domain =
     Domain.spawn (fun () ->
-        serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~config
-          ~kill_flag listener)
+        serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~kill_flag
+          listener)
   in
   { vm; address; kill_flag; domain }

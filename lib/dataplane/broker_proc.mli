@@ -14,8 +14,8 @@
       buffers (or counted as dropped);
     - {b sinks} send [attach] once and then receive delivery lines
       ({!Wire.delivery_line}). Sink writes are buffered and bounded:
-      when a sink's buffer exceeds [max_sink_buffer] further copies for
-      it are dropped and counted, never blocking the loop;
+      when a sink's buffer exceeds 4 MiB further copies for it are
+      dropped and counted, never blocking the loop;
     - {b control} peers speak {!Mcss_serve.Protocol}: [health],
       [drain], [rehome], [ledger], [shutdown] — plus the raw
       [{"req":"kill"}] line, which tears the broker down abruptly
@@ -23,20 +23,14 @@
 
     Planning verbs ([solve], [update], ...) are answered with
     [bad_request], mirroring how planning servers reject dataplane
-    verbs. *)
+    verbs.
 
-type config = {
-  max_sink_buffer : int;  (** Per-sink pending-bytes bound (default 4 MiB). *)
-  tick_s : float;  (** Select timeout: kill-flag poll period (default 0.05). *)
-  log : string -> unit;
-}
-
-val default_config : config
+    An exception that escapes the serving loop closes every socket and
+    is reported as one [broker N: crashed: ...] line on stderr. *)
 
 type t
 
 val start :
-  ?config:config ->
   vm:int ->
   address:Mcss_serve.Server.address ->
   pairs:(int * int) list ->
@@ -54,8 +48,8 @@ val vm : t -> int
 val address : t -> Mcss_serve.Server.address
 
 val kill : t -> unit
-(** Raise the kill flag: the domain tears down within one tick even if
-    no [kill] line can reach it. Idempotent. *)
+(** Raise the kill flag: the domain tears down within one select tick
+    (50 ms) even if no [kill] line can reach it. Idempotent. *)
 
 val join : t -> unit
 (** Wait for the domain to exit (after [shutdown], [kill], or

@@ -16,7 +16,6 @@ type t = {
   dir : string;
   message_bytes : int;
   bytes_per_horizon : float;
-  config : Broker_proc.config;
   lock : Mutex.t;
   mutable members : member list;
   mutable next_id : int;
@@ -55,7 +54,7 @@ let socket_path dir id = Filename.concat dir (Printf.sprintf "broker-%d.sock" id
 let spawn_member t id pairs_list =
   let addr = Server.Unix_socket (socket_path t.dir id) in
   let proc =
-    Broker_proc.start ~config:t.config ~vm:id ~address:addr ~pairs:pairs_list
+    Broker_proc.start ~vm:id ~address:addr ~pairs:pairs_list
       ~bytes_per_horizon:t.bytes_per_horizon ~message_bytes:t.message_bytes ()
   in
   let m =
@@ -71,7 +70,7 @@ let spawn_member t id pairs_list =
   List.iter (fun p -> mirror_add m p) pairs_list;
   m
 
-let boot ?(config = Broker_proc.default_config) ~dir ~message_bytes p a =
+let boot ~dir ~message_bytes p a =
   if message_bytes <= 0 then invalid_arg "Cluster.boot: message_bytes must be positive";
   let bytes_per_horizon = p.Problem.capacity *. float_of_int message_bytes in
   let t =
@@ -79,7 +78,6 @@ let boot ?(config = Broker_proc.default_config) ~dir ~message_bytes p a =
       dir;
       message_bytes;
       bytes_per_horizon;
-      config;
       lock = Mutex.create ();
       members = [];
       next_id = 0;
@@ -160,7 +158,6 @@ let attach ~manifest a =
       dir = Filename.dirname manifest;
       message_bytes = int "message_bytes";
       bytes_per_horizon = bph;
-      config = Broker_proc.default_config;
       lock = Mutex.create ();
       members = [];
       next_id = 0;

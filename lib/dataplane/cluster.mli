@@ -33,7 +33,6 @@ type apply_stats = {
 }
 
 val boot :
-  ?config:Broker_proc.config ->
   dir:string ->
   message_bytes:int ->
   Mcss_core.Problem.t ->

@@ -62,9 +62,7 @@ let run ?(config = default_config) ?sinks cluster p a =
       let before = ledgers_of cluster in
       let received0 = Subscriber.copies sinks in
       let t0 = Clock.now_ns () in
-      let schedule =
-        Fleet.schedule_events w ~arrivals:Fleet.Deterministic ~duration:config.duration
-      in
+      let schedule = Fleet.schedule_events w ~duration:config.duration in
       let publisher =
         Publisher.run ~batch:config.batch ~pace:config.pace cluster ~schedule
       in

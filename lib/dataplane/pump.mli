@@ -22,8 +22,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 horizon, deterministic, unpaced, batch 64, seed 1, no
-    reconciliation. *)
+(** 1 horizon, unpaced, batch 64, seed 1, no reconciliation. *)
 
 type report = {
   publisher : Publisher.stats;

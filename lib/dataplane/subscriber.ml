@@ -17,14 +17,14 @@ type t = {
   mutable closed : bool;
 }
 
-let create ~num_subscribers ?(reservoir = 10_000) ~latency_seed () =
+let create ~num_subscribers ~latency_seed () =
   {
     lock = Mutex.create ();
     seen = Hashtbl.create 65536;
     unique = Array.make num_subscribers 0;
     copies = 0;
     duplicates = 0;
-    reservoir = Fleet.Reservoir.create ~rng:(Rng.create latency_seed) reservoir;
+    reservoir = Fleet.Reservoir.create ~rng:(Rng.create latency_seed);
     sinks = [];
     closed = false;
   }

@@ -10,9 +10,7 @@ module Server := Mcss_serve.Server
 
 type t
 
-val create :
-  num_subscribers:int -> ?reservoir:int -> latency_seed:int -> unit -> t
-(** [reservoir] defaults to 10_000 samples. *)
+val create : num_subscribers:int -> latency_seed:int -> unit -> t
 
 val attach : t -> vm:int -> Server.address -> (unit, string) result
 (** Connect to the broker, attach as a sink for all subscribers, and

@@ -13,8 +13,6 @@ module Counter = Mcss_obs.Metric.Counter
 type policy = {
   epochs : int;
   epoch_duration : float;
-  epoch_hours : float;
-  tolerance : float;
   hysteresis : int;
   base_backoff : int;
   max_backoff : int;
@@ -29,8 +27,6 @@ let default_policy =
   {
     epochs = 8;
     epoch_duration = 0.5;
-    epoch_hours = 1.0;
-    tolerance = 0.;
     hysteresis = 1;
     base_backoff = 1;
     max_backoff = 8;
@@ -40,6 +36,9 @@ let default_policy =
     max_new_vms = max_int;
     penalty_usd_per_violation_hour = 50.;
   }
+
+(* One epoch is billed as one wall-clock hour. *)
+let epoch_hours = 1.0
 
 type outcome = {
   plan : Engine.plan;
@@ -66,8 +65,6 @@ let check_policy policy =
   if policy.epochs < 1 then invalid_arg "Orchestrator: epochs must be >= 1";
   if not (policy.epoch_duration > 0.) then
     invalid_arg "Orchestrator: epoch_duration must be positive";
-  if not (policy.epoch_hours > 0.) then
-    invalid_arg "Orchestrator: epoch_hours must be positive";
   if policy.hysteresis < 1 then invalid_arg "Orchestrator: hysteresis must be >= 1"
 
 (* Active outages live in absolute campaign time; each epoch sees the
@@ -213,7 +210,7 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
     let result =
       Simulator.run ~obs p a { Simulator.default_config with duration = d; outages }
     in
-    let chk = Simulator.check p a result ~tolerance:policy.tolerance in
+    let chk = Simulator.check p a result ~tolerance:0. in
     let violations = List.length chk.Simulator.unsatisfied in
     let delivered = sum result.Simulator.delivered in
     let lost = sum result.Simulator.lost in
@@ -323,7 +320,7 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
     Sla.record sla
       {
         Sla.index = e;
-        hours = policy.epoch_hours;
+        hours = epoch_hours;
         violations;
         subscribers = num_subs;
         delivered;
@@ -401,11 +398,11 @@ let evaluate ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1) ~cam
     let result =
       Simulator.run ~obs p a { Simulator.default_config with duration = d; outages }
     in
-    let chk = Simulator.check p a result ~tolerance:policy.tolerance in
+    let chk = Simulator.check p a result ~tolerance:0. in
     Sla.record sla
       {
         Sla.index = e;
-        hours = policy.epoch_hours;
+        hours = epoch_hours;
         violations = List.length chk.Simulator.unsatisfied;
         subscribers = num_subs;
         delivered = sum result.Simulator.delivered;

@@ -6,7 +6,8 @@
     operator would — from measurements, not from the campaign script:
 
     + {e τ-violations}: subscribers whose measured delivery missed the
-      scaled threshold ({!Mcss_sim.Simulator.check});
+      scaled threshold ({!Mcss_sim.Simulator.check} at zero tolerance:
+      the simulated arrivals are deterministic);
     + {e dead VMs}: VMs with analytical load but zero measured traffic
       across the whole epoch (a mid-epoch crash is only caught one epoch
       later, and a short zone burst never looks dead — it recovers by
@@ -34,8 +35,6 @@
 type policy = {
   epochs : int;  (** How many epochs to supervise. *)
   epoch_duration : float;  (** Simulated horizons per epoch. *)
-  epoch_hours : float;  (** Wall-clock hours one epoch represents. *)
-  tolerance : float;  (** Measurement slack for {!Mcss_sim.Simulator.check}. *)
   hysteresis : int;
       (** Consecutive dead epochs before a VM is declared failed. *)
   base_backoff : int;  (** Epochs of cooldown after the first failed repair. *)
@@ -49,9 +48,10 @@ type policy = {
 }
 
 val default_policy : policy
-(** 8 epochs of 0.5 horizons / 1 h each, tolerance 0, hysteresis 1,
+(** 8 epochs of 0.5 horizons, hysteresis 1,
     backoff 1 → 8 with jitter 1, seed 42, recovery on, unlimited budget,
-    $50 per violation-hour. *)
+    $50 per violation-hour. Every epoch is billed to the SLA ledger as
+    one wall-clock hour. *)
 
 type outcome = {
   plan : Mcss_engine.Engine.plan;  (** The plan after the drill. *)

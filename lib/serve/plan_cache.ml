@@ -51,17 +51,20 @@ let push_front c n =
   (match c.head with Some h -> h.prev <- Some n | None -> c.tail <- Some n);
   c.head <- Some n
 
-let find c key =
+let lookup c key ~count =
   locked c (fun () ->
       match Hashtbl.find_opt c.table key with
       | Some n ->
-          c.hits <- c.hits + 1;
+          if count then c.hits <- c.hits + 1;
           unlink c n;
           push_front c n;
           Some n.value
       | None ->
-          c.misses <- c.misses + 1;
+          if count then c.misses <- c.misses + 1;
           None)
+
+let find c key = lookup c key ~count:true
+let promote c key = lookup c key ~count:false
 
 let add c key value =
   locked c (fun () ->

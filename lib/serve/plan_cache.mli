@@ -21,6 +21,11 @@ val capacity : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Look up and promote; counts one hit or one miss. *)
 
+val promote : 'a t -> string -> 'a option
+(** [find] without counting: the recency list moves exactly as under
+    [find], the hit and miss counters do not. Journal replay looks its
+    bases up with this, so the counters measure client traffic only. *)
+
 val add : 'a t -> string -> 'a -> unit
 (** Insert or replace (replacement promotes and does not evict);
     eviction of the LRU entry is counted. *)

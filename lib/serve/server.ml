@@ -29,7 +29,6 @@ type config = {
   workers : int;
   queue_depth : int option;
   max_request_bytes : int;
-  backlog : int;
   accept_tick_s : float;
   log : string -> unit;
 }
@@ -39,7 +38,6 @@ let default_config =
     workers = 4;
     queue_depth = None;
     max_request_bytes = 8 * 1024 * 1024;
-    backlog = 64;
     accept_tick_s = 0.2;
     log = ignore;
   }
@@ -180,7 +178,7 @@ let run_handler ?(config = default_config) ?obs ?(name = "mcss serve") ~draining
   | _ -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ());
   let obs = match obs with Some r -> r | None -> Mcss_obs.Registry.noop in
-  let listener = bind_listener address ~backlog:config.backlog in
+  let listener = bind_listener address ~backlog:64 in
   let pool = Pool.start ?queue_depth:config.queue_depth ~workers:(max 1 config.workers) () in
   config.log
     (Printf.sprintf "%s: listening on %s (%d workers)" name

@@ -26,7 +26,6 @@ type config = {
           connections are shed with an [overloaded] reply (default
           [4 * workers]). *)
   max_request_bytes : int;  (** Request-line size limit (default 8 MiB). *)
-  backlog : int;  (** [listen] backlog (default 64). *)
   accept_tick_s : float;
       (** How often the accept loop re-checks the drain flag (default 0.2 s). *)
   log : string -> unit;  (** One line per lifecycle event. *)
@@ -36,9 +35,10 @@ val default_config : config
 (** Logging disabled. *)
 
 val run : ?config:config -> Service.t -> address -> unit
-(** Bind, serve until the service starts draining, drain, clean up
-    (including unlinking a Unix-socket path) and return. Raises
-    [Unix.Unix_error] when the address cannot be bound. *)
+(** Bind (with a [listen] backlog of 64), serve until the service
+    starts draining, drain, clean up (including unlinking a Unix-socket
+    path) and return. Raises [Unix.Unix_error] when the address cannot
+    be bound. *)
 
 val run_handler :
   ?config:config ->

@@ -24,7 +24,6 @@ type config = {
   default_deadline_ms : float option;
   journal : Journal.config option;
   breaker : Breaker.config;
-  chaos_policy : Orchestrator.policy;
   name : string;
   quorum_acks : int;
   quorum_timeout_ms : float;
@@ -37,7 +36,6 @@ let default_config =
     default_deadline_ms = None;
     journal = None;
     breaker = Breaker.default_config;
-    chaos_policy = Orchestrator.default_policy;
     name = "node";
     quorum_acks = 1;
     quorum_timeout_ms = 2000.;
@@ -286,9 +284,11 @@ let plan_record t ({ digest; params; plan } : entry) =
 (* ----- the incremental engine behind [update] ----- *)
 
 (* The plan entry an update starts from: the live cache, or the
-   never-evicted fallback when it was solved under the same params. *)
-let base_entry t ~key ~digest =
-  match Plan_cache.find t.cache key with
+   never-evicted fallback when it was solved under the same params.
+   [lookup] is [Plan_cache.find] for a client's update and
+   [Plan_cache.promote] for a replayed one, which is not cache traffic. *)
+let base_entry t ~lookup ~key ~digest =
+  match lookup t.cache key with
   | Some e -> Some e
   | None -> (
       match locked t (fun () -> Hashtbl.find_opt t.fallback digest) with
@@ -363,7 +363,9 @@ let entry_of_engine ~model ~digest ~(params : Protocol.solve_params)
    when the record no longer replays (base plan missing, deltas
    malformed, infeasible, ...). *)
 let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
-  match base_entry t ~key:(cache_key digest params) ~digest with
+  match
+    base_entry t ~lookup:Plan_cache.promote ~key:(cache_key digest params) ~digest
+  with
   | None -> None
   | Some e -> (
       try
@@ -1119,7 +1121,7 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
     ~deltas ~ds =
   let key = cache_key digest params in
   let base =
-    match base_entry t ~key ~digest with
+    match base_entry t ~lookup:Plan_cache.find ~key ~digest with
     | Some e -> Ok e
     | None -> (
         match obtain_plan t ~digest ~w ~params ~deadline with
@@ -1301,13 +1303,7 @@ let handle_chaos t ~id ~deadline ~digest ~params ~seed ~epochs ~zones ~faults =
               match problem_for w params with
               | Error e -> reply_of_error ~id e
               | Ok (_model, p) -> (
-                  let policy =
-                    {
-                      t.config.chaos_policy with
-                      Orchestrator.epochs;
-                      seed;
-                    }
-                  in
+                  let policy = { Orchestrator.default_policy with Orchestrator.epochs } in
                   (* Passive drill against the cached allocation: other
                      connections keep being served by the other workers
                      while this one spins the simulator. *)

@@ -74,12 +74,6 @@ type config = {
       (** Where to persist state; [None] (default) serves from memory
           only. *)
   breaker : Breaker.config;  (** Solver circuit breaker thresholds. *)
-  chaos_policy : Mcss_resilience.Orchestrator.policy;
-      (** Baseline supervision policy for [chaos] drill requests —
-          failure-detection hysteresis and repair backoff (base, cap,
-          jitter) come from here; the request's own [epochs] and [seed]
-          always override those two fields. Default
-          {!Mcss_resilience.Orchestrator.default_policy}. *)
   name : string;
       (** This node's name, stamped as ["origin"] into every journal op
           it accepts as leader (default ["node"]). Replication preserves

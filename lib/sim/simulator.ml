@@ -20,15 +20,12 @@ type outage = { vm : int; from_time : float; until_time : float; severity : floa
 let outage ?(severity = 1.) ~vm ~from_time ~until_time () =
   { vm; from_time; until_time; severity }
 
-type config = {
-  duration : float;
-  buckets : int;
-  arrivals : arrivals;
-  outages : outage list;
-}
+type config = { duration : float; arrivals : arrivals; outages : outage list }
 
-let default_config =
-  { duration = 1.0; buckets = 20; arrivals = Deterministic; outages = [] }
+let default_config = { duration = 1.0; arrivals = Deterministic; outages = [] }
+
+(* Per-VM bandwidth metering buckets across the window. *)
+let buckets = 20
 
 type result = {
   events_published : int;
@@ -41,7 +38,7 @@ type result = {
   config : config;
 }
 
-let peak_bucket_rate_raw ~duration ~buckets loads =
+let peak_bucket_rate_raw ~duration loads =
   let bucket_len = duration /. float_of_int buckets in
   Array.fold_left Float.max 0. loads /. bucket_len
 
@@ -55,7 +52,6 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
   Span.with_ obs ~name:"simulate" @@ fun () ->
   Time_window.validate_positive ~context:"Simulator.run" ~what:"duration"
     config.duration;
-  if config.buckets < 1 then invalid_arg "Simulator.run: buckets must be >= 1";
   (match config.arrivals with
   | Diurnal { amplitude; _ } when amplitude < 0. || amplitude >= 1. ->
       invalid_arg "Simulator.run: diurnal amplitude must be in [0, 1)"
@@ -84,7 +80,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
     (Allocation.vms a);
   let vm_ingress = Array.make num_vms 0 in
   let vm_egress = Array.make num_vms 0 in
-  let vm_bucket_load = Array.make_matrix num_vms config.buckets 0. in
+  let vm_bucket_load = Array.make_matrix num_vms buckets 0. in
   (* Outage windows per VM. A full-severity window takes the VM out
      entirely; a throttled window (severity < 1) makes it drop exactly
      that fraction of the events it would have processed, by systematic
@@ -127,7 +123,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
   let pubs = Array.make (Workload.num_topics w) 0 in
   let events_published = ref 0 in
   let bucket_of time =
-    min (config.buckets - 1) (int_of_float (time /. config.duration *. float_of_int config.buckets))
+    min (buckets - 1) (int_of_float (time /. config.duration *. float_of_int buckets))
   in
   let publish time t =
     pubs.(t) <- pubs.(t) + 1;
@@ -302,8 +298,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
       Mcss_obs.Metric.Histogram.observe traffic
         (float_of_int (vm_ingress.(vm) + vm_egress.(vm)));
       Mcss_obs.Metric.Histogram.observe util
-        (peak_bucket_rate_raw ~duration:config.duration ~buckets:config.buckets
-           vm_bucket_load.(vm)
+        (peak_bucket_rate_raw ~duration:config.duration vm_bucket_load.(vm)
         /. p.Problem.capacity)
     done
   end;
@@ -312,8 +307,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
 let total_vm_traffic r ~vm = r.vm_ingress.(vm) + r.vm_egress.(vm)
 
 let peak_bucket_rate r ~vm =
-  let bucket_len = r.config.duration /. float_of_int r.config.buckets in
-  Array.fold_left Float.max 0. r.vm_bucket_load.(vm) /. bucket_len
+  peak_bucket_rate_raw ~duration:r.config.duration r.vm_bucket_load.(vm)
 
 type check = {
   unsatisfied : (int * int * float) list;

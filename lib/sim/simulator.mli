@@ -48,13 +48,12 @@ val outage :
 
 type config = {
   duration : float;  (** Window length in horizons; must be positive. *)
-  buckets : int;  (** Per-VM bandwidth metering buckets; must be >= 1. *)
   arrivals : arrivals;
   outages : outage list;  (** Empty for a healthy run. *)
 }
 
 val default_config : config
-(** One horizon, 20 buckets, deterministic arrivals, no outages. *)
+(** One horizon, deterministic arrivals, no outages. *)
 
 type result = {
   events_published : int;
@@ -64,7 +63,7 @@ type result = {
   lost : int array;  (** Events lost to outages, per subscriber. *)
   vm_bucket_load : float array array;
       (** [vm_bucket_load.(b).(k)]: events (in + out) moved by VM [b]
-          during bucket [k]. *)
+          during bucket [k], one of 20 equal slices of the window. *)
   totals : Mcss_report.Delivery.totals;
       (** The shared accounting schema: [published] events,
           [handoffs = Σ vm_ingress], [delivered = Σ delivered],

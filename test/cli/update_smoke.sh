@@ -10,7 +10,8 @@
 #   3. kill -9 the server; `mcss journal --verify` must count six WAL
 #      records (load, plan, four updates). Restart it over the same
 #      journal; the `stats` reply's `replay` object must count exactly
-#      1 workload, 1 plan, 4 updates and 0 skipped records. Assert the
+#      1 workload, 1 plan, 4 updates and 0 skipped records, and its
+#      plan-cache counters must read 0 hits and 0 misses. Assert the
 #      replayed updates reproduce every post-update plan bit-for-bit:
 #      solving at each evolved digest is a cache hit with the same
 #      plan_digest the live update reported.
@@ -161,6 +162,10 @@ for WANT in '"workloads_recovered":1' '"plans_recovered":1' \
   '"updates_replayed":4' '"records_skipped":0'; do
   echo "$REPLAY" | grep -q "$WANT[,}]" || fail "replay stats: wanted $WANT: $REPLAY"
 done
+# Replaying the updates looked their bases up in the plan cache, but
+# that is not client traffic: no hit and no miss before the first solve.
+echo "$STATS" | grep -q '"hits":0,"misses":0' \
+  || fail "replay counted as plan-cache traffic: $STATS"
 for SERVED in "$DIGEST2 $PLAN2" "$CHAIN2" "$CHAIN3" "$BRANCH"; do
   D=${SERVED%% *} P=${SERVED#* }
   SOLVE2=$("$MCSS" query -c "unix:$SOCK" solve --digest "$D" --tau 50) \

@@ -81,7 +81,7 @@ let solved_fig1 () =
 let test_fleet_matches_simulator_counts () =
   let p, r = solved_fig1 () in
   let fleet = Fleet.build p r.Solver.allocation ~message_bytes:1 in
-  let report = Fleet.run fleet Fleet.default_config in
+  let report = Fleet.run fleet ~latency_seed:1 in
   (* Same schedule as the counting simulator (30 publications/horizon). *)
   Helpers.check_int "published" 30 report.Fleet.published;
   Alcotest.(check (array int)) "received like the simulator" [| 30; 30; 10 |]
@@ -121,7 +121,7 @@ let test_fleet_latency_reflects_utilization () =
         Problem.unit_costs
     in
     let fleet = Fleet.build p' r.Solver.allocation ~message_bytes:1 in
-    Fleet.run fleet Fleet.default_config
+    Fleet.run fleet ~latency_seed:1
   in
   let fast = report_at ~capacity:500. in
   let slow = report_at ~capacity:50. in
@@ -131,14 +131,6 @@ let test_fleet_latency_reflects_utilization () =
       Helpers.check_bool "utilization higher too" true
         (slow.Fleet.max_utilization > fast.Fleet.max_utilization)
   | _ -> Alcotest.fail "expected latency summaries"
-
-let test_fleet_poisson_reproducible () =
-  let p, r = solved_fig1 () in
-  let config = { Fleet.default_config with Fleet.arrivals = Fleet.Poisson 5 } in
-  let run () = Fleet.run (Fleet.build p r.Solver.allocation ~message_bytes:1) config in
-  let a = run () and b = run () in
-  Helpers.check_int "same published" a.Fleet.published b.Fleet.published;
-  Alcotest.(check (array int)) "same received" a.Fleet.received b.Fleet.received
 
 let test_md1_formulas () =
   let module Q = Mcss_broker.Queueing in
@@ -155,39 +147,42 @@ let test_broker_latency_matches_md1 () =
      an M/D/1 queue. ev = 4000 events/horizon; each message costs
      2 event-units of wire, BC = 16000 -> rho = 0.5,
      s = 2/16000 = 1.25e-4 horizons; theory says mean sojourn
-     = s * (1 + rho/(2(1-rho))) = 1.875e-4. *)
+     = s * (1 + rho/(2(1-rho))) = 1.875e-4. The seeded exponential
+     schedule is built here and fed to the broker directly; the mean
+     is taken over every delivery. *)
   let module Q = Mcss_broker.Queueing in
-  let w = Helpers.workload ~rates:[ 4000. ] ~interests:[ [ 0 ] ] in
-  let p =
-    Mcss_core.Problem.create ~workload:w ~tau:4000. ~capacity:16000.
-      Mcss_core.Problem.unit_costs
-  in
-  let r = Solver.solve p in
-  let fleet = Fleet.build p r.Solver.allocation ~message_bytes:1 in
-  let config =
-    { Fleet.default_config with Fleet.arrivals = Fleet.Poisson 123;
-      latency_reservoir = 100_000 }
-  in
-  let report = Fleet.run fleet config in
-  match report.Fleet.latency with
-  | None -> Alcotest.fail "no latency measured"
-  | Some l ->
-      let service_time = 2. /. 16000. in
-      let predicted = Q.md1_mean_sojourn ~utilization:0.5 ~service_time in
-      let err = Float.abs (l.Fleet.mean -. predicted) /. predicted in
-      if err > 0.15 then
-        Alcotest.failf "measured mean %.3e vs M/D/1 %.3e (%.0f%% off)" l.Fleet.mean
-          predicted (100. *. err);
-      (* And safely below the M/M/1 envelope's tail behaviour. *)
-      Helpers.check_bool "below the M/M/1 envelope" true
-        (l.Fleet.mean < Q.mm1_mean_sojourn ~utilization:0.5 ~service_time *. 1.15)
+  let broker = Broker.create ~id:0 ~bytes_per_horizon:16000. in
+  Broker.subscribe broker ~topic:0 ~subscriber:0;
+  let rng = Mcss_prng.Rng.create 123 in
+  let gap () = Mcss_prng.Dist.exponential rng ~mean:(1. /. 4000.) in
+  let sum = ref 0. and n = ref 0 in
+  let time = ref (gap ()) in
+  while !time < 1. do
+    List.iter
+      (fun d ->
+        sum := !sum +. (d.Broker.depart_time -. !time);
+        incr n)
+      (Broker.ingest broker (msg ~size:1 !n 0 !time));
+    time := !time +. gap ()
+  done;
+  Helpers.check_bool "deliveries measured" true (!n > 0);
+  let mean = !sum /. float_of_int !n in
+  let service_time = 2. /. 16000. in
+  let predicted = Q.md1_mean_sojourn ~utilization:0.5 ~service_time in
+  let err = Float.abs (mean -. predicted) /. predicted in
+  if err > 0.15 then
+    Alcotest.failf "measured mean %.3e vs M/D/1 %.3e (%.0f%% off)" mean predicted
+      (100. *. err);
+  (* And safely below the M/M/1 envelope's tail behaviour. *)
+  Helpers.check_bool "below the M/M/1 envelope" true
+    (mean < Q.mm1_mean_sojourn ~utilization:0.5 ~service_time *. 1.15)
 
 let prop_fleet_agrees_with_simulator =
   Helpers.qtest ~count:40 "fleet traffic equals the counting simulator's"
     Helpers.problem_arbitrary (fun p ->
       let r = Solver.solve p in
       let fleet = Fleet.build p r.Solver.allocation ~message_bytes:1 in
-      let report = Fleet.run fleet Fleet.default_config in
+      let report = Fleet.run fleet ~latency_seed:1 in
       let sim =
         Mcss_sim.Simulator.run p r.Solver.allocation Mcss_sim.Simulator.default_config
       in
@@ -209,7 +204,6 @@ let suite =
     Alcotest.test_case "fleet routing table" `Quick test_fleet_routing_table;
     Alcotest.test_case "fleet latency vs utilization" `Quick
       test_fleet_latency_reflects_utilization;
-    Alcotest.test_case "fleet poisson reproducible" `Quick test_fleet_poisson_reproducible;
     Alcotest.test_case "md1 formulas" `Quick test_md1_formulas;
     Alcotest.test_case "broker latency matches M/D/1" `Quick test_broker_latency_matches_md1;
     prop_fleet_agrees_with_simulator;

@@ -1130,6 +1130,86 @@ let test_update_wal_cost () =
   if big - small >= 64 then
     Alcotest.failf "update record grew with the workload: %d -> %d bytes" small big
 
+(* Replaying update records is not client traffic: a restart leaves the
+   plan cache's hit and miss counters at zero, and the first client
+   solve at an evolved digest is the first hit. *)
+let test_replay_counts_no_cache_traffic () =
+  Helpers.with_dir (fun dir ->
+      let svc, _, updates = churned_service ~dir ~seed:4 ~ticks:2 () in
+      Service.close svc;
+      let svc = Service.create ~config:(journaled dir) () in
+      let stats () = Service.cache_stats svc in
+      check_int "replay counts no hits" 0 (stats ()).Plan_cache.hits;
+      check_int "replay counts no misses" 0 (stats ()).Plan_cache.misses;
+      let evolved = List.nth updates 1 in
+      let r = ok_reply "solve at the evolved digest"
+          (Service.handle_line svc (solve_req evolved.digest))
+      in
+      check_bool "served from the replayed cache" true (bool_field r "cached");
+      check_int "the client's solve is the one hit" 1 (stats ()).Plan_cache.hits;
+      check_int "and no miss" 0 (stats ()).Plan_cache.misses;
+      Service.close svc)
+
+(* A served chaos drill is the passive [Orchestrator.evaluate] of the
+   cached plan under the request's campaign and epochs, with every other
+   policy field at its default. *)
+let test_chaos_matches_evaluate () =
+  let module Failure_model = Mcss_resilience.Failure_model in
+  let module Orchestrator = Mcss_resilience.Orchestrator in
+  let module Sla = Mcss_resilience.Sla in
+  let w = Front.generate ~seed:3 `Spotify ~scale:update_scale in
+  let svc = Service.create () in
+  let digest = Service.load_workload svc w in
+  ignore (ok_reply "solve" (Service.handle_line svc (solve_req digest)));
+  let faults = [ "crash:0@0.6"; "zone:1@1.2+0.4"; "throttle:2@0.2-1.8*0.5" ] in
+  let seed = 7 and epochs = 5 and zones = 2 in
+  let reply =
+    ok_reply "chaos"
+      (Service.handle_line svc
+         (Json.to_string
+            (Json.Obj
+               ([
+                  ("req", Json.String "chaos");
+                  ("digest", Json.String digest);
+                  ("seed", Json.Int seed);
+                  ("epochs", Json.Int epochs);
+                  ("zones", Json.Int zones);
+                  ("faults", Json.List (List.map (fun f -> Json.String f) faults));
+                ]
+               @ params_fields update_params))))
+  in
+  check_bool "plan_cached" true (bool_field reply "plan_cached");
+  let campaign =
+    {
+      Failure_model.seed;
+      faults =
+        List.map (fun f -> Result.get_ok (Failure_model.fault_of_string f)) faults;
+    }
+  in
+  let instance = Option.get (Instance.find update_params.Protocol.instance) in
+  let p =
+    Problem.of_pricing ?capacity_events:update_params.Protocol.bc_events ~workload:w
+      ~tau:update_params.Protocol.tau
+      (Cost_model.ec2_2014 ~instance ())
+  in
+  let plan = Option.get (Service.cached_plan svc ~digest update_params) in
+  let sla =
+    Orchestrator.evaluate
+      ~policy:{ Orchestrator.default_policy with Orchestrator.epochs }
+      ~zones ~campaign p plan.Solver.allocation
+  in
+  let same key want =
+    check_string key (Json.to_string want)
+      (Json.to_string (Option.get (Json.member key reply)))
+  in
+  same "delivered_fraction" (Json.Float sla.Sla.delivered_fraction);
+  same "violation_hours" (Json.Float sla.Sla.violation_hours);
+  same "violation_epochs" (Json.Int sla.Sla.violation_epochs);
+  same "lost_events" (Json.Int sla.Sla.lost_events);
+  same "worst_epoch_violations" (Json.Int sla.Sla.worst_epoch_violations);
+  check_bool "the drill lost events" true (sla.Sla.lost_events > 0);
+  Service.close svc
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -1168,6 +1248,10 @@ let suite =
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
     prop_record_codec_matches_oracle;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
+    Alcotest.test_case "update: replay is not cache traffic" `Quick
+      test_replay_counts_no_cache_traffic;
+    Alcotest.test_case "chaos: reply = Orchestrator.evaluate" `Quick
+      test_chaos_matches_evaluate;
     Alcotest.test_case "parallel config = (e) +cost-decision" `Quick test_parallel_config;
     Alcotest.test_case "parallel and (e) +cost-decision share one cache entry" `Quick
       test_parallel_config_shares_cache;

@@ -161,12 +161,7 @@ let test_config_validation () =
     (fun () ->
       ignore
         (Simulator.run p r.Solver.allocation
-           { Simulator.default_config with Simulator.duration = 0. }));
-  Alcotest.check_raises "buckets" (Invalid_argument "Simulator.run: buckets must be >= 1")
-    (fun () ->
-      ignore
-        (Simulator.run p r.Solver.allocation
-           { Simulator.default_config with Simulator.buckets = 0 }))
+           { Simulator.default_config with Simulator.duration = 0. }))
 
 let prop_deterministic_sim_validates_solver =
   Helpers.qtest ~count:60 "deterministic replay agrees exactly with the optimiser"
