@@ -748,9 +748,9 @@ let ablate_budget ~w ~scale =
   Printf.printf "(MCSS needs %d VMs to satisfy all %d subscribers)\n" full.Solver.num_vms
     subscribers
 
-(* Broker-fleet latency: run the message-level engine over the MCSS
-   allocation at increasing load and watch queueing delay — an observable
-   the counting model cannot produce. *)
+(* Broker-fleet latency: queue the simulator's schedule through one FIFO
+   server per VM of the MCSS allocation at increasing headroom and watch
+   the queueing delay — an observable the counting model cannot produce. *)
 let latency ~seeds ~w ~scale =
   section_header "latency" "delivery latency through the broker fleet (message-level)";
   let module Fleet = Mcss_broker.Fleet in
@@ -779,9 +779,8 @@ let latency ~seeds ~w ~scale =
           ~capacity_events:(nominal *. headroom)
           ~workload:w ~tau:100. model
       in
-      let fleet = Fleet.build p' r.Solver.allocation ~message_bytes:200 in
-      let report = Fleet.run fleet ~latency_seed:seeds.fleet in
-      match report.Fleet.latency with
+      let study = Fleet.latency p' r.Solver.allocation ~latency_seed:seeds.fleet in
+      match study.Fleet.latency with
       | None -> ()
       | Some l ->
           (* Horizon units -> seconds at the model's 240 h horizon. *)
@@ -789,7 +788,7 @@ let latency ~seeds ~w ~scale =
           Table.add_row table
             [
               Printf.sprintf "%.2fx" headroom;
-              Table.cell_pct (100. *. report.Fleet.max_utilization);
+              Table.cell_pct (100. *. study.Fleet.max_utilization);
               Printf.sprintf "%.2f s" (seconds l.Fleet.p50);
               Printf.sprintf "%.2f s" (seconds l.Fleet.p99);
             ])

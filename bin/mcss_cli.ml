@@ -1127,14 +1127,10 @@ let profile_cmd =
   in
   let no_simulate_arg =
     Arg.(value & flag & info [ "no-simulate" ]
-           ~doc:"Profile the solver only; skip the simulator and broker-fleet replay.")
-  in
-  let message_bytes_arg =
-    Arg.(value & opt int 512 & info [ "message-bytes" ] ~docv:"N"
-           ~doc:"Message size for the broker-fleet replay.")
+           ~doc:"Profile the solver only; skip the simulator and the broker-fleet latency pass.")
   in
   let run () file trace scale seed tau instance_name bc_events config_name format
-      no_simulate message_bytes metrics_out =
+      no_simulate metrics_out =
     exit_if_infeasible @@ fun () ->
     let w = require_workload file trace scale seed in
     let* instance = resolve_instance instance_name in
@@ -1148,10 +1144,7 @@ let profile_cmd =
             if not no_simulate then begin
               ignore
                 (Simulator.run ~obs p r.Solver.allocation Simulator.default_config);
-              let fleet =
-                Mcss_broker.Fleet.build p r.Solver.allocation ~message_bytes
-              in
-              ignore (Mcss_broker.Fleet.run ~obs fleet ~latency_seed:1)
+              ignore (Mcss_broker.Fleet.latency ~obs p r.Solver.allocation ~latency_seed:1)
             end)
       with
       | () -> Ok ()
@@ -1170,13 +1163,13 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Run solver + simulator + broker fleet with instrumentation on and print \
+       ~doc:"Run solver + simulator + broker-fleet latency pass with instrumentation on and print \
              the metrics and span tree")
     Term.(
       ret
         (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
         $ tau_arg $ instance_arg $ bc_events_arg $ config_arg $ format_arg
-        $ no_simulate_arg $ message_bytes_arg $ metrics_out_arg))
+        $ no_simulate_arg $ metrics_out_arg))
 
 (* ----- serve ----- *)
 
@@ -1855,8 +1848,9 @@ let dir_arg =
 
 let message_bytes_arg =
   Arg.(value & opt int 200 & info [ "message-bytes" ] ~docv:"N"
-         ~doc:"Bytes per publication; each broker's service capacity is \
-               BC x $(docv) bytes per horizon, as in the in-memory fleet.")
+         ~doc:"Bytes per publication, recorded in the fleet manifest. The \
+               brokers' queue model serves BC events per horizon, so the \
+               size has no other effect.")
 
 let dataplane_cmd =
   let replay_scenario_arg =

@@ -1,53 +1,27 @@
 module Workload = Mcss_workload.Workload
 module Vec = Mcss_core.Vec
 
-type delivery = {
-  message : Message.t;
-  subscriber : Workload.subscriber;
-  depart_time : float;
-}
-
-type stats = {
-  messages_in : int;
-  deliveries_out : int;
-  bytes_in : int;
-  bytes_out : int;
-  busy_until : float;
-  max_queue_delay : float;
-}
-
 type t = {
   broker_id : int;
-  bytes_per_horizon : float;
+  capacity : float;
   table : (Workload.topic, Workload.subscriber Vec.t) Hashtbl.t;
   mutable num_pairs : int;
-  mutable messages_in : int;
-  mutable deliveries_out : int;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
   mutable busy_until : float;
   mutable last_arrival : float;
   mutable max_queue_delay : float;
 }
 
-let create ~id ~bytes_per_horizon =
-  if not (bytes_per_horizon > 0.) then
-    invalid_arg "Broker.create: bytes_per_horizon must be positive";
+let create ~id ~capacity =
+  if not (capacity > 0.) then invalid_arg "Broker.create: capacity must be positive";
   {
     broker_id = id;
-    bytes_per_horizon;
+    capacity;
     table = Hashtbl.create 64;
     num_pairs = 0;
-    messages_in = 0;
-    deliveries_out = 0;
-    bytes_in = 0;
-    bytes_out = 0;
     busy_until = 0.;
     last_arrival = 0.;
     max_queue_delay = 0.;
   }
-
-let id b = b.broker_id
 
 let subscribe b ~topic ~subscriber =
   let subs =
@@ -82,46 +56,24 @@ let unsubscribe b ~topic ~subscriber =
           b.num_pairs <- b.num_pairs - 1;
           true)
 
-let hosts b topic = Hashtbl.mem b.table topic
 let num_pairs b = b.num_pairs
 
-let ingest b (m : Message.t) =
-  if m.Message.publish_time < b.last_arrival then
+let iter_subscribers b topic f =
+  match Hashtbl.find_opt b.table topic with None -> () | Some subs -> Vec.iter f subs
+
+let ingest b ~topic ~time =
+  if time < b.last_arrival then
     invalid_arg "Broker.ingest: messages must arrive in time order";
-  b.last_arrival <- m.Message.publish_time;
-  match Hashtbl.find_opt b.table m.Message.topic with
-  | None -> []
+  b.last_arrival <- time;
+  match Hashtbl.find_opt b.table topic with
+  | None -> None
   | Some subs ->
-      let fanout = Vec.length subs in
-      b.messages_in <- b.messages_in + 1;
-      b.bytes_in <- b.bytes_in + m.Message.size_bytes;
-      b.bytes_out <- b.bytes_out + (fanout * m.Message.size_bytes);
-      (* FIFO single server: receive the message once, transmit one copy
-         per local subscriber; all copies complete together. *)
-      let work =
-        float_of_int ((fanout + 1) * m.Message.size_bytes) /. b.bytes_per_horizon
-      in
-      let start = Float.max m.Message.publish_time b.busy_until in
-      let depart_time = start +. work in
-      b.busy_until <- depart_time;
-      let delay = depart_time -. m.Message.publish_time in
-      if delay > b.max_queue_delay then b.max_queue_delay <- delay;
-      b.deliveries_out <- b.deliveries_out + fanout;
-      Vec.fold_left
-        (fun acc subscriber -> { message = m; subscriber; depart_time } :: acc)
-        [] subs
+      (* Receive the event once, transmit one copy per local subscriber;
+         all copies complete together. *)
+      let work = float_of_int (Vec.length subs + 1) /. b.capacity in
+      let depart = Queueing.fifo_depart ~busy_until:b.busy_until ~arrival:time ~work in
+      b.busy_until <- depart;
+      if depart -. time > b.max_queue_delay then b.max_queue_delay <- depart -. time;
+      Some depart
 
-let stats b =
-  {
-    messages_in = b.messages_in;
-    deliveries_out = b.deliveries_out;
-    bytes_in = b.bytes_in;
-    bytes_out = b.bytes_out;
-    busy_until = b.busy_until;
-    max_queue_delay = b.max_queue_delay;
-  }
-
-let utilization b ~horizon =
-  if horizon <= 0. then 0.
-  else
-    float_of_int (b.bytes_in + b.bytes_out) /. (b.bytes_per_horizon *. horizon)
+let max_queue_delay b = b.max_queue_delay

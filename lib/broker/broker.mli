@@ -1,36 +1,16 @@
 (** One broker process — the software running on one VM of the
     allocation. It holds the subscription table for the pairs assigned to
-    its VM and models message handling as a FIFO single-server queue:
-    each ingested message costs (its own bytes) + (one copy per local
-    subscriber) of transmission work, served at the VM's bandwidth. The
-    queueing delay this induces is exactly what the MCSS capacity
-    constraint is supposed to keep bounded, so fleet-level latency
-    becomes an observable consequence of the allocator's decisions. *)
+    its VM and models message handling as a FIFO single server
+    ({!Queueing.fifo_depart}): each ingested event costs one incoming
+    stream plus one copy per local subscriber, [(fanout + 1) / capacity]
+    of work. The queueing delay this induces is exactly what the MCSS
+    capacity constraint is supposed to keep bounded. *)
 
 type t
 
-type delivery = {
-  message : Message.t;
-  subscriber : Mcss_workload.Workload.subscriber;
-  depart_time : float;
-      (** When the copy leaves the broker: queue wait plus service. *)
-}
-
-type stats = {
-  messages_in : int;
-  deliveries_out : int;
-  bytes_in : int;
-  bytes_out : int;
-  busy_until : float;  (** Server occupied up to this time. *)
-  max_queue_delay : float;
-      (** Worst (depart - publish) observed, in horizon units. *)
-}
-
-val create : id:int -> bytes_per_horizon:float -> t
-(** [bytes_per_horizon] is the service capacity (the VM's [BC] in
-    bytes); must be positive. *)
-
-val id : t -> int
+val create : id:int -> capacity:float -> t
+(** [capacity] is the service rate in events per time unit (the VM's
+    [BC]); must be positive. [id] names the broker in error messages. *)
 
 val subscribe : t -> topic:Mcss_workload.Workload.topic ->
   subscriber:Mcss_workload.Workload.subscriber -> unit
@@ -46,17 +26,19 @@ val unsubscribe : t -> topic:Mcss_workload.Workload.topic ->
     Returns [false] when the pair was not registered. Order within the
     topic's subscriber list is not preserved. *)
 
-val hosts : t -> Mcss_workload.Workload.topic -> bool
 val num_pairs : t -> int
 
-val ingest : t -> Message.t -> delivery list
-(** Process one message: returns the local deliveries, all departing when
-    the message finishes service. Messages must arrive in nondecreasing
-    publish-time order (raises [Invalid_argument] otherwise). A message
-    for a topic with no local subscribers is ignored free of charge — the
-    frontend would not have routed it here. *)
+val iter_subscribers :
+  t -> Mcss_workload.Workload.topic -> (Mcss_workload.Workload.subscriber -> unit) -> unit
+(** The topic's locally homed subscribers, in registration order (after
+    an {!unsubscribe}, the order {!unsubscribe} leaves). *)
 
-val stats : t -> stats
+val ingest : t -> topic:Mcss_workload.Workload.topic -> time:float -> float option
+(** Queue one event published at [time]: [Some depart], when every local
+    copy leaves the broker (queue wait plus service). Events must arrive
+    in nondecreasing [time] (raises [Invalid_argument] otherwise). An
+    event for a topic with no local subscribers is [None] and free of
+    charge — the frontend would not have routed it here. *)
 
-val utilization : t -> horizon:float -> float
-(** Fraction of the horizon the server was busy. *)
+val max_queue_delay : t -> float
+(** Worst [depart - time] observed, in the unit of [time]. *)

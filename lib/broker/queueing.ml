@@ -13,3 +13,5 @@ let md1_mean_sojourn ~utilization ~service_time =
 let mm1_mean_sojourn ~utilization ~service_time =
   check ~utilization ~service_time;
   service_time /. (1. -. utilization)
+
+let fifo_depart ~busy_until ~arrival ~work = Float.max arrival busy_until +. work

@@ -17,3 +17,9 @@ val md1_mean_sojourn : utilization:float -> service_time:float -> float
 val mm1_mean_sojourn : utilization:float -> service_time:float -> float
 (** The M/M/1 counterpart [s / (1 - ρ)], an upper envelope for the
     deterministic-service broker. Same domain as {!md1_mean_wait}. *)
+
+val fifo_depart : busy_until:float -> arrival:float -> work:float -> float
+(** One step of a FIFO single server: a job arriving at [arrival] starts
+    at [max arrival busy_until] and departs [work] later. The result is
+    the server's next [busy_until]. The in-process fleet's latency pass
+    and the live broker's queue model both step through this. *)

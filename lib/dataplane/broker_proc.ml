@@ -2,7 +2,6 @@ module Json = Mcss_json.Json
 module Protocol = Mcss_serve.Protocol
 module Server = Mcss_serve.Server
 module Broker = Mcss_broker.Broker
-module Message = Mcss_broker.Message
 module Clock = Mcss_obs.Clock
 module Delivery = Mcss_report.Delivery
 
@@ -83,7 +82,6 @@ exception Teardown of bool  (* graceful? *)
 
 type state = {
   core : Broker.t;
-  message_bytes : int;
   mutable conns : conn list;
   mutable draining : bool;
   mutable last_time : float;
@@ -115,7 +113,7 @@ let ledger_of st ~vm =
     rehomed_in = st.rehomed_in;
     rehomed_out = st.rehomed_out;
     queue_peak_bytes = st.queue_peak_bytes;
-    max_queue_delay = (Broker.stats st.core).Broker.max_queue_delay;
+    max_queue_delay = Broker.max_queue_delay st.core;
   }
 
 let reply c ?id fields = enqueue c (Json.to_string (Protocol.ok_response ?id fields) ^ "\n")
@@ -139,17 +137,11 @@ let handle_pub st ~vm ~now_s c j =
             st.published <- st.published + 1;
             let time = Float.max now_s st.last_time in
             st.last_time <- time;
-            let msg =
-              Message.make ~id:e.Wire.seq ~topic:e.Wire.topic ~publish_time:time
-                ~size_bytes:st.message_bytes
-            in
-            match Broker.ingest st.core msg with
-            | [] -> ()
-            | deliveries ->
+            match Broker.ingest st.core ~topic:e.Wire.topic ~time with
+            | None -> ()
+            | Some _depart ->
                 st.handoffs <- st.handoffs + 1;
-                List.iter
-                  (fun (d : Broker.delivery) ->
-                    let sub = d.Broker.subscriber in
+                Broker.iter_subscribers st.core e.Wire.topic (fun sub ->
                     let took = ref false in
                     List.iter
                       (fun sc ->
@@ -178,8 +170,7 @@ let handle_pub st ~vm ~now_s c j =
                     if not !took then begin
                       st.dropped_unattached <- st.dropped_unattached + 1;
                       incr dropped_batch
-                    end)
-                  deliveries)
+                    end))
           events;
         let peak = List.fold_left (fun acc c -> acc + c.out_bytes) 0 st.conns in
         if peak > st.queue_peak_bytes then st.queue_peak_bytes <- peak;
@@ -289,12 +280,15 @@ let close_all listener st =
   st.conns <- []
 
 let serve ~vm ~address ~pairs ~bytes_per_horizon ~message_bytes ~kill_flag listener =
-  let core = Broker.create ~id:vm ~bytes_per_horizon in
+  (* The message size cancels out of the queue model: [bytes_per_horizon]
+     is [BC · message_bytes], so this is [BC] in events per horizon. *)
+  let core =
+    Broker.create ~id:vm ~capacity:(bytes_per_horizon /. float_of_int message_bytes)
+  in
   List.iter (fun (topic, subscriber) -> Broker.subscribe core ~topic ~subscriber) pairs;
   let st =
     {
       core;
-      message_bytes;
       conns = [];
       draining = false;
       last_time = 0.;

@@ -1,9 +1,10 @@
 (** One live broker: an OCaml 5 domain serving a planned VM's share of
     the workload over a line-protocol socket.
 
-    The domain owns a {!Mcss_broker.Broker} as its queueing/accounting
-    core (the same model the in-memory fleet runs), a subscription table
-    seeded from the plan, and a select loop multiplexing three kinds of
+    The domain owns a {!Mcss_broker.Broker}, whose subscription table
+    (seeded from the plan) drives the fan-out and whose FIFO step
+    ({!Mcss_broker.Queueing.fifo_depart}) feeds the ledger's
+    [max_queue_delay], and a select loop multiplexing three kinds of
     peers over one listener:
 
     - {b publishers} send [pub] batches ({!Wire.pub_line}); each event
@@ -39,10 +40,13 @@ val start :
   unit ->
   t
 (** Bind the listener (in the calling domain, so the socket exists when
-    this returns) and spawn the serving domain. [bytes_per_horizon] and
-    [message_bytes] parameterise the queueing core exactly like
-    {!Mcss_broker.Fleet.build}. Raises [Unix.Unix_error] when the
-    address cannot be bound. *)
+    this returns) and spawn the serving domain. The queue model's
+    capacity is [bytes_per_horizon / message_bytes] events per horizon,
+    so the message size cancels out of it. Each event is stamped with
+    the wall-clock second it arrives but charged [(fanout + 1)] events
+    of work against that capacity, i.e. horizons of work; the ledger's
+    [max_queue_delay] mixes the two units. Raises [Unix.Unix_error] when
+    the address cannot be bound. *)
 
 val vm : t -> int
 val address : t -> Mcss_serve.Server.address

@@ -40,9 +40,11 @@ val boot :
   t
 (** Start one broker per VM of the allocation on
     [dir/broker-<vm>.sock], subscription tables copied from the plan.
-    [message_bytes] sizes every publication; each broker's service
-    capacity is [capacity · message_bytes] bytes per horizon, exactly
-    {!Mcss_broker.Fleet.build}'s parameterisation. *)
+    [message_bytes] is recorded in the manifest ([message_bytes], and
+    [bytes_per_horizon = capacity · message_bytes]) and has no other
+    effect: the brokers' queue model charges [(fanout + 1)] events of
+    work against [capacity] events per horizon, in which the message
+    size cancels. Raises [Invalid_argument] when it is not positive. *)
 
 val save_manifest : t -> string -> unit
 (** Write the fleet manifest (JSON: members, message bytes, capacity)

@@ -30,7 +30,11 @@ type t = {
   queue_peak_bytes : int;
       (** High-water mark of bytes buffered towards sinks. *)
   max_queue_delay : float;
-      (** The queueing model's worst (depart - publish), seconds. *)
+      (** The queue model's worst (depart - arrival). Not in seconds:
+          arrivals are wall-clock seconds, but each handoff is charged
+          [(fanout + 1) / BC] horizons of work, so the figure mixes the
+          two units and means something only relative to other runs of
+          the same fleet. *)
 }
 
 val zero : vm:int -> t

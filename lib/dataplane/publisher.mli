@@ -25,8 +25,8 @@ val run :
   Cluster.t ->
   schedule:(float * int) array ->
   stats
-(** Pump the whole schedule ({!Mcss_broker.Fleet.schedule_events}
-    shape: time-sorted (time, topic)). [batch] (default 64) bounds
+(** Pump the whole schedule ({!Pump.schedule} shape: time-sorted
+    (time, topic)). [batch] (default 64) bounds
     events per request; [pace] (default [0.] = as fast as acks allow)
     is wall seconds per horizon — with [pace > 0.] the publisher sleeps
     until each batch's first event is due, so control-plane changes can

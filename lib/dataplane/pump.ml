@@ -1,4 +1,6 @@
 module Fleet = Mcss_broker.Fleet
+module Simulator = Mcss_sim.Simulator
+module Vec = Mcss_core.Vec
 module Problem = Mcss_core.Problem
 module Clock = Mcss_obs.Clock
 module Workload = Mcss_workload.Workload
@@ -36,6 +38,12 @@ type report = {
   wall_s : float;
 }
 
+let schedule w ~duration =
+  let events = Vec.create () in
+  Simulator.iter_schedule w Simulator.Deterministic ~duration (fun time t ->
+      Vec.push events (time, t));
+  Vec.to_array events
+
 let ledgers_of cluster =
   List.filter_map
     (fun (_, addr) ->
@@ -62,7 +70,7 @@ let run ?(config = default_config) ?sinks cluster p a =
       let before = ledgers_of cluster in
       let received0 = Subscriber.copies sinks in
       let t0 = Clock.now_ns () in
-      let schedule = Fleet.schedule_events w ~duration:config.duration in
+      let schedule = schedule w ~duration:config.duration in
       let publisher =
         Publisher.run ~batch:config.batch ~pace:config.pace cluster ~schedule
       in

@@ -37,6 +37,13 @@ type report = {
   wall_s : float;
 }
 
+val schedule : Mcss_workload.Workload.t -> duration:float -> (float * int) array
+(** The run's publication schedule, (time, topic) in time order: the
+    [Deterministic] walk of {!Mcss_sim.Simulator.iter_schedule},
+    collected — so topic [t] publishes [round(ev_t · duration)] events
+    and the live counts reconcile exactly with {!Mcss_sim.Simulator.run}'s
+    predictions. *)
+
 val run :
   ?config:config ->
   ?sinks:Subscriber.t ->

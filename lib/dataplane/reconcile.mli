@@ -2,8 +2,7 @@
 
     The pump and {!Mcss_sim.Simulator} generate the {e same}
     deterministic publication schedule ([round(ev_t · duration)] events
-    per topic at {!Mcss_sim.Simulator.phase_of_topic},
-    {!Mcss_broker.Fleet.schedule_events}), so on a healthy
+    per topic, {!Mcss_sim.Simulator.iter_schedule}), so on a healthy
     fleet the per-subscriber unique delivery counts must match the
     simulator's predictions {e exactly}, and per-VM handoffs must match
     [vm_ingress]. A nonzero tolerance only buys slack for runs with

@@ -25,10 +25,6 @@ let sub a b =
 
 let expected t = t.delivered + t.dropped
 
-let loss_fraction t =
-  let owed = expected t in
-  if owed = 0 then 0. else float_of_int t.dropped /. float_of_int owed
-
 let fields t =
   [
     ("published", t.published);

@@ -1,11 +1,10 @@
 (** The shared delivery/drop accounting schema.
 
-    Three substrates meter the same pub/sub traffic at different levels
-    of realism — the counting {!Mcss_sim.Simulator}, the in-memory
-    {!Mcss_broker.Fleet}, and the live [Mcss_dataplane] broker ledger —
-    and reconciliation compares them pairwise. They all report this one
-    record, so a comparison is field-by-field on identical meanings
-    rather than a per-substrate translation. *)
+    Two substrates meter the same pub/sub traffic at different levels
+    of realism — the counting {!Mcss_sim.Simulator} and the live
+    [Mcss_dataplane] broker ledger — and reconciliation compares them.
+    Both report this one record, so a comparison is field-by-field on
+    identical meanings rather than a per-substrate translation. *)
 
 type totals = {
   published : int;  (** Events generated at the sources. *)
@@ -19,8 +18,7 @@ type totals = {
   dropped : int;
       (** Event copies that should have reached a subscriber but did
           not: outage losses in the simulator, queue-overflow and
-          no-subscriber drops in the live dataplane. Always [0] for the
-          idealised in-memory fleet. *)
+          no-subscriber drops in the live dataplane. *)
 }
 
 val zero : totals
@@ -34,9 +32,6 @@ val sub : totals -> totals -> totals
 
 val expected : totals -> int
 (** [delivered + dropped]: the copies that were owed to subscribers. *)
-
-val loss_fraction : totals -> float
-(** [dropped / expected], [0.] when nothing was owed. *)
 
 val fields : totals -> (string * int) list
 (** [(name, value)] in declaration order — for JSON or table rendering

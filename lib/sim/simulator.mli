@@ -20,13 +20,6 @@ type arrivals =
   | Poisson of int
       (** Poisson process with rate [ev_t], seeded for reproducibility —
           measured totals fluctuate around the analytical model. *)
-  | Diurnal of { seed : int; amplitude : float }
-      (** Inhomogeneous Poisson with intensity
-          [ev_t · (1 + amplitude · sin(2π · time))] (thinning): the mean
-          rate still matches the model the optimiser used, but traffic
-          peaks [1 + amplitude] above it — the realistic case the paper's
-          average-rate capacity constraint glosses over. Requires
-          [0 <= amplitude < 1]. *)
 
 type outage = {
   vm : int;  (** VM id, as in the allocation. *)
@@ -96,11 +89,31 @@ val run :
     rate over capacity). Hot-loop tallies accumulate in locals and flush
     once, so the per-event overhead is negligible. *)
 
-val phase_of_topic : int -> float
-(** The [Deterministic] arrivals' per-topic phase: a fraction of the
-    topic's publication interval, at least 0 and below 1. Shared with the
-    in-process broker fleet so both substrates publish identical
-    schedules. *)
+val iter_schedule :
+  ?obs:Mcss_obs.Registry.t ->
+  Mcss_workload.Workload.t ->
+  arrivals ->
+  duration:float ->
+  (float -> Mcss_workload.Workload.topic -> unit) ->
+  unit
+(** The one publication schedule: call [f time topic] for every event of
+    every topic in [[0, duration)], in nondecreasing [time]. Streamed
+    through a heap of one entry per topic, so memory is O(topics), not
+    O(events). [Deterministic] topic [t] starts at a fixed per-topic
+    phase of its interval [duration / round(ev_t · duration)] and steps
+    by [time + interval]; [Poisson seed] draws every topic's first gap
+    in topic order, then each next gap right after the event it follows.
+    {!run}, the broker fleet's latency pass and the live dataplane's
+    pump all walk this one generator. [duration] must be positive.
+
+    [obs] (default {!Mcss_obs.Registry.noop}) records [setup] (seeding
+    the heap) and [drain] (the walk, [f] included) spans. *)
+
+val hosting :
+  Mcss_workload.Workload.t -> Mcss_core.Allocation.t -> (int * int) list array
+(** [(hosting w a).(t)]: the VMs carrying pairs of topic [t], as
+    [(vm id, pairs of t on that VM)] in ascending VM id — the routing
+    {!run} meters and the broker fleet's latency pass queues over. *)
 
 val total_vm_traffic : result -> vm:int -> int
 (** Ingress plus egress of one VM, in events. *)

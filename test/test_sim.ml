@@ -114,47 +114,6 @@ let test_bucket_metering () =
         >= float_of_int (Simulator.total_vm_traffic res ~vm:b) -. 1e-9))
     (Allocation.vms r.Solver.allocation)
 
-let test_diurnal_mean_preserved () =
-  let p, r = solved_fig1 () in
-  let config =
-    { Simulator.default_config with
-      Simulator.arrivals = Simulator.Diurnal { seed = 3; amplitude = 0.8 } }
-  in
-  let res = Simulator.run p r.Solver.allocation config in
-  (* Unit-mean modulation: totals stay near the model over a horizon. *)
-  let c = Simulator.check p r.Solver.allocation res ~tolerance:0.5 in
-  Helpers.check_bool "within tolerance" true (Simulator.all_ok c);
-  (* Determinism. *)
-  let res2 = Simulator.run p r.Solver.allocation config in
-  Helpers.check_int "reproducible" res.Simulator.events_published
-    res2.Simulator.events_published
-
-let test_diurnal_peaks_exceed_average () =
-  (* A heavily loaded single-VM fleet with strong diurnality: the busiest
-     bucket must carry visibly more than the average bucket. *)
-  let w = Helpers.workload ~rates:[ 2000. ] ~interests:[ [ 0 ] ] in
-  let p = Mcss_core.Problem.create ~workload:w ~tau:2000. ~capacity:5000.
-      Mcss_core.Problem.unit_costs in
-  let r = Solver.solve p in
-  let run amplitude =
-    let config =
-      { Simulator.default_config with
-        Simulator.arrivals = Simulator.Diurnal { seed = 5; amplitude } }
-    in
-    let res = Simulator.run p r.Solver.allocation config in
-    Simulator.peak_bucket_rate res ~vm:0
-  in
-  Helpers.check_bool "amplitude raises the peak" true (run 0.9 > run 0.0)
-
-let test_diurnal_validation () =
-  let p, r = solved_fig1 () in
-  Alcotest.check_raises "amplitude"
-    (Invalid_argument "Simulator.run: diurnal amplitude must be in [0, 1)") (fun () ->
-      ignore
-        (Simulator.run p r.Solver.allocation
-           { Simulator.default_config with
-             Simulator.arrivals = Simulator.Diurnal { seed = 1; amplitude = 1.5 } }))
-
 let test_config_validation () =
   let p, r = solved_fig1 () in
   Alcotest.check_raises "duration" (Invalid_argument "Simulator.run: duration must be positive")
@@ -172,6 +131,72 @@ let prop_deterministic_sim_validates_solver =
       in
       Simulator.all_ok (Simulator.check p r.Solver.allocation res ~tolerance:0.))
 
+(* The rewritten simulator against its verbatim predecessor
+   ([Simulator_oracle]): random problems, both arrival kinds, windows
+   other than one horizon, and random full and throttled outages — every
+   result field must agree bit for bit. *)
+let replay_case_gen =
+  QCheck.Gen.(
+    let* p = Helpers.problem_gen in
+    let* arrivals =
+      oneof [ return Simulator.Deterministic; map (fun s -> Simulator.Poisson s) (int_bound 1_000_000) ]
+    in
+    let* duration = oneofl [ 0.25; 0.5; 0.7; 1.5; 2.; 3.3 ] in
+    let* outages =
+      list_size (int_range 0 4)
+        (let* vm = int_bound 1_000 in
+         let* from_time = float_bound_inclusive duration in
+         let* length = oneof [ float_bound_inclusive duration; return infinity ] in
+         let* severity = oneofl [ 1.; 1.; 0.25; 0.5; 0.9 ] in
+         return (vm, from_time, from_time +. length, severity))
+    in
+    return (p, arrivals, duration, outages))
+
+let prop_matches_oracle =
+  Helpers.qtest ~count:1000 "simulator matches its verbatim predecessor"
+    (QCheck.make replay_case_gen) (fun (p, arrivals, duration, outages) ->
+      let a = (Solver.solve p).Solver.allocation in
+      let num_vms = Allocation.num_vms a in
+      let outages =
+        if num_vms = 0 then []
+        else
+          List.map
+            (fun (vm, from_time, until_time, severity) ->
+              Simulator.outage ~severity ~vm:(vm mod num_vms) ~from_time ~until_time ())
+            outages
+      in
+      let config = { Simulator.duration; arrivals; outages } in
+      Simulator.run p a config = Simulator_oracle.run p a config)
+
+(* The live pump's schedule is the simulator's deterministic walk: per
+   topic exactly [round(ev · duration)] events, and the same counts the
+   simulator delivers through the allocation. *)
+let prop_pump_schedule_counts =
+  Helpers.qtest ~count:200 "pump schedule counts match the simulator's"
+    (QCheck.make
+       QCheck.Gen.(pair Helpers.problem_gen (oneofl [ 0.25; 0.5; 1.; 1.5; 2.; 3.3 ])))
+    (fun (p, duration) ->
+      let w = p.Problem.workload in
+      let schedule = Mcss_dataplane.Pump.schedule w ~duration in
+      let counts = Array.make (Mcss_workload.Workload.num_topics w) 0 in
+      Array.iter (fun (_, t) -> counts.(t) <- counts.(t) + 1) schedule;
+      let a = (Solver.solve p).Solver.allocation in
+      let res = Simulator.run p a { Simulator.default_config with Simulator.duration } in
+      let predicted = Array.make (Mcss_workload.Workload.num_subscribers w) 0 in
+      let pairs = Hashtbl.create 64 in
+      Array.iter
+        (fun vm -> Allocation.iter_vm_pairs vm (fun t v -> Hashtbl.replace pairs (t, v) ()))
+        (Allocation.vms a);
+      Hashtbl.iter (fun (t, v) () -> predicted.(v) <- predicted.(v) + counts.(t)) pairs;
+      let sorted = ref true in
+      Array.iteri (fun i (time, _) -> if i > 0 && time < fst schedule.(i - 1) then sorted := false) schedule;
+      !sorted
+      && Array.for_all2
+           (fun c ev -> c = int_of_float (Float.round (ev *. duration)))
+           counts (Mcss_workload.Workload.event_rates w)
+      && Array.length schedule = res.Simulator.events_published
+      && predicted = res.Simulator.delivered)
+
 let suite =
   [
     Alcotest.test_case "heap basic" `Quick test_heap_basic;
@@ -184,9 +209,8 @@ let suite =
     Alcotest.test_case "missing pairs detected" `Quick test_missing_pairs_detected;
     Alcotest.test_case "scaled duration" `Quick test_scaled_duration;
     Alcotest.test_case "bucket metering" `Quick test_bucket_metering;
-    Alcotest.test_case "diurnal mean preserved" `Quick test_diurnal_mean_preserved;
-    Alcotest.test_case "diurnal peaks exceed average" `Quick test_diurnal_peaks_exceed_average;
-    Alcotest.test_case "diurnal validation" `Quick test_diurnal_validation;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     prop_deterministic_sim_validates_solver;
+    prop_matches_oracle;
+    prop_pump_schedule_counts;
   ]
