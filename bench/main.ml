@@ -1177,12 +1177,25 @@ let out_dir_arg =
   let doc = "Directory for the figure data series (.dat files)." in
   Arg.(value & opt string "bench_out" & info [ "o"; "out-dir" ] ~docv:"DIR" ~doc)
 
+(* A [Problem.Infeasible] from any section (a trace scale too small for
+   its capacity) is one "mcss-bench: infeasible: ..." line and exit 1. *)
+let run_or_die sections spotify_scale twitter_scale trace_seed out_dir =
+  match
+    Front.catch_infeasible (fun () ->
+        run_bench sections spotify_scale twitter_scale trace_seed out_dir)
+  with
+  | Ok () -> ()
+  | Error m ->
+      flush stdout;
+      prerr_endline ("mcss-bench: " ^ m);
+      exit 1
+
 let cmd =
   let doc = "Regenerate the paper's tables and figures" in
   Cmd.v
     (Cmd.info "mcss-bench" ~doc)
     Term.(
-      const run_bench $ sections_arg $ spotify_scale_arg $ twitter_scale_arg
+      const run_or_die $ sections_arg $ spotify_scale_arg $ twitter_scale_arg
       $ trace_seed_arg $ out_dir_arg)
 
 let () = exit (Cmd.eval cmd)

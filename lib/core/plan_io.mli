@@ -77,9 +77,8 @@ val of_string :
 
 (** {2 The int writer}
 
-    The writer's digit loop, shared with other canonical renderings
-    that must stay byte-stable (the planning service's workload
-    digest). *)
+    The writer's digit loop, for other canonical renderings into a
+    [Buffer] that must stay byte-stable. *)
 
 val digit_scratch : unit -> Bytes.t
 (** Scratch space for {!add_int_then}; reuse one per rendering. *)

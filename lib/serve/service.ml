@@ -86,8 +86,29 @@ type miss_outcome =
 
 and solve_error = E of Protocol.error_code * string
 
-(* The engine behind the most recent update, kept for the next one. *)
-type resident = { entry : entry; model : Cost_model.t; engine : Engine.t }
+(* A workload's digest text, kept so that the next update's text can
+   copy the rows it shares: [text.[0, len)], whose rows section starts at
+   [rows_at] and has subscriber [v]'s row end at [rows_at + ends.(v)].
+   [spare] and [spare_ends] are the other pair of buffers, the one the
+   next rendering writes into; the two pairs trade places per update. *)
+type rendering = {
+  rendered : Workload.t;
+  text : Bytes.t;
+  len : int;
+  rows_at : int;
+  ends : int array;
+  spare : Bytes.t;
+  spare_ends : int array;
+}
+
+(* The engine behind the most recent update, kept for the next one,
+   with the digest rendering of its workload. *)
+type resident = {
+  entry : entry;
+  model : Cost_model.t;
+  engine : Engine.t;
+  rendering : rendering;
+}
 
 type t = {
   config : config;
@@ -169,40 +190,150 @@ let adopt_epoch t e =
 
 (* ----- content digests ----- *)
 
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Whether [%.17g] renders [x] as exactly its integer's digits: an
+   integral float below 1e15 with a clear sign bit (traces' rates are
+   integral). *)
+let prints_as_int x = Float.is_integer x && x < 1e15 && not (Float.sign_bit x)
+
+(* [Printf.sprintf "%.17g" x], through the primitive [Printf]'s [%g]
+   calls. *)
+let g17 x = if prints_as_int x then string_of_int (int_of_float x) else format_float "%.17g" x
+
+(* An append-only byte writer that grows by doubling. *)
+type out = { mutable b : Bytes.t; mutable n : int }
+
+let reserve o k =
+  if o.n + k > Bytes.length o.b then begin
+    let b = Bytes.create (max (o.n + k) (2 * Bytes.length o.b)) in
+    Bytes.blit o.b 0 b 0 o.n;
+    o.b <- b
+  end
+
+let put_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.b o.n c;
+  o.n <- o.n + 1
+
+let put_string o s =
+  let l = String.length s in
+  reserve o l;
+  Bytes.unsafe_blit_string s 0 o.b o.n l;
+  o.n <- o.n + l
+
+let rec width n = if n < 10 then 1 else 1 + width (n / 10)
+
+(* Write [n >= 0]'s digits right-aligned to end at index [i]. *)
+let rec fill_digits b i n =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then fill_digits b (i - 1) (n / 10)
+
+(* [string_of_int n] then [c], for [n >= 0]. *)
+let put_int_then o n c =
+  let w = width n in
+  reserve o (w + 1);
+  fill_digits o.b (o.n + w - 1) n;
+  Bytes.unsafe_set o.b (o.n + w) c;
+  o.n <- o.n + w + 1
+
+let put_row o row =
+  for i = 0 to Array.length row - 1 do
+    put_int_then o (Array.unsafe_get row i) ' '
+  done;
+  put_char o '\n'
+
 (* The digest is the MD5 of a canonical rendering of the workload's
    semantic content (rates at [%.17g], interests sorted as Workload
    stores them), so it is independent of Wio formatting details like
    comments or float spelling in the source file. Those bytes are pinned:
-   journals and served digests name workloads by them. *)
-let digest_of_workload w =
+   journals and served digests name workloads by them.
+
+   Given the rendering of an earlier workload, every run of rows that
+   are physically the earlier workload's ([==], as [Delta.apply] shares
+   each untouched row) is one blit of its bytes, and only touched and
+   new rows are rendered; rows are immutable, so a shared row renders
+   the same. The new text is written into that rendering's spare
+   buffers, which the returned rendering hands back as its own spare. *)
+let render ?prev w =
   let num_topics = Workload.num_topics w
   and num_subscribers = Workload.num_subscribers w in
-  let buf =
-    Buffer.create
-      (64 + (25 * num_topics) + (8 * Workload.num_pairs w) + num_subscribers)
+  (* Buffers sized to the text with some room, so that the next updates,
+     which grow the workload a little, reuse them: the previous text's
+     length, or an estimate (8 bytes a rate) when there is none. The
+     writer grows past either when it must. *)
+  let o =
+    match prev with
+    | Some p ->
+        if Bytes.length p.spare >= p.len + (p.len / 32) then { b = p.spare; n = 0 }
+        else { b = Bytes.create (p.len + (p.len / 8)); n = 0 }
+    | None ->
+        {
+          b =
+            Bytes.create
+              (64 + (8 * num_topics)
+              + (Workload.num_pairs w * (width num_topics + 1))
+              + num_subscribers);
+          n = 0;
+        }
   in
-  let digits = Plan_io.digit_scratch () in
-  Buffer.add_string buf "mcss-workload-digest 1\n";
-  Plan_io.add_int_then digits buf num_topics ' ';
-  Plan_io.add_int_then digits buf num_subscribers '\n';
+  let ends =
+    match prev with
+    | Some p when Array.length p.spare_ends >= num_subscribers -> p.spare_ends
+    | _ -> Array.make (num_subscribers + (num_subscribers / 32) + 16) 0
+  in
+  put_string o "mcss-workload-digest 1\n";
+  put_int_then o num_topics ' ';
+  put_int_then o num_subscribers '\n';
   Array.iter
     (fun r ->
-      (* [%.17g] renders an integral float below 1e15 (traces' rates
-         are integral) as exactly its integer's digits. *)
-      if Float.is_integer r && r < 1e15 && not (Float.sign_bit r) then
-        Plan_io.add_int_then digits buf (int_of_float r) '\n'
+      if prints_as_int r then put_int_then o (int_of_float r) '\n'
       else begin
-        Buffer.add_string buf (Printf.sprintf "%.17g" r);
-        Buffer.add_char buf '\n'
+        put_string o (format_float "%.17g" r);
+        put_char o '\n'
       end)
     (Workload.event_rates w);
-  for v = 0 to num_subscribers - 1 do
-    Array.iter
-      (fun topic -> Plan_io.add_int_then digits buf topic ' ')
-      (Workload.interests w v);
-    Buffer.add_char buf '\n'
+  let rows_at = o.n in
+  let shared =
+    match prev with
+    | None -> 0
+    | Some p -> min num_subscribers (Workload.num_subscribers p.rendered)
+  in
+  let v = ref 0 in
+  while !v < num_subscribers do
+    let v0 = !v in
+    (match prev with
+    | Some p when v0 < shared && Workload.interests w v0 == Workload.interests p.rendered v0 ->
+        while !v < shared && Workload.interests w !v == Workload.interests p.rendered !v do
+          incr v
+        done;
+        let from = if v0 = 0 then 0 else p.ends.(v0 - 1) in
+        let len = p.ends.(!v - 1) - from in
+        let shift = o.n - rows_at - from in
+        reserve o len;
+        Bytes.blit p.text (p.rows_at + from) o.b o.n len;
+        o.n <- o.n + len;
+        for u = v0 to !v - 1 do
+          ends.(u) <- p.ends.(u) + shift
+        done
+    | _ ->
+        put_row o (Workload.interests w v0);
+        ends.(v0) <- o.n - rows_at;
+        incr v)
   done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let digest = Digest.to_hex (Digest.subbytes o.b 0 o.n) in
+  ( digest,
+    {
+      rendered = w;
+      text = o.b;
+      len = o.n;
+      rows_at;
+      ends;
+      spare = (match prev with Some p -> p.text | None -> Bytes.empty);
+      spare_ends = (match prev with Some p -> p.ends | None -> [||]);
+    } )
+
+let digest_of_workload w = fst (render w)
 
 let find_workload t digest = locked t (fun () -> Hashtbl.find_opt t.workloads digest)
 
@@ -216,12 +347,12 @@ let ladder_name name =
 (* Keyed on the ladder name, so "parallel" and the default config's own
    name, which give the same plan, share one entry and one solver run. *)
 let cache_key digest (params : Protocol.solve_params) =
-  Printf.sprintf "%s|tau=%.17g|instance=%s|bc=%s|config=%s" digest
-    params.Protocol.tau params.Protocol.instance
-    (match params.Protocol.bc_events with
-    | None -> "default"
-    | Some x -> Printf.sprintf "%.17g" x)
-    (ladder_name params.Protocol.config)
+  String.concat ""
+    [
+      digest; "|tau="; g17 params.Protocol.tau; "|instance="; params.Protocol.instance;
+      "|bc="; (match params.Protocol.bc_events with None -> "default" | Some x -> g17 x);
+      "|config="; ladder_name params.Protocol.config;
+    ]
 
 let cached_plan t ~digest params =
   List.assoc_opt (cache_key digest params) (Plan_cache.to_list t.cache)
@@ -758,21 +889,28 @@ let close t =
 
 (* ----- metrics plumbing (all under the service lock) ----- *)
 
+(* An endpoint's name and its metric names, built once. *)
+type endpoint = { name : string; requests : string; errors : string; latency : string }
+
+let endpoint name =
+  {
+    name;
+    requests = "serve.requests." ^ name;
+    errors = "serve.errors." ^ name;
+    latency = "serve.latency_seconds." ^ name;
+  }
+
 let record_request t ~endpoint ~ok ~seconds =
   locked t (fun () ->
       t.requests <- t.requests + 1;
       Counter.inc
-        (Registry.counter t.obs
-           ~help:"Requests handled, by endpoint"
-           (Printf.sprintf "serve.requests.%s" endpoint));
+        (Registry.counter t.obs ~help:"Requests handled, by endpoint" endpoint.requests);
       if not ok then
         Counter.inc
-          (Registry.counter t.obs ~help:"Error replies, by endpoint"
-             (Printf.sprintf "serve.errors.%s" endpoint));
+          (Registry.counter t.obs ~help:"Error replies, by endpoint" endpoint.errors);
       Histogram.observe
-        (Registry.histogram t.obs
-           ~help:"Request latency by endpoint (seconds)"
-           (Printf.sprintf "serve.latency_seconds.%s" endpoint))
+        (Registry.histogram t.obs ~help:"Request latency by endpoint (seconds)"
+           endpoint.latency)
         seconds)
 
 let record_solver_run t ~seconds ~(r : Solver.result) =
@@ -1155,6 +1293,8 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
           | Some r when r.entry == e -> (true, Ok (r.model, r.engine))
           | _ -> (false, engine_of_entry ~w e)
         in
+        (* Even a branch's base shares rows with the last rendering. *)
+        let prev = Option.map (fun r -> r.rendering) resident in
         match adopted with
         | Error err -> reply_of_error ~id err
         | Ok (model, eng) -> (
@@ -1167,7 +1307,7 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                    replay does from [e']. *)
                 Engine.canonicalize eng;
                 let w' = (Engine.problem eng).Problem.workload in
-                let new_digest = digest_of_workload w' in
+                let new_digest, rendering = render ?prev w' in
                 let e' =
                   entry_of_engine ~model ~digest:new_digest ~params
                     ~solve_seconds:apply_s eng
@@ -1179,7 +1319,7 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                 keep_entry t e';
                 locked t (fun () ->
                     if t.role = Leader then
-                      t.resident <- Some { entry = e'; model; engine = eng });
+                      t.resident <- Some { entry = e'; model; engine = eng; rendering });
                 let index =
                   journal_append t
                     (Record.Update
@@ -1450,25 +1590,32 @@ let handle_shutdown t ~id =
 
 (* ----- dispatch ----- *)
 
-let endpoint_name = function
-  | Protocol.Health -> "health"
-  | Protocol.Load _ -> "load"
-  | Protocol.Solve _ -> "solve"
-  | Protocol.Update _ -> "update"
-  | Protocol.Whatif _ -> "whatif"
-  | Protocol.Chaos _ -> "chaos"
-  | Protocol.Stats -> "stats"
-  | Protocol.Metrics -> "metrics"
-  | Protocol.Promote _ -> "promote"
-  | Protocol.Demote _ -> "demote"
-  | Protocol.Shutdown -> "shutdown"
-  | Protocol.Drain -> "drain"
-  | Protocol.Rehome _ -> "rehome"
-  | Protocol.Ledger -> "ledger"
+let endpoint_of =
+  let health = endpoint "health" and load = endpoint "load" and solve = endpoint "solve"
+  and update = endpoint "update" and whatif = endpoint "whatif" and chaos = endpoint "chaos"
+  and stats = endpoint "stats" and metrics = endpoint "metrics"
+  and promote = endpoint "promote" and demote = endpoint "demote"
+  and shutdown = endpoint "shutdown" and drain = endpoint "drain"
+  and rehome = endpoint "rehome" and ledger = endpoint "ledger" in
+  function
+  | Protocol.Health -> health
+  | Protocol.Load _ -> load
+  | Protocol.Solve _ -> solve
+  | Protocol.Update _ -> update
+  | Protocol.Whatif _ -> whatif
+  | Protocol.Chaos _ -> chaos
+  | Protocol.Stats -> stats
+  | Protocol.Metrics -> metrics
+  | Protocol.Promote _ -> promote
+  | Protocol.Demote _ -> demote
+  | Protocol.Shutdown -> shutdown
+  | Protocol.Drain -> drain
+  | Protocol.Rehome _ -> rehome
+  | Protocol.Ledger -> ledger
 
 let handle t (env : Protocol.envelope) =
   let id = env.Protocol.id in
-  let endpoint = endpoint_name env.Protocol.request in
+  let endpoint = endpoint_of env.Protocol.request in
   let deadline =
     Admission.deadline_of_ms
       (match env.Protocol.deadline_ms with
@@ -1498,7 +1645,7 @@ let handle t (env : Protocol.envelope) =
             (Printf.sprintf
                "%S is a dataplane control verb: send it to a broker socket \
                 (mcss dataplane), not a planning server"
-               endpoint)
+               endpoint.name)
           ()
   in
   let reply =

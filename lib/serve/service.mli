@@ -141,7 +141,16 @@ val digest_of_workload : Mcss_workload.Workload.t -> string
     and subscriber counts, each event rate at [%.17g] on its own line,
     then one line per subscriber listing its topic ids, each followed by
     a space. It is not the {!Mcss_workload.Wio} text, and its bytes are
-    pinned: journals and clients address workloads by it. *)
+    pinned: journals and clients address workloads by it.
+
+    This is the from-scratch case of the renderer a served [update]
+    uses. The resident engine keeps its workload's rendering (the text
+    and each subscriber row's end offset); the next update renders
+    against it, copying every run of rows that are physically ([==]) the
+    previous workload's with one blit, rendering only touched and new
+    rows, and hashing the text once. It writes into a spare buffer that
+    it trades with the kept one, so an update allocates no new text. The
+    bytes, and hence the digest, are the same either way. *)
 
 val draining : t -> bool
 (** Set forever once a [shutdown] request has been answered; {!Server}

@@ -82,9 +82,9 @@ val run :
 
     [obs] (default {!Mcss_obs.Registry.noop}) records a [simulate] span
     with [setup]/[drain]/[settle] children, the event-loop counters
-    ([sim.events_published], [sim.heap_pops], [sim.forwards],
-    [sim.outage_drops], [sim.outage_windows], [sim.delivered_events],
-    [sim.lost_events]) and two per-VM histograms:
+    ([sim.events_published], [sim.forwards], [sim.outage_drops],
+    [sim.outage_windows], [sim.delivered_events], [sim.lost_events])
+    and two per-VM histograms:
     [sim.vm_traffic_events] and [sim.vm_peak_utilisation] (peak bucket
     rate over capacity). Hot-loop tallies accumulate in locals and flush
     once, so the per-event overhead is negligible. *)
