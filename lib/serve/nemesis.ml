@@ -173,6 +173,18 @@ let env request = { Protocol.id = None; deadline_ms = None; request }
 
 let handle_env svc e = Service.handle_line svc (Json.to_string (Protocol.encode e))
 
+(* An acknowledged update survives in [records] as its journaled delta
+   batch, or as a [load] of the workload it produced (a snapshot written
+   by a build that folded versions into loads). *)
+let journal_has records (deltas, new_digest) =
+  List.exists
+    (fun (_, payload) ->
+      match Record.of_string payload with
+      | Some (Record.Update u) -> u.deltas = deltas
+      | Some (Record.Load l) -> l.digest = new_digest
+      | _ -> false)
+    records
+
 let run config =
   if config.partitions < 3 then
     invalid_arg "Nemesis.run: at least 3 partitions (the schedule must cover \
@@ -682,18 +694,7 @@ let run config =
     Hashtbl.fold (fun _ origins acc -> acc && List.length origins <= 1)
       epoch_origins true
   in
-  (* Invariant 2: every acknowledged update survives on every replica —
-     as its journaled delta batch, or (after a snapshot fold or fenced
-     reset) as the workload state it produced. *)
-  let journal_has records (deltas, new_digest) =
-    List.exists
-      (fun (_, payload) ->
-        match Record.of_string payload with
-        | Some (Record.Update u) -> u.deltas = deltas
-        | Some (Record.Load l) -> l.digest = new_digest
-        | _ -> false)
-      records
-  in
+  (* Invariant 2: every acknowledged update survives on every replica. *)
   let no_acked_lost =
     List.for_all
       (fun a -> Array.for_all (fun records -> journal_has records a) replays)

@@ -94,6 +94,13 @@ val report_to_json : report -> Json.t
 (** The [BENCH_partition.json] shape: counters, recovery percentiles,
     and an ["invariants"] object of hard booleans plus ["passed"]. *)
 
+val journal_has : (int * string) list -> string * string -> bool
+(** [journal_has records (deltas, new_digest)]: the invariant "no
+    acknowledged update lost" for one update and one replica's
+    recovered [(epoch, payload)] records — the update is there as its
+    journaled delta batch (every snapshot keeps each version's [update]
+    record), or as a [load] of the workload it produced. *)
+
 val run : config -> report
 (** Build the cluster in a fresh temp directory, run the schedule, audit
     the journals, tear everything down (the temp directory is removed

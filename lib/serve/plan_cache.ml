@@ -86,6 +86,14 @@ let add c key value =
           Hashtbl.replace c.table key n;
           push_front c n)
 
+let remove c key =
+  locked c (fun () ->
+      match Hashtbl.find_opt c.table key with
+      | Some n ->
+          unlink c n;
+          Hashtbl.remove c.table key
+      | None -> ())
+
 let length c = locked c (fun () -> Hashtbl.length c.table)
 
 let clear c =

@@ -30,6 +30,12 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert or replace (replacement promotes and does not evict);
     eviction of the LRU entry is counted. *)
 
+val remove : 'a t -> string -> unit
+(** Drop the entry under the key, if any. Not an eviction: the hit,
+    miss and eviction counters do not move, and the other entries keep
+    their recency order. The service drops an evicted version's plans
+    with this. *)
+
 val length : 'a t -> int
 
 val clear : 'a t -> unit

@@ -57,6 +57,26 @@ type plan = {
    re-journal it and a degraded reply can disclose the served params. *)
 type entry = { digest : string; params : Protocol.solve_params; plan : plan }
 
+(* An update-derived workload version as the journal holds it: the
+   [update] record that made it, O(Δ) — what its deltas were applied
+   to, the params, the batch and the digest it made — plus the plan
+   digest the update answered with, which a rebuild must reproduce. An
+   evicted version leaves only this behind. *)
+type version = {
+  base : base;
+  params : Protocol.solve_params;
+  deltas : string;
+  made : string;
+  plan_digest : string;
+}
+
+(* What an update's deltas were applied to: the plan of an earlier
+   version, or a plan the solver made (or a [plan] record carried),
+   which is pinned so that the versions built on it stay rebuildable. *)
+and base = Derived of version | Solved of entry
+
+let base_digest v = match v.base with Derived b -> b.made | Solved e -> e.digest
+
 type replay_stats = {
   workloads_recovered : int;
   plans_recovered : int;
@@ -118,14 +138,26 @@ type t = {
   breaker : Breaker.t;
   sf : miss_outcome Single_flight.t;
   workloads : (string, Workload.t) Hashtbl.t;
+      (** The workloads held in memory: every root (a loaded workload,
+          or one a pinned plan was solved for), kept for the service's
+          life, and the update-derived versions in [held]. *)
   fallback : (string, entry) Hashtbl.t;
-      (** Last solved plan per workload digest — what degraded replies
-          serve. Written only by {!keep_entry} (as [workloads] is only
-          by {!keep_workload}). Never evicted: each entry holds its plan
-          text and solver result, O(pairs), and every [update] adds one
-          (as it adds one workload to [workloads]); only a follower's
-          snapshot resync clears them. *)
-  lock : Mutex.t;  (** Guards [workloads], [fallback], [obs] updates, and the mutable fields. *)
+      (** Last solved plan per resident workload digest — what degraded
+          replies serve. Written only by {!keep_entry} (as [workloads]
+          is only by {!keep_workload}); an evicted version's entry goes
+          with its workload. *)
+  versions : (string, version) Hashtbl.t;
+      (** Every update-derived digest's latest version, resident or
+          evicted. *)
+  mutable history : version list;
+      (** Every version, newest first: what snapshots journal. *)
+  mutable held : string list;
+      (** The update-derived digests in [workloads], newest first, at
+          most {!retained_versions}. *)
+  pinned : (string, entry) Hashtbl.t;
+      (** Solver plans an update was applied to, by cache key. Their
+          digests are roots. *)
+  lock : Mutex.t;  (** Guards the tables above, [obs] updates, and the mutable fields. *)
   journal : Journal.t option;
   journal_lock : Mutex.t;
       (** Serialises appends and snapshots. Lock order: [journal_lock]
@@ -147,6 +179,8 @@ type t = {
   mutable requests : int;
   mutable solver_run_count : int;
   mutable degraded_served : int;
+  mutable versions_evicted : int;
+  mutable versions_rebuilt : int;
   mutable replay : replay_stats option;
   mutable role : role;
   mutable volatile_epoch : int;
@@ -388,21 +422,76 @@ let problem_for w (params : Protocol.solve_params) =
 
    The only writers of [workloads], [fallback] and the plan cache
    ({!reset_to_snapshot} aside, which empties all three): solves,
-   updates, startup replay and replication all register through these
-   two. *)
+   updates, rebuilds, startup replay and replication all register
+   through these two. *)
 
-(* Register [w] under [digest]; whether the digest was new. *)
-let keep_workload t digest w =
-  locked t (fun () ->
-      let fresh = not (Hashtbl.mem t.workloads digest) in
-      Hashtbl.replace t.workloads digest w;
-      fresh)
+(* How many update-derived versions stay resident in full. *)
+let retained_versions = 4
+
+let evicted_counter obs =
+  Registry.counter obs ~help:"Update-derived versions evicted from memory"
+    "serve.versions.evicted"
+
+let rebuilt_counter obs =
+  Registry.counter obs ~help:"Evicted versions rebuilt by replaying their update records"
+    "serve.versions.rebuilt"
+
+(* Caller holds [t.lock]. *)
+let is_pinned t digest =
+  Hashtbl.fold (fun _ (e : entry) acc -> acc || e.digest = digest) t.pinned false
+
+(* Register [w] under [digest]; whether the digest was new. Without
+   [derived] it is a root, kept for the service's life. With it, it is
+   the newest update-derived version, and the oldest past
+   {!retained_versions} is evicted: its workload, fallback and cached
+   plans go (a [Plan_cache.remove], not a capacity eviction), and only
+   its version is left. A root that an update derives again becomes a
+   version, since it can be rebuilt (journals from builds that logged a
+   [load] of each evolved workload replay that way), unless a pinned
+   plan was solved for it. *)
+let keep_workload ?(derived = false) t digest w =
+  let fresh, evicted =
+    locked t (fun () ->
+        let fresh = not (Hashtbl.mem t.workloads digest) in
+        let root = (not fresh) && not (List.mem digest t.held) in
+        Hashtbl.replace t.workloads digest w;
+        let others = List.filter (fun d -> d <> digest) t.held in
+        if (not derived) || (root && is_pinned t digest) then begin
+          t.held <- others;
+          (fresh, [])
+        end
+        else begin
+          let newest = digest :: others in
+          t.held <- List.filteri (fun i _ -> i < retained_versions) newest;
+          let evicted = List.filteri (fun i _ -> i >= retained_versions) newest in
+          List.iter
+            (fun d ->
+              Hashtbl.remove t.workloads d;
+              Hashtbl.remove t.fallback d;
+              (match t.resident with
+              | Some r when r.entry.digest = d -> t.resident <- None
+              | _ -> ());
+              t.versions_evicted <- t.versions_evicted + 1;
+              Counter.inc (evicted_counter t.obs))
+            evicted;
+          (fresh, evicted)
+        end)
+  in
+  if evicted <> [] then
+    List.iter
+      (fun (key, (e : entry)) ->
+        if List.mem e.digest evicted then Plan_cache.remove t.cache key)
+      (Plan_cache.to_list t.cache);
+  fresh
 
 (* Cache [e] under its key and make it its digest's degraded-reply
-   fallback. *)
+   fallback, while its workload is resident. *)
 let keep_entry t (e : entry) =
-  Plan_cache.add t.cache (cache_key e.digest e.params) e;
-  locked t (fun () -> Hashtbl.replace t.fallback e.digest e)
+  locked t (fun () ->
+      if Hashtbl.mem t.workloads e.digest then begin
+        Plan_cache.add t.cache (cache_key e.digest e.params) e;
+        Hashtbl.replace t.fallback e.digest e
+      end)
 
 let plan_record t ({ digest; params; plan } : entry) =
   let r = plan.result in
@@ -414,17 +503,19 @@ let plan_record t ({ digest; params; plan } : entry) =
 
 (* ----- the incremental engine behind [update] ----- *)
 
-(* The plan entry an update starts from: the live cache, or the
-   never-evicted fallback when it was solved under the same params.
+(* The resident plan entry an update starts from: the live cache, the
+   fallback when it was solved under the same params, or a pinned plan.
    [lookup] is [Plan_cache.find] for a client's update and
-   [Plan_cache.promote] for a replayed one, which is not cache traffic. *)
+   [Plan_cache.promote] for a replayed one, which is not cache traffic.
+   An evicted version's entry is not here: see {!materialize}. *)
 let base_entry t ~lookup ~key ~digest =
   match lookup t.cache key with
   | Some e -> Some e
-  | None -> (
-      match locked t (fun () -> Hashtbl.find_opt t.fallback digest) with
-      | Some e when cache_key e.digest e.params = key -> Some e
-      | _ -> None)
+  | None ->
+      locked t (fun () ->
+          match Hashtbl.find_opt t.fallback digest with
+          | Some e when cache_key e.digest e.params = key -> Some e
+          | _ -> Hashtbl.find_opt t.pinned key)
 
 (* Journal replay, and the live path when its base is not the resident
    entry, adopt the entry's own plan: [Engine.of_plan] copies the
@@ -490,25 +581,123 @@ let entry_of_engine ~model ~digest ~(params : Protocol.solve_params)
   in
   { digest; params; plan }
 
-(* Re-run a journaled update: the evolved entry and workload. [None]
-   when the record no longer replays (base plan missing, deltas
-   malformed, infeasible, ...). *)
-let replayed_update t ~w ~digest ~(params : Protocol.solve_params) ~deltas =
-  match
-    base_entry t ~lookup:Plan_cache.promote ~key:(cache_key digest params) ~digest
-  with
-  | None -> None
-  | Some e -> (
-      try
-        let ds = Delta_io.of_string deltas in
-        match engine_of_entry ~w e with
-        | Error _ -> None
-        | Ok (model, eng) ->
-            ignore (Engine.apply eng ds);
-            let w' = (Engine.problem eng).Problem.workload in
-            let digest = digest_of_workload w' in
-            Some (entry_of_engine ~model ~digest ~params ~solve_seconds:0. eng, w')
-      with _ -> None)
+(* Re-run a journaled update on base entry [e] of workload [w]: the
+   evolved entry and workload. [None] when the batch no longer applies
+   (malformed, infeasible, ...). *)
+let replayed_update ~w (e : entry) ~deltas =
+  try
+    let ds = Delta_io.of_string deltas in
+    match engine_of_entry ~w e with
+    | Error _ -> None
+    | Ok (model, eng) ->
+        ignore (Engine.apply eng ds);
+        let w' = (Engine.problem eng).Problem.workload in
+        let digest = digest_of_workload w' in
+        Some (entry_of_engine ~model ~digest ~params:e.params ~solve_seconds:0. eng, w')
+  with _ -> None
+
+(* ----- versions: update-derived state, bounded in memory ----- *)
+
+let gate_full t =
+  E (Protocol.Overloaded,
+     Printf.sprintf "solver gate full (%d in flight)" (Admission.max_in_flight t.gate))
+
+(* Register what an applied update made from base entry [e] of
+   workload [w] by [deltas]: its version, then the evolved workload [w']
+   as the newest version and its entry [e']. The version's base is the
+   version whose plan [e] is; otherwise [e] is a solver plan, and it is
+   pinned, with its workload kept as a root, since the new version is
+   rebuilt from it. *)
+let keep_update t ~w (e : entry) ~deltas ((e' : entry), w') =
+  let key = cache_key e.digest e.params in
+  let base =
+    match locked t (fun () -> Hashtbl.find_opt t.versions e.digest) with
+    | Some v when v.plan_digest = e.plan.plan_digest && cache_key v.made v.params = key ->
+        Derived v
+    | _ ->
+        locked t (fun () -> Hashtbl.replace t.pinned key e);
+        ignore (keep_workload t e.digest w);
+        Solved e
+  in
+  let v =
+    { base; params = e.params; deltas; made = e'.digest; plan_digest = e'.plan.plan_digest }
+  in
+  locked t (fun () ->
+      Hashtbl.replace t.versions v.made v;
+      t.history <- v :: t.history);
+  ignore (keep_workload ~derived:true t e'.digest w');
+  keep_entry t e'
+
+let version_of t digest = locked t (fun () -> Hashtbl.find_opt t.versions digest)
+
+(* The version of [digest] made under the params [key] names. *)
+let version_at t ~digest ~key =
+  match version_of t digest with
+  | Some v when cache_key digest v.params = key -> Some v
+  | _ -> None
+
+(* [v]'s workload and plan entry, while still resident. *)
+let resident_version t v =
+  let key = cache_key v.made v.params in
+  match (find_workload t v.made, base_entry t ~lookup:Plan_cache.promote ~key ~digest:v.made) with
+  | Some w, Some e when e.plan.plan_digest = v.plan_digest -> Some (w, e)
+  | _ -> None
+
+(* [v]'s workload and plan entry: resident, or rebuilt by replaying its
+   deltas onto its base, which is pinned, resident or rebuilt the same
+   way. This is the engine's deterministic replay, not a solver run.
+   [check] runs before each replayed version. *)
+let rec rebuild t ~check v =
+  match resident_version t v with
+  | Some found -> Ok found
+  | None -> (
+      let base =
+        match v.base with
+        | Derived b -> rebuild t ~check b
+        | Solved e -> (
+            match find_workload t e.digest with
+            | Some w -> Ok (w, e)
+            | None -> Error (E (Protocol.Internal, "the workload of a pinned plan is gone")))
+      in
+      match (base, check ()) with
+      | (Error _ as err), _ -> err
+      | _, Error err -> Error err
+      | Ok (w, e), Ok () -> (
+          match replayed_update ~w e ~deltas:v.deltas with
+          | Some (e', w') when e'.digest = v.made && e'.plan.plan_digest = v.plan_digest ->
+              locked t (fun () ->
+                  t.versions_rebuilt <- t.versions_rebuilt + 1;
+                  Counter.inc (rebuilt_counter t.obs));
+              Ok (w', e')
+          | _ ->
+              Error
+                (E (Protocol.Internal,
+                    Printf.sprintf "version %s no longer replays to its plan" v.made))))
+
+(* The one path that answers a digest that is not resident: rebuild
+   [v] and register it again as the newest version. *)
+let materialize t ~check v =
+  match rebuild t ~check v with
+  | Ok (w, e) as found ->
+      ignore (keep_workload ~derived:true t v.made w);
+      keep_entry t e;
+      found
+  | err -> err
+
+(* {!materialize} for a request, under the admission gate and the
+   request's deadline. The caller holds [update_lock]. *)
+let revive t ~deadline v =
+  let check () =
+    if Admission.expired deadline then
+      Error (E (Protocol.Timeout, "deadline exceeded while rebuilding an evicted version"))
+    else Ok ()
+  in
+  match Admission.with_slot t.gate (fun () -> materialize t ~check v) with
+  | Some found -> found
+  | None -> Error (gate_full t)
+
+(* {!materialize} for replay and replication, which are not requests. *)
+let replay_version t v = Result.to_option (materialize t ~check:(fun () -> Ok ()) v)
 
 type applied = Loaded | Planned | Updated | Skipped
 
@@ -531,7 +720,12 @@ let apply_record t line =
       | _ -> Skipped
       | exception Wio.Parse_error _ -> Skipped)
   | Some (Record.Plan r) -> (
-      match find_workload t r.digest with
+      let workload =
+        match find_workload t r.digest with
+        | Some w -> Some w
+        | None -> Option.map fst (Option.bind (version_of t r.digest) (replay_version t))
+      in
+      match workload with
       | None -> Skipped (* plan for a workload we never recovered *)
       | Some w -> (
           match Plan_io.of_string ~workload:w r.plan with
@@ -549,19 +743,26 @@ let apply_record t line =
               keep_entry t { digest = r.digest; params = r.params; plan };
               Planned))
   | Some (Record.Update r) -> (
-      match find_workload t r.digest with
+      let key = cache_key r.digest r.params in
+      let rebuilt () = Option.bind (version_at t ~digest:r.digest ~key) (replay_version t) in
+      let base =
+        match find_workload t r.digest with
+        | None -> rebuilt ()
+        | Some w -> (
+            match base_entry t ~lookup:Plan_cache.promote ~key ~digest:r.digest with
+            | Some e -> Some (w, e)
+            | None -> rebuilt ())
+      in
+      match base with
       | None -> Skipped
-      | Some w -> (
-          match
-            replayed_update t ~w ~digest:r.digest ~params:r.params ~deltas:r.deltas
-          with
-          | Some (e, w') when e.digest = r.new_digest ->
+      | Some (w, e) -> (
+          match replayed_update ~w e ~deltas:r.deltas with
+          | Some ((e', _) as made) when e'.digest = r.new_digest ->
               (* The update record alone carries the evolved workload:
                  register it here. (Journals written before updates
-                 stopped journaling a load op for it replay the same;
-                 the replace is a no-op.) *)
-              ignore (keep_workload t e.digest w');
-              keep_entry t e;
+                 stopped journaling a load op for it replay the same:
+                 that root becomes this version.) *)
+              keep_update t ~w e ~deltas:r.deltas made;
               Updated
           | Some _ ->
               (* Replay landed on a different digest than the live run
@@ -571,16 +772,18 @@ let apply_record t line =
               Skipped
           | None -> Skipped))
 
-(* Everything needed to rebuild the registry and cache from scratch:
-   loads first (plan replay looks its workload up), then plans with the
-   cache's LRU entries last so replaying reproduces the recency order.
-   Fallback-only plans (evicted from the cache but still served by
-   degraded replies) go before the cache so they cannot evict live
-   entries on replay. *)
+(* Everything needed to rebuild the registry and cache from scratch,
+   O(roots × pairs + versions × Δ): the roots' loads first (replay looks
+   a plan's workload up), then every version's update record, oldest
+   first, each after the pinned plan it started from the first time one
+   is needed, then plans, with the cache's LRU entries last so replaying
+   reproduces the recency order. Fallback-only plans (evicted from the
+   cache but still served by degraded replies) go before the cache so
+   they cannot evict live entries on replay. *)
 let full_state t =
   let origin = Some t.config.name in
   let cached = List.map snd (Plan_cache.to_list t.cache) in
-  let loads, fallback_only =
+  let loads, history, fallback_only =
     locked t (fun () ->
         let seen = Hashtbl.create 64 in
         List.iter
@@ -588,15 +791,34 @@ let full_state t =
           cached;
         ( Hashtbl.fold
             (fun digest w acc ->
-              Record.Load { origin; digest; wio = Wio.to_string w } :: acc)
+              if List.mem digest t.held then acc
+              else Record.Load { origin; digest; wio = Wio.to_string w } :: acc)
             t.workloads [],
+          t.history,
           Hashtbl.fold
             (fun _ e acc ->
               if Hashtbl.mem seen (cache_key e.digest e.params) then acc
               else e :: acc)
             t.fallback [] ))
   in
-  List.map Record.to_string (loads @ List.map (plan_record t) (fallback_only @ cached))
+  let written = Hashtbl.create 8 in
+  let updates =
+    List.fold_left
+      (fun acc v ->
+        let update =
+          Record.Update
+            { origin; digest = base_digest v; params = v.params; deltas = v.deltas;
+              new_digest = v.made }
+        in
+        match v.base with
+        | Solved e when not (Hashtbl.mem written (cache_key e.digest e.params)) ->
+            Hashtbl.replace written (cache_key e.digest e.params) ();
+            update :: plan_record t e :: acc
+        | _ -> update :: acc)
+      [] (List.rev history)
+  in
+  List.map Record.to_string
+    (loads @ List.rev updates @ List.map (plan_record t) (fallback_only @ cached))
 
 (* Append one op; when the WAL has grown past the configured threshold,
    fold it into a fresh snapshot while still holding [journal_lock] so
@@ -756,7 +978,11 @@ let reset_to_snapshot t ~base ~epoch payloads =
           locked t (fun () ->
               t.resident <- None;
               Hashtbl.reset t.workloads;
-              Hashtbl.reset t.fallback);
+              Hashtbl.reset t.fallback;
+              Hashtbl.reset t.versions;
+              t.history <- [];
+              t.held <- [];
+              Hashtbl.reset t.pinned);
           List.iter (fun line -> ignore (apply_record t line)) payloads;
           Counter.inc
             (Registry.counter t.obs ~help:"Full snapshot resyncs installed"
@@ -832,6 +1058,10 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       sf = Single_flight.create ();
       workloads = Hashtbl.create 8;
       fallback = Hashtbl.create 8;
+      versions = Hashtbl.create 64;
+      history = [];
+      held = [];
+      pinned = Hashtbl.create 8;
       lock = Mutex.create ();
       journal;
       journal_lock = Mutex.create ();
@@ -842,6 +1072,8 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       requests = 0;
       solver_run_count = 0;
       degraded_served = 0;
+      versions_evicted = 0;
+      versions_rebuilt = 0;
       replay = None;
       role;
       volatile_epoch = 0;
@@ -849,6 +1081,9 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       commit_gate = None;
     }
   in
+  (* Registered up front, so [metrics] shows them at zero. *)
+  ignore (evicted_counter obs);
+  ignore (rebuilt_counter obs);
   (match journal_replay with
   | None -> ()
   | Some r ->
@@ -990,7 +1225,8 @@ let refresh_gauges t =
         (float_of_int (Admission.in_flight t.gate));
       set "serve.overload_rejections" "Requests shed by the admission gate"
         (float_of_int (Admission.rejected t.gate));
-      set "serve.workloads_resident" "Workloads registered"
+      set "serve.workloads_resident"
+        "Workloads held in memory: roots and the newest update-derived versions"
         (float_of_int (Hashtbl.length t.workloads));
       set "serve.breaker.state" "Solver circuit: 0 closed, 1 half-open, 2 open"
         (breaker_state_value breaker_state);
@@ -1086,11 +1322,7 @@ let miss t ~digest ~w ~(params : Protocol.solve_params) ~deadline =
             in
             (match Admission.with_slot t.gate run with
             | Some m -> m
-            | None ->
-                M_err
-                  (E (Protocol.Overloaded,
-                      Printf.sprintf "solver gate full (%d in flight)"
-                        (Admission.max_in_flight t.gate)))))
+            | None -> M_err (gate_full t)))
 
 type obtained =
   | Served of plan * bool  (* plan, cached *)
@@ -1224,19 +1456,31 @@ let handle_load t ~id source =
                 ("total_event_rate", Json.Float (Workload.total_event_rate w));
               ])
 
-let with_workload t ~id digest f =
-  match find_workload t digest with
-  | None ->
-      Protocol.error_response ~id ~code:Protocol.Unknown_digest
-        ~message:(Printf.sprintf "no workload loaded under digest %s" digest)
-        ()
-  | Some w -> f w
-
 let reply_of_error ~id (E (code, message)) =
   Protocol.error_response ~id ~code ~message ()
 
+let with_update_lock t f =
+  Mutex.lock t.update_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.update_lock) f
+
+(* Run [f] on the workload under [digest]; an evicted version is
+   rebuilt first ({!revive}). *)
+let with_workload t ~id ~deadline digest f =
+  match find_workload t digest with
+  | Some w -> f w
+  | None -> (
+      match version_of t digest with
+      | None ->
+          Protocol.error_response ~id ~code:Protocol.Unknown_digest
+            ~message:(Printf.sprintf "no workload loaded under digest %s" digest)
+            ()
+      | Some v -> (
+          match with_update_lock t (fun () -> revive t ~deadline v) with
+          | Ok (w, _) -> f w
+          | Error e -> reply_of_error ~id e))
+
 let handle_solve t ~id ~deadline ~digest ~params =
-  with_workload t ~id digest (fun w ->
+  with_workload t ~id ~deadline digest (fun w ->
       match obtain_plan t ~digest ~w ~params ~deadline with
       | Served (plan, cached) ->
           Protocol.ok_response ~id (plan_fields digest params plan ~cached)
@@ -1245,8 +1489,9 @@ let handle_solve t ~id ~deadline ~digest ~params =
       | Failed e -> reply_of_error ~id e)
 
 (* The live [update] path. The base plan comes from the cache (or the
-   fallback, or — on a miss — a breaker/admission-gated cold solve via
-   {!obtain_plan}, exactly like [solve]); the engine adopts it and folds
+   fallback, or a pinned plan, or an evicted version's rebuild, or — on
+   a miss — a breaker/admission-gated cold solve via {!obtain_plan},
+   exactly like [solve]); the engine adopts it and folds
    the deltas in incrementally, the evolved workload is registered in
    memory under its own content digest (digested once), the evolved plan
    is published under that digest, and the delta batch is journaled as
@@ -1262,16 +1507,19 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
     match base_entry t ~lookup:Plan_cache.find ~key ~digest with
     | Some e -> Ok e
     | None -> (
-        match obtain_plan t ~digest ~w ~params ~deadline with
-        | Served (plan, _cached) -> Ok { digest; params; plan }
-        | Degr _ ->
-            (* Applying deltas to some other params' plan would evolve a
-               plan nobody asked about — same stance as [chaos]. *)
-            Error
-              (E (Protocol.Degraded,
-                  "solver circuit open; update needs a plan solved at the \
-                   requested parameters"))
-        | Failed e -> Error e)
+        match version_at t ~digest ~key with
+        | Some v -> Result.map snd (revive t ~deadline v)
+        | None -> (
+            match obtain_plan t ~digest ~w ~params ~deadline with
+            | Served (plan, _cached) -> Ok { digest; params; plan }
+            | Degr _ ->
+                (* Applying deltas to some other params' plan would evolve
+                   a plan nobody asked about — same stance as [chaos]. *)
+                Error
+                  (E (Protocol.Degraded,
+                      "solver circuit open; update needs a plan solved at the \
+                       requested parameters"))
+            | Failed e -> Error e))
   in
   match base with
   | Error e -> reply_of_error ~id e
@@ -1315,8 +1563,7 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                 (* Register and publish, then journal: the update record
                    alone is durable state, since replay and replication
                    re-derive [w'] and [e'] from the deltas. *)
-                ignore (keep_workload t new_digest w');
-                keep_entry t e';
+                keep_update t ~w e ~deltas (e', w');
                 locked t (fun () ->
                     if t.role = Leader then
                       t.resident <- Some { entry = e'; model; engine = eng; rendering });
@@ -1366,21 +1613,17 @@ let handle_update t ~id ~deadline ~digest ~params ~deltas =
     Protocol.error_response ~id ~code:Protocol.Draining
       ~message:"server is draining; no new updates" ()
   else
-    with_workload t ~id digest (fun w ->
+    with_workload t ~id ~deadline digest (fun w ->
         match Delta_io.of_string deltas with
         | exception Delta_io.Parse_error m ->
             Protocol.error_response ~id ~code:Protocol.Bad_request ~message:m ()
         | [] ->
             Protocol.error_response ~id ~code:Protocol.Bad_request
               ~message:"empty delta batch" ()
-        | ds ->
-            Mutex.lock t.update_lock;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.update_lock)
-              (fun () -> run_update t ~id ~deadline ~digest ~params ~w ~deltas ~ds))
+        | ds -> with_update_lock t (fun () -> run_update t ~id ~deadline ~digest ~params ~w ~deltas ~ds))
 
 let handle_whatif t ~id ~deadline ~digest ~params ~taus =
-  with_workload t ~id digest (fun w ->
+  with_workload t ~id ~deadline digest (fun w ->
       let rec sweep acc = function
         | [] -> Ok (List.rev acc)
         | tau :: rest ->
@@ -1410,7 +1653,7 @@ let handle_whatif t ~id ~deadline ~digest ~params ~taus =
       | Error e -> reply_of_error ~id e)
 
 let handle_chaos t ~id ~deadline ~digest ~params ~seed ~epochs ~zones ~faults =
-  with_workload t ~id digest (fun w ->
+  with_workload t ~id ~deadline digest (fun w ->
       match obtain_plan t ~digest ~w ~params ~deadline with
       | Failed e -> reply_of_error ~id e
       | Degr _ ->
@@ -1480,12 +1723,17 @@ let handle_chaos t ~id ~deadline ~digest ~params ~seed ~epochs ~zones ~faults =
 let handle_stats t ~id =
   let cs = Plan_cache.stats t.cache in
   let breaker_state = Breaker.state t.breaker in
-  let requests, solver_run_count, workloads, degraded_served, replay =
+  let requests, solver_run_count, workloads, degraded_served, versions, replay =
     locked t (fun () ->
         ( t.requests,
           t.solver_run_count,
           Hashtbl.length t.workloads,
           t.degraded_served,
+          [
+            ("resident", Json.Int (List.length t.held));
+            ("evicted", Json.Int t.versions_evicted);
+            ("rebuilt", Json.Int t.versions_rebuilt);
+          ],
           t.replay ))
   in
   Protocol.ok_response ~id
@@ -1510,6 +1758,7 @@ let handle_stats t ~id =
              ("evictions", Json.Int cs.Plan_cache.evictions);
              ("hit_ratio", Json.Float (Plan_cache.hit_ratio cs));
            ] );
+       ("versions", Json.Obj versions);
        ( "breaker",
          Json.Obj
            [

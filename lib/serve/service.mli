@@ -18,8 +18,11 @@
     or [update] op); {!create} replays the log so a restarted (even
     [kill -9]'d) daemon answers the same [solve] as a cache hit, with
     the same [plan_digest], without re-running the solver. A snapshot
-    folds the whole state — every resident workload and every plan —
-    into [load] and [plan] records.
+    folds the whole state into records: each root as its [load] and
+    [plan] records, each update-derived version as its [update] record
+    in creation order (after the solver plan it started from, the first
+    time one is needed), then the plan cache's entries in LRU order. It
+    costs O(roots × pairs + updates × Δ), not O(versions × pairs).
 
     {b Live updates.} An [update] request evolves a cached plan through
     the incremental engine ({!Mcss_engine.Engine}), adopting the cached
@@ -55,6 +58,32 @@
     across requests: only a single batch that churns more than the
     threshold re-solves cold. The [serve.updates.resident] counter
     counts the updates the resident engine served.
+
+    {b Retention.} A root — a workload a client loaded, or one whose
+    solver plan an update started from — is kept in memory for the
+    service's life, with its plans (the cache's, its fallback, and
+    every solver plan an update started from). A loaded root that an
+    update derives again, and that no update started from, becomes a
+    version like any other. Of the versions updates derive, only the
+    newest {!retained_versions} are kept in full; the oldest past that
+    is evicted (its workload, plan-cache entries and fallback go;
+    [serve.versions.evicted] counts it), and what is left of it is its
+    [update] record, O(Δ), which the journal holds too. An evicted
+    version is never lost: a request that names its digest ([solve],
+    [update], [whatif], [chaos]) first rebuilds it by replaying the
+    records back from its nearest resident ancestor — the engine's
+    deterministic replay, not a solver run, so it leaves [solver_runs]
+    and the circuit breaker alone — and makes it resident again as the
+    newest version. The rebuild runs under the update lock, the
+    admission gate (a full gate answers [overloaded]) and the request's
+    deadline ([timeout]); [serve.versions.rebuilt] counts each version
+    it replays. Rebuilt, the version answers as it did when it was
+    made: a [solve] at the update's params is a cache hit with the
+    update's [plan_digest]; under an open circuit, a [solve] at other
+    params is answered [degraded] from that same plan. Startup replay
+    and replication rebuild an evicted base the same way (without gate
+    or deadline), so an update branched from it replays instead of
+    being skipped.
 
     {b Degradation.} Consecutive solver failures (deadline blowouts or
     internal errors) open a circuit breaker; while it is open, cache
@@ -151,6 +180,9 @@ val digest_of_workload : Mcss_workload.Workload.t -> string
     rows, and hashing the text once. It writes into a spare buffer that
     it trades with the kept one, so an update allocates no new text. The
     bytes, and hence the digest, are the same either way. *)
+
+val retained_versions : int
+(** How many update-derived versions a service keeps in full: 4. *)
 
 val draining : t -> bool
 (** Set forever once a [shutdown] request has been answered; {!Server}

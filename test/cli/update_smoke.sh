@@ -15,6 +15,9 @@
 #      replayed updates reproduce every post-update plan bit-for-bit:
 #      solving at each evolved digest is a cache hit with the same
 #      plan_digest the live update reported.
+#   4. Chain six more batches, so that the server evicts the oldest
+#      versions from memory; solving an evicted digest rebuilds it and
+#      answers its acked plan_digest, again after another kill -9.
 #
 # Usage: update_smoke.sh /path/to/mcss
 # Exits non-zero (with a one-line reason on stderr) on the first failure.
@@ -182,6 +185,40 @@ SOLVE3=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST" --tau 50) \
   || fail "post-crash solve at the base digest failed"
 [ "$(echo "$SOLVE3" | json_field plan_digest)" = "$PLAN1" ] \
   || fail "base plan digest changed across the crash"
+
+# ----- phase 4: an evicted version is rebuilt, not lost -----
+# The server keeps the newest 4 update-derived versions in memory.
+# Chain 6 more batches (rate shifts of topic 120) onto the third chained
+# digest: the first of them, and the first chained digest before it,
+# are then evicted. Solving either rebuilds it by replaying its update
+# records and answers the plan_digest its update acked; so does a
+# restart after another kill -9.
+PREV=${CHAIN3%% *}
+FIRST=""
+i=1
+while [ "$i" -le 6 ]; do
+  printf 'mcss-deltas 1\nrate 120 %d\n' $((300 + i)) > "$TMP/extra$i.deltas"
+  NEXT=$(update_from "$PREV" "$TMP/extra$i.deltas" "extra chained $i")
+  [ -n "$FIRST" ] || FIRST=$NEXT
+  PREV=${NEXT%% *}
+  i=$((i + 1))
+done
+solve_evicted() { # solve_evicted WHEN
+  for SERVED in "$FIRST" "$DIGEST2 $PLAN2"; do
+    D=${SERVED%% *} P=${SERVED#* }
+    R=$("$MCSS" query -c "unix:$SOCK" solve --digest "$D" --tau 50) \
+      || fail "$1: solve at evicted digest $D failed"
+    [ "$(echo "$R" | json_field plan_digest)" = "$P" ] \
+      || fail "$1: evicted version $D lost its acked plan: $R"
+  done
+}
+solve_evicted "live"
+STATS=$("$MCSS" query -c "unix:$SOCK" stats) || fail "stats after the evictions failed"
+echo "$STATS" | grep -q '"versions":{"resident":4,"evicted":[1-9][0-9]*,"rebuilt":[1-9]' \
+  || fail "wanted evicted and rebuilt versions: $STATS"
+stop_server_hard
+start_server
+solve_evicted "after a second kill -9"
 
 "$MCSS" query -c "unix:$SOCK" shutdown >/dev/null 2>&1 || true
 wait "$SERVER_PID" 2>/dev/null || true

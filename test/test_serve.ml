@@ -302,6 +302,33 @@ let test_cache_replace_promotes () =
   check_bool "b evicted" true (Plan_cache.find c "b" = None);
   check_bool "a has new value" true (Plan_cache.find c "a" = Some 10)
 
+(* Removing the most recent, a middle or the least recent entry keeps
+   the others in recency order and moves no counter. *)
+let test_cache_remove () =
+  List.iter
+    (fun (gone, left) ->
+      let c = Plan_cache.create ~capacity:3 in
+      List.iter (fun k -> Plan_cache.add c k (String.length k)) [ "a"; "bb"; "ccc" ];
+      ignore (Plan_cache.find c "a");
+      ignore (Plan_cache.find c "zz");
+      let before = Plan_cache.stats c in
+      Plan_cache.remove c gone;
+      Plan_cache.remove c "absent";
+      check_bool ("without " ^ gone ^ ": order kept") true
+        (List.map fst (Plan_cache.to_list c) = left);
+      let s = Plan_cache.stats c in
+      check_int "hits untouched" before.Plan_cache.hits s.Plan_cache.hits;
+      check_int "misses untouched" before.Plan_cache.misses s.Plan_cache.misses;
+      check_int "no eviction counted" 0 s.Plan_cache.evictions;
+      check_int "one entry fewer" 2 s.Plan_cache.entries;
+      (* The freed slot takes a new entry without evicting. *)
+      Plan_cache.add c "d" 1;
+      check_bool "room for one more" true
+        (List.map fst (Plan_cache.to_list c) = left @ [ "d" ]
+        && (Plan_cache.stats c).Plan_cache.evictions = 0))
+    (* LRU first: "bb", "ccc", "a" after the lookup of "a". *)
+    [ ("a", [ "bb"; "ccc" ]); ("ccc", [ "bb"; "a" ]); ("bb", [ "ccc"; "a" ]) ]
+
 let test_cache_rejects_zero_capacity () =
   Alcotest.check_raises "capacity 0"
     (Invalid_argument "Plan_cache.create: capacity must be >= 1") (fun () ->
@@ -943,7 +970,11 @@ let test_update_resident_engine () =
    batches with extra new topics, new subscribers and fractional rates,
    then a branch from an older digest (a non-resident update, which
    still renders against the last rendering) and one update chained on
-   the branch. *)
+   the branch. Chains run past {!Service.retained_versions}, so a branch
+   may start from an evicted version. Then every acked digest, evicted
+   or not, is solved: it answers the update's [plan_digest] without a
+   solver run, and [serve.versions.rebuilt] counts exactly the versions
+   a model of the residency says were replayed. *)
 let prop_incremental_digest =
   Helpers.qtest ~count:500 "served update digest = full digest of the evolved workload"
     QCheck.(
@@ -955,7 +986,7 @@ let prop_incremental_digest =
           let* seed = int_bound 1_000_000 in
           let* nt = int_range 1 25 in
           let* ns = int_range 1 40 in
-          let* ticks = int_range 1 5 in
+          let* ticks = int_range 1 12 in
           let* branch = int_bound (ticks - 1) in
           return (seed, nt, ns, ticks, branch)))
     (fun (seed, num_topics, num_subscribers, ticks, branch) ->
@@ -969,12 +1000,35 @@ let prop_incremental_digest =
         Json.to_string
           (Json.Obj ((("req", Json.String verb) :: ("digest", Json.String digest) :: extra) @ params))
       in
+      let field key reply = Option.bind (Json.member key reply) Json.to_string_opt in
       let digest0 = Service.load_workload svc w0 in
       let solved = Protocol.response_ok (Service.handle_line svc (request "solve" digest0 [])) in
+      (* The residency model: update-derived digests, newest first, the
+         newest [retained_versions] resident; each digest's base; and
+         the versions rebuilt and evicted so far. *)
+      let held = ref [] and bases = Hashtbl.create 16 and rebuilt = ref 0 and evicted = ref 0 in
+      let register d =
+        let newest = d :: List.filter (( <> ) d) !held in
+        held := List.filteri (fun i _ -> i < Service.retained_versions) newest;
+        evicted := !evicted + List.length newest - List.length !held
+      in
+      let revive d =
+        let rec replays d =
+          match Hashtbl.find_opt bases d with
+          | Some base when not (List.mem d !held) -> 1 + replays base
+          | _ -> 0
+        in
+        let n = replays d in
+        if n > 0 then begin
+          rebuilt := !rebuilt + n;
+          register d
+        end
+      in
       let fractional () = float_of_int (1 + Rng.int rng 700) /. 7. in
-      (* Serve one batch from [(w, digest)]; the evolved pair, if the
-         served digest is the full rendering's. *)
-      let step (w, digest) =
+      (* Serve one batch from [(w, digest, _)]; the evolved triple (with
+         the plan digest the update acked), if the served digest is the
+         full rendering's and the service rebuilt what the model says. *)
+      let step (w, digest, _) =
         let churn = Churn.tick rng (Churn.scaled 0.05) w in
         let nt =
           Workload.num_topics w
@@ -992,27 +1046,108 @@ let prop_incremental_digest =
           Service.handle_line svc
             (request "update" digest [ ("deltas", Json.String (Delta_io.to_string ds)) ])
         in
+        revive digest;
         let w' = Mcss_engine.Delta.apply w ds in
         let full = printf_digest w' in
-        match Option.bind (Json.member "digest" reply) Json.to_string_opt with
-        | Some d when d = full && Service.digest_of_workload w' = full -> Some (w', d)
+        match (field "digest" reply, field "plan_digest" reply) with
+        | Some d, Some p
+          when d = full && Service.digest_of_workload w' = full
+               && counter svc "serve.versions.rebuilt" = !rebuilt ->
+            Hashtbl.replace bases d digest;
+            register d;
+            Some (w', d, p)
         | _ -> None
       in
       let rec chain acc i =
         if i = ticks then Some (List.rev acc)
         else Option.bind (step (List.hd acc)) (fun u -> chain (u :: acc) (i + 1))
       in
+      (* Every acked digest answers its acked plan from the cache, and
+         only an evicted one is rebuilt. *)
+      let serves (_, d, p) =
+        let reply = Service.handle_line svc (request "solve" d []) in
+        revive d;
+        field "plan_digest" reply = Some p
+        && Json.member "cached" reply = Some (Json.Bool true)
+        && counter svc "serve.versions.rebuilt" = !rebuilt
+      in
       let ok =
         solved
         &&
-        match chain [ (w0, digest0) ] 0 with
+        match chain [ (w0, digest0, "") ] 0 with
         | None -> false
-        | Some served ->
-            Option.is_some (Option.bind (step (List.nth served branch)) step)
-            && counter svc "serve.updates.resident" = ticks
+        | Some served -> (
+            match step (List.nth served branch) with
+            | None -> false
+            | Some b -> (
+                match step b with
+                | None -> false
+                | Some c ->
+                    counter svc "serve.updates.resident" = ticks
+                    && List.for_all serves (List.tl served @ [ b; c ])
+                    && Service.solver_runs svc = 1
+                    && counter svc "serve.versions.evicted" = !evicted))
       in
       Service.close svc;
       ok)
+
+(* The service's memory is bounded: 500 chained updates on a service
+   with no journal, under churn of activity bursts and lulls (rate
+   shifts): the workload keeps its size and every version shares its
+   rows with the root, so what the live heap gains is what the service
+   retains. (Follows and unfollows would also grow it until every row
+   had diverged from the root's once, a bounded amount.) The first
+   [retained_versions] updates each add one resident version; after
+   that each update evicts one, and only its O(Δ) version record stays.
+   So the live words after the 500th update exceed those after update
+   2K by less than one version's words (the growth per update while
+   nothing is evicted, at this scale), and the resident-workload gauge
+   counts the root and K versions. *)
+let test_bounded_heap () =
+  let k = Service.retained_versions in
+  let w0 = Front.generate ~seed:3 `Spotify ~scale:0.002 in
+  let svc = Service.create () in
+  let request verb digest fields =
+    Json.to_string
+      (Json.Obj
+         (("req", Json.String verb) :: ("digest", Json.String digest)
+         :: ("tau", Json.Float 50.) :: fields))
+  in
+  let digest = ref (Service.load_workload svc w0) in
+  ignore (ok_reply "solve" (Service.handle_line svc (request "solve" !digest [])));
+  let churn =
+    { (Churn.scaled 0.05) with
+      Churn.new_subscribers = 0; new_topics = 0; subscribes = 0; unsubscribes = 0; rate_changes = 4 }
+  in
+  let rng = Rng.create 3 in
+  let w = ref w0 and live = Hashtbl.create 4 in
+  for i = 1 to 500 do
+    let ds = Churn.tick rng churn !w in
+    let reply =
+      ok_reply "update"
+        (Service.handle_line svc
+           (request "update" !digest [ ("deltas", Json.String (Delta_io.to_string ds)) ]))
+    in
+    digest := str_field reply "digest";
+    w := Mcss_engine.Delta.apply !w ds;
+    if i = 1 || i = k || i = 2 * k || i = 500 then begin
+      Gc.full_major ();
+      Hashtbl.replace live i (Gc.quick_stat ()).Gc.live_words
+    end
+  done;
+  let live i = Hashtbl.find live i in
+  let version_words = (live k - live 1) / (k - 1) in
+  if live 500 - live (2 * k) >= version_words then
+    Alcotest.failf "live words grew by %d from update %d to 500; one version is %d words"
+      (live 500 - live (2 * k)) (2 * k) version_words;
+  check_int "versions evicted" (500 - k) (counter svc "serve.versions.evicted");
+  let body =
+    str_field (ok_reply "metrics" (Service.handle_line svc {|{"req":"metrics"}|})) "body"
+  in
+  check_bool "resident workloads: the root and K versions" true
+    (List.mem (Printf.sprintf "mcss_serve_workloads_resident %d" (1 + k))
+       (String.split_on_char '\n' body));
+  Service.close svc
 
 (* Minor words one cache-hit read allocates: [handle_line] of a [solve]
    line plus the rendering of its reply, averaged over 1000 reads after a
@@ -1437,6 +1572,7 @@ let suite =
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache replace promotes" `Quick test_cache_replace_promotes;
+    Alcotest.test_case "cache remove: head, middle, tail" `Quick test_cache_remove;
     Alcotest.test_case "cache rejects zero capacity" `Quick
       test_cache_rejects_zero_capacity;
     Alcotest.test_case "cache hit ratio" `Quick test_cache_hit_ratio;
@@ -1463,6 +1599,7 @@ let suite =
     prop_incremental_digest;
     Alcotest.test_case "update: old-shape journal replays" `Quick test_old_journal_replays;
     Alcotest.test_case "cache-hit read allocation bound" `Quick test_read_allocation;
+    Alcotest.test_case "update: 500 updates in bounded memory" `Quick test_bounded_heap;
     prop_record_codec_matches_oracle;
     Alcotest.test_case "update: one small WAL record" `Quick test_update_wal_cost;
     Alcotest.test_case "update: replay is not cache traffic" `Quick

@@ -599,6 +599,105 @@ let test_degraded_survives_restart () =
       check_string "the pre-crash plan" plan_digest (str_field r2 "plan_digest");
       Service.close svc2)
 
+(* Evicted versions are durable: a journaled leader that folds a
+   snapshot every two records serves more than [retained_versions]
+   chained updates and a branch from an evicted digest. Restarted, and
+   copied into a follower by a snapshot resync, it still holds every
+   acked update as its delta batch (the nemesis's "no acked update
+   lost" predicate), replays with nothing skipped and no plan-cache
+   traffic, and answers every acked digest with its acked plan_digest,
+   without a solver run. Under an open circuit, an evicted digest at
+   other params is degraded to that same plan. *)
+let test_evicted_versions_durable () =
+  with_dir (fun dir ->
+      with_dir (fun follower_dir ->
+          let config dir =
+            { (journaled_config ~snapshot_every:2 dir) with Service.breaker = breaker_config }
+          in
+          let records dir =
+            let j, replay = Journal.open_ (Journal.default_config ~dir) in
+            Journal.close j;
+            replay.Journal.records
+          in
+          let request verb digest fields =
+            Json.to_string
+              (Json.Obj
+                 (("req", Json.String verb) :: ("digest", Json.String digest)
+                 :: ("tau", Json.Int 12) :: fields))
+          in
+          let svc = Service.create ~config:(config dir) () in
+          let root = Service.load_workload svc (test_workload ()) in
+          ignore (ok_reply "solve" (Service.handle_line svc (request "solve" root [])));
+          (* Acked updates: (deltas, new digest, plan digest). *)
+          let update base rate =
+            let deltas = Printf.sprintf "mcss-deltas 1\nrate 0 %d\n" rate in
+            let r =
+              ok_reply "update"
+                (Service.handle_line svc
+                   (request "update" base [ ("deltas", Json.String deltas) ]))
+            in
+            (deltas, str_field r "digest", str_field r "plan_digest")
+          in
+          let rec chain base i acc =
+            if i = Service.retained_versions + 3 then List.rev acc
+            else
+              let ((_, d, _) as u) = update base (21 + i) in
+              chain d (i + 1) (u :: acc)
+          in
+          let chained = chain root 0 [] in
+          let _, first, _ = List.hd chained in
+          let acked = chained @ [ update first 99 ] in
+          Service.close svc;
+          let check_has name records =
+            List.iter
+              (fun (deltas, d, _) ->
+                check_bool (name ^ ": journal has " ^ d) true
+                  (Mcss_serve.Nemesis.journal_has records (deltas, d)))
+              acked
+          in
+          check_has "leader" (records dir);
+          let check_serves name svc =
+            List.iter
+              (fun (_, d, p) ->
+                let r = ok_reply (name ^ ": solve") (Service.handle_line svc (request "solve" d [])) in
+                check_bool (name ^ ": cached") true (bool_field r "cached");
+                check_string (name ^ ": acked plan_digest") p (str_field r "plan_digest"))
+              acked;
+            check_int (name ^ ": no solver run") 0 (Service.solver_runs svc)
+          in
+          let restarted = Service.create ~config:(config dir) () in
+          (match Service.replay_stats restarted with
+          | Some r ->
+              check_int "every update replayed" (List.length acked) r.Service.updates_replayed;
+              check_int "nothing skipped" 0 r.Service.records_skipped
+          | None -> Alcotest.fail "no replay stats");
+          let cs = Service.cache_stats restarted in
+          check_int "replay: no hits" 0 cs.Mcss_serve.Plan_cache.hits;
+          check_int "replay: no misses" 0 cs.Mcss_serve.Plan_cache.misses;
+          let base, epoch, state = Service.sync_state restarted in
+          check_serves "restarted" restarted;
+          let follower =
+            Service.create ~config:(journaled_config follower_dir) ~role:Service.Follower ()
+          in
+          (match Service.reset_to_snapshot follower ~base ~epoch state with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "resync: %s" m);
+          check_serves "follower" follower;
+          Service.close follower;
+          check_has "follower" (records follower_dir);
+          (* The chain's first version is evicted again by now. *)
+          Breaker.failure (Service.breaker restarted);
+          let _, evicted, p = List.hd acked in
+          let r =
+            ok_reply "degraded"
+              (Service.handle_line restarted
+                 (Printf.sprintf {|{"req":"solve","digest":"%s","tau":777}|} evicted))
+          in
+          check_bool "degraded" true (Protocol.response_degraded r);
+          check_string "the version's plan" p (str_field r "plan_digest");
+          check_int "still no solver run" 0 (Service.solver_runs restarted);
+          Service.close restarted))
+
 (* ----- pool backpressure ----- *)
 
 let test_pool_backpressure () =
@@ -924,6 +1023,8 @@ let suite =
       test_service_crash_restart;
     Alcotest.test_case "service: snapshot-era restart" `Quick
       test_service_snapshot_restart;
+    Alcotest.test_case "service: evicted versions survive snapshot, restart, resync" `Quick
+      test_evicted_versions_durable;
     Alcotest.test_case "service: garbage journal records skipped" `Quick
       test_journal_tolerates_garbage_records;
     Alcotest.test_case "breaker: full state machine" `Quick test_breaker_fsm;
