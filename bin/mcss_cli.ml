@@ -1182,9 +1182,9 @@ let serve_cmd =
   let cache_size_arg =
     Arg.(value & opt int 128 & info [ "cache-size" ] ~docv:"N"
            ~doc:"Plan-cache capacity in entries (LRU beyond that). Versions \
-                 derived by $(b,update) are bounded separately: the newest 4 \
-                 stay in memory, older ones keep only their update record \
-                 and are rebuilt by replay when asked for.")
+                 derived by $(b,update) are bounded separately: only the \
+                 newest stays in memory, older ones keep only their update \
+                 record and are rebuilt by replay when asked for.")
   in
   let max_in_flight_arg =
     Arg.(value & opt int 4 & info [ "max-in-flight" ] ~docv:"N"

@@ -28,8 +28,8 @@ type t =
     }
       (** An update is journaled as its cause: replay re-applies [deltas]
           to the plan solved for [(digest, params)] and must land on
-          [new_digest]. No [Load] of the evolved workload precedes it;
-          snapshots fold it into [Load] and [Plan] records. *)
+          [new_digest]. No [Load] of the evolved workload precedes it,
+          and snapshots keep it as this record. *)
 
 val to_string : t -> string
 (** [op], [origin] (none when [None]), [digest], then the op's fields;

@@ -425,8 +425,10 @@ let problem_for w (params : Protocol.solve_params) =
    updates, rebuilds, startup replay and replication all register
    through these two. *)
 
-(* How many update-derived versions stay resident in full. *)
-let retained_versions = 4
+(* How many update-derived versions stay resident in full: the newest
+   only, which is what a client chaining updates (and reading each new
+   digest) touches; an older one is rebuilt when named. *)
+let retained_versions = 1
 
 let evicted_counter obs =
   Registry.counter obs ~help:"Update-derived versions evicted from memory"
@@ -643,46 +645,48 @@ let resident_version t v =
   | Some w, Some e when e.plan.plan_digest = v.plan_digest -> Some (w, e)
   | _ -> None
 
-(* [v]'s workload and plan entry: resident, or rebuilt by replaying its
-   deltas onto its base, which is pinned, resident or rebuilt the same
-   way. This is the engine's deterministic replay, not a solver run.
-   [check] runs before each replayed version. *)
-let rec rebuild t ~check v =
-  match resident_version t v with
-  | Some found -> Ok found
-  | None -> (
-      let base =
+(* The one path that answers a digest that is not resident: [v]'s
+   workload and plan entry, rebuilt by replaying the versions from its
+   nearest resident ancestor (or the pinned plan its chain starts from)
+   forward. This is the engine's deterministic replay, not a solver run.
+   Each replayed version is registered as the newest as soon as it is
+   made, so a rebuild that [check] stops partway (a request's deadline)
+   is resumed, not restarted, by the next one. [check] runs between
+   replayed versions, never before the first, so every call makes
+   progress. *)
+let materialize t ~check v =
+  (* The versions to replay, oldest first, and what the oldest applies to. *)
+  let rec walk v chain =
+    match resident_version t v with
+    | Some found -> Ok (found, chain)
+    | None -> (
         match v.base with
-        | Derived b -> rebuild t ~check b
+        | Derived b -> walk b (v :: chain)
         | Solved e -> (
             match find_workload t e.digest with
-            | Some w -> Ok (w, e)
-            | None -> Error (E (Protocol.Internal, "the workload of a pinned plan is gone")))
-      in
-      match (base, check ()) with
-      | (Error _ as err), _ -> err
-      | _, Error err -> Error err
-      | Ok (w, e), Ok () -> (
-          match replayed_update ~w e ~deltas:v.deltas with
-          | Some (e', w') when e'.digest = v.made && e'.plan.plan_digest = v.plan_digest ->
-              locked t (fun () ->
-                  t.versions_rebuilt <- t.versions_rebuilt + 1;
-                  Counter.inc (rebuilt_counter t.obs));
-              Ok (w', e')
-          | _ ->
-              Error
-                (E (Protocol.Internal,
-                    Printf.sprintf "version %s no longer replays to its plan" v.made))))
-
-(* The one path that answers a digest that is not resident: rebuild
-   [v] and register it again as the newest version. *)
-let materialize t ~check v =
-  match rebuild t ~check v with
-  | Ok (w, e) as found ->
-      ignore (keep_workload ~derived:true t v.made w);
-      keep_entry t e;
-      found
-  | err -> err
+            | Some w -> Ok ((w, e), v :: chain)
+            | None -> Error (E (Protocol.Internal, "the workload of a pinned plan is gone"))))
+  in
+  let rec replay ~first (w, e) = function
+    | [] -> Ok (w, e)
+    | v :: rest -> (
+        match if first then Ok () else check () with
+        | Error err -> Error err
+        | Ok () -> (
+            match replayed_update ~w e ~deltas:v.deltas with
+            | Some (e', w') when e'.digest = v.made && e'.plan.plan_digest = v.plan_digest ->
+                ignore (keep_workload ~derived:true t v.made w');
+                keep_entry t e';
+                locked t (fun () ->
+                    t.versions_rebuilt <- t.versions_rebuilt + 1;
+                    Counter.inc (rebuilt_counter t.obs));
+                replay ~first:false (w', e') rest
+            | _ ->
+                Error
+                  (E (Protocol.Internal,
+                      Printf.sprintf "version %s no longer replays to its plan" v.made))))
+  in
+  Result.bind (walk v []) (fun (start, chain) -> replay ~first:true start chain)
 
 (* {!materialize} for a request, under the admission gate and the
    request's deadline. The caller holds [update_lock]. *)

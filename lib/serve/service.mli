@@ -68,22 +68,32 @@
     newest {!retained_versions} are kept in full; the oldest past that
     is evicted (its workload, plan-cache entries and fallback go;
     [serve.versions.evicted] counts it), and what is left of it is its
-    [update] record, O(Δ), which the journal holds too. An evicted
-    version is never lost: a request that names its digest ([solve],
-    [update], [whatif], [chaos]) first rebuilds it by replaying the
-    records back from its nearest resident ancestor — the engine's
+    [update] record, O(Δ), which the journal holds too. That record is
+    kept for the service's life, so memory still grows by O(Δ) per
+    update, and a restart replays every update. An evicted version is
+    never lost: a request that names its digest ([solve], [update],
+    [whatif], [chaos]) first rebuilds it by replaying the records
+    forward from its nearest resident ancestor — the engine's
     deterministic replay, not a solver run, so it leaves [solver_runs]
-    and the circuit breaker alone — and makes it resident again as the
-    newest version. The rebuild runs under the update lock, the
-    admission gate (a full gate answers [overloaded]) and the request's
-    deadline ([timeout]); [serve.versions.rebuilt] counts each version
-    it replays. Rebuilt, the version answers as it did when it was
-    made: a [solve] at the update's params is a cache hit with the
-    update's [plan_digest]; under an open circuit, a [solve] at other
-    params is answered [degraded] from that same plan. Startup replay
-    and replication rebuild an evicted base the same way (without gate
-    or deadline), so an update branched from it replays instead of
-    being skipped.
+    and the circuit breaker alone. Each replayed version is made
+    resident as the newest as soon as it is made ([serve.versions.rebuilt]
+    counts it), so a rebuild costs O(depth × pairs) once, and a rebuild
+    cut short is resumed by the next request, not restarted. The
+    rebuild runs under the update lock (other updates wait for it) and
+    the admission gate (a full gate answers [overloaded]); the request's
+    deadline is checked between replayed versions, so each request
+    replays at least one and answers [timeout] past its deadline,
+    having overrun it by at most one version's replay. Rebuilt, the
+    version answers as it did when it was made: a [solve] at the
+    update's params is a cache hit with the update's [plan_digest];
+    under an open circuit, a [solve] at other params is answered
+    [degraded] from that same plan. Startup replay and replication
+    rebuild an evicted base the same way (without gate or deadline), so
+    an update branched from it replays instead of being skipped.
+    Journals from builds that snapshotted every workload as [load] and
+    [plan] records hold no [update] record for a version made before
+    that snapshot: replayed, such a version is a root and stays in
+    memory; only versions derived afterwards are bounded.
 
     {b Degradation.} Consecutive solver failures (deadline blowouts or
     internal errors) open a circuit breaker; while it is open, cache
@@ -182,7 +192,9 @@ val digest_of_workload : Mcss_workload.Workload.t -> string
     bytes, and hence the digest, are the same either way. *)
 
 val retained_versions : int
-(** How many update-derived versions a service keeps in full: 4. *)
+(** How many update-derived versions a service keeps in full: 1, the
+    newest, which is what a client that chains updates and reads each
+    new digest touches. *)
 
 val draining : t -> bool
 (** Set forever once a [shutdown] request has been answered; {!Server}

@@ -15,7 +15,7 @@
 #      replayed updates reproduce every post-update plan bit-for-bit:
 #      solving at each evolved digest is a cache hit with the same
 #      plan_digest the live update reported.
-#   4. Chain six more batches, so that the server evicts the oldest
+#   4. Chain three more batches, so that the server evicts the older
 #      versions from memory; solving an evicted digest rebuilds it and
 #      answers its acked plan_digest, again after another kill -9.
 #
@@ -187,8 +187,8 @@ SOLVE3=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST" --tau 50) \
   || fail "base plan digest changed across the crash"
 
 # ----- phase 4: an evicted version is rebuilt, not lost -----
-# The server keeps the newest 4 update-derived versions in memory.
-# Chain 6 more batches (rate shifts of topic 120) onto the third chained
+# The server keeps only the newest update-derived version in memory.
+# Chain 3 more batches (rate shifts of topic 120) onto the third chained
 # digest: the first of them, and the first chained digest before it,
 # are then evicted. Solving either rebuilds it by replaying its update
 # records and answers the plan_digest its update acked; so does a
@@ -196,7 +196,7 @@ SOLVE3=$("$MCSS" query -c "unix:$SOCK" solve --digest "$DIGEST" --tau 50) \
 PREV=${CHAIN3%% *}
 FIRST=""
 i=1
-while [ "$i" -le 6 ]; do
+while [ "$i" -le 3 ]; do
   printf 'mcss-deltas 1\nrate 120 %d\n' $((300 + i)) > "$TMP/extra$i.deltas"
   NEXT=$(update_from "$PREV" "$TMP/extra$i.deltas" "extra chained $i")
   [ -n "$FIRST" ] || FIRST=$NEXT
@@ -214,7 +214,7 @@ solve_evicted() { # solve_evicted WHEN
 }
 solve_evicted "live"
 STATS=$("$MCSS" query -c "unix:$SOCK" stats) || fail "stats after the evictions failed"
-echo "$STATS" | grep -q '"versions":{"resident":4,"evicted":[1-9][0-9]*,"rebuilt":[1-9]' \
+echo "$STATS" | grep -q '"versions":{"resident":1,"evicted":[1-9][0-9]*,"rebuilt":[1-9]' \
   || fail "wanted evicted and rebuilt versions: $STATS"
 stop_server_hard
 start_server

@@ -698,6 +698,102 @@ let test_evicted_versions_durable () =
           check_int "still no solver run" 0 (Service.solver_runs restarted);
           Service.close restarted))
 
+(* Journals from builds that snapshotted every workload as a [load]
+   and a [plan] record, update-derived ones too, hold no [update] record
+   of a version made before the snapshot. Replayed here, each such
+   version is a root: nothing journaled rebuilds it, so it stays in
+   memory for the service's life, and only versions derived after the
+   upgrade are bounded. Every digest still answers its plan. *)
+let test_snapshot_of_loads_keeps_roots () =
+  with_dir (fun dir ->
+      let params = { Protocol.default_params with Protocol.tau = 12. } in
+      let request verb digest fields =
+        Json.to_string
+          (Json.Obj
+             (("req", Json.String verb) :: ("digest", Json.String digest)
+             :: ("tau", Json.Int 12) :: fields))
+      in
+      let update svc base rate =
+        let deltas = Printf.sprintf "mcss-deltas 1\nrate 0 %d\n" rate in
+        let r =
+          ok_reply "update"
+            (Service.handle_line svc (request "update" base [ ("deltas", Json.String deltas) ]))
+        in
+        (str_field r "digest", str_field r "plan_digest")
+      in
+      (* The old snapshot's shape: a root and five versions chained on
+         it, as their workloads' [load] records, then their plans'
+         [plan] records. *)
+      let svc = Service.create () in
+      let w0 = test_workload () in
+      let root = Service.load_workload svc w0 in
+      ignore (ok_reply "solve" (Service.handle_line svc (request "solve" root [])));
+      let state w =
+        let d = Service.digest_of_workload w in
+        match Service.cached_plan svc ~digest:d params with
+        | None -> Alcotest.failf "no plan for %s" d
+        | Some r ->
+            let text = Mcss_core.Plan_io.to_string r.Mcss_core.Solver.allocation in
+            ( (d, Digest.to_hex (Digest.string text)),
+              Mcss_serve.Record.Load
+                { origin = None; digest = d; wio = Mcss_workload.Wio.to_string w },
+              Mcss_serve.Record.Plan
+                { origin = None; digest = d; params; plan = text;
+                  bandwidth = r.Mcss_core.Solver.bandwidth; bandwidth_gb = 0.;
+                  cost = r.Mcss_core.Solver.cost; stage1_s = 0.; stage2_s = 0.; solve_s = 0. } )
+      in
+      let rec chain i (d, w) acc =
+        let acc = state w :: acc in
+        if i = 5 then List.rev acc
+        else
+          let rate = 21 + i in
+          let d', _ = update svc d rate in
+          let w' =
+            Mcss_engine.Delta.apply w
+              [ Mcss_engine.Delta.Rate_change { topic = 0; rate = float_of_int rate } ]
+          in
+          check_string "client-side digest" d' (Service.digest_of_workload w');
+          chain (i + 1) (d', w') acc
+      in
+      let versions = chain 0 (root, w0) [] in
+      Service.close svc;
+      let j, _ = Journal.open_ (Journal.default_config ~dir) in
+      Journal.snapshot j
+        (List.map Mcss_serve.Record.to_string
+           (List.map (fun (_, load, _) -> load) versions
+           @ List.map (fun (_, _, plan) -> plan) versions));
+      Journal.close j;
+      let svc = Service.create ~config:(journaled_config dir) () in
+      (match Service.replay_stats svc with
+      | Some r ->
+          check_int "every workload recovered" 6 r.Service.workloads_recovered;
+          check_int "nothing skipped" 0 r.Service.records_skipped
+      | None -> Alcotest.fail "no replay stats");
+      let resident () =
+        match
+          Option.bind
+            (Json.member "workloads_resident" (Service.handle_line svc {|{"req":"stats"}|}))
+            Json.to_int_opt
+        with
+        | Some n -> n
+        | None -> Alcotest.fail "stats lacks workloads_resident"
+      in
+      check_int "every old version is a root" 6 (resident ());
+      List.iter
+        (fun ((d, p), _, _) ->
+          let r = ok_reply "solve" (Service.handle_line svc (request "solve" d [])) in
+          check_bool "cached" true (bool_field r "cached");
+          check_string "its plan" p (str_field r "plan_digest"))
+        versions;
+      (* Three updates derived after the upgrade: only the newest K stay. *)
+      let (newest, _), _, _ = List.nth versions 5 in
+      let d1, _ = update svc newest 91 in
+      let d2, _ = update svc d1 92 in
+      ignore (update svc d2 93);
+      check_int "the old roots and K versions" (6 + Service.retained_versions) (resident ());
+      check_int "no solver run" 0 (Service.solver_runs svc);
+      Service.close svc)
+
 (* ----- pool backpressure ----- *)
 
 let test_pool_backpressure () =
@@ -1025,6 +1121,8 @@ let suite =
       test_service_snapshot_restart;
     Alcotest.test_case "service: evicted versions survive snapshot, restart, resync" `Quick
       test_evicted_versions_durable;
+    Alcotest.test_case "service: an old snapshot's versions replay as roots" `Quick
+      test_snapshot_of_loads_keeps_roots;
     Alcotest.test_case "service: garbage journal records skipped" `Quick
       test_journal_tolerates_garbage_records;
     Alcotest.test_case "breaker: full state machine" `Quick test_breaker_fsm;
