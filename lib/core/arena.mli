@@ -141,9 +141,9 @@ module Transpose : sig
   (** The column-major view of int rows: for each value [x] in [0,
       width), the indices of the rows that hold [x], as one ascending
       run of a flat column. Built by one counting sort, O(rows + entries
-      + width). The planning core transposes per-subscriber topic rows
-      (a selection's slices, a workload's interests) into per-topic
-      subscriber runs, so a placed group [(topic, run)] is checked by
+      + width). The planning core transposes a selection's
+      per-subscriber topic slices into per-topic subscriber runs, so a
+      placed group [(topic, run)] is checked by
       one forward merge along column row [topic] instead of a binary
       search per pair in each subscriber's row.
 
@@ -172,8 +172,8 @@ module Transpose : sig
 
   val create : ?domains:int -> width:int -> rows:int -> (int -> int array) -> t
   (** [create ~width ~rows row] is {!of_slices} over the arrays [row 0 ..
-      row (rows - 1)], each row one array (the plan decoder transposes
-      a workload's interest rows this way); the same entry filter, the
+      row (rows - 1)], each row one array (such as a workload's
+      interest rows); the same entry filter, the
       same chunked count and fill, the same column. [row] is called
       once per row in each pass, from several domains when [domains >
       1]. Raises [Invalid_argument] on a negative size or [rows > 2^31]. *)

@@ -65,73 +65,77 @@ let cheaper_to_distribute (p : Problem.t) a ~ev ~count ~hosts =
   in
   spread_cost < new_cost
 
-(* Both sorted orders compare the negated key first and the topic id
-   second — the (-key, id) order, as a typed comparison on the ids. A
-   stable sort of the ascending ids on the key alone breaks ties by id.
-   The keys sit in a float array indexed by topic, so comparing two ids
-   reads two unboxed floats. The sort is a top-level merge sort with
-   every input an argument, so no comparison goes through a closure and
-   none allocates. *)
-let key_after (key : float array) a b =
-  Float.compare (-.Array.unsafe_get key a) (-.Array.unsafe_get key b) > 0
+(* Both sorted orders put the larger key first and break ties by
+   ascending topic id: a stable sort of the ascending ids, descending on
+   the key. Keys are positive (every event rate is, and only nonempty
+   topics are ordered), and the IEEE bits of nonnegative floats ascend
+   with their value, so the sort is an LSD radix sort on [lnot bits]:
+   the 63 low bits of a nonnegative float's pattern hold all of it, and
+   [lnot] reverses their unsigned order. One pass counts all eight byte
+   digits; each pass then scatters the ids stably by one digit, lowest
+   first, reading each id's key from the float array indexed by topic,
+   and a digit every key shares is skipped. No comparison, no closure,
+   no allocation per id. *)
+let radix_passes = 8
 
-(* Stable insertion sort of [ids.(lo) .. ids.(hi - 1)]: an id moves
-   left only past ids whose key is strictly after its own. *)
-let insertion_by_key key (ids : int array) lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = ids.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && key_after key ids.(!j) x do
-      ids.(!j + 1) <- ids.(!j);
-      decr j
-    done;
-    ids.(!j + 1) <- x
-  done
+(* Byte [d] of topic [t]'s complemented key bits. *)
+let digit (key : float array) t d =
+  (lnot (Int64.to_int (Int64.bits_of_float (Array.unsafe_get key t))) lsr (8 * d)) land 255
 
-(* Merge the sorted runs [src.(lo) .. src.(mid - 1)] and [src.(mid) ..
-   src.(hi - 1)] into [dst] at [lo], taking the left run's id on a tie. *)
-let merge_by_key key (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    if !i < mid && (!j >= hi || not (key_after key src.(!i) src.(!j))) then begin
-      dst.(k) <- src.(!i);
-      incr i
+let sort_descending (ids : int array) (key : float array) =
+  let n = Array.length ids in
+  let counts = Array.make (radix_passes * 256) 0 in
+  for i = 0 to n - 1 do
+    for d = 0 to radix_passes - 1 do
+      let c = (d * 256) + digit key ids.(i) d in
+      counts.(c) <- counts.(c) + 1
+    done
+  done;
+  let src = ref ids and dst = ref (Array.make n 0) in
+  for d = 0 to radix_passes - 1 do
+    let base = d * 256 in
+    if n > 0 && counts.(base + digit key !src.(0) d) < n then begin
+      let sum = ref 0 in
+      for b = base to base + 255 do
+        let c = counts.(b) in
+        counts.(b) <- !sum;
+        sum := !sum + c
+      done;
+      let si = !src and di = !dst in
+      for i = 0 to n - 1 do
+        let t = si.(i) in
+        let b = base + digit key t d in
+        let at = counts.(b) in
+        counts.(b) <- at + 1;
+        di.(at) <- t
+      done;
+      src := di;
+      dst := si
     end
-    else begin
-      dst.(k) <- src.(!j);
-      incr j
-    end
-  done
-
-(* Stable merge sort of [ids.(lo) .. ids.(hi - 1)] with scratch [tmp]. *)
-let rec sort_by_key key ids tmp lo hi =
-  if hi - lo <= 16 then insertion_by_key key ids lo hi
-  else begin
-    let mid = (lo + hi) / 2 in
-    sort_by_key key ids tmp lo mid;
-    sort_by_key key ids tmp mid hi;
-    if key_after key ids.(mid - 1) ids.(mid) then begin
-      Array.blit ids lo tmp lo (hi - lo);
-      merge_by_key key tmp ids lo mid hi
-    end
-  end
+  done;
+  if !src != ids then Array.blit !src 0 ids 0 n
 
 let order topic_order (p : Problem.t) (g : Arena.Transpose.t) =
   let ev = Workload.event_rates p.Problem.workload in
   let size t = Arena.Transpose.stop g t - Arena.Transpose.start g t in
-  let ids = Arena.Ibuf.create () in
+  (* The nonempty topics, counted first so the array is exact. *)
+  let n = ref 0 in
   for t = 0 to Array.length ev - 1 do
-    if size t > 0 then Arena.Ibuf.push ids t
+    if size t > 0 then incr n
   done;
-  let ids = Arena.Ibuf.to_array ids in
-  let by key =
-    let n = Array.length ids in
-    sort_by_key key ids (Array.make n 0) 0 n
-  in
+  let ids = Array.make !n 0 in
+  n := 0;
+  for t = 0 to Array.length ev - 1 do
+    if size t > 0 then begin
+      ids.(!n) <- t;
+      incr n
+    end
+  done;
   (match topic_order with
   | Arbitrary -> ()
-  | Expensive_first -> by ev
-  | Heaviest_group_first -> by (Array.mapi (fun t ev -> float_of_int (size t) *. ev) ev));
+  | Expensive_first -> sort_descending ids ev
+  | Heaviest_group_first ->
+      sort_descending ids (Array.mapi (fun t ev -> float_of_int (size t) *. ev) ev));
   ids
 
 (* Stage-2 work counts: plain mutable ints on the packing path, flushed

@@ -55,10 +55,12 @@ val order :
     [num_topics]) in packing order, as a fresh array: ascending ids for
     [Arbitrary]; for the two sorted orders, the key ([ev_t], or
     [ev_t · |pairs of t|]) descending with ties by ascending topic id —
-    a typed comparison on [(-key, id)], so exactly the order a sort of
-    [(-key, id)] tuples gives. The sort is a stable merge sort of the
-    ascending ids on the negated key, with no closure per comparison.
-    O(num_topics + G log G) for G nonempty topics. The one expensive-first order every topic-grouped packer
+    the order of [(-key, id)], so exactly the order a sort of
+    [(-key, id)] tuples gives. The sort is a stable LSD radix sort of
+    the ascending ids on the complemented IEEE bits of the key, which
+    ascend with a nonnegative float's value; a byte digit every key
+    shares is skipped. O(num_topics + G) for G nonempty topics. The one
+    expensive-first order every topic-grouped packer
     uses (CBP, the replica rounds of redundant placement, best-fit
     decreasing). *)
 
@@ -75,7 +77,7 @@ val run :
     flat slices), orders its topics by {!order}, and
     copies each group's column row once into one reused [int] scratch
     that every placement of the group reads — no per-topic array. Cost:
-    the transpose's O(num_topics + num_pairs), the order's O(G log G),
+    the transpose's O(num_topics + num_pairs), the order's O(num_topics + G),
     then the packing fold, which scans the fleet only when a group
     misses the current VM (O(G·|B|) worst case for G groups and |B| VMs,
     plus an O(|B| log |B|) sort per Alg. 7 estimate). [domains] (default

@@ -3,68 +3,126 @@ module Workload = Mcss_workload.Workload
 exception Parse_error of string
 
 (* Plans run to millions of pairs, so the writer renders each int by
-   hand into a 21-byte [digits] scratch (up to 19 digits ending at index
-   19, with one separator byte on either side) and appends that, rather
-   than formatting a string per subscriber. *)
-let digit_scratch () = Bytes.create 21
+   hand, straight into the output bytes. One walk of the fleet gathers
+   every [place] line and its width, so the text is allocated once at
+   its final size; each line is then written backward from its end, so
+   no int's digits are counted twice. *)
 
-(* Write [n >= 0]'s digits right-aligned to end at index [i]; the first
-   one's index. *)
-let rec fill_digits digits i n =
-  Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (n mod 10)));
-  if n < 10 then i else fill_digits digits (i - 1) (n / 10)
+(* The decimal digits of [n], which has at least [d] of them, with [p]
+   = 10^d; an int has at most 19. *)
+let rec digits_from n p d = if d = 19 || n < p then d else digits_from n (p * 10) (d + 1)
 
-(* [' '] then [n]. *)
-let add_int digits buf n =
-  if n < 0 then Buffer.add_string buf (" " ^ string_of_int n)
-  else begin
-    let i = fill_digits digits 19 n - 1 in
-    Bytes.unsafe_set digits i ' ';
-    Buffer.add_subbytes buf digits i (20 - i)
-  end
+(* The decimal digits of [n >= 0]; below 10^7, as every id of a
+   planned workload is, one comparison per power of ten and no branch. *)
+let digits_of n =
+  if n < 10000000 then
+    1 + Bool.to_int (n >= 10) + Bool.to_int (n >= 100) + Bool.to_int (n >= 1000)
+    + Bool.to_int (n >= 10000) + Bool.to_int (n >= 100000) + Bool.to_int (n >= 1000000)
+  else digits_from n 100000000 8
 
-let add_int_then digits buf n c =
+(* The bytes [' '] then [n] take. *)
+let spaced_width n = if n < 0 then 1 + String.length (string_of_int n) else 1 + digits_of n
+
+(* Write [n >= 0]'s digits to end just before [stop]; the first one's
+   index. *)
+let rec put_digits b stop n =
+  let i = stop - 1 in
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b i (n / 10) else i
+
+(* Write [' '] then [n] to end just before [stop]; the space's index. *)
+let put_int b stop n =
   if n < 0 then begin
-    Buffer.add_string buf (string_of_int n);
-    Buffer.add_char buf c
+    let s = " " ^ string_of_int n in
+    let i = stop - String.length s in
+    Bytes.blit_string s 0 b i (String.length s);
+    i
   end
   else begin
-    let i = fill_digits digits 19 n in
-    Bytes.unsafe_set digits 20 c;
-    Buffer.add_subbytes buf digits i (21 - i)
+    let i = put_digits b stop n - 1 in
+    Bytes.unsafe_set b i ' ';
+    i
   end
 
-let emit_header buf a =
-  Buffer.add_string buf "mcss-plan 1\n";
-  Buffer.add_string buf (Printf.sprintf "capacity %.17g\n" (Allocation.capacity a));
-  Buffer.add_string buf (Printf.sprintf "vms %d\n" (Allocation.num_vms a))
+let header a =
+  Printf.sprintf "mcss-plan 1\ncapacity %.17g\nvms %d\n" (Allocation.capacity a)
+    (Allocation.num_vms a)
 
-let emit_vm digits buf vm =
-  let id = Allocation.vm_id vm in
-  Allocation.iter_groups vm (fun topic run n ->
-      Buffer.add_string buf "place";
-      add_int digits buf id;
-      add_int digits buf topic;
-      add_int digits buf n;
-      for i = 0 to n - 1 do
-        add_int digits buf (Array.unsafe_get run i)
-      done;
-      Buffer.add_char buf '\n')
+(* The [place] lines of a range of VMs, gathered by one walk of their
+   groups: each line's VM id, topic, run, count and width in bytes. *)
+type lines = {
+  ids : int array;
+  topics : int array;
+  runs : int array array;
+  lens : int array;
+  widths : int array;
+}
+
+(* The lines of VMs [lo .. hi - 1]; their total width. *)
+let lines_of a lo hi =
+  let num_lines = ref 0 in
+  for id = lo to hi - 1 do
+    num_lines := !num_lines + Allocation.num_topics_on (Allocation.vm_at a id)
+  done;
+  let n = !num_lines in
+  let l =
+    {
+      ids = Array.make n 0;
+      topics = Array.make n 0;
+      runs = Array.make n [||];
+      lens = Array.make n 0;
+      widths = Array.make n 0;
+    }
+  in
+  let k = ref 0 and total = ref 0 in
+  for id = lo to hi - 1 do
+    let fixed = 6 + spaced_width id in
+    Allocation.iter_groups (Allocation.vm_at a id) (fun topic run n ->
+        let w = ref (fixed + spaced_width topic + spaced_width n) in
+        for i = 0 to n - 1 do
+          w := !w + spaced_width (Array.unsafe_get run i)
+        done;
+        l.ids.(!k) <- id;
+        l.topics.(!k) <- topic;
+        l.runs.(!k) <- run;
+        l.lens.(!k) <- n;
+        l.widths.(!k) <- !w;
+        total := !total + !w;
+        incr k)
+  done;
+  (l, !total)
+
+(* Write [l] from [pos], each line backward from its end. *)
+let put_lines b pos l =
+  let stop = ref pos in
+  for k = 0 to Array.length l.ids - 1 do
+    stop := !stop + l.widths.(k);
+    Bytes.unsafe_set b (!stop - 1) '\n';
+    let run = l.runs.(k) and p = ref (!stop - 1) in
+    for i = l.lens.(k) - 1 downto 0 do
+      p := put_int b !p (Array.unsafe_get run i)
+    done;
+    let p = put_int b (put_int b (put_int b !p l.lens.(k)) l.topics.(k)) l.ids.(k) in
+    Bytes.blit_string "place" 0 b (p - 5) 5
+  done
 
 let output oc a =
-  let buf = Buffer.create 65536 and digits = digit_scratch () in
-  emit_header buf a;
-  Allocation.iter_vms a (fun vm ->
-      emit_vm digits buf vm;
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf);
-  Buffer.output_buffer oc buf
+  output_string oc (header a);
+  let b = ref Bytes.empty in
+  for id = 0 to Allocation.num_vms a - 1 do
+    let l, n = lines_of a id (id + 1) in
+    if Bytes.length !b < n then b := Bytes.create (max n (2 * Bytes.length !b));
+    put_lines !b 0 l;
+    Stdlib.output oc !b 0 n
+  done
 
 let to_string a =
-  let buf = Buffer.create 4096 and digits = digit_scratch () in
-  emit_header buf a;
-  Allocation.iter_vms a (emit_vm digits buf);
-  Buffer.contents buf
+  let head = header a in
+  let l, n = lines_of a 0 (Allocation.num_vms a) in
+  let b = Bytes.create (String.length head + n) in
+  Bytes.blit_string head 0 b 0 (String.length head);
+  put_lines b (String.length head) l;
+  Bytes.unsafe_to_string b
 
 let save a path =
   let oc = open_out path in
@@ -245,6 +303,61 @@ let read_place_tokens r sc ~num_vms ~num_topics =
   done;
   k
 
+(* The index of [x] in the id-sorted [row.(lo) .. row.(hi - 1)], or
+   [-1]. *)
+let rec find_sorted (row : int array) x lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let y = Array.unsafe_get row mid in
+    if y = x then mid else if y < x then find_sorted row x (mid + 1) hi else find_sorted row x lo mid
+
+(* Raise the {!Parse_error} of the first faulty pair in reading order.
+   The decoder's checks only tell {e whether} a fault exists, so on
+   invalid input this replays the logged [place] lines ([log]: each
+   line's number, VM, topic and count) in order, reads each line's
+   subscribers back from its group's run in the fleet (lines append to
+   their group's run), and checks every pair for range, then interest
+   in the topic, then an earlier placement: one byte of marks per
+   workload pair, at the pair's place in the subscriber's row. *)
+let raise_first_fault ~workload a log =
+  let num_subscribers = Workload.num_subscribers workload in
+  let row_start = Array.make (num_subscribers + 1) 0 in
+  for v = 0 to num_subscribers - 1 do
+    row_start.(v + 1) <- row_start.(v) + Array.length (Workload.interests workload v)
+  done;
+  let placed = Bytes.make row_start.(num_subscribers) '\000' in
+  let runs = Hashtbl.create 64 in
+  for e = 0 to (Arena.Ibuf.length log / 4) - 1 do
+    let line = Arena.Ibuf.get log (4 * e)
+    and vm = Arena.Ibuf.get log ((4 * e) + 1)
+    and topic = Arena.Ibuf.get log ((4 * e) + 2)
+    and k = Arena.Ibuf.get log ((4 * e) + 3) in
+    let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg)) in
+    let run, next =
+      match Hashtbl.find_opt runs (vm, topic) with
+      | Some r -> r
+      | None ->
+          let on = Allocation.subscribers_of_topic_on (Allocation.vm_at a vm) topic in
+          let r = (Array.of_list on, ref 0) in
+          Hashtbl.add runs (vm, topic) r;
+          r
+    in
+    for i = !next to !next + k - 1 do
+      let v = run.(i) in
+      if v < 0 || v >= num_subscribers then
+        fail (Printf.sprintf "subscriber %d outside the workload" v);
+      let row = Workload.interests workload v in
+      let at = find_sorted row topic 0 (Array.length row) in
+      if at < 0 then fail (Printf.sprintf "subscriber %d never subscribed to topic %d" v topic);
+      let slot = row_start.(v) + at in
+      if Bytes.get placed slot <> '\000' then
+        fail (Printf.sprintf "pair (%d, %d) placed twice" topic v);
+      Bytes.set placed slot '\001'
+    done;
+    next := !next + k
+  done
+
 let parse ~workload r =
   (match expect_line r "the header" with
   | "mcss-plan 1" -> ()
@@ -273,86 +386,95 @@ let parse ~workload r =
   let vms = Array.init num_vms (fun _ -> Allocation.deploy a) in
   let num_topics = Workload.num_topics workload in
   let num_subscribers = Workload.num_subscribers workload in
-  (* Pair (t, v) of the workload owns byte [slot] of [placed], where
-     [slot] holds v in column row t of the transposed interests;
-     [counts.(v)] is how many of v's pairs are placed (one spare entry
-     at the end: the array becomes the selection's offsets). *)
-  let followers =
-    Arena.Transpose.create ~width:num_topics ~rows:num_subscribers
-      (Workload.interests workload)
-  in
-  let placed = Bytes.make (Workload.num_pairs workload) '\000' in
+  (* [counts.(v + 1)] is how many of v's pairs are placed; the array
+     becomes the selection's offsets. [log] holds each [place] line's
+     number, VM, topic and count, for {!raise_first_fault}. *)
   let counts = Array.make (num_subscribers + 1) 0 in
+  let log = Arena.Ibuf.create () in
+  (* Called once a fault has been seen, so the replay raises. *)
+  let fault_found () =
+    raise_first_fault ~workload a log;
+    failwith "Plan_io: a fault the replay does not find"
+  in
   let sc = { bounds = Array.make 64 0; ints = Array.make 64 0 } in
   while next_line r do
     let k = read_place r sc ~num_vms ~num_topics in
-    let k = if k >= 0 then k else read_place_tokens r sc ~num_vms ~num_topics in
+    let k =
+      if k >= 0 then k
+      else
+        match read_place_tokens r sc ~num_vms ~num_topics with
+        | k -> k
+        | exception (Parse_error _ as e) ->
+            (* A fault on an earlier line is found first. *)
+            raise_first_fault ~workload a log;
+            raise e
+    in
     let ints = sc.ints in
-    let topic = ints.(1) in
-    (* [Arena.Transpose.iter_run]'s merge, inline so that no callback
-       runs per pair: each search starts past the previous match, and
-       back at the topic's first follower when the run steps down. *)
-    let lo = Arena.Transpose.start followers topic
-    and hi = Arena.Transpose.stop followers topic in
-    let hint = ref lo and prev = ref min_int in
+    let in_range = ref true in
     for i = subs_from to subs_from + k - 1 do
       let v = Array.unsafe_get ints i in
-      if v <= !prev then hint := lo;
-      prev := v;
-      let slot = Arena.Transpose.find followers ~from:!hint ~hi v in
-      if v < 0 || v >= num_subscribers then
-        fail r (Printf.sprintf "subscriber %d outside the workload" v);
-      if slot < 0 then
-        fail r (Printf.sprintf "subscriber %d never subscribed to topic %d" v topic);
-      if Bytes.unsafe_get placed slot <> '\000' then
-        fail r (Printf.sprintf "pair (%d, %d) placed twice" topic v);
-      Bytes.unsafe_set placed slot '\001';
-      Array.unsafe_set counts v (Array.unsafe_get counts v + 1);
-      hint := slot + 1
+      if v >= 0 && v < num_subscribers then
+        Array.unsafe_set counts (v + 1) (Array.unsafe_get counts (v + 1) + 1)
+      else in_range := false
     done;
-    Allocation.place a vms.(ints.(0)) ~topic
-      ~ev:(Workload.event_rate workload topic)
-      ~subscribers:ints ~from:subs_from ~count:k
+    Allocation.place a vms.(ints.(0)) ~topic:ints.(1)
+      ~ev:(Workload.event_rate workload ints.(1))
+      ~subscribers:ints ~from:subs_from ~count:k;
+    Arena.Ibuf.push log r.line_num;
+    Arena.Ibuf.push log ints.(0);
+    Arena.Ibuf.push log ints.(1);
+    Arena.Ibuf.push log k;
+    if not !in_range then fault_found ()
   done;
-  (* Reconstruct the selection implied by the placements. An exclusive
-     prefix sum turns [counts] in place into each slice's start, one
-     ascending-topic pass over [placed] scatters every placed pair into
-     its subscriber's slice with those starts as the fill cursors (each
-     cursor ends at the next slice's start), and one shift down makes
-     the cursors the offsets. Each slice comes out id-sorted and its
-     rate is summed left to right from 0., as the solver's selections
+  (* Reconstruct the selection implied by the placements, subscriber by
+     subscriber. An exclusive prefix sum turns [counts.(v + 1)] into v's
+     slice start, one walk of the fleet's groups scatters every placed
+     topic into its subscriber's slice with those starts as the fill
+     cursors (each cursor ends at the next slice's start, so [counts]
+     is then the offsets), and each slice is sorted. One merge per
+     slice against the id-sorted row [T_v] then finds whether any pair
+     is outside [T_v] or placed twice, and sums the slice's rate left to
+     right from 0. in ascending topic order, as the solver's selections
      are (for a subscriber with every interest placed, the same bits as
      its interest rate). *)
   let num_pairs = ref 0 in
-  for v = 0 to num_subscribers - 1 do
+  for v = 1 to num_subscribers do
     let n = counts.(v) in
     counts.(v) <- !num_pairs;
     num_pairs := !num_pairs + n
   done;
   let num_pairs = !num_pairs in
   let topics = Array.make num_pairs 0 in
-  let selected_rate = Array.make num_subscribers 0. in
-  for t = 0 to num_topics - 1 do
-    let ev = Workload.event_rate workload t in
-    for slot = Arena.Transpose.start followers t to Arena.Transpose.stop followers t - 1 do
-      if Bytes.unsafe_get placed slot <> '\000' then begin
-        let v = Arena.Transpose.get followers slot in
-        let c = counts.(v) in
-        topics.(c) <- t;
-        counts.(v) <- c + 1;
-        selected_rate.(v) <- selected_rate.(v) +. ev
-      end
-    done
-  done;
+  Allocation.iter_vms a (fun vm ->
+      Allocation.iter_groups vm (fun topic run n ->
+          for i = 0 to n - 1 do
+            let c = Array.unsafe_get counts (Array.unsafe_get run i + 1) in
+            Array.unsafe_set topics c topic;
+            Array.unsafe_set counts (Array.unsafe_get run i + 1) (c + 1)
+          done));
   let offs = counts in
-  for v = num_subscribers downto 1 do
-    offs.(v) <- offs.(v - 1)
-  done;
-  offs.(0) <- 0;
-  let outgoing_rate = ref 0. in
+  let ev = Workload.event_rates workload in
+  let selected_rate = Array.make num_subscribers 0. in
+  let outgoing_rate = ref 0. and clean = ref true in
   for v = 0 to num_subscribers - 1 do
-    outgoing_rate := !outgoing_rate +. selected_rate.(v)
+    let lo = offs.(v) and hi = offs.(v + 1) in
+    if hi - lo > 1 then Workload.sort_ids_sub topics ~pos:lo ~len:(hi - lo);
+    let row = Workload.interests workload v in
+    let j = ref 0 and prev = ref (-1) and rate = ref 0. in
+    for i = lo to hi - 1 do
+      let t = Array.unsafe_get topics i in
+      while !j < Array.length row && Array.unsafe_get row !j < t do
+        incr j
+      done;
+      if t = !prev || !j = Array.length row || Array.unsafe_get row !j <> t then
+        clean := false;
+      prev := t;
+      rate := !rate +. Array.unsafe_get ev t
+    done;
+    selected_rate.(v) <- !rate;
+    outgoing_rate := !outgoing_rate +. !rate
   done;
+  if not !clean then fault_found ();
   let selection =
     { Selection.offs; topics; selected_rate; num_pairs; outgoing_rate = !outgoing_rate }
   in

@@ -41,48 +41,36 @@ val load : workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selecti
     earlier placement of the same pair — so the message names the
     line's first failing pair.
 
-    Cost: one counting-sort transpose of the workload's interests into
-    per-topic follower runs ({!Arena.Transpose}: 4 bytes per pair,
-    outside the OCaml heap, freed with the decode; it holds subscriber
-    ids below [2^31]), then one pass per [place] line. A line of plain
-    decimal tokens (at most 18 digits each) with a valid VM, topic and
-    a positive count that matches is read in that one pass straight
-    into an int scratch; any other line is re-read by the general
-    tokenizer, which raises the line's message. Each run is then
-    checked by one forward merge along the topic's followers, inline
-    with no callback per pair (a run that steps down restarts the merge
-    at the topic's first follower), with one byte of marks per workload
-    pair. A line whose topic lies above every group of its VM, as on
-    every line a canonical plan holds, is appended to the fleet without
-    a search, its run one exact-size copy. The parse allocates a few
-    words per line and what the fleet keeps, but nothing per pair. The
-    selection is then laid out flat ({!Selection.t}): a prefix sum of
-    the per-subscriber placed counts gives every slice, and one
-    ascending-topic pass over the marks scatters each placed pair into
-    its slice, so every slice comes out id-sorted and its
-    [selected_rate] is summed left to right (for a subscriber with every
-    interest placed, the same bits as its interest rate). The selection
-    shares no array with the workload. *)
+    Cost: one pass per [place] line. A line of plain decimal tokens (at
+    most 18 digits each) with a valid VM, topic and a positive count
+    that matches is read in that one pass straight into an int scratch;
+    any other line is re-read by the general tokenizer, which raises
+    the line's message. A line whose topic lies above every group of
+    its VM, as on every line a canonical plan holds, is appended to the
+    fleet without a search, its run one exact-size copy. The pass
+    counts each subscriber's placed pairs and logs four ints per line
+    (number, VM, topic, count). The selection is then laid out flat
+    ({!Selection.t}): a prefix sum of the counts gives every slice, one
+    walk of the fleet's groups scatters each placed topic into its
+    slice, and each slice is sorted and merged once against the
+    subscriber's id-sorted interest row, which checks every pair and
+    sums [selected_rate] left to right in ascending topic order (for a
+    subscriber with every interest placed, the same bits as its
+    interest rate). O(lines + placed pairs + workload pairs), with no
+    index of the workload built. Only on invalid input does a replay of
+    the log find the first faulty pair in reading order, with a binary
+    search per pair and a byte of marks per workload pair. The
+    selection shares no array with the workload. *)
 
 val input : workload:Mcss_workload.Workload.t -> in_channel -> Allocation.t * Selection.t
 
 val to_string : Allocation.t -> string
 (** The canonical rendering {!save} writes — what the planning service
     journals and digests ([plan_digest] in solve replies), so its bytes
-    must never change for a given allocation. *)
+    must never change for a given allocation. One walk of the fleet
+    measures every line, so the text is allocated once at its final
+    size. *)
 
 val of_string :
   workload:Mcss_workload.Workload.t -> string -> Allocation.t * Selection.t
 (** Parse an in-memory rendering; raises {!Parse_error} like {!load}. *)
-
-(** {2 The int writer}
-
-    The writer's digit loop, for other canonical renderings into a
-    [Buffer] that must stay byte-stable. *)
-
-val digit_scratch : unit -> Bytes.t
-(** Scratch space for {!add_int_then}; reuse one per rendering. *)
-
-val add_int_then : Bytes.t -> Buffer.t -> int -> char -> unit
-(** [add_int_then digits buf n c] appends [string_of_int n ^ String.make
-    1 c] without allocating a string (for [n >= 0]). *)

@@ -12,6 +12,7 @@ module Plan_io = Mcss_core.Plan_io
 module Solver = Mcss_core.Solver
 module Baselines = Mcss_core.Baselines
 module Front = Mcss_front.Front
+module Arena = Mcss_core.Arena
 module Oracle = Cbp_oracle
 
 let valid p s a = Verifier.is_valid (Verifier.verify p s a)
@@ -281,6 +282,51 @@ let prop_cbp_matches_oracle =
             [ 1; 2; 4 ])
         oracle_options)
 
+(* [Cbp.order] against its merge-sort predecessor ([Order_oracle]) on
+   keys with heavy ties: every rate comes from a small pool, so many
+   topics share a key as equal floats of different ids; the pool holds
+   neighbours a few ulps apart and rates across the float range, and
+   group sizes of 1 to 3 followers make [size · ev] products tie too. *)
+let order_problem_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* num_topics = int_range 1 400 in
+    let* num_subscribers = int_range 1 40 in
+    let rng = Mcss_prng.Rng.create seed in
+    let pool =
+      [| 1.; 2.; 3.; 6.; 0.5; 0.1 +. 0.2; 0.3; Float.succ 1.; Float.pred 2.; 1e-300; 5e-324;
+         1e300; Float.max_float |]
+    in
+    let pool = Array.sub pool 0 (1 + Mcss_prng.Rng.int rng (Array.length pool)) in
+    let event_rates =
+      Array.init num_topics (fun _ -> pool.(Mcss_prng.Rng.int rng (Array.length pool)))
+    in
+    let interests =
+      Array.init num_subscribers (fun _ ->
+          List.sort_uniq compare
+            (List.init (Mcss_prng.Rng.int rng 12) (fun _ -> Mcss_prng.Rng.int rng num_topics)))
+    in
+    let workload =
+      Workload.create ~event_rates ~interests:(Array.map Array.of_list interests)
+    in
+    return
+      (Problem.create ~workload ~tau:1. ~capacity:1.
+         (Problem.linear_costs ~vm_usd:1. ~per_event_usd:0.1)))
+
+let prop_order_matches_merge_sort =
+  Helpers.qtest ~count:300 "cbp order = merge-sort order on tied keys, 3 orders"
+    (QCheck.make order_problem_gen ~print:(fun p ->
+         Format.asprintf "%a" Workload.pp_summary p.Problem.workload))
+    (fun p ->
+      let w = p.Problem.workload in
+      let g =
+        Arena.Transpose.create ~width:(Workload.num_topics w)
+          ~rows:(Workload.num_subscribers w) (Workload.interests w)
+      in
+      List.for_all
+        (fun o -> Cbp.order o p g = Order_oracle.order o p g)
+        [ Cbp.Arbitrary; Cbp.Expensive_first; Cbp.Heaviest_group_first ])
+
 (* The Alg. 7 estimate alone, on fleets where hosting and non-hosting
    VMs often have exactly equal free capacity. With near-free VMs the
    verdict turns on whether the first most-free VMs already carry the
@@ -388,4 +434,5 @@ let suite =
       test_pinned_plans_spotify;
     Alcotest.test_case "pinned plan MD5s (twitter 0.0005 seed 4)" `Quick
       test_pinned_plans_twitter;
+    prop_order_matches_merge_sort;
   ]

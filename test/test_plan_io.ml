@@ -646,6 +646,226 @@ let test_decoder_kernel_cases () =
   check "place 0 1 3 0 1 9999999999999999999\n"
     (Error "line 4: bad subscriber \"9999999999999999999\"")
 
+(* ----- discovery order: the first fault in reading order wins ----- *)
+
+(* The decoder checks a plan's pairs in one batch after the last line,
+   so the order in which faults are reported rests on its replay of the
+   logged lines. Each case holds one semantic fault and one syntax
+   fault. The semantic fault is a subscriber outside the workload, a
+   subscriber never subscribed to the line's topic, or a pair placed
+   again on another VM (a line inserted after the pair's own line). The
+   syntax fault is a bad subscriber token, a count mismatch or a VM out
+   of range, on the semantic fault's line, or on another line before or
+   after it. *)
+type semantic = Outside | Unsubscribed | Twice
+
+type syntax_at = Same_line | Line_before | Line_after
+
+let fault_cases =
+  List.concat_map
+    (fun sem -> List.map (fun at -> (sem, at)) [ Same_line; Line_before; Line_after ])
+    [ Outside; Unsubscribed; Twice ]
+
+let place_fields line =
+  match String.split_on_char ' ' line with
+  | "place" :: vm :: topic :: k :: subs ->
+      Some (int_of_string vm, int_of_string topic, int_of_string k, Array.of_list subs)
+  | _ -> None
+
+let place_line vm topic subs =
+  String.concat " "
+    ("place" :: string_of_int vm :: string_of_int topic
+    :: string_of_int (Array.length subs) :: Array.to_list subs)
+
+(* [line] with one syntax fault. *)
+let break_line rng ~num_vms line =
+  let module Rng = Mcss_prng.Rng in
+  match place_fields line with
+  | None -> "place x"
+  | Some (vm, topic, _, subs) -> (
+      match Rng.int rng 3 with
+      | 0 ->
+          let subs = Array.append subs [| "x" |] in
+          let n = Array.length subs in
+          let j = Rng.int rng n in
+          subs.(n - 1) <- subs.(j);
+          subs.(j) <- "x";
+          place_line vm topic subs
+      | 1 ->
+          String.concat " "
+            ("place" :: string_of_int vm :: string_of_int topic
+            :: string_of_int (Array.length subs + 1) :: Array.to_list subs)
+      | _ -> place_line (num_vms + Rng.int rng 3) topic subs)
+
+(* A solved plan for [p] with the faults of [(sem, at)], or [None] if
+   the plan has no [place] line or the fault cannot be made (every
+   subscriber follows the topic). *)
+let faulty_plan rng p (sem, at) =
+  let module Rng = Mcss_prng.Rng in
+  let w = p.Problem.workload in
+  let lines = Array.of_list (String.split_on_char '\n' (solved_plan_text p)) in
+  let num_vms = Scanf.sscanf lines.(2) "vms %d" Fun.id in
+  let places =
+    List.filter (fun i -> place_fields lines.(i) <> None) (List.init (Array.length lines) Fun.id)
+  in
+  if places = [] then None
+  else begin
+    let b = List.nth places (Rng.int rng (List.length places)) in
+    let vm, topic, _, subs = Option.get (place_fields lines.(b)) in
+    let j = Rng.int rng (Array.length subs) in
+    let n = Workload.num_subscribers w in
+    (* The lines with the semantic fault, replacing line [b], and the
+       index of the faulty one among them. *)
+    let faulty =
+      match sem with
+      | Outside ->
+          let subs = Array.copy subs in
+          subs.(j) <- string_of_int (n + Rng.int rng 3);
+          Some ([ place_line vm topic subs ], 0)
+      | Unsubscribed -> (
+          let from = Rng.int rng n in
+          let follows v = Array.mem topic (Workload.interests w v) in
+          match List.find_opt (fun i -> not (follows ((from + i) mod n))) (List.init n Fun.id) with
+          | None -> None
+          | Some i ->
+              let subs = Array.copy subs in
+              subs.(j) <- string_of_int ((from + i) mod n);
+              Some ([ place_line vm topic subs ], 0))
+      | Twice ->
+          let other = if num_vms > 1 then (vm + 1 + Rng.int rng (num_vms - 1)) mod num_vms else vm in
+          Some ([ lines.(b); place_line other topic [| subs.(j) |] ], 1)
+    in
+    Option.map
+      (fun (replacement, k) ->
+        let replacement =
+          List.mapi
+            (fun i l -> if at = Same_line && i = k then break_line rng ~num_vms l else l)
+            replacement
+        in
+        let before = Array.to_list (Array.sub lines 0 b) in
+        let after = Array.to_list (Array.sub lines (b + 1) (Array.length lines - b - 1)) in
+        (* A syntax fault on another line: a damaged [place] line on the
+           wanted side of the faulty one, or an inserted one if that
+           side holds none. *)
+        let damage_one side =
+          let candidates =
+            List.filter (fun i -> place_fields (List.nth side i) <> None)
+              (List.init (List.length side) Fun.id)
+          in
+          match candidates with
+          | [] -> None
+          | _ ->
+              let i = List.nth candidates (Rng.int rng (List.length candidates)) in
+              Some (List.mapi (fun x l -> if x = i then break_line rng ~num_vms l else l) side)
+        in
+        let inserted = break_line rng ~num_vms (place_line 0 topic [| "0" |]) in
+        let before, replacement, after =
+          match at with
+          | Same_line -> (before, replacement, after)
+          | Line_before -> (
+              (* Before the faulty line: in [before], or between the
+                 pair's own line and the inserted one. *)
+              match if Rng.bool rng then damage_one before else None with
+              | Some before -> (before, replacement, after)
+              | None when k = 1 -> (before, [ List.hd replacement; inserted; List.nth replacement 1 ], after)
+              | None -> (before @ [ inserted ], replacement, after))
+          | Line_after -> (
+              match if Rng.bool rng then damage_one after else None with
+              | Some after -> (before, replacement, after)
+              | None -> (before, replacement, inserted :: after))
+        in
+        String.concat "\n" (before @ replacement @ after))
+      faulty
+  end
+
+(* [text]'s decode through the string reader, and through the channel
+   reader from a file. *)
+let decode_both ~workload text =
+  let run f = match f () with r -> Ok r | exception Plan_io.Parse_error m -> Error m in
+  let path = Filename.temp_file "mcss_plan" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      ( run (fun () -> Plan_io.of_string ~workload text),
+        run (fun () -> Plan_io.load ~workload path) ))
+
+let prop_discovery_order =
+  Helpers.qtest ~count:60 "first fault wins: 3 semantic faults x 3 syntax places, both readers"
+    QCheck.(pair Helpers.problem_arbitrary (make Gen.(int_bound 1_000_000)))
+    (fun (p, seed) ->
+      let rng = Mcss_prng.Rng.create seed in
+      let workload = p.Problem.workload in
+      List.for_all
+        (fun case ->
+          match faulty_plan rng p case with
+          | None -> true
+          | Some text -> (
+              let expected =
+                match Plan_io_oracle.of_string ~workload text with
+                | _ -> None
+                | exception Plan_io.Parse_error m -> Some m
+              in
+              match (expected, decode_both ~workload text) with
+              | Some m, (Error a, Error b) when a = m && b = m -> true
+              | _, (got, _) ->
+                  QCheck.Test.fail_reportf "%S: expected %s, got %s" text
+                    (Option.value expected ~default:"no error")
+                    (match got with Ok _ -> "a plan" | Error m -> m)))
+        fault_cases)
+
+let test_discovery_order_cases () =
+  let w = Helpers.fig1_workload () in
+  let header = "mcss-plan 1\ncapacity 80\nvms 2\n" in
+  List.iter
+    (fun (body, expected) ->
+      let text = header ^ body in
+      let oracle =
+        match Plan_io_oracle.of_string ~workload:w text with
+        | _ -> "no error"
+        | exception Plan_io.Parse_error m -> m
+      in
+      Alcotest.(check string) ("oracle: " ^ body) expected oracle;
+      match decode_both ~workload:w text with
+      | Error a, Error b ->
+          Alcotest.(check string) ("of_string: " ^ body) expected a;
+          Alcotest.(check string) ("load: " ^ body) expected b
+      | _ -> Alcotest.failf "%S: expected %s" body expected)
+    [
+      (* Semantic, then syntax on a later line. *)
+      ("place 0 1 2 0 7\nplace 1 0 1 x\n", "line 4: subscriber 7 outside the workload");
+      ("place 0 0 1 2\nplace 1 1 2 0 1 2\n", "line 4: subscriber 2 never subscribed to topic 0");
+      ("place 0 1 1 0\nplace 1 1 1 0\nplace 0 0 1 x\n", "line 5: pair (1, 0) placed twice");
+      (* Syntax on an earlier line, then semantic. *)
+      ("place 1 0 2 0\nplace 0 1 2 0 7\n", "line 4: count 2 does not match 1 subscribers");
+      ("place 0 1 1 0\nplace 2 0 1 0\nplace 1 1 1 0\n", "line 5: VM 2 out of range");
+      (* Both on one line: the line is read whole first. *)
+      ("place 0 1 3 7 0 x\n", "line 4: bad subscriber \"x\"");
+      ("place 0 1 2 0 0\nplace 1 0 1 x\n", "line 4: pair (1, 0) placed twice");
+      (* Of two semantic faults the first in reading order wins, even
+         when only the later one is out of range. *)
+      ("place 0 0 1 2\nplace 1 1 1 9\n", "line 4: subscriber 2 never subscribed to topic 0");
+      ("place 0 1 1 0\nplace 1 1 1 0\nplace 1 0 1 2\n", "line 5: pair (1, 0) placed twice");
+    ]
+
+(* A solved Spotify plan decodes to the same selection bits through
+   both readers, and to the allocating decoder's. *)
+let test_readers_agree_spotify () =
+  let w = Front.generate ~seed:3 `Spotify ~scale:0.002 in
+  let instance = Result.get_ok (Front.resolve_instance "c3.large") in
+  let _, p = Front.problem_of ~w ~tau:100. ~instance ~scale:0.002 ~bc_events:None in
+  let r = Solver.solve p in
+  let text = Plan_io.to_string r.Solver.allocation in
+  match decode_both ~workload:w text with
+  | Ok (a, s), Ok (la, ls) ->
+      let _, os = Plan_io_oracle.of_string ~workload:w text in
+      Helpers.check_bool "readers: same selection bits" true (same_selection s ls);
+      Helpers.check_bool "oracle: same selection bits" true (same_selection s os);
+      Helpers.check_bool "solver's selection bits" true (same_selection s r.Solver.selection);
+      Alcotest.(check string) "string reader re-encodes" text (Plan_io.to_string a);
+      Alcotest.(check string) "channel reader re-encodes" text (Plan_io.to_string la)
+  | _ -> Alcotest.fail "a solved plan failed to decode"
+
 (* ----- decoded rows shared with the workload ----- *)
 
 (* The workload's rows, interest rates and event rates, deep-copied. *)
@@ -728,4 +948,7 @@ let suite =
     prop_decoder_matches_allocating_oracle;
     Alcotest.test_case "decoder kernel cases" `Quick test_decoder_kernel_cases;
     Alcotest.test_case "decode: full rows, workload kept" `Quick test_decode_full_rows;
+    prop_discovery_order;
+    Alcotest.test_case "discovery order cases" `Quick test_discovery_order_cases;
+    Alcotest.test_case "both readers agree on a spotify plan" `Quick test_readers_agree_spotify;
   ]
