@@ -236,11 +236,6 @@ module Transpose = struct
 
   let id_limit = 1 lsl 31
 
-  (* The rows to transpose: arrays handed out one per row, or the
-     slices [data.(offs.(r)) .. data.(offs.(r + 1) - 1)] of one flat
-     array. *)
-  type source = Rows of (int -> int array) | Slices of int array * int array
-
   (* An entry is kept when it lies in [0, width) and exceeds every
      entry kept before it in its row: the running maximum [last] starts
      at -1. The per-row passes are top-level with every input an
@@ -267,29 +262,16 @@ module Transpose = struct
       end
     done
 
-  let count_rows src ~width count lo hi =
-    match src with
-    | Rows row ->
-        for r = lo to hi - 1 do
-          let a = row r in
-          count_slice ~width count a 0 (Array.length a)
-        done
-    | Slices (offs, data) ->
-        for r = lo to hi - 1 do
-          count_slice ~width count data offs.(r) offs.(r + 1)
-        done
+  (* The rows are the slices [data.(offs.(r)) .. data.(offs.(r + 1) - 1)]. *)
+  let count_rows (offs, data) ~width count lo hi =
+    for r = lo to hi - 1 do
+      count_slice ~width count data offs.(r) offs.(r + 1)
+    done
 
-  let fill_rows src ~width cur col lo hi =
-    match src with
-    | Rows row ->
-        for r = lo to hi - 1 do
-          let a = row r in
-          fill_slice ~width cur col r a 0 (Array.length a)
-        done
-    | Slices (offs, data) ->
-        for r = lo to hi - 1 do
-          fill_slice ~width cur col r data offs.(r) offs.(r + 1)
-        done
+  let fill_rows (offs, data) ~width cur col lo hi =
+    for r = lo to hi - 1 do
+      fill_slice ~width cur col r data offs.(r) offs.(r + 1)
+    done
 
   (* Counting sort over ordered row chunks, one per domain. Each chunk
      counts its kept entries per column row; the counts then become the
@@ -298,9 +280,18 @@ module Transpose = struct
      each chunk fills its own part of every column row. Rows therefore
      ascend within each column row, and the column is the same at any
      domain count. *)
-  let transpose ~domains ~width ~rows src =
-    if width < 0 || rows < 0 then invalid_arg "Arena.Transpose.create: negative size";
-    if rows > id_limit then invalid_arg "Arena.Transpose.create: row index beyond 2^31";
+  let of_slices ?(domains = 1) ~width ~offs data =
+    let rows = Array.length offs - 1 in
+    if width < 0 then invalid_arg "Arena.Transpose.of_slices: negative width";
+    if rows < 0 then invalid_arg "Arena.Transpose.of_slices: empty offsets";
+    if rows > id_limit then invalid_arg "Arena.Transpose.of_slices: row index beyond 2^31";
+    if offs.(0) < 0 || offs.(rows) > Array.length data then
+      invalid_arg "Arena.Transpose.of_slices: offsets leave the data";
+    for r = 0 to rows - 1 do
+      if offs.(r + 1) < offs.(r) then
+        invalid_arg "Arena.Transpose.of_slices: offsets descend"
+    done;
+    let src = (offs, data) in
     let cursors =
       map_chunks ~domains rows (fun _ lo hi ->
           let count = Array.make width 0 in
@@ -324,19 +315,6 @@ module Transpose = struct
       (map_chunks ~domains rows (fun c lo hi -> fill_rows src ~width cursors.(c) col lo hi)
         : unit array);
     { offs; col }
-
-  let create ?(domains = 1) ~width ~rows row = transpose ~domains ~width ~rows (Rows row)
-
-  let of_slices ?(domains = 1) ~width ~offs data =
-    let rows = Array.length offs - 1 in
-    if rows < 0 then invalid_arg "Arena.Transpose.of_slices: empty offsets";
-    if offs.(0) < 0 || offs.(rows) > Array.length data then
-      invalid_arg "Arena.Transpose.of_slices: offsets leave the data";
-    for r = 0 to rows - 1 do
-      if offs.(r + 1) < offs.(r) then
-        invalid_arg "Arena.Transpose.of_slices: offsets descend"
-    done;
-    transpose ~domains ~width ~rows (Slices (offs, data))
 
   let length t = Bigarray.Array1.dim t.col
   let start t x = t.offs.(x)

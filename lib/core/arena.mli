@@ -170,14 +170,6 @@ module Transpose : sig
       [offs], offsets that descend or leave [data], or more than [2^31]
       rows. *)
 
-  val create : ?domains:int -> width:int -> rows:int -> (int -> int array) -> t
-  (** [create ~width ~rows row] is {!of_slices} over the arrays [row 0 ..
-      row (rows - 1)], each row one array (such as a workload's
-      interest rows); the same entry filter, the
-      same chunked count and fill, the same column. [row] is called
-      once per row in each pass, from several domains when [domains >
-      1]. Raises [Invalid_argument] on a negative size or [rows > 2^31]. *)
-
   val length : t -> int
   (** Entries kept, over all column rows. *)
 

@@ -25,12 +25,16 @@ let record name ~minor ~major =
       t.major_words <- t.major_words +. major;
       t.samples <- t.samples + 1)
 
+(* [Gc.minor_words] counts to the word at any time; [Gc.counters]'s
+   minor words move only at a minor collection. *)
 let measure ?(obs = Registry.noop) name f =
-  let minor0, _, major0 = Gc.counters () in
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   Fun.protect
     ~finally:(fun () ->
-      let minor1, _, major1 = Gc.counters () in
-      let minor = minor1 -. minor0 and major = major1 -. major0 in
+      let minor = Gc.minor_words () -. minor0 in
+      let _, _, major1 = Gc.counters () in
+      let major = major1 -. major0 in
       record name ~minor ~major;
       if Registry.enabled obs then begin
         Metric.Counter.add

@@ -1,8 +1,8 @@
 (** Per-phase GC allocation accounting.
 
-    [measure] brackets a phase with [Gc.counters] samples and attributes
-    the words the {e calling domain} allocated in between to a named
-    phase in a process-wide table (allocations made by domains spawned
+    [measure] brackets a phase with [Gc.minor_words] and [Gc.counters]
+    samples and attributes the words the {e calling domain} allocated in
+    between to a named phase in a process-wide table (allocations made by domains spawned
     inside the phase are not charged — OCaml GC counters are
     per-domain, and that under-count is exactly the interesting number:
     what the orchestrating domain itself still allocates).
@@ -11,7 +11,12 @@
     benchmark writers splice it into every BENCH_*.json [runtime] block
     via {!Runtime_stats.to_json}, and [measure] also bumps
     [gc.<phase>.minor_words] / [gc.<phase>.major_words] counters on the
-    given registry so the numbers surface in [--metrics-out] dumps. *)
+    given registry so the numbers surface in [--metrics-out] dumps.
+
+    Minor words are exact: the same allocations are charged the same
+    words whether or not a minor collection falls inside the phase.
+    Major words include the words that minor collections inside the
+    phase promoted, which may have been allocated before it began. *)
 
 type totals = {
   mutable minor_words : float;

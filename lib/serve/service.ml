@@ -41,11 +41,8 @@ let default_config =
     quorum_timeout_ms = 2000.;
   }
 
-(* A cached plan: the full solver result (so chaos drills can replay the
-   allocation) plus the money view, which depends only on the params the
-   plan is keyed under, plus the canonical plan text the journal stores
-   and the digest clients use to compare plans across restarts. *)
-type plan = {
+(* The plans the service caches and the version store holds. *)
+type plan = Versions.plan = {
   result : Solver.result;
   bandwidth_gb : float;
   solve_seconds : float;
@@ -53,29 +50,7 @@ type plan = {
   plan_digest : string;
 }
 
-(* A cache entry remembers what it was solved for, so a snapshot can
-   re-journal it and a degraded reply can disclose the served params. *)
-type entry = { digest : string; params : Protocol.solve_params; plan : plan }
-
-(* An update-derived workload version as the journal holds it: the
-   [update] record that made it, O(Δ) — what its deltas were applied
-   to, the params, the batch and the digest it made — plus the plan
-   digest the update answered with, which a rebuild must reproduce. An
-   evicted version leaves only this behind. *)
-type version = {
-  base : base;
-  params : Protocol.solve_params;
-  deltas : string;
-  made : string;
-  plan_digest : string;
-}
-
-(* What an update's deltas were applied to: the plan of an earlier
-   version, or a plan the solver made (or a [plan] record carried),
-   which is pinned so that the versions built on it stay rebuildable. *)
-and base = Derived of version | Solved of entry
-
-let base_digest v = match v.base with Derived b -> b.made | Solved e -> e.digest
+type entry = Versions.entry = { digest : string; params : Protocol.solve_params; plan : plan }
 
 type replay_stats = {
   workloads_recovered : int;
@@ -137,27 +112,12 @@ type t = {
   gate : Admission.t;
   breaker : Breaker.t;
   sf : miss_outcome Single_flight.t;
-  workloads : (string, Workload.t) Hashtbl.t;
-      (** The workloads held in memory: every root (a loaded workload,
-          or one a pinned plan was solved for), kept for the service's
-          life, and the update-derived versions in [held]. *)
-  fallback : (string, entry) Hashtbl.t;
-      (** Last solved plan per resident workload digest — what degraded
-          replies serve. Written only by {!keep_entry} (as [workloads]
-          is only by {!keep_workload}); an evicted version's entry goes
-          with its workload. *)
-  versions : (string, version) Hashtbl.t;
-      (** Every update-derived digest's latest version, resident or
-          evicted. *)
-  mutable history : version list;
-      (** Every version, newest first: what snapshots journal. *)
-  mutable held : string list;
-      (** The update-derived digests in [workloads], newest first, at
-          most {!retained_versions}. *)
-  pinned : (string, entry) Hashtbl.t;
-      (** Solver plans an update was applied to, by cache key. Their
-          digests are roots. *)
-  lock : Mutex.t;  (** Guards the tables above, [obs] updates, and the mutable fields. *)
+  store : Versions.t;
+      (** Every digest the service knows: which are in memory, the
+          plans pinned on them, every version. *)
+  lock : Mutex.t;
+      (** Guards [obs] updates and the mutable fields; [store] takes it
+          too, so no store call is made while holding it. *)
   journal : Journal.t option;
   journal_lock : Mutex.t;
       (** Serialises appends and snapshots. Lock order: [journal_lock]
@@ -179,8 +139,6 @@ type t = {
   mutable requests : int;
   mutable solver_run_count : int;
   mutable degraded_served : int;
-  mutable versions_evicted : int;
-  mutable versions_rebuilt : int;
   mutable replay : replay_stats option;
   mutable role : role;
   mutable volatile_epoch : int;
@@ -230,10 +188,6 @@ external format_float : string -> float -> string = "caml_format_float"
    integral float below 1e15 with a clear sign bit (traces' rates are
    integral). *)
 let prints_as_int x = Float.is_integer x && x < 1e15 && not (Float.sign_bit x)
-
-(* [Printf.sprintf "%.17g" x], through the primitive [Printf]'s [%g]
-   calls. *)
-let g17 x = if prints_as_int x then string_of_int (int_of_float x) else format_float "%.17g" x
 
 (* An append-only byte writer that grows by doubling. *)
 type out = { mutable b : Bytes.t; mutable n : int }
@@ -369,24 +323,7 @@ let render ?prev w =
 
 let digest_of_workload w = fst (render w)
 
-let find_workload t digest = locked t (fun () -> Hashtbl.find_opt t.workloads digest)
-
-(* The ladder name a requested config name solves under: "parallel" is
-   the default config (see {!resolve_config}), every other name is its
-   own. *)
-let ladder_name name =
-  if name = "parallel" then fst (List.find (fun (_, c) -> c = Solver.default) Solver.ladder)
-  else name
-
-(* Keyed on the ladder name, so "parallel" and the default config's own
-   name, which give the same plan, share one entry and one solver run. *)
-let cache_key digest (params : Protocol.solve_params) =
-  String.concat ""
-    [
-      digest; "|tau="; g17 params.Protocol.tau; "|instance="; params.Protocol.instance;
-      "|bc="; (match params.Protocol.bc_events with None -> "default" | Some x -> g17 x);
-      "|config="; ladder_name params.Protocol.config;
-    ]
+let cache_key = Versions.cache_key
 
 let cached_plan t ~digest params =
   List.assoc_opt (cache_key digest params) (Plan_cache.to_list t.cache)
@@ -418,106 +355,7 @@ let problem_for w (params : Protocol.solve_params) =
       | p -> Ok (model, p)
       | exception Invalid_argument m -> Error (E (Protocol.Bad_request, m)))
 
-(* ----- the registry -----
-
-   The only writers of [workloads], [fallback] and the plan cache
-   ({!reset_to_snapshot} aside, which empties all three): solves,
-   updates, rebuilds, startup replay and replication all register
-   through these two. *)
-
-(* How many update-derived versions stay resident in full: the newest
-   only, which is what a client chaining updates (and reading each new
-   digest) touches; an older one is rebuilt when named. *)
-let retained_versions = 1
-
-let evicted_counter obs =
-  Registry.counter obs ~help:"Update-derived versions evicted from memory"
-    "serve.versions.evicted"
-
-let rebuilt_counter obs =
-  Registry.counter obs ~help:"Evicted versions rebuilt by replaying their update records"
-    "serve.versions.rebuilt"
-
-(* Caller holds [t.lock]. *)
-let is_pinned t digest =
-  Hashtbl.fold (fun _ (e : entry) acc -> acc || e.digest = digest) t.pinned false
-
-(* Register [w] under [digest]; whether the digest was new. Without
-   [derived] it is a root, kept for the service's life. With it, it is
-   the newest update-derived version, and the oldest past
-   {!retained_versions} is evicted: its workload, fallback and cached
-   plans go (a [Plan_cache.remove], not a capacity eviction), and only
-   its version is left. A root that an update derives again becomes a
-   version, since it can be rebuilt (journals from builds that logged a
-   [load] of each evolved workload replay that way), unless a pinned
-   plan was solved for it. *)
-let keep_workload ?(derived = false) t digest w =
-  let fresh, evicted =
-    locked t (fun () ->
-        let fresh = not (Hashtbl.mem t.workloads digest) in
-        let root = (not fresh) && not (List.mem digest t.held) in
-        Hashtbl.replace t.workloads digest w;
-        let others = List.filter (fun d -> d <> digest) t.held in
-        if (not derived) || (root && is_pinned t digest) then begin
-          t.held <- others;
-          (fresh, [])
-        end
-        else begin
-          let newest = digest :: others in
-          t.held <- List.filteri (fun i _ -> i < retained_versions) newest;
-          let evicted = List.filteri (fun i _ -> i >= retained_versions) newest in
-          List.iter
-            (fun d ->
-              Hashtbl.remove t.workloads d;
-              Hashtbl.remove t.fallback d;
-              (match t.resident with
-              | Some r when r.entry.digest = d -> t.resident <- None
-              | _ -> ());
-              t.versions_evicted <- t.versions_evicted + 1;
-              Counter.inc (evicted_counter t.obs))
-            evicted;
-          (fresh, evicted)
-        end)
-  in
-  if evicted <> [] then
-    List.iter
-      (fun (key, (e : entry)) ->
-        if List.mem e.digest evicted then Plan_cache.remove t.cache key)
-      (Plan_cache.to_list t.cache);
-  fresh
-
-(* Cache [e] under its key and make it its digest's degraded-reply
-   fallback, while its workload is resident. *)
-let keep_entry t (e : entry) =
-  locked t (fun () ->
-      if Hashtbl.mem t.workloads e.digest then begin
-        Plan_cache.add t.cache (cache_key e.digest e.params) e;
-        Hashtbl.replace t.fallback e.digest e
-      end)
-
-let plan_record t ({ digest; params; plan } : entry) =
-  let r = plan.result in
-  Record.Plan
-    { origin = Some t.config.name; digest; params; plan = plan.text;
-      bandwidth = r.Solver.bandwidth; bandwidth_gb = plan.bandwidth_gb; cost = r.Solver.cost;
-      stage1_s = r.Solver.stage1_seconds; stage2_s = r.Solver.stage2_seconds;
-      solve_s = plan.solve_seconds }
-
 (* ----- the incremental engine behind [update] ----- *)
-
-(* The resident plan entry an update starts from: the live cache, the
-   fallback when it was solved under the same params, or a pinned plan.
-   [lookup] is [Plan_cache.find] for a client's update and
-   [Plan_cache.promote] for a replayed one, which is not cache traffic.
-   An evicted version's entry is not here: see {!materialize}. *)
-let base_entry t ~lookup ~key ~digest =
-  match lookup t.cache key with
-  | Some e -> Some e
-  | None ->
-      locked t (fun () ->
-          match Hashtbl.find_opt t.fallback digest with
-          | Some e when cache_key e.digest e.params = key -> Some e
-          | _ -> Hashtbl.find_opt t.pinned key)
 
 (* Journal replay, and the live path when its base is not the resident
    entry, adopt the entry's own plan: [Engine.of_plan] copies the
@@ -598,116 +436,38 @@ let replayed_update ~w (e : entry) ~deltas =
         Some (entry_of_engine ~model ~digest ~params:e.params ~solve_seconds:0. eng, w')
   with _ -> None
 
-(* ----- versions: update-derived state, bounded in memory ----- *)
-
 let gate_full t =
   E (Protocol.Overloaded,
      Printf.sprintf "solver gate full (%d in flight)" (Admission.max_in_flight t.gate))
 
-(* Register what an applied update made from base entry [e] of
-   workload [w] by [deltas]: its version, then the evolved workload [w']
-   as the newest version and its entry [e']. The version's base is the
-   version whose plan [e] is; otherwise [e] is a solver plan, and it is
-   pinned, with its workload kept as a root, since the new version is
-   rebuilt from it. *)
-let keep_update t ~w (e : entry) ~deltas ((e' : entry), w') =
-  let key = cache_key e.digest e.params in
-  let base =
-    match locked t (fun () -> Hashtbl.find_opt t.versions e.digest) with
-    | Some v when v.plan_digest = e.plan.plan_digest && cache_key v.made v.params = key ->
-        Derived v
-    | _ ->
-        locked t (fun () -> Hashtbl.replace t.pinned key e);
-        ignore (keep_workload t e.digest w);
-        Solved e
-  in
-  let v =
-    { base; params = e.params; deltas; made = e'.digest; plan_digest = e'.plan.plan_digest }
-  in
-  locked t (fun () ->
-      Hashtbl.replace t.versions v.made v;
-      t.history <- v :: t.history);
-  ignore (keep_workload ~derived:true t e'.digest w');
-  keep_entry t e'
-
-let version_of t digest = locked t (fun () -> Hashtbl.find_opt t.versions digest)
-
-(* The version of [digest] made under the params [key] names. *)
-let version_at t ~digest ~key =
-  match version_of t digest with
-  | Some v when cache_key digest v.params = key -> Some v
-  | _ -> None
-
-(* [v]'s workload and plan entry, while still resident. *)
-let resident_version t v =
-  let key = cache_key v.made v.params in
-  match (find_workload t v.made, base_entry t ~lookup:Plan_cache.promote ~key ~digest:v.made) with
-  | Some w, Some e when e.plan.plan_digest = v.plan_digest -> Some (w, e)
-  | _ -> None
-
-(* The one path that answers a digest that is not resident: [v]'s
-   workload and plan entry, rebuilt by replaying the versions from its
-   nearest resident ancestor (or the pinned plan its chain starts from)
-   forward. This is the engine's deterministic replay, not a solver run.
-   Each replayed version is registered as the newest as soon as it is
-   made, so a rebuild that [check] stops partway (a request's deadline)
-   is resumed, not restarted, by the next one. [check] runs between
-   replayed versions, never before the first, so every call makes
-   progress. *)
-let materialize t ~check v =
-  (* The versions to replay, oldest first, and what the oldest applies to. *)
-  let rec walk v chain =
-    match resident_version t v with
-    | Some found -> Ok (found, chain)
-    | None -> (
-        match v.base with
-        | Derived b -> walk b (v :: chain)
-        | Solved e -> (
-            match find_workload t e.digest with
-            | Some w -> Ok ((w, e), v :: chain)
-            | None -> Error (E (Protocol.Internal, "the workload of a pinned plan is gone"))))
-  in
-  let rec replay ~first (w, e) = function
-    | [] -> Ok (w, e)
-    | v :: rest -> (
-        match if first then Ok () else check () with
-        | Error err -> Error err
-        | Ok () -> (
-            match replayed_update ~w e ~deltas:v.deltas with
-            | Some (e', w') when e'.digest = v.made && e'.plan.plan_digest = v.plan_digest ->
-                ignore (keep_workload ~derived:true t v.made w');
-                keep_entry t e';
-                locked t (fun () ->
-                    t.versions_rebuilt <- t.versions_rebuilt + 1;
-                    Counter.inc (rebuilt_counter t.obs));
-                replay ~first:false (w', e') rest
-            | _ ->
-                Error
-                  (E (Protocol.Internal,
-                      Printf.sprintf "version %s no longer replays to its plan" v.made))))
-  in
-  Result.bind (walk v []) (fun (start, chain) -> replay ~first:true start chain)
-
-(* {!materialize} for a request, under the admission gate and the
-   request's deadline. The caller holds [update_lock]. *)
+(* {!Versions.rebuild} for a request, under the admission gate and the
+   request's deadline. The caller holds [update_lock]. A rebuilt version
+   is the newest, so the resident engine's may have been evicted: the
+   engine goes with it. *)
 let revive t ~deadline v =
-  let check () =
-    if Admission.expired deadline then
-      Error (E (Protocol.Timeout, "deadline exceeded while rebuilding an evicted version"))
-    else Ok ()
+  let rebuilt =
+    Admission.with_slot t.gate (fun () ->
+        Versions.rebuild t.store ~expired:(fun () -> Admission.expired deadline) v)
   in
-  match Admission.with_slot t.gate (fun () -> materialize t ~check v) with
-  | Some found -> found
+  (match locked t (fun () -> t.resident) with
+  | Some r when Versions.workload t.store r.entry.digest = None ->
+      locked t (fun () -> t.resident <- None)
+  | _ -> ());
+  match rebuilt with
+  | Some (Ok found) -> Ok found
+  | Some (Error `Expired) ->
+      Error (E (Protocol.Timeout, "deadline exceeded while rebuilding an evicted version"))
+  | Some (Error (`Internal m)) -> Error (E (Protocol.Internal, m))
   | None -> Error (gate_full t)
 
-(* {!materialize} for replay and replication, which are not requests. *)
-let replay_version t v = Result.to_option (materialize t ~check:(fun () -> Ok ()) v)
+(* {!Versions.rebuild} for replay and replication, which are not requests. *)
+let replay_version t v = Result.to_option (Versions.rebuild t.store v)
 
 type applied = Loaded | Planned | Updated | Skipped
 
 (* Rebuild service state from one journal record. Registers directly
    (no re-journaling). Raises nothing: any malformed or orphaned record
-   is [Skipped]. Each registry touch takes [t.lock] on its own, so the
+   is [Skipped]. Each store touch takes [t.lock] on its own, so the
    same code serves startup replay and live application of a leader's
    replication stream on a follower. *)
 let apply_record t line =
@@ -719,15 +479,15 @@ let apply_record t line =
          its digest would orphan every plan keyed under it — drop it
          rather than serve mislabeled state. *)
       | w when digest_of_workload w = digest ->
-          ignore (keep_workload t digest w);
+          ignore (Versions.add_root t.store digest w);
           Loaded
       | _ -> Skipped
       | exception Wio.Parse_error _ -> Skipped)
   | Some (Record.Plan r) -> (
       let workload =
-        match find_workload t r.digest with
+        match Versions.workload t.store r.digest with
         | Some w -> Some w
-        | None -> Option.map fst (Option.bind (version_of t r.digest) (replay_version t))
+        | None -> Option.map fst (Option.bind (Versions.version t.store r.digest) (replay_version t))
       in
       match workload with
       | None -> Skipped (* plan for a workload we never recovered *)
@@ -744,18 +504,17 @@ let apply_record t line =
                 { result; bandwidth_gb = r.bandwidth_gb; solve_seconds = r.solve_s;
                   text = r.plan; plan_digest = Digest.to_hex (Digest.string r.plan) }
               in
-              keep_entry t { digest = r.digest; params = r.params; plan };
+              Versions.add_entry t.store { digest = r.digest; params = r.params; plan };
               Planned))
   | Some (Record.Update r) -> (
       let key = cache_key r.digest r.params in
-      let rebuilt () = Option.bind (version_at t ~digest:r.digest ~key) (replay_version t) in
       let base =
-        match find_workload t r.digest with
-        | None -> rebuilt ()
-        | Some w -> (
-            match base_entry t ~lookup:Plan_cache.promote ~key ~digest:r.digest with
-            | Some e -> Some (w, e)
-            | None -> rebuilt ())
+        match
+          ( Versions.workload t.store r.digest,
+            Versions.entry t.store ~lookup:Plan_cache.promote ~key r.digest )
+        with
+        | Some w, Some e -> Some (w, e)
+        | _ -> Option.bind (Versions.version t.store ~key r.digest) (replay_version t)
       in
       match base with
       | None -> Skipped
@@ -766,7 +525,7 @@ let apply_record t line =
                  register it here. (Journals written before updates
                  stopped journaling a load op for it replay the same:
                  that root becomes this version.) *)
-              keep_update t ~w e ~deltas:r.deltas made;
+              Versions.add_update t.store ~w e ~deltas:r.deltas made;
               Updated
           | Some _ ->
               (* Replay landed on a different digest than the live run
@@ -776,53 +535,10 @@ let apply_record t line =
               Skipped
           | None -> Skipped))
 
-(* Everything needed to rebuild the registry and cache from scratch,
-   O(roots × pairs + versions × Δ): the roots' loads first (replay looks
-   a plan's workload up), then every version's update record, oldest
-   first, each after the pinned plan it started from the first time one
-   is needed, then plans, with the cache's LRU entries last so replaying
-   reproduces the recency order. Fallback-only plans (evicted from the
-   cache but still served by degraded replies) go before the cache so
-   they cannot evict live entries on replay. *)
+(* Everything needed to rebuild the store and cache from scratch: see
+   {!Versions.records}. *)
 let full_state t =
-  let origin = Some t.config.name in
-  let cached = List.map snd (Plan_cache.to_list t.cache) in
-  let loads, history, fallback_only =
-    locked t (fun () ->
-        let seen = Hashtbl.create 64 in
-        List.iter
-          (fun e -> Hashtbl.replace seen (cache_key e.digest e.params) ())
-          cached;
-        ( Hashtbl.fold
-            (fun digest w acc ->
-              if List.mem digest t.held then acc
-              else Record.Load { origin; digest; wio = Wio.to_string w } :: acc)
-            t.workloads [],
-          t.history,
-          Hashtbl.fold
-            (fun _ e acc ->
-              if Hashtbl.mem seen (cache_key e.digest e.params) then acc
-              else e :: acc)
-            t.fallback [] ))
-  in
-  let written = Hashtbl.create 8 in
-  let updates =
-    List.fold_left
-      (fun acc v ->
-        let update =
-          Record.Update
-            { origin; digest = base_digest v; params = v.params; deltas = v.deltas;
-              new_digest = v.made }
-        in
-        match v.base with
-        | Solved e when not (Hashtbl.mem written (cache_key e.digest e.params)) ->
-            Hashtbl.replace written (cache_key e.digest e.params) ();
-            update :: plan_record t e :: acc
-        | _ -> update :: acc)
-      [] (List.rev history)
-  in
-  List.map Record.to_string
-    (loads @ List.rev updates @ List.map (plan_record t) (fallback_only @ cached))
+  List.map Record.to_string (Versions.records t.store ~origin:(Some t.config.name))
 
 (* Append one op; when the WAL has grown past the configured threshold,
    fold it into a fresh snapshot while still holding [journal_lock] so
@@ -872,7 +588,7 @@ let register_workload t w =
   let digest = digest_of_workload w in
   (* Re-loading known content is a no-op on disk too. *)
   let index =
-    if keep_workload t digest w then
+    if Versions.add_root t.store digest w then
       journal_append t
         (Record.Load { origin = Some t.config.name; digest; wio = Wio.to_string w })
     else None
@@ -978,15 +694,8 @@ let reset_to_snapshot t ~base ~epoch payloads =
                  "serve.replication.truncated_records")
               divergent;
           Journal.install_snapshot j ~base ~epoch payloads;
-          Plan_cache.clear t.cache;
-          locked t (fun () ->
-              t.resident <- None;
-              Hashtbl.reset t.workloads;
-              Hashtbl.reset t.fallback;
-              Hashtbl.reset t.versions;
-              t.history <- [];
-              t.held <- [];
-              Hashtbl.reset t.pinned);
+          locked t (fun () -> t.resident <- None);
+          Versions.clear t.store;
           List.iter (fun line -> ignore (apply_record t line)) payloads;
           Counter.inc
             (Registry.counter t.obs ~help:"Full snapshot resyncs installed"
@@ -1052,21 +761,17 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
         let j, replay = Journal.open_ ~obs jc in
         (Some j, Some replay)
   in
+  let cache = Plan_cache.create ~capacity:config.cache_capacity and lock = Mutex.create () in
   let t =
     {
       config;
       obs;
-      cache = Plan_cache.create ~capacity:config.cache_capacity;
+      cache;
       gate = Admission.create ~max_in_flight:config.max_in_flight;
       breaker = Breaker.create config.breaker;
       sf = Single_flight.create ();
-      workloads = Hashtbl.create 8;
-      fallback = Hashtbl.create 8;
-      versions = Hashtbl.create 64;
-      history = [];
-      held = [];
-      pinned = Hashtbl.create 8;
-      lock = Mutex.create ();
+      store = Versions.create ~obs ~lock ~cache ~replay:replayed_update;
+      lock;
       journal;
       journal_lock = Mutex.create ();
       update_lock = Mutex.create ();
@@ -1076,8 +781,6 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       requests = 0;
       solver_run_count = 0;
       degraded_served = 0;
-      versions_evicted = 0;
-      versions_rebuilt = 0;
       replay = None;
       role;
       volatile_epoch = 0;
@@ -1085,9 +788,6 @@ let create ?obs ?(config = default_config) ?(role = Leader) ?replay_to () =
       commit_gate = None;
     }
   in
-  (* Registered up front, so [metrics] shows them at zero. *)
-  ignore (evicted_counter obs);
-  ignore (rebuilt_counter obs);
   (match journal_replay with
   | None -> ()
   | Some r ->
@@ -1213,7 +913,7 @@ let breaker_state_value = function
   | Breaker.Open -> 2.
 
 let refresh_gauges t =
-  let cs = Plan_cache.stats t.cache in
+  let cs = Plan_cache.stats t.cache and vs = Versions.stats t.store in
   let breaker_state = Breaker.state t.breaker in
   locked t (fun () ->
       let set name help v = Gauge.set (Registry.gauge t.obs ~help name) v in
@@ -1231,7 +931,7 @@ let refresh_gauges t =
         (float_of_int (Admission.rejected t.gate));
       set "serve.workloads_resident"
         "Workloads held in memory: roots and the newest update-derived versions"
-        (float_of_int (Hashtbl.length t.workloads));
+        (float_of_int vs.Versions.workloads);
       set "serve.breaker.state" "Solver circuit: 0 closed, 1 half-open, 2 open"
         (breaker_state_value breaker_state);
       set "serve.breaker.opens" "Times the solver circuit opened"
@@ -1254,10 +954,10 @@ let refresh_gauges t =
    and the journal (in that order — a plan visible to clients before it
    is durable only costs a re-solve after a crash, never a wrong answer). *)
 let publish t (e : entry) =
-  keep_entry t e;
+  Versions.add_entry t.store e;
   (* Solves are idempotent (deterministic + content-addressed), so their
      plan records replicate asynchronously even under quorum acks. *)
-  ignore (journal_append t (plan_record t e))
+  ignore (journal_append t (Versions.plan_record ~origin:(Some t.config.name) e))
 
 (* The cache-miss path, run by exactly one single-flight leader per key.
    The admission gate is taken before the breaker is consulted: a
@@ -1336,8 +1036,7 @@ type obtained =
 (* Turn a shed into a degraded answer when any plan for this digest was
    ever solved (this run or a journaled predecessor). *)
 let shed t ~digest =
-  let fb = locked t (fun () -> Hashtbl.find_opt t.fallback digest) in
-  match fb with
+  match Versions.fallback t.store digest with
   | Some e ->
       record_degraded t ~served:true;
       Degr (e, "solver circuit open; serving last solved plan")
@@ -1470,10 +1169,10 @@ let with_update_lock t f =
 (* Run [f] on the workload under [digest]; an evicted version is
    rebuilt first ({!revive}). *)
 let with_workload t ~id ~deadline digest f =
-  match find_workload t digest with
+  match Versions.workload t.store digest with
   | Some w -> f w
   | None -> (
-      match version_of t digest with
+      match Versions.version t.store digest with
       | None ->
           Protocol.error_response ~id ~code:Protocol.Unknown_digest
             ~message:(Printf.sprintf "no workload loaded under digest %s" digest)
@@ -1508,10 +1207,10 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
     ~deltas ~ds =
   let key = cache_key digest params in
   let base =
-    match base_entry t ~lookup:Plan_cache.find ~key ~digest with
+    match Versions.entry t.store ~lookup:Plan_cache.find ~key digest with
     | Some e -> Ok e
     | None -> (
-        match version_at t ~digest ~key with
+        match Versions.version t.store ~key digest with
         | Some v -> Result.map snd (revive t ~deadline v)
         | None -> (
             match obtain_plan t ~digest ~w ~params ~deadline with
@@ -1567,7 +1266,7 @@ let run_update t ~id ~deadline ~digest ~(params : Protocol.solve_params) ~w
                 (* Register and publish, then journal: the update record
                    alone is durable state, since replay and replication
                    re-derive [w'] and [e'] from the deltas. *)
-                keep_update t ~w e ~deltas (e', w');
+                Versions.add_update t.store ~w e ~deltas (e', w');
                 locked t (fun () ->
                     if t.role = Leader then
                       t.resident <- Some { entry = e'; model; engine = eng; rendering });
@@ -1727,26 +1426,17 @@ let handle_chaos t ~id ~deadline ~digest ~params ~seed ~epochs ~zones ~faults =
 let handle_stats t ~id =
   let cs = Plan_cache.stats t.cache in
   let breaker_state = Breaker.state t.breaker in
-  let requests, solver_run_count, workloads, degraded_served, versions, replay =
-    locked t (fun () ->
-        ( t.requests,
-          t.solver_run_count,
-          Hashtbl.length t.workloads,
-          t.degraded_served,
-          [
-            ("resident", Json.Int (List.length t.held));
-            ("evicted", Json.Int t.versions_evicted);
-            ("rebuilt", Json.Int t.versions_rebuilt);
-          ],
-          t.replay ))
+  let requests, solver_run_count, degraded_served, replay =
+    locked t (fun () -> (t.requests, t.solver_run_count, t.degraded_served, t.replay))
   in
+  let vs = Versions.stats t.store in
   Protocol.ok_response ~id
     ([
        ("uptime_s", Json.Float (uptime_s t));
        ("draining", Json.Bool (draining t));
        ("role", Json.String (role_to_string (role t)));
        ("requests", Json.Int requests);
-       ("workloads_resident", Json.Int workloads);
+       ("workloads_resident", Json.Int vs.Versions.workloads);
        ("solver_runs", Json.Int solver_run_count);
        ("degraded_served", Json.Int degraded_served);
        ("inflight_solves", Json.Int (Admission.in_flight t.gate));
@@ -1762,7 +1452,13 @@ let handle_stats t ~id =
              ("evictions", Json.Int cs.Plan_cache.evictions);
              ("hit_ratio", Json.Float (Plan_cache.hit_ratio cs));
            ] );
-       ("versions", Json.Obj versions);
+       ( "versions",
+         Json.Obj
+           [
+             ("resident", Json.Int vs.Versions.versions);
+             ("evicted", Json.Int vs.Versions.evicted);
+             ("rebuilt", Json.Int vs.Versions.rebuilt);
+           ] );
        ( "breaker",
          Json.Obj
            [

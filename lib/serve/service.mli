@@ -59,41 +59,39 @@
     threshold re-solves cold. The [serve.updates.resident] counter
     counts the updates the resident engine served.
 
-    {b Retention.} A root — a workload a client loaded, or one whose
-    solver plan an update started from — is kept in memory for the
-    service's life, with its plans (the cache's, its fallback, and
-    every solver plan an update started from). A loaded root that an
-    update derives again, and that no update started from, becomes a
-    version like any other. Of the versions updates derive, only the
-    newest {!retained_versions} are kept in full; the oldest past that
-    is evicted (its workload, plan-cache entries and fallback go;
-    [serve.versions.evicted] counts it), and what is left of it is its
-    [update] record, O(Δ), which the journal holds too. That record is
-    kept for the service's life, so memory still grows by O(Δ) per
-    update, and a restart replays every update. An evicted version is
-    never lost: a request that names its digest ([solve], [update],
-    [whatif], [chaos]) first rebuilds it by replaying the records
-    forward from its nearest resident ancestor — the engine's
-    deterministic replay, not a solver run, so it leaves [solver_runs]
-    and the circuit breaker alone. Each replayed version is made
-    resident as the newest as soon as it is made ([serve.versions.rebuilt]
-    counts it), so a rebuild costs O(depth × pairs) once, and a rebuild
-    cut short is resumed by the next request, not restarted. The
-    rebuild runs under the update lock (other updates wait for it) and
-    the admission gate (a full gate answers [overloaded]); the request's
-    deadline is checked between replayed versions, so each request
-    replays at least one and answers [timeout] past its deadline,
-    having overrun it by at most one version's replay. Rebuilt, the
-    version answers as it did when it was made: a [solve] at the
-    update's params is a cache hit with the update's [plan_digest];
-    under an open circuit, a [solve] at other params is answered
-    [degraded] from that same plan. Startup replay and replication
-    rebuild an evicted base the same way (without gate or deadline), so
-    an update branched from it replays instead of being skipped.
-    Journals from builds that snapshotted every workload as [load] and
-    [plan] records hold no [update] record for a version made before
-    that snapshot: replayed, such a version is a root and stays in
-    memory; only versions derived afterwards are bounded.
+    {b Retention.} The {!Versions} store decides what stays in memory.
+    A root — a workload a client loaded, or one whose solver plan an
+    update started from — is kept for the service's life, with its
+    plans. Of the versions updates derive, only the newest is kept in
+    full; the one it replaces is evicted ([serve.versions.evicted]
+    counts it), and what is left of it is its [update] record, O(Δ),
+    which the journal holds too. That record is kept for the service's
+    life, so memory still grows by O(Δ) per update, and a restart
+    replays every update. A loaded root that an update derives again,
+    and that no update started from, becomes a version like any other.
+    An evicted version is never lost: a request that names its digest
+    ([solve], [update], [whatif], [chaos]) first rebuilds it by
+    replaying the records forward from its nearest resident ancestor —
+    the engine's deterministic replay, not a solver run, so it leaves
+    [solver_runs] and the circuit breaker alone. Each replayed version
+    is made resident as the newest as soon as it is made
+    ([serve.versions.rebuilt] counts it), so a rebuild costs O(depth ×
+    pairs) once, and a rebuild cut short is resumed by the next request,
+    not restarted. The rebuild runs under the update lock (other updates
+    wait for it) and the admission gate (a full gate answers
+    [overloaded]); the request's deadline is checked between replayed
+    versions, so each request replays at least one and answers [timeout]
+    past its deadline, having overrun it by at most one version's
+    replay. Rebuilt, the version answers as it did when it was made: a
+    [solve] at the update's params is a cache hit with the update's
+    [plan_digest]; under an open circuit, a [solve] at other params is
+    answered [degraded] from that same plan. Startup replay and
+    replication rebuild an evicted base the same way (without gate or
+    deadline), so an update branched from it replays instead of being
+    skipped. Journals from builds that snapshotted every workload as
+    [load] and [plan] records hold no [update] record for a version made
+    before that snapshot: replayed, such a version is a root and stays
+    in memory; only versions derived afterwards are bounded.
 
     {b Degradation.} Consecutive solver failures (deadline blowouts or
     internal errors) open a circuit breaker; while it is open, cache
@@ -190,11 +188,6 @@ val digest_of_workload : Mcss_workload.Workload.t -> string
     rows, and hashing the text once. It writes into a spare buffer that
     it trades with the kept one, so an update allocates no new text. The
     bytes, and hence the digest, are the same either way. *)
-
-val retained_versions : int
-(** How many update-derived versions a service keeps in full: 1, the
-    newest, which is what a client that chains updates and reads each
-    new digest touches. *)
 
 val draining : t -> bool
 (** Set forever once a [shutdown] request has been answered; {!Server}

@@ -115,3 +115,11 @@ let with_dir ?(prefix = "mcss-test") f =
 (* A selection's flat slices as one array per subscriber. *)
 let selection_rows s =
   Array.init (Mcss_core.Selection.num_subscribers s) (Mcss_core.Selection.row s)
+
+(* [Arena.Transpose.of_slices] over the rows [row 0 .. row (rows - 1)]
+   (such as a workload's interest rows), laid out as one flat array. *)
+let transpose_rows ?domains ~width ~rows row =
+  let rows = Array.init rows row in
+  let offs = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r a -> offs.(r + 1) <- offs.(r) + Array.length a) rows;
+  Mcss_core.Arena.Transpose.of_slices ?domains ~width ~offs (Array.concat (Array.to_list rows))

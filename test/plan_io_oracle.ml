@@ -141,7 +141,7 @@ let parse ~workload r =
      [slot] holds v in column row t of the transposed interests;
      [counts.(v)] is how many of v's pairs are placed. *)
   let followers =
-    Arena.Transpose.create ~width:num_topics ~rows:num_subscribers
+    Helpers.transpose_rows ~width:num_topics ~rows:num_subscribers
       (Workload.interests workload)
   in
   let placed = Bytes.make (Workload.num_pairs workload) '\000' in

@@ -438,7 +438,7 @@ let rebuild ~workload ~followers ~placed ~counts =
    (valid) allocation: every placed pair marks its slot. *)
 let decode ~workload a =
   let followers =
-    Arena.Transpose.create ~width:(Workload.num_topics workload)
+    Helpers.transpose_rows ~width:(Workload.num_topics workload)
       ~rows:(Workload.num_subscribers workload) (Workload.interests workload)
   in
   let placed = Bytes.make (Workload.num_pairs workload) '\000' in

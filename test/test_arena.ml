@@ -166,7 +166,7 @@ let naive_column ~width rows x =
     (List.init (Array.length rows) Fun.id)
 
 let transpose ?domains ~width rows =
-  Arena.Transpose.create ?domains ~width ~rows:(Array.length rows) (Array.get rows)
+  Helpers.transpose_rows ?domains ~width ~rows:(Array.length rows) (Array.get rows)
 
 (* The same rows laid out flat, one slice each, after [pad] junk
    entries that no slice covers. *)
@@ -258,7 +258,7 @@ let test_transpose_examples () =
   (match Arena.Transpose.find t ~from:0 ~hi:(hi + 1) 0 with
   | _ -> Alcotest.fail "expected Invalid_argument past the column"
   | exception Invalid_argument _ -> ());
-  (match Arena.Transpose.create ~width:(-1) ~rows:0 (fun _ -> [||]) with
+  (match Helpers.transpose_rows ~width:(-1) ~rows:0 (fun _ -> [||]) with
   | _ -> Alcotest.fail "expected Invalid_argument on a negative width"
   | exception Invalid_argument _ -> ());
   List.iter

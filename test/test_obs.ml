@@ -415,6 +415,39 @@ let test_noop_span_calls_through () =
   Alcotest.(check int) "nothing recorded" 0
     (List.length (Span.roots Registry.noop))
 
+(* ----- per-phase GC accounting ----- *)
+
+(* Back-to-back calls that allocate the same 60,000 minor words (20,000
+   list cells) are charged the same words. Across ten calls minor
+   collections fall inside some of them: a count that moved only at a
+   collection would charge those calls the whole minor heap and the
+   others next to nothing. *)
+let test_gc_phase_exact_minor_words () =
+  let phase = "test.exact_minor" in
+  let charged () =
+    match List.assoc_opt phase (Mcss_obs.Gc_phase.totals ()) with
+    | Some t -> t.Mcss_obs.Gc_phase.minor_words
+    | None -> 0.
+  in
+  let cells () =
+    let l = ref [] in
+    for i = 1 to 20_000 do
+      l := i :: !l
+    done;
+    ignore (Sys.opaque_identity !l)
+  in
+  let words =
+    List.init 10 (fun _ ->
+        let before = charged () in
+        Mcss_obs.Gc_phase.measure phase cells;
+        charged () -. before)
+  in
+  let first = List.hd words in
+  Alcotest.(check bool) (Printf.sprintf "at least the cells (%.0f)" first) true (first >= 60_000.);
+  List.iteri
+    (fun i w -> Alcotest.(check (float 0.)) (Printf.sprintf "call %d" i) first w)
+    words
+
 let suite =
   [
     Alcotest.test_case "counter" `Quick test_counter;
@@ -437,4 +470,5 @@ let suite =
     Alcotest.test_case "noop hot path zero-alloc" `Quick
       test_noop_hot_path_does_not_allocate;
     Alcotest.test_case "noop span calls through" `Quick test_noop_span_calls_through;
+    Alcotest.test_case "gc phase: exact minor words" `Quick test_gc_phase_exact_minor_words;
   ]

@@ -320,7 +320,7 @@ let prop_order_matches_merge_sort =
     (fun p ->
       let w = p.Problem.workload in
       let g =
-        Arena.Transpose.create ~width:(Workload.num_topics w)
+        Helpers.transpose_rows ~width:(Workload.num_topics w)
           ~rows:(Workload.num_subscribers w) (Workload.interests w)
       in
       List.for_all

@@ -970,8 +970,8 @@ let test_update_resident_engine () =
    batches with extra new topics, new subscribers and fractional rates,
    then a branch from an older digest (a non-resident update, which
    still renders against the last rendering) and one update chained on
-   the branch. Chains run past {!Service.retained_versions}, so a branch
-   may start from an evicted version. Then every acked digest, evicted
+   the branch. A service keeps only the newest update-derived version
+   resident, so a branch may start from an evicted version. Then every acked digest, evicted
    or not, is solved: it answers the update's [plan_digest] without a
    solver run, and [serve.versions.rebuilt] counts exactly the versions
    a model of the residency says were replayed. *)
@@ -1003,21 +1003,20 @@ let prop_incremental_digest =
       let field key reply = Option.bind (Json.member key reply) Json.to_string_opt in
       let digest0 = Service.load_workload svc w0 in
       let solved = Protocol.response_ok (Service.handle_line svc (request "solve" digest0 [])) in
-      (* The residency model: update-derived digests, newest first, the
-         newest [retained_versions] resident; each digest's base; and
-         the versions rebuilt and evicted so far. *)
-      let held = ref [] and bases = Hashtbl.create 16 and rebuilt = ref 0 and evicted = ref 0 in
+      (* The residency model: the newest update-derived digest, the only
+         one resident; each digest's base; and the versions rebuilt and
+         evicted so far. *)
+      let held = ref None and bases = Hashtbl.create 16 and rebuilt = ref 0 and evicted = ref 0 in
       let register d =
-        let newest = d :: List.filter (( <> ) d) !held in
-        held := List.filteri (fun i _ -> i < Service.retained_versions) newest;
-        evicted := !evicted + List.length newest - List.length !held
+        (match !held with Some h when h <> d -> incr evicted | _ -> ());
+        held := Some d
       in
       (* A rebuild replays the versions back to the nearest resident one,
          oldest first, registering each as it is made. *)
       let revive d =
         let rec replays d acc =
           match Hashtbl.find_opt bases d with
-          | Some base when not (List.mem d !held) -> replays base (d :: acc)
+          | Some base when !held <> Some d -> replays base (d :: acc)
           | _ -> acc
         in
         List.iter
@@ -1106,9 +1105,9 @@ let prop_incremental_digest =
    growth (below one version's plan over the last 492 updates), not a
    constant bound. A version's plan is its cached solver result, the
    selection and allocation, which is a part of what a resident version
-   costs. The resident-workload gauge counts the root and K versions. *)
+   costs. The resident-workload gauge counts the root and the newest
+   version. *)
 let test_bounded_heap () =
-  let k = Service.retained_versions in
   let w0 = Front.generate ~seed:3 `Spotify ~scale:0.002 in
   let svc = Service.create () in
   let params = { Protocol.default_params with Protocol.tau = 50. } in
@@ -1125,7 +1124,7 @@ let test_bounded_heap () =
       Churn.new_subscribers = 0; new_topics = 0; subscribes = 0; unsubscribes = 0; rate_changes = 4 }
   in
   let rng = Rng.create 3 in
-  let w = ref w0 and live = Hashtbl.create 4 and first = max 8 (2 * k) in
+  let w = ref w0 and live = Hashtbl.create 4 and first = 8 in
   for i = 1 to 500 do
     let ds = Churn.tick rng churn !w in
     let reply =
@@ -1149,13 +1148,12 @@ let test_bounded_heap () =
   if grown >= plan_words then
     Alcotest.failf "live words grew by %d from update %d to 500; one version's plan is %d words"
       grown first plan_words;
-  check_int "versions evicted" (500 - k) (counter svc "serve.versions.evicted");
+  check_int "versions evicted" 499 (counter svc "serve.versions.evicted");
   let body =
     str_field (ok_reply "metrics" (Service.handle_line svc {|{"req":"metrics"}|})) "body"
   in
-  check_bool "resident workloads: the root and K versions" true
-    (List.mem (Printf.sprintf "mcss_serve_workloads_resident %d" (1 + k))
-       (String.split_on_char '\n' body));
+  check_bool "resident workloads: the root and the newest version" true
+    (List.mem "mcss_serve_workloads_resident 2" (String.split_on_char '\n' body));
   Service.close svc
 
 (* A version deep in a chain is rebuilt across retries, not restarted by

@@ -600,8 +600,8 @@ let test_degraded_survives_restart () =
       Service.close svc2)
 
 (* Evicted versions are durable: a journaled leader that folds a
-   snapshot every two records serves more than [retained_versions]
-   chained updates and a branch from an evicted digest. Restarted, and
+   snapshot every two records serves four chained updates, past the
+   newest one that stays resident, and a branch from an evicted digest. Restarted, and
    copied into a follower by a snapshot resync, it still holds every
    acked update as its delta batch (the nemesis's "no acked update
    lost" predicate), replays with nothing skipped and no plan-cache
@@ -639,7 +639,7 @@ let test_evicted_versions_durable () =
             (deltas, str_field r "digest", str_field r "plan_digest")
           in
           let rec chain base i acc =
-            if i = Service.retained_versions + 3 then List.rev acc
+            if i = 4 then List.rev acc
             else
               let ((_, d, _) as u) = update base (21 + i) in
               chain d (i + 1) (u :: acc)
@@ -785,12 +785,12 @@ let test_snapshot_of_loads_keeps_roots () =
           check_bool "cached" true (bool_field r "cached");
           check_string "its plan" p (str_field r "plan_digest"))
         versions;
-      (* Three updates derived after the upgrade: only the newest K stay. *)
+      (* Three updates derived after the upgrade: only the newest stays. *)
       let (newest, _), _, _ = List.nth versions 5 in
       let d1, _ = update svc newest 91 in
       let d2, _ = update svc d1 92 in
       ignore (update svc d2 93);
-      check_int "the old roots and K versions" (6 + Service.retained_versions) (resident ());
+      check_int "the old roots and the newest version" 7 (resident ());
       check_int "no solver run" 0 (Service.solver_runs svc);
       Service.close svc)
 
