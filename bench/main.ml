@@ -1177,18 +1177,24 @@ let out_dir_arg =
   let doc = "Directory for the figure data series (.dat files)." in
   Arg.(value & opt string "bench_out" & info [ "o"; "out-dir" ] ~docv:"DIR" ~doc)
 
-(* A [Problem.Infeasible] from any section (a trace scale too small for
-   its capacity) is one "mcss-bench: infeasible: ..." line and exit 1. *)
+(* A trace scale outside (0, 1], checked before any section runs, and a
+   [Problem.Infeasible] from any section (a trace scale too small for
+   its capacity) are each one "mcss-bench: ..." line and exit 1. *)
 let run_or_die sections spotify_scale twitter_scale trace_seed out_dir =
+  let die m =
+    flush stdout;
+    prerr_endline ("mcss-bench: " ^ m);
+    exit 1
+  in
+  let check_scale flag scale = Result.iter_error die (Front.validate_scale ~flag scale) in
+  check_scale "--spotify-scale" spotify_scale;
+  check_scale "--twitter-scale" twitter_scale;
   match
     Front.catch_infeasible (fun () ->
         run_bench sections spotify_scale twitter_scale trace_seed out_dir)
   with
   | Ok () -> ()
-  | Error m ->
-      flush stdout;
-      prerr_endline ("mcss-bench: " ^ m);
-      exit 1
+  | Error m -> die m
 
 let cmd =
   let doc = "Regenerate the paper's tables and figures" in

@@ -6,7 +6,14 @@
      mcss solve -w twitter.wl --tau 100 --ladder
      mcss lower-bound -w twitter.wl --tau 100
      mcss analyze -w twitter.wl -o analysis/
-     mcss simulate -w twitter.wl --tau 100 --poisson 7 *)
+     mcss simulate -w twitter.wl --tau 100 --poisson 7
+
+   One error rule holds for every subcommand. An error the program
+   detects (a bad flag value, a missing or corrupt file, an infeasible
+   problem, an [Invalid_argument] or [Sys_error] raised anywhere in a
+   body) is one "mcss: <msg>" line on stderr and exit 1; cmdliner's own
+   parse errors exit 124. The only other codes are deliberate: query's
+   2 and 3 and pump's 4. *)
 
 module Workload = Mcss_workload.Workload
 module Stats = Mcss_workload.Stats
@@ -107,6 +114,62 @@ let bc_events_arg =
   in
   Arg.(value & opt (some float) None & info [ "bc-events" ] ~docv:"F" ~doc)
 
+let config_arg =
+  let doc =
+    "Solver configuration by ladder name (default: the full \
+     \"(e) +cost-decision\"); a served solve also accepts $(b,parallel)."
+  in
+  Arg.(value & opt string "(e) +cost-decision" & info [ "config" ] ~docv:"NAME" ~doc)
+
+let plan_arg =
+  Arg.(required & opt (some string) None & info [ "plan" ] ~docv:"FILE"
+         ~doc:"Solved plan (mcss-plan format, from $(b,mcss solve --save-plan)).")
+
+let plan_opt_arg =
+  Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE"
+         ~doc:"Start from this saved plan (mcss-plan format) instead of solving.")
+
+let deltas_arg =
+  Arg.(required & opt (some string) None & info [ "deltas" ] ~docv:"FILE"
+         ~doc:"Delta batch to apply (mcss-deltas format, see Delta_io).")
+
+let deltas_opt_arg =
+  Arg.(value & opt (some string) None & info [ "deltas" ] ~docv:"FILE"
+         ~doc:"Delta batch (mcss-deltas format) to evolve the workload and plan \
+               with through the incremental engine.")
+
+let save_plan_arg =
+  Arg.(value & opt (some string) None & info [ "save-plan" ] ~docv:"FILE"
+         ~doc:"Write the resulting plan to this file.")
+
+let out_arg =
+  Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
+         ~doc:"Output file.")
+
+let listen_arg ~default =
+  Arg.(value & opt string default & info [ "l"; "listen" ] ~docv:"ADDR"
+         ~doc:"Listen address: $(b,unix:PATH), $(b,HOST:PORT), $(b,:PORT) or a \
+               bare port.")
+
+let quiet_arg =
+  Arg.(value & flag & info [ "silent" ] ~doc:"No lifecycle or progress logging.")
+
+let duration_arg =
+  Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"F"
+         ~doc:"Horizons of load to publish through the plan.")
+
+let campaign_seed_arg =
+  Arg.(value & opt int 1 & info [ "campaign-seed" ] ~docv:"N"
+         ~doc:"Seed for the random fault campaign (and the backoff jitter).")
+
+let epochs_arg =
+  Arg.(value & opt int 8 & info [ "epochs" ] ~docv:"N"
+         ~doc:"Supervision epochs to run.")
+
+let zones_arg =
+  Arg.(value & opt int 3 & info [ "zones" ] ~docv:"N"
+         ~doc:"Failure zones (VM b lives in zone b mod N).")
+
 let metrics_out_arg =
   let doc =
     "Record solver/simulator metrics and span timings during the run and \
@@ -126,27 +189,28 @@ let flush_metrics obs metrics_out =
       Sink.write_jsonl obs ~path;
       Printf.printf "metrics written to %s\n" path
 
-let generate_workload trace scale seed = Front.generate ?seed trace ~scale
+(* ----- errors ----- *)
 
-(* Fail-fast file access, shared by every subcommand: a missing or
-   corrupt workload/plan file is one line on stderr and exit 1, never a
-   backtrace and never silently different behaviour per subcommand. *)
+(* An error the program detects: one line on stderr and exit 1. A body
+   may also just raise [Invalid_argument], [Sys_error] or
+   [Problem.Infeasible]; the handler at the bottom of this file prints
+   those the same way. *)
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("mcss: " ^ m); exit 1) fmt
 
 let or_die = function Ok x -> x | Error e -> die "%s" e
+let check ok msg = if not ok then die "%s" msg
 
-(* Cmdliner terms that validate their options: the first [Error] is the
-   term's [`Error]. *)
-let ( let* ) r f = match r with Ok x -> f x | Error e -> `Error (false, e)
+let unix_message e detail =
+  Unix.error_message e ^ if detail = "" then "" else " (" ^ detail ^ ")"
 
-(* Every subcommand that solves runs its body under this, so
-   [Problem.Infeasible], wherever it is raised, is one
-   "mcss: infeasible: ..." line on stderr and exit 1. *)
-let exit_if_infeasible f =
-  or_die (Front.catch_infeasible f)
+let require_plan ~workload path = or_die (Front.load_plan ~workload path)
 
-let require_scale scale = or_die (Front.validate_scale scale)
-let require_domains domains = or_die (Front.validate_domains domains)
+let require_deltas path =
+  try Delta_io.load path with Delta_io.Parse_error msg -> die "%s: %s" path msg
+
+let require_config name = or_die (Front.config name)
+
+(* ----- the problem ----- *)
 
 let load_workload file trace scale seed =
   (match (file, trace) with
@@ -154,80 +218,69 @@ let load_workload file trace scale seed =
   | None, Some _ ->
       Logs.info (fun m -> m "generating synthetic trace at scale %g" scale)
   | None, None -> ());
-  Front.load_workload ~file ~trace ~scale ~seed
+  or_die (Front.load_workload ~file ~trace ~scale ~seed)
 
-let require_workload file trace scale seed = or_die (load_workload file trace scale seed)
-let require_plan ~workload path = or_die (Front.load_plan ~workload path)
+(* The workload named by -w/--trace/--scale/--seed, for [analyze]. The
+   value is lazy: a body forces it after the logs are set up. *)
+let workload_term =
+  let make file trace scale seed =
+    lazy (load_workload file trace (or_die (Front.validate_scale scale)) seed)
+  in
+  Term.(const make $ workload_file $ trace_arg $ scale_arg $ seed_arg)
 
-let require_deltas path =
-  match Delta_io.load path with
-  | ds -> ds
-  | exception Sys_error msg -> die "%s" msg
-  | exception Delta_io.Parse_error msg -> die "%s: %s" path msg
-
-let resolve_instance = Front.resolve_instance
-
-(* Every problem-building subcommand checks [--tau] and [--bc-events]
-   here, so a bad value is one line on stderr and exit 1. *)
-let problem_of ~w ~tau ~instance ~scale ~bc_events =
-  let tau = or_die (Front.validate_tau tau) in
-  let bc_events = Option.map (fun bc -> or_die (Front.validate_bc_events bc)) bc_events in
-  Front.problem_of ~w ~tau ~instance ~scale ~bc_events
+(* The MCSS instance every solving subcommand runs: the workload, the
+   cost model and the problem it prices. Forcing it checks --scale,
+   --tau, --bc-events and --instance before any file is opened, then
+   loads or generates the workload. *)
+let problem_term =
+  let make file trace scale seed tau instance bc_events =
+    lazy
+      (let scale = or_die (Front.validate_scale scale) in
+       let tau = or_die (Front.validate_tau tau) in
+       let bc_events = Option.map (fun bc -> or_die (Front.validate_bc_events bc)) bc_events in
+       let instance = or_die (Front.resolve_instance instance) in
+       let w = load_workload file trace scale seed in
+       let model, p = Front.problem_of ~w ~tau ~instance ~scale ~bc_events in
+       (w, model, p))
+  in
+  Term.(
+    const make $ workload_file $ trace_arg $ scale_arg $ seed_arg $ tau_arg $ instance_arg
+    $ bc_events_arg)
 
 (* ----- generate ----- *)
 
 let generate_cmd =
-  let out =
-    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Output workload file.")
-  in
   let run () trace scale seed out =
-    match trace with
-    | None -> `Error (false, "--trace is required")
-    | Some trace ->
-        let scale = require_scale scale in
-        let w = generate_workload trace scale seed in
-        Wio.save w out;
-        Format.printf "wrote %s: %a@." out Workload.pp_summary w;
-        `Ok ()
+    let trace = match trace with Some t -> t | None -> die "--trace is required" in
+    let scale = or_die (Front.validate_scale scale) in
+    let w = Front.generate ?seed trace ~scale in
+    Wio.save w out;
+    Format.printf "wrote %s: %a@." out Workload.pp_summary w
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic Spotify- or Twitter-like trace")
-    Term.(ret (const run $ setup_logs_term $ trace_arg $ scale_arg $ seed_arg $ out))
+    Term.(const run $ setup_logs_term $ trace_arg $ scale_arg $ seed_arg $ out_arg)
 
 (* ----- solve ----- *)
 
 let solve_cmd =
-  let config_arg =
-    let doc =
-      "Solver configuration by ladder name (default: the full \
-       \"(e) +cost-decision\")."
-    in
-    Arg.(value & opt string "(e) +cost-decision" & info [ "config" ] ~docv:"NAME" ~doc)
-  in
   let ladder_arg =
     Arg.(value & flag & info [ "ladder" ] ~doc:"Run the whole optimisation ladder.")
   in
   let no_verify_arg =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip the solution verifier.")
   in
-  let save_plan_arg =
-    Arg.(value & opt (some string) None & info [ "save-plan" ] ~docv:"FILE"
-           ~doc:"Write the last configuration's plan to this file.")
-  in
   let detail_arg =
     Arg.(value & flag & info [ "detail" ]
            ~doc:"Print fleet diagnostics (utilisation spread, topic fragmentation).")
   in
-  let run () file trace scale seed domains tau instance_name bc_events config_name
-      ladder no_verify save_plan detail metrics_out =
-    exit_if_infeasible @@ fun () ->
-    let scale = require_scale scale in
-    let domains = require_domains domains in
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
+  let run () problem domains config_name ladder no_verify save_plan detail metrics_out =
+    let domains = or_die (Front.validate_domains domains) in
+    let configs =
+      if ladder then Solver.ladder else [ (config_name, require_config config_name) ]
+    in
+    let w, model, p = Lazy.force problem in
     let obs = obs_of metrics_out in
-    let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     Format.printf "%a@." Workload.pp_summary w;
     Format.printf "model: %a; BC = %g events/horizon@." Cost_model.pp model
       p.Problem.capacity;
@@ -236,7 +289,6 @@ let solve_cmd =
     | bad ->
         Logs.warn (fun m ->
             m "%d subscriber(s) cannot be satisfied under this capacity" (List.length bad)));
-    let configs = Front.configs ~ladder config_name in
     let table =
       Table.create
         [
@@ -293,37 +345,28 @@ let solve_cmd =
       in
       Format.printf "right-sizing %a@." Mcss_core.Right_size.pp rs
     end;
-    flush_metrics obs metrics_out;
-    `Ok ()
+    flush_metrics obs metrics_out
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an MCSS instance")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ domains_arg $ tau_arg $ instance_arg $ bc_events_arg $ config_arg
-        $ ladder_arg $ no_verify_arg $ save_plan_arg $ detail_arg $ metrics_out_arg))
+      const run $ setup_logs_term $ problem_term $ domains_arg $ config_arg $ ladder_arg
+      $ no_verify_arg $ save_plan_arg $ detail_arg $ metrics_out_arg)
 
 (* ----- lower-bound ----- *)
 
 let lower_bound_cmd =
-  let run () file trace scale seed tau instance_name bc_events =
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem =
+    let _, model, p = Lazy.force problem in
     let lb = Lower_bound.compute p in
     Printf.printf "bandwidth >= %.2f GB\nVMs >= %d\ncost >= %s\n"
       (Cost_model.gb_of_events model lb.Lower_bound.bandwidth)
       lb.Lower_bound.vms
-      (Table.cell_usd lb.Lower_bound.cost);
-    `Ok ()
+      (Table.cell_usd lb.Lower_bound.cost)
   in
   Cmd.v
     (Cmd.info "lower-bound" ~doc:"Theorem A.1 cost lower bound for an instance")
-    Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg))
+    Term.(const run $ setup_logs_term $ problem_term)
 
 (* ----- analyze ----- *)
 
@@ -332,8 +375,8 @@ let analyze_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "out-dir" ] ~docv:"DIR"
            ~doc:"Also dump CCDF/series data files there.")
   in
-  let run () file trace scale seed out_dir =
-    let w = require_workload file trace scale seed in
+  let run () workload out_dir =
+    let w = Lazy.force workload in
     Format.printf "%a@." Workload.pp_summary w;
     let rates = Stats.summarize (Workload.event_rates w) in
     Printf.printf "event rate:  mean %.1f  p50 %.0f  p90 %.0f  p99 %.0f  max %.0f\n"
@@ -365,14 +408,11 @@ let analyze_cmd =
             Series.of_int_pairs ~name:"rate_by_followers" (Stats.mean_rate_by_followers w);
             Series.of_int_pairs ~name:"sc_by_followings" (Stats.mean_sc_by_interests w);
           ];
-        Printf.printf "series written to %s/\n" dir);
-    `Ok ()
+        Printf.printf "series written to %s/\n" dir)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Trace statistics (the paper's Appendix-D analysis)")
-    Term.(
-      ret (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-          $ out_dir))
+    Term.(const run $ setup_logs_term $ workload_term $ out_dir)
 
 (* ----- simulate ----- *)
 
@@ -408,34 +448,16 @@ let simulate_cmd =
     Arg.(value & opt (some int) None & info [ "poisson" ] ~docv:"SEED"
            ~doc:"Use Poisson arrivals with this seed (default: deterministic).")
   in
-  let duration_arg =
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"F"
-           ~doc:"Window length in horizons.")
-  in
-  let plan_arg =
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE"
-           ~doc:"Replay a saved plan instead of solving.")
-  in
   let outages_arg =
     Arg.(value & opt_all outage_conv [] & info [ "outage" ] ~docv:"VM:FROM:UNTIL"
            ~doc:"Take a VM down over a window, in horizons (repeatable; UNTIL may \
                  be 'inf'). With outages the run reports damage instead of \
                  pass/fail.")
   in
-  let deltas_arg =
-    Arg.(value & opt (some string) None & info [ "deltas" ] ~docv:"FILE"
-           ~doc:"Evolve the workload and plan through the incremental engine \
-                 with this delta batch (mcss-deltas format) before simulating.")
-  in
-  let run () file trace scale seed domains tau instance_name bc_events poisson
-      duration plan deltas outages metrics_out =
-    exit_if_infeasible @@ fun () ->
-    let scale = require_scale scale in
-    let domains = require_domains domains in
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
+  let run () problem domains poisson duration plan deltas outages metrics_out =
+    let domains = or_die (Front.validate_domains domains) in
+    let w, _, p = Lazy.force problem in
     let obs = obs_of metrics_out in
-    let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     (* A bad --deltas path fails before the solve or plan load it would
        otherwise follow. *)
     let ds = Option.map require_deltas deltas in
@@ -453,24 +475,21 @@ let simulate_cmd =
           Format.printf "solved: %a@." Solver.pp_result r;
           (r.Solver.selection, r.Solver.allocation)
     in
-    let* p, allocation =
+    let p, allocation =
       match ds with
-      | None -> Ok (p, allocation)
-      | Some ds -> (
+      | None -> (p, allocation)
+      | Some ds ->
           let eng = Engine.of_plan { Engine.problem = p; selection; allocation } in
-          match Engine.apply eng ds with
-          | stats ->
-              Printf.printf
-                "deltas applied: %d (%d dirty subscribers, +%d/-%d pairs, %d \
-                 evicted%s); fleet now %d VMs\n"
-                (List.length ds) stats.Engine.dirty_subscribers
-                stats.Engine.pairs_added stats.Engine.pairs_removed
-                stats.Engine.pairs_evicted
-                (if stats.Engine.resolved then ", full re-solve" else "")
-                (Engine.num_vms eng);
-              let plan = Engine.plan eng in
-              Ok (plan.Engine.problem, plan.Engine.allocation)
-          | exception Invalid_argument m -> Error m)
+          let stats = Engine.apply eng ds in
+          Printf.printf
+            "deltas applied: %d (%d dirty subscribers, +%d/-%d pairs, %d \
+             evicted%s); fleet now %d VMs\n"
+            (List.length ds) stats.Engine.dirty_subscribers stats.Engine.pairs_added
+            stats.Engine.pairs_removed stats.Engine.pairs_evicted
+            (if stats.Engine.resolved then ", full re-solve" else "")
+            (Engine.num_vms eng);
+          let plan = Engine.plan eng in
+          (plan.Engine.problem, plan.Engine.allocation)
     in
     let config =
       {
@@ -482,11 +501,7 @@ let simulate_cmd =
         outages;
       }
     in
-    let* res =
-      match Simulator.run ~obs p allocation config with
-      | r -> Ok r
-      | exception Invalid_argument m -> Error m
-    in
+    let res = Simulator.run ~obs p allocation config in
     Printf.printf "published %d events over %.2f horizon(s)\n" res.Simulator.events_published
       duration;
     let tolerance = match poisson with Some _ -> 0.5 | None -> 0. in
@@ -504,48 +519,26 @@ let simulate_cmd =
       (Allocation.vms allocation);
     Printf.printf "worst instantaneous VM utilisation: %.0f%%\n" (100. *. !worst);
     flush_metrics obs metrics_out;
-    if outages <> [] then begin
+    if outages <> [] then
       (* Failure injection is a damage report, not a pass/fail gate. *)
       Printf.printf "events lost to outages: %d\n"
-        (Array.fold_left ( + ) 0 res.Simulator.lost);
-      `Ok ()
-    end
-    else if Simulator.all_ok c then `Ok ()
-    else `Error (false, "simulation check failed")
+        (Array.fold_left ( + ) 0 res.Simulator.lost)
+    else check (Simulator.all_ok c) "simulation check failed"
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Solve, then replay the plan through the simulator")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ domains_arg $ tau_arg $ instance_arg $ bc_events_arg $ poisson_arg
-        $ duration_arg $ plan_arg $ deltas_arg $ outages_arg $ metrics_out_arg))
+      const run $ setup_logs_term $ problem_term $ domains_arg $ poisson_arg
+      $ duration_arg $ plan_opt_arg $ deltas_opt_arg $ outages_arg $ metrics_out_arg)
 
 (* ----- update ----- *)
 
 let update_cmd =
-  let deltas_arg =
-    Arg.(required & opt (some string) None & info [ "deltas" ] ~docv:"FILE"
-           ~doc:"Delta batch to apply (mcss-deltas format, see Delta_io).")
-  in
-  let plan_arg =
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE"
-           ~doc:"Evolve a saved plan instead of cold-solving first.")
-  in
-  let config_arg =
-    Arg.(value & opt string "(e) +cost-decision" & info [ "config" ] ~docv:"NAME"
-           ~doc:"Solver configuration (used for the cold solve and any \
-                 drift-triggered re-solve).")
-  in
   let drift_arg =
     Arg.(value & opt float Engine.default_drift_threshold
          & info [ "drift-threshold" ] ~docv:"F"
            ~doc:"Churned-pairs fraction that triggers a full re-solve \
                  ($(b,inf) disables drift re-solves).")
-  in
-  let save_plan_arg =
-    Arg.(value & opt (some string) None & info [ "save-plan" ] ~docv:"FILE"
-           ~doc:"Write the evolved plan to this file.")
   in
   let save_workload_arg =
     Arg.(value & opt (some string) None & info [ "save-workload" ] ~docv:"FILE"
@@ -556,15 +549,11 @@ let update_cmd =
            ~doc:"Re-render the parsed batch in canonical mcss-deltas form on \
                  stdout before applying it (a codec round-trip check).")
   in
-  let run () file trace scale seed tau instance_name bc_events config_name deltas
-      plan drift save_plan save_workload echo_deltas =
-    exit_if_infeasible @@ fun () ->
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem config_name deltas plan drift save_plan save_workload echo_deltas =
+    let config = require_config config_name in
+    let w, _, p = Lazy.force problem in
     let ds = require_deltas deltas in
     if echo_deltas then print_string (Delta_io.to_string ds);
-    let config = Front.config_or_default config_name in
     let eng =
       match plan with
       | Some path ->
@@ -576,11 +565,7 @@ let update_cmd =
     Printf.printf "before: %d VMs, cost %s\n" (Engine.num_vms eng)
       (Table.cell_usd (Engine.cost eng));
     let t0 = Mcss_obs.Clock.now_ns () in
-    let* stats =
-      match Engine.apply eng ds with
-      | stats -> Ok stats
-      | exception Invalid_argument m -> Error m
-    in
+    let stats = Engine.apply eng ds in
     Logs.info (fun m ->
         m "applied %d delta(s) in %.3f ms" (List.length ds)
           (1e3 *. Mcss_obs.Clock.seconds_since t0));
@@ -608,19 +593,15 @@ let update_cmd =
     | Some path ->
         Wio.save p'.Problem.workload path;
         Printf.printf "workload written to %s\n" path);
-    if Verifier.is_valid report then `Ok ()
-    else `Error (false, "evolved plan failed verification")
+    check (Verifier.is_valid report) "evolved plan failed verification"
   in
   Cmd.v
     (Cmd.info "update"
        ~doc:"Apply a delta batch to a plan through the incremental engine \
              (offline; see $(b,mcss query update) for the live daemon)")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ config_arg $ deltas_arg
-        $ plan_arg $ drift_arg $ save_plan_arg $ save_workload_arg
-        $ echo_deltas_arg))
+      const run $ setup_logs_term $ problem_term $ config_arg $ deltas_arg $ plan_opt_arg
+      $ drift_arg $ save_plan_arg $ save_workload_arg $ echo_deltas_arg)
 
 (* ----- budget ----- *)
 
@@ -629,11 +610,8 @@ let budget_cmd =
     Arg.(value & opt_all int [] & info [ "b"; "budget" ] ~docv:"N"
            ~doc:"Fixed VM budget (repeatable). Default: a sweep up to the MCSS fleet size.")
   in
-  let run () file trace scale seed tau instance_name bc_events budgets =
-    exit_if_infeasible @@ fun () ->
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem budgets =
+    let w, _, p = Lazy.force problem in
     let full = Solver.solve p in
     let budgets =
       if budgets <> [] then List.sort_uniq compare budgets
@@ -659,16 +637,12 @@ let budget_cmd =
       (Mcss_core.Budget.satisfaction_curve p ~budgets);
     Table.print table;
     Printf.printf "(MCSS satisfies all %d subscribers with %d VMs)\n" subscribers
-      full.Solver.num_vms;
-    `Ok ()
+      full.Solver.num_vms
   in
   Cmd.v
     (Cmd.info "budget"
        ~doc:"Maximize satisfied subscribers under a fixed VM budget (the dual problem)")
-    Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ budgets_arg))
+    Term.(const run $ setup_logs_term $ problem_term $ budgets_arg)
 
 (* ----- convert ----- *)
 
@@ -681,42 +655,30 @@ let convert_cmd =
     Arg.(required & opt (some string) None & info [ "rates" ] ~docv:"FILE"
            ~doc:"Rates: one 'user count' pair per line.")
   in
-  let out_arg =
-    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Output workload file.")
-  in
   let run () edges rates out =
-    match Mcss_traces.Edge_list.load ~edges ~rates with
-    | w, mapping ->
-        Wio.save w out;
-        Format.printf "wrote %s: %a@." out Workload.pp_summary w;
-        Printf.printf "(%d active topics, %d subscribers mapped from raw user ids)\n"
-          (Array.length mapping.Mcss_traces.Edge_list.user_of_topic)
-          (Array.length mapping.Mcss_traces.Edge_list.user_of_subscriber);
-        `Ok ()
-    | exception Wio.Parse_error msg -> `Error (false, msg)
+    let w, mapping =
+      try Mcss_traces.Edge_list.load ~edges ~rates with Wio.Parse_error msg -> die "%s" msg
+    in
+    Wio.save w out;
+    Format.printf "wrote %s: %a@." out Workload.pp_summary w;
+    Printf.printf "(%d active topics, %d subscribers mapped from raw user ids)\n"
+      (Array.length mapping.Mcss_traces.Edge_list.user_of_topic)
+      (Array.length mapping.Mcss_traces.Edge_list.user_of_subscriber)
   in
   Cmd.v
     (Cmd.info "convert"
        ~doc:"Convert a follower-graph edge list plus a rates file into a workload")
-    Term.(ret (const run $ setup_logs_term $ edges_arg $ rates_arg $ out_arg))
+    Term.(const run $ setup_logs_term $ edges_arg $ rates_arg $ out_arg)
 
 (* ----- export-lp ----- *)
 
 let export_lp_cmd =
-  let out_arg =
-    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Output LP file.")
-  in
   let max_vms_arg =
     Arg.(value & opt (some int) None & info [ "max-vms" ] ~docv:"N"
            ~doc:"Fleet bound for the model (default: heuristic fleet + 2).")
   in
-  let run () file trace scale seed tau instance_name bc_events out max_vms =
-    exit_if_infeasible @@ fun () ->
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem out max_vms =
+    let _, model, p = Lazy.force problem in
     let max_vms =
       match max_vms with Some n -> n | None -> (Solver.solve p).Solver.num_vms + 2
     in
@@ -727,28 +689,18 @@ let export_lp_cmd =
     in
     Printf.printf "wrote %s: %d VMs bound, %d binaries, %d constraints\n" out
       dims.Mcss_exact.Lp_export.vms dims.Mcss_exact.Lp_export.variables
-      dims.Mcss_exact.Lp_export.constraints;
-    `Ok ()
+      dims.Mcss_exact.Lp_export.constraints
   in
   Cmd.v
     (Cmd.info "export-lp"
        ~doc:"Export the instance as a CPLEX-LP mixed-integer program")
-    Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ out_arg $ max_vms_arg))
+    Term.(const run $ setup_logs_term $ problem_term $ out_arg $ max_vms_arg)
 
 (* ----- verify ----- *)
 
 let verify_cmd =
-  let plan_arg =
-    Arg.(required & opt (some string) None & info [ "plan" ] ~docv:"FILE"
-           ~doc:"Plan file to audit.")
-  in
-  let run () file trace scale seed tau instance_name bc_events plan =
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem plan =
+    let w, model, p = Lazy.force problem in
     let a, s = require_plan ~workload:w plan in
     let report = Verifier.verify p s a in
     Printf.printf "plan: %d VMs, %.2f GB bandwidth, cost %s\n" report.Verifier.num_vms
@@ -761,23 +713,17 @@ let verify_cmd =
     let c = Simulator.check p a res ~tolerance:0. in
     Printf.printf "simulated replay: %d events, measured = analytical: %b\n"
       res.Simulator.events_published (Simulator.all_ok c);
-    if Verifier.is_valid report && Simulator.all_ok c then begin
-      print_endline "verifier: CLEAN";
-      `Ok ()
-    end
+    if Verifier.is_valid report && Simulator.all_ok c then print_endline "verifier: CLEAN"
     else begin
       List.iter
         (fun v -> Format.printf "  %a@." Verifier.pp_violation v)
         report.Verifier.violations;
-      `Error (false, "plan failed verification")
+      die "plan failed verification"
     end
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Audit a saved plan against a workload: verifier + replay")
-    Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ plan_arg))
+    Term.(const run $ setup_logs_term $ problem_term $ plan_arg)
 
 (* ----- chaos ----- *)
 
@@ -797,21 +743,9 @@ let chaos_cmd =
                  or $(b,zone:Z@AT+DUR); times in horizons. Without any, a random \
                  campaign is drawn from --campaign-seed.")
   in
-  let campaign_seed_arg =
-    Arg.(value & opt int 1 & info [ "campaign-seed" ] ~docv:"N"
-           ~doc:"Seed for the random campaign (and the backoff jitter).")
-  in
-  let epochs_arg =
-    Arg.(value & opt int 8 & info [ "epochs" ] ~docv:"N"
-           ~doc:"Supervision epochs to run.")
-  in
   let epoch_duration_arg =
     Arg.(value & opt float 0.5 & info [ "epoch-duration" ] ~docv:"F"
            ~doc:"Simulated horizons per epoch.")
-  in
-  let zones_arg =
-    Arg.(value & opt int 3 & info [ "zones" ] ~docv:"N"
-           ~doc:"Failure zones (VM b lives in zone b mod N).")
   in
   let k_arg =
     Arg.(value & opt int 1 & info [ "k"; "replicas" ] ~docv:"K"
@@ -851,30 +785,16 @@ let chaos_cmd =
              ~doc:"Max extra cooldown epochs drawn from the seeded RNG; 0 \
                    makes repair timing fully deterministic.")
   in
-  let run () file trace scale seed tau instance_name bc_events faults campaign_seed
-      epochs epoch_duration zones k no_recovery max_new_vms penalty hysteresis
-      backoff_base backoff_max backoff_jitter metrics_out =
-    exit_if_infeasible @@ fun () ->
-    let* () = if k >= 1 then Ok () else Error "--replicas must be >= 1" in
-    let* () = if zones >= 1 then Ok () else Error "--zones must be >= 1" in
-    let* () =
-      if backoff_base >= 1 then Ok () else Error "--backoff-base must be >= 1"
-    in
-    let* () =
-      if backoff_max >= backoff_base then Ok ()
-      else Error "--backoff-max must be >= --backoff-base"
-    in
-    let* () =
-      if backoff_jitter >= 0 then Ok ()
-      else Error "--backoff-jitter must be >= 0"
-    in
-    let* () =
-      if hysteresis >= 1 then Ok () else Error "--hysteresis must be >= 1"
-    in
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
+  let run () problem faults campaign_seed epochs epoch_duration zones k no_recovery
+      max_new_vms penalty hysteresis backoff_base backoff_max backoff_jitter metrics_out =
+    check (k >= 1) "--replicas must be >= 1";
+    check (zones >= 1) "--zones must be >= 1";
+    check (backoff_base >= 1) "--backoff-base must be >= 1";
+    check (backoff_max >= backoff_base) "--backoff-max must be >= --backoff-base";
+    check (backoff_jitter >= 0) "--backoff-jitter must be >= 0";
+    check (hysteresis >= 1) "--hysteresis must be >= 1";
+    let _, _, p = Lazy.force problem in
     let obs = obs_of metrics_out in
-    let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     let policy =
       {
         Orchestrator.epochs;
@@ -889,77 +809,58 @@ let chaos_cmd =
         penalty_usd_per_violation_hour = penalty;
       }
     in
-    let drill () =
-      let selection = Mcss_core.Selection.gsp p in
-      let fleet =
-        Allocation.num_vms (Mcss_core.Cbp.run p selection Mcss_core.Cbp.with_cost_decision)
-      in
-      let campaign =
-        if faults <> [] then { Failure_model.seed = campaign_seed; faults }
-        else
-          Failure_model.random ~seed:campaign_seed ~num_vms:fleet ~zones
-            ~horizon:(float_of_int epochs *. epoch_duration)
-            ()
-      in
-      Printf.printf "fleet: %d VMs over %d zone(s); campaign (seed %d):\n" fleet zones
-        campaign.Failure_model.seed;
-      List.iter
-        (fun f -> Printf.printf "  %s\n" (Failure_model.fault_to_string f))
-        campaign.Failure_model.faults;
-      if k <= 1 then begin
-        let o = Orchestrator.run ~obs ~policy ~zones ~log:print_endline ~campaign p in
-        Format.printf "@.%a@." Sla.pp_report o.Orchestrator.sla;
-        Printf.printf
-          "repairs: %d adopted of %d attempt(s), %d backoff skip(s), %d VM(s) added, \
-           %d pair(s) shed\n"
-          o.Orchestrator.repairs o.Orchestrator.repair_attempts
-          o.Orchestrator.backoff_skips o.Orchestrator.vms_added
-          (List.length o.Orchestrator.shed);
-        match o.Orchestrator.verified with
-        | Ok () ->
-            print_endline "final plan: verifier CLEAN";
-            `Ok ()
-        | Error m ->
-            Printf.printf "final plan: NOT verifiable (%s)\n" m;
-            `Ok ()
-      end
-      else begin
-        let a, stats = Redundancy.place ~zones ~k p selection in
-        match Redundancy.check p selection ~k a with
-        | Error m -> `Error (false, m)
-        | Ok () ->
-            Format.printf "@.%a@." Redundancy.pp_stats stats;
-            let sla = Orchestrator.evaluate ~obs ~policy ~zones ~campaign p a in
-            Format.printf "%a@." Sla.pp_report sla;
-            `Ok ()
-      end
+    let selection = Mcss_core.Selection.gsp p in
+    let fleet =
+      Allocation.num_vms (Mcss_core.Cbp.run p selection Mcss_core.Cbp.with_cost_decision)
     in
-    match drill () with
-    | r ->
-        flush_metrics obs metrics_out;
-        r
-    | exception Invalid_argument m -> `Error (false, m)
+    let campaign =
+      if faults <> [] then { Failure_model.seed = campaign_seed; faults }
+      else
+        Failure_model.random ~seed:campaign_seed ~num_vms:fleet ~zones
+          ~horizon:(float_of_int epochs *. epoch_duration)
+          ()
+    in
+    Printf.printf "fleet: %d VMs over %d zone(s); campaign (seed %d):\n" fleet zones
+      campaign.Failure_model.seed;
+    List.iter
+      (fun f -> Printf.printf "  %s\n" (Failure_model.fault_to_string f))
+      campaign.Failure_model.faults;
+    if k <= 1 then begin
+      let o = Orchestrator.run ~obs ~policy ~zones ~log:print_endline ~campaign p in
+      Format.printf "@.%a@." Sla.pp_report o.Orchestrator.sla;
+      Printf.printf
+        "repairs: %d adopted of %d attempt(s), %d backoff skip(s), %d VM(s) added, \
+         %d pair(s) shed\n"
+        o.Orchestrator.repairs o.Orchestrator.repair_attempts o.Orchestrator.backoff_skips
+        o.Orchestrator.vms_added
+        (List.length o.Orchestrator.shed);
+      match o.Orchestrator.verified with
+      | Ok () -> print_endline "final plan: verifier CLEAN"
+      | Error m -> Printf.printf "final plan: NOT verifiable (%s)\n" m
+    end
+    else begin
+      let a, stats = Redundancy.place ~zones ~k p selection in
+      or_die (Redundancy.check p selection ~k a);
+      Format.printf "@.%a@." Redundancy.pp_stats stats;
+      let sla = Orchestrator.evaluate ~obs ~policy ~zones ~campaign p a in
+      Format.printf "%a@." Sla.pp_report sla
+    end;
+    flush_metrics obs metrics_out
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Run a fault-injection campaign: supervised recovery or k-redundant drill")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ faults_arg $ campaign_seed_arg
-        $ epochs_arg $ epoch_duration_arg $ zones_arg $ k_arg $ no_recovery_arg
-        $ max_new_vms_arg $ penalty_arg $ hysteresis_arg $ backoff_base_arg
-        $ backoff_max_arg $ backoff_jitter_arg $ metrics_out_arg))
+      const run $ setup_logs_term $ problem_term $ faults_arg $ campaign_seed_arg
+      $ epochs_arg $ epoch_duration_arg $ zones_arg $ k_arg $ no_recovery_arg
+      $ max_new_vms_arg $ penalty_arg $ hysteresis_arg $ backoff_base_arg
+      $ backoff_max_arg $ backoff_jitter_arg $ metrics_out_arg)
 
 (* ----- elastic ----- *)
 
 let require_scenario path =
-  match Scenario.load path with
-  | s -> s
-  | exception Sys_error msg -> die "%s" msg
-  | exception Scenario.Parse_error { line; message } ->
-      die "%s:%d: %s" path line message
-  | exception Invalid_argument msg -> die "%s: %s" path msg
+  try Scenario.load path
+  with Scenario.Parse_error { line; message } -> die "%s:%d: %s" path line message
 
 let elastic_cmd =
   let scenario_arg =
@@ -1008,16 +909,12 @@ let elastic_cmd =
     Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE"
            ~doc:"Write the full per-slice cost ledger as JSON.")
   in
-  let run () file trace scale seed tau instance_name bc_events scenario_path
-      policy deployment scaling_usd lookahead down_cooldown consolidate_below
-      ledger =
-    exit_if_infeasible @@ fun () ->
+  let run () problem scenario_path policy deployment scaling_usd lookahead down_cooldown
+      consolidate_below ledger =
+    let w, model, p = Lazy.force problem in
     let scenario = require_scenario scenario_path in
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
     let pricing =
-      let d = Reservation.default ~instance ~deployment () in
+      let d = Reservation.default ~instance:model.Cost_model.instance ~deployment () in
       match scaling_usd with
       | None -> d
       | Some usd -> { d with Reservation.scaling_usd_per_action = usd }
@@ -1047,61 +944,55 @@ let elastic_cmd =
       | `Hysteresis -> [ hyst () ]
       | `Lookahead -> [ look () ]
     in
-    match
-      Week_sim.run ~pricing ~capacity_events:p.Problem.capacity ~policies
-        ~workload:w ~tau ~model scenario
-    with
-    | exception Invalid_argument m -> `Error (false, m)
-    | result ->
-        Printf.printf
-          "scenario: %d slice(s) x %gh, seed %d, coverage %g; static fleet %d \
-           VM(s)\n"
-          scenario.Scenario.slices slice_hours scenario.Scenario.seed
-          scenario.Scenario.coverage result.Week_sim.static_fleet;
-        let runs = result.Week_sim.static :: result.Week_sim.policies in
-        let table =
-          Table.create
-            [
-              ("policy", Table.Left); ("week cost", Table.Right);
-              ("vm", Table.Right); ("bandwidth", Table.Right);
-              ("scaling", Table.Right); ("actions", Table.Right);
-              ("replans", Table.Right); ("vs static", Table.Right);
-              ("verifier", Table.Left);
-            ]
-        in
-        let static_usd = result.Week_sim.static.Week_sim.total_usd in
-        List.iter
-          (fun (r : Week_sim.policy_run) ->
-            Table.add_row table
-              [
-                r.Week_sim.policy;
-                Table.cell_usd r.Week_sim.total_usd;
-                Table.cell_usd r.Week_sim.vm_usd;
-                Table.cell_usd r.Week_sim.bandwidth_usd;
-                Table.cell_usd r.Week_sim.scaling_usd;
-                string_of_int r.Week_sim.scaling_actions;
-                string_of_int r.Week_sim.reprovisions;
-                (if r.Week_sim.policy = "static" then "-"
-                 else
-                   Table.cell_pct
-                     (Table.pct_change ~baseline:static_usd
-                        r.Week_sim.total_usd));
-                (if r.Week_sim.clean then "CLEAN" else "VIOLATIONS");
-              ])
-          runs;
-        Table.print table;
-        Printf.printf "oracle (knows the whole curve): %s, %s vs static\n"
-          (Table.cell_usd result.Week_sim.oracle_usd)
-          (Table.cell_pct
-             (Table.pct_change ~baseline:static_usd result.Week_sim.oracle_usd));
-        (match ledger with
-        | None -> ()
-        | Some path ->
-            Week_sim.write_ledger path result;
-            Printf.printf "ledger written to %s\n" path);
-        if List.for_all (fun (r : Week_sim.policy_run) -> r.Week_sim.clean) runs
-        then `Ok ()
-        else `Error (false, "a policy produced a plan that failed verification")
+    let result =
+      Week_sim.run ~pricing ~capacity_events:p.Problem.capacity ~policies ~workload:w
+        ~tau:p.Problem.tau ~model scenario
+    in
+    Printf.printf
+      "scenario: %d slice(s) x %gh, seed %d, coverage %g; static fleet %d VM(s)\n"
+      scenario.Scenario.slices slice_hours scenario.Scenario.seed
+      scenario.Scenario.coverage result.Week_sim.static_fleet;
+    let runs = result.Week_sim.static :: result.Week_sim.policies in
+    let table =
+      Table.create
+        [
+          ("policy", Table.Left); ("week cost", Table.Right);
+          ("vm", Table.Right); ("bandwidth", Table.Right);
+          ("scaling", Table.Right); ("actions", Table.Right);
+          ("replans", Table.Right); ("vs static", Table.Right);
+          ("verifier", Table.Left);
+        ]
+    in
+    let static_usd = result.Week_sim.static.Week_sim.total_usd in
+    List.iter
+      (fun (r : Week_sim.policy_run) ->
+        Table.add_row table
+          [
+            r.Week_sim.policy;
+            Table.cell_usd r.Week_sim.total_usd;
+            Table.cell_usd r.Week_sim.vm_usd;
+            Table.cell_usd r.Week_sim.bandwidth_usd;
+            Table.cell_usd r.Week_sim.scaling_usd;
+            string_of_int r.Week_sim.scaling_actions;
+            string_of_int r.Week_sim.reprovisions;
+            (if r.Week_sim.policy = "static" then "-"
+             else
+               Table.cell_pct (Table.pct_change ~baseline:static_usd r.Week_sim.total_usd));
+            (if r.Week_sim.clean then "CLEAN" else "VIOLATIONS");
+          ])
+      runs;
+    Table.print table;
+    Printf.printf "oracle (knows the whole curve): %s, %s vs static\n"
+      (Table.cell_usd result.Week_sim.oracle_usd)
+      (Table.cell_pct (Table.pct_change ~baseline:static_usd result.Week_sim.oracle_usd));
+    (match ledger with
+    | None -> ()
+    | Some path ->
+        Week_sim.write_ledger path result;
+        Printf.printf "ledger written to %s\n" path);
+    check
+      (List.for_all (fun (r : Week_sim.policy_run) -> r.Week_sim.clean) runs)
+      "a policy produced a plan that failed verification"
   in
   Cmd.v
     (Cmd.info "elastic"
@@ -1109,11 +1000,9 @@ let elastic_cmd =
              static envelope plan vs autoscaling policies under reservation \
              pricing")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg
-        $ seed_arg $ tau_arg $ instance_arg $ bc_events_arg $ scenario_arg
-        $ policy_arg $ deployment_arg $ scaling_usd_arg $ lookahead_arg
-        $ down_cooldown_arg $ consolidate_below_arg $ ledger_arg))
+      const run $ setup_logs_term $ problem_term $ scenario_arg $ policy_arg
+      $ deployment_arg $ scaling_usd_arg $ lookahead_arg $ down_cooldown_arg
+      $ consolidate_below_arg $ ledger_arg)
 
 (* ----- profile ----- *)
 
@@ -1129,56 +1018,40 @@ let profile_cmd =
     Arg.(value & flag & info [ "no-simulate" ]
            ~doc:"Profile the solver only; skip the simulator and the broker-fleet latency pass.")
   in
-  let run () file trace scale seed tau instance_name bc_events config_name format
-      no_simulate metrics_out =
-    exit_if_infeasible @@ fun () ->
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let _model, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
-    let config = Front.config_or_default config_name in
+  let run () problem config_name format no_simulate metrics_out =
+    let config = require_config config_name in
+    let _, _, p = Lazy.force problem in
     let obs = Registry.create () in
-    let* () =
-      match
-        Span.with_ obs ~name:"profile" (fun () ->
-            let r = Solver.solve ~obs ~config p in
-            if not no_simulate then begin
-              ignore
-                (Simulator.run ~obs p r.Solver.allocation Simulator.default_config);
-              ignore (Mcss_broker.Fleet.latency ~obs p r.Solver.allocation ~latency_seed:1)
-            end)
-      with
-      | () -> Ok ()
-      | exception Invalid_argument m -> Error m
-    in
+    Span.with_ obs ~name:"profile" (fun () ->
+        let r = Solver.solve ~obs ~config p in
+        if not no_simulate then begin
+          ignore (Simulator.run ~obs p r.Solver.allocation Simulator.default_config);
+          ignore (Mcss_broker.Fleet.latency ~obs p r.Solver.allocation ~latency_seed:1)
+        end);
     (match format with
     | `Console -> print_string (Sink.console obs)
     | `Prometheus -> print_string (Sink.prometheus obs)
     | `Jsonl -> print_string (Sink.jsonl obs));
-    flush_metrics obs metrics_out;
-    `Ok ()
-  in
-  let config_arg =
-    Arg.(value & opt string "(e) +cost-decision" & info [ "config" ] ~docv:"NAME"
-           ~doc:"Solver configuration by ladder name.")
+    flush_metrics obs metrics_out
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run solver + simulator + broker-fleet latency pass with instrumentation on and print \
              the metrics and span tree")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg $ seed_arg
-        $ tau_arg $ instance_arg $ bc_events_arg $ config_arg $ format_arg
-        $ no_simulate_arg $ metrics_out_arg))
+      const run $ setup_logs_term $ problem_term $ config_arg $ format_arg $ no_simulate_arg
+      $ metrics_out_arg)
 
 (* ----- serve ----- *)
 
+(* A planning service over [config], with a journal that cannot be
+   opened reported as one line. *)
+let open_service ~config ?role ?replay_to () =
+  try Serve_service.create ~config ?role ?replay_to () with
+  | Unix.Unix_error (e, _, detail) -> die "cannot open journal: %s" (unix_message e detail)
+  | Sys_error m -> die "cannot open journal: %s" m
+
 let serve_cmd =
-  let listen_arg =
-    Arg.(value & opt string "unix:mcss.sock" & info [ "l"; "listen" ] ~docv:"ADDR"
-           ~doc:"Listen address: $(b,unix:PATH), $(b,HOST:PORT), $(b,:PORT) or a \
-                 bare port.")
-  in
   let cache_size_arg =
     Arg.(value & opt int 128 & info [ "cache-size" ] ~docv:"N"
            ~doc:"Plan-cache capacity in entries (LRU beyond that). Versions \
@@ -1251,9 +1124,6 @@ let serve_cmd =
                  breaker cooldown admits a probe. Pair with a large \
                  $(b,--breaker-cooldown-ms) to hold it open.")
   in
-  let quiet_arg =
-    Arg.(value & flag & info [ "silent" ] ~doc:"No lifecycle logging.")
-  in
   let replicate_on_arg =
     Arg.(value & opt (some string) None & info [ "replicate-on" ] ~docv:"ADDR"
            ~doc:"Also stream the journal to followers on $(docv) (needs \
@@ -1293,57 +1163,28 @@ let serve_cmd =
       default_deadline preloads journal snapshot_every no_fsync breaker_failures
       breaker_cooldown queue_depth start_degraded replicate_on follow name
       quorum_acks quorum_timeout quiet =
-    let* address = Serve_server.address_of_string listen in
-    let* () = if cache_size >= 1 then Ok () else Error "--cache-size must be >= 1" in
-    let* () =
-      if max_in_flight >= 1 then Ok () else Error "--max-in-flight must be >= 1"
-    in
-    let* () = if workers >= 1 then Ok () else Error "--serve-workers must be >= 1" in
-    let* () =
-      if max_request_bytes >= 1024 then Ok ()
-      else Error "--max-request-bytes must be >= 1024"
-    in
-    let* () =
-      if snapshot_every >= 0 then Ok () else Error "--snapshot-every must be >= 0"
-    in
-    let* () =
-      if breaker_failures >= 1 then Ok () else Error "--breaker-failures must be >= 1"
-    in
-    let* () =
-      if breaker_cooldown > 0. then Ok ()
-      else Error "--breaker-cooldown-ms must be positive"
-    in
-    let* () =
-      match queue_depth with
-      | Some d when d < 1 -> Error "--queue-depth must be >= 1"
-      | _ -> Ok ()
-    in
-    let* () =
-      if (replicate_on <> None || follow <> None) && journal = None then
-        Error "--replicate-on and --follow need --journal DIR"
-      else Ok ()
-    in
-    let* () =
-      if quorum_acks < 1 then Error "--quorum-acks must be >= 1"
-      else if quorum_acks > 1 && replicate_on = None then
-        Error "--quorum-acks above 1 needs --replicate-on (the acks come from \
-               followers of the replication stream)"
-      else Ok ()
-    in
-    let* () =
-      if quorum_timeout > 0. then Ok ()
-      else Error "--quorum-timeout-ms must be positive"
-    in
-    let* replicate_address =
-      match replicate_on with
-      | None -> Ok None
-      | Some a -> Result.map Option.some (Serve_server.address_of_string a)
-    in
-    let* leader_address =
-      match follow with
-      | None -> Ok None
-      | Some a -> Result.map Option.some (Serve_server.address_of_string a)
-    in
+    let address = or_die (Serve_server.address_of_string listen) in
+    check (cache_size >= 1) "--cache-size must be >= 1";
+    check (max_in_flight >= 1) "--max-in-flight must be >= 1";
+    check (workers >= 1) "--serve-workers must be >= 1";
+    check (max_request_bytes >= 1024) "--max-request-bytes must be >= 1024";
+    check (snapshot_every >= 0) "--snapshot-every must be >= 0";
+    check (breaker_failures >= 1) "--breaker-failures must be >= 1";
+    check (breaker_cooldown > 0.) "--breaker-cooldown-ms must be positive";
+    check (Option.fold ~none:true ~some:(fun d -> d >= 1) queue_depth)
+      "--queue-depth must be >= 1";
+    check
+      ((replicate_on = None && follow = None) || journal <> None)
+      "--replicate-on and --follow need --journal DIR";
+    check (quorum_acks >= 1) "--quorum-acks must be >= 1";
+    check
+      (quorum_acks = 1 || replicate_on <> None)
+      "--quorum-acks above 1 needs --replicate-on (the acks come from followers of \
+       the replication stream)";
+    check (quorum_timeout > 0.) "--quorum-timeout-ms must be positive";
+    let address_opt = Option.map (fun a -> or_die (Serve_server.address_of_string a)) in
+    let replicate_address = address_opt replicate_on in
+    let leader_address = address_opt follow in
     let config =
       {
         Serve_service.cache_capacity = cache_size;
@@ -1368,23 +1209,12 @@ let serve_cmd =
       if leader_address <> None then Serve_service.Follower
       else Serve_service.Leader
     in
-    let* service =
-      match Serve_service.create ~config ~role () with
-      | s -> Ok s
-      | exception Unix.Unix_error (e, _, detail) ->
-          Error
-            (Printf.sprintf "cannot open journal: %s%s" (Unix.error_message e)
-               (if detail = "" then "" else " (" ^ detail ^ ")"))
-      | exception Sys_error m -> Error ("cannot open journal: " ^ m)
-    in
+    let service = open_service ~config ~role () in
     List.iter
       (fun path ->
-        match Wio.load path with
-        | w ->
-            let digest = Serve_service.load_workload service w in
-            if not quiet then Printf.printf "preloaded %s: digest %s\n%!" path digest
-        | exception Sys_error m -> die "%s" m
-        | exception Wio.Parse_error m -> die "%s: %s" path m)
+        let w = try Wio.load path with Wio.Parse_error m -> die "%s: %s" path m in
+        let digest = Serve_service.load_workload service w in
+        if not quiet then Printf.printf "preloaded %s: digest %s\n%!" path digest)
       preloads;
     let log = if quiet then ignore else fun s -> Printf.printf "%s\n%!" s in
     log
@@ -1462,40 +1292,25 @@ let serve_cmd =
           Option.iter Domain.join follower)
         (fun () -> Serve_server.run ~config:sconfig service address)
     in
-    match
-      Fun.protect
-        ~finally:(fun () -> Serve_service.close service)
-        serve
-    with
-    | () -> `Ok ()
-    | exception Unix.Unix_error (e, _, detail) ->
-        `Error
-          (false,
-           Printf.sprintf "cannot serve on %s: %s%s" listen (Unix.error_message e)
-             (if detail = "" then "" else " (" ^ detail ^ ")"))
+    try Fun.protect ~finally:(fun () -> Serve_service.close service) serve
+    with Unix.Unix_error (e, _, detail) ->
+      die "cannot serve on %s: %s" listen (unix_message e detail)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the planning daemon: resident workloads, a plan cache, and the \
              line-delimited JSON protocol (see $(b,mcss query))")
     Term.(
-      ret
-        (const run $ setup_logs_term $ listen_arg $ cache_size_arg $ max_in_flight_arg
-        $ workers_arg $ max_request_bytes_arg $ default_deadline_arg $ preload_arg
-        $ journal_arg $ snapshot_every_arg $ no_fsync_arg $ breaker_failures_arg
-        $ breaker_cooldown_arg $ queue_depth_arg $ start_degraded_arg
-        $ replicate_on_arg $ follow_arg $ name_arg $ quorum_acks_arg
-        $ quorum_timeout_arg $ quiet_arg))
+      const run $ setup_logs_term $ listen_arg ~default:"unix:mcss.sock" $ cache_size_arg
+      $ max_in_flight_arg $ workers_arg $ max_request_bytes_arg $ default_deadline_arg
+      $ preload_arg $ journal_arg $ snapshot_every_arg $ no_fsync_arg
+      $ breaker_failures_arg $ breaker_cooldown_arg $ queue_depth_arg
+      $ start_degraded_arg $ replicate_on_arg $ follow_arg $ name_arg $ quorum_acks_arg
+      $ quorum_timeout_arg $ quiet_arg)
 
 (* ----- route ----- *)
 
 let route_cmd =
-  let listen_arg =
-    Arg.(value & opt string "unix:mcss-route.sock" & info [ "l"; "listen" ]
-           ~docv:"ADDR"
-           ~doc:"Listen address: $(b,unix:PATH), $(b,HOST:PORT), $(b,:PORT) or \
-                 a bare port.")
-  in
   let shard_arg =
     Arg.(non_empty & opt_all string [] & info [ "shard" ] ~docv:"SPEC"
            ~doc:"One shard as $(b,NAME=ADDR)[$(b,,ADDR)...] (repeatable). The \
@@ -1511,9 +1326,6 @@ let route_cmd =
     Arg.(value & opt float Serve_router.default_config.Serve_router.health_period_s
          & info [ "health-period-s" ] ~docv:"S"
            ~doc:"Member health-probe cadence in seconds.")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "silent" ] ~doc:"No lifecycle logging.")
   in
   let auto_promote_arg =
     Arg.(value & flag & info [ "auto-promote" ]
@@ -1531,48 +1343,25 @@ let route_cmd =
                  (needs $(b,--auto-promote)).")
   in
   let run () listen shards vnodes health_period auto_promote promote_after quiet =
-    let* address = Serve_server.address_of_string listen in
-    let* () = if vnodes >= 1 then Ok () else Error "--vnodes must be >= 1" in
-    let* () =
-      if health_period > 0. then Ok ()
-      else Error "--health-period-s must be positive"
-    in
-    let* () =
-      if promote_after >= 1 then Ok () else Error "--promote-after must be >= 1"
-    in
+    let address = or_die (Serve_server.address_of_string listen) in
+    check (vnodes >= 1) "--vnodes must be >= 1";
+    check (health_period > 0.) "--health-period-s must be positive";
+    check (promote_after >= 1) "--promote-after must be >= 1";
     let parse_spec spec =
       match String.index_opt spec '=' with
-      | None | Some 0 ->
-          Error (Printf.sprintf "--shard %s: expected NAME=ADDR[,ADDR...]" spec)
+      | None | Some 0 -> die "--shard %s: expected NAME=ADDR[,ADDR...]" spec
       | Some i ->
-          let name = String.sub spec 0 i in
+          let member a =
+            match Serve_server.address_of_string a with
+            | Ok address -> { Serve_router.name = a; address }
+            | Error m -> die "--shard %s: %s" spec m
+          in
           let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-          let rec addresses acc = function
-            | [] -> Ok (List.rev acc)
-            | a :: tl -> (
-                match Serve_server.address_of_string a with
-                | Ok addr ->
-                    addresses ({ Serve_router.name = a; address = addr } :: acc) tl
-                | Error m -> Error (Printf.sprintf "--shard %s: %s" spec m))
-          in
-          let parts =
-            List.filter (fun s -> s <> "") (String.split_on_char ',' rest)
-          in
-          if parts = [] then
-            Error (Printf.sprintf "--shard %s: no member addresses" spec)
-          else
-            Result.map
-              (fun members -> { Serve_router.shard_name = name; members })
-              (addresses [] parts)
+          let parts = List.filter (fun s -> s <> "") (String.split_on_char ',' rest) in
+          if parts = [] then die "--shard %s: no member addresses" spec;
+          { Serve_router.shard_name = String.sub spec 0 i; members = List.map member parts }
     in
-    let rec parse_all acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: tl -> (
-          match parse_spec s with
-          | Ok shard -> parse_all (shard :: acc) tl
-          | Error _ as e -> e)
-    in
-    let* shards = parse_all [] shards in
+    let shards = List.map parse_spec shards in
     let log = if quiet then ignore else fun s -> Printf.printf "%s\n%!" s in
     let config =
       {
@@ -1584,11 +1373,7 @@ let route_cmd =
         log;
       }
     in
-    let* router =
-      match Serve_router.create ~config shards with
-      | r -> Ok r
-      | exception Invalid_argument m -> Error m
-    in
+    let router = Serve_router.create ~config shards in
     log (Printf.sprintf "mcss-plan-router %s" (Build_info.to_string ()));
     List.iter
       (fun s ->
@@ -1598,13 +1383,9 @@ let route_cmd =
                 (List.map (fun m -> m.Serve_router.name) s.Serve_router.members))))
       shards;
     let server_config = { Serve_server.default_config with Serve_server.log } in
-    match Serve_router.run ~server_config router address with
-    | () -> `Ok ()
-    | exception Unix.Unix_error (e, _, detail) ->
-        `Error
-          (false,
-           Printf.sprintf "cannot route on %s: %s%s" listen (Unix.error_message e)
-             (if detail = "" then "" else " (" ^ detail ^ ")"))
+    try Serve_router.run ~server_config router address
+    with Unix.Unix_error (e, _, detail) ->
+      die "cannot route on %s: %s" listen (unix_message e detail)
   in
   Cmd.v
     (Cmd.info "route"
@@ -1612,9 +1393,8 @@ let route_cmd =
              leader by workload digest, fail over to followers, and shed with \
              $(b,no_quorum) when a whole shard is down")
     Term.(
-      ret
-        (const run $ setup_logs_term $ listen_arg $ shard_arg $ vnodes_arg
-        $ health_period_arg $ auto_promote_arg $ promote_after_arg $ quiet_arg))
+      const run $ setup_logs_term $ listen_arg ~default:"unix:mcss-route.sock" $ shard_arg
+      $ vnodes_arg $ health_period_arg $ auto_promote_arg $ promote_after_arg $ quiet_arg)
 
 (* ----- journal ----- *)
 
@@ -1640,73 +1420,45 @@ let journal_cmd =
   let run_verify dir =
     (* A journal dir is created on demand by a server, but a *scan* of
        a path that does not exist is a typo, not a clean journal. *)
-    if not (Sys.file_exists dir && Sys.is_directory dir) then
-      `Error (false, Printf.sprintf "cannot verify journal: %s is not a directory" dir)
-    else
-    match Serve_journal.verify ~dir with
-    | exception Unix.Unix_error (e, _, detail) ->
-        `Error
-          (false,
-           Printf.sprintf "cannot verify journal: %s%s" (Unix.error_message e)
-             (if detail = "" then "" else " (" ^ detail ^ ")"))
-    | exception Sys_error m -> `Error (false, "cannot verify journal: " ^ m)
-    | r ->
-        let open Serve_journal in
-        Printf.printf "journal %s: verify (read-only)\n" dir;
-        Printf.printf "  snapshot records: %d (base index %d)\n"
-          r.v_snapshot_records r.v_base_index;
-        Printf.printf "  wal records: %d (last index %d)\n" r.v_wal_records
-          (r.v_base_index + r.v_wal_records);
-        Printf.printf "  epoch span: %d..%d (persisted %d)\n" r.v_min_epoch
-          r.v_max_epoch r.v_persisted_epoch;
-        Printf.printf "  dropped_frames: %d\n" r.v_dropped_frames;
-        let corrupt =
-          r.v_corrupt_records > 0 || r.v_trailing_bytes > 0
-          || r.v_epoch_regressions > 0
-        in
-        if corrupt then begin
-          Printf.printf
-            "CORRUPT: %d corrupt records, %d trailing bytes, %d epoch \
-             regressions\n"
-            r.v_corrupt_records r.v_trailing_bytes r.v_epoch_regressions;
-          exit 1
-        end
-        else begin
-          Printf.printf "clean\n";
-          `Ok ()
-        end
-  in
-  let run () dir seek verify =
-    if verify then run_verify dir
-    else
-    let* () =
-      match seek with
-      | Some n when n < 0 -> Error "--seek must be >= 0"
-      | _ -> Ok ()
+    check (Sys.file_exists dir && Sys.is_directory dir)
+      (Printf.sprintf "cannot verify journal: %s is not a directory" dir);
+    let r =
+      try Serve_journal.verify ~dir with
+      | Unix.Unix_error (e, _, detail) ->
+          die "cannot verify journal: %s" (unix_message e detail)
+      | Sys_error m -> die "cannot verify journal: %s" m
     in
+    let open Serve_journal in
+    Printf.printf "journal %s: verify (read-only)\n" dir;
+    Printf.printf "  snapshot records: %d (base index %d)\n" r.v_snapshot_records
+      r.v_base_index;
+    Printf.printf "  wal records: %d (last index %d)\n" r.v_wal_records
+      (r.v_base_index + r.v_wal_records);
+    Printf.printf "  epoch span: %d..%d (persisted %d)\n" r.v_min_epoch r.v_max_epoch
+      r.v_persisted_epoch;
+    Printf.printf "  dropped_frames: %d\n" r.v_dropped_frames;
+    if r.v_corrupt_records > 0 || r.v_trailing_bytes > 0 || r.v_epoch_regressions > 0
+    then begin
+      Printf.printf "CORRUPT: %d corrupt records, %d trailing bytes, %d epoch regressions\n"
+        r.v_corrupt_records r.v_trailing_bytes r.v_epoch_regressions;
+      exit 1
+    end
+    else Printf.printf "clean\n"
+  in
+  let run_replay dir seek =
+    check (Option.fold ~none:true ~some:(fun n -> n >= 0) seek) "--seek must be >= 0";
     let config =
       {
         Serve_service.default_config with
-        Serve_service.journal =
-          Some { Serve_journal.dir; fsync = false; snapshot_every = 0 };
+        Serve_service.journal = Some { Serve_journal.dir; fsync = false; snapshot_every = 0 };
       }
     in
-    let* service =
-      match Serve_service.create ~config ?replay_to:seek () with
-      | s -> Ok s
-      | exception Unix.Unix_error (e, _, detail) ->
-          Error
-            (Printf.sprintf "cannot open journal: %s%s" (Unix.error_message e)
-               (if detail = "" then "" else " (" ^ detail ^ ")"))
-      | exception Sys_error m -> Error ("cannot open journal: " ^ m)
-    in
+    let service = open_service ~config ?replay_to:seek () in
     Fun.protect
       ~finally:(fun () -> Serve_service.close service)
       (fun () ->
-        let last =
-          Option.value ~default:0 (Serve_service.journal_last_index service)
-        in
-        (match Serve_service.replay_stats service with
+        let last = Option.value ~default:0 (Serve_service.journal_last_index service) in
+        match Serve_service.replay_stats service with
         | None -> Printf.printf "journal %s: empty (last index 0)\n" dir
         | Some r ->
             let applied =
@@ -1715,27 +1467,23 @@ let journal_cmd =
             in
             Printf.printf "journal %s: last index %d\n" dir last;
             (match seek with
-            | Some n ->
-                Printf.printf "replayed %d of %d records (--seek %d)\n" applied
-                  last n
+            | Some n -> Printf.printf "replayed %d of %d records (--seek %d)\n" applied last n
             | None -> Printf.printf "replayed %d records\n" applied);
-            Printf.printf
-              "  %d workloads, %d plans, %d updates, %d skipped\n"
+            Printf.printf "  %d workloads, %d plans, %d updates, %d skipped\n"
               r.Serve_service.workloads_recovered r.Serve_service.plans_recovered
               r.Serve_service.updates_replayed r.Serve_service.records_skipped;
             Printf.printf
-              "  torn tail: %d bytes truncated, %d corrupt records, %d \
-               dropped frames\n"
+              "  torn tail: %d bytes truncated, %d corrupt records, %d dropped frames\n"
               r.Serve_service.wal_truncated_bytes r.Serve_service.corrupt_records
-              r.Serve_service.dropped_frames);
-        `Ok ())
+              r.Serve_service.dropped_frames)
   in
+  let run () dir seek verify = if verify then run_verify dir else run_replay dir seek in
   Cmd.v
     (Cmd.info "journal"
        ~doc:"Inspect a planning-service journal: replay it (optionally only a \
              prefix, with $(b,--seek)) and print what was recovered, or scan \
              it read-only with $(b,--verify)")
-    Term.(ret (const run $ setup_logs_term $ dir_arg $ seek_arg $ verify_arg))
+    Term.(const run $ setup_logs_term $ dir_arg $ seek_arg $ verify_arg)
 
 (* ----- nemesis ----- *)
 
@@ -1766,16 +1514,12 @@ let nemesis_cmd =
                  invariant booleans) as JSON to $(docv) — the \
                  $(b,BENCH_partition.json) shape.")
   in
-  let quiet_arg =
-    Arg.(value & flag & info [ "silent" ]
-           ~doc:"No phase-by-phase narration on stderr.")
-  in
   let run () seed partitions updates out quiet =
-    if partitions < 3 then `Error (true, "--partitions must be >= 3")
-    else if updates < 1 then `Error (true, "--updates-per-phase must be >= 1")
-    else begin
-      let log = if quiet then ignore else fun s -> Printf.eprintf "%s\n%!" s in
-      match
+    check (partitions >= 3) "--partitions must be >= 3";
+    check (updates >= 1) "--updates-per-phase must be >= 1";
+    let log = if quiet then ignore else fun s -> Printf.eprintf "%s\n%!" s in
+    let r =
+      try
         Serve_nemesis.run
           {
             Serve_nemesis.default_config with
@@ -1784,42 +1528,31 @@ let nemesis_cmd =
             updates_per_phase = updates;
             log;
           }
-      with
-      | exception Serve_nemesis.Nemesis_timeout what ->
-          `Error (false, "nemesis wedged: " ^ what)
-      | r ->
-          (match out with
-          | Some path ->
-              let oc = open_out path in
-              output_string oc
-                (Json.to_string (Serve_nemesis.report_to_json r));
-              output_char oc '\n';
-              close_out oc
-          | None -> ());
-          Printf.printf
-            "nemesis seed %d: %d partitions, %d/%d updates acked, %d \
-             promotions, %d fenced demotions, recovery p50 %.0f ms p95 %.0f \
-             ms\n"
-            r.Serve_nemesis.r_seed r.Serve_nemesis.r_partitions
-            r.Serve_nemesis.r_updates_acked r.Serve_nemesis.r_updates_sent
-            r.Serve_nemesis.r_auto_promotions r.Serve_nemesis.r_fenced_demotions
-            r.Serve_nemesis.r_recovery_p50_ms r.Serve_nemesis.r_recovery_p95_ms;
-          Printf.printf
-            "invariants: single_writer=%b no_acked_lost=%b \
-             journals_converged=%b plans_converged=%b verify_clean=%b\n"
-            r.Serve_nemesis.r_single_writer_per_epoch
-            r.Serve_nemesis.r_no_acked_update_lost
-            r.Serve_nemesis.r_journals_converged
-            r.Serve_nemesis.r_plan_digests_converged
-            r.Serve_nemesis.r_journals_verify_clean;
-          if Serve_nemesis.passed r then begin
-            Printf.printf "PASSED\n";
-            `Ok ()
-          end
-          else begin
-            Printf.printf "FAILED\n";
-            exit 1
-          end
+      with Serve_nemesis.Nemesis_timeout what -> die "nemesis wedged: %s" what
+    in
+    (match out with
+    | Some path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Json.to_string (Serve_nemesis.report_to_json r));
+            output_char oc '\n')
+    | None -> ());
+    Printf.printf
+      "nemesis seed %d: %d partitions, %d/%d updates acked, %d promotions, %d fenced \
+       demotions, recovery p50 %.0f ms p95 %.0f ms\n"
+      r.Serve_nemesis.r_seed r.Serve_nemesis.r_partitions r.Serve_nemesis.r_updates_acked
+      r.Serve_nemesis.r_updates_sent r.Serve_nemesis.r_auto_promotions
+      r.Serve_nemesis.r_fenced_demotions r.Serve_nemesis.r_recovery_p50_ms
+      r.Serve_nemesis.r_recovery_p95_ms;
+    Printf.printf
+      "invariants: single_writer=%b no_acked_lost=%b journals_converged=%b \
+       plans_converged=%b verify_clean=%b\n"
+      r.Serve_nemesis.r_single_writer_per_epoch r.Serve_nemesis.r_no_acked_update_lost
+      r.Serve_nemesis.r_journals_converged r.Serve_nemesis.r_plan_digests_converged
+      r.Serve_nemesis.r_journals_verify_clean;
+    if Serve_nemesis.passed r then Printf.printf "PASSED\n"
+    else begin
+      Printf.printf "FAILED\n";
+      exit 1
     end
   in
   Cmd.v
@@ -1832,17 +1565,10 @@ let nemesis_cmd =
              lost, journal and plan convergence). Exits 1 when any invariant \
              fails.")
     Term.(
-      ret
-        (const run $ setup_logs_term $ seed_arg $ partitions_arg $ updates_arg
-        $ out_arg $ quiet_arg))
-
-(* ----- query ----- *)
+      const run $ setup_logs_term $ seed_arg $ partitions_arg $ updates_arg $ out_arg
+      $ quiet_arg)
 
 (* ----- dataplane / pump ----- *)
-
-let plan_arg =
-  Arg.(required & opt (some string) None & info [ "plan" ] ~docv:"FILE"
-         ~doc:"Solved plan (mcss-plan format, from $(b,mcss solve --save-plan)).")
 
 let dir_arg =
   Arg.(value & opt string "dataplane" & info [ "dir" ] ~docv:"DIR"
@@ -1869,14 +1595,9 @@ let dataplane_cmd =
            ~doc:"Wall seconds to hold each scenario slice before moving on \
                  (0 replays as fast as the re-homes complete).")
   in
-  let run () file trace scale seed plan dir message_bytes tau instance_name
-      bc_events replay_scenario slice_pace =
-    let* () =
-      if slice_pace >= 0. then Ok () else Error "--slice-pace must be >= 0"
-    in
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let _, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem plan dir message_bytes replay_scenario slice_pace =
+    check (slice_pace >= 0.) "--slice-pace must be >= 0";
+    let w, _, p = Lazy.force problem in
     let allocation, selection = require_plan ~workload:w plan in
     let scenario = Option.map require_scenario replay_scenario in
     Mcss_report.Fs.mkdir_p dir;
@@ -1897,51 +1618,40 @@ let dataplane_cmd =
         Printf.printf "serving; stop with 'mcss pump --shutdown' or \
                        'mcss query shutdown -c <socket>' per broker\n%!";
         Dp_cluster.join cluster;
-        print_endline "dataplane: all brokers stopped";
-        `Ok ()
-    | Some scenario -> (
+        print_endline "dataplane: all brokers stopped"
+    | Some scenario ->
         (* Scenario replay: the engine evolves the plan slice by slice
            and the live fleet is reconciled onto each evolved plan —
-           the dataplane twin of [mcss elastic]'s simulated week. *)
-        let eng =
-          Engine.of_plan { Engine.problem = p; selection; allocation }
-        in
-        let batches = Scenario.compile scenario w in
-        let replay () =
-          Array.iteri
-            (fun k batch ->
-              let stats = Engine.apply eng batch in
-              let plan = Engine.plan eng in
-              let report =
-                Verifier.verify plan.Engine.problem plan.Engine.selection
-                  plan.Engine.allocation
-              in
-              let apply = Dp_cluster.apply_plan cluster plan.Engine.allocation in
-              Printf.printf
-                "slice %d: x%.3f rates, %d VM(s), re-home +%d/-%d pair(s), \
-                 %d broker(s) spawned%s, verifier %s\n%!"
-                k
-                (Scenario.multiplier scenario ~slice:k)
-                (Engine.num_vms eng) apply.Dp_cluster.pairs_added
-                apply.Dp_cluster.pairs_removed apply.Dp_cluster.spawned
-                (if stats.Engine.resolved then " (drift re-solve)" else "")
-                (if Verifier.is_valid report then "CLEAN" else "VIOLATIONS");
-              List.iter
-                (fun e -> Printf.printf "  broker error: %s\n" e)
-                apply.Dp_cluster.errors;
-              if slice_pace > 0. then Unix.sleepf slice_pace)
-            batches;
-          Dp_cluster.shutdown cluster;
-          print_endline "dataplane: scenario replayed, all brokers stopped"
-        in
-        match Front.catch_infeasible replay with
-        | Ok () -> `Ok ()
-        | Error e ->
-            Dp_cluster.shutdown cluster;
-            die "%s" e
-        | exception Invalid_argument m ->
-            Dp_cluster.shutdown cluster;
-            `Error (false, m))
+           the dataplane twin of [mcss elastic]'s simulated week. An
+           error on the way still shuts the fleet down. *)
+        Fun.protect
+          ~finally:(fun () -> Dp_cluster.shutdown cluster)
+          (fun () ->
+            let eng = Engine.of_plan { Engine.problem = p; selection; allocation } in
+            Array.iteri
+              (fun k batch ->
+                let stats = Engine.apply eng batch in
+                let plan = Engine.plan eng in
+                let report =
+                  Verifier.verify plan.Engine.problem plan.Engine.selection
+                    plan.Engine.allocation
+                in
+                let apply = Dp_cluster.apply_plan cluster plan.Engine.allocation in
+                Printf.printf
+                  "slice %d: x%.3f rates, %d VM(s), re-home +%d/-%d pair(s), \
+                   %d broker(s) spawned%s, verifier %s\n%!"
+                  k
+                  (Scenario.multiplier scenario ~slice:k)
+                  (Engine.num_vms eng) apply.Dp_cluster.pairs_added
+                  apply.Dp_cluster.pairs_removed apply.Dp_cluster.spawned
+                  (if stats.Engine.resolved then " (drift re-solve)" else "")
+                  (if Verifier.is_valid report then "CLEAN" else "VIOLATIONS");
+                List.iter
+                  (fun e -> Printf.printf "  broker error: %s\n" e)
+                  apply.Dp_cluster.errors;
+                if slice_pace > 0. then Unix.sleepf slice_pace)
+              (Scenario.compile scenario w));
+        print_endline "dataplane: scenario replayed, all brokers stopped"
   in
   Cmd.v
     (Cmd.info "dataplane"
@@ -1949,17 +1659,10 @@ let dataplane_cmd =
              solved plan and serve until shut down, or replay an elastic \
              scenario over it")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg
-        $ seed_arg $ plan_arg $ dir_arg $ message_bytes_arg $ tau_arg
-        $ instance_arg $ bc_events_arg $ replay_scenario_arg $ slice_pace_arg))
+      const run $ setup_logs_term $ problem_term $ plan_arg $ dir_arg $ message_bytes_arg
+      $ replay_scenario_arg $ slice_pace_arg)
 
 let pump_cmd =
-  let duration_arg =
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"F"
-           ~doc:"Horizons of load to pump (deterministic schedule, the same \
-                 generator the simulator counts with).")
-  in
   let pace_arg =
     Arg.(value & opt float 0. & info [ "pace" ] ~docv:"S"
            ~doc:"Wall seconds per horizon; 0 pumps as fast as acks allow.")
@@ -1991,18 +1694,12 @@ let pump_cmd =
            ~doc:"Gracefully shut the fleet down after the run (drain, flush, \
                  exit).")
   in
-  let run () file trace scale seed plan dir duration pace batch tolerance
-      no_reconcile latency_seed report_file shutdown tau instance_name bc_events
-      =
-    let w = require_workload file trace scale seed in
-    let* instance = resolve_instance instance_name in
-    let _, p = problem_of ~w ~tau ~instance ~scale ~bc_events in
+  let run () problem plan dir duration pace batch tolerance no_reconcile latency_seed
+      report_file shutdown =
+    let w, _, p = Lazy.force problem in
     let allocation, _ = require_plan ~workload:w plan in
     let manifest = Filename.concat dir "fleet.json" in
-    let cluster =
-      try Dp_cluster.attach ~manifest allocation
-      with Failure m | Sys_error m -> die "%s" m
-    in
+    let cluster = try Dp_cluster.attach ~manifest allocation with Failure m -> die "%s" m in
     let config =
       {
         Dp_pump.default_config with
@@ -2096,7 +1793,7 @@ let pump_cmd =
     | Some rc when not rc.Dp_reconcile.pass ->
         prerr_endline "mcss pump: reconciliation deviation above tolerance";
         exit 4
-    | _ -> `Ok ()
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "pump"
@@ -2104,11 +1801,9 @@ let pump_cmd =
              fleet, collect the delivery ledgers, and reconcile them against \
              the simulator")
     Term.(
-      ret
-        (const run $ setup_logs_term $ workload_file $ trace_arg $ scale_arg
-        $ seed_arg $ plan_arg $ dir_arg $ duration_arg $ pace_arg $ batch_arg
-        $ tolerance_arg $ no_reconcile_arg $ latency_seed_arg $ report_arg
-        $ shutdown_arg $ tau_arg $ instance_arg $ bc_events_arg))
+      const run $ setup_logs_term $ problem_term $ plan_arg $ dir_arg $ duration_arg
+      $ pace_arg $ batch_arg $ tolerance_arg $ no_reconcile_arg $ latency_seed_arg
+      $ report_arg $ shutdown_arg)
 
 let query_cmd =
   let connect_arg =
@@ -2135,12 +1830,6 @@ let query_cmd =
            ~doc:"(topic, subscriber) pair for $(b,rehome) to remove \
                  (repeatable).")
   in
-  let deltas_arg =
-    Arg.(value & opt (some string) None & info [ "deltas" ] ~docv:"FILE"
-           ~doc:"Delta batch (mcss-deltas format) for $(b,update); sent inline \
-                 and applied to the plan cached under --digest + the solve \
-                 parameters.")
-  in
   let raw_json_arg =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"JSON"
            ~doc:"Raw request line for $(b,raw).")
@@ -2157,25 +1846,9 @@ let query_cmd =
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Per-request deadline; exceeding it yields a $(b,timeout) error.")
   in
-  let config_name_arg =
-    Arg.(value & opt string "(e) +cost-decision" & info [ "config" ] ~docv:"NAME"
-           ~doc:"Solver configuration (ladder name, or $(b,parallel)).")
-  in
   let faults_arg =
     Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC"
            ~doc:"Fault spec for $(b,chaos) (repeatable), as in $(b,mcss chaos).")
-  in
-  let campaign_seed_arg =
-    Arg.(value & opt int 1 & info [ "campaign-seed" ] ~docv:"N"
-           ~doc:"Random-campaign / jitter seed for $(b,chaos).")
-  in
-  let epochs_arg =
-    Arg.(value & opt int 8 & info [ "epochs" ] ~docv:"N"
-           ~doc:"Supervision epochs for $(b,chaos).")
-  in
-  let zones_arg =
-    Arg.(value & opt int 3 & info [ "zones" ] ~docv:"N"
-           ~doc:"Failure zones for $(b,chaos).")
   in
   let retries_arg =
     Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N"
@@ -2204,8 +1877,7 @@ let query_cmd =
   let run () connect verb raw_json wfile digest deltas_file taus instance_name
       bc_events config_name deadline faults campaign_seed epochs zones retries
       retry_base timeout add_pairs remove_pairs epoch =
-    let ( let& ) r f = match r with Ok x -> f x | Error _ as e -> e in
-    let* address = Serve_server.address_of_string connect in
+    let address = or_die (Serve_server.address_of_string connect) in
     let params tau =
       {
         Serve_protocol.tau;
@@ -2216,79 +1888,59 @@ let query_cmd =
     in
     let need_digest () =
       match digest with
-      | Some d -> Ok d
-      | None -> Error "--digest is required (run 'mcss query load -w FILE' first)"
+      | Some d -> d
+      | None -> die "--digest is required (run 'mcss query load -w FILE' first)"
+    in
+    let read_file what = function
+      | Some path -> In_channel.with_open_bin path In_channel.input_all
+      | None -> die "%s" what
     in
     let one_tau () = match taus with [] -> 100. | t :: _ -> t in
-    let* request =
+    let request =
       match verb with
-      | "health" -> Ok (`Envelope Serve_protocol.Health)
-      | "stats" -> Ok (`Envelope Serve_protocol.Stats)
-      | "metrics" -> Ok (`Envelope Serve_protocol.Metrics)
-      | "shutdown" -> Ok (`Envelope Serve_protocol.Shutdown)
-      | "promote" -> Ok (`Envelope (Serve_protocol.Promote { epoch }))
+      | "health" -> `Envelope Serve_protocol.Health
+      | "stats" -> `Envelope Serve_protocol.Stats
+      | "metrics" -> `Envelope Serve_protocol.Metrics
+      | "shutdown" -> `Envelope Serve_protocol.Shutdown
+      | "promote" -> `Envelope (Serve_protocol.Promote { epoch })
       | "demote" -> (
           match epoch with
-          | Some e -> Ok (`Envelope (Serve_protocol.Demote { epoch = e }))
+          | Some e -> `Envelope (Serve_protocol.Demote { epoch = e })
           | None ->
-              Error
-                "demote needs --epoch E (strictly above the member's epoch: \
-                 demotion is fenced)")
-      | "drain" -> Ok (`Envelope Serve_protocol.Drain)
-      | "ledger" -> Ok (`Envelope Serve_protocol.Ledger)
+              die "demote needs --epoch E (strictly above the member's epoch: \
+                   demotion is fenced)")
+      | "drain" -> `Envelope Serve_protocol.Drain
+      | "ledger" -> `Envelope Serve_protocol.Ledger
       | "rehome" ->
-          if add_pairs = [] && remove_pairs = [] then
-            Error "rehome needs --add T:S and/or --remove T:S"
-          else
-            Ok
-              (`Envelope
-                (Serve_protocol.Rehome { add = add_pairs; remove = remove_pairs }))
-      | "load" -> (
-          match wfile with
-          | None -> Error "load needs -w FILE (sent inline, content-addressed)"
-          | Some path -> (
-              match In_channel.with_open_bin path In_channel.input_all with
-              | text -> Ok (`Envelope (Serve_protocol.Load (`Inline text)))
-              | exception Sys_error m -> die "%s" m))
+          check (add_pairs <> [] || remove_pairs <> [])
+            "rehome needs --add T:S and/or --remove T:S";
+          `Envelope (Serve_protocol.Rehome { add = add_pairs; remove = remove_pairs })
+      | "load" ->
+          let text = read_file "load needs -w FILE (sent inline, content-addressed)" wfile in
+          `Envelope (Serve_protocol.Load (`Inline text))
       | "solve" ->
-          let& d = need_digest () in
-          Ok (`Envelope (Serve_protocol.Solve { digest = d; params = params (one_tau ()) }))
-      | "update" -> (
-          let& d = need_digest () in
-          match deltas_file with
-          | None -> Error "update needs --deltas FILE (mcss-deltas format)"
-          | Some path -> (
-              match In_channel.with_open_bin path In_channel.input_all with
-              | text ->
-                  Ok
-                    (`Envelope
-                      (Serve_protocol.Update
-                         { digest = d; params = params (one_tau ()); deltas = text }))
-              | exception Sys_error m -> die "%s" m))
+          let digest = need_digest () in
+          `Envelope (Serve_protocol.Solve { digest; params = params (one_tau ()) })
+      | "update" ->
+          let digest = need_digest () in
+          let deltas = read_file "update needs --deltas FILE (mcss-deltas format)" deltas_file in
+          `Envelope (Serve_protocol.Update { digest; params = params (one_tau ()); deltas })
       | "whatif" ->
-          let& d = need_digest () in
+          let digest = need_digest () in
           let taus = if taus = [] then [ 10.; 100.; 1000. ] else taus in
-          Ok (`Envelope (Serve_protocol.Whatif { digest = d; params = params 100.; taus }))
+          `Envelope (Serve_protocol.Whatif { digest; params = params 100.; taus })
       | "chaos" ->
-          let& d = need_digest () in
-          Ok
-            (`Envelope
-              (Serve_protocol.Chaos
-                 {
-                   digest = d;
-                   params = params (one_tau ());
-                   seed = campaign_seed;
-                   epochs;
-                   zones;
-                   faults;
-                 }))
+          let digest = need_digest () in
+          `Envelope
+            (Serve_protocol.Chaos
+               { digest; params = params (one_tau ()); seed = campaign_seed; epochs; zones; faults })
       | "raw" -> (
           match raw_json with
-          | Some line -> Ok (`Raw line)
-          | None -> Error "raw needs a JSON argument")
-      | other -> Error (Printf.sprintf "unknown query verb %S" other)
+          | Some line -> `Raw line
+          | None -> die "raw needs a JSON argument")
+      | other -> die "unknown query verb %S" other
     in
-    let* () = if retries >= 1 then Ok () else Error "--retries must be >= 1" in
+    check (retries >= 1) "--retries must be >= 1";
     let policy =
       {
         Serve_retry.default_policy with
@@ -2336,8 +1988,7 @@ let query_cmd =
           if Serve_protocol.response_degraded reply then begin
             prerr_endline "mcss query: degraded reply (stale plan served)";
             exit 2
-          end;
-          `Ok ()
+          end
         end
         else begin
           let code =
@@ -2365,25 +2016,20 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Send one request to a running $(b,mcss serve) and print the reply")
     Term.(
-      ret
-        (const run $ setup_logs_term $ connect_arg $ verb_arg $ raw_json_arg
-        $ workload_file $ digest_arg $ deltas_arg $ taus_arg $ instance_arg
-        $ bc_events_arg $ config_name_arg $ deadline_arg $ faults_arg
-        $ campaign_seed_arg $ epochs_arg $ zones_arg $ retries_arg
-        $ retry_base_arg $ timeout_arg $ add_pair_arg $ remove_pair_arg
-        $ epoch_arg))
+      const run $ setup_logs_term $ connect_arg $ verb_arg $ raw_json_arg $ workload_file
+      $ digest_arg $ deltas_opt_arg $ taus_arg $ instance_arg $ bc_events_arg $ config_arg
+      $ deadline_arg $ faults_arg $ campaign_seed_arg $ epochs_arg $ zones_arg
+      $ retries_arg $ retry_base_arg $ timeout_arg $ add_pair_arg $ remove_pair_arg
+      $ epoch_arg)
 
 (* ----- version ----- *)
 
 let version_cmd =
-  let run () =
-    print_endline ("mcss " ^ Build_info.to_string ());
-    `Ok ()
-  in
+  let run () = print_endline ("mcss " ^ Build_info.to_string ()) in
   Cmd.v
     (Cmd.info "version"
        ~doc:"Print the package version (and git describe when available)")
-    Term.(ret (const run $ const ()))
+    Term.(const run $ const ())
 
 let main_cmd =
   let doc = "cost-effective resource allocation for pub/sub on cloud (ICDCS'14)" in
@@ -2397,4 +2043,14 @@ let main_cmd =
       pump_cmd; version_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* The one error rule (see the header): the errors a body detects by
+   raising are printed here, once, for every subcommand. Any other
+   exception is a bug, reported as cmdliner reports one. *)
+let () =
+  match Cmd.eval ~catch:false main_cmd with
+  | code -> exit code
+  | exception Problem.Infeasible m -> die "infeasible: %s" m
+  | exception (Invalid_argument m | Sys_error m) -> die "%s" m
+  | exception e ->
+      prerr_endline ("mcss: internal error, uncaught exception:\n" ^ Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -11,9 +11,9 @@ let bc_events ~scale (instance : Instance.t) =
 
 type trace = [ `Spotify | `Twitter ]
 
-let validate_scale scale =
+let validate_scale ?(flag = "--scale") scale =
   if Float.is_nan scale || scale <= 0. || scale > 1. then
-    Error (Printf.sprintf "--scale must be in (0, 1], got %g" scale)
+    Error (Printf.sprintf "%s must be in (0, 1], got %g" flag scale)
   else Ok scale
 
 let validate_domains domains =
@@ -96,8 +96,10 @@ let problem_of ~w ~tau ~instance ~scale ~bc_events:bc =
   in
   (model, Problem.of_pricing ~capacity_events ~workload:w ~tau model)
 
-let config_or_default name =
-  match Solver.config_of_name name with Some c -> c | None -> Solver.default
-
-let configs ~ladder name =
-  if ladder then Solver.ladder else [ (name, config_or_default name) ]
+let config name =
+  match Solver.config_of_name name with
+  | Some c -> Ok c
+  | None ->
+      Error
+        (Printf.sprintf "unknown --config %S: expected one of %s" name
+           (String.concat ", " (List.map (fun (n, _) -> Printf.sprintf "%S" n) Solver.ladder)))

@@ -2,7 +2,7 @@
     harness: the implied per-VM capacity constant, synthetic-trace
     generation with seed overrides, workload/plan loading with uniform
     error strings, instance lookup, problem construction, and
-    ladder-configuration selection. Both front-ends answer "which
+    ladder-configuration lookup. Both front-ends answer "which
     problem does this command line describe?" through this module, so
     they cannot drift apart. *)
 
@@ -18,9 +18,9 @@ val bc_events : scale:float -> Mcss_pricing.Instance.t -> float
 
 type trace = [ `Spotify | `Twitter ]
 
-val validate_scale : float -> (float, string) result
+val validate_scale : ?flag:string -> float -> (float, string) result
 (** Accept scales in (0, 1]; [Error] is a one-line reason suitable for
-    stderr. *)
+    stderr, naming the option as [flag] (default ["--scale"]). *)
 
 val validate_domains : int -> (int, string) result
 (** Accept domain counts >= 1; [Error] is a one-line reason suitable
@@ -85,11 +85,6 @@ val problem_of :
     prices, with per-VM capacity [bc_events] or the {!bc_events}
     default. *)
 
-val config_or_default : string -> Mcss_core.Solver.config
-(** The ladder configuration with that name, or
-    {!Mcss_core.Solver.default} when the name is unknown. *)
-
-val configs : ladder:bool -> string -> (string * Mcss_core.Solver.config) list
-(** What a solve-style command runs: the whole optimisation ladder when
-    [ladder], else the single named configuration (defaulted as in
-    {!config_or_default}, keeping the requested name as the label). *)
+val config : string -> (Mcss_core.Solver.config, string) result
+(** The {!Mcss_core.Solver.ladder} configuration with that name;
+    [Error] names the valid ones. *)
